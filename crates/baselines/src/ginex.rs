@@ -303,13 +303,13 @@ impl Ginex {
             gnndrive_sync::LockRank::Pipeline,
             Vec::with_capacity(nodes.len()),
         );
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..self.cfg.io_threads.max(1) {
                 let cursor = &cursor;
                 let results = &results;
                 let ds = &self.ds;
                 let dim = self.ds.spec.feat_dim;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     telemetry::register_thread(ThreadClass::Cpu);
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -321,8 +321,7 @@ impl Ginex {
                     }
                 });
             }
-        })
-        .expect("sync load scope");
+        });
         results.into_inner()
     }
 
@@ -341,7 +340,7 @@ impl Ginex {
             Vec::with_capacity(range.len()),
         );
         let cursor = AtomicUsize::new(range.start);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..self.cfg.num_samplers.max(1) {
                 let cursor = &cursor;
                 let results = &results;
@@ -349,7 +348,7 @@ impl Ginex {
                 let plan = &plan;
                 let end = range.end;
                 let seed = self.cfg.seed;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     telemetry::register_thread(ThreadClass::Cpu);
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -362,8 +361,7 @@ impl Ginex {
                     }
                 });
             }
-        })
-        .expect("superbatch sampling");
+        });
         let mut samples = results.into_inner();
         samples.sort_by_key(|s| s.batch_id);
         samples

@@ -27,10 +27,9 @@ use gnndrive_graph::{Dataset, NodeId};
 use gnndrive_nn::{build_model, GnnModel, ModelKind};
 use gnndrive_sampling::{BatchPlan, NeighborSampler, TopoReader};
 use gnndrive_storage::{MemCharge, MemoryGovernor, OomError};
+use gnndrive_sync::Rng;
 use gnndrive_telemetry::{self as telemetry, ThreadClass};
 use gnndrive_tensor::{Matrix, Optimizer};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,14 +191,10 @@ impl MariusGnn {
     /// victim slot). The *computation* is cheap; the paper's cost is the
     /// preloading, which [`MariusGnn::prepare`] performs.
     fn ordering(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ epoch.wrapping_mul(0x9E37_79B9));
         let mut parts: Vec<usize> = (0..self.cfg.num_partitions).collect();
         // Randomize the visit order per epoch (Marius reshuffles partition
         // order between epochs to preserve SGD randomness).
-        for i in (1..parts.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            parts.swap(i, j);
-        }
+        Rng::seed_from_u64(self.cfg.seed ^ epoch.wrapping_mul(0x9E37_79B9)).shuffle(&mut parts);
         let b = self.cfg.buffer_partitions;
         let mut states = Vec::new();
         let mut state: Vec<usize> = parts[..b].to_vec();

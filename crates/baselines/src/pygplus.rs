@@ -136,7 +136,7 @@ impl TrainingSystem for PygPlus {
             Arc::clone(&self.topo),
             self.cfg.fanouts.clone(),
         ));
-        let (tx, rx) = crossbeam::channel::bounded::<LoadedBatch>(self.cfg.prefetch.max(1));
+        let (tx, rx) = gnndrive_sync::queue::bounded::<LoadedBatch>(self.cfg.prefetch.max(1));
         let cursor = AtomicUsize::new(0);
         let sample_nanos = AtomicU64::new(0);
         let extract_nanos = AtomicU64::new(0);
@@ -150,7 +150,7 @@ impl TrainingSystem for PygPlus {
         let mut processed = 0usize;
         let t0 = Instant::now();
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             // DataLoader workers: sample then synchronously extract.
             for w in 0..self.cfg.num_workers.max(1) {
                 let tx = tx.clone();
@@ -165,9 +165,9 @@ impl TrainingSystem for PygPlus {
                 let failed = Arc::clone(&failed);
                 let error = &error;
                 let seed = self.cfg.seed;
-                s.builder()
+                std::thread::Builder::new()
                     .name(format!("pyg-loader-{w}"))
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         loop {
                             if failed.load(Ordering::Relaxed) {
@@ -268,8 +268,7 @@ impl TrainingSystem for PygPlus {
                 train_secs += t.elapsed().as_secs_f64();
                 processed += 1;
             }
-        })
-        .expect("pyg+ scope");
+        });
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
         self.metrics.epochs.inc();
@@ -306,15 +305,15 @@ impl TrainingSystem for PygPlus {
         ));
         let cursor = AtomicUsize::new(0);
         let t0 = Instant::now();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..self.cfg.num_workers.max(1) {
                 let cursor = &cursor;
                 let plan = &plan;
                 let sampler = Arc::clone(&sampler);
                 let seed = self.cfg.seed;
-                s.builder()
+                std::thread::Builder::new()
                     .name(format!("pyg-sample-{w}"))
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -327,8 +326,7 @@ impl TrainingSystem for PygPlus {
                     })
                     .expect("spawn sampler");
             }
-        })
-        .expect("sample scope");
+        });
         t0.elapsed()
     }
 

@@ -11,8 +11,7 @@
 
 use gnndrive_bench::print_series;
 use gnndrive_storage::{IoRing, SimSsd, SsdProfile};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,17 +36,17 @@ fn run_sync(
     let stop = Instant::now() + Duration::from_millis(RUN_MS);
     let ops = AtomicU64::new(0);
     let lat_nanos = AtomicU64::new(0);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads {
             let ssd = Arc::clone(ssd);
             let ops = &ops;
             let lat_nanos = &lat_nanos;
-            s.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(t as u64);
+            s.spawn(move || {
+                let mut rng = Rng::seed_from_u64(t as u64);
                 let mut buf = vec![0u8; 512];
-                let sectors = (FILE_MB * 1024 * 1024 / 512) as u64;
+                let sectors = FILE_MB * 1024 * 1024 / 512;
                 while Instant::now() < stop {
-                    let off = rng.gen_range(0..sectors) * 512;
+                    let off = rng.below(sectors) as u64 * 512;
                     let t0 = Instant::now();
                     if direct {
                         ssd.read_blocking(f, off, &mut buf, true).unwrap();
@@ -64,8 +63,7 @@ fn run_sync(
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let n = ops.load(Ordering::Relaxed).max(1);
     let secs = RUN_MS as f64 / 1e3;
     (
@@ -83,13 +81,13 @@ fn run_async(
     direct: bool,
 ) -> (f64, f64) {
     let stop = Instant::now() + Duration::from_millis(RUN_MS);
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
     let mut ring = IoRing::new(Arc::clone(ssd), depth.max(1), direct);
-    let sectors = (FILE_MB * 1024 * 1024 / 512) as u64;
+    let sectors = FILE_MB * 1024 * 1024 / 512;
     let (mut ops, mut lat_nanos) = (0u64, 0u64);
     let read_len = if direct { 512 } else { 4096 };
-    let prepare = |ring: &mut IoRing, rng: &mut StdRng| {
-        let off = rng.gen_range(0..sectors) * 512;
+    let prepare = |ring: &mut IoRing, rng: &mut Rng| {
+        let off = rng.below(sectors) as u64 * 512;
         let off = if direct { off } else { off / 4096 * 4096 };
         let len = read_len.min((f.len - off) as usize);
         ring.prepare_read(f, off, len, 0).is_ok()

@@ -122,36 +122,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Deprecated alias of [`with_model`](Self::with_model).
-    #[deprecated(since = "0.1.0", note = "renamed to `with_model`")]
-    pub fn model(self, kind: ModelKind, hidden: usize) -> Self {
-        self.with_model(kind, hidden)
-    }
-
-    /// Deprecated alias of [`with_config`](Self::with_config).
-    #[deprecated(since = "0.1.0", note = "renamed to `with_config`")]
-    pub fn config(self, cfg: GnnDriveConfig) -> Self {
-        self.with_config(cfg)
-    }
-
-    /// Deprecated alias of [`with_gpu_mode`](Self::with_gpu_mode).
-    #[deprecated(since = "0.1.0", note = "renamed to `with_gpu_mode`")]
-    pub fn gpu_mode(self, gpu: bool) -> Self {
-        self.with_gpu_mode(gpu)
-    }
-
-    /// Deprecated alias of [`with_governor`](Self::with_governor).
-    #[deprecated(since = "0.1.0", note = "renamed to `with_governor`")]
-    pub fn governor(self, governor: Arc<MemoryGovernor>) -> Self {
-        self.with_governor(governor)
-    }
-
-    /// Deprecated alias of [`with_page_cache`](Self::with_page_cache).
-    #[deprecated(since = "0.1.0", note = "renamed to `with_page_cache`")]
-    pub fn page_cache(self, cache: Arc<PageCache>) -> Self {
-        self.with_page_cache(cache)
-    }
-
     /// Wire the pipeline, charging host and device memory.
     pub fn build(self) -> Result<Pipeline, Error> {
         Pipeline::from_builder(self).map_err(Error::Build)
@@ -179,29 +149,6 @@ mod tests {
             },
             SimSsd::new(SsdProfile::instant()),
         ))
-    }
-
-    /// The pre-rename builder spelling must keep compiling (and behaving)
-    /// for one deprecation cycle.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_build_a_pipeline() {
-        let ds = dataset();
-        let governor = MemoryGovernor::unlimited();
-        let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&governor));
-        let p = Pipeline::builder(ds, GpuDevice::rtx3090())
-            .model(ModelKind::GraphSage, 8)
-            .config(GnnDriveConfig {
-                fanouts: vec![2, 2],
-                batch_size: 16,
-                feature_buffer_slots: 2048,
-                ..Default::default()
-            })
-            .gpu_mode(true)
-            .governor(governor)
-            .page_cache(cache)
-            .build();
-        assert!(p.is_ok(), "deprecated spelling broke: {:?}", p.err());
     }
 
     #[test]

@@ -384,7 +384,7 @@ fn extract_batch_inner(
         ring_direct,
         ctx.io_priority,
     );
-    let (xfer_tx, xfer_rx) = crossbeam::channel::unbounded();
+    let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
     let mut pending_groups: HashMap<u64, (ReadGroup, Option<Arc<StagingLease>>)> = HashMap::new();
     let mut inflight_transfers = 0usize;
     // Per-completion enqueue→dispatch vs dispatch→complete split, summed
@@ -543,7 +543,7 @@ fn extract_batch_inner(
             }
         }
         // Reap transfer completions opportunistically too.
-        while let Ok(done) = xfer_rx.try_recv() {
+        while let Some(done) = xfer_rx.try_recv() {
             ctx.fb.publish(done.user_data as NodeId);
             inflight_transfers -= 1;
         }

@@ -230,16 +230,18 @@ pub fn run_data_parallel(
     let t0 = Instant::now();
     let mut reports: Vec<EpochReport> = Vec::new();
     let mut failed: Vec<(usize, String)> = Vec::new();
-    let scope_result = crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for p in pipelines.iter_mut() {
             let sync = Arc::clone(&sync);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let _leave = LeaveGuard(&sync);
                 p.train_epoch_with_sync(epoch, max_batches, |m| sync.all_reduce(m))
                     .report
             }));
         }
+        // Every handle is joined by hand: a worker panic is a typed
+        // `failed` entry, not a re-panic when the scope closes.
         for (w, h) in handles.into_iter().enumerate() {
             match h.join() {
                 Ok(report) => reports.push(report),
@@ -256,9 +258,6 @@ pub fn run_data_parallel(
             }
         }
     });
-    // The scope itself only errors if a still-running child panicked, and
-    // every child was joined above.
-    debug_assert!(scope_result.is_ok());
 
     ParallelReport {
         epoch_wall: t0.elapsed(),
@@ -315,8 +314,8 @@ mod tests {
         let grad_bytes = 4;
         let sync = GradSync::new(&cfg, grad_bytes);
         let s2 = Arc::clone(&sync);
-        crossbeam::scope(|s| {
-            let h = s.spawn(move |_| {
+        std::thread::scope(|s| {
+            let h = s.spawn(move || {
                 s2.all_reduce(&mut m2);
                 m2.params_mut()[0].grad.data()[0]
             });
@@ -325,8 +324,7 @@ mod tests {
             let g2 = h.join().unwrap();
             assert_eq!(g1, 3.0);
             assert_eq!(g2, 3.0);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -339,8 +337,8 @@ mod tests {
         };
         let sync = GradSync::new(&cfg, 4);
         let s2 = Arc::clone(&sync);
-        crossbeam::scope(|s| {
-            let h = s.spawn(move |_| {
+        std::thread::scope(|s| {
+            let h = s.spawn(move || {
                 let mut m = build_model(ModelKind::Gcn, 4, 4, 2, 1, 1);
                 // Arrive first; will be released when the other leaves.
                 s2.all_reduce(&mut m);
@@ -348,7 +346,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             sync.leave();
             h.join().unwrap();
-        })
-        .unwrap();
+        });
     }
 }

@@ -22,6 +22,7 @@ use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
 use gnndrive_sampling::{BatchPlan, MiniBatchSample, MmapTopo, NeighborSampler, TopoReader};
 use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
+use gnndrive_sync::queue::{bounded, RecvTimeoutError};
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry::{self as telemetry, HistSummary, State, ThreadClass};
 use gnndrive_tensor::{Adam, Matrix, Optimizer};
@@ -440,11 +441,9 @@ impl Pipeline {
         ));
         let ctx = Arc::new(self.extractor_context(IoPriority::Bulk));
 
-        let (extract_tx, extract_rx) =
-            crossbeam::channel::bounded::<MiniBatchSample>(self.cfg.extract_queue_cap);
-        let (train_tx, train_rx) =
-            crossbeam::channel::bounded::<ExtractedBatch>(self.cfg.train_queue_cap);
-        let (release_tx, release_rx) = crossbeam::channel::bounded::<(u64, Vec<NodeId>)>(64);
+        let (extract_tx, extract_rx) = bounded::<MiniBatchSample>(self.cfg.extract_queue_cap);
+        let (train_tx, train_rx) = bounded::<ExtractedBatch>(self.cfg.train_queue_cap);
+        let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
 
         // Live depth gauges for the three bounded queues (𝔒2 diagnostics:
         // a congested extract stage shows as a full extract queue and an
@@ -499,7 +498,7 @@ impl Pipeline {
         let num_extractors = self.cfg.num_extractors.max(1);
         let t0 = Instant::now();
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             // ① Samplers.
             for w in 0..num_samplers {
                 let plan = &plan;
@@ -512,9 +511,9 @@ impl Pipeline {
                 let h_sample = h_sample.clone();
                 let g_extract_q = g_extract_q.clone();
                 let stage_sample = &stage_sample;
-                s.builder()
+                std::thread::Builder::new()
                     .name(format!("sampler-{w}"))
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -563,9 +562,9 @@ impl Pipeline {
                 let stage_extract = &stage_extract;
                 let extract_started = &extract_started;
                 let extract_ended = &extract_ended;
-                s.builder()
+                std::thread::Builder::new()
                     .name(format!("extractor-{w}"))
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         while let Ok(sample) = rx.recv() {
                             g_extract_q.set(rx.len() as i64);
@@ -615,9 +614,9 @@ impl Pipeline {
                 let h_release = h_release.clone();
                 let g_release_q = g_release_q.clone();
                 let stage_release = &stage_release;
-                s.builder()
+                std::thread::Builder::new()
                     .name("releaser".into())
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         while let Ok((batch_id, nodes)) = release_rx.recv() {
                             g_release_q.set(release_rx.len() as i64);
@@ -651,16 +650,14 @@ impl Pipeline {
                                     g_train_q.set(train_rx.len() as i64);
                                     return Some(b);
                                 }
-                                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                                Err(RecvTimeoutError::Timeout) => {
                                     if done + failed_batches.load(Ordering::Relaxed) + pending.len()
                                         >= batches
                                     {
                                         return None;
                                     }
                                 }
-                                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                                    return None
-                                }
+                                Err(RecvTimeoutError::Disconnected) => return None,
                             }
                         }
                     };
@@ -772,8 +769,7 @@ impl Pipeline {
                     .lock()
                     .get_or_insert_with(|| "releaser thread panicked".to_string());
             }
-        })
-        .expect("pipeline scope");
+        });
 
         let io_after = self.ds.ssd.stats().snapshot();
         let io = io_after.delta_since(&io_before);
@@ -883,15 +879,15 @@ impl TrainingSystem for Pipeline {
         ));
         let cursor = AtomicUsize::new(0);
         let t0 = Instant::now();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..self.cfg.num_samplers.max(1) {
                 let plan = &plan;
                 let cursor = &cursor;
                 let sampler = Arc::clone(&sampler);
                 let seed = self.cfg.seed;
-                s.builder()
+                std::thread::Builder::new()
                     .name(format!("sampler-only-{w}"))
-                    .spawn(move |_| {
+                    .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -904,8 +900,7 @@ impl TrainingSystem for Pipeline {
                     })
                     .expect("spawn sampler");
             }
-        })
-        .expect("sample-only scope");
+        });
         t0.elapsed()
     }
 
@@ -920,7 +915,7 @@ pub fn train_epochs(p: &mut Pipeline, epochs: u64, max_batches: Option<usize>) -
 }
 
 // Pipeline must remain Send: data-parallel workers move replicas across
-// threads (the crossbeam scope in `run_data_parallel`).
+// threads (the thread scope in `run_data_parallel`).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Pipeline>()

@@ -102,18 +102,17 @@ mod tests {
     #[test]
     fn concurrent_disjoint_writers() {
         let slab = Arc::new(FeatureSlab::new(64, 16));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let slab = Arc::clone(&slab);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in (t..64).step_by(4) {
                         let row = vec![i as f32; 16];
                         slab.write_row(i as u32, &row);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut out = vec![0.0; 16];
         for i in 0..64u32 {
             slab.read_row(i, &mut out);

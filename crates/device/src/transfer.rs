@@ -8,7 +8,7 @@
 //! real copy and paces itself with a PCIe latency/bandwidth model.
 
 use crate::slab::FeatureSlab;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use gnndrive_sync::queue::{unbounded, Receiver, Sender};
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry as telemetry;
 use std::sync::{Arc, OnceLock};

@@ -19,8 +19,7 @@ use crate::csc::CscTopology;
 use crate::generate::{generate_features, generate_graph};
 use crate::NodeId;
 use gnndrive_storage::{FileHandle, SimSsd, SECTOR_SIZE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 use std::sync::Arc;
 
 /// Everything needed to deterministically synthesize a dataset.
@@ -129,11 +128,7 @@ impl Dataset {
 
         // Train/val split over a shuffled node order.
         let mut order: Vec<NodeId> = (0..spec.num_nodes as NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ SPLIT_SEED_MIX);
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
+        Rng::seed_from_u64(spec.seed ^ SPLIT_SEED_MIX).shuffle(&mut order);
         let n_train = ((spec.num_nodes as f64) * spec.train_fraction).round() as usize;
         let n_val = (spec.num_nodes / 20).max(1).min(spec.num_nodes - n_train);
         let train_idx: Vec<NodeId> = order[..n_train].to_vec();

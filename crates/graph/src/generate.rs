@@ -15,8 +15,7 @@
 
 use crate::csc::CscTopology;
 use crate::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 
 /// A generated graph plus its planted ground truth.
 #[derive(Debug, Clone)]
@@ -42,15 +41,12 @@ pub fn generate_graph(
 ) -> GeneratedGraph {
     assert!(num_nodes >= 2, "need at least two nodes");
     assert!(num_classes >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
 
     // Planted communities: contiguous id ranges would make range-partition
     // baselines unrealistically good, so shuffle the assignment.
     let mut labels: Vec<u32> = (0..num_nodes).map(|i| (i % num_classes) as u32).collect();
-    for i in (1..num_nodes).rev() {
-        let j = rng.gen_range(0..=i);
-        labels.swap(i, j);
-    }
+    rng.shuffle(&mut labels);
     // Per-class member lists for intra-community edge endpoints.
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_classes];
     for (v, &c) in labels.iter().enumerate() {
@@ -61,22 +57,18 @@ pub fn generate_graph(
     // trick u^k with k>1 concentrating mass on low ranks. A fixed random
     // permutation maps rank to node id so hubs are spread across ids.
     let mut rank_to_node: Vec<NodeId> = (0..num_nodes as NodeId).collect();
-    for i in (1..num_nodes).rev() {
-        let j = rng.gen_range(0..=i);
-        rank_to_node.swap(i, j);
-    }
-    let pick_weighted = |rng: &mut StdRng| -> NodeId {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let rank = ((u.powf(2.5)) * num_nodes as f64) as usize;
+    rng.shuffle(&mut rank_to_node);
+    let pick_weighted = |rng: &mut Rng| -> NodeId {
+        let rank = ((rng.unit().powf(2.5)) * num_nodes as f64) as usize;
         rank_to_node[rank.min(num_nodes - 1)]
     };
 
     let mut edges = Vec::with_capacity(num_edges);
     while edges.len() < num_edges {
         let src = pick_weighted(&mut rng);
-        let dst = if rng.gen_bool(intra_prob) {
+        let dst = if rng.bool(intra_prob) {
             let community = &members[labels[src as usize] as usize];
-            community[rng.gen_range(0..community.len())]
+            community[rng.below(community.len())]
         } else {
             pick_weighted(&mut rng)
         };
@@ -102,18 +94,17 @@ pub fn generate_features(
     signal: f32,
     seed: u64,
 ) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_f00d);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed_f00d);
     let mut centroids = vec![0.0f32; num_classes * dim];
     for c in centroids.iter_mut() {
-        *c = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        *c = if rng.bool(0.5) { 1.0 } else { -1.0 };
     }
     let mut out = vec![0.0f32; labels.len() * dim];
     for (v, &label) in labels.iter().enumerate() {
         let cent = &centroids[label as usize * dim..(label as usize + 1) * dim];
         let row = &mut out[v * dim..(v + 1) * dim];
         for (r, &c) in row.iter_mut().zip(cent.iter()) {
-            let noise: f32 = rng.gen_range(-1.0..1.0);
-            *r = signal * c + noise;
+            *r = signal * c + rng.f32(-1.0..1.0);
         }
     }
     out

@@ -1,27 +1,26 @@
 //! Loom models of the storage-side concurrency protocols:
 //!
 //! * the [`MemoryGovernor::try_charge`] CAS admission loop
-//!   (`src/governor.rs`) — the budget is never overshot and
+//!   (`crates/storage/src/governor.rs`) — the budget is never overshot and
 //!   charge/release balances to zero;
-//! * the SimSsd channel-worker handoff (`src/ssd.rs`) — submit /
+//! * the SimSsd channel-worker handoff (`crates/storage/src/ssd.rs`) — submit /
 //!   complete / deadline bookkeeping never loses a request, and a racing
 //!   shutdown still answers every queued submission;
 //! * the [`DeviceHealth`] window update and half-open probe slot
-//!   (`src/health.rs`) — concurrent outcome records keep the error
+//!   (`crates/storage/src/health.rs`) — concurrent outcome records keep the error
 //!   accounting consistent and trip the breaker exactly once, and the
 //!   probe CAS admits exactly one prober per open circuit.
 //!
-//! Production code uses parking_lot (via gnndrive-sync) and OS-thread
-//! mpsc channels, which loom cannot instrument, so each protocol is
+//! Production code uses `std::sync` locks and the `gnndrive_sync::queue`
+//! queues built on them, which loom cannot instrument, so each protocol is
 //! re-stated here over `loom::sync` primitives with the same orderings.
 //! The governor model copies the Acquire/Release choreography verbatim —
 //! that is the part the satellite fix changed and the part a model
 //! checker can actually falsify (all-Relaxed admission can overshoot on
 //! weakly-ordered hardware).
 //!
-//! Run with `RUSTFLAGS="--cfg loom" cargo test -p gnndrive-storage --test
-//! loom_models --release`. Offline, `loom` resolves to the std-threads
-//! stress shim in `target/shims/loom`.
+//! Run with `RUSTFLAGS="--cfg loom" cargo test --release --manifest-path
+//! crates/loom-models/Cargo.toml --test storage`.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +32,7 @@ use loom::thread;
 // ---------------------------------------------------------------------
 
 /// Single-counter re-statement of `MemoryGovernor::try_charge`, same
-/// orderings as `src/governor.rs`.
+/// orderings as `crates/storage/src/governor.rs`.
 struct ModelGovernor {
     budget: u64,
     used: AtomicU64,
@@ -123,7 +122,7 @@ fn governor_charge_release_balances() {
 // ---------------------------------------------------------------------
 
 /// Mutex+Condvar re-statement of the submit → channel-worker → completion
-/// pipeline in `src/ssd.rs` (real loom has no mpsc, so the queue is
+/// pipeline in `crates/storage/src/ssd.rs` (real loom has no mpsc, so the queue is
 /// explicit). `closed` mirrors `Shared::closed` with the same
 /// Release-store / Acquire-load pairing used by `shutdown()`.
 struct ModelRing {
@@ -235,7 +234,7 @@ fn ring_submissions_complete_with_monotone_deadlines() {
 // DeviceHealth window + probe-slot model
 // ---------------------------------------------------------------------
 
-/// Re-statement of `DeviceHealth` (`src/health.rs`): the sliding window
+/// Re-statement of `DeviceHealth` (`crates/storage/src/health.rs`): the sliding window
 /// lives behind a mutex, the current state is a lock-free atomic mirror
 /// (Release store / Acquire load, exactly as production), and the
 /// half-open probe slot is an AcqRel CAS on a flag that is released only
@@ -359,11 +358,11 @@ fn health_probe_slot_admits_exactly_one() {
 // QoS lane models: priority drain + bounded bulk deference
 // ---------------------------------------------------------------------
 
-/// Re-statement of the two-lane submission queue in `src/ssd.rs`
-/// (`next_request`): the channel worker drains the serve lane before
-/// touching the bulk lane, under the same lock that serializes
-/// submission — so "a bulk request is popped while a serve request is
-/// pending" is a checkable safety violation, not a race.
+/// Re-statement of `gnndrive_sync::queue::LaneQueue`, the two-lane
+/// submission queue `SimSsd` hands its channel workers: a pop drains the
+/// serve lane before touching the bulk lane, under the same lock that
+/// serializes submission — so "a bulk request is popped while a serve
+/// request is pending" is a checkable safety violation, not a race.
 struct ModelLaneQueue {
     queue: Mutex<LaneQueueState>,
     submitted: Condvar,
@@ -444,7 +443,7 @@ fn lane_queue_serve_overtakes_queued_bulk() {
 }
 
 /// Re-statement of `MemoryGovernor::charge_waiting_lane`'s bulk-side
-/// deference (`src/governor.rs`): a bulk waiter polls, deferring while
+/// deference (`crates/storage/src/governor.rs`): a bulk waiter polls, deferring while
 /// `serve_waiters > 0` (Acquire, as production) — but for at most
 /// `BULK_DEFER_POLLS` rounds, after which it charges anyway. The model
 /// checks both sides: bulk never admits ahead of a registered serve

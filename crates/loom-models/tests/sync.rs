@@ -1,8 +1,8 @@
 //! Loom model of the GradSync arrive/leave barrier protocol
-//! (`gnndrive-core/src/parallel.rs`).
+//! (`crates/core/src/parallel.rs`).
 //!
 //! The production type holds matrices and uses `OrderedMutex` (which wraps
-//! parking_lot, a primitive loom cannot instrument), so the protocol is
+//! `std::sync`, primitives loom cannot instrument), so the protocol is
 //! re-stated here 1:1 over `loom::sync` primitives with a scalar payload.
 //! If the logic in `parallel.rs` changes, change this model to match —
 //! the invariants below are what the real barrier promises:
@@ -15,10 +15,9 @@
 //!   number of workers that actually contributed, not the configured
 //!   worker count.
 //!
-//! Run with `RUSTFLAGS="--cfg loom" cargo test -p gnndrive-sync --test
-//! loom_models --release`. Offline, `loom` resolves to the std-threads
-//! stress shim in `target/shims/loom`; with the real crate the schedule
-//! exploration is exhaustive.
+//! Run with `RUSTFLAGS="--cfg loom" cargo test --release --manifest-path
+//! crates/loom-models/Cargo.toml --test sync`; the schedule exploration is
+//! exhaustive.
 #![cfg(loom)]
 
 use loom::sync::{Arc, Condvar, Mutex};

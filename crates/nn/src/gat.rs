@@ -215,7 +215,9 @@ impl GatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sage::tests::{gradcheck_input, test_block, test_input};
+    use crate::sage::tests::{
+        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, INIT_SEEDS,
+    };
 
     #[test]
     fn attention_weights_sum_to_one_per_destination() {
@@ -253,14 +255,16 @@ mod tests {
 
     #[test]
     fn input_gradient_matches_finite_difference() {
-        let mut layer = GatLayer::new(3, 2, true, 3);
-        let block = test_block();
-        let h = test_input(4, 3);
-        let upstream = Matrix::from_fn(2, 2, |r, c| 0.5 * (r as f32) - 0.25 * (c as f32) + 0.4);
-        let (_, cache) = layer.forward(&block, &h);
-        let d_src = layer.backward(&block, &cache, upstream.clone());
-        let fwd = |m: &Matrix| layer.forward(&block, m).0;
-        gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+        for seed in INIT_SEEDS {
+            let mut layer = GatLayer::new(3, 2, true, seed);
+            let block = test_block();
+            let h = test_input(4, 3);
+            let upstream = Matrix::from_fn(2, 2, |r, c| 0.5 * (r as f32) - 0.25 * (c as f32) + 0.4);
+            let (_, cache) = layer.forward(&block, &h);
+            let d_src = layer.backward(&block, &cache, upstream.clone());
+            let fwd = |m: &Matrix| layer.forward(&block, m).0;
+            gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+        }
     }
 
     #[test]
@@ -268,48 +272,18 @@ mod tests {
         let block = test_block();
         let h = test_input(4, 3);
         let upstream = Matrix::from_fn(2, 2, |r, c| 0.3 + 0.2 * (r as f32) - 0.1 * (c as f32));
-        let mut layer = GatLayer::new(3, 2, true, 4);
-        let (_, cache) = layer.forward(&block, &h);
-        let _ = layer.backward(&block, &cache, upstream.clone());
-        let analytic_src = layer.a_src.grad.clone();
-        let analytic_w = layer.weight.grad.clone();
-
-        let eps = 1e-2;
-        let objective = |layer: &GatLayer| -> f32 {
-            let (y, _) = layer.forward(&block, &h);
-            y.data()
-                .iter()
-                .zip(upstream.data())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        for i in 0..layer.a_src.value.data().len() {
-            let orig = layer.a_src.value.data()[i];
-            layer.a_src.value.data_mut()[i] = orig + eps;
-            let fp = objective(&layer);
-            layer.a_src.value.data_mut()[i] = orig - eps;
-            let fm = objective(&layer);
-            layer.a_src.value.data_mut()[i] = orig;
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - analytic_src.data()[i]).abs() < 6e-2,
-                "a_src grad mismatch at {i}: {num} vs {}",
-                analytic_src.data()[i]
-            );
-        }
-        for i in 0..layer.weight.value.data().len() {
-            let orig = layer.weight.value.data()[i];
-            layer.weight.value.data_mut()[i] = orig + eps;
-            let fp = objective(&layer);
-            layer.weight.value.data_mut()[i] = orig - eps;
-            let fm = objective(&layer);
-            layer.weight.value.data_mut()[i] = orig;
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - analytic_w.data()[i]).abs() < 6e-2,
-                "weight grad mismatch at {i}: {num} vs {}",
-                analytic_w.data()[i]
-            );
+        let eval = |l: &GatLayer| objective(&l.forward(&block, &h).0, &upstream);
+        for seed in INIT_SEEDS {
+            let mut layer = GatLayer::new(3, 2, true, seed);
+            let (_, cache) = layer.forward(&block, &h);
+            let _ = layer.backward(&block, &cache, upstream.clone());
+            let (analytic_src, analytic_w) = (layer.a_src.grad.clone(), layer.weight.grad.clone());
+            gradcheck("a_src", &analytic_src, 6e-2, |i, delta| {
+                with_nudged(&mut layer, |l| &mut l.a_src.value, i, delta, eval)
+            });
+            gradcheck("weight", &analytic_w, 6e-2, |i, delta| {
+                with_nudged(&mut layer, |l| &mut l.weight.value, i, delta, eval)
+            });
         }
     }
 
@@ -415,7 +389,7 @@ impl MultiHeadGat {
 #[cfg(test)]
 mod multihead_tests {
     use super::*;
-    use crate::sage::tests::{gradcheck_input, test_block, test_input};
+    use crate::sage::tests::{gradcheck_input, test_block, test_input, INIT_SEEDS};
 
     #[test]
     fn concatenates_head_outputs() {
@@ -433,14 +407,17 @@ mod multihead_tests {
 
     #[test]
     fn input_gradient_matches_finite_difference() {
-        let mut layer = MultiHeadGat::new(3, 4, 2, true, 2);
-        let block = test_block();
-        let h = test_input(4, 3);
-        let upstream = Matrix::from_fn(2, 4, |r, c| 0.2 * (r as f32 + 1.0) - 0.1 * c as f32 + 0.3);
-        let (_, cache) = layer.forward(&block, &h);
-        let d_src = layer.backward(&block, &cache, upstream.clone());
-        let fwd = |m: &Matrix| layer.forward(&block, m).0;
-        gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+        for seed in INIT_SEEDS {
+            let mut layer = MultiHeadGat::new(3, 4, 2, true, seed);
+            let block = test_block();
+            let h = test_input(4, 3);
+            let upstream =
+                Matrix::from_fn(2, 4, |r, c| 0.2 * (r as f32 + 1.0) - 0.1 * c as f32 + 0.3);
+            let (_, cache) = layer.forward(&block, &h);
+            let d_src = layer.backward(&block, &cache, upstream.clone());
+            let fwd = |m: &Matrix| layer.forward(&block, m).0;
+            gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+        }
     }
 
     #[test]

@@ -106,7 +106,9 @@ impl GcnLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sage::tests::{gradcheck_input, test_block, test_input};
+    use crate::sage::tests::{
+        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, INIT_SEEDS,
+    };
 
     #[test]
     fn self_loop_is_included_in_aggregation() {
@@ -141,14 +143,16 @@ mod tests {
 
     #[test]
     fn input_gradient_matches_finite_difference() {
-        let mut layer = GcnLayer::new(3, 2, true, 3);
-        let block = test_block();
-        let h = test_input(4, 3);
-        let upstream = Matrix::from_fn(2, 2, |r, c| 0.4 * (r as f32 + 1.0) - 0.3 * c as f32);
-        let (_, cache) = layer.forward(&block, &h);
-        let d_src = layer.backward(&block, &cache, upstream.clone());
-        let fwd = |m: &Matrix| layer.forward(&block, m).0;
-        gradcheck_input(&fwd, &d_src, &h, &upstream, 5e-2);
+        for seed in INIT_SEEDS {
+            let mut layer = GcnLayer::new(3, 2, true, seed);
+            let block = test_block();
+            let h = test_input(4, 3);
+            let upstream = Matrix::from_fn(2, 2, |r, c| 0.4 * (r as f32 + 1.0) - 0.3 * c as f32);
+            let (_, cache) = layer.forward(&block, &h);
+            let d_src = layer.backward(&block, &cache, upstream.clone());
+            let fwd = |m: &Matrix| layer.forward(&block, m).0;
+            gradcheck_input(&fwd, &d_src, &h, &upstream, 5e-2);
+        }
     }
 
     #[test]
@@ -156,36 +160,20 @@ mod tests {
         let block = test_block();
         let h = test_input(4, 3);
         let upstream = Matrix::from_fn(2, 2, |r, c| 0.2 + 0.1 * (r * 2 + c) as f32);
-        let mut layer = GcnLayer::new(3, 2, true, 4);
-        let (_, cache) = layer.forward(&block, &h);
-        let _ = layer.backward(&block, &cache, upstream.clone());
-        let analytic = layer.weight.grad.clone();
-        let eps = 1e-2;
-        for i in 0..layer.weight.value.data().len() {
-            let orig = layer.weight.value.data()[i];
-            layer.weight.value.data_mut()[i] = orig + eps;
-            let (yp, _) = layer.forward(&block, &h);
-            layer.weight.value.data_mut()[i] = orig - eps;
-            let (ym, _) = layer.forward(&block, &h);
-            layer.weight.value.data_mut()[i] = orig;
-            let fp: f32 = yp
-                .data()
-                .iter()
-                .zip(upstream.data())
-                .map(|(a, b)| a * b)
-                .sum();
-            let fm: f32 = ym
-                .data()
-                .iter()
-                .zip(upstream.data())
-                .map(|(a, b)| a * b)
-                .sum();
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - analytic.data()[i]).abs() < 5e-2,
-                "weight grad mismatch at {i}: {num} vs {}",
-                analytic.data()[i]
-            );
+        for seed in INIT_SEEDS {
+            let mut layer = GcnLayer::new(3, 2, true, seed);
+            let (_, cache) = layer.forward(&block, &h);
+            let _ = layer.backward(&block, &cache, upstream.clone());
+            let analytic = layer.weight.grad.clone();
+            gradcheck("weight", &analytic, 5e-2, |i, delta| {
+                with_nudged(
+                    &mut layer,
+                    |l| &mut l.weight.value,
+                    i,
+                    delta,
+                    |l| objective(&l.forward(&block, &h).0, &upstream),
+                )
+            });
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Epoch batching: split the training set into mini-batches.
 
 use gnndrive_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 
 /// The mini-batch schedule of one epoch: a (possibly shuffled) permutation
 /// of the training nodes cut into `batch_size` chunks.
@@ -20,11 +19,7 @@ impl BatchPlan {
     pub fn new(train_idx: &[NodeId], batch_size: usize, epoch: u64, seed: u64) -> Self {
         assert!(batch_size > 0);
         let mut order = train_idx.to_vec();
-        let mut rng = StdRng::seed_from_u64(seed ^ epoch.wrapping_mul(0xA24B_AED4_963E_E407));
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
+        Rng::seed_from_u64(seed ^ epoch.wrapping_mul(0xA24B_AED4_963E_E407)).shuffle(&mut order);
         BatchPlan { order, batch_size }
     }
 

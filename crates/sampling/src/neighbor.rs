@@ -3,8 +3,7 @@
 use crate::block::{Block, MiniBatchSample};
 use crate::topo::TopoReader;
 use gnndrive_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -65,8 +64,7 @@ impl NeighborSampler {
     /// systems draw identical subgraphs for identical inputs, which keeps
     /// cross-system comparisons apples-to-apples.
     pub fn sample(&self, batch_id: u64, seeds: &[NodeId], rng_seed: u64) -> MiniBatchSample {
-        let mut rng =
-            StdRng::seed_from_u64(rng_seed ^ batch_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = Rng::seed_from_u64(rng_seed ^ batch_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         // Dedup seeds while preserving order (duplicate training ids would
         // break the local-index bijection).
@@ -110,8 +108,7 @@ impl NeighborSampler {
                         // Partial Fisher–Yates: the first `take` entries
                         // become a uniform without-replacement sample.
                         for i in 0..take {
-                            let j = rng.gen_range(i..deg);
-                            neighbors.swap(i, j);
+                            neighbors.swap(i, i + rng.below(deg - i));
                         }
                     }
                     SamplingPolicy::TopDegree => {
@@ -162,7 +159,7 @@ mod tests {
     use super::*;
     use crate::topo::InMemTopo;
     use gnndrive_graph::{generate_graph, CscTopology};
-    use proptest::prelude::*;
+    use gnndrive_sync::rng::cases;
 
     fn reader(n: usize, edges: usize, seed: u64) -> (Arc<CscTopology>, Arc<dyn TopoReader>) {
         let g = generate_graph(n, edges, 4, 0.5, seed);
@@ -323,20 +320,23 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        /// input_nodes must contain no duplicates and must cover every node
-        /// referenced by the first block.
-        #[test]
-        fn input_nodes_are_unique_and_cover(seeds in proptest::collection::vec(0u32..200, 1..40), salt in 0u64..100) {
-            let (_topo, r) = reader(200, 2500, 7);
-            let sampler = NeighborSampler::new(r, vec![3, 3]);
+    /// input_nodes must contain no duplicates and must cover every node
+    /// referenced by the first block.
+    #[test]
+    fn input_nodes_are_unique_and_cover() {
+        let (_topo, r) = reader(200, 2500, 7);
+        let sampler = NeighborSampler::new(r, vec![3, 3]);
+        cases(16, |rng| {
+            let seeds: Vec<NodeId> = (0..1 + rng.below(39))
+                .map(|_| rng.below(200) as NodeId)
+                .collect();
+            let salt = rng.below(100) as u64;
             let sample = sampler.sample(salt, &seeds, salt);
             let mut uniq = sample.input_nodes.clone();
             uniq.sort_unstable();
             uniq.dedup();
-            prop_assert_eq!(uniq.len(), sample.input_nodes.len());
-            prop_assert!(sample.blocks[0].num_src == sample.input_nodes.len());
-        }
+            assert_eq!(uniq.len(), sample.input_nodes.len());
+            assert!(sample.blocks[0].num_src == sample.input_nodes.len());
+        });
     }
 }

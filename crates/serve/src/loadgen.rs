@@ -6,6 +6,7 @@
 //! Everything derives from one seed, so a run is exactly reproducible.
 
 use gnndrive_graph::NodeId;
+use gnndrive_sync::rng::splitmix64;
 use std::time::Duration;
 
 /// Knobs of a generated request stream.
@@ -48,15 +49,6 @@ pub struct Arrival {
     pub seed_node: NodeId,
     /// Gap to wait *before* issuing this request (zero in closed loop).
     pub delay: Duration,
-}
-
-/// splitmix64: tiny, seedable, and plenty for load synthesis.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A deterministic iterator of [`Arrival`]s.

@@ -2,9 +2,9 @@
 //! per-request accounting behind the `serve.*` metrics.
 
 use crate::config::ServeConfig;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use gnndrive_core::{Error as CoreError, Pipeline, TrainingSystem};
 use gnndrive_graph::NodeId;
+use gnndrive_sync::queue::{bounded, Receiver, Sender, TrySendError};
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry::{self as telemetry, AttributionReport, HistSummary, RunReport};
 use std::sync::Arc;

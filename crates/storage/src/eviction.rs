@@ -320,14 +320,8 @@ impl EvictionPolicy for BeladyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnndrive_sync::Rng;
     use std::collections::VecDeque;
-
-    fn lcg(state: &mut u64) -> u32 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (*state >> 33) as u32
-    }
 
     fn key_of(slot: u32) -> PageKey {
         (0, slot as u64)
@@ -339,18 +333,17 @@ mod tests {
     /// arbitrary insert/evict/hit/forget interleavings. The page cache maps
     /// slots to keys 1:1 here, mirroring its own bookkeeping.
     fn check_lru_reference_model(make: impl Fn() -> Box<dyn EvictionPolicy>) {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = Rng::seed_from_u64(0x2545_f491_4f6c_dd1d);
         for round in 0..128 {
             let mut p = make();
             p.ensure_capacity(32);
             let mut model: VecDeque<u32> = VecDeque::new();
             for _ in 0..256 {
-                let r = lcg(&mut state);
-                let slot = r % 32;
+                let slot = rng.below(32) as u32;
                 let op = if round % 2 == 0 && model.len() < 4 {
                     0
                 } else {
-                    (r >> 8) as u8 % 4
+                    rng.below(4)
                 };
                 match op {
                     0 => {
@@ -440,18 +433,17 @@ mod tests {
             .unwrap_or(NEVER)
     }
 
-    /// Proptest-style offline check (LCG-driven like the LruList model):
-    /// on random traces, Belady never evicts a page whose next use comes
-    /// *before* that of some other resident page — the MIN optimality
-    /// invariant.
+    /// Seeded property (like the LruList model): on random traces, Belady
+    /// never evicts a page whose next use comes *before* that of some other
+    /// resident page — the MIN optimality invariant.
     #[test]
     fn belady_never_evicts_a_sooner_needed_page() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = Rng::seed_from_u64(0x9e37_79b9_7f4a_7c15);
         for round in 0..64 {
             let pages = 8 + (round % 17) as u64;
             let len = 200 + (round % 7) * 50;
             let trace: Vec<PageKey> = (0..len)
-                .map(|_| (0u32, lcg(&mut state) as u64 % pages))
+                .map(|_| (0u32, rng.below(pages as usize) as u64))
                 .collect();
             let art = {
                 let mut t = AccessTrace::new(1, 0);

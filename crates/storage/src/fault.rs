@@ -16,6 +16,7 @@
 
 use crate::error::IoError;
 use crate::ssd::IoOp;
+use gnndrive_sync::rng::mix_unit;
 use gnndrive_telemetry as telemetry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,19 +190,6 @@ pub struct FaultInjector {
     c_faults: Counter,
     c_spikes: Counter,
     c_stalls: Counter,
-}
-
-/// splitmix64: a tiny, high-quality mixing function. Deterministic
-/// per-(seed, ordinal, stream) uniform in [0, 1).
-pub(crate) fn mix_unit(seed: u64, ordinal: u64, stream: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(stream.wrapping_mul(0x9E3779B97F4A7C15))
-        .wrapping_add(ordinal.wrapping_mul(0xBF58476D1CE4E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    // 53 high bits → [0, 1).
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl FaultInjector {

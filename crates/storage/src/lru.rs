@@ -146,7 +146,7 @@ impl LruList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use gnndrive_sync::rng::cases;
     use std::collections::VecDeque;
 
     #[test]
@@ -238,69 +238,24 @@ mod tests {
         );
     }
 
-    /// Deterministic stand-in for the proptest below: the offline build
-    /// shims proptest to a no-op, so this LCG drives the same reference
-    /// model through ~64k operations that actually execute everywhere.
+    /// The list must behave identically to a reference deque model under
+    /// arbitrary interleavings of push/pop/touch/remove.
     #[test]
-    fn lcg_driven_reference_model() {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for round in 0..256 {
+    fn matches_reference_model() {
+        cases(256, |rng| {
             let mut l = LruList::new(32);
             let mut model: VecDeque<u32> = VecDeque::new();
+            // Half the cases skew toward pushes while the list is short, so
+            // touch/remove hit populated structure.
+            let fill_first = rng.bool(0.5);
             for _ in 0..256 {
-                let r = rng();
-                // Skew toward pushes early in the round so the list fills
-                // up and touch/remove hit populated structure.
-                let op = if round % 2 == 0 && model.len() < 4 {
+                let op = if fill_first && model.len() < 4 {
                     0
                 } else {
-                    (r >> 8) as u8 % 4
+                    rng.below(4) as u8
                 };
-                step_and_check(&mut l, &mut model, op, r % 32);
+                step_and_check(&mut l, &mut model, op, rng.below(32) as u32);
             }
-        }
-    }
-
-    proptest! {
-        /// The list must behave identically to a reference deque model under
-        /// arbitrary interleavings of push/pop/touch/remove.
-        #[test]
-        fn matches_reference_model(ops in proptest::collection::vec((0u8..4, 0u32..32), 1..200)) {
-            let mut l = LruList::new(32);
-            let mut model: VecDeque<u32> = VecDeque::new();
-            for (op, slot) in ops {
-                match op {
-                    0 => {
-                        if !model.contains(&slot) {
-                            l.push_back(slot);
-                            model.push_back(slot);
-                        }
-                    }
-                    1 => {
-                        prop_assert_eq!(l.pop_front(), model.pop_front());
-                    }
-                    2 => {
-                        if model.contains(&slot) {
-                            l.touch(slot);
-                            model.retain(|&s| s != slot);
-                            model.push_back(slot);
-                        }
-                    }
-                    _ => {
-                        let was = model.contains(&slot);
-                        model.retain(|&s| s != slot);
-                        prop_assert_eq!(l.remove(slot), was);
-                    }
-                }
-                prop_assert_eq!(l.len(), model.len());
-                prop_assert_eq!(l.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
-            }
-        }
+        });
     }
 }

@@ -848,10 +848,10 @@ mod tests {
         let gov = MemoryGovernor::unlimited();
         let cache = PageCache::with_max_pages(ssd, gov, 2);
         cache.set_readahead(4);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let a = {
                 let c = Arc::clone(&cache);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut b = [0u8; 1];
                     c.read(f, 0, &mut b); // miss page 0
                                           // Sequential miss on page 1: publish, then readahead
@@ -864,7 +864,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(60));
             let b = {
                 let c = Arc::clone(&cache);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut b = [0u8; 4];
                     c.read(f, PAGE_SIZE as u64 + 8, &mut b);
                     assert_eq!(b, [1u8; 4], "re-driven fill must serve real data");
@@ -872,8 +872,7 @@ mod tests {
             };
             a.join().unwrap();
             b.join().unwrap();
-        })
-        .unwrap();
+        });
         let s = cache.stats();
         assert_eq!(
             s.misses, 2,
@@ -927,17 +926,16 @@ mod tests {
     fn concurrent_faults_single_read() {
         let (cache, f, _gov) = setup(16, 1);
         let cache2 = Arc::clone(&cache);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let c = Arc::clone(&cache2);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut b = [0u8; 1];
                     c.read(f, 10, &mut b);
                     assert_eq!(b[0], 0);
                 });
             }
-        })
-        .unwrap();
+        });
         let stats = cache.stats();
         assert_eq!(stats.resident_pages, 1);
     }

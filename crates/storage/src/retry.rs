@@ -117,7 +117,7 @@ impl RetryPolicy {
         if self.jitter_pct == 0 || pause.is_zero() {
             return pause;
         }
-        let u = crate::fault::mix_unit(salt, retry as u64, 9);
+        let u = gnndrive_sync::rng::mix_unit(salt, retry as u64, 9);
         let spread = self.jitter_pct.min(100) as f64 / 100.0;
         let factor = 1.0 + spread * (2.0 * u - 1.0);
         pause.mul_f64(factor)

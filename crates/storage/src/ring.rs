@@ -17,7 +17,7 @@
 
 use crate::error::IoError;
 use crate::ssd::{Completion, FileHandle, IoOp, IoPriority, Request, SimSsd, SubmitOutcome};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use gnndrive_sync::queue::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gnndrive_telemetry as telemetry;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -157,13 +157,9 @@ impl IoRing {
 
     /// Reap one completion if available, without blocking.
     pub fn peek_completion(&mut self) -> Option<Completion> {
-        match self.cq_rx.try_recv() {
-            Ok(c) => {
-                self.inflight -= 1;
-                Some(c)
-            }
-            Err(_) => None,
-        }
+        let c = self.cq_rx.try_recv()?;
+        self.inflight -= 1;
+        Some(c)
     }
 
     /// Block (in I/O wait) until a completion arrives.

@@ -15,7 +15,7 @@
 //! and `storage.scrub.passes` (full image sweeps completed).
 
 use crate::ssd::SimSsd;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use gnndrive_sync::queue::{bounded, RecvTimeoutError, Sender};
 use gnndrive_telemetry as telemetry;
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -18,11 +18,12 @@
 //! reads copy bytes out of the image into the request buffer.
 
 use crate::error::IoError;
-use crate::fault::{mix_unit, FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
+use crate::fault::{FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
 use crate::integrity::{crc32, IntegrityError, SectorChecksums};
 use crate::stats::IoStats;
 use crate::wcache::{DirtySector, PowerCutReport, WriteCache};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use gnndrive_sync::queue::{bounded, LaneQueue, Sender, TrySendError};
+use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use gnndrive_telemetry as telemetry;
 use std::collections::{HashMap, HashSet};
@@ -273,6 +274,10 @@ pub struct ScrubChunk {
 
 struct Shared {
     profile: SsdProfile,
+    /// Submission queue, one lane per [`IoPriority`], each at the device's
+    /// NCQ depth. Workers pop the serve lane first; shutdown closes it, so
+    /// they drain what is queued and exit.
+    queue: LaneQueue<Request>,
     image: OrderedRwLock<DiskImage>,
     files: OrderedMutex<Vec<FileMeta>>,
     /// Intent ledger + quarantine set; always acquired *after* `image`
@@ -293,25 +298,8 @@ struct Shared {
     closed: AtomicBool,
 }
 
-/// The two per-lane submission queues' sender halves, dropped together at
-/// shutdown so workers drain both and exit.
-struct LaneSenders {
-    serve: Sender<Request>,
-    bulk: Sender<Request>,
-}
-
-impl LaneSenders {
-    fn lane(&self, prio: IoPriority) -> &Sender<Request> {
-        match prio {
-            IoPriority::Serve => &self.serve,
-            IoPriority::Bulk => &self.bulk,
-        }
-    }
-}
-
 /// The simulated SSD. See module docs for the timing model.
 pub struct SimSsd {
-    tx: OrderedMutex<Option<LaneSenders>>,
     shared: Arc<Shared>,
     workers: OrderedMutex<Vec<JoinHandle<()>>>,
 }
@@ -329,12 +317,9 @@ pub(crate) enum SubmitOutcome {
 impl SimSsd {
     /// Bring up a device with the given profile.
     pub fn new(profile: SsdProfile) -> Arc<Self> {
-        // One bounded submission queue per QoS lane, each at the device's
-        // NCQ depth; workers drain the serve lane first.
-        let (serve_tx, serve_rx) = bounded::<Request>(profile.queue_depth);
-        let (bulk_tx, bulk_rx) = bounded::<Request>(profile.queue_depth);
         let shared = Arc::new(Shared {
             profile: profile.clone(),
+            queue: LaneQueue::new(profile.queue_depth),
             image: OrderedRwLock::new(
                 LockRank::Storage,
                 DiskImage {
@@ -353,24 +338,15 @@ impl SimSsd {
         });
         let mut workers = Vec::with_capacity(profile.channels);
         for i in 0..profile.channels {
-            let serve_rx: Receiver<Request> = serve_rx.clone();
-            let bulk_rx: Receiver<Request> = bulk_rx.clone();
             let sh = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("simssd-{}-{}", profile.name, i))
-                    .spawn(move || channel_worker(sh, serve_rx, bulk_rx))
+                    .spawn(move || channel_worker(sh))
                     .expect("spawn ssd worker"),
             );
         }
         Arc::new(SimSsd {
-            tx: OrderedMutex::new(
-                LockRank::Storage,
-                Some(LaneSenders {
-                    serve: serve_tx,
-                    bulk: bulk_tx,
-                }),
-            ),
             shared,
             workers: OrderedMutex::new(LockRank::Storage, workers),
         })
@@ -422,8 +398,8 @@ impl SimSsd {
     /// fail fast. Idempotent; `Drop` calls it too.
     pub fn shutdown(&self) {
         self.shared.closed.store(true, Ordering::Release);
-        // Dropping the sender lets workers drain the queue and exit.
-        *self.tx.lock() = None;
+        // Closing the queue lets workers drain it and exit.
+        self.shared.queue.close();
         // Take the handles out and release the lock before joining:
         // joining with the `workers` guard held would deadlock anyone
         // touching the worker list while a worker winds down.
@@ -751,13 +727,6 @@ impl SimSsd {
         self.locate(file, offset, len).map(|_| ())
     }
 
-    fn sender(&self, prio: IoPriority) -> Option<Sender<Request>> {
-        self.tx
-            .lock()
-            .as_ref()
-            .map(|lanes| lanes.lane(prio).clone())
-    }
-
     /// Reply `DeviceClosed` on a request's completion channel (the device
     /// can no longer service it).
     fn refuse(req: Request) {
@@ -774,11 +743,11 @@ impl SimSsd {
     /// is full (the ring keeps it in its software SQ). A shut-down device
     /// consumes the request and completes it with `DeviceClosed`.
     pub(crate) fn try_submit(&self, req: Request) -> SubmitOutcome {
-        let Some(tx) = self.sender(req.prio) else {
-            Self::refuse(req);
-            return SubmitOutcome::Closed;
-        };
-        match tx.try_send(req) {
+        match self
+            .shared
+            .queue
+            .try_send(req.prio == IoPriority::Serve, req)
+        {
             Ok(()) => SubmitOutcome::Accepted,
             Err(TrySendError::Full(r)) => {
                 self.shared.stats.add_queue_full_stall();
@@ -798,12 +767,8 @@ impl SimSsd {
             SubmitOutcome::Closed => return Err(IoError::DeviceClosed),
             SubmitOutcome::Full(r) => r,
         };
-        let Some(tx) = self.sender(req.prio) else {
-            Self::refuse(req);
-            return Err(IoError::DeviceClosed);
-        };
         let _io = telemetry::state(telemetry::State::IoWait);
-        match tx.send(req) {
+        match self.shared.queue.send(req.prio == IoPriority::Serve, req) {
             Ok(()) => Ok(()),
             Err(e) => {
                 Self::refuse(e.0);
@@ -919,50 +884,13 @@ fn reserve_bandwidth(shared: &Shared, bytes: u64) -> Instant {
     *cur
 }
 
-/// Pull the next request, always preferring the serve lane. Blocks when
-/// both lanes are empty; returns `None` once both are disconnected and
-/// drained (shutdown). Requests already buffered in a disconnected lane
-/// are still delivered, so queued work keeps its `DeviceClosed` reply.
-fn next_request(serve: &Receiver<Request>, bulk: &Receiver<Request>) -> Option<Request> {
-    use crossbeam::channel::TryRecvError;
-    let mut serve_dead = false;
-    let mut bulk_dead = false;
-    loop {
-        if !serve_dead {
-            match serve.try_recv() {
-                Ok(r) => return Some(r),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => serve_dead = true,
-            }
-        }
-        if !bulk_dead {
-            match bulk.try_recv() {
-                Ok(r) => return Some(r),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => bulk_dead = true,
-            }
-        }
-        // Block until a lane has traffic, then loop to re-check the serve
-        // lane first. A sole surviving lane degrades to a plain recv.
-        match (serve_dead, bulk_dead) {
-            (true, true) => return None,
-            (true, false) => return bulk.recv().ok(),
-            (false, true) => return serve.recv().ok(),
-            (false, false) => {
-                let mut sel = crossbeam::channel::Select::new();
-                sel.recv(serve);
-                sel.recv(bulk);
-                let _ = sel.ready();
-            }
-        }
-    }
-}
-
-fn channel_worker(shared: Arc<Shared>, serve_rx: Receiver<Request>, bulk_rx: Receiver<Request>) {
+fn channel_worker(shared: Arc<Shared>) {
     // The channel's virtual clock: the deadline of the last request it
     // serviced. It may run ahead of wall time by at most sleep_granularity.
     let mut cursor = Instant::now();
-    while let Some(req) = next_request(&serve_rx, &bulk_rx) {
+    // Serve lane first; `Err` once the queue is closed and drained, so
+    // everything queued at shutdown still gets its `DeviceClosed` reply.
+    while let Ok(req) = shared.queue.recv() {
         if shared.closed.load(Ordering::Acquire) {
             // Shutdown in progress: fail queued requests fast instead of
             // servicing them.
@@ -1011,7 +939,7 @@ fn channel_worker(shared: Arc<Shared>, serve_rx: Receiver<Request>, bulk_rx: Rec
         // fully when the queue is idle (so a lone synchronous caller sees
         // its full modeled latency).
         let ahead = deadline.saturating_duration_since(Instant::now());
-        let idle = serve_rx.is_empty() && bulk_rx.is_empty();
+        let idle = shared.queue.is_empty();
         if ahead > Duration::ZERO && (idle || ahead >= shared.profile.sleep_granularity) {
             std::thread::sleep(ahead);
         }

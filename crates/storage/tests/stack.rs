@@ -5,7 +5,7 @@
 use gnndrive_storage::{
     IoRing, MemoryGovernor, PageCache, SimSsd, SsdProfile, PAGE_SIZE, SECTOR_SIZE,
 };
-use proptest::prelude::*;
+use gnndrive_sync::rng::cases;
 use std::sync::Arc;
 
 fn device_with_pattern(len: usize) -> (Arc<SimSsd>, gnndrive_storage::FileHandle, Vec<u8>) {
@@ -16,41 +16,40 @@ fn device_with_pattern(len: usize) -> (Arc<SimSsd>, gnndrive_storage::FileHandle
     (ssd, file, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-    /// Page-cache reads under an arbitrary byte budget equal the raw image.
-    #[test]
-    fn pagecache_reads_match_disk_under_any_budget(
-        budget_pages in 0usize..20,
-        reads in proptest::collection::vec((0usize..8000, 1usize..600), 1..40),
-    ) {
+/// Page-cache reads under an arbitrary byte budget equal the raw image.
+#[test]
+fn pagecache_reads_match_disk_under_any_budget() {
+    cases(32, |rng| {
         let (ssd, file, data) = device_with_pattern(8 * 1024);
-        let gov = MemoryGovernor::new((budget_pages * PAGE_SIZE) as u64);
+        let gov = MemoryGovernor::new((rng.below(20) * PAGE_SIZE) as u64);
         let cache = PageCache::new(ssd, gov);
         let mut buf = vec![0u8; 600];
-        for (off, len) in reads {
+        for _ in 0..1 + rng.below(39) {
+            let (off, len) = (rng.below(8000), 1 + rng.below(599));
             let len = len.min(data.len().saturating_sub(off));
             if len == 0 {
                 continue;
             }
             cache.read(file, off as u64, &mut buf[..len]);
-            prop_assert_eq!(&buf[..len], &data[off..off + len]);
+            assert_eq!(&buf[..len], &data[off..off + len]);
         }
-    }
+    });
+}
 
-    /// Ring reads with arbitrary sector sets return the right sectors, in
-    /// any completion order, tagged correctly.
-    #[test]
-    fn ring_reads_match_disk(
-        sectors in proptest::collection::vec(0u64..64, 1..40),
-        depth in 1usize..32,
-    ) {
+/// Ring reads with arbitrary sector sets return the right sectors, in
+/// any completion order, tagged correctly.
+#[test]
+fn ring_reads_match_disk() {
+    cases(32, |rng| {
+        let sectors: Vec<u64> = (0..1 + rng.below(39))
+            .map(|_| rng.below(64) as u64)
+            .collect();
+        let depth = 1 + rng.below(31);
         let (ssd, file, data) = device_with_pattern(64 * SECTOR_SIZE as usize);
         let mut ring = IoRing::new(ssd, 64, true);
-        let mut expected = Vec::new();
         for (i, &s) in sectors.iter().enumerate() {
-            ring.prepare_read(file, s * SECTOR_SIZE, SECTOR_SIZE as usize, i as u64).unwrap();
-            expected.push(s);
+            ring.prepare_read(file, s * SECTOR_SIZE, SECTOR_SIZE as usize, i as u64)
+                .unwrap();
             if i % depth == depth - 1 {
                 ring.submit();
             }
@@ -59,39 +58,39 @@ proptest! {
         let mut count = 0;
         ring.drain(|c| {
             let buf = c.result.expect("read ok");
-            let s = expected[c.user_data as usize] as usize;
+            let s = sectors[c.user_data as usize] as usize;
             assert_eq!(&buf[..], &data[s * 512..(s + 1) * 512]);
             seen[c.user_data as usize] = true;
             count += 1;
-        }).unwrap();
-        prop_assert_eq!(count, sectors.len());
-        prop_assert!(seen.iter().all(|&s| s));
-    }
+        })
+        .unwrap();
+        assert_eq!(count, sectors.len());
+        assert!(seen.iter().all(|&s| s));
+    });
+}
 
-    /// Anonymous charges + page-cache reads never exceed the budget, and
-    /// reads keep working (bypass) even under full pressure.
-    #[test]
-    fn governor_is_never_exceeded(
-        budget_kb in 1u64..64,
-        charges in proptest::collection::vec(1u64..16_000, 0..8),
-    ) {
+/// Anonymous charges + page-cache reads never exceed the budget, and
+/// reads keep working (bypass) even under full pressure.
+#[test]
+fn governor_is_never_exceeded() {
+    cases(32, |rng| {
         let (ssd, file, data) = device_with_pattern(32 * 1024);
-        let gov = MemoryGovernor::new(budget_kb * 1024);
+        let gov = MemoryGovernor::new((1 + rng.below(63) as u64) * 1024);
         let cache = PageCache::new(ssd, Arc::clone(&gov));
         let mut held = Vec::new();
-        for c in charges {
-            if let Ok(ch) = gov.charge(c) {
+        for _ in 0..rng.below(8) {
+            if let Ok(ch) = gov.charge(1 + rng.below(15_999) as u64) {
                 held.push(ch);
             }
-            prop_assert!(gov.used() <= gov.budget());
+            assert!(gov.used() <= gov.budget());
         }
         let mut buf = vec![0u8; 100];
         for off in (0..32 * 1024 - 100).step_by(997) {
             cache.read(file, off as u64, &mut buf);
-            prop_assert_eq!(&buf[..], &data[off..off + 100]);
-            prop_assert!(gov.used() <= gov.budget(), "budget exceeded mid-read");
+            assert_eq!(&buf[..], &data[off..off + 100]);
+            assert!(gov.used() <= gov.budget(), "budget exceeded mid-read");
         }
-    }
+    });
 }
 
 /// Concurrent mixed sync readers + ring writers on one device terminate
@@ -100,11 +99,11 @@ proptest! {
 fn concurrent_sync_and_async_traffic() {
     let (ssd, file, data) = device_with_pattern(64 * 1024);
     let data = Arc::new(data);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..3 {
             let ssd = Arc::clone(&ssd);
             let data = Arc::clone(&data);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut buf = vec![0u8; 512];
                 for i in 0..40u64 {
                     let off = ((i * 37 + t * 13) % 127) * 512;
@@ -115,7 +114,7 @@ fn concurrent_sync_and_async_traffic() {
         }
         let ssd2 = Arc::clone(&ssd);
         let data2 = Arc::clone(&data);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut ring = IoRing::new(ssd2, 16, true);
             for i in 0..40u64 {
                 let off = (i % 128) * 512;
@@ -138,6 +137,5 @@ fn concurrent_sync_and_async_traffic() {
             })
             .unwrap();
         });
-    })
-    .unwrap();
+    });
 }

@@ -9,7 +9,9 @@
 //! order machine-checkable.
 //!
 //! [`OrderedMutex`], [`OrderedRwLock`] and [`OrderedCondvar`] wrap the
-//! `parking_lot` primitives with a static [`LockRank`]. In debug builds a
+//! `std::sync` primitives with a static [`LockRank`] (and without lock
+//! poisoning: a thread that panics under a lock leaves it usable, so one
+//! failed worker is reported once instead of cascading). In debug builds a
 //! thread-local stack records the ranks a thread currently holds;
 //! acquiring a lock whose rank is *higher* than some already-held rank is
 //! a rank inversion and panics immediately with a diagnostic naming both
@@ -25,13 +27,20 @@
 //! hand.
 //!
 //! This crate is the only place in the workspace permitted to construct
-//! raw `parking_lot`/`std::sync` lock primitives; `cargo xtask lint`
-//! enforces that.
+//! raw `std::sync` lock primitives; `cargo xtask lint` enforces that. It is
+//! also where the workspace's other shared leaf primitives live: the
+//! blocking [`queue`]s between pipeline stages and the seeded [`rng`].
+
+pub mod queue;
+pub mod rng;
+
+pub use rng::Rng;
 
 use std::ops::{Deref, DerefMut};
+use std::sync::{self, PoisonError, TryLockError};
 use std::time::Duration;
 
-pub use parking_lot::WaitTimeoutResult;
+pub use std::sync::WaitTimeoutResult;
 
 /// The layer a lock belongs to. Locks must be acquired in *descending*
 /// rank order (outer layers first), so `Sync` locks are always taken
@@ -173,56 +182,39 @@ mod held {
     }
 }
 
-/// Ranks held by the current thread, outermost first. Always empty in
-/// release builds (the tracking is debug-only).
-pub fn held_ranks() -> Vec<LockRank> {
-    #[cfg(debug_assertions)]
-    {
-        held::snapshot()
-    }
-    #[cfg(not(debug_assertions))]
-    {
+/// Release builds compile the bookkeeping out: same entry points, no-ops.
+#[cfg(not(debug_assertions))]
+mod held {
+    use super::LockRank;
+
+    pub fn check(_rank: LockRank) {}
+    pub fn push(_rank: LockRank) {}
+    pub fn pop(_rank: LockRank) {}
+    pub fn snapshot() -> Vec<LockRank> {
         Vec::new()
     }
 }
 
-#[cfg(debug_assertions)]
-#[inline]
-fn rank_check(rank: LockRank) {
-    held::check(rank);
-}
-#[cfg(not(debug_assertions))]
-#[inline]
-fn rank_check(_rank: LockRank) {}
+use held::{check as rank_check, pop as rank_pop, push as rank_push};
 
-#[cfg(debug_assertions)]
-#[inline]
-fn rank_push(rank: LockRank) {
-    held::push(rank);
+/// Ranks held by the current thread, outermost first. Always empty in
+/// release builds (the tracking is debug-only).
+pub fn held_ranks() -> Vec<LockRank> {
+    held::snapshot()
 }
-#[cfg(not(debug_assertions))]
-#[inline]
-fn rank_push(_rank: LockRank) {}
 
-#[cfg(debug_assertions)]
-#[inline]
-fn rank_pop(rank: LockRank) {
-    held::pop(rank);
-}
-#[cfg(not(debug_assertions))]
-#[inline]
-fn rank_pop(_rank: LockRank) {}
-
-/// A [`parking_lot::Mutex`] carrying a static [`LockRank`].
+/// A [`std::sync::Mutex`] carrying a static [`LockRank`].
 pub struct OrderedMutex<T> {
     rank: LockRank,
-    inner: parking_lot::Mutex<T>,
+    inner: sync::Mutex<T>,
 }
 
 /// Guard for [`OrderedMutex`]; releases the lock and pops the rank on drop.
+/// The `std` guard sits in an `Option` only so [`OrderedCondvar`] can hand
+/// it to `Condvar::wait` by value and put the reacquired one back.
 pub struct OrderedMutexGuard<'a, T> {
     rank: LockRank,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: Option<sync::MutexGuard<'a, T>>,
 }
 
 impl<T> OrderedMutex<T> {
@@ -231,12 +223,14 @@ impl<T> OrderedMutex<T> {
     pub const fn new(rank: LockRank, t: T) -> Self {
         OrderedMutex {
             rank,
-            inner: parking_lot::Mutex::new(t),
+            inner: sync::Mutex::new(t),
         }
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -247,11 +241,11 @@ impl<T> OrderedMutex<T> {
 
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         rank_check(self.rank);
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         rank_push(self.rank);
         OrderedMutexGuard {
             rank: self.rank,
-            inner: g,
+            inner: Some(g),
         }
     }
 
@@ -259,16 +253,20 @@ impl<T> OrderedMutex<T> {
     /// the blocked edge of a deadlock cycle), but the held rank is still
     /// recorded so locks acquired *under* it are checked.
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
-        let g = self.inner.try_lock()?;
+        let g = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
         rank_push(self.rank);
         Some(OrderedMutexGuard {
             rank: self.rank,
-            inner: g,
+            inner: Some(g),
         })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -290,34 +288,35 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
 impl<T> Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_ref().expect("guard present outside wait")
     }
 }
 
 impl<T> DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_mut().expect("guard present outside wait")
     }
 }
 
-/// A [`parking_lot::Condvar`] that understands [`OrderedMutexGuard`]s:
+/// A [`std::sync::Condvar`] that understands [`OrderedMutexGuard`]s:
 /// the guard's rank leaves the held stack for the duration of the wait
 /// (the mutex is released while parked) and returns when the wait
 /// reacquires it.
 pub struct OrderedCondvar {
-    inner: parking_lot::Condvar,
+    inner: sync::Condvar,
 }
 
 impl OrderedCondvar {
     pub const fn new() -> Self {
         OrderedCondvar {
-            inner: parking_lot::Condvar::new(),
+            inner: sync::Condvar::new(),
         }
     }
 
     pub fn wait<T>(&self, guard: &mut OrderedMutexGuard<'_, T>) {
         rank_pop(guard.rank);
-        self.inner.wait(&mut guard.inner);
+        let g = guard.inner.take().expect("guard present outside wait");
+        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
         // Reacquisition is not re-checked: the thread legitimately held
         // this rank before parking, and waiting is only legal on the
         // innermost lock anyway.
@@ -330,16 +329,21 @@ impl OrderedCondvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         rank_pop(guard.rank);
-        let res = self.inner.wait_for(&mut guard.inner, timeout);
+        let g = guard.inner.take().expect("guard present outside wait");
+        let (g, res) = self
+            .inner
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(g);
         rank_push(guard.rank);
         res
     }
 
-    pub fn notify_one(&self) -> bool {
+    pub fn notify_one(&self) {
         self.inner.notify_one()
     }
 
-    pub fn notify_all(&self) -> usize {
+    pub fn notify_all(&self) {
         self.inner.notify_all()
     }
 }
@@ -350,34 +354,36 @@ impl Default for OrderedCondvar {
     }
 }
 
-/// A [`parking_lot::RwLock`] carrying a static [`LockRank`]. Both read and
+/// A [`std::sync::RwLock`] carrying a static [`LockRank`]. Both read and
 /// write acquisitions participate in rank checking — a reader blocked
 /// behind a writer deadlocks just as hard as a mutex.
 pub struct OrderedRwLock<T> {
     rank: LockRank,
-    inner: parking_lot::RwLock<T>,
+    inner: sync::RwLock<T>,
 }
 
 pub struct OrderedRwLockReadGuard<'a, T> {
     rank: LockRank,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: sync::RwLockReadGuard<'a, T>,
 }
 
 pub struct OrderedRwLockWriteGuard<'a, T> {
     rank: LockRank,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> OrderedRwLock<T> {
     pub const fn new(rank: LockRank, t: T) -> Self {
         OrderedRwLock {
             rank,
-            inner: parking_lot::RwLock::new(t),
+            inner: sync::RwLock::new(t),
         }
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -388,7 +394,7 @@ impl<T> OrderedRwLock<T> {
 
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         rank_check(self.rank);
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         rank_push(self.rank);
         OrderedRwLockReadGuard {
             rank: self.rank,
@@ -398,7 +404,7 @@ impl<T> OrderedRwLock<T> {
 
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         rank_check(self.rank);
-        let g = self.inner.write();
+        let g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         rank_push(self.rank);
         OrderedRwLockWriteGuard {
             rank: self.rank,
@@ -407,7 +413,7 @@ impl<T> OrderedRwLock<T> {
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -471,6 +477,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
     fn descending_acquisition_is_allowed() {
         let outer = OrderedMutex::new(LockRank::Pipeline, 1u32);
         let inner = OrderedMutex::new(LockRank::Storage, 2u32);
@@ -526,6 +533,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
     fn out_of_order_guard_drop_keeps_stack_consistent() {
         let a = OrderedMutex::new(LockRank::Buffer, ());
         let b = OrderedMutex::new(LockRank::Governor, ());

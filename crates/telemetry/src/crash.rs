@@ -31,6 +31,7 @@
 //! recoveries recorded by [`note_recovery`]).
 
 use crate::counter;
+use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex};
 use std::fmt;
 use std::io;
@@ -100,18 +101,6 @@ static REGISTRY: OrderedMutex<Registry> = OrderedMutex::new(
         log: Vec::new(),
     },
 );
-
-/// splitmix64 → unit interval; local copy so the registry stays in the
-/// base telemetry crate (the storage fault injector has its own).
-fn mix_unit(seed: u64, ordinal: u64, stream: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Declare a crash point on a persistence path. Returns `Err` exactly when
 /// an armed schedule cuts here (and on every later point of the same run —
@@ -243,16 +232,13 @@ pub fn note_recovery() {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// The registry is process-global; every test in this crate that
-    /// traverses crash points serializes on this gate.
-    pub(crate) static GATE: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
+    use crate::TEST_GATE;
 
     #[test]
     fn disabled_points_are_inert() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         disarm();
         for _ in 0..100 {
             assert_eq!(point("anything"), Ok(()));
@@ -262,7 +248,7 @@ pub(crate) mod tests {
 
     #[test]
     fn recording_logs_every_point_in_order() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         start_recording();
         point("a").expect("recording never cuts");
         point("b").expect("recording never cuts");
@@ -275,7 +261,7 @@ pub(crate) mod tests {
 
     #[test]
     fn armed_schedule_cuts_at_the_exact_ordinal_and_stays_dead() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         arm(2, 0xDEAD);
         assert!(point("p0").is_ok());
         assert!(point("p1").is_ok());
@@ -307,7 +293,7 @@ pub(crate) mod tests {
 
     #[test]
     fn io_point_converts_to_interrupted() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         arm(0, 1);
         let err = io_point("host.write").expect_err("cut at 0");
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);

@@ -32,12 +32,12 @@ pub use attribution::{
 pub use crash::CrashCut;
 pub use histogram::Histogram;
 pub use json::Json;
-pub use persist::{atomic_write_file, StagedFile};
 pub use metrics::{
     counter, gauge, histogram_ns, reset_metrics, snapshot_metrics, Counter, Gauge, HistSummary,
     HistogramHandle, MetricValue, MetricsSnapshot, Scope,
 };
 pub use monitor::{Monitor, SeriesPoint};
+pub use persist::{atomic_write_file, StagedFile};
 pub use registry::{
     register_thread, reset, set_gpu_count, snapshot, state, state_as, ClassTotals, StateGuard,
     Totals,
@@ -96,6 +96,13 @@ impl ThreadClass {
     }
 }
 
+/// Telemetry state is process-global: every unit test that resets,
+/// snapshots or asserts on it (thread-state totals, the metrics registry,
+/// the trace collector, the crash-point schedule) serializes on this gate.
+#[cfg(test)]
+pub(crate) static TEST_GATE: gnndrive_sync::OrderedMutex<()> =
+    gnndrive_sync::OrderedMutex::new(gnndrive_sync::LockRank::Sync, ());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +116,7 @@ mod tests {
 
     #[test]
     fn guard_accumulates_compute_time() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         {
@@ -126,6 +134,7 @@ mod tests {
 
     #[test]
     fn snapshot_includes_in_progress_interval() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         let _g = state(State::Compute);
@@ -137,6 +146,7 @@ mod tests {
 
     #[test]
     fn nested_guards_restore_previous_state() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         let _outer = state(State::Compute);

@@ -381,6 +381,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_register_once() {
+        let _gate = crate::TEST_GATE.lock();
         let a = counter("test.metrics.ops");
         let b = counter("test.metrics.ops");
         a.add(3);
@@ -394,6 +395,7 @@ mod tests {
 
     #[test]
     fn histogram_merges_across_threads() {
+        let _gate = crate::TEST_GATE.lock();
         let h = histogram_ns("test.metrics.lat");
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -415,6 +417,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_typed() {
+        let _gate = crate::TEST_GATE.lock();
         counter("test.snap.b").add(2);
         gauge("test.snap.a").set(-3);
         histogram_ns("test.snap.c").record(5);
@@ -433,6 +436,7 @@ mod tests {
 
     #[test]
     fn reset_keeps_handles_live() {
+        let _gate = crate::TEST_GATE.lock();
         let c = counter("test.reset.ops");
         c.add(10);
         reset_metrics();
@@ -443,6 +447,7 @@ mod tests {
 
     #[test]
     fn scope_prefixes_names() {
+        let _gate = crate::TEST_GATE.lock();
         let s = Scope::new("ginex");
         assert_eq!(s.name("cache.hits"), "ginex.cache.hits");
         s.counter("cache.hits").inc();
@@ -451,6 +456,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trips() {
+        let _gate = crate::TEST_GATE.lock();
         counter("test.json.reads").add(9);
         let snap = snapshot_metrics();
         let text = snap.to_json().to_json_string();

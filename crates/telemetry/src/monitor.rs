@@ -122,10 +122,11 @@ impl Drop for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{register_thread, reset, set_gpu_count, state, state_as};
+    use crate::{register_thread, reset, set_gpu_count, state, state_as, TEST_GATE};
 
     #[test]
     fn monitor_records_busy_and_idle_phases() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         let monitor = Monitor::start(Duration::from_millis(10));
@@ -144,6 +145,7 @@ mod tests {
 
     #[test]
     fn stop_flushes_partial_tail_interval() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         // Interval far longer than the run: the only point the series can
@@ -163,6 +165,7 @@ mod tests {
 
     #[test]
     fn summarize_splits_compute_and_io() {
+        let _gate = TEST_GATE.lock();
         reset();
         register_thread(ThreadClass::Cpu);
         let before = snapshot();
@@ -183,6 +186,7 @@ mod tests {
 
     #[test]
     fn gpu_kernel_time_counts_against_gpu_capacity() {
+        let _gate = TEST_GATE.lock();
         reset();
         set_gpu_count(1);
         register_thread(ThreadClass::Cpu);
@@ -202,6 +206,7 @@ mod tests {
     fn blocked_thread_is_visible_mid_stall() {
         // A thread parked in IoWait must show up in a snapshot taken by
         // *another* thread before the stall ends.
+        let _gate = TEST_GATE.lock();
         reset();
         let flag = Arc::new(AtomicBool::new(false));
         let f2 = Arc::clone(&flag);

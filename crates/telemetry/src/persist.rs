@@ -146,7 +146,7 @@ pub fn atomic_write_file(tag: &str, path: &Path, bytes: &[u8]) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::tests::GATE;
+    use crate::TEST_GATE;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("gnndrive-persist-test").join(name);
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_whole_file() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         crash::disarm();
         let dir = scratch("replace");
         let path = dir.join("artifact.bin");
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn every_cut_leaves_old_version_or_new_version() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         crash::disarm();
         let dir = scratch("cuts");
         let path = dir.join("artifact.bin");
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn cut_at_tmp_point_tears_only_the_temp_file() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         crash::disarm();
         let dir = scratch("torn-tmp");
         let path = dir.join("artifact.bin");
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn publish_new_refuses_existing_destinations() {
-        let _g = GATE.lock();
+        let _g = TEST_GATE.lock();
         crash::disarm();
         let dir = scratch("publish-new");
         let a = dir.join("r000.json");

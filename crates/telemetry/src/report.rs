@@ -264,6 +264,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
+        let _g = crate::TEST_GATE.lock();
         counter("test.report.reads").add(11);
         let mut h = Histogram::new();
         for v in [10_000u64, 20_000, 30_000] {
@@ -308,7 +309,7 @@ mod tests {
 
     #[test]
     fn writes_artifact_file() {
-        let _g = crate::crash::tests::GATE.lock();
+        let _g = crate::TEST_GATE.lock();
         let dir = std::env::temp_dir().join("gnndrive-report-test");
         let mut r = RunReport::new("unit.write");
         r.metrics = snapshot_metrics();
@@ -321,7 +322,7 @@ mod tests {
 
     #[test]
     fn repeated_runs_land_as_distinct_artifacts() {
-        let _g = crate::crash::tests::GATE.lock();
+        let _g = crate::TEST_GATE.lock();
         let dir = std::env::temp_dir().join("gnndrive-report-seq-test");
         let mut r = RunReport::new("unit.seq");
         r.metrics = snapshot_metrics();

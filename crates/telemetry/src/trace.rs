@@ -198,16 +198,12 @@ pub fn export_chrome_trace(spans: &[TraceSpan]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TEST_GATE;
     use std::time::Duration;
-
-    // The collector is process-global; serialize the tests that drain it.
-    // Pipeline rank: held across calls that take the Telemetry-ranked
-    // trace locks.
-    static TEST_LOCK: OrderedMutex<()> = OrderedMutex::new(LockRank::Pipeline, ());
 
     #[test]
     fn spans_record_only_when_enabled() {
-        let _l = TEST_LOCK.lock();
+        let _l = TEST_GATE.lock();
         let _ = trace_take();
         trace_disable();
         {
@@ -232,7 +228,7 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_tids() {
-        let _l = TEST_LOCK.lock();
+        let _l = TEST_GATE.lock();
         let _ = trace_take();
         trace_enable();
         let handles: Vec<_> = (0..3)
@@ -258,7 +254,7 @@ mod tests {
 
     #[test]
     fn retroactive_spans_land_in_the_buffer() {
-        let _l = TEST_LOCK.lock();
+        let _l = TEST_GATE.lock();
         let _ = trace_take();
         trace_disable();
         record_span(

@@ -1,15 +1,14 @@
 //! Deterministic weight initialization.
 
 use crate::matrix::Matrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gnndrive_sync::Rng;
 
 /// Xavier/Glorot uniform initialization: U(-a, a) with
 /// a = sqrt(6 / (fan_in + fan_out)).
 pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
     let a = (6.0 / (rows + cols) as f32).sqrt();
-    let mut rng = StdRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..a))
+    let mut rng = Rng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| rng.f32(-a..a))
 }
 
 #[cfg(test)]

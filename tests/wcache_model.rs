@@ -15,6 +15,7 @@
 
 use gnndrive::prelude::*;
 use gnndrive::storage::{FileHandle, SECTOR_SIZE};
+use gnndrive::sync::Rng;
 
 /// The integrity/wcache counters are process-global and the tests below
 /// assert exact deltas, so they serialize on this gate.
@@ -22,25 +23,8 @@ static WCACHE_GATE: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
 
 const SEC: usize = SECTOR_SIZE as usize;
 
-/// Splitmix64 — deterministic schedule generator, no external RNG.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 fn sector_bytes(rng: &mut Rng) -> Vec<u8> {
-    let tag = rng.next();
+    let tag = rng.next_u64();
     (0..SEC)
         .map(|i| (tag.wrapping_mul(31).wrapping_add(i as u64) >> 3) as u8)
         .collect()
@@ -65,7 +49,7 @@ fn read_sector(ssd: &SimSsd, file: FileHandle, s: usize) -> Vec<u8> {
 fn flushed_sectors_survive_any_power_cut() {
     let _g = WCACHE_GATE.lock();
     let ssd = SimSsd::new(SsdProfile::instant());
-    let mut rng = Rng(0xF1A5);
+    let mut rng = Rng::seed_from_u64(0xF1A5);
     let sectors = 16usize;
     let file = ssd.create_file((sectors * SEC) as u64);
 
@@ -114,7 +98,7 @@ fn random_schedules_never_expose_silent_corruption() {
 
 fn run_schedule(seed: u64) {
     let ssd = SimSsd::new(SsdProfile::instant());
-    let mut rng = Rng(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let sectors = 12usize;
     let file = ssd.create_file((sectors * SEC) as u64);
 
@@ -145,7 +129,7 @@ fn run_schedule(seed: u64) {
                     m.dirty = false;
                 }
             } else {
-                let s = rng.below(sectors as u64) as usize;
+                let s = rng.below(sectors);
                 let bytes = sector_bytes(&mut rng);
                 ssd.write_blocking(file, (s * SEC) as u64, &bytes, false)
                     .expect("write");
@@ -161,7 +145,7 @@ fn run_schedule(seed: u64) {
         );
 
         // Power loss. Fates must account for exactly the dirty set.
-        let report = ssd.power_cut(rng.next());
+        let report = ssd.power_cut(rng.next_u64());
         assert_eq!(
             report.dirty, model_dirty,
             "seed {seed:#x} round {round}: cut saw a different dirty set"
@@ -244,7 +228,7 @@ fn wcache_counters_match_power_cut_reports() {
     let _g = WCACHE_GATE.lock();
     let ssd = SimSsd::new(SsdProfile::instant());
     let file = ssd.create_file(64 * SECTOR_SIZE);
-    let mut rng = Rng(0xC0DE);
+    let mut rng = Rng::seed_from_u64(0xC0DE);
 
     let kept_before = telemetry::counter("storage.wcache.sectors_kept").get();
     let dropped_before = telemetry::counter("storage.wcache.sectors_dropped").get();

@@ -697,7 +697,7 @@ fn cycle_findings(model: &Model, edges: &[Edge], sink: &mut Sink) {
         let message = if members.len() == 1 {
             format!(
                 "lock {} may be re-acquired while already held — \
-                 parking_lot locks are not reentrant",
+                 `std::sync` locks are not reentrant",
                 names[0]
             )
         } else {
@@ -874,7 +874,7 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
             .to_string_lossy()
             .replace('\\', "/");
         // The sync crate implements the primitives (its internals hold raw
-        // parking_lot locks by design); tests/benches/examples are not
+        // `std::sync` locks by design); tests/benches/examples are not
         // shipped concurrency surface.
         if rel.starts_with("crates/sync/")
             || rel.contains("/tests/")

@@ -4,8 +4,8 @@
 //! DESIGN.md §8 "Concurrency invariants" and §9 "Integrity & device
 //! health"):
 //!
-//! * **raw-lock** — no `std::sync`/`parking_lot` `Mutex`/`RwLock`/`Condvar`
-//!   outside `crates/sync`; every lock must be a `gnndrive_sync::Ordered*`
+//! * **raw-lock** — no `std::sync` `Mutex`/`RwLock`/`Condvar` outside
+//!   `crates/sync`; every lock must be a `gnndrive_sync::Ordered*`
 //!   primitive carrying a [`LockRank`].
 //! * **blocking-under-lock** — no `std::thread::sleep` and no blocking SSD
 //!   call (`read_blocking`/`write_blocking`) while a lock guard bound by a
@@ -76,7 +76,7 @@ pub struct FileClass {
     /// `tests/`, `benches/`, `examples/` or a bin under `src/bin` used
     /// only as a harness: exempt from blocking/relaxed/fallible rules.
     pub is_test_file: bool,
-    /// `crates/sync` itself may construct raw parking_lot primitives.
+    /// `crates/sync` itself may construct raw `std::sync` primitives.
     pub is_sync_crate: bool,
     /// Library source on an integrity/recovery path (retry, scrub,
     /// health, checkpoint decode): the `recovery-abort` rule applies.
@@ -458,30 +458,10 @@ fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Rule `raw-lock`: no raw std/parking_lot lock construction or import.
+/// Rule `raw-lock`: no raw `std::sync` lock construction or import.
 fn rule_raw_lock(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Diagnostic>) {
     const HELP: &str = "use gnndrive_sync::{OrderedMutex, OrderedRwLock, OrderedCondvar} \
                         with an explicit LockRank";
-    let bytes = code.as_bytes();
-    for (idx, _) in code.match_indices("parking_lot") {
-        // Skip identifiers that merely contain the substring.
-        if idx > 0 && is_ident(bytes[idx - 1]) {
-            continue;
-        }
-        if bytes.get(idx + 11).copied().is_some_and(is_ident) {
-            continue;
-        }
-        push_diag(
-            diags,
-            "raw-lock",
-            "raw `parking_lot` primitive outside the sync wrapper crate".into(),
-            HELP,
-            path,
-            lines,
-            code,
-            idx,
-        );
-    }
     for (idx, _) in code.match_indices("std::sync::") {
         let after = &code[idx + 11..];
         let flagged = ["Mutex", "RwLock", "Condvar"]
@@ -1022,8 +1002,8 @@ mod tests {
     // -- rule a: raw-lock ------------------------------------------------
 
     #[test]
-    fn raw_parking_lot_construction_is_flagged() {
-        let src = "fn f() { let m = parking_lot::Mutex::new(0); }\n";
+    fn raw_std_mutex_construction_is_flagged() {
+        let src = "fn f() { let m = std::sync::Mutex::new(0); }\n";
         assert_eq!(rules(src), vec!["raw-lock"]);
     }
 
@@ -1041,7 +1021,7 @@ mod tests {
             is_sync_crate: true,
             is_recovery_path: false,
         };
-        let src = "use std::sync::Mutex;\nuse parking_lot::Condvar;\n";
+        let src = "use std::sync::Mutex;\nuse std::sync::{Condvar, RwLock};\n";
         assert!(lint_source(
             "crates/sync/src/lib.rs",
             src,
@@ -1055,7 +1035,7 @@ mod tests {
 
     #[test]
     fn comments_and_strings_never_trip_rules() {
-        let src = "// parking_lot::Mutex is forbidden\nfn f() { let s = \"std::sync::Mutex\"; }\n";
+        let src = "// std::sync::RwLock is forbidden\nfn f() { let s = \"std::sync::Mutex\"; }\n";
         assert!(rules(src).is_empty());
     }
 
@@ -1412,10 +1392,10 @@ mod tests {
 
     #[test]
     fn diagnostics_carry_position_and_snippet() {
-        let src = "fn f() {\n    let m = parking_lot::Mutex::new(0);\n}\n";
+        let src = "fn f() {\n    let m = std::sync::Mutex::new(0);\n}\n";
         let d = &lint(src)[0];
         assert_eq!(d.line, 2);
-        assert!(d.snippet.contains("parking_lot::Mutex::new"));
+        assert!(d.snippet.contains("std::sync::Mutex::new"));
         let rendered = d.to_string();
         assert!(rendered.contains("error[raw-lock]"));
         assert!(rendered.contains("crates/demo/src/lib.rs:2:"));
