@@ -342,6 +342,7 @@ mod tests {
                 batch: 0,
                 wall_ns: 10_000,
                 sample_ns: 1_000,
+                sample_waits: Default::default(),
                 queue_extract_ns: 0,
                 extract_ns: 5_000,
                 queue_train_ns: 0,

@@ -20,7 +20,7 @@ use crate::system::{evaluate_model, EpochReport, TrainingSystem};
 use gnndrive_device::{DeviceAlloc, FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
-use gnndrive_sampling::{BatchPlan, MiniBatchSample, MmapTopo, NeighborSampler, TopoReader};
+use gnndrive_sampling::{AsyncTopo, BatchPlan, MiniBatchSample, NeighborSampler, TopoReader};
 use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
 use gnndrive_sync::queue::{bounded, RecvTimeoutError};
 use gnndrive_sync::{LockRank, OrderedMutex};
@@ -97,7 +97,11 @@ pub struct Pipeline {
     gpu_mode: bool,
     fb: Arc<FeatureBufferManager>,
     staging: Option<Arc<StagingBuffer>>,
+    /// Training's topology reader: page faults ride the bulk lane.
     topo: Arc<dyn TopoReader>,
+    /// Online inference's reader over the same cache: faults ride the serve
+    /// lane, like its feature reads (DESIGN.md §11).
+    serve_topo: Arc<dyn TopoReader>,
     model: GnnModel,
     opt: Adam,
     fb_home: FeatureBufferHome,
@@ -158,8 +162,8 @@ impl Pipeline {
 
     /// Wire a pipeline from its builder: charge host memory for the
     /// resident topology metadata and staging buffer, allocate the feature
-    /// buffer on the device (GPU mode) or host (CPU mode), and memory-map
-    /// the on-SSD index array through the page cache for sampling.
+    /// buffer on the device (GPU mode) or host (CPU mode), and open the
+    /// on-SSD index array through the page cache for hop-batched sampling.
     ///
     /// `gpu_mode = false` selects the paper's CPU-based training
     /// architecture (§4.4): feature buffer in host memory, no staging hop,
@@ -236,11 +240,15 @@ impl Pipeline {
             None
         };
 
-        let topo: Arc<dyn TopoReader> = Arc::new(MmapTopo::new(
-            Arc::clone(&ds.indptr),
-            page_cache,
-            ds.indices_file,
-        ));
+        let reader = |prio| -> Arc<dyn TopoReader> {
+            Arc::new(AsyncTopo::new(
+                Arc::clone(&ds.indptr),
+                Arc::clone(&page_cache),
+                ds.indices_file,
+                prio,
+            ))
+        };
+        let (topo, serve_topo) = (reader(IoPriority::Bulk), reader(IoPriority::Serve));
 
         let model = build_model(
             model_kind,
@@ -260,6 +268,7 @@ impl Pipeline {
             fb,
             staging,
             topo,
+            serve_topo,
             model,
             opt: Adam::new(0.003),
             fb_home,
@@ -361,7 +370,7 @@ impl Pipeline {
         if seeds.is_empty() {
             return Ok(InferenceOutcome::default());
         }
-        let sampler = NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
+        let sampler = NeighborSampler::new(Arc::clone(&self.serve_topo), self.cfg.fanouts.clone());
         let sample = sampler.sample(u64::MAX, seeds, self.cfg.seed ^ 0x17FE);
         let ctx = self.extractor_context(IoPriority::Serve);
         let t_extract = Instant::now();
@@ -474,6 +483,11 @@ impl Pipeline {
         let sample_ended: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
         let extract_started: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
         let extract_ended: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
+        // Page-fault time inside each batch's sample segment, drained from
+        // the sampler thread's wait accumulator at the batch boundary (the
+        // threads are new and nothing else they do is a timed wait, so the
+        // accumulator holds exactly one batch's faults).
+        let sample_faults: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
         let mut attr_records: Vec<telemetry::BatchAttribution> = Vec::with_capacity(batches);
         let mut latency = gnndrive_telemetry::Histogram::new();
         let sample_nanos = AtomicU64::new(0);
@@ -508,6 +522,7 @@ impl Pipeline {
                 let sample_nanos = &sample_nanos;
                 let batch_started = &batch_started;
                 let sample_ended = &sample_ended;
+                let sample_faults = &sample_faults;
                 let h_sample = h_sample.clone();
                 let g_extract_q = g_extract_q.clone();
                 let stage_sample = &stage_sample;
@@ -529,6 +544,10 @@ impl Pipeline {
                                 sampler.sample(i as u64, plan.batch(i), seed ^ epoch)
                             };
                             let spent = t.elapsed().as_nanos() as u64;
+                            sample_faults[i].store(
+                                telemetry::waits_take().get(telemetry::WaitKind::PageFault),
+                                Ordering::Relaxed,
+                            );
                             sample_ended[i]
                                 .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             sample_nanos.fetch_add(spent, Ordering::Relaxed);
@@ -733,10 +752,16 @@ impl Pipeline {
                 let s_end = sample_ended[id].load(Ordering::Relaxed);
                 let e_start = extract_started[id].load(Ordering::Relaxed);
                 let e_end = extract_ended[id].load(Ordering::Relaxed);
+                let mut sample_waits = telemetry::WaitTotals::default();
+                sample_waits.add(
+                    telemetry::WaitKind::PageFault,
+                    sample_faults[id].load(Ordering::Relaxed),
+                );
                 let rec = telemetry::BatchAttribution {
                     batch: batch.sample.batch_id,
                     wall_ns: train_end.saturating_sub(started),
                     sample_ns: s_end.saturating_sub(started),
+                    sample_waits,
                     queue_extract_ns: e_start.saturating_sub(s_end),
                     extract_ns: e_end.saturating_sub(e_start),
                     queue_train_ns: train_start.saturating_sub(e_end),

@@ -362,7 +362,10 @@ fn health_probe_slot_admits_exactly_one() {
 /// submission queue `SimSsd` hands its channel workers: a pop drains the
 /// serve lane before touching the bulk lane, under the same lock that
 /// serializes submission — so "a bulk request is popped while a serve
-/// request is pending" is a checkable safety violation, not a race.
+/// request is pending" is a checkable safety violation, not a race. Like
+/// production, a submission wakes the condvar only when the `parked` count
+/// (kept under that same lock) is non-zero; a lost wake-up would leave the
+/// worker asleep, which loom reports as a deadlock.
 struct ModelLaneQueue {
     queue: Mutex<LaneQueueState>,
     submitted: Condvar,
@@ -375,6 +378,8 @@ struct LaneQueueState {
     pops: Vec<bool>,
     /// How many pops had already happened when the serve request landed.
     pops_at_serve_submit: usize,
+    /// Workers currently waiting on `submitted`.
+    parked: usize,
 }
 
 impl ModelLaneQueue {
@@ -385,6 +390,7 @@ impl ModelLaneQueue {
                 bulk: bulk_backlog.to_vec(),
                 pops: Vec::new(),
                 pops_at_serve_submit: 0,
+                parked: 0,
             }),
             submitted: Condvar::new(),
         }
@@ -394,14 +400,18 @@ impl ModelLaneQueue {
         let mut st = self.queue.lock().unwrap();
         st.pops_at_serve_submit = st.pops.len();
         st.serve.push(id);
-        self.submitted.notify_one();
+        if st.parked > 0 {
+            self.submitted.notify_one();
+        }
     }
 
     fn worker(&self, rounds: usize) {
         for _ in 0..rounds {
             let mut st = self.queue.lock().unwrap();
             while st.serve.is_empty() && st.bulk.is_empty() {
+                st.parked += 1;
                 st = self.submitted.wait(st).unwrap();
+                st.parked -= 1;
             }
             let is_serve = !st.serve.is_empty();
             if is_serve {

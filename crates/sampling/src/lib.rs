@@ -10,9 +10,12 @@
 //! systems under test differ:
 //!
 //! * [`MmapTopo`] — `indptr` in host memory, `indices` memory-mapped
-//!   through the shared OS page-cache model (PyG+ and GNNDrive both sample
-//!   this way, so feature-side memory pressure slows *this* path down —
-//!   the paper's 𝔒1);
+//!   through the shared OS page-cache model, one synchronous fault per
+//!   page (how PyG+ samples, so feature-side memory pressure slows *this*
+//!   path down — the paper's 𝔒1);
+//! * [`AsyncTopo`] — the same files through the same cache, but a whole
+//!   hop's missing pages faulted in one batch of device requests
+//!   (GNNDrive's pipeline samples this way);
 //! * [`NeighborCacheTopo`] — Ginex's neighbor cache: the adjacency lists of
 //!   the highest-degree nodes pinned in host memory, misses falling through
 //!   to the underlying reader;
@@ -29,4 +32,4 @@ pub use batches::BatchPlan;
 pub use block::{Block, MiniBatchSample};
 pub use neighbor::{NeighborSampler, SamplingPolicy};
 pub use presample::{presample_epoch, PresampleResult, ScheduleError};
-pub use topo::{InMemTopo, MmapTopo, NeighborCacheTopo, TopoReader};
+pub use topo::{AsyncTopo, InMemTopo, MmapTopo, NeighborCacheTopo, TopoReader};

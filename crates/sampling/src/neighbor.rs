@@ -79,7 +79,7 @@ impl NeighborSampler {
 
         // Walk layers from the output inward, building blocks in reverse.
         let mut blocks_rev: Vec<Block> = Vec::with_capacity(self.fanouts.len());
-        let mut neighbors = Vec::new();
+        let (mut adjacency, mut bounds) = (Vec::new(), Vec::new());
         for &fanout in self.fanouts.iter().rev() {
             let num_dst = targets.len();
             // Prefix convention: sources start as a copy of the targets.
@@ -92,9 +92,12 @@ impl NeighborSampler {
             let mut edge_src = Vec::new();
             let mut edge_dst = Vec::new();
 
-            for (dst_local, &dst) in targets.iter().enumerate() {
-                neighbors.clear();
-                self.topo.neighbors_into(dst, &mut neighbors);
+            // The whole hop's adjacency in one call, so a disk-backed
+            // reader can have every missing page in flight at once.
+            self.topo
+                .neighbors_batch(&targets, &mut adjacency, &mut bounds);
+            for (dst_local, list) in bounds.windows(2).enumerate() {
+                let neighbors = &mut adjacency[list[0]..list[1]];
                 let deg = neighbors.len();
                 if deg == 0 {
                     continue;

@@ -19,18 +19,26 @@
 //! page, drops the lock, reads from the device (real blocking I/O), then
 //! publishes the page; other threads faulting the same page wait on a
 //! condition variable instead of duplicating the read.
+//!
+//! All of that is one routine, [`PageCache::fault_in`], over a list of page
+//! accesses. [`PageCache::read`] is the `mmap` case — one access per fill,
+//! so a reader takes its faults one synchronous round trip at a time —
+//! and [`PageCache::read_vectored`] hands the whole list over at once: the
+//! missing pages of a sampling hop become one batch of device requests in
+//! flight together (DESIGN.md §4).
 
 use crate::eviction::{EvictionPolicy, LruPolicy};
 use crate::governor::{ChargeKind, MemCharge, MemoryGovernor, MemoryReclaimer};
 use crate::retry::RetryPolicy;
+use crate::ssd::{FileHandle, IoPriority, SimSsd};
 use crate::trace::AccessTrace;
-use crate::ssd::{FileHandle, SimSsd};
 use gnndrive_sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use gnndrive_telemetry as telemetry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use telemetry::{Counter, Gauge};
+use std::time::Instant;
+use telemetry::{Counter, Gauge, WaitKind};
 
 /// Page size of the modeled OS (Linux default).
 pub const PAGE_SIZE: usize = 4096;
@@ -45,6 +53,10 @@ pub struct PageCacheStats {
     pub bypasses: u64,
     /// Pages pulled in speculatively by sequential readahead.
     pub readaheads: u64,
+    /// Device round trips taken by faulting readers: each is one batch of
+    /// requests in flight together (a single page for [`PageCache::read`],
+    /// a hop's missing pages for [`PageCache::read_vectored`]).
+    pub fills: u64,
     /// Current number of resident pages.
     pub resident_pages: u64,
 }
@@ -60,8 +72,47 @@ enum PageState {
 struct PageSlot {
     key: (u32, u64),
     state: PageState,
+    /// `PAGE_SIZE` bytes once ready; empty while the fill is in flight.
     data: Box<[u8]>,
     charge: Option<MemCharge>,
+}
+
+/// One logical page access of a read: `len` bytes at `in_page` of page
+/// `page_no`, delivered to `out[dst..dst + len]` of the caller's buffer.
+#[derive(Clone, Copy)]
+struct PageAccess {
+    page_no: u64,
+    in_page: usize,
+    len: usize,
+    dst: usize,
+}
+
+/// Split the `len` bytes at `offset` at page boundaries; they land at
+/// `out[dst..dst + len]` of the caller's buffer.
+fn page_accesses(offset: u64, len: usize, dst: usize) -> impl Iterator<Item = PageAccess> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        let pos = offset + done as u64;
+        let in_page = (pos % PAGE_SIZE as u64) as usize;
+        let n = (PAGE_SIZE - in_page).min(len - done);
+        let access = PageAccess {
+            page_no: pos / PAGE_SIZE as u64,
+            in_page,
+            len: n,
+            dst: dst + done,
+        };
+        done += n;
+        (n > 0).then_some(access)
+    })
+}
+
+/// Marks the calling thread parked on a page fault until dropped: I/O-wait
+/// for the monitor, [`WaitKind::PageFault`] for attribution.
+fn fault_wait() -> impl Sized {
+    (
+        telemetry::state(telemetry::State::IoWait),
+        telemetry::wait_timer(WaitKind::PageFault),
+    )
 }
 
 struct Inner {
@@ -91,6 +142,7 @@ pub struct PageCache {
     evictions: AtomicU64,
     bypasses: AtomicU64,
     readaheads: AtomicU64,
+    fills: AtomicU64,
     // Registry mirrors of the counters above, plus the resident-page level
     // (`page_cache.*`), kept in lockstep so run reports see the cache.
     m_hits: Counter,
@@ -98,6 +150,7 @@ pub struct PageCache {
     m_evictions: Counter,
     m_bypasses: Counter,
     m_readaheads: Counter,
+    m_fills: Counter,
     m_retries: Counter,
     m_read_errors: Counter,
     m_resident: Gauge,
@@ -157,11 +210,13 @@ impl PageCache {
             evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             readaheads: AtomicU64::new(0),
+            fills: AtomicU64::new(0),
             m_hits: telemetry::counter("page_cache.hits"),
             m_misses: telemetry::counter("page_cache.misses"),
             m_evictions: telemetry::counter("page_cache.evictions"),
             m_bypasses: telemetry::counter("page_cache.bypasses"),
             m_readaheads: telemetry::counter("page_cache.readaheads"),
+            m_fills: telemetry::counter("page_cache.fills"),
             m_retries: telemetry::counter("page_cache.retries"),
             m_read_errors: telemetry::counter("page_cache.read_errors"),
             m_resident: telemetry::gauge("page_cache.resident_pages"),
@@ -210,12 +265,19 @@ impl PageCache {
     /// mismatch surfaces as the transient [`crate::IoError::Corrupt`], so
     /// the retry loop re-reads from the device instead of caching (and
     /// then endlessly serving) poisoned bytes.
-    fn device_read_degraded(&self, file: FileHandle, offset: u64, buf: &mut [u8]) {
+    fn device_read_degraded(
+        &self,
+        file: FileHandle,
+        offset: u64,
+        buf: &mut [u8],
+        prio: IoPriority,
+    ) {
         let policy = *self.retry.lock();
         let outcome = policy.run(
             || self.m_retries.inc(),
             |_| {
-                self.ssd.read_blocking(file, offset, buf, false)?;
+                self.ssd
+                    .read_blocking_prio(file, offset, buf, false, prio)?;
                 self.ssd
                     .verify(file, offset, buf)
                     .map_err(crate::error::IoError::from)
@@ -235,6 +297,7 @@ impl PageCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
             readaheads: self.readaheads.load(Ordering::Relaxed),
+            fills: self.fills.load(Ordering::Relaxed),
             resident_pages: inner.map.len() as u64,
         }
     }
@@ -254,19 +317,33 @@ impl PageCache {
     }
 
     /// Buffered read: copy `out.len()` bytes at `offset` of `file`,
-    /// faulting pages through the cache as needed.
+    /// faulting pages through the cache one at a time, as `mmap` would.
     pub fn read(&self, file: FileHandle, offset: u64, out: &mut [u8]) {
-        let mut done = 0usize;
-        while done < out.len() {
-            let pos = offset + done as u64;
-            let page_no = pos / PAGE_SIZE as u64;
-            let in_page = (pos % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(out.len() - done);
-            self.with_page(file, page_no, |page| {
-                out[done..done + n].copy_from_slice(&page[in_page..in_page + n]);
-            });
-            done += n;
+        for access in page_accesses(offset, out.len(), 0) {
+            self.fault_in(file, &[access], IoPriority::Bulk, true, out);
         }
+    }
+
+    /// Vectored buffered read: copy the `(offset, len)` byte `ranges` of
+    /// `file` back to back into `out`, faulting every missing page of the
+    /// whole list in one batch of device requests on lane `prio` — the
+    /// request is the exact need, so nothing is read ahead. Pages the
+    /// budget cannot hold while the batch is in flight are read uncached.
+    pub fn read_vectored(
+        &self,
+        file: FileHandle,
+        ranges: &[(u64, usize)],
+        prio: IoPriority,
+        out: &mut [u8],
+    ) {
+        let mut accesses = Vec::with_capacity(ranges.len());
+        let mut dst = 0usize;
+        for &(offset, len) in ranges {
+            accesses.extend(page_accesses(offset, len, dst));
+            dst += len;
+        }
+        assert_eq!(out.len(), dst, "out must hold exactly the requested ranges");
+        self.fault_in(file, &accesses, prio, false, out);
     }
 
     /// Whether the page containing `offset` is currently resident (ready).
@@ -284,170 +361,312 @@ impl PageCache {
             .unwrap_or(false)
     }
 
-    /// Run `f` over the (ready) page `page_no` of `file`, faulting it in if
-    /// necessary. Falls back to an uncached device read when the cache
-    /// cannot hold even one more page.
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.m_hits.inc();
+    }
+
+    /// Serve `accesses` (pages of `file`, bytes into `out`), faulting in
+    /// what is missing. The one fault path of the cache.
     ///
-    /// Accounting is per *logical access* (one call = one hit or one miss),
-    /// matching the oracle a recorded trace replays: a waiter whose pending
-    /// page was evicted before it woke re-drives the fill, but that is the
-    /// same fill attempt — it must not count a fresh miss (and the access
-    /// did find the page in flight, so it counts as the hit the trace
-    /// predicts).
-    fn with_page(&self, file: FileHandle, page_no: u64, f: impl FnOnce(&[u8])) {
-        let key = (file.id, page_no);
+    /// A round classifies its accesses under one lock hold: a ready page is
+    /// a hit and is copied out on the spot; a page pending on another
+    /// thread is set aside; a missing page takes a `Pending` slot — or,
+    /// when the cache cannot hold one more page (pending pages are never
+    /// victims), is marked for an uncached read-through. The round's
+    /// missing pages are then read together with the lock dropped,
+    /// published, and copied to the caller *at publication*, so no eviction
+    /// between fill and use can force a re-fault. Only a thread that owns
+    /// no pending page waits on someone else's: two threads holding
+    /// disjoint pending sets therefore never wait on each other. With
+    /// `speculate`, a miss that continues a sequential pattern pulls the
+    /// readahead window in behind it.
+    ///
+    /// Accounting is per *logical access* (one access = one hit or one
+    /// miss), matching the oracle a recorded trace replays: a waiter whose
+    /// pending page was evicted before it woke re-drives the fill, but that
+    /// is the same fill attempt — it must not count a fresh miss (and the
+    /// access did find the page in flight, so it counts as the hit the
+    /// trace predicts).
+    fn fault_in(
+        &self,
+        file: FileHandle,
+        accesses: &[PageAccess],
+        prio: IoPriority,
+        speculate: bool,
+        out: &mut [u8],
+    ) {
         let mut inner = self.inner.lock();
         if let Some(t) = inner.trace.as_mut() {
-            t.push(key.0, key.1);
-            self.m_trace_recorded.inc();
+            for a in accesses {
+                t.push(file.id, a.page_no);
+            }
+            self.m_trace_recorded.add(accesses.len() as u64);
         }
-        // Whether this access ever observed the page in flight. Both
-        // accounting sites below immediately terminate the access, so each
-        // call counts exactly one hit or miss.
-        let mut saw_pending = false;
+        // Accesses that found their page in flight on another thread and
+        // are still to be served; `None` in round one, which takes every
+        // access in request order.
+        let mut waited: Option<Vec<usize>> = None;
         loop {
-            if let Some(&slot) = inner.map.get(&key) {
-                let state = inner.slots[slot as usize].as_ref().unwrap().state;
-                match state {
-                    PageState::Ready => {
-                        inner.policy.on_hit(slot, key);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.m_hits.inc();
-                        let page = inner.slots[slot as usize].as_ref().unwrap();
-                        f(&page.data);
-                        return;
+            // Pages this round reads from the device: `Some(slot)` to
+            // publish, `None` to pass through uncached.
+            let mut fetch: BTreeMap<u64, Option<u32>> = BTreeMap::new();
+            // Accesses `fetch` serves, in request order.
+            let mut mine: Vec<usize> = Vec::new();
+            let mut foreign: Vec<usize> = Vec::new();
+            let mut readahead_from = None;
+            for k in 0..waited.as_ref().map_or(accesses.len(), Vec::len) {
+                let i = waited.as_ref().map_or(k, |w| w[k]);
+                let a = &accesses[i];
+                let key = (file.id, a.page_no);
+                match inner.map.get(&key).copied() {
+                    Some(slot) => {
+                        let page = inner.slots[slot as usize].as_ref().expect("mapped slot");
+                        if page.state == PageState::Ready {
+                            out[a.dst..a.dst + a.len]
+                                .copy_from_slice(&page.data[a.in_page..a.in_page + a.len]);
+                            inner.policy.on_hit(slot, key);
+                            self.count_hit();
+                        } else if fetch.contains_key(&a.page_no) {
+                            // A page this round already faults: resident by
+                            // the time a one-at-a-time reader got here.
+                            self.count_hit();
+                            mine.push(i);
+                        } else {
+                            foreign.push(i);
+                        }
                     }
-                    PageState::Pending => {
-                        // Another thread is faulting this page; wait for it.
-                        saw_pending = true;
-                        self.ready_cond.wait(&mut inner);
-                        continue;
+                    None => {
+                        if waited.is_some() {
+                            // Re-fault of a fill this access already waited
+                            // on: the page was present when the access
+                            // arrived, so the trace oracle scores it a hit.
+                            self.count_hit();
+                        } else {
+                            self.misses.fetch_add(1, Ordering::Relaxed);
+                            self.m_misses.inc();
+                        }
+                        let slot = self.acquire_slot(&mut inner, key);
+                        if slot.is_none() {
+                            // No room at all: uncached read-through.
+                            self.bypasses.fetch_add(1, Ordering::Relaxed);
+                            self.m_bypasses.inc();
+                        } else if speculate {
+                            let mut lm = self.last_miss.lock();
+                            if lm.insert(file.id, a.page_no) == Some(a.page_no.wrapping_sub(1)) {
+                                readahead_from = Some(a.page_no + 1);
+                            }
+                        }
+                        fetch.insert(a.page_no, slot);
+                        mine.push(i);
                     }
                 }
             }
-            // Miss: find a slot (evict if needed), insert Pending, drop the
-            // lock, do the device read, publish.
-            if saw_pending {
-                // Re-fault of a fill this access already waited on: the
-                // page was present when the access arrived, so the trace
-                // oracle scores it a hit; re-driving the fill must not
-                // count a fresh miss.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.m_hits.inc();
-            } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.m_misses.inc();
-            }
-            let slot = match self.acquire_slot(&mut inner, key) {
-                Some(s) => s,
-                None => {
-                    // No room at all: uncached read-through.
-                    self.bypasses.fetch_add(1, Ordering::Relaxed);
-                    self.m_bypasses.inc();
-                    drop(inner);
-                    let data = self.read_page_from_device(file, page_no);
-                    f(&data);
+            if fetch.is_empty() {
+                if foreign.is_empty() {
                     return;
                 }
-            };
-            let sequential = {
-                let mut lm = self.last_miss.lock();
-                let seq = lm.get(&file.id).is_some_and(|&p| p + 1 == page_no);
-                lm.insert(file.id, page_no);
-                seq
-            };
-            drop(inner);
-            let data = self.read_page_from_device(file, page_no);
-            inner = self.inner.lock();
-            {
-                let page = inner.slots[slot as usize].as_mut().unwrap();
-                page.data.copy_from_slice(&data);
-                page.state = PageState::Ready;
+                // Nothing of ours is in flight, so parking cannot hold up
+                // anyone who waits on us.
+                let _parked = fault_wait();
+                self.ready_cond.wait(&mut inner);
+                waited = Some(foreign);
+                continue;
             }
-            inner.policy.on_insert(slot, key);
-            self.ready_cond.notify_all();
-            // Serve the faulting reader from the freshly published page
-            // before any speculation — readahead below may evict it again
-            // under a tight budget.
-            {
-                let page = inner.slots[slot as usize].as_ref().unwrap();
-                f(&page.data);
+            drop(inner);
+            let (pages, slots): (Vec<u64>, Vec<Option<u32>>) = fetch.into_iter().unzip();
+            let mut data = self.fetch_pages(file, &pages, prio);
+            inner = self.inner.lock();
+            // Publish and copy out in request order, so the policy sees the
+            // inserts and hits in the order a sequential reader makes them.
+            for &i in &mine {
+                let a = &accesses[i];
+                let at = pages.binary_search(&a.page_no).expect("fetched page");
+                let page: &[u8] = match slots[at] {
+                    Some(slot) => {
+                        let key = (file.id, a.page_no);
+                        if !self.publish_page(&mut inner, slot, key, &mut data[at]) {
+                            inner.policy.on_hit(slot, key);
+                        }
+                        &inner.slots[slot as usize]
+                            .as_ref()
+                            .expect("owned slot")
+                            .data
+                    }
+                    None => &data[at],
+                };
+                out[a.dst..a.dst + a.len].copy_from_slice(&page[a.in_page..a.in_page + a.len]);
+            }
+            if slots.iter().any(Option::is_some) {
+                self.ready_cond.notify_all();
             }
             // Sequential pattern: pull the readahead window in too (one
             // larger device transfer amortizes the per-request latency —
             // why buffered sequential I/O beats direct at low queue depth).
-            let ra = self.readahead_pages.load(Ordering::Relaxed);
-            if sequential && ra > 0 {
-                let _inner = self.readahead(inner, file, page_no + 1, ra);
+            // The faulting reader was served above; readahead may evict its
+            // page again under a tight budget.
+            if let Some(start) = readahead_from {
+                inner = self.readahead(inner, file, start, prio);
             }
-            return;
+            if foreign.is_empty() {
+                return;
+            }
+            waited = Some(foreign);
         }
     }
 
-    /// Speculatively fault in up to `readahead_pages` pages starting at
-    /// `start`, using a single device read. Pages that are already resident
-    /// or don't fit the budget are skipped. Takes and returns the inner
-    /// lock guard so the caller keeps its critical section.
+    /// Make the pending page in `slot` resident, taking the bytes out of
+    /// `data`. Returns false (and changes nothing) if the slot is already
+    /// published.
+    fn publish_page(
+        &self,
+        inner: &mut Inner,
+        slot: u32,
+        key: (u32, u64),
+        data: &mut Box<[u8]>,
+    ) -> bool {
+        let page = inner.slots[slot as usize].as_mut().expect("owned slot");
+        if page.state == PageState::Ready {
+            return false;
+        }
+        page.data = std::mem::take(data);
+        page.state = PageState::Ready;
+        inner.policy.on_insert(slot, key);
+        true
+    }
+
+    /// Speculatively fault in up to the readahead window of pages starting
+    /// at `start`, using a single device read. Pages that are already
+    /// resident or don't fit the budget are skipped. Takes and returns the
+    /// inner lock guard so the caller keeps its critical section.
     fn readahead<'a>(
         &'a self,
         mut inner: OrderedMutexGuard<'a, Inner>,
         file: FileHandle,
         start: u64,
-        window: usize,
+        prio: IoPriority,
     ) -> OrderedMutexGuard<'a, Inner> {
-        let max_page = file.len.div_ceil(PAGE_SIZE as u64);
-        let end = (start + window as u64).min(max_page);
-        if start >= end {
-            return inner;
-        }
+        let window = self.readahead_pages.load(Ordering::Relaxed) as u64;
+        let end = (start + window).min(file.len.div_ceil(PAGE_SIZE as u64));
         // Reserve slots for the not-yet-resident pages of the window.
+        let mut pages = Vec::new();
         let mut slots = Vec::new();
         for p in start..end {
             if inner.map.contains_key(&(file.id, p)) {
                 break; // stop at the first resident page
             }
             match self.acquire_slot(&mut inner, (file.id, p)) {
-                Some(s) => slots.push((p, s)),
+                Some(s) => {
+                    pages.push(p);
+                    slots.push(s);
+                }
                 None => break,
             }
         }
-        if slots.is_empty() {
+        if pages.is_empty() {
             return inner;
         }
         drop(inner);
-        // One contiguous device read covering the window.
-        let first = slots[0].0;
-        let n_pages = slots.len();
-        let mut buf = vec![0u8; n_pages * PAGE_SIZE];
-        let offset = first * PAGE_SIZE as u64;
-        let valid = (file.len.saturating_sub(offset) as usize).min(buf.len());
-        if valid > 0 {
-            self.device_read_degraded(file, offset, &mut buf[..valid]);
-        }
+        // Adjacent pages within the window: one contiguous device read.
+        let mut data = self.fetch_pages(file, &pages, prio);
         let mut inner = self.inner.lock();
-        for (i, &(p, slot)) in slots.iter().enumerate() {
-            let page = inner.slots[slot as usize].as_mut().unwrap();
-            page.data
-                .copy_from_slice(&buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-            page.state = PageState::Ready;
-            inner.policy.on_insert(slot, (file.id, p));
+        for ((&p, &slot), page) in pages.iter().zip(&slots).zip(&mut data) {
+            self.publish_page(&mut inner, slot, (file.id, p), page);
         }
         self.readaheads
-            .fetch_add(slots.len() as u64, Ordering::Relaxed);
-        self.m_readaheads.add(slots.len() as u64);
+            .fetch_add(pages.len() as u64, Ordering::Relaxed);
+        self.m_readaheads.add(pages.len() as u64);
         self.ready_cond.notify_all();
         inner
     }
 
-    fn read_page_from_device(&self, file: FileHandle, page_no: u64) -> Box<[u8]> {
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        let offset = page_no * PAGE_SIZE as u64;
-        // Tail pages may be shorter than PAGE_SIZE.
-        let n = (PAGE_SIZE as u64).min(file.len.saturating_sub(offset)) as usize;
-        if n > 0 {
-            self.device_read_degraded(file, offset, &mut buf[..n]);
+    /// One device round trip: read `pages` (ascending, distinct) of `file`,
+    /// returning one `PAGE_SIZE` buffer per page (a tail page shorter than
+    /// that is zero-padded). Runs of adjacent pages merge into
+    /// one request, at most a readahead window long, and all requests go
+    /// out before the first wait — through the blocking queue path, parked
+    /// on the lane when it is full, not a sleep-poll that a saturated lane
+    /// starves.
+    ///
+    /// A completion becomes page bytes only through the checksum gate
+    /// ([`SimSsd::verify`]); a failed or corrupt one is re-read by
+    /// [`Self::device_read_degraded`], the failed attempt counting as the
+    /// first retry (the extractor's ring-completion recovery, for pages).
+    fn fetch_pages(&self, file: FileHandle, pages: &[u64], prio: IoPriority) -> Vec<Box<[u8]>> {
+        let window = self.readahead_pages.load(Ordering::Relaxed).max(1);
+        // (index of the run's first page in `pages`, pages in the run)
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (i, &p) in pages.iter().enumerate() {
+            match runs.last_mut() {
+                Some((first, n)) if *n < window && pages[*first] + *n as u64 == p => *n += 1,
+                _ => runs.push((i, 1)),
+            }
         }
-        buf
+        let requests: Vec<(u64, usize)> = runs
+            .iter()
+            .map(|&(first, n)| {
+                let offset = pages[first] * PAGE_SIZE as u64;
+                let valid = file.len.saturating_sub(offset).min((n * PAGE_SIZE) as u64);
+                (offset, valid as usize)
+            })
+            .collect();
+        self.fills.fetch_add(1, Ordering::Relaxed);
+        self.m_fills.inc();
+        let mut data: Vec<Box<[u8]>> = vec![Box::default(); pages.len()];
+        // A single whole page becomes the cached page as is; anything else
+        // (a merged run, a short tail) is cut into padded pages.
+        let mut land = |run: usize, bytes: Vec<u8>| {
+            let (first, n) = runs[run];
+            if bytes.len() == PAGE_SIZE {
+                data[first] = bytes.into_boxed_slice();
+                return;
+            }
+            for (j, page) in data[first..first + n].iter_mut().enumerate() {
+                let lo = (j * PAGE_SIZE).min(bytes.len());
+                let hi = (lo + PAGE_SIZE).min(bytes.len());
+                let mut padded = vec![0u8; PAGE_SIZE];
+                padded[..hi - lo].copy_from_slice(&bytes[lo..hi]);
+                *page = padded.into_boxed_slice();
+            }
+        };
+        let mut landed = vec![false; runs.len()];
+        let started = Instant::now();
+        let done = {
+            let _parked = fault_wait();
+            self.ssd.submit_reads(file, &requests, prio)
+        };
+        loop {
+            let completion = match done.try_recv() {
+                Some(c) => Ok(c),
+                None => {
+                    let _parked = fault_wait();
+                    done.recv()
+                }
+            };
+            // Disconnected: every request has been answered.
+            let Ok(c) = completion else { break };
+            let run = c.user_data as usize;
+            if let Ok(bytes) = c.result {
+                if self.ssd.verify(file, requests[run].0, &bytes).is_ok() {
+                    land(run, bytes);
+                    landed[run] = true;
+                }
+            }
+        }
+        self.ssd
+            .stats()
+            .add_io_wait(started.elapsed().as_nanos() as u64);
+        for (run, _) in landed.iter().enumerate().filter(|(_, ok)| !**ok) {
+            self.m_retries.inc();
+            let (offset, len) = requests[run];
+            let mut bytes = vec![0u8; len];
+            {
+                let _parked = fault_wait();
+                self.device_read_degraded(file, offset, &mut bytes, prio);
+            }
+            land(run, bytes);
+        }
+        data
     }
 
     /// Grab a free slot, asking the policy for a victim if necessary;
@@ -475,7 +694,7 @@ impl PageCache {
                 inner.slots[s as usize] = Some(PageSlot {
                     key,
                     state: PageState::Pending,
-                    data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+                    data: Box::default(),
                     charge: Some(charge),
                 });
                 s
@@ -485,7 +704,7 @@ impl PageCache {
                 inner.slots.push(Some(PageSlot {
                     key,
                     state: PageState::Pending,
-                    data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+                    data: Box::default(),
                     charge: Some(charge),
                 }));
                 let cap = inner.slots.len();
@@ -920,6 +1139,280 @@ mod tests {
             belady.hits > lru.hits && belady.misses < lru.misses,
             "belady {belady:?} must beat lru {lru:?}"
         );
+    }
+
+    /// Byte `i` of the property tests' file: no two pages (and no two
+    /// offsets within 251 bytes of each other) look alike.
+    fn pattern(i: usize) -> u8 {
+        (i % 251) as u8 ^ (i / PAGE_SIZE) as u8
+    }
+
+    /// A `len`-byte file of [`pattern`] bytes behind a cache that holds at
+    /// most `budget_pages` (enforced by the governor, as in production).
+    fn patterned(len: usize, budget_pages: usize) -> (Arc<PageCache>, FileHandle) {
+        let ssd = SimSsd::new(SsdProfile::instant());
+        let f = ssd.create_file(len as u64);
+        let bytes: Vec<u8> = (0..len).map(pattern).collect();
+        ssd.import(f, 0, &bytes).unwrap();
+        let gov = MemoryGovernor::new((budget_pages * PAGE_SIZE) as u64);
+        (PageCache::new(ssd, gov), f)
+    }
+
+    /// Quiescent-state invariants: no fill left in flight, every resident
+    /// page tracked by the policy and charged to the governor exactly once.
+    fn check(cache: &PageCache) {
+        let inner = cache.inner.lock();
+        let occupied: Vec<&PageSlot> = inner.slots.iter().flatten().collect();
+        assert!(
+            occupied.iter().all(|p| p.state == PageState::Ready),
+            "a slot was left pending"
+        );
+        assert!(occupied.iter().all(|p| p.data.len() == PAGE_SIZE));
+        assert_eq!(occupied.len(), inner.map.len());
+        assert_eq!(inner.policy.len(), inner.map.len());
+        assert_eq!(
+            cache.gov.used_page_cache(),
+            (inner.map.len() * PAGE_SIZE) as u64,
+            "governor charge must equal resident pages"
+        );
+    }
+
+    /// Random `(offset, len)` lists with overlaps, repeats, empty ranges
+    /// and page-straddling ranges; returns them with their logical page
+    /// access count.
+    fn random_ranges(rng: &mut gnndrive_sync::Rng, file_len: usize) -> (Vec<(u64, usize)>, u64) {
+        let mut accesses = 0u64;
+        let ranges = (0..rng.below(24))
+            .map(|_| {
+                let offset = rng.below(file_len);
+                let len = rng.below(3 * PAGE_SIZE).min(file_len - offset);
+                if len > 0 {
+                    accesses += ((offset + len - 1) / PAGE_SIZE - offset / PAGE_SIZE + 1) as u64;
+                }
+                (offset as u64, len)
+            })
+            .collect();
+        (ranges, accesses)
+    }
+
+    #[test]
+    fn vectored_reads_match_sequential_reads_under_any_budget() {
+        gnndrive_sync::rng::cases(96, |rng| {
+            let file_len = 1 + rng.below(40 * PAGE_SIZE);
+            // 0 pages: everything bypasses; often fewer than one request.
+            let budget = [0, 1, 2, 3, 8, 64][rng.below(6)];
+            let (cache, f) = patterned(file_len, budget);
+            let (reference, rf) = patterned(file_len, 64);
+            cache.set_readahead(rng.below(5));
+            for _ in 0..6 {
+                let (ranges, accesses) = random_ranges(rng, file_len);
+                let total: usize = ranges.iter().map(|r| r.1).sum();
+                let before = cache.stats();
+                let mut got = vec![0xAAu8; total];
+                cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+                let mut want = vec![0x55u8; total];
+                let mut at = 0;
+                for &(offset, len) in &ranges {
+                    reference.read(rf, offset, &mut want[at..at + len]);
+                    at += len;
+                }
+                assert_eq!(got, want, "budget {budget}, ranges {ranges:?}");
+                let after = cache.stats();
+                assert_eq!(
+                    (after.hits + after.misses) - (before.hits + before.misses),
+                    accesses,
+                    "one hit or miss per logical page access"
+                );
+                assert!(after.resident_pages <= budget as u64);
+                assert_eq!(after.readaheads, 0, "the request is the exact need");
+                if budget == 0 {
+                    assert_eq!(after.bypasses, after.misses);
+                    assert_eq!(after.hits, 0);
+                }
+                check(&cache);
+            }
+        });
+    }
+
+    #[test]
+    fn adjacent_missing_pages_merge_up_to_the_readahead_window() {
+        let (cache, f) = patterned(16 * PAGE_SIZE, 64);
+        cache.set_readahead(4);
+        // Pages 0..=8 and 12 are wanted; 5 is already resident.
+        let mut byte = [0u8; 1];
+        cache.read(f, 5 * PAGE_SIZE as u64, &mut byte);
+        let (ops, fills) = (cache.ssd.stats().snapshot().read_ops, cache.stats().fills);
+        let ranges: Vec<(u64, usize)> = [0, 1, 2, 3, 4, 5, 6, 7, 8, 12]
+            .iter()
+            .map(|p| ((p * PAGE_SIZE + 9) as u64, 3))
+            .collect();
+        let mut got = vec![0u8; 30];
+        cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+        // [0..4) [4] | [6..=8] | [12]: four requests, one round trip.
+        assert_eq!(cache.ssd.stats().snapshot().read_ops - ops, 4);
+        assert_eq!(cache.stats().fills - fills, 1);
+        assert_eq!(
+            got[27..],
+            [
+                pattern(12 * PAGE_SIZE + 9),
+                pattern(12 * PAGE_SIZE + 10),
+                pattern(12 * PAGE_SIZE + 11)
+            ]
+        );
+        check(&cache);
+    }
+
+    /// Two threads whose vectored reads overlap, under a budget either one
+    /// alone overflows: each holds pending pages the other wants. Because a
+    /// thread publishes everything it owns before it waits, both finish.
+    #[test]
+    fn overlapping_vectored_reads_under_a_tiny_budget_never_wait_on_each_other() {
+        let file_len = 16 * PAGE_SIZE;
+        let (cache, f) = patterned(file_len, 4);
+        let want: Vec<u8> = (0..file_len).map(pattern).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for reverse in [false, true] {
+                let (cache, want, start) = (&cache, &want, &start);
+                s.spawn(move || {
+                    let mut ranges: Vec<(u64, usize)> = (0..16)
+                        .map(|p| ((p * PAGE_SIZE + 100) as u64, PAGE_SIZE / 2))
+                        .collect();
+                    if reverse {
+                        ranges.reverse();
+                    }
+                    for _ in 0..200 {
+                        start.wait();
+                        let mut got = vec![0u8; 16 * (PAGE_SIZE / 2)];
+                        cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+                        for (chunk, &(offset, len)) in got.chunks(PAGE_SIZE / 2).zip(&ranges) {
+                            assert_eq!(chunk, &want[offset as usize..offset as usize + len]);
+                        }
+                    }
+                });
+            }
+        });
+        check(&cache);
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 2 * 200 * 16);
+    }
+
+    #[test]
+    fn corrupted_vectored_fills_are_detected_and_reread() {
+        use crate::fault::FaultPlan;
+        let (cache, f) = patterned(32 * PAGE_SIZE, 64);
+        cache.set_retry_policy(RetryPolicy::default().with_max_attempts(16));
+        let detected = telemetry::counter("storage.integrity.detected");
+        let escaped = telemetry::counter("storage.integrity.escaped");
+        let (d0, e0) = (detected.get(), escaped.get());
+        cache
+            .ssd
+            .set_fault_plan(FaultPlan::new(23).with_bit_flips(0.5).on_file(f.id));
+        let ranges: Vec<(u64, usize)> = (0..32).map(|p| ((p * PAGE_SIZE) as u64, 64)).collect();
+        let mut got = vec![0u8; 32 * 64];
+        cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+        cache.ssd.clear_faults();
+        for (chunk, &(offset, _)) in got.chunks(64).zip(&ranges) {
+            let want: Vec<u8> = (offset as usize..offset as usize + 64)
+                .map(pattern)
+                .collect();
+            assert_eq!(chunk, want, "corrupt bytes served at {offset}");
+        }
+        assert!(detected.get() > d0, "the checksum gate must fire");
+        assert_eq!(escaped.get(), e0, "no corruption may pass it");
+        check(&cache);
+    }
+
+    #[test]
+    fn read_fault_storm_degrades_a_vectored_fill_to_zero_fill() {
+        use crate::fault::FaultPlan;
+        let (cache, f) = patterned(8 * PAGE_SIZE, 4);
+        cache.set_readahead(0); // no merging: one device request per page
+        cache.set_retry_policy(RetryPolicy::default().with_max_attempts(2));
+        let errors = telemetry::counter("page_cache.read_errors");
+        let before = errors.get();
+        cache
+            .ssd
+            .set_fault_plan(FaultPlan::new(0).with_read_fault_every(1));
+        let ranges: Vec<(u64, usize)> = (0..8).map(|p| ((p * PAGE_SIZE) as u64, 16)).collect();
+        let mut got = vec![7u8; 8 * 16];
+        cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+        assert_eq!(got, vec![0u8; 8 * 16], "exhausted retries degrade to zeros");
+        assert!(errors.get() >= before + 8);
+        check(&cache);
+    }
+
+    #[test]
+    fn device_shutdown_mid_fill_returns_instead_of_parking() {
+        use std::time::Duration;
+        let ssd = SimSsd::new(SsdProfile {
+            read_latency: Duration::from_millis(20),
+            channels: 1,
+            ..SsdProfile::instant()
+        });
+        let f = ssd.create_file((64 * PAGE_SIZE) as u64);
+        let cache = PageCache::new(Arc::clone(&ssd), MemoryGovernor::unlimited());
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let ranges: Vec<(u64, usize)> =
+                    (0..64).map(|p| ((p * PAGE_SIZE) as u64, 8)).collect();
+                let mut got = vec![0u8; 64 * 8];
+                cache.read_vectored(f, &ranges, IoPriority::Bulk, &mut got);
+            });
+            // Misses are counted before the requests go out: once they
+            // show, the fill is committed to its 64 × 20 ms of reads.
+            while cache.stats().misses == 0 {
+                std::thread::yield_now();
+            }
+            ssd.shutdown();
+            reader.join().expect("the fill must return");
+        });
+        check(&cache);
+    }
+
+    /// The priority inversion fix: a fill on the serve lane overtakes bulk
+    /// reads that were queued before it (DESIGN.md §11).
+    #[test]
+    fn serve_priority_fill_overtakes_queued_bulk_reads() {
+        use std::time::Duration;
+        // One channel, 20 ms per read: completion order == service order.
+        let ssd = SimSsd::new(SsdProfile {
+            read_latency: Duration::from_millis(20),
+            channels: 1,
+            sleep_granularity: Duration::from_micros(100),
+            ..SsdProfile::instant()
+        });
+        let f = ssd.create_file((8 * PAGE_SIZE) as u64);
+        let cache = PageCache::new(Arc::clone(&ssd), MemoryGovernor::unlimited());
+        let order = OrderedMutex::new(LockRank::Buffer, Vec::new());
+        std::thread::scope(|s| {
+            let bulk = |tag: &'static str| {
+                let (ssd, order) = (&ssd, &order);
+                s.spawn(move || {
+                    let mut out = [0u8; 512];
+                    ssd.read_blocking(f, 0, &mut out, true).expect("bulk read");
+                    order.lock().push(tag);
+                });
+            };
+            // Occupy the single channel, then back the bulk lane up…
+            bulk("head");
+            std::thread::sleep(Duration::from_millis(5));
+            (0..3).for_each(|_| bulk("bulk"));
+            std::thread::sleep(Duration::from_millis(5));
+            // …then fault a page in on the serve lane, submitted last.
+            s.spawn(|| {
+                let mut out = [0u8; 8];
+                cache.read_vectored(f, &[(PAGE_SIZE as u64, 8)], IoPriority::Serve, &mut out);
+                order.lock().push("serve");
+            });
+        });
+        let order = order.into_inner();
+        assert_eq!(order[0], "head", "the in-service read finishes first");
+        assert_eq!(
+            order[1], "serve",
+            "the serve-lane fill must overtake queued bulk reads: {order:?}"
+        );
+        assert_eq!(ssd.stats().snapshot().serve_ops, 1);
     }
 
     #[test]

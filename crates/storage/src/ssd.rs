@@ -22,7 +22,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
 use crate::integrity::{crc32, IntegrityError, SectorChecksums};
 use crate::stats::IoStats;
 use crate::wcache::{DirtySector, PowerCutReport, WriteCache};
-use gnndrive_sync::queue::{bounded, LaneQueue, Sender, TrySendError};
+use gnndrive_sync::queue::{bounded, unbounded, LaneQueue, Receiver, Sender, TrySendError};
 use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use gnndrive_telemetry as telemetry;
@@ -777,6 +777,36 @@ impl SimSsd {
         }
     }
 
+    /// Submit one read of `file` per `(offset, len)` run on lane `prio`, all
+    /// before waiting for any, stalling (in I/O-wait) whenever the lane is
+    /// full. Every run yields exactly one [`Completion`] on the returned
+    /// channel, tagged with its index — a shut-down device answers
+    /// [`IoError::DeviceClosed`], an out-of-range run its range error — and
+    /// the channel disconnects after the last one, so a collector can never
+    /// park on a reply that will not come.
+    pub(crate) fn submit_reads(
+        &self,
+        file: FileHandle,
+        runs: &[(u64, usize)],
+        prio: IoPriority,
+    ) -> Receiver<Completion> {
+        let (reply, done) = unbounded();
+        for (i, &(offset, len)) in runs.iter().enumerate() {
+            // A refused request was already answered on `reply`.
+            let _ = self.submit_blocking(Request {
+                file: file.id,
+                offset,
+                op: IoOp::Read,
+                buf: vec![0u8; len],
+                user_data: i as u64,
+                reply: reply.clone(),
+                submitted: Instant::now(),
+                prio,
+            });
+        }
+        done
+    }
+
     /// Synchronous read: submit one request and block until it completes.
     ///
     /// The blocking time is real (the paper's synchronous-I/O baseline
@@ -805,18 +835,8 @@ impl SimSsd {
             return Ok(());
         }
         self.validate(file.id, offset, out.len() as u64, direct)?;
-        let (reply, done) = bounded(1);
         let started = Instant::now();
-        self.submit_blocking(Request {
-            file: file.id,
-            offset,
-            op: IoOp::Read,
-            buf: vec![0u8; out.len()],
-            user_data: 0,
-            reply,
-            submitted: started,
-            prio,
-        })?;
+        let done = self.submit_reads(file, &[(offset, out.len())], prio);
         let completion = {
             let _io = telemetry::state(telemetry::State::IoWait);
             done.recv().map_err(|_| IoError::DeviceClosed)?

@@ -36,6 +36,11 @@ struct Lanes<T> {
     /// `[serve, bulk]`; every pop takes from `serve` first.
     lanes: [VecDeque<T>; 2],
     closed: bool,
+    /// Receivers parked on `not_empty` and, per lane, senders parked on
+    /// `not_full`. A wake-up is a `futex_wake` syscall even with nobody
+    /// waiting, so pushes and pops notify only when the count is non-zero.
+    parked_recv: usize,
+    parked_send: [usize; 2],
 }
 
 /// Two FIFO lanes of at most `cap` items each behind one lock. Receivers
@@ -56,6 +61,8 @@ impl<T> LaneQueue<T> {
             state: Mutex::new(Lanes {
                 lanes: [VecDeque::new(), VecDeque::new()],
                 closed: false,
+                parked_recv: 0,
+                parked_send: [0; 2],
             }),
             cap,
             not_empty: Condvar::new(),
@@ -70,9 +77,11 @@ impl<T> LaneQueue<T> {
     fn push(&self, serve: bool, msg: T, block: bool) -> Result<(), TrySendError<T>> {
         let (lane, mut st) = (usize::from(!serve), self.lock());
         while block && !st.closed && st.lanes[lane].len() >= self.cap {
+            st.parked_send[lane] += 1;
             st = self.not_full[lane]
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+            st.parked_send[lane] -= 1;
         }
         if st.closed {
             return Err(TrySendError::Disconnected(msg));
@@ -81,7 +90,9 @@ impl<T> LaneQueue<T> {
             return Err(TrySendError::Full(msg));
         }
         st.lanes[lane].push_back(msg);
-        self.not_empty.notify_one();
+        if st.parked_recv > 0 {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -102,25 +113,29 @@ impl<T> LaneQueue<T> {
         loop {
             for lane in 0..2 {
                 if let Some(msg) = st.lanes[lane].pop_front() {
-                    self.not_full[lane].notify_one();
+                    if st.parked_send[lane] > 0 {
+                        self.not_full[lane].notify_one();
+                    }
                     return Ok(msg);
                 }
             }
             if st.closed {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            st = match deadline {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            st.parked_recv += 1;
+            st = match left {
                 None => self.not_empty.wait(st),
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
+                Some(left) => {
                     let timed = self.not_empty.wait_timeout(st, left);
                     Ok(timed.unwrap_or_else(PoisonError::into_inner).0)
                 }
             }
             .unwrap_or_else(PoisonError::into_inner);
+            st.parked_recv -= 1;
         }
     }
 
@@ -243,7 +258,39 @@ mod tests {
             let fifo = |p| got.iter().filter(|m| m.0 == p).is_sorted();
             assert!((0..4).all(fifo), "a producer was reordered: {got:?}");
         }
-        assert_eq!(seen.iter().map(Vec::len).sum::<usize>(), 800);
+        let mut all: Vec<(u32, u32)> = seen.into_iter().flatten().collect();
+        all.sort_unstable();
+        let sent: Vec<(u32, u32)> = (0..4).flat_map(|p| (0..200).map(move |i| (p, i))).collect();
+        assert_eq!(all, sent, "a message was lost or delivered twice");
+    }
+
+    #[test]
+    fn blocked_recv_wakes_on_send() {
+        let (tx, rx) = bounded(1);
+        thread::scope(|s| {
+            let parked = s.spawn(|| rx.recv());
+            thread::sleep(MS(20));
+            assert!(!parked.is_finished(), "recv must block while empty");
+            tx.send(7).unwrap();
+            assert_eq!(parked.join().unwrap(), Ok(7));
+        });
+    }
+
+    #[test]
+    fn blocked_send_resumes_only_after_a_recv_on_its_lane() {
+        let q = LaneQueue::new(1);
+        q.send(true, "s1").unwrap();
+        q.send(false, "b1").unwrap();
+        thread::scope(|s| {
+            let blocked = s.spawn(|| q.send(false, "b2"));
+            thread::sleep(MS(20));
+            assert_eq!(q.recv(), Ok("s1"));
+            thread::sleep(MS(20));
+            assert!(!blocked.is_finished(), "a serve pop frees no bulk slot");
+            assert_eq!(q.recv(), Ok("b1"));
+            blocked.join().unwrap().unwrap();
+        });
+        assert_eq!((q.recv(), q.len()), (Ok("b2"), 0));
     }
 
     #[test]

@@ -56,10 +56,15 @@ pub enum WaitKind {
     /// `wait_ready` dependency wait on another extractor's in-flight load.
     /// Attributed to I/O: the dependency is an outstanding read.
     ReadyWait,
+    /// Page-cache fault wait: parked on this thread's own fill, or on a
+    /// page another thread is filling. The page was evicted (or never fit)
+    /// because the budget is short — memory contention, 𝔒1 — and it is the
+    /// one edge that blocks the *sample* segment rather than extract.
+    PageFault,
 }
 
 impl WaitKind {
-    pub const ALL: [WaitKind; 7] = [
+    pub const ALL: [WaitKind; 8] = [
         WaitKind::MemAdmission,
         WaitKind::StagingAcquire,
         WaitKind::SlotWait,
@@ -67,9 +72,10 @@ impl WaitKind {
         WaitKind::SyncRead,
         WaitKind::TransferWait,
         WaitKind::ReadyWait,
+        WaitKind::PageFault,
     ];
 
-    pub(crate) const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 8;
 
     fn index(self) -> usize {
         match self {
@@ -80,6 +86,7 @@ impl WaitKind {
             WaitKind::SyncRead => 4,
             WaitKind::TransferWait => 5,
             WaitKind::ReadyWait => 6,
+            WaitKind::PageFault => 7,
         }
     }
 
@@ -95,6 +102,7 @@ impl WaitKind {
             WaitKind::SyncRead => "core.attr.sync_read_wait",
             WaitKind::TransferWait => "core.attr.transfer_wait",
             WaitKind::ReadyWait => "core.attr.ready_wait",
+            WaitKind::PageFault => "core.attr.page_fault_wait",
         }
     }
 
@@ -108,6 +116,7 @@ impl WaitKind {
             WaitKind::SyncRead => "sync_read_wait",
             WaitKind::TransferWait => "transfer_wait",
             WaitKind::ReadyWait => "ready_wait",
+            WaitKind::PageFault => "page_fault_wait",
         }
     }
 
@@ -115,7 +124,10 @@ impl WaitKind {
     fn is_memory(self) -> bool {
         matches!(
             self,
-            WaitKind::MemAdmission | WaitKind::StagingAcquire | WaitKind::SlotWait
+            WaitKind::MemAdmission
+                | WaitKind::StagingAcquire
+                | WaitKind::SlotWait
+                | WaitKind::PageFault
         )
     }
 }
@@ -131,6 +143,7 @@ fn wait_hists() -> &'static [HistogramHandle; WaitKind::COUNT] {
             histogram_ns("core.attr.sync_read_wait"),
             histogram_ns("core.attr.transfer_wait"),
             histogram_ns("core.attr.ready_wait"),
+            histogram_ns("core.attr.page_fault_wait"),
         ]
     })
 }
@@ -233,14 +246,17 @@ pub fn waits_take() -> WaitTotals {
 /// One trained batch's critical-path decomposition. All fields are
 /// nanoseconds on the pipeline's shared epoch clock; the stage segments
 /// telescope (`wall = sample + queue_extract + extract + queue_train +
-/// train` up to stamp skew), while `waits` decomposes the extract segment.
+/// train` up to stamp skew), while `sample_waits` and `waits` decompose the
+/// sample and extract segments.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchAttribution {
     pub batch: u64,
     /// Sample-start → train-end.
     pub wall_ns: u64,
-    /// Exclusive sampler compute.
+    /// Total sample-stage time (decomposed by `sample_waits`).
     pub sample_ns: u64,
+    /// Blocking edges inside the sample segment (page-cache faults).
+    pub sample_waits: WaitTotals,
     /// Queue residency between sample end and extract start.
     pub queue_extract_ns: u64,
     /// Total extract-stage time (decomposed by `waits`).
@@ -258,15 +274,22 @@ pub struct BatchAttribution {
 }
 
 impl BatchAttribution {
+    /// Exclusive sampler compute: the sample segment minus its waits.
+    pub fn sample_compute_ns(&self) -> u64 {
+        self.sample_ns.saturating_sub(self.sample_waits.sum())
+    }
+
     /// Exclusive extractor compute: the extract segment minus its waits.
     pub fn extract_compute_ns(&self) -> u64 {
         self.extract_ns.saturating_sub(self.waits.sum())
     }
 
     /// Re-sum of the decomposed parts. If wait timers overlapped (a bug),
-    /// `Σwaits` exceeds the extract segment and this exceeds the wall.
+    /// `Σwaits` exceeds its segment and this exceeds the wall.
     pub fn accounted_ns(&self) -> u64 {
-        self.sample_ns
+        self.sample_waits
+            .sum()
+            .max(self.sample_ns)
             .saturating_add(self.queue_extract_ns)
             .saturating_add(self.waits.sum().max(self.extract_ns))
             .saturating_add(self.queue_train_ns)
@@ -362,8 +385,10 @@ pub struct AttributionReport {
 /// Fold per-batch records into an [`AttributionReport`] and classify.
 pub fn aggregate(records: &[BatchAttribution]) -> AttributionReport {
     let mut r = AttributionReport::default();
+    let mut sample_compute = 0u64;
     for rec in records {
         r.batches += 1;
+        sample_compute = sample_compute.saturating_add(rec.sample_compute_ns());
         r.wall_ns = r.wall_ns.saturating_add(rec.wall_ns);
         r.sample_ns = r.sample_ns.saturating_add(rec.sample_ns);
         r.queue_ns = r
@@ -375,6 +400,7 @@ pub fn aggregate(records: &[BatchAttribution]) -> AttributionReport {
             .extract_compute_ns
             .saturating_add(rec.extract_compute_ns());
         r.train_ns = r.train_ns.saturating_add(rec.train_ns);
+        r.waits.merge(&rec.sample_waits);
         r.waits.merge(&rec.waits);
         r.io_queue_ns = r.io_queue_ns.saturating_add(rec.io_queue_ns);
         r.io_service_ns = r.io_service_ns.saturating_add(rec.io_service_ns);
@@ -382,7 +408,7 @@ pub fn aggregate(records: &[BatchAttribution]) -> AttributionReport {
     }
     let mem = r.waits.memory_ns() as f64;
     let io = r.waits.io_ns() as f64;
-    let compute = (r.sample_ns + r.train_ns + r.extract_compute_ns) as f64;
+    let compute = (sample_compute + r.train_ns + r.extract_compute_ns) as f64;
     let denom = mem + io + compute;
     if denom > 0.0 {
         r.mem_fraction = mem / denom;
@@ -498,6 +524,7 @@ mod tests {
             batch: 0,
             wall_ns: sample + extract + train,
             sample_ns: sample,
+            sample_waits: WaitTotals::default(),
             queue_extract_ns: 0,
             extract_ns: extract,
             queue_train_ns: 0,
@@ -529,7 +556,7 @@ mod tests {
             t.add(*k, (i as u64 + 1) * 100);
         }
         assert_eq!(t.memory_ns() + t.io_ns(), t.sum());
-        assert_eq!(t.memory_ns(), 100 + 200 + 300);
+        assert_eq!(t.memory_ns(), 100 + 200 + 300 + 800, "page faults are 𝔒1");
     }
 
     #[test]
@@ -560,6 +587,24 @@ mod tests {
         let r = aggregate(&[rec(w, 100, 400, 9_000)]);
         assert_eq!(r.verdict, BottleneckVerdict::MemoryContentionBound);
         assert!(r.mem_fraction > 0.5, "mem={}", r.mem_fraction);
+    }
+
+    #[test]
+    fn page_fault_time_leaves_sampler_compute_and_binds_the_memory_verdict() {
+        let mut faults = WaitTotals::default();
+        faults.add(WaitKind::PageFault, 9_000);
+        let mut r = rec(WaitTotals::default(), 10_000, 400, 600);
+        r.sample_waits = faults;
+        assert_eq!(r.sample_compute_ns(), 1_000);
+        assert_eq!(r.residual_ns(), 0, "the sample segment still telescopes");
+        let a = aggregate(&[r]);
+        assert_eq!(a.waits.get(WaitKind::PageFault), 9_000);
+        assert_eq!(a.verdict, BottleneckVerdict::MemoryContentionBound);
+        assert!(
+            (a.mem_fraction - 0.818).abs() < 0.01,
+            "mem={}",
+            a.mem_fraction
+        );
     }
 
     #[test]
@@ -609,6 +654,11 @@ mod tests {
         assert_eq!(back.batches, r.batches);
         assert_eq!(back.waits, r.waits);
         assert!((back.io_fraction - r.io_fraction).abs() < 1e-12);
+        // Artifacts written before a wait kind existed parse with it at 0.
+        let mut old = Json::obj();
+        old.set("batches", 1u64.into()).set("waits", Json::obj());
+        let back = AttributionReport::from_json(&old).unwrap();
+        assert_eq!(back.waits.get(WaitKind::PageFault), 0);
     }
 
     #[test]

@@ -20,7 +20,11 @@ use std::time::Duration;
 static TELEMETRY_GATE: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
 
 fn dataset(seed: u64) -> Arc<Dataset> {
-    let ssd = SimSsd::new(SsdProfile::pm883_repro());
+    dataset_on(seed, SsdProfile::pm883_repro())
+}
+
+fn dataset_on(seed: u64, profile: SsdProfile) -> Arc<Dataset> {
+    let ssd = SimSsd::new(profile);
     Arc::new(Dataset::build(
         DatasetSpec {
             name: format!("attr-{seed}"),
@@ -38,8 +42,12 @@ fn dataset(seed: u64) -> Arc<Dataset> {
 }
 
 fn pipeline(ds: &Arc<Dataset>, sync_extract: bool) -> Pipeline {
+    let cache = PageCache::new(Arc::clone(&ds.ssd), MemoryGovernor::unlimited());
+    pipeline_over(ds, sync_extract, cache)
+}
+
+fn pipeline_over(ds: &Arc<Dataset>, sync_extract: bool, cache: Arc<PageCache>) -> Pipeline {
     let gov = MemoryGovernor::unlimited();
-    let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
     Pipeline::builder(Arc::clone(ds), GpuDevice::rtx3090())
         .with_model(ModelKind::GraphSage, 16)
         .with_config(GnnDriveConfig {
@@ -171,6 +179,46 @@ fn conservation_survives_a_storage_fault_storm() {
     let stats = p.train_epoch_stats(0, Some(12));
     ds.ssd.set_fault_plan(FaultPlan::new(0));
     assert_conserved(&stats, "chaos");
+}
+
+/// The profiler names 𝔒1 where it bites: a sampler faulting through a
+/// page cache too small for the topology spends its sample segment parked
+/// on `PageFault`, and the decomposition still conserves; with the whole
+/// topology resident the same pipeline reports none.
+#[test]
+fn page_faults_are_attributed_to_the_sample_segment() {
+    let _gate = TELEMETRY_GATE.lock();
+    // A device slow enough (20 ms a read) that a hop's round trip dwarfs
+    // the sampler's own CPU even in an unoptimized, loaded test run.
+    let ds = dataset_on(
+        45,
+        SsdProfile {
+            read_latency: Duration::from_millis(20),
+            ..SsdProfile::pm883_repro()
+        },
+    );
+    let unlimited = MemoryGovernor::unlimited;
+
+    let tight = PageCache::with_max_pages(Arc::clone(&ds.ssd), unlimited(), 2);
+    let stats = pipeline_over(&ds, false, tight).train_epoch_stats(0, Some(8));
+    assert_conserved(&stats, "tight page cache");
+    let faults = stats.attribution.waits.get(telemetry::WaitKind::PageFault);
+    assert!(
+        2 * faults > stats.attribution.sample_ns,
+        "fault wait {faults} ns must be most of the {} ns sample segment",
+        stats.attribution.sample_ns
+    );
+    assert!(stats.attribution.mem_fraction > 0.0);
+
+    let roomy = PageCache::new(Arc::clone(&ds.ssd), unlimited());
+    let mut warm = vec![0u8; ds.indices_file.len as usize];
+    roomy.read(ds.indices_file, 0, &mut warm);
+    let stats = pipeline_over(&ds, false, roomy).train_epoch_stats(0, Some(8));
+    assert_conserved(&stats, "warm page cache");
+    assert_eq!(
+        stats.attribution.waits.get(telemetry::WaitKind::PageFault),
+        0
+    );
 }
 
 #[test]

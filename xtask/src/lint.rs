@@ -831,7 +831,7 @@ const SPAN_CATEGORIES: [&str; 2] = ["pipeline", "verdict"];
 /// prefixes that is not in the set is almost always a typo that would
 /// silently split a time series; add new members here and to the DESIGN.md
 /// §10 table in the same change.
-const KNOWN_ATTRIBUTION_METRICS: [&str; 8] = [
+const KNOWN_ATTRIBUTION_METRICS: [&str; 9] = [
     "core.attr.mem_admission",
     "core.attr.staging_wait",
     "core.attr.slot_wait",
@@ -839,6 +839,7 @@ const KNOWN_ATTRIBUTION_METRICS: [&str; 8] = [
     "core.attr.sync_read_wait",
     "core.attr.transfer_wait",
     "core.attr.ready_wait",
+    "core.attr.page_fault_wait",
     "core.attr.other",
 ];
 const KNOWN_STORAGE_QUEUE_METRICS: [&str; 2] =
@@ -1188,9 +1189,12 @@ mod tests {
         // is a well-formed name.
         let src = "fn f() { telemetry::histogram_ns(\"core.attr.slotwait\"); }\n";
         assert_eq!(rules(src), vec!["metric-name"]);
+        let src = "fn f() { telemetry::histogram_ns(\"core.attr.pagefault_wait\"); }\n";
+        assert_eq!(rules(src), vec!["metric-name"]);
         let src = "fn f() { telemetry::counter(\"storage.queue.depth_ns\"); }\n";
         assert_eq!(rules(src), vec!["metric-name"]);
         let src = "fn f() {\n    telemetry::histogram_ns(\"core.attr.slot_wait\");\n    \
+                   telemetry::histogram_ns(\"core.attr.page_fault_wait\");\n    \
                    telemetry::histogram_ns(\"core.attr.other\");\n    \
                    telemetry::counter(\"storage.queue.wait_ns\");\n    \
                    telemetry::counter(\"storage.queue.service_ns\");\n}\n";
