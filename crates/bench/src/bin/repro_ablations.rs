@@ -2,7 +2,8 @@
 //! one mechanism and re-measures the epoch.
 //!
 //! * `default` — async extraction, direct I/O, joint extraction, reordering
-//! * `sync-extract` — blocking loads and transfers (𝔒2 restored)
+//! * `sync-extract` — the same loop with one read in flight and the
+//!   host→device copies paid inline (𝔒2 restored)
 //! * `buffered-io` — page-cache feature loads instead of direct I/O (the
 //!   memory-contention path, 𝔒1 partially restored)
 //! * `no-joint` — one request per row even for sub-sector rows (only

@@ -11,7 +11,7 @@
 //! `--checkpoint-every` / `--resume` path).
 
 use crate::error::Error;
-use gnndrive_storage::{crc32, FileHandle, SimSsd};
+use gnndrive_storage::{crc32, FileHandle, IoPriority, SimSsd};
 use gnndrive_telemetry as telemetry;
 use std::path::Path;
 use std::sync::Arc;
@@ -248,10 +248,8 @@ impl TrainCheckpoint {
             return Err(Error::Checkpoint(CheckpointError::BadLengths));
         }
         let mut blob = vec![0u8; len as usize];
-        ssd.read_blocking(file, 8, &mut blob, false)
+        ssd.read_verified(file, 8, &mut blob, false, IoPriority::Bulk)
             .map_err(Error::Io)?;
-        ssd.verify(file, 8, &blob)
-            .map_err(|e| Error::Io(e.into()))?;
         Ok(Self::from_bytes(&blob)?)
     }
 

@@ -44,8 +44,10 @@ pub struct GnnDriveConfig {
     /// feature buffer with no host staging hop, but at GDS's 4 KiB access
     /// granularity — more redundant bytes per row.
     pub gpu_direct: bool,
-    /// Ablation: replace asynchronous extraction with blocking reads (the
-    /// baselines' behaviour). Isolates the contribution of §4.2.
+    /// Ablation: run the extraction loop with one read in flight and the
+    /// host→device copies paid inline (the baselines' behaviour) instead of
+    /// a deep ring and the transfer engine. Isolates the contribution of
+    /// §4.2; a Degraded device gets the same setting (DESIGN.md §9).
     pub sync_extract: bool,
     /// RNG seed for sampling.
     pub seed: u64,
@@ -90,29 +92,6 @@ impl Default for GnnDriveConfig {
 }
 
 impl GnnDriveConfig {
-    /// Pick the extractor count and staging quota from the dataset's
-    /// topology volume and the host budget — the paper's sizing rule
-    /// (§4.2): "the staging buffer can be expanded or shrunk by adjusting
-    /// the number of extractors, which we decide with regard to the volume
-    /// of topological data and the capacity of available host memory."
-    ///
-    /// Policy: reserve room for the memory-mapped topology (the sampler's
-    /// working set) plus resident metadata; give extraction at most a
-    /// quarter of what remains, between one and eight extractors at 1 MiB
-    /// of staging each.
-    pub fn auto_tune(mut self, topology_bytes: u64, resident_bytes: u64, budget: u64) -> Self {
-        let spare = budget
-            .saturating_sub(topology_bytes)
-            .saturating_sub(resident_bytes);
-        let staging_total = (spare / 4).clamp(64 * 1024, 8 * 1024 * 1024);
-        let per = 1024 * 1024u64;
-        let extractors = (staging_total / per).clamp(1, 8) as usize;
-        self.num_extractors = extractors;
-        self.staging_bytes_per_extractor = (staging_total / extractors as u64).max(64 * 1024);
-        self.extract_queue_cap = (extractors + 2).max(self.num_samplers);
-        self
-    }
-
     /// Feature-buffer payload bytes for dimension `dim`.
     pub fn feature_buffer_bytes(&self, dim: usize) -> u64 {
         (self.feature_buffer_slots * dim * 4) as u64
@@ -234,24 +213,6 @@ mod tests {
         assert!(c.extract_queue_cap >= c.num_samplers);
         assert!(c.train_queue_cap >= c.train_queue_cap.min(c.num_extractors));
         assert!(c.direct_io && c.reorder);
-    }
-
-    #[test]
-    fn auto_tune_scales_extractors_with_spare_memory() {
-        let base = GnnDriveConfig::default();
-        // Roomy budget: the full 8 extractors at 1 MiB each.
-        let roomy = base.clone().auto_tune(6 << 20, 2 << 20, 64 << 20);
-        assert_eq!(roomy.num_extractors, 8);
-        assert!(roomy.staging_bytes() >= 8 << 20);
-        // Tight budget: extraction shrinks to one extractor and a small
-        // staging region instead of starving the sampler.
-        let tight = GnnDriveConfig::default().auto_tune(6 << 20, 2 << 20, 9 << 20);
-        assert_eq!(tight.num_extractors, 1);
-        assert!(tight.staging_bytes() <= 1 << 20);
-        // Budget below the topology: clamps to the floor, never zero.
-        let floor = GnnDriveConfig::default().auto_tune(32 << 20, 0, 8 << 20);
-        assert_eq!(floor.num_extractors, 1);
-        assert!(floor.staging_bytes() >= 64 * 1024);
     }
 
     #[test]

@@ -19,19 +19,29 @@
 //!
 //! The whole procedure runs on a single thread with no blocking I/O on the
 //! critical path — the paper's answer to I/O congestion (𝔒2).
+//!
+//! It is written once. *Serial* extraction — the `sync_extract` ablation
+//! (what PyG+ and Ginex do) and the load a Degraded or probed device gets
+//! (DESIGN.md §9) — is a setting of the same loop: after each submit it
+//! waits until nothing is outstanding, so one read is in flight, and a
+//! landed row pays its host→device copy inline instead of handing it to
+//! the transfer engine. Every check is shared: completions become bytes
+//! only through [`gnndrive_storage::Completion::verified`], failed ones are
+//! re-read under the [`RetryPolicy`], and the batch's one rollback is in
+//! `extract_batch_inner`.
 
-use crate::feature_buffer::FeatureBufferManager;
+use crate::feature_buffer::{ExtractPlan, FeatureBufferManager};
 use crate::staging::{StagingBuffer, StagingLease};
-use gnndrive_device::{FeatureSlab, TransferEngine};
+use gnndrive_device::{TransferDone, TransferEngine};
 use gnndrive_graph::NodeId;
 use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::{
     Admission, DeviceHealth, FileHandle, IoError, IoPriority, IoRing, RetryPolicy, SimSsd,
     SECTOR_SIZE,
 };
+use gnndrive_sync::queue::{Receiver, Sender};
 use gnndrive_telemetry as telemetry;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything an extractor needs, shared across the extractor pool.
 pub struct ExtractorContext {
@@ -53,7 +63,8 @@ pub struct ExtractorContext {
     pub direct_io: bool,
     /// GPUDirect-Storage: 4 KiB access granularity, no staging/transfer.
     pub gpu_direct: bool,
-    /// Ablation: blocking reads instead of the async ring.
+    /// Ablation: the same extraction loop with one read in flight and the
+    /// host→device copies paid inline (see the module docs).
     pub sync_extract: bool,
     pub ring_depth: usize,
     pub max_joint_read_bytes: usize,
@@ -63,8 +74,8 @@ pub struct ExtractorContext {
     /// parking the extractor forever.
     pub retry: RetryPolicy,
     /// Device-health tracker / circuit breaker, shared by every extractor
-    /// against this device. Healthy batches use the async ring; Degraded
-    /// ones route onto the bounded sync path; an open circuit fails fast
+    /// against this device. Healthy batches keep the ring deep; Degraded
+    /// ones extract with one read in flight; an open circuit fails fast
     /// into the epoch's skip machinery, with one half-open probe per
     /// cooldown allowed through to test the device.
     pub health: Arc<DeviceHealth>,
@@ -138,33 +149,34 @@ pub struct ExtractedBatch {
     /// staging/slot/ring/sync-read/transfer/ready waits accumulated by the
     /// extractor thread's wait timers.
     pub waits: telemetry::WaitTotals,
-    /// Enqueue→dispatch share of the async reads this batch reaped.
+    /// Enqueue→dispatch share of the reads this batch reaped.
     pub io_queue_ns: u64,
     /// Dispatch→complete (device service) share of those reads.
     pub io_service_ns: u64,
 }
 
 /// One joint-extraction read: a contiguous SSD window covering the feature
-/// rows of one or more nodes. Each entry pairs the on-disk row index with
-/// the node it belongs to — distinct once a packed layout remaps rows.
+/// rows of one or more nodes. Each entry is the on-disk row index, the node
+/// it belongs to (distinct once a packed layout remaps rows) and the
+/// feature-buffer slot the plan pinned for it.
 struct ReadGroup {
     window_start: u64,
     window_len: usize,
-    rows: Vec<(u64, NodeId)>,
+    rows: Vec<(u64, NodeId, u32)>,
 }
 
-/// Plan the read windows for `rows` (`(row index, node)` pairs, sorted by
+/// Plan the read windows for `rows` (`(row index, node, slot)`, sorted by
 /// row): align to sectors under direct I/O and coalesce rows whose windows
 /// touch, up to `max_bytes` per request (paper §4.4 "Access Granularity").
 fn plan_read_groups(
-    rows: &[(u64, NodeId)],
+    rows: &[(u64, NodeId, u32)],
     row_bytes: u64,
     align: u64,
     max_bytes: usize,
     file_len: u64,
 ) -> Vec<ReadGroup> {
     let mut groups: Vec<ReadGroup> = Vec::new();
-    for &(row, node) in rows {
+    for &(row, node, slot) in rows {
         let off = row * row_bytes;
         let (start, end) = if align > 1 {
             (
@@ -182,14 +194,14 @@ fn plan_read_groups(
             let merged_len = (end - last.window_start) as usize;
             if start <= last_end && merged_len <= max_bytes {
                 last.window_len = last.window_len.max(merged_len);
-                last.rows.push((row, node));
+                last.rows.push((row, node, slot));
                 continue;
             }
         }
         groups.push(ReadGroup {
             window_start: start,
             window_len: (end - start) as usize,
-            rows: vec![(row, node)],
+            rows: vec![(row, node, slot)],
         });
     }
     groups
@@ -205,29 +217,30 @@ fn row_from_window(buf: &[u8], window_start: u64, row: u64, row_bytes: u64) -> V
         .collect()
 }
 
+/// `core.extract.retries`, looked up once per process: the registry lookup
+/// hashes the name under a lock, and this sits on the per-read path.
+fn extract_retries() -> &'static telemetry::Counter {
+    static RETRIES: OnceLock<telemetry::Counter> = OnceLock::new();
+    RETRIES.get_or_init(|| telemetry::counter("core.extract.retries"))
+}
+
 /// Blocking feature read under the context's [`RetryPolicy`]: transient
 /// faults are retried with exponential backoff (counted in
 /// `core.extract.retries`) until the policy's attempt budget runs out.
 ///
-/// Every successful device read is checksum-verified before its bytes can
-/// reach a feature slab; a mismatch surfaces as [`IoError::Corrupt`], which
-/// is transient, so the retry loop re-reads from the device instead of
+/// Every attempt goes through the checksum gate
+/// ([`SimSsd::read_verified`]): a mismatch is the transient
+/// [`IoError::Corrupt`], so the loop re-reads from the device instead of
 /// serving poisoned bytes. Each attempt's outcome feeds the shared
 /// [`DeviceHealth`] window.
 fn read_with_retries(ctx: &ExtractorContext, offset: u64, buf: &mut [u8]) -> Result<(), IoError> {
-    let retries = telemetry::counter("core.extract.retries");
     let direct = ctx.direct_io || ctx.gpu_direct;
     ctx.retry.run(
-        || retries.inc(),
+        || extract_retries().inc(),
         |_| {
-            let out = ctx
-                .ssd
-                .read_blocking_prio(ctx.features_file, offset, buf, direct, ctx.io_priority)
-                .and_then(|()| {
-                    ctx.ssd
-                        .verify(ctx.features_file, offset, buf)
-                        .map_err(IoError::from)
-                });
+            let out =
+                ctx.ssd
+                    .read_verified(ctx.features_file, offset, buf, direct, ctx.io_priority);
             match &out {
                 Ok(()) => ctx.health.record_success(),
                 Err(_) => ctx.health.record_error(),
@@ -241,18 +254,18 @@ fn read_with_retries(ctx: &ExtractorContext, offset: u64, buf: &mut [u8]) -> Res
 /// with its node-alias list resolved.
 ///
 /// Before touching the device, the batch passes the [`DeviceHealth`]
-/// admission gate: Healthy batches use the async ring; a Degraded device
-/// routes the batch onto the bounded sync path (blocking reads, no deep
-/// queue to pile congestion onto a struggling device); an open circuit
-/// fails the batch fast with [`ExtractError::CircuitOpen`] — except for
-/// the one half-open probe per cooldown, which runs on the sync path and
-/// reports its outcome back to the breaker.
+/// admission gate: Healthy batches keep the ring deep; a Degraded device
+/// gets the same loop with one read in flight (no deep queue to pile
+/// congestion onto a struggling device); an open circuit fails the batch
+/// fast with [`ExtractError::CircuitOpen`] — except for the one half-open
+/// probe per cooldown, which also runs one read at a time and reports its
+/// outcome back to the breaker.
 pub fn extract_batch(
     ctx: &ExtractorContext,
     sample: MiniBatchSample,
 ) -> Result<ExtractedBatch, ExtractError> {
     match ctx.health.admit() {
-        Admission::Normal => extract_batch_inner(ctx, sample, false),
+        Admission::Normal => extract_batch_inner(ctx, sample, ctx.sync_extract),
         Admission::Sync => extract_batch_inner(ctx, sample, true),
         Admission::FailFast => Err(ExtractError::CircuitOpen),
         Admission::Probe => {
@@ -266,10 +279,11 @@ pub fn extract_batch(
     }
 }
 
+/// Plan → load → wait, with the batch's only rollback.
 fn extract_batch_inner(
     ctx: &ExtractorContext,
     sample: MiniBatchSample,
-    force_sync: bool,
+    serial: bool,
 ) -> Result<ExtractedBatch, ExtractError> {
     let _busy = telemetry::state(telemetry::State::Compute);
     // Drain any wait time a previous occupant of this thread accumulated:
@@ -278,25 +292,147 @@ fn extract_batch_inner(
     let _ = telemetry::waits_take();
     let mut plan = ctx.fb.plan_batch(&sample.input_nodes);
     let loaded_nodes = plan.to_load.len();
+    let loaded = load(ctx, &plan, sample.batch_id, serial).and_then(|io_split| {
+        // Wait for nodes other extractors were loading, resolving aliases.
+        ctx.fb
+            .wait_ready(&mut plan)
+            .map_err(ExtractError::DependencyAborted)?;
+        Ok(io_split)
+    });
+    match loaded {
+        Ok((io_queue_ns, io_service_ns)) => Ok(ExtractedBatch {
+            sample,
+            aliases: plan.aliases,
+            loaded_nodes,
+            waits: telemetry::waits_take(),
+            io_queue_ns,
+            io_service_ns,
+        }),
+        Err(e) => {
+            // Every failure of the batch lands here, so the pins the plan
+            // took are always returned.
+            ctx.fb.abort_batch(&plan, &sample.input_nodes);
+            Err(e)
+        }
+    }
+}
 
-    // Slot lookup for nodes we load (position-aligned with input_nodes).
-    let slot_of: HashMap<NodeId, u32> = plan
-        .to_load
-        .iter()
-        .map(|&(i, n)| (n, plan.aliases[i]))
-        .collect();
+/// The loads of one batch: Algorithm 1's state, owned by one thread.
+struct Loads<'a> {
+    ctx: &'a ExtractorContext,
+    batch_id: u64,
+    /// One read in flight and copies paid inline (module docs).
+    serial: bool,
+    row_bytes: u64,
+    ring: IoRing,
+    /// Submitted groups by group id (the ring's `user_data`), each with the
+    /// staging credits its window occupies; `None` once reaped.
+    groups: Vec<Option<(ReadGroup, Option<StagingLease>)>>,
+    xfer_tx: Sender<TransferDone>,
+    xfer_rx: Receiver<TransferDone>,
+    inflight_transfers: usize,
+    /// Enqueue→dispatch and dispatch→complete time, summed over the
+    /// completions reaped so far.
+    io_queue_ns: u64,
+    io_service_ns: u64,
+}
 
+impl Loads<'_> {
+    /// Reap one load completion — parking until one arrives (bounded by the
+    /// retry policy's per-wait deadline) when `block`, else only if one is
+    /// already there — and launch phase two for each node its window
+    /// covers. `Ok(false)` means nothing was reaped; when blocking, that
+    /// nothing of this batch is outstanding.
+    fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
+        let ctx = self.ctx;
+        let completion = if block {
+            self.ring.submit();
+            self.ring
+                .wait_completion_deadline(Some(ctx.retry.deadline()))?
+        } else {
+            self.ring.peek_completion()
+        };
+        let Some(c) = completion else {
+            return Ok(false);
+        };
+        self.io_queue_ns = self.io_queue_ns.saturating_add(c.queue_ns);
+        self.io_service_ns = self.io_service_ns.saturating_add(c.service_ns);
+        let (group, lease) = self.groups[c.user_data as usize]
+            .take()
+            .expect("unknown group");
+        // A completion becomes bytes only through the checksum gate, here
+        // at the ring boundary, so silently corrupted windows never reach a
+        // feature slab. Media errors and mismatches fall back to (retried)
+        // blocking reads — the firmware-reread recovery path — before
+        // giving up.
+        let buf = match c.verified(&ctx.ssd, ctx.features_file, group.window_start) {
+            Ok(b) => {
+                ctx.health.record_success();
+                b
+            }
+            Err(_) => {
+                ctx.health.record_error();
+                // The failed attempt makes this re-read a retry: count it
+                // up front so fault recovery stays visible in
+                // `core.extract.retries` even when the blocking read
+                // succeeds immediately.
+                extract_retries().inc();
+                let mut retry = vec![0u8; group.window_len];
+                let _wait = telemetry::wait_timer(telemetry::WaitKind::SyncRead);
+                read_with_retries(ctx, group.window_start, &mut retry)?;
+                retry
+            }
+        };
+        // Serial pays each host→device copy inline; the span keeps stage
+        // coverage identical to the asynchronous tail's.
+        let _tspan = (self.serial && ctx.transfer.is_some())
+            .then(|| telemetry::span("transfer", self.batch_id));
+        for &(disk_row, node, slot) in &group.rows {
+            let row = row_from_window(&buf, group.window_start, disk_row, self.row_bytes);
+            match &ctx.transfer {
+                Some(engine) if !self.serial => {
+                    let (slab, reply) = (Arc::clone(ctx.fb.slab()), self.xfer_tx.clone());
+                    engine.submit(row, slab, slot, node as u64, reply);
+                    self.inflight_transfers += 1;
+                }
+                engine => {
+                    // No asynchronous hop: pay the copy here if there is a
+                    // device link (CPU training and GPUDirect have none),
+                    // write the feature buffer and publish immediately.
+                    if let Some(engine) = engine {
+                        let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
+                        engine.pay_blocking(self.row_bytes);
+                    }
+                    ctx.fb.slab().write_row(slot, &row);
+                    ctx.fb.publish(node);
+                }
+            }
+        }
+        // Staging credits return at hand-off, not when the transfers land.
+        drop(lease);
+        Ok(true)
+    }
+}
+
+/// Phases one and two for the nodes `plan` says this extractor loads.
+/// Returns the batch's (queue, service) I/O time split.
+fn load(
+    ctx: &ExtractorContext,
+    plan: &ExtractPlan,
+    batch_id: u64,
+    serial: bool,
+) -> Result<(u64, u64), ExtractError> {
     // Map nodes to on-disk rows (identity without a packed layout) and
     // sort by row for coalescing and sequential-ish access.
-    let mut to_load: Vec<(u64, NodeId)> = plan
+    let mut to_load: Vec<(u64, NodeId, u32)> = plan
         .to_load
         .iter()
-        .map(|&(_, n)| {
+        .map(|&(i, n)| {
             let row = match &ctx.remap {
                 Some(r) => r[n as usize] as u64,
                 None => n as u64,
             };
-            (row, n)
+            (row, n, plan.aliases[i])
         })
         .collect();
     to_load.sort_unstable();
@@ -321,150 +457,29 @@ fn extract_batch_inner(
         ctx.features_file.len,
     );
 
-    let slab: Arc<FeatureSlab> = Arc::clone(ctx.fb.slab());
-
-    // Ablation path: synchronous extraction — one blocking read per group,
-    // one blocking transfer per node, everything on the critical path
-    // (what PyG+/Ginex do; isolates the contribution of async extraction).
-    // Also the degraded-mode path: a struggling device gets bounded,
-    // serialized load instead of a deep async queue.
-    if ctx.sync_extract || force_sync {
-        let mut buf = Vec::new();
-        for group in &groups {
-            let _lease = ctx
-                .staging
-                .as_ref()
-                .map(|s| s.acquire(group.window_len as u64));
-            buf.resize(group.window_len, 0);
-            let read = {
-                // Attribution: on the sync path the whole blocking read
-                // (including retry backoff) sits on the critical path — the
-                // paper's 𝔒2 in its purest form.
-                let _wait = telemetry::wait_timer(telemetry::WaitKind::SyncRead);
-                read_with_retries(ctx, group.window_start, &mut buf)
-            };
-            if let Err(e) = read {
-                ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                return Err(e.into());
-            }
-            // The sync path pays each host→device copy inline; the span
-            // keeps stage coverage identical to the async path's tail.
-            let _tspan = ctx
-                .transfer
-                .as_ref()
-                .map(|_| telemetry::span("transfer", sample.batch_id));
-            for &(disk_row, node) in &group.rows {
-                let row = row_from_window(&buf, group.window_start, disk_row, row_bytes);
-                if let Some(engine) = &ctx.transfer {
-                    let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
-                    engine.pay_blocking(row_bytes);
-                }
-                slab.write_row(slot_of[&node], &row);
-                ctx.fb.publish(node);
-            }
-        }
-        if let Err(node) = ctx.fb.wait_ready(&mut plan) {
-            ctx.fb.abort_batch(&plan, &sample.input_nodes);
-            return Err(ExtractError::DependencyAborted(node));
-        }
-        return Ok(ExtractedBatch {
-            sample,
-            aliases: plan.aliases,
-            loaded_nodes,
-            waits: telemetry::waits_take(),
-            io_queue_ns: 0,
-            io_service_ns: 0,
-        });
-    }
-
-    let ring_direct = ctx.direct_io || ctx.gpu_direct;
-    let mut ring = IoRing::with_priority(
-        Arc::clone(&ctx.ssd),
-        ctx.ring_depth.max(1),
-        ring_direct,
-        ctx.io_priority,
-    );
     let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
-    let mut pending_groups: HashMap<u64, (ReadGroup, Option<Arc<StagingLease>>)> = HashMap::new();
-    let mut inflight_transfers = 0usize;
-    // Per-completion enqueue→dispatch vs dispatch→complete split, summed
-    // across this batch's reaped reads (queue wait, service time).
-    let io_split = std::cell::Cell::new((0u64, 0u64));
+    let mut loads = Loads {
+        ctx,
+        batch_id,
+        serial,
+        row_bytes,
+        ring: IoRing::with_priority(
+            Arc::clone(&ctx.ssd),
+            ctx.ring_depth.max(1),
+            ctx.direct_io || ctx.gpu_direct,
+            ctx.io_priority,
+        ),
+        groups: Vec::with_capacity(groups.len()),
+        xfer_tx,
+        xfer_rx,
+        inflight_transfers: 0,
+        io_queue_ns: 0,
+        io_service_ns: 0,
+    };
 
-    // Completion handler for phase one: the instant a window lands, launch
-    // phase two for each node it covers.
-    let handle_load_completion =
-        |c: gnndrive_storage::Completion,
-         pending: &mut HashMap<u64, (ReadGroup, Option<Arc<StagingLease>>)>,
-         inflight_transfers: &mut usize|
-         -> Result<(), IoError> {
-            let (q, s) = io_split.get();
-            io_split.set((q.saturating_add(c.queue_ns), s.saturating_add(c.service_ns)));
-            let (group, lease) = pending.remove(&c.user_data).expect("unknown group");
-            // Media errors and checksum mismatches fall back to (retried)
-            // blocking reads — the standard firmware-reread recovery path —
-            // before giving up. Successful completions are verified here,
-            // at the ring boundary, so silently corrupted windows never
-            // reach a feature slab.
-            let verified = match c.result {
-                Ok(b) => match ctx.ssd.verify(ctx.features_file, group.window_start, &b) {
-                    Ok(()) => {
-                        ctx.health.record_success();
-                        Ok(b)
-                    }
-                    Err(e) => {
-                        ctx.health.record_error();
-                        Err(IoError::from(e))
-                    }
-                },
-                Err(e) => {
-                    ctx.health.record_error();
-                    Err(e)
-                }
-            };
-            let buf = match verified {
-                Ok(b) => b,
-                Err(_) => {
-                    // The failed async attempt makes this re-read a retry:
-                    // count it up front so fault recovery stays visible in
-                    // `core.extract.retries` even when the blocking read
-                    // succeeds immediately.
-                    telemetry::counter("core.extract.retries").inc();
-                    let mut retry = vec![0u8; group.window_len];
-                    {
-                        // The fallback re-read blocks like the sync path.
-                        let _wait = telemetry::wait_timer(telemetry::WaitKind::SyncRead);
-                        read_with_retries(ctx, group.window_start, &mut retry)?;
-                    }
-                    retry
-                }
-            };
-            for &(disk_row, node) in &group.rows {
-                let row = row_from_window(&buf, group.window_start, disk_row, row_bytes);
-                let slot = slot_of[&node];
-                match &ctx.transfer {
-                    Some(engine) => {
-                        // Async host→device copy; the staging lease rides
-                        // along until the transfer completes.
-                        let _ = &lease;
-                        engine.submit(row, Arc::clone(&slab), slot, node as u64, xfer_tx.clone());
-                        *inflight_transfers += 1;
-                    }
-                    None => {
-                        // CPU training: write straight into the host
-                        // feature buffer and publish immediately.
-                        slab.write_row(slot, &row);
-                        ctx.fb.publish(node);
-                    }
-                }
-            }
-            Ok(())
-        };
-
-    // Phase one: submit every group, reaping opportunistically to keep the
-    // ring deep but bounded.
-    for (next_group_id, group) in groups.into_iter().enumerate() {
-        let next_group_id = next_group_id as u64;
+    // Phase one: submit every group, reaping as we go to keep the ring
+    // deep but bounded.
+    for group in groups {
         // Staging credits. Never block in `acquire` while this extractor
         // still holds leases with reapable load completions: with every
         // extractor doing that simultaneously the pool can never refill
@@ -474,152 +489,84 @@ fn extract_batch_inner(
             None => None,
             Some(staging) => loop {
                 if let Some(l) = staging.try_acquire(group.window_len as u64) {
-                    break Some(Arc::new(l));
+                    break Some(l);
                 }
-                if pending_groups.is_empty() {
+                if !loads.reap(true)? {
                     // We hold no leases; blocking cannot self-deadlock.
-                    break Some(Arc::new(staging.acquire(group.window_len as u64)));
-                }
-                ring.submit();
-                match ring.wait_completion_deadline(Some(ctx.retry.deadline())) {
-                    Ok(Some(c)) => {
-                        if let Err(e) =
-                            handle_load_completion(c, &mut pending_groups, &mut inflight_transfers)
-                        {
-                            ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                            return Err(e.into());
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                        return Err(e.into());
-                    }
+                    break Some(staging.acquire(group.window_len as u64));
                 }
             },
         };
-        loop {
-            match ring.prepare_read(
-                ctx.features_file,
-                group.window_start,
-                group.window_len,
-                next_group_id,
-            ) {
-                Ok(()) => break,
-                Err(IoError::RingFull) => {
-                    ring.submit();
-                    match ring.wait_completion_deadline(Some(ctx.retry.deadline())) {
-                        Ok(Some(c)) => {
-                            if let Err(e) = handle_load_completion(
-                                c,
-                                &mut pending_groups,
-                                &mut inflight_transfers,
-                            ) {
-                                ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                                return Err(e.into());
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                            return Err(e.into());
-                        }
-                    }
-                }
-                Err(e) => {
-                    ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                    return Err(e.into());
-                }
-            }
+        let id = loads.groups.len() as u64;
+        let (start, len) = (group.window_start, group.window_len);
+        while let Err(e) = loads.ring.prepare_read(ctx.features_file, start, len, id) {
+            match e {
+                IoError::RingFull => loads.reap(true)?,
+                e => return Err(e.into()),
+            };
         }
-        pending_groups.insert(next_group_id, (group, lease));
-        ring.submit();
-        // Drain whatever already finished without blocking.
-        while let Some(c) = ring.peek_completion() {
-            if let Err(e) = handle_load_completion(c, &mut pending_groups, &mut inflight_transfers)
-            {
-                ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                return Err(e.into());
-            }
-        }
+        loads.groups.push(Some((group, lease)));
+        loads.ring.submit();
+        // Serial: wait until the read just submitted has landed, so one is
+        // in flight at a time. Otherwise drain whatever already finished
+        // without blocking.
+        while loads.reap(serial)? {}
         // Reap transfer completions opportunistically too.
-        while let Some(done) = xfer_rx.try_recv() {
+        while let Some(done) = loads.xfer_rx.try_recv() {
             ctx.fb.publish(done.user_data as NodeId);
-            inflight_transfers -= 1;
+            loads.inflight_transfers -= 1;
         }
     }
     // Wait for the remaining loads.
-    ring.submit();
-    loop {
-        match ring.wait_completion_deadline(Some(ctx.retry.deadline())) {
-            Ok(Some(c)) => {
-                if let Err(e) =
-                    handle_load_completion(c, &mut pending_groups, &mut inflight_transfers)
-                {
-                    ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                    return Err(e.into());
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                return Err(e.into());
-            }
-        }
-    }
-    debug_assert!(pending_groups.is_empty(), "all groups must complete");
+    while loads.reap(true)? {}
+    debug_assert!(
+        loads.groups.iter().all(Option::is_none),
+        "all groups must complete"
+    );
+    // Dropping our sender here leaves the engine's in-flight jobs holding
+    // the only ones, so a dead engine disconnects the channel below.
+    let Loads {
+        xfer_rx,
+        mut inflight_transfers,
+        io_queue_ns,
+        io_service_ns,
+        ..
+    } = loads;
 
     // Phase two tail: wait for outstanding transfers and publish. The
     // `transfer` span covers exactly the H2D drain left on the critical
     // path — under healthy overlap it is near-zero; in a trace, wide
     // transfer spans mean the device link is the bottleneck.
-    if ctx.transfer.is_some() {
-        let _span = telemetry::span("transfer", sample.batch_id);
+    if ctx.transfer.is_some() && !serial {
+        let _span = telemetry::span("transfer", batch_id);
         while inflight_transfers > 0 {
-            let recv = {
+            let done = {
                 let _io = telemetry::state(telemetry::State::IoWait);
                 let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
                 xfer_rx.recv()
-            };
-            let done = match recv {
-                Ok(done) => done,
-                Err(_) => {
-                    ctx.fb.abort_batch(&plan, &sample.input_nodes);
-                    return Err(ExtractError::TransferEngineGone);
-                }
-            };
+            }
+            .map_err(|_| ExtractError::TransferEngineGone)?;
             ctx.fb.publish(done.user_data as NodeId);
             inflight_transfers -= 1;
         }
     }
-
-    // Wait for nodes other extractors were loading, resolving aliases.
-    if let Err(node) = ctx.fb.wait_ready(&mut plan) {
-        ctx.fb.abort_batch(&plan, &sample.input_nodes);
-        return Err(ExtractError::DependencyAborted(node));
-    }
-
-    let (io_queue_ns, io_service_ns) = io_split.get();
-    Ok(ExtractedBatch {
-        sample,
-        aliases: plan.aliases,
-        loaded_nodes,
-        waits: telemetry::waits_take(),
-        io_queue_ns,
-        io_service_ns,
-    })
+    Ok((io_queue_ns, io_service_ns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::GnnDriveConfig;
-    use gnndrive_device::TransferProfile;
+    use gnndrive_device::{FeatureSlab, TransferProfile};
     use gnndrive_graph::{Dataset, DatasetSpec};
     use gnndrive_sampling::{InMemTopo, NeighborSampler};
     use gnndrive_storage::{HealthConfig, HealthState, MemoryGovernor, SsdProfile};
 
     fn tiny_dataset(dim: usize) -> Dataset {
+        tiny_dataset_on(dim, SsdProfile::instant())
+    }
+
+    fn tiny_dataset_on(dim: usize, profile: SsdProfile) -> Dataset {
         Dataset::build(
             DatasetSpec {
                 name: "x".into(),
@@ -632,7 +579,7 @@ mod tests {
                 train_fraction: 0.3,
                 seed: 5,
             },
-            SimSsd::new(SsdProfile::instant()),
+            SimSsd::new(profile),
         )
     }
 
@@ -835,14 +782,14 @@ mod tests {
     #[test]
     fn read_group_planning_coalesces_neighbors() {
         // dim 16 → 64 B rows; rows 0..8 share sector 0.
-        let rows: Vec<(u64, NodeId)> = vec![(0, 0), (1, 1), (2, 2), (3, 3)];
+        let rows: Vec<(u64, NodeId, u32)> = vec![(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)];
         let groups = plan_read_groups(&rows, 64, 512, 4096, 1 << 20);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 512);
         assert_eq!(groups[0].rows, rows);
         // A distant row gets its own group.
-        let groups = plan_read_groups(&[(0, 0), (100, 100)], 64, 512, 4096, 1 << 20);
+        let groups = plan_read_groups(&[(0, 0, 0), (100, 100, 1)], 64, 512, 4096, 1 << 20);
         assert_eq!(groups.len(), 2);
     }
 
@@ -851,16 +798,22 @@ mod tests {
     /// hot-first packing.
     #[test]
     fn read_group_planning_coalesces_remapped_rows() {
-        let groups = plan_read_groups(&[(0, 9131), (1, 4), (2, 777)], 64, 512, 4096, 1 << 20);
+        let groups = plan_read_groups(
+            &[(0, 9131, 5), (1, 4, 6), (2, 777, 7)],
+            64,
+            512,
+            4096,
+            1 << 20,
+        );
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].rows, vec![(0, 9131), (1, 4), (2, 777)]);
+        assert_eq!(groups[0].rows, vec![(0, 9131, 5), (1, 4, 6), (2, 777, 7)]);
     }
 
     #[test]
     fn read_group_clamps_at_eof_for_coarse_alignment() {
         // 512 B rows, 4 KiB (GDS) alignment, file of 3 sectors: the last
         // row's window must clamp to the file end.
-        let groups = plan_read_groups(&[(2, 2)], 512, 4096, 1 << 20, 3 * 512);
+        let groups = plan_read_groups(&[(2, 2, 0)], 512, 4096, 1 << 20, 3 * 512);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 3 * 512);
@@ -972,10 +925,188 @@ mod tests {
         }
     }
 
+    /// One loop, two settings: over every row size class × device mode ×
+    /// feature layout, serial and asynchronous extraction of the same
+    /// sample load the same nodes and leave bit-identical slab rows.
+    #[test]
+    fn serial_and_async_extraction_agree_bit_for_bit() {
+        use gnndrive_graph::pack_features;
+        const DIMS: [usize; 5] = [16, 24, 64, 128, 129];
+        let stacks: Vec<_> = DIMS
+            .iter()
+            .map(|&dim| {
+                let ds = tiny_dataset(dim);
+                let n = ds.spec.num_nodes;
+                // Reverse-id frequency: every row moves.
+                let freq: Vec<u64> = (0..n as u64).collect();
+                let layout = pack_features(&ds, &freq, &vec![0u64; n]).expect("pack");
+                (ds, layout)
+            })
+            .collect();
+        let mut case = 0usize;
+        gnndrive_sync::rng::cases(40, |rng| {
+            let (ds, layout) = &stacks[case % 5];
+            let (mode, packed) = (case / 5 % 4, case / 20 == 1);
+            case += 1;
+            let mut seeds: Vec<u32> = (0..1 + rng.below(12))
+                .map(|_| rng.below(ds.spec.num_nodes) as u32)
+                .collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            let extract = |serial: bool| {
+                // GPU staged, CPU, GPUDirect, buffered.
+                let mut ctx = context(ds, mode != 1, mode != 3);
+                if mode == 2 {
+                    ctx.gpu_direct = true;
+                    ctx.staging = None;
+                    ctx.transfer = None;
+                }
+                if packed {
+                    ctx.features_file = layout.file;
+                    ctx.remap = Some(Arc::clone(&layout.remap));
+                }
+                ctx.sync_extract = serial;
+                let batch = extract_batch(&ctx, sample_of(ds, &seeds)).unwrap();
+                ctx.fb.check_invariants();
+                verify_rows(ds, &batch, &ctx.fb);
+                let mut row = vec![0.0f32; ds.spec.feat_dim];
+                let mut bits = Vec::new();
+                for &alias in &batch.aliases {
+                    ctx.fb.slab().read_row(alias, &mut row);
+                    bits.extend(row.iter().map(|v| v.to_bits()));
+                }
+                (bits, batch.loaded_nodes)
+            };
+            assert_eq!(
+                extract(false),
+                extract(true),
+                "dim {} mode {mode} packed {packed}",
+                ds.spec.feat_dim
+            );
+        });
+    }
+
+    /// Run one extraction under `retry` that may fail on the installed
+    /// fault plan and check the rollback was total: invariants hold, the
+    /// standby list is where it was, and the same extraction succeeds once
+    /// the device is healthy and the policy patient. Returns the failure,
+    /// if any.
+    fn extract_and_check_rollback(
+        ds: &Dataset,
+        ctx: &mut ExtractorContext,
+        retry: RetryPolicy,
+        seeds: &[u32],
+    ) -> Option<ExtractError> {
+        let standby = ctx.fb.standby_len();
+        ctx.retry = retry;
+        let out = extract_batch(ctx, sample_of(ds, seeds));
+        ds.ssd.clear_faults();
+        ctx.retry = RetryPolicy::default();
+        ctx.fb.check_invariants();
+        let err = match out {
+            Ok(batch) => {
+                verify_rows(ds, &batch, &ctx.fb);
+                ctx.fb.release(&batch.sample.input_nodes);
+                return None;
+            }
+            Err(e) => e,
+        };
+        assert_eq!(ctx.fb.standby_len(), standby, "pins leaked by {err}");
+        let batch = extract_batch(ctx, sample_of(ds, seeds)).unwrap();
+        verify_rows(ds, &batch, &ctx.fb);
+        ctx.fb.release(&batch.sample.input_nodes);
+        ctx.fb.check_invariants();
+        Some(err)
+    }
+
+    #[test]
+    fn every_failed_extraction_rolls_back_completely() {
+        use gnndrive_storage::FaultPlan;
+        use std::time::Duration;
+        let ds = tiny_dataset(128);
+        for serial in [false, true] {
+            let mut ctx = context(&ds, true, true);
+            ctx.sync_extract = serial;
+            // Media faults wherever they land: at submit-side reaps, in the
+            // final drain, on the re-read.
+            let mut failures = 0;
+            for k in 1..=8u64 {
+                ds.ssd.set_fault_plan(
+                    FaultPlan::new(0)
+                        .with_read_fault_every(k)
+                        .on_file(ds.features_file.id),
+                );
+                let seeds = [k as u32, 40 + k as u32, 90, 91];
+                let once = RetryPolicy::none();
+                if let Some(err) = extract_and_check_rollback(&ds, &mut ctx, once, &seeds) {
+                    assert!(
+                        matches!(err, ExtractError::Io(IoError::DeviceFault { .. })),
+                        "serial {serial} k {k}: {err}"
+                    );
+                    failures += 1;
+                }
+            }
+            assert!(
+                failures > 0,
+                "serial {serial}: every read failing must fail"
+            );
+            // A stalled device: the blocking reap gives up at the policy's
+            // deadline in both settings.
+            let hasty = RetryPolicy::default().with_op_timeout(Duration::from_millis(5));
+            ds.ssd
+                .set_fault_plan(FaultPlan::new(0).with_stall(0..2, Duration::from_millis(60)));
+            let err = extract_and_check_rollback(&ds, &mut ctx, hasty, &[200, 201, 202]);
+            assert!(
+                matches!(err, Some(ExtractError::Io(IoError::Timeout))),
+                "serial {serial}: expected a timeout, got {err:?}"
+            );
+        }
+    }
+
+    /// Serial means one read outstanding — checked by count, not clock: a
+    /// device that queues a single request never refuses one.
+    #[test]
+    fn serial_extraction_keeps_one_read_in_flight() {
+        let ds = tiny_dataset_on(
+            128,
+            SsdProfile {
+                queue_depth: 1,
+                channels: 1,
+                read_latency: std::time::Duration::from_millis(1),
+                ..SsdProfile::instant()
+            },
+        );
+        for (serial, seeds) in [(true, [1, 2, 3, 4, 5]), (false, [6, 7, 8, 9, 10])] {
+            let mut ctx = context(&ds, true, true);
+            ctx.sync_extract = serial;
+            let before = ds.ssd.stats().snapshot();
+            let batch = extract_batch(&ctx, sample_of(&ds, &seeds)).unwrap();
+            verify_rows(&ds, &batch, &ctx.fb);
+            let after = ds.ssd.stats().snapshot();
+            assert!(
+                after.read_ops - before.read_ops >= 8,
+                "need a multi-group batch"
+            );
+            let stalls = after.queue_full_stalls - before.queue_full_stalls;
+            if serial {
+                assert_eq!(stalls, 0, "a second read was submitted behind the first");
+            } else {
+                // The same device does refuse a deep ring's submissions.
+                assert!(stalls > 0, "the counter must be able to move");
+            }
+        }
+    }
+
     #[test]
     fn read_group_respects_max_bytes() {
         // 512 B rows, adjacent rows, 1 KiB cap → pairs.
-        let groups = plan_read_groups(&[(0, 0), (1, 1), (2, 2), (3, 3)], 512, 512, 1024, 1 << 20);
+        let groups = plan_read_groups(
+            &[(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)],
+            512,
+            512,
+            1024,
+            1 << 20,
+        );
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.window_len <= 1024));
     }

@@ -4,7 +4,7 @@ use gnndrive_core::{GnnDriveConfig, Pipeline, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::{Dataset, DatasetSpec};
 use gnndrive_nn::ModelKind;
-use gnndrive_storage::{MemoryGovernor, PageCache, SimSsd, SsdProfile};
+use gnndrive_storage::{FaultPlan, MemoryGovernor, PageCache, SimSsd, SsdProfile};
 use std::sync::Arc;
 
 fn dataset(dim: usize) -> Arc<Dataset> {
@@ -208,9 +208,13 @@ fn transient_read_faults_are_retried_transparently() {
         .with_page_cache(cache)
         .build()
         .unwrap();
-    ds.ssd.inject_read_faults_on(ds.features_file, 5);
+    ds.ssd.set_fault_plan(
+        FaultPlan::new(0)
+            .with_read_fault_every(5)
+            .on_file(ds.features_file.id),
+    );
     let report = p2.train_epoch(0, Some(6));
-    ds.ssd.inject_read_faults(0);
+    ds.ssd.clear_faults();
     assert!(
         report.error.is_none(),
         "transient faults should be retried: {:?}",
@@ -234,9 +238,13 @@ fn persistent_read_faults_surface_as_epoch_errors_not_panics() {
         .with_page_cache(cache)
         .build()
         .unwrap();
-    ds.ssd.inject_read_faults_on(ds.features_file, 1);
+    ds.ssd.set_fault_plan(
+        FaultPlan::new(0)
+            .with_read_fault_every(1)
+            .on_file(ds.features_file.id),
+    );
     let report = p.train_epoch(0, Some(6));
-    ds.ssd.inject_read_faults(0);
+    ds.ssd.clear_faults();
     assert!(report.error.is_some(), "persistent faults must be reported");
     assert!(report.batches < 6, "failed batches are not counted as done");
     p.feature_buffer().check_invariants();

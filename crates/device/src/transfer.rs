@@ -137,11 +137,6 @@ impl TransferEngine {
         }
     }
 
-    /// Convenience for synchronous copies (CPU training path).
-    pub fn copy_blocking(&self, data: &[f32], dst: &FeatureSlab, slot: u32) {
-        dst.write_row(slot, data);
-    }
-
     /// Synchronously pay the cost of moving `bytes` over the link without
     /// moving anything — the baselines' blocking cudaMemcpy of a whole
     /// mini-batch. The caller sits in I/O wait for the modeled duration.

@@ -34,7 +34,6 @@ pub type PageKey = (u32, u64);
 /// * `on_insert(slot, key)` — `slot` just became ready and is not tracked;
 /// * `on_hit(slot, key)` — `slot` is tracked and was accessed again;
 /// * `evict()` — pick a tracked victim, untrack it, return its slot;
-/// * `forget(slot)` — untrack `slot` if tracked (targeted shoot-down);
 /// * pending (in-flight) slots are never given to the policy.
 pub trait EvictionPolicy: Send {
     /// Short stable name for artifacts and telemetry ("lru", "belady").
@@ -51,9 +50,6 @@ pub trait EvictionPolicy: Send {
 
     /// Choose a victim, stop tracking it, and return its slot.
     fn evict(&mut self) -> Option<u32>;
-
-    /// Stop tracking `slot`; returns whether it was tracked.
-    fn forget(&mut self, slot: u32) -> bool;
 
     /// Number of slots currently tracked (eviction candidates).
     fn len(&self) -> usize;
@@ -108,10 +104,6 @@ impl EvictionPolicy for LruPolicy {
             self.evictions.inc();
         }
         victim
-    }
-
-    fn forget(&mut self, slot: u32) -> bool {
-        self.list.remove(slot)
     }
 
     fn len(&self) -> usize {
@@ -298,20 +290,6 @@ impl EvictionPolicy for BeladyPolicy {
         None
     }
 
-    fn forget(&mut self, slot: u32) -> bool {
-        if (slot as usize) < self.resident.len() {
-            if let Some(r) = self.resident[slot as usize].take() {
-                if r.in_fallback {
-                    self.fallback.remove(slot);
-                }
-                // A stale heap entry (if any) dies by stamp mismatch.
-                self.tracked -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
     fn len(&self) -> usize {
         self.tracked
     }
@@ -330,7 +308,7 @@ mod tests {
     /// The LruList reference-model check from `lru.rs`, generalized over
     /// the [`EvictionPolicy`] trait: any policy claiming LRU semantics must
     /// track a deque model exactly — same length, same victim, under
-    /// arbitrary insert/evict/hit/forget interleavings. The page cache maps
+    /// arbitrary insert/evict/hit interleavings. The page cache maps
     /// slots to keys 1:1 here, mirroring its own bookkeeping.
     fn check_lru_reference_model(make: impl Fn() -> Box<dyn EvictionPolicy>) {
         let mut rng = Rng::seed_from_u64(0x2545_f491_4f6c_dd1d);
@@ -343,7 +321,7 @@ mod tests {
                 let op = if round % 2 == 0 && model.len() < 4 {
                     0
                 } else {
-                    rng.below(4)
+                    rng.below(3)
                 };
                 match op {
                     0 => {
@@ -355,17 +333,12 @@ mod tests {
                     1 => {
                         assert_eq!(p.evict(), model.pop_front());
                     }
-                    2 => {
+                    _ => {
                         if model.contains(&slot) {
                             p.on_hit(slot, key_of(slot));
                             model.retain(|&s| s != slot);
                             model.push_back(slot);
                         }
-                    }
-                    _ => {
-                        let was = model.contains(&slot);
-                        model.retain(|&s| s != slot);
-                        assert_eq!(p.forget(slot), was);
                     }
                 }
                 assert_eq!(p.len(), model.len());

@@ -32,8 +32,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that a read fails with [`IoError::DeviceFault`].
     pub read_fault_prob: f64,
-    /// Deterministic variant: every `n`-th read fails (0 disables). This is
-    /// the legacy `inject_read_faults` behaviour.
+    /// Deterministic variant: every `n`-th read fails (0 disables).
     pub read_fault_every: u64,
     /// Restrict *read faults* to one file (latency events hit every file —
     /// a sick device is slow for everyone).

@@ -2,8 +2,8 @@
 //!
 //! A device that is failing (media errors, checksum mismatches, timeouts)
 //! should change how the host drives it *before* an epoch degenerates into
-//! a retry storm: first route extraction off the deep async ring onto the
-//! bounded sync path (fewer requests in flight against a sick queue), and
+//! a retry storm: first stop keeping the async ring deep and extract with
+//! one read in flight (no queue piled onto a sick device), and
 //! if the error rate keeps climbing, stop submitting altogether and fail
 //! batches fast into the epoch's skip machinery rather than hang.
 //!
@@ -92,7 +92,7 @@ impl HealthConfig {
 pub enum HealthState {
     /// Normal operation: async-ring extraction.
     Healthy = 0,
-    /// Elevated error rate: extraction routed onto the bounded sync path.
+    /// Elevated error rate: extraction keeps one read in flight.
     Degraded = 1,
     /// Error rate past the trip threshold: submissions fail fast; only
     /// half-open probes touch the device.
@@ -114,13 +114,13 @@ impl HealthState {
 pub enum Admission {
     /// Proceed on the async ring.
     Normal,
-    /// Proceed, but on the bounded synchronous path.
+    /// Proceed, but with one read in flight.
     Sync,
     /// Circuit open: fail the batch fast (it lands in the epoch's
     /// `failed_batches` skip machinery).
     FailFast,
     /// Circuit open, cooldown elapsed, and this caller won the single
-    /// half-open probe slot: run one bounded sync attempt and report the
+    /// half-open probe slot: run one one-read-in-flight attempt and report the
     /// outcome via [`DeviceHealth::probe_result`].
     Probe,
 }

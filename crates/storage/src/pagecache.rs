@@ -261,10 +261,11 @@ impl PageCache {
     /// to zero-fill when recovery is exhausted (see field docs on `retry`).
     ///
     /// Every successful device read passes the checksum gate
-    /// ([`SimSsd::verify`]) before its bytes can become resident pages: a
-    /// mismatch surfaces as the transient [`crate::IoError::Corrupt`], so
-    /// the retry loop re-reads from the device instead of caching (and
-    /// then endlessly serving) poisoned bytes.
+    /// ([`SimSsd::read_verified`]) before its bytes can become resident
+    /// pages: a mismatch surfaces as the transient
+    /// [`crate::IoError::Corrupt`], so the retry loop re-reads from the
+    /// device instead of caching (and then endlessly serving) poisoned
+    /// bytes.
     fn device_read_degraded(
         &self,
         file: FileHandle,
@@ -275,13 +276,7 @@ impl PageCache {
         let policy = *self.retry.lock();
         let outcome = policy.run(
             || self.m_retries.inc(),
-            |_| {
-                self.ssd
-                    .read_blocking_prio(file, offset, buf, false, prio)?;
-                self.ssd
-                    .verify(file, offset, buf)
-                    .map_err(crate::error::IoError::from)
-            },
+            |_| self.ssd.read_verified(file, offset, buf, false, prio),
         );
         if outcome.is_err() {
             buf.fill(0);
@@ -299,20 +294,6 @@ impl PageCache {
             readaheads: self.readaheads.load(Ordering::Relaxed),
             fills: self.fills.load(Ordering::Relaxed),
             resident_pages: inner.map.len() as u64,
-        }
-    }
-
-    /// Drop every resident page (e.g. `echo 3 > drop_caches` between runs).
-    pub fn drop_all(&self) {
-        let mut inner = self.inner.lock();
-        let slots: Vec<u32> = inner.map.values().copied().collect();
-        for s in slots {
-            if matches!(
-                inner.slots[s as usize].as_ref().map(|p| p.state),
-                Some(PageState::Ready)
-            ) {
-                self.evict_slot(&mut inner, s);
-            }
         }
     }
 
@@ -589,7 +570,7 @@ impl PageCache {
     /// starves.
     ///
     /// A completion becomes page bytes only through the checksum gate
-    /// ([`SimSsd::verify`]); a failed or corrupt one is re-read by
+    /// ([`crate::Completion::verified`]); a failed or corrupt one is re-read by
     /// [`Self::device_read_degraded`], the failed attempt counting as the
     /// first retry (the extractor's ring-completion recovery, for pages).
     fn fetch_pages(&self, file: FileHandle, pages: &[u64], prio: IoPriority) -> Vec<Box<[u8]>> {
@@ -646,11 +627,9 @@ impl PageCache {
             // Disconnected: every request has been answered.
             let Ok(c) = completion else { break };
             let run = c.user_data as usize;
-            if let Ok(bytes) = c.result {
-                if self.ssd.verify(file, requests[run].0, &bytes).is_ok() {
-                    land(run, bytes);
-                    landed[run] = true;
-                }
+            if let Ok(bytes) = c.verified(&self.ssd, file, requests[run].0) {
+                land(run, bytes);
+                landed[run] = true;
             }
         }
         self.ssd
@@ -732,15 +711,6 @@ impl PageCache {
                 true
             }
             None => false,
-        }
-    }
-
-    fn evict_slot(&self, inner: &mut Inner, slot: u32) {
-        if inner.policy.forget(slot) {
-            let page = inner.slots[slot as usize].take().expect("slot occupied");
-            inner.map.remove(&page.key);
-            inner.free.push(slot);
-            self.m_resident.set(inner.map.len() as i64);
         }
     }
 }

@@ -76,13 +76,9 @@ impl IoRing {
         self.inflight
     }
 
-    /// Entries waiting in the software submission queue.
-    pub fn sq_len(&self) -> usize {
-        self.sq.len()
-    }
-
     /// Queue a read of `len` bytes at `offset`. The buffer is allocated by
-    /// the ring and handed back through the completion.
+    /// the device when it services the read and handed back through the
+    /// completion.
     pub fn prepare_read(
         &mut self,
         file: FileHandle,
@@ -90,7 +86,7 @@ impl IoRing {
         len: usize,
         user_data: u64,
     ) -> Result<(), IoError> {
-        self.prepare(file, offset, vec![0u8; len], IoOp::Read, user_data)
+        self.prepare(file, offset, Vec::new(), len, IoOp::Read, user_data)
     }
 
     /// Queue a write of `data` at `offset`.
@@ -101,7 +97,8 @@ impl IoRing {
         data: Vec<u8>,
         user_data: u64,
     ) -> Result<(), IoError> {
-        self.prepare(file, offset, data, IoOp::Write, user_data)
+        let len = data.len();
+        self.prepare(file, offset, data, len, IoOp::Write, user_data)
     }
 
     fn prepare(
@@ -109,6 +106,7 @@ impl IoRing {
         file: FileHandle,
         offset: u64,
         buf: Vec<u8>,
+        len: usize,
         op: IoOp,
         user_data: u64,
     ) -> Result<(), IoError> {
@@ -116,12 +114,13 @@ impl IoRing {
             return Err(IoError::RingFull);
         }
         self.device
-            .validate(file.id, offset, buf.len() as u64, self.direct)?;
+            .validate(file.id, offset, len as u64, self.direct)?;
         self.sq.push_back(Request {
             file: file.id,
             offset,
             op,
             buf,
+            len,
             user_data,
             reply: self.cq_tx.clone(),
             submitted: Instant::now(),

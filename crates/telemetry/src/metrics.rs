@@ -22,7 +22,6 @@ use gnndrive_sync::{LockRank, OrderedMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// A monotonically increasing event/byte counter.
 #[derive(Clone)]
@@ -107,10 +106,6 @@ impl HistogramHandle {
     pub fn record(&self, v: u64) {
         let shard = SHARD.with(|s| *s);
         self.0.shards[shard].lock().record(v);
-    }
-
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Merged view across all shards.

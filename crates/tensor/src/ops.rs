@@ -25,15 +25,6 @@ pub fn relu_backward_inplace(grad: &mut Matrix, output: &Matrix) {
     }
 }
 
-/// In-place LeakyReLU with slope `alpha` (GAT's attention activation).
-pub fn leaky_relu_inplace(x: &mut Matrix, alpha: f32) {
-    for v in x.data_mut() {
-        if *v < 0.0 {
-            *v *= alpha;
-        }
-    }
-}
-
 /// Derivative of LeakyReLU w.r.t. its input, evaluated from the input.
 pub fn leaky_relu_grad(input: f32, alpha: f32) -> f32 {
     if input >= 0.0 {
