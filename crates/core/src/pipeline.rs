@@ -658,6 +658,8 @@ impl Pipeline {
             let mut pending: BTreeMap<u64, ExtractedBatch> = BTreeMap::new();
             let mut next_expected = first as u64;
             let mut done = 0usize;
+            // The gathered input features: one buffer, reused by every batch.
+            let mut input = Vec::new();
             'train: while done + failed_batches.load(Ordering::Relaxed) < batches {
                 // recv with a timeout so extraction failures (which shrink
                 // the expected batch count) cannot strand the trainer.
@@ -713,8 +715,9 @@ impl Pipeline {
                 let t = Instant::now();
                 let result = {
                     let _span = telemetry::span("train", batch.sample.batch_id);
-                    let (_r, _c, data) = slab.gather(&batch.aliases);
-                    let input = Matrix::from_vec(batch.aliases.len(), feat_dim, data);
+                    slab.gather_into(&batch.aliases, &mut input);
+                    let features =
+                        Matrix::from_vec(batch.aliases.len(), feat_dim, std::mem::take(&mut input));
                     let y: Vec<usize> = batch
                         .sample
                         .seeds
@@ -722,9 +725,10 @@ impl Pipeline {
                         .map(|&n| labels[n as usize] as usize)
                         .collect();
                     let flops = model.flops(&batch.sample.blocks);
-                    let result = device
-                        .compute
-                        .run(flops, || model.train_step(&batch.sample.blocks, &input, &y));
+                    let result = device.compute.run(flops, || {
+                        model.train_step(&batch.sample.blocks, &features, &y)
+                    });
+                    input = features.into_vec();
                     // Data-parallel hook: gradient all-reduce happens
                     // *before* the optimizer step so replicas stay in
                     // lockstep.

@@ -96,8 +96,9 @@ pub fn evaluate_model(model: &GnnModel, ds: &Dataset, fanouts: &[usize], max_nod
     let sample = sampler.sample(u64::MAX, &seeds, 0xE7A1);
     let dim = ds.spec.feat_dim;
     let mut input = Matrix::zeros(sample.input_nodes.len(), dim);
+    let mut bytes = Vec::new();
     for (i, &v) in sample.input_nodes.iter().enumerate() {
-        input.row_mut(i).copy_from_slice(&ds.peek_feature_row(v));
+        ds.peek_feature_row_into(v, &mut bytes, input.row_mut(i));
     }
     let logits = model.forward(&sample.blocks, &input);
     let labels: Vec<usize> = sample

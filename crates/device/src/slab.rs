@@ -58,11 +58,19 @@ impl FeatureSlab {
     /// Gather `slots` in order into a row-major `(rows, cols, data)` buffer
     /// (the trainer's node-alias indexing step, ⑦ in the paper's Fig 4).
     pub fn gather(&self, slots: &[u32]) -> GatherResult {
-        let mut data = Vec::with_capacity(slots.len() * self.dim);
+        let mut data = Vec::new();
+        self.gather_into(slots, &mut data);
+        (slots.len(), self.dim, data)
+    }
+
+    /// [`FeatureSlab::gather`] into `data` (row-major `slots.len() × dim`),
+    /// replacing its contents and reusing its allocation.
+    pub fn gather_into(&self, slots: &[u32], data: &mut Vec<f32>) {
+        data.clear();
+        data.reserve(slots.len() * self.dim);
         for &s in slots {
             data.extend_from_slice(&self.slots[s as usize].read());
         }
-        (slots.len(), self.dim, data)
     }
 }
 
@@ -91,6 +99,23 @@ mod tests {
         let (rows, cols, data) = slab.gather(&[2, 0, 2]);
         assert_eq!((rows, cols), (3, 2));
         assert_eq!(data, vec![3.0, 3.0, 1.0, 1.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn gather_into_equals_gather_and_reuses_capacity() {
+        let slab = FeatureSlab::new(5, 3);
+        for slot in 0..5 {
+            slab.write_row(slot, &[slot as f32, 0.5, -(slot as f32)]);
+        }
+        let mut data = vec![9.0; 2];
+        slab.gather_into(&[4, 1, 1, 0], &mut data);
+        assert_eq!(data, slab.gather(&[4, 1, 1, 0]).2);
+        let (buffer, capacity) = (data.as_ptr(), data.capacity());
+        for slots in [&[2u32, 3][..], &[], &[0, 1, 2, 3]] {
+            slab.gather_into(slots, &mut data);
+            assert_eq!(data, slab.gather(slots).2);
+            assert_eq!((data.as_ptr(), data.capacity()), (buffer, capacity));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! path (dataset installation is not part of any measured experiment).
 
 use crate::csc::CscTopology;
-use crate::generate::{generate_features, generate_graph};
+use crate::generate::{generate_graph, FeatureGen};
 use crate::NodeId;
 use gnndrive_storage::{FileHandle, SimSsd, SECTOR_SIZE};
 use gnndrive_sync::Rng;
@@ -102,28 +102,29 @@ impl Dataset {
         ssd.import(indices_file, 0, &g.topology.indices_bytes())
             .expect("import indices");
 
-        // Feature table on SSD, installed in bounded chunks.
+        // Feature table on SSD, generated and installed in bounded chunks
+        // so the whole table never sits in host memory beside the image.
         let features_file = ssd.create_file(spec.feature_file_bytes());
-        let feats = generate_features(
-            &g.labels,
+        let mut gen = FeatureGen::new(
             spec.num_classes,
             spec.feat_dim,
             spec.feature_signal,
             spec.seed,
         );
         let row_bytes = spec.feature_row_bytes();
-        let chunk_rows = (4 << 20) / row_bytes.max(1); // ~4 MiB chunks
-        let mut row = 0usize;
+        let chunk_rows = ((4 << 20) / row_bytes.max(1)).max(1); // ~4 MiB chunks
+        let mut feats = Vec::new();
         let mut bytes = Vec::with_capacity(chunk_rows * row_bytes);
-        while row < spec.num_nodes {
+        for (chunk, labels) in g.labels.chunks(chunk_rows).enumerate() {
+            feats.resize(labels.len() * spec.feat_dim, 0.0);
+            gen.write_rows(labels, &mut feats);
             bytes.clear();
-            let end = (row + chunk_rows).min(spec.num_nodes);
-            for f in &feats[row * spec.feat_dim..end * spec.feat_dim] {
+            for f in &feats {
                 bytes.extend_from_slice(&f.to_le_bytes());
             }
-            ssd.import(features_file, (row * row_bytes) as u64, &bytes)
+            let offset = (chunk * chunk_rows * row_bytes) as u64;
+            ssd.import(features_file, offset, &bytes)
                 .expect("import features");
-            row = end;
         }
 
         // Train/val split over a shuffled node order.
@@ -285,14 +286,22 @@ impl Dataset {
 
     /// Read one feature row through the untimed verification path.
     pub fn peek_feature_row(&self, v: NodeId) -> Vec<f32> {
-        let mut bytes = vec![0u8; self.spec.feature_row_bytes()];
+        let mut row = vec![0.0; self.spec.feat_dim];
+        self.peek_feature_row_into(v, &mut Vec::new(), &mut row);
+        row
+    }
+
+    /// [`Dataset::peek_feature_row`] decoded into `row`, staging the raw
+    /// bytes in `bytes` so a caller peeking many rows allocates once.
+    pub fn peek_feature_row_into(&self, v: NodeId, bytes: &mut Vec<u8>, row: &mut [f32]) {
+        assert_eq!(row.len(), self.spec.feat_dim, "row dimension mismatch");
+        bytes.resize(self.spec.feature_row_bytes(), 0);
         self.ssd
-            .peek(self.features_file, self.feature_offset(v), &mut bytes)
+            .peek(self.features_file, self.feature_offset(v), bytes)
             .expect("peek feature row");
-        bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
+        for (x, c) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+            *x = f32::from_le_bytes(c.try_into().expect("chunks of four"));
+        }
     }
 }
 

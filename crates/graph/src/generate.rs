@@ -84,9 +84,47 @@ pub fn generate_graph(
     }
 }
 
-/// Synthesize the feature table: `feature[v] = signal · centroid(label(v)) +
-/// noise`, centroids being random ±1 patterns per class. Returns row-major
-/// `num_nodes × dim` f32 data.
+/// Streaming synthesis of the feature table: `feature[v] = signal ·
+/// centroid(label(v)) + noise`, centroids being random ±1 patterns per
+/// class. Rows come out in node order from one RNG stream (centroids drawn
+/// first), so any chunking yields the same table as generating it whole.
+pub struct FeatureGen {
+    rng: Rng,
+    centroids: Vec<f32>,
+    dim: usize,
+    signal: f32,
+}
+
+impl FeatureGen {
+    pub fn new(num_classes: usize, dim: usize, signal: f32, seed: u64) -> FeatureGen {
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5eed_f00d);
+        let mut centroids = vec![0.0f32; num_classes * dim];
+        for c in centroids.iter_mut() {
+            *c = if rng.bool(0.5) { 1.0 } else { -1.0 };
+        }
+        FeatureGen {
+            rng,
+            centroids,
+            dim,
+            signal,
+        }
+    }
+
+    /// Generate the rows of the next `labels.len()` nodes into `out`
+    /// (row-major, `labels.len() × dim`).
+    pub fn write_rows(&mut self, labels: &[u32], out: &mut [f32]) {
+        let dim = self.dim;
+        assert_eq!(out.len(), labels.len() * dim, "one row per label");
+        for (row, &label) in out.chunks_exact_mut(dim.max(1)).zip(labels) {
+            let cent = &self.centroids[label as usize * dim..(label as usize + 1) * dim];
+            for (r, &c) in row.iter_mut().zip(cent.iter()) {
+                *r = self.signal * c + self.rng.f32(-1.0..1.0);
+            }
+        }
+    }
+}
+
+/// The whole feature table at once: row-major `num_nodes × dim` f32 data.
 pub fn generate_features(
     labels: &[u32],
     num_classes: usize,
@@ -94,19 +132,8 @@ pub fn generate_features(
     signal: f32,
     seed: u64,
 ) -> Vec<f32> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed_f00d);
-    let mut centroids = vec![0.0f32; num_classes * dim];
-    for c in centroids.iter_mut() {
-        *c = if rng.bool(0.5) { 1.0 } else { -1.0 };
-    }
     let mut out = vec![0.0f32; labels.len() * dim];
-    for (v, &label) in labels.iter().enumerate() {
-        let cent = &centroids[label as usize * dim..(label as usize + 1) * dim];
-        let row = &mut out[v * dim..(v + 1) * dim];
-        for (r, &c) in row.iter_mut().zip(cent.iter()) {
-            *r = signal * c + rng.f32(-1.0..1.0);
-        }
-    }
+    FeatureGen::new(num_classes, dim, signal, seed).write_rows(labels, &mut out);
     out
 }
 
@@ -181,6 +208,26 @@ mod tests {
         // Same-class rows correlate far more than cross-class rows.
         assert!(dot(0, 1) > dot(0, 2) + 50.0);
         assert!(dot(2, 3) > dot(1, 2) + 50.0);
+    }
+
+    #[test]
+    fn chunked_generation_equals_the_whole_table() {
+        let labels: Vec<u32> = (0..103u32).map(|v| v * 7 % 5).collect();
+        let dim = 6;
+        let whole = generate_features(&labels, 5, dim, 1.5, 11);
+        let mut gen = FeatureGen::new(5, dim, 1.5, 11);
+        let mut chunked = Vec::new();
+        // 10 does not divide 103: the last chunk is short.
+        for chunk in labels.chunks(10) {
+            let mut rows = vec![0.0; chunk.len() * dim];
+            gen.write_rows(chunk, &mut rows);
+            chunked.extend(rows);
+        }
+        assert_eq!(chunked.len(), whole.len());
+        assert!(chunked
+            .iter()
+            .zip(&whole)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! more FLOP-hungry than SAGE/GCN — the paper's CPU-based GAT slowdowns
 //! (§5.1) come from exactly that extra per-edge work.
 
+use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
 use gnndrive_tensor::ops::{leaky_relu_grad, relu_backward_inplace, relu_inplace};
 use gnndrive_tensor::{xavier_uniform, Matrix, Param};
@@ -21,18 +22,10 @@ pub struct GatLayer {
     relu: bool,
 }
 
-/// Forward cache for backward.
-pub struct GatCache {
-    /// The layer input (needed for the weight gradient h_srcᵀ · d_z).
-    input: Matrix,
-    z: Matrix,
-    /// Per edge (sampled + self-loops): raw pre-LeakyReLU score.
-    raw: Vec<f32>,
-    /// Per edge: normalized attention weight.
-    att: Vec<f32>,
-    edge_src: Vec<usize>,
-    edge_dst: Vec<usize>,
-    output: Matrix,
+/// `v` becomes `len` copies of `value`, reusing its allocation.
+fn refill(v: &mut Vec<f32>, len: usize, value: f32) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl GatLayer {
@@ -54,126 +47,121 @@ impl GatLayer {
         self.weight.value.cols()
     }
 
-    fn edges_with_self(block: &Block) -> (Vec<usize>, Vec<usize>) {
-        let mut src: Vec<usize> = block.edge_src.iter().map(|&s| s as usize).collect();
-        let mut dst: Vec<usize> = block.edge_dst.iter().map(|&d| d as usize).collect();
-        for d in 0..block.num_dst {
-            src.push(d);
-            dst.push(d);
-        }
-        (src, dst)
-    }
-
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, GatCache) {
+    /// Forward into `cache.out`.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &mut LayerCache,
+        ws: &mut Workspace,
+    ) {
         assert_eq!(h_src.rows(), block.num_src);
-        let out_dim = self.out_dim();
-        let z = h_src.matmul(&self.weight.value);
+        let LayerCache {
+            out, z, raw, att, ..
+        } = cache;
+        let Workspace {
+            gemm,
+            vecs: [alpha_src, alpha_dst, dst_max, dst_sum],
+            ..
+        } = ws;
+        gemm.matmul(h_src, &self.weight.value, z);
 
         // Node-level attention halves.
         let dot = |row: &[f32], a: &Matrix| -> f32 {
             row.iter().zip(a.row(0)).map(|(&x, &y)| x * y).sum()
         };
-        let alpha_src: Vec<f32> = (0..block.num_src)
-            .map(|i| dot(z.row(i), &self.a_src.value))
-            .collect();
-        let alpha_dst: Vec<f32> = (0..block.num_dst)
-            .map(|d| dot(z.row(d), &self.a_dst.value))
-            .collect();
+        alpha_src.clear();
+        alpha_src.extend((0..block.num_src).map(|i| dot(z.row(i), &self.a_src.value)));
+        alpha_dst.clear();
+        alpha_dst.extend((0..block.num_dst).map(|d| dot(z.row(d), &self.a_dst.value)));
 
-        let (edge_src, edge_dst) = Self::edges_with_self(block);
-        let raw: Vec<f32> = edge_src
-            .iter()
-            .zip(edge_dst.iter())
-            .map(|(&s, &d)| alpha_src[s] + alpha_dst[d])
-            .collect();
+        let edges = block.edges_with_self_loops();
+        raw.clear();
+        raw.extend(edges.clone().map(|(s, d)| alpha_src[s] + alpha_dst[d]));
 
         // Per-destination softmax over LeakyReLU(raw), numerically
-        // stabilized by the per-dst max.
-        let act: Vec<f32> = raw
-            .iter()
-            .map(|&r| if r >= 0.0 { r } else { SLOPE * r })
-            .collect();
-        let mut dst_max = vec![f32::NEG_INFINITY; block.num_dst];
-        for (e, &d) in edge_dst.iter().enumerate() {
-            dst_max[d] = dst_max[d].max(act[e]);
+        // stabilized by the per-dst max; `att` holds each stage in turn.
+        att.clear();
+        att.extend(raw.iter().map(|&r| if r >= 0.0 { r } else { SLOPE * r }));
+        refill(dst_max, block.num_dst, f32::NEG_INFINITY);
+        for ((_, d), &a) in edges.clone().zip(att.iter()) {
+            dst_max[d] = dst_max[d].max(a);
         }
-        let mut exp: Vec<f32> = act
-            .iter()
-            .zip(edge_dst.iter())
-            .map(|(&a, &d)| (a - dst_max[d]).exp())
-            .collect();
-        let mut dst_sum = vec![0.0f32; block.num_dst];
-        for (e, &d) in edge_dst.iter().enumerate() {
-            dst_sum[d] += exp[e];
+        for ((_, d), a) in edges.clone().zip(att.iter_mut()) {
+            *a = (*a - dst_max[d]).exp();
         }
-        for (e, &d) in edge_dst.iter().enumerate() {
-            exp[e] /= dst_sum[d].max(1e-12);
+        refill(dst_sum, block.num_dst, 0.0);
+        for ((_, d), &a) in edges.clone().zip(att.iter()) {
+            dst_sum[d] += a;
         }
-        let att = exp;
+        for ((_, d), a) in edges.clone().zip(att.iter_mut()) {
+            *a /= dst_sum[d].max(1e-12);
+        }
 
         // Weighted aggregation.
-        let mut out = Matrix::zeros(block.num_dst, out_dim);
-        for (e, (&s, &d)) in edge_src.iter().zip(edge_dst.iter()).enumerate() {
-            let zrow = z.row(s);
-            let orow = out.row_mut(d);
-            let a = att[e];
-            for (o, &zv) in orow.iter_mut().zip(zrow.iter()) {
+        out.reset(block.num_dst, self.out_dim());
+        for ((s, d), &a) in edges.zip(att.iter()) {
+            for (o, &zv) in out.row_mut(d).iter_mut().zip(z.row(s)) {
                 *o += a * zv;
             }
         }
         out.add_row_bias(&self.bias.value);
         if self.relu {
-            relu_inplace(&mut out);
+            relu_inplace(out);
         }
-
-        let cache = GatCache {
-            input: h_src.clone(),
-            z,
-            raw,
-            att,
-            edge_src,
-            edge_dst,
-            output: out.clone(),
-        };
-        (out, cache)
     }
 
-    pub fn backward(&mut self, block: &Block, cache: &GatCache, mut d_out: Matrix) -> Matrix {
+    /// Accumulate parameter gradients from the upstream gradient in
+    /// `ws.d_out` and, if `want_input_grad`, leave the gradient w.r.t.
+    /// `h_src` in `ws.d_src`. `h_src` and `cache` are forward's.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &LayerCache,
+        want_input_grad: bool,
+        ws: &mut Workspace,
+    ) {
+        let Workspace {
+            gemm,
+            d_out,
+            d_src,
+            mats: [grad, d_z],
+            vecs: [d_att, dst_dot, d_alpha_src, d_alpha_dst],
+        } = ws;
         if self.relu {
-            relu_backward_inplace(&mut d_out, &cache.output);
+            relu_backward_inplace(d_out, &cache.out);
         }
-        self.bias.grad.add_assign(&d_out.sum_rows());
+        let d_out = &*d_out;
+        d_out.sum_rows_into(grad);
+        self.bias.grad.add_assign(grad);
 
-        let out_dim = self.out_dim();
-        let num_edges = cache.edge_src.len();
-        let mut d_z = Matrix::zeros(block.num_src, out_dim);
+        let edges = block.edges_with_self_loops();
+        d_z.reset(block.num_src, self.out_dim());
 
         // d_att per edge, and z-gradient from the weighted sum.
-        let mut d_att = vec![0.0f32; num_edges];
-        for (e, (&s, &d)) in cache.edge_src.iter().zip(cache.edge_dst.iter()).enumerate() {
+        d_att.clear();
+        for ((s, d), &a) in edges.clone().zip(&cache.att) {
             let dout_row = d_out.row(d);
             let zrow = cache.z.row(s);
-            d_att[e] = dout_row.iter().zip(zrow.iter()).map(|(&a, &b)| a * b).sum();
-            let a = cache.att[e];
-            let dz_row = d_z.row_mut(s);
-            for (g, &dv) in dz_row.iter_mut().zip(dout_row.iter()) {
+            d_att.push(dout_row.iter().zip(zrow.iter()).map(|(&a, &b)| a * b).sum());
+            for (g, &dv) in d_z.row_mut(s).iter_mut().zip(dout_row.iter()) {
                 *g += a * dv;
             }
         }
 
         // Softmax backward per destination: d_act = att ⊙ (d_att − ⟨att, d_att⟩_dst).
-        let mut dst_dot = vec![0.0f32; block.num_dst];
-        for (e, &d) in cache.edge_dst.iter().enumerate() {
+        refill(dst_dot, block.num_dst, 0.0);
+        for (e, (_, d)) in edges.clone().enumerate() {
             dst_dot[d] += cache.att[e] * d_att[e];
         }
         // Then through LeakyReLU to the raw scores.
-        let mut d_alpha_src = vec![0.0f32; block.num_src];
-        let mut d_alpha_dst = vec![0.0f32; block.num_dst];
-        for e in 0..num_edges {
-            let d = cache.edge_dst[e];
+        refill(d_alpha_src, block.num_src, 0.0);
+        refill(d_alpha_dst, block.num_dst, 0.0);
+        for (e, (s, d)) in edges.enumerate() {
             let d_act = cache.att[e] * (d_att[e] - dst_dot[d]);
             let d_raw = d_act * leaky_relu_grad(cache.raw[e], SLOPE);
-            d_alpha_src[cache.edge_src[e]] += d_raw;
+            d_alpha_src[s] += d_raw;
             d_alpha_dst[d] += d_raw;
         }
 
@@ -198,8 +186,11 @@ impl GatLayer {
         }
 
         // z = h_src · W: dW = h_srcᵀ · d_z, d_h = d_z · Wᵀ.
-        self.weight.grad.add_assign(&cache.input.t_matmul(&d_z));
-        d_z.matmul_t(&self.weight.value)
+        gemm.t_matmul(h_src, &*d_z, grad);
+        self.weight.grad.add_assign(grad);
+        if want_input_grad {
+            gemm.matmul_t(&*d_z, &self.weight.value, d_src);
+        }
     }
 
     /// Approximate FLOPs of forward+backward on `block`; note the per-edge
@@ -216,18 +207,25 @@ impl GatLayer {
 mod tests {
     use super::*;
     use crate::sage::tests::{
-        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, INIT_SEEDS,
+        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, workspace_with,
+        INIT_SEEDS,
     };
+
+    fn forward(layer: &GatLayer, block: &Block, h: &Matrix) -> LayerCache {
+        let mut cache = LayerCache::default();
+        layer.forward(block, h, &mut cache, &mut Workspace::default());
+        cache
+    }
 
     #[test]
     fn attention_weights_sum_to_one_per_destination() {
         let layer = GatLayer::new(3, 2, false, 1);
         let block = test_block();
         let h = test_input(4, 3);
-        let (_, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         let mut per_dst = vec![0.0f32; block.num_dst];
-        for (e, &d) in cache.edge_dst.iter().enumerate() {
-            per_dst[d] += cache.att[e];
+        for ((_, d), &a) in block.edges_with_self_loops().zip(&cache.att) {
+            per_dst[d] += a;
         }
         for (d, &s) in per_dst.iter().enumerate() {
             assert!((s - 1.0).abs() < 1e-5, "dst {d} attention sums to {s}");
@@ -244,12 +242,12 @@ mod tests {
             edge_dst: vec![],
         };
         let h = Matrix::from_vec(2, 2, vec![1.0, 2.0, 9.0, 9.0]);
-        let (out, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         assert_eq!(cache.att, vec![1.0]);
         // Output equals z[0] (+ bias, which starts at zero).
         let z = h.matmul(&layer.weight.value);
         for c in 0..2 {
-            assert!((out.get(0, c) - z.get(0, c)).abs() < 1e-5);
+            assert!((cache.out.get(0, c) - z.get(0, c)).abs() < 1e-5);
         }
     }
 
@@ -260,10 +258,11 @@ mod tests {
             let block = test_block();
             let h = test_input(4, 3);
             let upstream = Matrix::from_fn(2, 2, |r, c| 0.5 * (r as f32) - 0.25 * (c as f32) + 0.4);
-            let (_, cache) = layer.forward(&block, &h);
-            let d_src = layer.backward(&block, &cache, upstream.clone());
-            let fwd = |m: &Matrix| layer.forward(&block, m).0;
-            gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+            let cache = forward(&layer, &block, &h);
+            let mut ws = workspace_with(&upstream);
+            layer.backward(&block, &h, &cache, true, &mut ws);
+            let fwd = |m: &Matrix| forward(&layer, &block, m).out;
+            gradcheck_input(&fwd, &ws.d_src, &h, &upstream, 6e-2);
         }
     }
 
@@ -272,11 +271,11 @@ mod tests {
         let block = test_block();
         let h = test_input(4, 3);
         let upstream = Matrix::from_fn(2, 2, |r, c| 0.3 + 0.2 * (r as f32) - 0.1 * (c as f32));
-        let eval = |l: &GatLayer| objective(&l.forward(&block, &h).0, &upstream);
+        let eval = |l: &GatLayer| objective(&forward(l, &block, &h).out, &upstream);
         for seed in INIT_SEEDS {
             let mut layer = GatLayer::new(3, 2, true, seed);
-            let (_, cache) = layer.forward(&block, &h);
-            let _ = layer.backward(&block, &cache, upstream.clone());
+            let cache = forward(&layer, &block, &h);
+            layer.backward(&block, &h, &cache, true, &mut workspace_with(&upstream));
             let (analytic_src, analytic_w) = (layer.a_src.grad.clone(), layer.weight.grad.clone());
             gradcheck("a_src", &analytic_src, 6e-2, |i, delta| {
                 with_nudged(&mut layer, |l| &mut l.a_src.value, i, delta, eval)
@@ -308,9 +307,11 @@ pub struct MultiHeadGat {
     out_per_head: usize,
 }
 
-/// Per-head forward caches.
+/// Per-head forward caches and the concatenated output.
+#[derive(Debug, Default)]
 pub struct MultiHeadCache {
-    caches: Vec<GatCache>,
+    pub out: Matrix,
+    heads: Vec<LayerCache>,
 }
 
 impl MultiHeadGat {
@@ -340,38 +341,46 @@ impl MultiHeadGat {
         self.out_per_head * self.heads.len()
     }
 
-    /// Concatenated multi-head forward.
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, MultiHeadCache) {
-        let mut caches = Vec::with_capacity(self.heads.len());
-        let mut out: Option<Matrix> = None;
-        for head in &self.heads {
-            let (o, c) = head.forward(block, h_src);
-            caches.push(c);
-            out = Some(match out {
-                None => o,
-                Some(acc) => acc.hcat(&o),
-            });
+    /// Concatenated multi-head forward into `cache.out`.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &mut MultiHeadCache,
+        ws: &mut Workspace,
+    ) {
+        cache
+            .heads
+            .resize_with(self.heads.len(), LayerCache::default);
+        cache.out.reset(block.num_dst, 0);
+        for (head, hc) in self.heads.iter().zip(cache.heads.iter_mut()) {
+            head.forward(block, h_src, hc, ws);
+            cache.out = cache.out.hcat(&hc.out);
         }
-        (out.expect("at least one head"), MultiHeadCache { caches })
     }
 
-    /// Backward: split the upstream gradient per head, sum input gradients.
-    pub fn backward(&mut self, block: &Block, cache: &MultiHeadCache, d_out: Matrix) -> Matrix {
+    /// Backward: split the upstream gradient in `ws.d_out` per head, sum
+    /// the heads' input gradients into `ws.d_src` if wanted.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &MultiHeadCache,
+        want_input_grad: bool,
+        ws: &mut Workspace,
+    ) {
+        let d_out = std::mem::take(&mut ws.d_out);
         assert_eq!(d_out.cols(), self.out_dim());
         let per = self.out_per_head;
-        let mut d_src: Option<Matrix> = None;
-        for (h, (head, hc)) in self.heads.iter_mut().zip(cache.caches.iter()).enumerate() {
-            let slice = d_out.columns(h * per..(h + 1) * per);
-            let d = head.backward(block, hc, slice);
-            d_src = Some(match d_src {
-                None => d,
-                Some(mut acc) => {
-                    acc.add_assign(&d);
-                    acc
-                }
-            });
+        let mut d_src = Matrix::zeros(block.num_src, self.in_dim());
+        for (h, (head, hc)) in self.heads.iter_mut().zip(cache.heads.iter()).enumerate() {
+            ws.d_out = d_out.columns(h * per..(h + 1) * per);
+            head.backward(block, h_src, hc, want_input_grad, ws);
+            if want_input_grad {
+                d_src.add_assign(&ws.d_src);
+            }
         }
-        d_src.expect("at least one head")
+        ws.d_src = d_src;
     }
 
     pub fn params_mut(&mut self) -> Vec<&mut gnndrive_tensor::Param> {
@@ -389,20 +398,27 @@ impl MultiHeadGat {
 #[cfg(test)]
 mod multihead_tests {
     use super::*;
-    use crate::sage::tests::{gradcheck_input, test_block, test_input, INIT_SEEDS};
+    use crate::sage::tests::{gradcheck_input, test_block, test_input, workspace_with, INIT_SEEDS};
+
+    fn forward(layer: &MultiHeadGat, block: &Block, h: &Matrix) -> MultiHeadCache {
+        let mut cache = MultiHeadCache::default();
+        layer.forward(block, h, &mut cache, &mut Workspace::default());
+        cache
+    }
 
     #[test]
     fn concatenates_head_outputs() {
         let layer = MultiHeadGat::new(3, 4, 2, false, 1);
         let block = test_block();
         let h = test_input(4, 3);
-        let (out, _) = layer.forward(&block, &h);
-        assert_eq!((out.rows(), out.cols()), (2, 4));
+        let cache = forward(&layer, &block, &h);
+        assert_eq!((cache.out.rows(), cache.out.cols()), (2, 4));
         // Each half equals the corresponding single head's output.
-        let (h0, _) = layer.heads[0].forward(&block, &h);
-        let (h1, _) = layer.heads[1].forward(&block, &h);
-        assert_eq!(out.columns(0..2), h0);
-        assert_eq!(out.columns(2..4), h1);
+        let mut single = LayerCache::default();
+        for (head, cols) in layer.heads.iter().zip([0..2, 2..4]) {
+            head.forward(&block, &h, &mut single, &mut Workspace::default());
+            assert_eq!(cache.out.columns(cols), single.out);
+        }
     }
 
     #[test]
@@ -413,10 +429,11 @@ mod multihead_tests {
             let h = test_input(4, 3);
             let upstream =
                 Matrix::from_fn(2, 4, |r, c| 0.2 * (r as f32 + 1.0) - 0.1 * c as f32 + 0.3);
-            let (_, cache) = layer.forward(&block, &h);
-            let d_src = layer.backward(&block, &cache, upstream.clone());
-            let fwd = |m: &Matrix| layer.forward(&block, m).0;
-            gradcheck_input(&fwd, &d_src, &h, &upstream, 6e-2);
+            let cache = forward(&layer, &block, &h);
+            let mut ws = workspace_with(&upstream);
+            layer.backward(&block, &h, &cache, true, &mut ws);
+            let fwd = |m: &Matrix| forward(&layer, &block, m).out;
+            gradcheck_input(&fwd, &ws.d_src, &h, &upstream, 6e-2);
         }
     }
 

@@ -5,6 +5,7 @@
 //! the mean over the sampled in-neighbors *plus the node itself* (a
 //! self-loop), then applies one shared linear transform.
 
+use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
 use gnndrive_tensor::ops::{
     relu_backward_inplace, relu_inplace, segment_mean, segment_mean_backward,
@@ -16,15 +17,6 @@ pub struct GcnLayer {
     pub weight: Param,
     pub bias: Param,
     relu: bool,
-}
-
-/// Forward cache for backward.
-pub struct GcnCache {
-    agg: Matrix,
-    output: Matrix,
-    /// Gather rows including the appended self-loops.
-    rows_with_self: Vec<usize>,
-    segs_with_self: Vec<usize>,
 }
 
 impl GcnLayer {
@@ -44,55 +36,60 @@ impl GcnLayer {
         self.weight.value.cols()
     }
 
-    fn edges_with_self(block: &Block) -> (Vec<usize>, Vec<usize>) {
-        let mut rows: Vec<usize> = block.edge_src.iter().map(|&s| s as usize).collect();
-        let mut segs: Vec<usize> = block.edge_dst.iter().map(|&d| d as usize).collect();
-        // Self-loops: dst d is source row d by the prefix convention.
-        for d in 0..block.num_dst {
-            rows.push(d);
-            segs.push(d);
-        }
-        (rows, segs)
-    }
-
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, GcnCache) {
+    /// Forward into `cache.out`.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &mut LayerCache,
+        ws: &mut Workspace,
+    ) {
         assert_eq!(h_src.rows(), block.num_src);
-        let (rows, segs) = Self::edges_with_self(block);
-        let gathered = h_src.gather_rows(&rows);
-        let agg = segment_mean(&gathered, &segs, block.num_dst);
-        let mut out = agg.matmul(&self.weight.value);
+        let LayerCache {
+            out, agg, counts, ..
+        } = cache;
+        let edges = block.edges_with_self_loops();
+        segment_mean(h_src, edges, block.num_dst, agg, counts);
+        ws.gemm.matmul(&*agg, &self.weight.value, out);
         out.add_row_bias(&self.bias.value);
         if self.relu {
-            relu_inplace(&mut out);
+            relu_inplace(out);
         }
-        let cache = GcnCache {
-            agg,
-            output: out.clone(),
-            rows_with_self: rows,
-            segs_with_self: segs,
-        };
-        (out, cache)
     }
 
-    pub fn backward(&mut self, block: &Block, cache: &GcnCache, mut d_out: Matrix) -> Matrix {
+    /// Accumulate parameter gradients from the upstream gradient in
+    /// `ws.d_out` and, if `want_input_grad`, leave the gradient w.r.t. the
+    /// layer input in `ws.d_src`. `cache` is forward's.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        cache: &LayerCache,
+        want_input_grad: bool,
+        ws: &mut Workspace,
+    ) {
+        let Workspace {
+            gemm,
+            d_out,
+            d_src,
+            mats: [grad, d_agg],
+            ..
+        } = ws;
         if self.relu {
-            relu_backward_inplace(&mut d_out, &cache.output);
+            relu_backward_inplace(d_out, &cache.out);
         }
-        self.weight.grad.add_assign(&cache.agg.t_matmul(&d_out));
-        self.bias.grad.add_assign(&d_out.sum_rows());
+        let d_out = &*d_out;
+        gemm.t_matmul(&cache.agg, d_out, grad);
+        self.weight.grad.add_assign(grad);
+        d_out.sum_rows_into(grad);
+        self.bias.grad.add_assign(grad);
+        if !want_input_grad {
+            return;
+        }
 
-        let d_agg = d_out.matmul_t(&self.weight.value);
-        let d_gathered =
-            segment_mean_backward(&d_agg, &cache.segs_with_self, cache.rows_with_self.len());
-        let mut d_src = Matrix::zeros(block.num_src, self.in_dim());
-        for (e, &row) in cache.rows_with_self.iter().enumerate() {
-            let g = d_gathered.row(e);
-            let o = d_src.row_mut(row);
-            for (ov, &gv) in o.iter_mut().zip(g.iter()) {
-                *ov += gv;
-            }
-        }
-        d_src
+        gemm.matmul_t(d_out, &self.weight.value, d_agg);
+        d_src.reset(block.num_src, self.in_dim());
+        let edges = block.edges_with_self_loops();
+        segment_mean_backward(d_agg, edges, &cache.counts, d_src);
     }
 
     pub fn flops(&self, block: &Block) -> u64 {
@@ -107,8 +104,15 @@ impl GcnLayer {
 mod tests {
     use super::*;
     use crate::sage::tests::{
-        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, INIT_SEEDS,
+        gradcheck, gradcheck_input, objective, test_block, test_input, with_nudged, workspace_with,
+        INIT_SEEDS,
     };
+
+    fn forward(layer: &GcnLayer, block: &Block, h: &Matrix) -> LayerCache {
+        let mut cache = LayerCache::default();
+        layer.forward(block, h, &mut cache, &mut Workspace::default());
+        cache
+    }
 
     #[test]
     fn self_loop_is_included_in_aggregation() {
@@ -121,7 +125,7 @@ mod tests {
             edge_dst: vec![],
         };
         let h = Matrix::from_vec(2, 2, vec![3.0, -1.0, 9.0, 9.0]);
-        let (_, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         assert_eq!(cache.agg.row(0), &[3.0, -1.0]);
     }
 
@@ -130,7 +134,7 @@ mod tests {
         let layer = GcnLayer::new(3, 2, false, 2);
         let block = test_block();
         let h = test_input(4, 3);
-        let (_, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         for c in 0..3 {
             let expect = (h.get(2, c) + h.get(3, c) + h.get(0, c)) / 3.0;
             assert!(
@@ -148,10 +152,11 @@ mod tests {
             let block = test_block();
             let h = test_input(4, 3);
             let upstream = Matrix::from_fn(2, 2, |r, c| 0.4 * (r as f32 + 1.0) - 0.3 * c as f32);
-            let (_, cache) = layer.forward(&block, &h);
-            let d_src = layer.backward(&block, &cache, upstream.clone());
-            let fwd = |m: &Matrix| layer.forward(&block, m).0;
-            gradcheck_input(&fwd, &d_src, &h, &upstream, 5e-2);
+            let cache = forward(&layer, &block, &h);
+            let mut ws = workspace_with(&upstream);
+            layer.backward(&block, &cache, true, &mut ws);
+            let fwd = |m: &Matrix| forward(&layer, &block, m).out;
+            gradcheck_input(&fwd, &ws.d_src, &h, &upstream, 5e-2);
         }
     }
 
@@ -162,8 +167,8 @@ mod tests {
         let upstream = Matrix::from_fn(2, 2, |r, c| 0.2 + 0.1 * (r * 2 + c) as f32);
         for seed in INIT_SEEDS {
             let mut layer = GcnLayer::new(3, 2, true, seed);
-            let (_, cache) = layer.forward(&block, &h);
-            let _ = layer.backward(&block, &cache, upstream.clone());
+            let cache = forward(&layer, &block, &h);
+            layer.backward(&block, &cache, true, &mut workspace_with(&upstream));
             let analytic = layer.weight.grad.clone();
             gradcheck("weight", &analytic, 5e-2, |i, delta| {
                 with_nudged(
@@ -171,7 +176,7 @@ mod tests {
                     |l| &mut l.weight.value,
                     i,
                     delta,
-                    |l| objective(&l.forward(&block, &h).0, &upstream),
+                    |l| objective(&forward(l, &block, &h).out, &upstream),
                 )
             });
         }

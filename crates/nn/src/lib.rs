@@ -21,7 +21,9 @@ pub mod gcn;
 pub mod metrics;
 pub mod model;
 pub mod sage;
+pub mod workspace;
 
 pub use metrics::{accuracy, confusion_matrix, macro_f1};
 pub use model::{build_model, GnnModel, ModelKind, StepResult};
 pub use sage::Aggregator;
+pub use workspace::{LayerCache, Workspace};

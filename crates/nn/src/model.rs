@@ -1,10 +1,11 @@
 //! Stacked multi-layer GNN models.
 
-use crate::gat::{GatCache, GatLayer};
-use crate::gcn::{GcnCache, GcnLayer};
-use crate::sage::{SageCache, SageLayer};
+use crate::gat::GatLayer;
+use crate::gcn::GcnLayer;
+use crate::sage::SageLayer;
+use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
-use gnndrive_tensor::{softmax_cross_entropy, Matrix, Param};
+use gnndrive_tensor::{softmax_cross_entropy_into, Matrix, Param};
 
 /// Which architecture to build (§5 "GNN Models").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,36 +42,29 @@ enum Layer {
     Gat(GatLayer),
 }
 
-enum LayerCache {
-    Sage(SageCache),
-    Gcn(GcnCache),
-    Gat(GatCache),
-}
-
 impl Layer {
-    fn forward(&self, block: &Block, h: &Matrix) -> (Matrix, LayerCache) {
+    fn forward(&self, block: &Block, h: &Matrix, cache: &mut LayerCache, ws: &mut Workspace) {
         match self {
-            Layer::Sage(l) => {
-                let (o, c) = l.forward(block, h);
-                (o, LayerCache::Sage(c))
-            }
-            Layer::Gcn(l) => {
-                let (o, c) = l.forward(block, h);
-                (o, LayerCache::Gcn(c))
-            }
-            Layer::Gat(l) => {
-                let (o, c) = l.forward(block, h);
-                (o, LayerCache::Gat(c))
-            }
+            Layer::Sage(l) => l.forward(block, h, cache, ws),
+            Layer::Gcn(l) => l.forward(block, h, cache, ws),
+            Layer::Gat(l) => l.forward(block, h, cache, ws),
         }
     }
 
-    fn backward(&mut self, block: &Block, cache: &LayerCache, d_out: Matrix) -> Matrix {
-        match (self, cache) {
-            (Layer::Sage(l), LayerCache::Sage(c)) => l.backward(block, c, d_out),
-            (Layer::Gcn(l), LayerCache::Gcn(c)) => l.backward(block, c, d_out),
-            (Layer::Gat(l), LayerCache::Gat(c)) => l.backward(block, c, d_out),
-            _ => unreachable!("cache kind mismatch"),
+    /// Upstream gradient in `ws.d_out`; input gradient, if wanted, out in
+    /// `ws.d_src`. `h` and `cache` are what forward took and filled.
+    fn backward(
+        &mut self,
+        block: &Block,
+        h: &Matrix,
+        cache: &LayerCache,
+        want_input_grad: bool,
+        ws: &mut Workspace,
+    ) {
+        match self {
+            Layer::Sage(l) => l.backward(block, h, cache, want_input_grad, ws),
+            Layer::Gcn(l) => l.backward(block, cache, want_input_grad, ws),
+            Layer::Gat(l) => l.backward(block, h, cache, want_input_grad, ws),
         }
     }
 
@@ -103,6 +97,12 @@ pub struct GnnModel {
     layers: Vec<Layer>,
     in_dim: usize,
     num_classes: usize,
+    /// One cache per layer (its output is the next layer's input).
+    caches: Vec<LayerCache>,
+    /// With `caches`, the model's scratch arena: every buffer a step
+    /// touches lives here and grows to the largest batch seen, so a
+    /// steady-state `train_step` allocates nothing.
+    ws: Workspace,
 }
 
 /// Checkpoint format magic ("GNDM" + version 1).
@@ -159,9 +159,11 @@ pub fn build_model(
     }
     GnnModel {
         kind,
+        caches: layers.iter().map(|_| LayerCache::default()).collect(),
         layers,
         in_dim,
         num_classes,
+        ws: Workspace::default(),
     }
 }
 
@@ -186,10 +188,14 @@ impl GnnModel {
     /// block's source nodes; returns seed logits.
     pub fn forward(&self, blocks: &[Block], input: &Matrix) -> Matrix {
         assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input.clone();
-        for (layer, block) in self.layers.iter().zip(blocks.iter()) {
-            let (next, _) = layer.forward(block, &h);
-            h = next;
+        // `&self` cannot lend out the model's own scratch; one cache serves
+        // every layer in turn, trading outputs with `h`.
+        let mut ws = Workspace::default();
+        let mut cache = LayerCache::default();
+        let mut h = Matrix::default();
+        for (l, (layer, block)) in self.layers.iter().zip(blocks.iter()).enumerate() {
+            layer.forward(block, if l == 0 { input } else { &h }, &mut cache, &mut ws);
+            std::mem::swap(&mut h, &mut cache.out);
         }
         h
     }
@@ -199,23 +205,25 @@ impl GnnModel {
     /// the optimizer.
     pub fn train_step(&mut self, blocks: &[Block], input: &Matrix, labels: &[usize]) -> StepResult {
         assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut activations = vec![input.clone()];
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks.iter()) {
-            let (next, cache) = layer.forward(block, activations.last().unwrap());
-            activations.push(next);
-            caches.push(cache);
+        let (caches, ws) = (&mut self.caches, &mut self.ws);
+        for (l, (layer, block)) in self.layers.iter().zip(blocks.iter()).enumerate() {
+            let (done, rest) = caches.split_at_mut(l);
+            let h = done.last().map_or(input, |c| &c.out);
+            layer.forward(block, h, &mut rest[0], ws);
         }
-        let logits = activations.last().unwrap();
-        let (loss, mut grad) = softmax_cross_entropy(logits, labels);
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks.iter())
-            .zip(caches.iter())
-            .rev()
-        {
-            grad = layer.backward(block, cache, grad);
+        let logits = &caches.last().expect("at least one layer").out;
+        let loss = softmax_cross_entropy_into(logits, labels, &mut ws.d_out);
+        for (l, (layer, block)) in self.layers.iter_mut().zip(blocks.iter()).enumerate().rev() {
+            let h = if l == 0 { input } else { &caches[l - 1].out };
+            // Nothing differentiates the input features, so layer 0 stops
+            // at its parameter gradients.
+            layer.backward(block, h, &caches[l], l > 0, ws);
+            std::mem::swap(&mut ws.d_out, &mut ws.d_src);
+        }
+        // An odd number of swaps leaves the two gradient buffers in each
+        // other's roles; put them back so each keeps the sizes it grew to.
+        if self.layers.len() % 2 == 1 {
+            std::mem::swap(&mut ws.d_out, &mut ws.d_src);
         }
         StepResult { loss }
     }
@@ -426,6 +434,33 @@ mod tests {
         let mut bad = blob.clone();
         bad[5] = 99;
         assert!(GnnModel::load(&bad).is_err());
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
+        let (topo, _labels, feats, dim) = planted_setup();
+        let sampler = NeighborSampler::new(Arc::new(InMemTopo::new(topo)), vec![5]);
+        let sample = sampler.sample(0, &(0..40u32).collect::<Vec<_>>(), 1);
+        let input = gather_input(&feats, dim, &sample.input_nodes);
+        let upstream = Matrix::from_fn(40, 8, |r, c| ((r * 5 + c * 3) % 7) as f32 * 0.25 - 0.6);
+        for kind in ModelKind::ALL {
+            let mut model = build_model(kind, dim, 8, 4, 2, 9);
+            let (layer, cache, ws) = (&mut model.layers[0], &mut model.caches[0], &mut model.ws);
+            layer.forward(&sample.blocks[0], &input, cache, ws);
+            let mut param_grads = |want_input_grad: bool| -> Vec<u32> {
+                ws.d_out = upstream.clone();
+                layer.backward(&sample.blocks[0], &input, cache, want_input_grad, ws);
+                let mut bits = Vec::new();
+                for p in layer.params_mut() {
+                    bits.extend(p.grad.data().iter().map(|g| g.to_bits()));
+                    p.zero_grad();
+                }
+                bits
+            };
+            let (skipped, computed) = (param_grads(false), param_grads(true));
+            assert!(skipped.iter().any(|&b| b != 0), "{}: all-zero", kind.name());
+            assert_eq!(skipped, computed, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! GraphSAGE layer (Hamilton et al., 2017) with mean aggregation.
 
+use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
 use gnndrive_tensor::ops::{
     relu_backward_inplace, relu_inplace, segment_max, segment_max_backward, segment_mean,
@@ -23,16 +24,6 @@ pub struct SageLayer {
     pub bias: Param,
     relu: bool,
     aggregator: Aggregator,
-}
-
-/// Forward-pass cache needed by backward.
-pub struct SageCache {
-    h_self: Matrix,
-    agg: Matrix,
-    output: Matrix,
-    gathered_rows: Vec<usize>,
-    /// Winning input row per output cell (Max aggregator only).
-    max_winners: Option<Vec<i64>>,
 }
 
 impl SageLayer {
@@ -68,78 +59,89 @@ impl SageLayer {
         self.w_self.value.cols()
     }
 
-    /// h_dst = act(h_self · W_self + mean_neigh(h_src) · W_neigh + b).
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, SageCache) {
+    /// h_dst = act(h_self · W_self + mean_neigh(h_src) · W_neigh + b), into
+    /// `cache.out`.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &mut LayerCache,
+        ws: &mut Workspace,
+    ) {
         assert_eq!(h_src.rows(), block.num_src);
         assert_eq!(h_src.cols(), self.in_dim());
+        let LayerCache {
+            out,
+            agg,
+            counts,
+            max_winners,
+            ..
+        } = cache;
+        let (edges, num_dst) = (block.edges(), block.num_dst);
+        match self.aggregator {
+            Aggregator::Mean => segment_mean(h_src, edges, num_dst, agg, counts),
+            Aggregator::Sum => segment_sum(h_src, edges, num_dst, agg),
+            Aggregator::Max => segment_max(h_src, edges, num_dst, agg, max_winners),
+        }
+        let Workspace {
+            gemm,
+            mats: [neigh, ..],
+            ..
+        } = ws;
         // Prefix convention: destinations are the first num_dst sources.
-        let h_self = h_src.gather_rows(&(0..block.num_dst).collect::<Vec<_>>());
-        let gathered_rows: Vec<usize> = block.edge_src.iter().map(|&s| s as usize).collect();
-        let gathered = h_src.gather_rows(&gathered_rows);
-        let segments: Vec<usize> = block.edge_dst.iter().map(|&d| d as usize).collect();
-        let mut max_winners = None;
-        let agg = match self.aggregator {
-            Aggregator::Mean => segment_mean(&gathered, &segments, block.num_dst),
-            Aggregator::Sum => segment_sum(&gathered, &segments, block.num_dst),
-            Aggregator::Max => {
-                let (m, w) = segment_max(&gathered, &segments, block.num_dst);
-                max_winners = Some(w);
-                m
-            }
-        };
-
-        let mut out = h_self.matmul(&self.w_self.value);
-        out.add_assign(&agg.matmul(&self.w_neigh.value));
+        gemm.matmul(h_src.top_rows(num_dst), &self.w_self.value, out);
+        gemm.matmul(&*agg, &self.w_neigh.value, neigh);
+        out.add_assign(neigh);
         out.add_row_bias(&self.bias.value);
         if self.relu {
-            relu_inplace(&mut out);
+            relu_inplace(out);
         }
-        let cache = SageCache {
-            h_self,
-            agg,
-            output: out.clone(),
-            gathered_rows,
-            max_winners,
-        };
-        (out, cache)
     }
 
-    /// Accumulate parameter gradients and return the gradient w.r.t. h_src.
-    pub fn backward(&mut self, block: &Block, cache: &SageCache, mut d_out: Matrix) -> Matrix {
+    /// Accumulate parameter gradients from the upstream gradient in
+    /// `ws.d_out` and, if `want_input_grad`, leave the gradient w.r.t.
+    /// `h_src` in `ws.d_src`. `h_src` and `cache` are forward's.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        h_src: &Matrix,
+        cache: &LayerCache,
+        want_input_grad: bool,
+        ws: &mut Workspace,
+    ) {
+        let Workspace {
+            gemm,
+            d_out,
+            d_src,
+            mats: [grad, d_agg],
+            ..
+        } = ws;
         if self.relu {
-            relu_backward_inplace(&mut d_out, &cache.output);
+            relu_backward_inplace(d_out, &cache.out);
         }
-        // Parameter grads.
-        self.w_self.grad.add_assign(&cache.h_self.t_matmul(&d_out));
-        self.w_neigh.grad.add_assign(&cache.agg.t_matmul(&d_out));
-        self.bias.grad.add_assign(&d_out.sum_rows());
-
-        // Input grads.
-        let d_h_self = d_out.matmul_t(&self.w_self.value);
-        let d_agg = d_out.matmul_t(&self.w_neigh.value);
-        let segments: Vec<usize> = block.edge_dst.iter().map(|&d| d as usize).collect();
-        let d_gathered = match self.aggregator {
-            Aggregator::Mean => segment_mean_backward(&d_agg, &segments, block.num_edges()),
-            Aggregator::Sum => segment_sum_backward(&d_agg, &segments, block.num_edges()),
-            Aggregator::Max => segment_max_backward(
-                &d_agg,
-                cache.max_winners.as_ref().expect("max cache"),
-                block.num_edges(),
-            ),
-        };
-
-        let mut d_src = Matrix::zeros(block.num_src, self.in_dim());
-        for r in 0..block.num_dst {
-            d_src.row_mut(r).copy_from_slice(d_h_self.row(r));
+        let d_out = &*d_out;
+        gemm.t_matmul(h_src.top_rows(block.num_dst), d_out, grad);
+        self.w_self.grad.add_assign(grad);
+        gemm.t_matmul(&cache.agg, d_out, grad);
+        self.w_neigh.grad.add_assign(grad);
+        d_out.sum_rows_into(grad);
+        self.bias.grad.add_assign(grad);
+        if !want_input_grad {
+            return;
         }
-        for (e, &src_row) in cache.gathered_rows.iter().enumerate() {
-            let g = d_gathered.row(e);
-            let o = d_src.row_mut(src_row);
-            for (ov, &gv) in o.iter_mut().zip(g.iter()) {
-                *ov += gv;
+
+        // The self path lands on the destination prefix of d_src, the
+        // neighbor path is scattered back along the edges on top of it.
+        gemm.matmul_t(d_out, &self.w_self.value, d_src);
+        d_src.set_rows(block.num_src);
+        gemm.matmul_t(d_out, &self.w_neigh.value, d_agg);
+        match self.aggregator {
+            Aggregator::Mean => segment_mean_backward(d_agg, block.edges(), &cache.counts, d_src),
+            Aggregator::Sum => segment_sum_backward(d_agg, block.edges(), d_src),
+            Aggregator::Max => {
+                segment_max_backward(d_agg, block.edges(), &cache.max_winners, d_src)
             }
         }
-        d_src
     }
 
     /// Approximate FLOPs of forward+backward for this layer on `block`.
@@ -250,13 +252,40 @@ pub(crate) mod tests {
     /// Init seeds every gradient check runs over (not one lucky one).
     pub(crate) const INIT_SEEDS: std::ops::Range<u64> = 0..8;
 
+    /// A workspace whose upstream gradient is `upstream`.
+    pub(crate) fn workspace_with(upstream: &Matrix) -> Workspace {
+        Workspace {
+            d_out: upstream.clone(),
+            ..Workspace::default()
+        }
+    }
+
+    fn forward(layer: &SageLayer, block: &Block, h: &Matrix) -> LayerCache {
+        let mut cache = LayerCache::default();
+        layer.forward(block, h, &mut cache, &mut Workspace::default());
+        cache
+    }
+
+    /// Backward from `upstream` with the input gradient wanted; returns it.
+    fn backward(
+        layer: &mut SageLayer,
+        block: &Block,
+        h: &Matrix,
+        cache: &LayerCache,
+        upstream: &Matrix,
+    ) -> Matrix {
+        let mut ws = workspace_with(upstream);
+        layer.backward(block, h, cache, true, &mut ws);
+        ws.d_src
+    }
+
     #[test]
     fn forward_shapes_and_aggregation() {
         let layer = SageLayer::new(3, 2, false, 1);
         let block = test_block();
         let h = test_input(4, 3);
-        let (out, cache) = layer.forward(&block, &h);
-        assert_eq!((out.rows(), out.cols()), (2, 2));
+        let cache = forward(&layer, &block, &h);
+        assert_eq!((cache.out.rows(), cache.out.cols()), (2, 2));
         // agg row 0 = mean of h[2], h[3].
         for c in 0..3 {
             let expect = (h.get(2, c) + h.get(3, c)) / 2.0;
@@ -271,9 +300,9 @@ pub(crate) mod tests {
             let block = test_block();
             let h = test_input(4, 3);
             let upstream = Matrix::from_fn(2, 2, |r, c| (r + c) as f32 * 0.7 + 0.1);
-            let (_, cache) = layer.forward(&block, &h);
-            let d_src = layer.backward(&block, &cache, upstream.clone());
-            let fwd = |m: &Matrix| layer.forward(&block, m).0;
+            let cache = forward(&layer, &block, &h);
+            let d_src = backward(&mut layer, &block, &h, &cache, &upstream);
+            let fwd = |m: &Matrix| forward(&layer, &block, m).out;
             gradcheck_input(&fwd, &d_src, &h, &upstream, 5e-2);
         }
     }
@@ -285,8 +314,8 @@ pub(crate) mod tests {
         let upstream = Matrix::from_fn(2, 2, |r, c| 0.3 * (r as f32) - 0.2 * (c as f32) + 0.5);
         for seed in INIT_SEEDS {
             let mut layer = SageLayer::new(3, 2, true, seed);
-            let (_, cache) = layer.forward(&block, &h);
-            let _ = layer.backward(&block, &cache, upstream.clone());
+            let cache = forward(&layer, &block, &h);
+            backward(&mut layer, &block, &h, &cache, &upstream);
             let analytic = layer.w_neigh.grad.clone();
             gradcheck("w_neigh", &analytic, 5e-2, |i, delta| {
                 with_nudged(
@@ -294,7 +323,7 @@ pub(crate) mod tests {
                     |l| &mut l.w_neigh.value,
                     i,
                     delta,
-                    |l| objective(&l.forward(&block, &h).0, &upstream),
+                    |l| objective(&forward(l, &block, &h).out, &upstream),
                 )
             });
         }
@@ -308,10 +337,40 @@ pub(crate) mod tests {
                 let block = test_block();
                 let h = test_input(4, 3);
                 let upstream = Matrix::from_fn(2, 2, |r, c| 0.6 - 0.2 * (r + c) as f32);
-                let (_, cache) = layer.forward(&block, &h);
-                let d_src = layer.backward(&block, &cache, upstream.clone());
-                let fwd = |m: &Matrix| layer.forward(&block, m).0;
+                let cache = forward(&layer, &block, &h);
+                let d_src = backward(&mut layer, &block, &h, &cache, &upstream);
+                let fwd = |m: &Matrix| forward(&layer, &block, m).out;
                 gradcheck_input(&fwd, &d_src, &h, &upstream, 5e-2);
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_cache_and_workspace_forget_the_previous_batch() {
+        // Shapes shrink and grow between calls; every result must equal a
+        // run on fresh buffers.
+        let blocks = [
+            test_block(),
+            Block {
+                num_src: 9,
+                num_dst: 5,
+                edge_src: vec![8, 7, 6, 5, 5, 0],
+                edge_dst: vec![0, 0, 1, 3, 4, 4],
+            },
+            test_block(),
+        ];
+        for aggregator in [Aggregator::Mean, Aggregator::Max, Aggregator::Sum] {
+            let mut layer = SageLayer::with_aggregator(3, 2, true, aggregator, 3);
+            let (mut cache, mut ws) = (LayerCache::default(), Workspace::default());
+            for block in &blocks {
+                let h = test_input(block.num_src, 3);
+                let upstream = test_input(block.num_dst, 2);
+                layer.forward(block, &h, &mut cache, &mut ws);
+                ws.d_out = upstream.clone();
+                layer.backward(block, &h, &cache, true, &mut ws);
+                let fresh = forward(&layer, block, &h);
+                assert_eq!(cache.out, fresh.out);
+                assert_eq!(ws.d_src, backward(&mut layer, block, &h, &fresh, &upstream));
             }
         }
     }
@@ -326,7 +385,7 @@ pub(crate) mod tests {
             edge_dst: vec![0, 0],
         };
         let h = Matrix::from_vec(3, 2, vec![0., 0., 5., -1., 2., 7.]);
-        let (_, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         assert_eq!(cache.agg.row(0), &[5., 7.]);
     }
 
@@ -340,10 +399,10 @@ pub(crate) mod tests {
         };
         let layer = SageLayer::new(2, 2, false, 4);
         let h = test_input(2, 2);
-        let (out, cache) = layer.forward(&block, &h);
+        let cache = forward(&layer, &block, &h);
         // dst 1 has no sampled neighbors: agg row is zero.
         assert_eq!(cache.agg.row(1), &[0.0, 0.0]);
-        assert_eq!(out.rows(), 2);
+        assert_eq!(cache.out.rows(), 2);
     }
 
     #[test]

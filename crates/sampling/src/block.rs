@@ -28,6 +28,18 @@ impl Block {
         self.edge_src.len()
     }
 
+    /// The sampled edges in order, as `(source row, destination)` indices.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        let pairs = self.edge_src.iter().zip(&self.edge_dst);
+        pairs.map(|(&s, &d)| (s as usize, d as usize))
+    }
+
+    /// [`Block::edges`] followed by one self-loop per destination: `d` is
+    /// source row `d` by the prefix convention.
+    pub fn edges_with_self_loops(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        self.edges().chain((0..self.num_dst).map(|d| (d, d)))
+    }
+
     /// Validate the structural invariants (debug/test helper).
     pub fn check(&self) {
         assert!(self.num_dst <= self.num_src, "prefix convention violated");
@@ -96,6 +108,9 @@ mod tests {
         };
         b.check();
         assert_eq!(b.num_edges(), 3);
+        let edges: Vec<_> = b.edges_with_self_loops().collect();
+        assert_eq!(edges, [(2, 0), (3, 1), (4, 1), (0, 0), (1, 1)]);
+        assert!(b.edges().eq(edges[..3].iter().copied()));
     }
 
     #[test]

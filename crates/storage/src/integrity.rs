@@ -26,9 +26,12 @@
 use crate::ssd::SECTOR_SIZE;
 use std::fmt;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slice-by-8 lookup tables, built at compile
+/// time. `TABLES[0]` is the classic byte-at-a-time table; `TABLES[t][b]` is
+/// the CRC of byte `b` followed by `t` zero bytes, which lets eight input
+/// bytes be folded in with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -41,21 +44,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `data`. The same polynomial zlib/ethernet use; collisions
 /// are possible in principle, which is why [`crate::SimSsd::verify`] keeps a
 /// ground-truth escape tripwire.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (groups, tail) = data.as_chunks::<8>();
+    for g in groups {
+        let lo = crc ^ u32::from_le_bytes([g[0], g[1], g[2], g[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][g[4] as usize]
+            ^ t[2][g[5] as usize]
+            ^ t[1][g[6] as usize]
+            ^ t[0][g[7] as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -166,6 +192,34 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time loop `crc32` replaced, kept as the reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        let mut rng = gnndrive_sync::Rng::seed_from_u64(0xC4C);
+        let mut buf = vec![0u8; 1100 + 8];
+        for word in buf.chunks_mut(8) {
+            word.copy_from_slice(&rng.next_u64().to_le_bytes()[..word.len()]);
+        }
+        for len in 0..=1100 {
+            for start in 0..8 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "len {len} at offset {start}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper trains its models with PyTorch; this crate supplies the slice
 //! of tensor functionality GNN training actually needs — row-major `f32`
 //! matrices, the handful of kernels behind GraphSAGE/GCN/GAT layers
-//! (matmuls in all transpose combinations, row gathers/scatters,
+//! (one register-blocked GEMM under all transpose combinations, fused
+//! gather-and-reduce segment aggregations,
 //! activations, softmax cross-entropy), weight initialization, and SGD/Adam
 //! optimizers — all deterministic given a seed so experiments are
 //! repeatable.
@@ -21,13 +22,15 @@
 //! assert_eq!(w.value.get(0, 0), -1.0);
 //! ```
 
+pub mod gemm;
 pub mod init;
 pub mod loss;
 pub mod matrix;
 pub mod ops;
 pub mod optim;
 
+pub use gemm::Gemm;
 pub use init::xavier_uniform;
-pub use loss::softmax_cross_entropy;
-pub use matrix::Matrix;
+pub use loss::{softmax_cross_entropy, softmax_cross_entropy_into};
+pub use matrix::{MatRef, Matrix};
 pub use optim::{Adam, Optimizer, Param, Sgd};

@@ -8,25 +8,33 @@ use crate::ops::softmax_rows;
 ///
 /// Returns `(loss, dlogits)` where `dlogits = (softmax - onehot) / batch`.
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into `grad`, whose
+/// allocation is reused.
+pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) -> f32 {
     assert_eq!(logits.rows(), labels.len(), "one label per row");
     let batch = logits.rows().max(1) as f32;
-    let mut probs = logits.clone();
-    softmax_rows(&mut probs);
+    grad.reshape(logits.rows(), logits.cols());
+    grad.data_mut().copy_from_slice(logits.data());
+    softmax_rows(grad);
     let mut loss = 0.0f32;
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < logits.cols(), "label out of range");
-        let p = probs.get(r, label).max(1e-12);
+        let p = grad.get(r, label).max(1e-12);
         loss -= p.ln();
     }
     loss /= batch;
     // Gradient: softmax minus one-hot, averaged over the batch.
-    let mut grad = probs;
     for (r, &label) in labels.iter().enumerate() {
         let v = grad.get(r, label);
         grad.set(r, label, v - 1.0);
     }
     grad.scale(1.0 / batch);
-    (loss, grad)
+    loss
 }
 
 #[cfg(test)]

@@ -1,11 +1,27 @@
 //! Row-major `f32` matrix with the kernels GNN layers need.
 
+use crate::gemm::Gemm;
+
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// A borrowed row-major matrix: a whole [`Matrix`] or a prefix of its rows.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) data: &'a [f32],
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        m.top_rows(m.rows)
+    }
 }
 
 impl Matrix {
@@ -33,6 +49,11 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer size mismatch");
         Matrix { rows, cols, data }
+    }
+
+    /// Unwrap the row-major buffer (to reuse its allocation).
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
     }
 
     pub fn rows(&self) -> usize {
@@ -78,61 +99,55 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// `self @ other` (i-k-j loop order for cache-friendly row-major access).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
+    /// Become `rows × cols`, reusing the allocation: a buffer reshaped every
+    /// step grows to its high-water mark and stays. Elements keep whatever
+    /// the buffer held (zeros where it grew) — for a matrix about to be
+    /// overwritten in full; [`Matrix::reset`] when it is accumulated into.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        (self.rows, self.cols) = (rows, cols);
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Become an all-zero `rows × cols` matrix, reusing the allocation.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.reshape(rows, cols);
+        self.fill_zero();
+    }
+
+    /// Truncate or zero-extend to `rows` rows, reusing the allocation.
+    pub fn set_rows(&mut self, rows: usize) {
+        self.rows = rows;
+        self.data.resize(rows * self.cols, 0.0);
+    }
+
+    /// The first `n` rows, borrowed (they are contiguous in row-major order).
+    pub fn top_rows(&self, n: usize) -> MatRef<'_> {
+        MatRef {
+            rows: n,
+            cols: self.cols,
+            data: &self.data[..n * self.cols],
         }
+    }
+
+    /// `self @ other`. Allocates the result and the packing scratch; code
+    /// on a hot path holds a [`Gemm`] and an output buffer instead.
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        Gemm::default().matmul(self, other, &mut out);
         out
     }
 
     /// `selfᵀ @ other` without materializing the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = other.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        Gemm::default().t_matmul(self, other, &mut out);
         out
     }
 
     /// `self @ otherᵀ` without materializing the transpose.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out.set(i, j, acc);
-            }
-        }
+        Gemm::default().matmul_t(self, other, &mut out);
         out
     }
 
@@ -171,24 +186,14 @@ impl Matrix {
         }
     }
 
-    /// Column-sum into a 1 × cols matrix (bias-gradient reduction).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+    /// Column-sum into `out` as a 1 × cols matrix (bias-gradient reduction).
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             for (o, &v) in out.data.iter_mut().zip(self.row(r).iter()) {
                 *o += v;
             }
         }
-        out
-    }
-
-    /// Gather `indices` rows into a new matrix.
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (i, &idx) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(idx));
-        }
-        out
     }
 
     /// Frobenius norm (for gradient diagnostics / clipping).
@@ -285,15 +290,30 @@ mod tests {
         let bias = m(1, 3, &[10., 20., 30.]);
         x.add_row_bias(&bias);
         assert_eq!(x.data(), &[11., 21., 31., 12., 22., 32.]);
-        let s = x.sum_rows();
-        assert_eq!(s.data(), &[23., 43., 63.]);
+        let mut s = m(2, 1, &[9., 9.]);
+        x.sum_rows_into(&mut s);
+        assert_eq!((s.rows(), s.data()), (1, &[23., 43., 63.][..]));
     }
 
     #[test]
-    fn gather_rows_copies_in_order() {
-        let x = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
-        let g = x.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.data(), &[5., 6., 1., 2., 5., 6.]);
+    fn reset_reshapes_zeroes_and_keeps_the_allocation() {
+        let mut x = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
+        let buffer = x.data().as_ptr();
+        x.reset(3, 1);
+        assert_eq!((x.rows(), x.cols(), x.data()), (3, 1, &[0.; 3][..]));
+        x.reset(1, 6);
+        assert_eq!(
+            x.data().as_ptr(),
+            buffer,
+            "shrinking then regrowing reuses it"
+        );
+        x.set(0, 5, 7.);
+        x.reset(2, 3);
+        assert_eq!(x.data(), &[0.; 6]);
+        x.set(1, 2, 7.);
+        x.set_rows(1);
+        x.set_rows(2);
+        assert_eq!(x.data(), &[0.; 6], "a dropped row comes back as zeros");
     }
 
     #[test]

@@ -57,22 +57,30 @@ pub fn softmax_rows(x: &mut Matrix) {
     }
 }
 
-/// Row-wise mean of `x` grouped by `segments`: output row `s` is the mean of
-/// all input rows `i` with `segments[i] == s` (the mean-aggregator of
-/// GraphSAGE). Rows of empty segments stay zero.
-pub fn segment_mean(x: &Matrix, segments: &[usize], num_segments: usize) -> Matrix {
-    assert_eq!(x.rows(), segments.len());
-    let mut out = Matrix::zeros(num_segments, x.cols());
-    let mut counts = vec![0u32; num_segments];
-    for (i, &s) in segments.iter().enumerate() {
-        assert!(s < num_segments, "segment id out of range");
-        counts[s] += 1;
-        let row = x.row(i);
-        let out_row = out.row_mut(s);
-        for (o, &v) in out_row.iter_mut().zip(row.iter()) {
-            *o += v;
-        }
-    }
+// The segment reductions below read their rows through `edges`, an
+// iterator of `(input row, segment)` pairs: a GNN block's edge list, so
+// aggregation gathers and reduces in one pass and no `edges × dim` copy of
+// the gathered rows ever exists. Edges are visited in iteration order, which
+// fixes the order of every floating-point sum.
+
+/// Row-wise mean of `x` over `edges` (the mean-aggregator of GraphSAGE):
+/// `out` row `s` becomes the mean of the rows `i` with an edge `(i, s)`,
+/// `counts[s]` the number of them. Rows of empty segments stay zero.
+pub fn segment_mean(
+    x: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    num_segments: usize,
+    out: &mut Matrix,
+    counts: &mut Vec<u32>,
+) {
+    counts.clear();
+    counts.resize(num_segments, 0);
+    segment_sum(
+        x,
+        edges.inspect(|&(_, s)| counts[s] += 1),
+        num_segments,
+        out,
+    );
     for (s, &count) in counts.iter().enumerate() {
         if count > 1 {
             let inv = 1.0 / count as f32;
@@ -81,101 +89,104 @@ pub fn segment_mean(x: &Matrix, segments: &[usize], num_segments: usize) -> Matr
             }
         }
     }
-    out
 }
 
-/// Backward of [`segment_mean`]: scatter `grad` rows back to the inputs,
-/// scaled by 1/|segment|.
-pub fn segment_mean_backward(grad: &Matrix, segments: &[usize], input_rows: usize) -> Matrix {
-    let mut counts = vec![0u32; grad.rows()];
-    for &s in segments {
-        counts[s] += 1;
-    }
-    let mut out = Matrix::zeros(input_rows, grad.cols());
-    for (i, &s) in segments.iter().enumerate() {
+/// Backward of [`segment_mean`]: add each segment's `grad` row, scaled by
+/// 1/|segment|, onto the `d_x` row of every edge into it.
+pub fn segment_mean_backward(
+    grad: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    counts: &[u32],
+    d_x: &mut Matrix,
+) {
+    for (i, s) in edges {
         let inv = 1.0 / counts[s].max(1) as f32;
-        let g = grad.row(s);
-        let o = out.row_mut(i);
-        for (ov, &gv) in o.iter_mut().zip(g.iter()) {
-            *ov += gv * inv;
+        for (o, &g) in d_x.row_mut(i).iter_mut().zip(grad.row(s)) {
+            *o += g * inv;
         }
     }
-    out
 }
 
-/// Row-wise max of `x` grouped by `segments`; also returns, per output
-/// cell, the input row that supplied the max (for the backward pass).
+/// Row-wise max of `x` over `edges`; `winners` records, per output cell,
+/// the ordinal of the edge that supplied the max (for the backward pass).
 /// Empty segments stay at zero with winner −1.
-pub fn segment_max(x: &Matrix, segments: &[usize], num_segments: usize) -> (Matrix, Vec<i64>) {
-    assert_eq!(x.rows(), segments.len());
+pub fn segment_max(
+    x: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    num_segments: usize,
+    out: &mut Matrix,
+    winners: &mut Vec<i64>,
+) {
     let cols = x.cols();
-    let mut out = Matrix::from_fn(num_segments, cols, |_, _| f32::NEG_INFINITY);
-    let mut winners = vec![-1i64; num_segments * cols];
-    for (i, &s) in segments.iter().enumerate() {
-        assert!(s < num_segments, "segment id out of range");
-        let row = x.row(i);
-        let out_row = out.row_mut(s);
-        for (c, (&v, o)) in row.iter().zip(out_row.iter_mut()).enumerate() {
+    out.reset(num_segments, cols);
+    out.data_mut().fill(f32::NEG_INFINITY);
+    winners.clear();
+    winners.resize(num_segments * cols, -1);
+    for (e, (i, s)) in edges.enumerate() {
+        let won = &mut winners[s * cols..(s + 1) * cols];
+        for ((&v, o), w) in x.row(i).iter().zip(out.row_mut(s)).zip(won) {
             if v > *o {
                 *o = v;
-                winners[s * cols + c] = i as i64;
+                *w = e as i64;
             }
         }
     }
     // Empty segments: replace −∞ with 0 (no contribution).
-    for (idx, v) in out.data_mut().iter_mut().enumerate() {
-        if winners[idx] < 0 {
+    for (v, &w) in out.data_mut().iter_mut().zip(winners.iter()) {
+        if w < 0 {
             *v = 0.0;
         }
     }
-    (out, winners)
 }
 
-/// Backward of [`segment_max`]: route each output cell's gradient to the
-/// winning input row.
-pub fn segment_max_backward(grad: &Matrix, winners: &[i64], input_rows: usize) -> Matrix {
+/// Backward of [`segment_max`]: add each output cell's gradient onto the
+/// `d_x` row of the edge that won it.
+pub fn segment_max_backward(
+    grad: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    winners: &[i64],
+    d_x: &mut Matrix,
+) {
     let cols = grad.cols();
     assert_eq!(winners.len(), grad.rows() * cols);
-    let mut out = Matrix::zeros(input_rows, cols);
-    for s in 0..grad.rows() {
-        for c in 0..cols {
-            let w = winners[s * cols + c];
-            if w >= 0 {
-                let v = out.get(w as usize, c) + grad.get(s, c);
-                out.set(w as usize, c, v);
+    for (e, (i, s)) in edges.enumerate() {
+        let won = &winners[s * cols..(s + 1) * cols];
+        for ((o, &g), &w) in d_x.row_mut(i).iter_mut().zip(grad.row(s)).zip(won) {
+            if w == e as i64 {
+                *o += g;
             }
         }
     }
-    out
 }
 
-/// Row-wise sum of `x` grouped by `segments`.
-pub fn segment_sum(x: &Matrix, segments: &[usize], num_segments: usize) -> Matrix {
-    assert_eq!(x.rows(), segments.len());
-    let mut out = Matrix::zeros(num_segments, x.cols());
-    for (i, &s) in segments.iter().enumerate() {
+/// Row-wise sum of `x` over `edges`.
+pub fn segment_sum(
+    x: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    num_segments: usize,
+    out: &mut Matrix,
+) {
+    out.reset(num_segments, x.cols());
+    for (i, s) in edges {
         assert!(s < num_segments, "segment id out of range");
-        let row = x.row(i);
-        let out_row = out.row_mut(s);
-        for (o, &v) in out_row.iter_mut().zip(row.iter()) {
+        for (o, &v) in out.row_mut(s).iter_mut().zip(x.row(i)) {
             *o += v;
         }
     }
-    out
 }
 
-/// Backward of [`segment_sum`]: broadcast each segment's gradient to its
-/// member rows.
-pub fn segment_sum_backward(grad: &Matrix, segments: &[usize], input_rows: usize) -> Matrix {
-    let mut out = Matrix::zeros(input_rows, grad.cols());
-    for (i, &s) in segments.iter().enumerate() {
-        let g = grad.row(s);
-        let o = out.row_mut(i);
-        for (ov, &gv) in o.iter_mut().zip(g.iter()) {
-            *ov += gv;
+/// Backward of [`segment_sum`]: add each segment's `grad` row onto the
+/// `d_x` row of every edge into it.
+pub fn segment_sum_backward(
+    grad: &Matrix,
+    edges: impl Iterator<Item = (usize, usize)>,
+    d_x: &mut Matrix,
+) {
+    for (i, s) in edges {
+        for (o, &g) in d_x.row_mut(i).iter_mut().zip(grad.row(s)) {
+            *o += g;
         }
     }
-    out
 }
 
 /// Argmax per row (predicted class).
@@ -218,19 +229,46 @@ mod tests {
         assert!((x.get(1, 0) - 1.0 / 3.0).abs() < 1e-5);
     }
 
+    /// `(row, segment)` pairs for rows `0..` assigned to `segments` in order.
+    fn edges(segments: &[usize]) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        segments.iter().copied().enumerate()
+    }
+
+    fn mean(x: &Matrix, segments: &[usize], n: usize) -> (Matrix, Vec<u32>) {
+        let (mut out, mut counts) = (Matrix::default(), Vec::new());
+        segment_mean(x, edges(segments), n, &mut out, &mut counts);
+        (out, counts)
+    }
+
     #[test]
     fn segment_mean_averages_groups() {
         let x = Matrix::from_vec(4, 2, vec![1., 2., 3., 4., 5., 6., 7., 8.]);
-        let out = segment_mean(&x, &[0, 0, 1, 1], 3);
+        let (out, counts) = mean(&x, &[0, 0, 1, 1], 3);
         assert_eq!(out.row(0), &[2., 3.]);
         assert_eq!(out.row(1), &[6., 7.]);
         assert_eq!(out.row(2), &[0., 0.]); // empty segment
+        assert_eq!(counts, [2, 2, 0]);
+    }
+
+    #[test]
+    fn segment_reductions_gather_through_the_edge_list() {
+        // Edges name their input row: rows repeat, skip and come out of order.
+        let x = Matrix::from_vec(3, 1, vec![1., 10., 100.]);
+        let pairs = [(2, 0), (0, 1), (2, 1), (2, 1)];
+        let (mut out, mut counts) = (Matrix::default(), Vec::new());
+        segment_mean(&x, pairs.iter().copied(), 2, &mut out, &mut counts);
+        assert_eq!(out.data(), &[100., 67.]);
+        let mut d_x = Matrix::zeros(3, 1);
+        let grad = Matrix::from_vec(2, 1, vec![5., 9.]);
+        segment_mean_backward(&grad, pairs.iter().copied(), &counts, &mut d_x);
+        assert_eq!(d_x.data(), &[3., 0., 11.]);
     }
 
     #[test]
     fn segment_mean_backward_distributes_grad() {
         let g = Matrix::from_vec(2, 1, vec![2.0, 9.0]);
-        let back = segment_mean_backward(&g, &[0, 0, 1, 1, 1], 5);
+        let mut back = Matrix::zeros(5, 1);
+        segment_mean_backward(&g, edges(&[0, 0, 1, 1, 1]), &[2, 3], &mut back);
         assert_eq!(back.data(), &[1.0, 1.0, 3.0, 3.0, 3.0]);
     }
 
@@ -240,9 +278,10 @@ mod tests {
         let segments = [0usize, 1, 0];
         let x = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.1, 1.5, 0.7]);
         let upstream = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let analytic = segment_mean_backward(&upstream, &segments, 3);
+        let mut analytic = Matrix::zeros(3, 2);
+        segment_mean_backward(&upstream, edges(&segments), &[2, 1], &mut analytic);
         let f = |m: &Matrix| {
-            let y = segment_mean(m, &segments, 2);
+            let (y, _) = mean(m, &segments, 2);
             y.data()
                 .iter()
                 .zip(upstream.data())
@@ -267,33 +306,38 @@ mod tests {
     #[test]
     fn segment_max_tracks_winners_and_backward_routes() {
         let x = Matrix::from_vec(3, 2, vec![1., 5., 3., 2., 0., 9.]);
-        let (out, winners) = segment_max(&x, &[0, 0, 1], 2);
+        let (mut out, mut winners) = (Matrix::default(), Vec::new());
+        segment_max(&x, edges(&[0, 0, 1]), 2, &mut out, &mut winners);
         assert_eq!(out.row(0), &[3., 5.]);
         assert_eq!(out.row(1), &[0., 9.]);
         assert_eq!(winners, vec![1, 0, 2, 2]);
         let g = Matrix::from_vec(2, 2, vec![10., 20., 30., 40.]);
-        let back = segment_max_backward(&g, &winners, 3);
+        let mut back = Matrix::zeros(3, 2);
+        segment_max_backward(&g, edges(&[0, 0, 1]), &winners, &mut back);
         assert_eq!(back.data(), &[0., 20., 10., 0., 30., 40.]);
     }
 
     #[test]
     fn segment_max_empty_segment_is_zero() {
         let x = Matrix::from_vec(1, 2, vec![4., -2.]);
-        let (out, winners) = segment_max(&x, &[1], 3);
+        let (mut out, mut winners) = (Matrix::default(), vec![7; 9]);
+        segment_max(&x, edges(&[1]), 3, &mut out, &mut winners);
         assert_eq!(out.row(0), &[0., 0.]);
         assert_eq!(out.row(1), &[4., -2.]);
         assert_eq!(out.row(2), &[0., 0.]);
-        assert_eq!(winners[0], -1);
+        assert_eq!(winners, [-1, -1, 0, 0, -1, -1]);
     }
 
     #[test]
     fn segment_sum_and_backward_are_adjoint() {
         let x = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let segs = [0usize, 1, 1];
-        let out = segment_sum(&x, &segs, 2);
+        let mut out = Matrix::default();
+        segment_sum(&x, edges(&segs), 2, &mut out);
         assert_eq!(out.row(1), &[8., 10.]);
         let g = Matrix::from_vec(2, 2, vec![1., 1., 2., 2.]);
-        let back = segment_sum_backward(&g, &segs, 3);
+        let mut back = Matrix::zeros(3, 2);
+        segment_sum_backward(&g, edges(&segs), &mut back);
         assert_eq!(back.data(), &[1., 1., 2., 2., 2., 2.]);
     }
 
