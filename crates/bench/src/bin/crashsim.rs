@@ -17,7 +17,9 @@
 //! to the last durable checkpoint with bit-identical weights, every host
 //! artifact was whole, and `storage.integrity.escaped` stayed 0.
 
-use gnndrive_bench::crashsim::{crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep};
+use gnndrive_bench::crashsim::{
+    crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep,
+};
 use gnndrive_bench::{print_table, Row};
 use gnndrive_telemetry as telemetry;
 use std::path::PathBuf;

@@ -4,6 +4,9 @@
 //! Honors the same `REPRO_*` environment knobs as the individual binaries.
 //! With defaults this takes tens of minutes on a small container; set
 //! `REPRO_MAX_BATCHES=6` and `REPRO_SCALE=0.25` for a faster pass.
+//!
+//! The experiments are sibling binaries next to this one, so build them
+//! all first: `cargo build --release -p gnndrive-bench --bins`.
 
 use std::process::Command;
 
@@ -28,12 +31,19 @@ fn main() {
     let mut failures = Vec::new();
     for exp in EXPERIMENTS {
         println!("\n########## {exp} ##########");
-        let status = Command::new(bin_dir.join(exp))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
-        if !status.success() {
-            eprintln!("{exp} FAILED: {status}");
-            failures.push(*exp);
+        match Command::new(bin_dir.join(exp)).status() {
+            Ok(status) if status.success() => {}
+            Ok(status) => {
+                eprintln!("{exp} FAILED: {status}");
+                failures.push(*exp);
+            }
+            Err(e) => {
+                eprintln!(
+                    "{exp} FAILED to launch ({e}); run \
+                     `cargo build --release -p gnndrive-bench --bins` first"
+                );
+                failures.push(*exp);
+            }
         }
     }
     if failures.is_empty() {

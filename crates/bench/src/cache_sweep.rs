@@ -18,7 +18,6 @@
 //! Belady against LRU at the tightest budget, where it is miss-dominated).
 
 use crate::scenario::{dataset_for, EnvKnobs, Scenario};
-use crate::trajectory::Regression;
 use crate::Row;
 use gnndrive_graph::{pack_features, MiniDataset};
 use gnndrive_sampling::{presample_epoch, InMemTopo, PresampleResult};
@@ -41,8 +40,8 @@ pub const CACHE_SWEEP_SCHEMA_VERSION: u64 = 1;
 pub const SWEEP_SEED: u64 = 0xCA5E;
 pub const SWEEP_EPOCH: u64 = 0;
 
-/// Mini-batches replayed per epoch (pinned, like the trajectory suite's
-/// batch count — the artifact must be comparable across machines).
+/// Mini-batches replayed per epoch (pinned: the artifact must be
+/// comparable across machines).
 pub const SWEEP_BATCHES: usize = 24;
 
 /// Resident-page budgets, as fractions of the trace's distinct pages.
@@ -55,8 +54,8 @@ pub const SWEEP_BUDGET_FRACTIONS: [f64; 3] = [0.10, 0.25, 0.50];
 /// schedule lowered onto the hot-first packed feature file.
 pub const SWEEP_POLICIES: [&str; 3] = ["lru", "belady", "belady_packed"];
 
-/// The pinned experimental point: the trajectory suite's Twitter analog
-/// with two-hop fanouts and small batches, over `profile`.
+/// The pinned experimental point: the Twitter analog at scale 0.05 with
+/// two-hop fanouts and small batches, over `profile`.
 fn sweep_scenario(profile: SsdProfile) -> Scenario {
     let knobs = EnvKnobs {
         scale: 0.05,
@@ -237,7 +236,10 @@ pub fn run_sweep_with_profile(profile: SsdProfile) -> Result<SweepOutcome, Strin
     trace_meta
         .set("accesses", (trace.len() as u64).into())
         .set("unique_pages", (unique as u64).into())
-        .set("packed_unique_pages", (packed_trace.unique_pages() as u64).into())
+        .set(
+            "packed_unique_pages",
+            (packed_trace.unique_pages() as u64).into(),
+        )
         .set("batches", (pre.batches.len() as u64).into());
     let mut doc = Json::obj();
     doc.set("schema_version", CACHE_SWEEP_SCHEMA_VERSION.into())
@@ -365,6 +367,27 @@ pub fn validate_cache_sweep(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// One hit-rate drop found by [`compare_cache_sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Regression {
+    pub metric: String,
+    pub baseline: f64,
+    pub current: f64,
+}
+
+impl std::fmt::Display for Regression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} regressed {:.4} -> {:.4} ({:+.0}%)",
+            self.metric,
+            self.baseline,
+            self.current,
+            (self.current / self.baseline.max(f64::MIN_POSITIVE) - 1.0) * 100.0
+        )
+    }
+}
+
 /// Diff `current` against `baseline`: a Belady (or packed-Belady) hit
 /// rate that dropped more than `epsilon` at any budget is a regression —
 /// the sweep is deterministic, so any real drop means the policy, trace
@@ -402,7 +425,6 @@ pub fn compare_cache_sweep(
             let c = result_of(cres, name).hit_rate();
             if c < b - epsilon {
                 out.push(Regression {
-                    scenario: "cache_sweep".into(),
                     metric: format!("{name}.hit_rate@{bf}"),
                     baseline: b,
                     current: c,
@@ -426,27 +448,6 @@ pub fn hit_rate_rows(doc: &Json) -> Result<Vec<Row>, String> {
             row = row.cell(format!("{:.4}", r.hit_rate()));
         }
         rows.push(row.cell(format!("{:+.4}", belady - lru)));
-    }
-    Ok(rows)
-}
-
-/// Per-budget hit-rate delta rows between two documents (for
-/// `trajectory compare`): baseline vs current Belady, and the drift.
-pub fn hit_rate_delta_rows(baseline: &Json, current: &Json) -> Result<Vec<Row>, String> {
-    let base = sweep_points(baseline)?;
-    let cur = sweep_points(current)?;
-    if base.len() != cur.len() {
-        return Err("budget count changed".into());
-    }
-    let mut rows = Vec::new();
-    for ((f, _, bres), (_, _, cres)) in base.iter().zip(&cur) {
-        let mut row = Row::new(format!("{:.0}%", f * 100.0));
-        for &name in &SWEEP_POLICIES {
-            let b = result_of(bres, name).hit_rate();
-            let c = result_of(cres, name).hit_rate();
-            row = row.cell(format!("{b:.4} -> {c:.4} ({:+.4})", c - b));
-        }
-        rows.push(row);
     }
     Ok(rows)
 }
@@ -507,7 +508,11 @@ mod tests {
         // A Belady result losing to LRU must fail validation: swap the two
         // policies' numbers at the tightest budget.
         let mut doc = out.doc.clone();
-        let budgets = doc.get("budgets").and_then(Json::as_array).unwrap().to_vec();
+        let budgets = doc
+            .get("budgets")
+            .and_then(Json::as_array)
+            .unwrap()
+            .to_vec();
         let mut point = budgets[0].clone();
         let policies = point.get("policies").unwrap().clone();
         let mut swapped = Json::obj();
@@ -560,9 +565,6 @@ mod tests {
         let regs = compare_cache_sweep(&out.doc, &worse, 0.001).unwrap();
         assert_eq!(regs.len(), 1);
         assert!(regs[0].metric.starts_with("belady.hit_rate"));
-        // The delta table renders for the same pair.
-        let rows = hit_rate_delta_rows(&out.doc, &worse).unwrap();
-        assert_eq!(rows.len(), SWEEP_BUDGET_FRACTIONS.len());
     }
 
     #[test]
@@ -571,6 +573,8 @@ mod tests {
         let rows = hit_rate_rows(&out.doc).unwrap();
         assert_eq!(rows.len(), SWEEP_BUDGET_FRACTIONS.len());
         // policy columns + delta column
-        assert!(rows.iter().all(|r| r.cells.len() == SWEEP_POLICIES.len() + 1));
+        assert!(rows
+            .iter()
+            .all(|r| r.cells.len() == SWEEP_POLICIES.len() + 1));
     }
 }

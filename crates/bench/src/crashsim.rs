@@ -266,7 +266,8 @@ pub fn run_crash_sweep(seed: u64, scratch: &Path) -> Result<CrashSweepOutcome, S
         let mut r = sweep_pipeline(&ds)?;
         let (slot_idx, ck) = TrainCheckpoint::recover_from_ssd(&ds.ssd, &slots)
             .ok_or_else(|| format!("schedule {k}: no durable checkpoint (slot 0 must survive)"))?;
-        r.restore(&ck).map_err(|e| format!("schedule {k}: restore: {e}"))?;
+        r.restore(&ck)
+            .map_err(|e| format!("schedule {k}: restore: {e}"))?;
         let resumed_chunk = ck.next_batch as usize / SWEEP_CHUNK_BATCHES;
         debug_assert_eq!(resumed_chunk, slot_idx, "slot index encodes the chunk");
         if resumed_chunk < SWEEP_CHUNKS {

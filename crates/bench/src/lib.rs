@@ -27,15 +27,14 @@ pub mod crashsim;
 pub mod report;
 pub mod scenario;
 pub mod serving;
-pub mod trajectory;
 
 pub use artifacts::{
     collect_report, report_dir, scenario_desc, slug, write_report, PIPELINE_STAGES,
 };
 pub use cache_sweep::{
-    compare_cache_sweep, hit_rate_delta_rows, hit_rate_rows, run_sweep, sweep_path,
-    trace_artifact_path, validate_cache_sweep, SweepOutcome, CACHE_SWEEP_SCHEMA_VERSION,
-    SWEEP_BUDGET_FRACTIONS, SWEEP_POLICIES,
+    compare_cache_sweep, hit_rate_rows, run_sweep, sweep_path, trace_artifact_path,
+    validate_cache_sweep, SweepOutcome, CACHE_SWEEP_SCHEMA_VERSION, SWEEP_BUDGET_FRACTIONS,
+    SWEEP_POLICIES,
 };
 pub use crashsim::{
     crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep, CrashSweepOutcome,

@@ -68,8 +68,7 @@ pub struct Scenario {
     /// Override GNNDrive's feature-buffer slot count (Fig 12 sweeps it).
     pub fb_slots_override: Option<usize>,
     /// Run GNNDrive's synchronous-extraction ablation instead of the
-    /// asynchronous two-phase path (§4.2; the trajectory suite exercises
-    /// attribution under both extractor modes).
+    /// asynchronous two-phase path (§4.2).
     pub sync_extract: bool,
 }
 
@@ -123,8 +122,7 @@ impl Scenario {
             // The SimSsd lives inside the cached Dataset, so the profile
             // must be part of the key — otherwise a scenario's `ssd`
             // override is silently dropped whenever an earlier scenario
-            // already built the same graph (the trajectory suite mixes
-            // profiles over one graph).
+            // already built the same graph with another profile.
             format!("{}:{}", self.ssd.name, self.ssd.read_latency.as_nanos()),
         )
     }

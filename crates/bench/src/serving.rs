@@ -112,7 +112,10 @@ impl ServingMixedReport {
                 ));
             }
             if self.serve.failed > 0 {
-                v.push(format!("{} requests failed on a clean stack", self.serve.failed));
+                v.push(format!(
+                    "{} requests failed on a clean stack",
+                    self.serve.failed
+                ));
             }
         }
         v
@@ -125,10 +128,7 @@ impl ServingMixedReport {
         report.add_scalar("serve.solo_throughput", self.solo_throughput);
         report.add_scalar("serve.mixed_throughput", self.mixed_throughput);
         report.add_label("serve.chaos", if self.chaos { "on" } else { "off" });
-        report.add_label(
-            "serve.recovered",
-            if self.recovered { "yes" } else { "no" },
-        );
+        report.add_label("serve.recovered", if self.recovered { "yes" } else { "no" });
     }
 }
 

@@ -90,7 +90,10 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint slot was never published (no commit record)")
             }
             CheckpointError::Crashed { point } => {
-                write!(f, "checkpoint persistence cut by crash schedule at {point:?}")
+                write!(
+                    f,
+                    "checkpoint persistence cut by crash schedule at {point:?}"
+                )
             }
         }
     }

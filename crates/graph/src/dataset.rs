@@ -182,10 +182,26 @@ impl Dataset {
         atomic_write_file("dataset.spec", &dir.join("spec.txt"), spec_text.as_bytes())?;
         let dump_u64 = |v: &[u64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
         let dump_u32 = |v: &[u32]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
-        atomic_write_file("dataset.indptr", &dir.join("indptr.bin"), &dump_u64(&self.indptr))?;
-        atomic_write_file("dataset.labels", &dir.join("labels.bin"), &dump_u32(&self.labels))?;
-        atomic_write_file("dataset.train", &dir.join("train.bin"), &dump_u32(&self.train_idx))?;
-        atomic_write_file("dataset.val", &dir.join("val.bin"), &dump_u32(&self.val_idx))?;
+        atomic_write_file(
+            "dataset.indptr",
+            &dir.join("indptr.bin"),
+            &dump_u64(&self.indptr),
+        )?;
+        atomic_write_file(
+            "dataset.labels",
+            &dir.join("labels.bin"),
+            &dump_u32(&self.labels),
+        )?;
+        atomic_write_file(
+            "dataset.train",
+            &dir.join("train.bin"),
+            &dump_u32(&self.train_idx),
+        )?;
+        atomic_write_file(
+            "dataset.val",
+            &dir.join("val.bin"),
+            &dump_u32(&self.val_idx),
+        )?;
         // SSD images, chunked through the untimed peek path.
         for (fname, tag, handle) in [
             ("indices.bin", "dataset.indices", self.indices_file),

@@ -79,7 +79,11 @@ pub fn pack_features(
 ) -> std::io::Result<FeatureLayout> {
     let n = ds.spec.num_nodes;
     assert_eq!(freq.len(), n, "freq table must cover every node");
-    assert_eq!(first_seen.len(), n, "first_seen table must cover every node");
+    assert_eq!(
+        first_seen.len(),
+        n,
+        "first_seen table must cover every node"
+    );
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by_key(|&v| {
         (

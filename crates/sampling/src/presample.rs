@@ -278,7 +278,16 @@ mod tests {
     fn matches_live_sampler_schedule() {
         let (t, train) = topo();
         let (epoch, seed) = (2u64, 7u64);
-        let pre = presample_epoch(Arc::clone(&t), &train, 300, 16, vec![2, 2], epoch, seed, None);
+        let pre = presample_epoch(
+            Arc::clone(&t),
+            &train,
+            300,
+            16,
+            vec![2, 2],
+            epoch,
+            seed,
+            None,
+        );
         let plan = BatchPlan::new(&train, 16, epoch, seed);
         let sampler = NeighborSampler::new(t, vec![2, 2]);
         for (i, seeds) in plan.iter() {

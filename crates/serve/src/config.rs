@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn stack_rides_along() {
-        let cfg = ServeConfig::default()
-            .with_stack(StackConfig::default().with_memory_budget(1 << 20));
+        let cfg =
+            ServeConfig::default().with_stack(StackConfig::default().with_memory_budget(1 << 20));
         assert_eq!(cfg.stack.memory_budget, Some(1 << 20));
     }
 }

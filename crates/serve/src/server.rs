@@ -123,9 +123,9 @@ impl ServeReport {
         report.add_scalar("serve.failed", self.failed as f64);
         report.add_scalar("serve.batches", self.batches as f64);
         report.add_scalar("serve.slo_violations", self.slo_violations as f64);
-        report.add_stage_summary("serve.latency", self.latency.clone());
-        report.add_stage_summary("serve.queue_wait", self.queue_wait.clone());
-        report.add_stage_summary("serve.service", self.service.clone());
+        report.add_stage_summary("serve.latency", self.latency);
+        report.add_stage_summary("serve.queue_wait", self.queue_wait);
+        report.add_stage_summary("serve.service", self.service);
     }
 }
 

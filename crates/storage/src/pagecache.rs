@@ -1102,7 +1102,7 @@ mod tests {
             }
             cache.stats()
         };
-        let lru = replay(Box::new(LruPolicy::new()));
+        let lru = replay(Box::<LruPolicy>::default());
         let belady = replay(Box::new(BeladyPolicy::from_trace(&trace)));
         assert_eq!(lru.hits, 0, "cyclic scan must thrash LRU: {lru:?}");
         assert!(

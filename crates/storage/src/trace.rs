@@ -41,7 +41,10 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::BadMagic => write!(f, "not a trace artifact (bad magic)"),
             TraceError::UnsupportedVersion(v) => {
-                write!(f, "trace version {v} unsupported (expected {TRACE_VERSION})")
+                write!(
+                    f,
+                    "trace version {v} unsupported (expected {TRACE_VERSION})"
+                )
             }
             TraceError::Truncated => write!(f, "trace artifact truncated"),
         }

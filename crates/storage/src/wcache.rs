@@ -109,10 +109,13 @@ impl WriteCache {
     /// if (and only if) this is the first unflushed write to it. The
     /// snapshot must be taken *before* the write mutates the image.
     pub(crate) fn capture(&mut self, sector: u64, make: impl FnOnce() -> DirtySector) {
-        if !self.dirty.contains_key(&sector) {
-            self.dirty.insert(sector, make());
-            self.counters.sectors_dirtied.inc();
+        // Not the `entry` API: `cargo xtask deadlock` resolves calls by
+        // name and would alias it onto `FeatureBufferManager::entry`.
+        if self.dirty.contains_key(&sector) {
+            return;
         }
+        self.dirty.insert(sector, make());
+        self.counters.sectors_dirtied.inc();
     }
 
     /// Number of sectors currently dirty.

@@ -23,7 +23,6 @@
 //! supporting fractions, emitted into [`crate::RunReport`]s and the Chrome
 //! trace.
 
-use crate::json::Json;
 use crate::metrics::{histogram_ns, HistogramHandle};
 use crate::report::RunReport;
 use std::cell::Cell;
@@ -103,20 +102,6 @@ impl WaitKind {
             WaitKind::TransferWait => "core.attr.transfer_wait",
             WaitKind::ReadyWait => "core.attr.ready_wait",
             WaitKind::PageFault => "core.attr.page_fault_wait",
-        }
-    }
-
-    /// Short key used in JSON artifacts.
-    pub fn key(self) -> &'static str {
-        match self {
-            WaitKind::MemAdmission => "mem_admission",
-            WaitKind::StagingAcquire => "staging_wait",
-            WaitKind::SlotWait => "slot_wait",
-            WaitKind::RingWait => "ring_wait",
-            WaitKind::SyncRead => "sync_read_wait",
-            WaitKind::TransferWait => "transfer_wait",
-            WaitKind::ReadyWait => "ready_wait",
-            WaitKind::PageFault => "page_fault_wait",
         }
     }
 
@@ -325,23 +310,13 @@ pub enum BottleneckVerdict {
 }
 
 impl BottleneckVerdict {
-    /// Stable lowercase label used in JSON artifacts and trace spans.
+    /// Stable lowercase label used in run reports and trace spans.
     pub fn label(self) -> &'static str {
         match self {
             BottleneckVerdict::MemoryContentionBound => "memory_contention_bound",
             BottleneckVerdict::IoCongestionBound => "io_congestion_bound",
             BottleneckVerdict::ComputeBound => "compute_bound",
             BottleneckVerdict::Balanced => "balanced",
-        }
-    }
-
-    pub fn parse(label: &str) -> Option<BottleneckVerdict> {
-        match label {
-            "memory_contention_bound" => Some(BottleneckVerdict::MemoryContentionBound),
-            "io_congestion_bound" => Some(BottleneckVerdict::IoCongestionBound),
-            "compute_bound" => Some(BottleneckVerdict::ComputeBound),
-            "balanced" => Some(BottleneckVerdict::Balanced),
-            _ => None,
         }
     }
 }
@@ -438,71 +413,6 @@ pub fn aggregate(records: &[BatchAttribution]) -> AttributionReport {
 }
 
 impl AttributionReport {
-    pub fn to_json(&self) -> Json {
-        let mut waits = Json::obj();
-        for k in WaitKind::ALL {
-            waits.set(k.key(), self.waits.get(k).into());
-        }
-        let mut doc = Json::obj();
-        doc.set("batches", self.batches.into())
-            .set("wall_ns", self.wall_ns.into())
-            .set("sample_ns", self.sample_ns.into())
-            .set("queue_ns", self.queue_ns.into())
-            .set("extract_ns", self.extract_ns.into())
-            .set("extract_compute_ns", self.extract_compute_ns.into())
-            .set("train_ns", self.train_ns.into())
-            .set("waits", waits)
-            .set("io_queue_ns", self.io_queue_ns.into())
-            .set("io_service_ns", self.io_service_ns.into())
-            .set("residual_ns", self.residual_ns.into())
-            .set("mem_fraction", self.mem_fraction.into())
-            .set("io_fraction", self.io_fraction.into())
-            .set("compute_fraction", self.compute_fraction.into())
-            .set("residual_fraction", self.residual_fraction.into())
-            .set("verdict", self.verdict.label().into());
-        doc
-    }
-
-    pub fn from_json(j: &Json) -> Option<AttributionReport> {
-        let mut waits = WaitTotals::default();
-        if let Some(w) = j.get("waits") {
-            for k in WaitKind::ALL {
-                waits.add(k, w.get(k.key()).and_then(Json::as_u64).unwrap_or(0));
-            }
-        }
-        Some(AttributionReport {
-            batches: j.get("batches")?.as_u64()?,
-            wall_ns: j.get("wall_ns").and_then(Json::as_u64).unwrap_or(0),
-            sample_ns: j.get("sample_ns").and_then(Json::as_u64).unwrap_or(0),
-            queue_ns: j.get("queue_ns").and_then(Json::as_u64).unwrap_or(0),
-            extract_ns: j.get("extract_ns").and_then(Json::as_u64).unwrap_or(0),
-            extract_compute_ns: j
-                .get("extract_compute_ns")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            train_ns: j.get("train_ns").and_then(Json::as_u64).unwrap_or(0),
-            waits,
-            io_queue_ns: j.get("io_queue_ns").and_then(Json::as_u64).unwrap_or(0),
-            io_service_ns: j.get("io_service_ns").and_then(Json::as_u64).unwrap_or(0),
-            residual_ns: j.get("residual_ns").and_then(Json::as_u64).unwrap_or(0),
-            mem_fraction: j.get("mem_fraction").and_then(Json::as_f64).unwrap_or(0.0),
-            io_fraction: j.get("io_fraction").and_then(Json::as_f64).unwrap_or(0.0),
-            compute_fraction: j
-                .get("compute_fraction")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            residual_fraction: j
-                .get("residual_fraction")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            verdict: j
-                .get("verdict")
-                .and_then(Json::as_str)
-                .and_then(BottleneckVerdict::parse)
-                .unwrap_or_default(),
-        })
-    }
-
     /// Fold this report into a [`RunReport`]: cause fractions as scalars,
     /// the verdict as the `bottleneck_verdict` label.
     pub fn apply_to(&self, report: &mut RunReport) {
@@ -640,37 +550,5 @@ mod tests {
         assert_eq!(r.verdict, BottleneckVerdict::Balanced);
         assert_eq!(r.batches, 0);
         assert_eq!(r.mem_fraction, 0.0);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut w = WaitTotals::default();
-        w.add(WaitKind::RingWait, 5_000);
-        w.add(WaitKind::SlotWait, 100);
-        let r = aggregate(&[rec(w, 200, 300, 6_000)]);
-        let j = r.to_json();
-        let back = AttributionReport::from_json(&j).unwrap();
-        assert_eq!(back.verdict, r.verdict);
-        assert_eq!(back.batches, r.batches);
-        assert_eq!(back.waits, r.waits);
-        assert!((back.io_fraction - r.io_fraction).abs() < 1e-12);
-        // Artifacts written before a wait kind existed parse with it at 0.
-        let mut old = Json::obj();
-        old.set("batches", 1u64.into()).set("waits", Json::obj());
-        let back = AttributionReport::from_json(&old).unwrap();
-        assert_eq!(back.waits.get(WaitKind::PageFault), 0);
-    }
-
-    #[test]
-    fn verdict_labels_round_trip() {
-        for v in [
-            BottleneckVerdict::MemoryContentionBound,
-            BottleneckVerdict::IoCongestionBound,
-            BottleneckVerdict::ComputeBound,
-            BottleneckVerdict::Balanced,
-        ] {
-            assert_eq!(BottleneckVerdict::parse(v.label()), Some(v));
-        }
-        assert_eq!(BottleneckVerdict::parse("nope"), None);
     }
 }

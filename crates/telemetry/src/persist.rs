@@ -149,7 +149,9 @@ mod tests {
     use crate::TEST_GATE;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("gnndrive-persist-test").join(name);
+        let dir = std::env::temp_dir()
+            .join("gnndrive-persist-test")
+            .join(name);
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
@@ -183,7 +185,12 @@ mod tests {
         let schedule = crash::stop_recording();
         assert_eq!(
             schedule,
-            vec!["test.art.begin", "test.art.tmp", "test.art.sync", "test.art.publish"]
+            vec![
+                "test.art.begin",
+                "test.art.tmp",
+                "test.art.sync",
+                "test.art.publish"
+            ]
         );
 
         for cut_at in 0..schedule.len() as u64 {

@@ -3,8 +3,8 @@
 //! Every repro binary (and the end-to-end tests) can assemble a
 //! [`RunReport`] — a metrics snapshot, per-stage latency percentiles, the
 //! monitor's utilization series, and free-form scalars — and write it as a
-//! JSON artifact next to the existing text tables. Reports from successive
-//! PRs form a perf trajectory that tooling can diff without scraping text.
+//! JSON artifact next to the existing text tables, which tests and tooling
+//! read back through [`RunReport::parse`] instead of scraping text.
 
 use crate::json::Json;
 use crate::metrics::{HistSummary, MetricsSnapshot};
@@ -187,8 +187,8 @@ impl RunReport {
     ///
     /// The write is crash-atomic: the full JSON is staged to a durable
     /// temp file first and hard-linked into its final name, so a crash at
-    /// any instant leaves either a complete artifact or none — never the
-    /// truncated `.json` that used to poison `trajectory compare`.
+    /// any instant leaves either a complete artifact or none — never a
+    /// truncated `.json` that a later [`RunReport::parse`] would reject.
     pub fn write_to_dir(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let bytes = self.to_json().to_json_string().into_bytes();

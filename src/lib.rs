@@ -65,8 +65,8 @@ pub mod prelude {
 
     // Concurrency hygiene and telemetry.
     pub use gnndrive_sync::{LockRank, OrderedMutex};
-    pub use gnndrive_telemetry::{atomic_write_file, CrashCut, Json, Monitor, RunReport};
     /// Free-function telemetry entry points (`telemetry::counter(..)`, …)
     /// under the name programs already use.
     pub use gnndrive_telemetry as telemetry;
+    pub use gnndrive_telemetry::{atomic_write_file, CrashCut, Json, Monitor, RunReport};
 }

@@ -418,7 +418,8 @@ fn power_cut_composed_with_corruption_storm_and_tripped_breaker_recovers() {
     assert!(first.error.is_none(), "{:?}", first.error);
     let ck = victim.checkpoint(0, 6);
     let slot = ds.ssd.create_file(8 + ck.to_bytes().len() as u64);
-    ck.write_to_slot(&ds.ssd, slot).expect("published checkpoint");
+    ck.write_to_slot(&ds.ssd, slot)
+        .expect("published checkpoint");
 
     // The device turns hostile: every read faults, the window fills, the
     // breaker opens, and the rest of the epoch fails fast instead of

@@ -203,7 +203,8 @@ fn dataset_save_cuts_never_expose_partial_artifacts() {
     ds.save_to_dir(&clean).expect("clean save");
 
     telemetry::crash::start_recording();
-    ds.save_to_dir(&root.join("record")).expect("recording save");
+    ds.save_to_dir(&root.join("record"))
+        .expect("recording save");
     let schedule = telemetry::crash::stop_recording();
     // 7 artifacts (spec, indptr, labels, train, val, indices, features)
     // × 4 stage points each.
@@ -228,8 +229,7 @@ fn dataset_save_cuts_never_expose_partial_artifacts() {
             let got = fs::read(entry.path()).expect("artifact bytes");
             let want = fs::read(clean.join(&name)).expect("clean counterpart");
             assert_eq!(
-                got,
-                want,
+                got, want,
                 "cut {cut_at} ({}) left {name} partial",
                 schedule[cut_at as usize]
             );

@@ -205,43 +205,37 @@ pub fn summaries(model: &Model, cg: &CallGraph) -> Summaries {
         for (fid, f) in model.fns.iter().enumerate() {
             for (ei, ev) in f.events.iter().enumerate() {
                 match ev {
-                    Event::Block { what, line } => {
-                        if blocks[fid].is_none() {
-                            blocks[fid] = Some(Witness {
-                                what: what.clone(),
-                                line: *line,
-                                via: None,
-                            });
-                            changed = true;
-                        }
+                    Event::Block { what, line } if blocks[fid].is_none() => {
+                        blocks[fid] = Some(Witness {
+                            what: what.clone(),
+                            line: *line,
+                            via: None,
+                        });
+                        changed = true;
                     }
-                    Event::CondvarWait { line, .. } => {
-                        if blocks[fid].is_none() {
-                            blocks[fid] = Some(Witness {
-                                what: "condvar wait".into(),
-                                line: *line,
-                                via: None,
-                            });
-                            changed = true;
-                        }
+                    Event::CondvarWait { line, .. } if blocks[fid].is_none() => {
+                        blocks[fid] = Some(Witness {
+                            what: "condvar wait".into(),
+                            line: *line,
+                            via: None,
+                        });
+                        changed = true;
                     }
                     Event::Acquire {
                         lock,
                         blocking,
                         line,
                         ..
-                    } => {
-                        if !acquires[fid].contains_key(lock) {
-                            acquires[fid].insert(
-                                *lock,
-                                Acq {
-                                    line: *line,
-                                    via: None,
-                                    blocking: *blocking,
-                                },
-                            );
-                            changed = true;
-                        }
+                    } if !acquires[fid].contains_key(lock) => {
+                        acquires[fid].insert(
+                            *lock,
+                            Acq {
+                                line: *line,
+                                via: None,
+                                blocking: *blocking,
+                            },
+                        );
+                        changed = true;
                     }
                     Event::Call { line, .. } => {
                         let Some(callees) = cg.resolved[fid].get(&ei) else {

@@ -61,12 +61,14 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The gutter widens with the line number, as rustc's does.
+        let w = self.line.to_string().len().max(2);
         writeln!(f, "error[{}]: {}", self.rule, self.message)?;
-        writeln!(f, "  --> {}:{}:{}", self.path, self.line, self.col)?;
-        writeln!(f, "   |")?;
-        writeln!(f, "{:>2} | {}", self.line % 100, self.snippet)?;
-        writeln!(f, "   |")?;
-        writeln!(f, "   = help: {}", self.help)
+        writeln!(f, "{:w$}--> {}:{}:{}", "", self.path, self.line, self.col)?;
+        writeln!(f, "{:w$} |", "")?;
+        writeln!(f, "{:>w$} | {}", self.line, self.snippet)?;
+        writeln!(f, "{:w$} |", "")?;
+        writeln!(f, "{:w$} = help: {}", "", self.help)
     }
 }
 
@@ -317,8 +319,7 @@ fn line_col(text: &str, idx: usize) -> (usize, usize) {
     (line, col)
 }
 
-fn push_diag(
-    diags: &mut Vec<Diagnostic>,
+fn diag(
     rule: &'static str,
     message: String,
     help: &str,
@@ -326,9 +327,9 @@ fn push_diag(
     lines: &[&str],
     text: &str,
     idx: usize,
-) {
+) -> Diagnostic {
     let (line, col) = line_col(text, idx);
-    diags.push(Diagnostic {
+    Diagnostic {
         rule,
         message,
         path: path.to_string(),
@@ -336,7 +337,7 @@ fn push_diag(
         col,
         snippet: lines.get(line - 1).unwrap_or(&"").trim_end().to_string(),
         help: help.to_string(),
-    });
+    }
 }
 
 /// Replace comments and string/char literal *contents* with spaces,
@@ -431,8 +432,8 @@ pub fn blank_test_modules(stripped: &str) -> String {
         let mut depth = 0usize;
         let bytes = stripped.as_bytes();
         let mut end = open;
-        for i in open..bytes.len() {
-            match bytes[i] {
+        for (i, &b) in bytes.iter().enumerate().skip(open) {
+            match b {
                 b'{' => depth += 1,
                 b'}' => {
                     depth -= 1;
@@ -473,12 +474,11 @@ fn rule_raw_lock(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Diagnos
             .copied();
         let brace_hit = after.starts_with('{')
             && after[..after.find('}').map(|e| e + 1).unwrap_or(after.len())]
-                .split(|c: char| c == '{' || c == '}' || c == ',')
+                .split(['{', '}', ','])
                 .map(str::trim)
                 .any(|t| t == "Mutex" || t == "RwLock" || t == "Condvar");
         if let Some(t) = flagged {
-            push_diag(
-                diags,
+            diags.push(diag(
                 "raw-lock",
                 format!("raw `std::sync::{t}` outside the sync wrapper crate"),
                 HELP,
@@ -486,10 +486,9 @@ fn rule_raw_lock(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Diagnos
                 lines,
                 code,
                 idx,
-            );
+            ));
         } else if brace_hit {
-            push_diag(
-                diags,
+            diags.push(diag(
                 "raw-lock",
                 "raw `std::sync` lock import outside the sync wrapper crate".into(),
                 HELP,
@@ -497,7 +496,7 @@ fn rule_raw_lock(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Diagnos
                 lines,
                 code,
                 idx,
-            );
+            ));
         }
     }
 }
@@ -551,8 +550,7 @@ fn rule_blocking_under_lock(path: &str, code: &str, lines: &[&str], diags: &mut 
                 let pre_ok = pos == 0 || !is_ident(line.as_bytes()[pos - 1]);
                 if pre_ok && !guards.is_empty() {
                     let held: Vec<&str> = guards.iter().map(|g| g.name.as_str()).collect();
-                    push_diag(
-                        diags,
+                    diags.push(diag(
                         "blocking-under-lock",
                         format!(
                             "blocking call `{b}` while lock guard(s) [{}] are live",
@@ -563,7 +561,7 @@ fn rule_blocking_under_lock(path: &str, code: &str, lines: &[&str], diags: &mut 
                         lines,
                         code,
                         offset + pos,
-                    );
+                    ));
                 }
             }
         }
@@ -594,8 +592,7 @@ fn rule_relaxed_ordering(
         return;
     }
     for (idx, _) in code.match_indices("Ordering::Relaxed") {
-        push_diag(
-            diags,
+        diags.push(diag(
             "relaxed-ordering",
             "`Ordering::Relaxed` without an allowlist justification".into(),
             "either rewrite the site to Acquire/Release (required for flags and \
@@ -605,7 +602,7 @@ fn rule_relaxed_ordering(
             lines,
             code,
             idx,
-        );
+        ));
     }
 }
 
@@ -628,13 +625,8 @@ fn rule_fallible_sync(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Di
     }
     hits.sort_unstable();
     for dot in hits {
-        // Must actually be a call.
-        let after = dot
-            + if code[dot..].starts_with(".unwrap") {
-                7
-            } else {
-                7
-            };
+        // Must actually be a call (`.unwrap` and `.expect` are both 7 bytes).
+        let after = dot + 7;
         if bytes.get(after) != Some(&b'(') {
             continue;
         }
@@ -681,8 +673,7 @@ fn rule_fallible_sync(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Di
             j > 0 && bytes[j - 1] == b'.'
         };
         if preceded_by_dot && METHODS.contains(&method) {
-            push_diag(
-                diags,
+            diags.push(diag(
                 "fallible-sync",
                 format!("`.{method}(..)` result unwrapped in library code"),
                 "propagate the failure (return an error, record it, or break the \
@@ -692,7 +683,7 @@ fn rule_fallible_sync(path: &str, code: &str, lines: &[&str], diags: &mut Vec<Di
                 lines,
                 code,
                 dot,
-            );
+            ));
         }
     }
 }
@@ -720,8 +711,7 @@ fn rule_recovery_abort(path: &str, code: &str, lines: &[&str], diags: &mut Vec<D
             if idx > 0 && is_ident(bytes[idx - 1]) {
                 continue;
             }
-            push_diag(
-                diags,
+            diags.push(diag(
                 "recovery-abort",
                 format!("`{pat}` in a recovery-path module"),
                 HELP,
@@ -729,7 +719,7 @@ fn rule_recovery_abort(path: &str, code: &str, lines: &[&str], diags: &mut Vec<D
                 lines,
                 code,
                 idx,
-            );
+            ));
         }
     }
 }
@@ -776,8 +766,7 @@ fn rule_metric_name(
             };
             let name = &lit[..close];
             if !valid_metric_name(name) {
-                push_diag(
-                    diags,
+                diags.push(diag(
                     "metric-name",
                     format!("metric name \"{name}\" violates the registry scheme"),
                     "names are dot-separated segments of [a-z0-9_], subsystem \
@@ -786,10 +775,9 @@ fn rule_metric_name(
                     lines,
                     stripped,
                     idx,
-                );
+                ));
             } else if let Some(hint) = closed_set_violation(name) {
-                push_diag(
-                    diags,
+                diags.push(diag(
                     "metric-name",
                     format!("metric name \"{name}\" is not in its closed namespace set"),
                     hint,
@@ -797,13 +785,12 @@ fn rule_metric_name(
                     lines,
                     stripped,
                     idx,
-                );
+                ));
             }
             if CATEGORIZED_SITES.contains(&site) {
                 if let Some(cat) = second_string_literal(&lit[close + 1..]) {
                     if !SPAN_CATEGORIES.contains(&cat) {
-                        push_diag(
-                            diags,
+                        diags.push(diag(
                             "metric-name",
                             format!("span category \"{cat}\" is not a known category"),
                             "trace categories are a closed set (see \
@@ -814,7 +801,7 @@ fn rule_metric_name(
                             lines,
                             stripped,
                             idx,
-                        );
+                        ));
                     }
                 }
             }
@@ -1403,5 +1390,16 @@ mod tests {
         let rendered = d.to_string();
         assert!(rendered.contains("error[raw-lock]"));
         assert!(rendered.contains("crates/demo/src/lib.rs:2:"));
+
+        // Past line 99 the gutter shows the real line number, widened.
+        let src = "\n".repeat(1233) + "fn f() { let m = std::sync::Mutex::new(0); }\n";
+        let d = &lint(&src)[0];
+        assert_eq!(d.line, 1234);
+        let rendered = d.to_string();
+        assert!(
+            rendered.contains("\n1234 | fn f()"),
+            "gutter must print line 1234:\n{rendered}"
+        );
+        assert!(rendered.contains("\n     |\n"), "{rendered}");
     }
 }
