@@ -166,10 +166,9 @@ impl AccessTrace {
 
     /// Load an artifact from `path`, rejecting foreign or stale formats.
     ///
-    /// Named `load_from` (not `load`) so the name-based deadlock analyzer
-    /// never confuses it with atomic `.load()` calls: this method takes
-    /// telemetry locks, and aliasing it into lock-holding atomic reads
-    /// would fabricate lock-order-inversion findings.
+    /// This takes telemetry locks. It is an associated function (no
+    /// `self`), so `cargo xtask deadlock` never resolves a method-syntax
+    /// `.load()` call, such as an atomic read under a guard, to it.
     pub fn load_from(path: &Path) -> Result<Self, TraceError> {
         let bytes = std::fs::read(path)?;
         let trace = Self::from_bytes(&bytes)?;

@@ -31,6 +31,7 @@
 //! `sectors_kept`, `sectors_dropped`, `sectors_torn`.
 
 use gnndrive_telemetry as telemetry;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use telemetry::Counter;
 
@@ -109,13 +110,10 @@ impl WriteCache {
     /// if (and only if) this is the first unflushed write to it. The
     /// snapshot must be taken *before* the write mutates the image.
     pub(crate) fn capture(&mut self, sector: u64, make: impl FnOnce() -> DirtySector) {
-        // Not the `entry` API: `cargo xtask deadlock` resolves calls by
-        // name and would alias it onto `FeatureBufferManager::entry`.
-        if self.dirty.contains_key(&sector) {
-            return;
+        if let Entry::Vacant(slot) = self.dirty.entry(sector) {
+            slot.insert(make());
+            self.counters.sectors_dirtied.inc();
         }
-        self.dirty.insert(sector, make());
-        self.counters.sectors_dirtied.inc();
     }
 
     /// Number of sectors currently dirty.

@@ -1,14 +1,9 @@
-//! Regression fixture for the lint's known false-negative class
-//! (ISSUE 8, satellite 1).
+//! Helper-returned guard fixture for `cargo xtask deadlock`.
 //!
 //! The guard is acquired through an accessor — `lock_state()` returns the
-//! `OrderedMutexGuard` — so the token-level `blocking-under-lock` rule in
-//! `lint.rs`, which keys on literal `.lock()` / `.read()` / `.write()`
-//! receivers, never sees an acquisition in `slow_update`'s scope. The
-//! interprocedural pass models `returns_guard` helpers as acquisitions at
-//! the call site and must flag the sleep. Tests assert BOTH behaviours:
-//! the lint stays silent (documenting the gap) and the deadlock analyzer
-//! is the enforcing check.
+//! `OrderedMutexGuard` — so no literal `.lock()` appears in
+//! `slow_update`'s scope. The analyzer models `returns_guard` helpers as
+//! acquisitions at the call site and must flag the sleep.
 
 use gnndrive_sync::{LockRank, OrderedMutex, OrderedMutexGuard};
 

@@ -1,26 +1,33 @@
 //! Workspace call graph and interprocedural summaries for
 //! `cargo xtask deadlock`.
 //!
-//! Resolution is name-based and deliberately conservative (a *may*-call
-//! relation):
+//! Resolution is a conservative *may*-call relation that uses a method
+//! call's receiver type wherever the source states it ([`Recv`]):
 //!
-//! * `self.helper(..)` — methods named `helper` on the caller's own impl
-//!   type when any exist, otherwise every method named `helper`;
-//! * `recv.method(..)` — every workspace method named `method`, which
+//! * `recv.method(..)` with a stated workspace type — that type's own
+//!   methods named `method` (`self` is the caller's impl type; a field,
+//!   an annotated param or `let`, or a guard on a lock whose inner type is
+//!   declared, is its stated type). A type without such a method falls
+//!   back to every impl (trait defaults, blanket impls);
+//! * `recv.method(..)` on a concrete non-workspace type (`HashMap`,
+//!   `[u8]`, `AtomicU64`) — no callee;
+//! * `recv.method(..)` on a generic, `impl Trait`, `dyn Trait` or
+//!   unannotated receiver — every workspace method named `method`, which
 //!   subsumes trait-object dispatch ("may call any impl") and calls made
 //!   through prelude/facade re-exports (re-exports don't rename);
-//! * `Type::assoc(..)` — methods named `assoc` on impl type `Type` only;
+//! * `Type::assoc(..)` — functions named `assoc` on impl type `Type` only;
 //! * `module::free(..)` / `free(..)` — free functions named `free`.
 //!
-//! Unresolvable names (std, external crates) simply have no candidates.
-//! On top of the graph a fixpoint computes two summaries per function:
-//! *may-block* (a blocking op is reachable) and *may-acquire* (the set of
-//! locks transitively acquired), each carrying a witness link so
-//! diagnostics can print the full call chain rustc-style.
+//! Method syntax reaches only functions that take `self`. Unresolvable
+//! names (std, external crates) simply have no candidates. On top of the
+//! graph a fixpoint computes two summaries per function: *may-block* (a
+//! blocking op is reachable) and *may-acquire* (the set of locks
+//! transitively acquired), each carrying a witness link so diagnostics
+//! can print the full call chain rustc-style.
 
 use std::collections::HashMap;
 
-use crate::model::{Event, FnId, LockId, Model};
+use crate::model::{Event, FnDef, FnId, LockId, Model, Recv};
 
 pub struct CallGraph {
     /// Per function: resolved callees keyed by event index.
@@ -42,24 +49,13 @@ pub fn build(model: &Model) -> CallGraph {
         let mut map: HashMap<usize, Vec<FnId>> = HashMap::new();
         for (ei, ev) in f.events.iter().enumerate() {
             let Event::Call {
-                name,
-                qual,
-                method,
-                recv_self,
-                ..
+                name, qual, recv, ..
             } = ev
             else {
                 continue;
             };
             stats.call_sites += 1;
-            let callees = resolve(
-                model,
-                f.impl_type.as_deref(),
-                name,
-                qual.as_deref(),
-                *method,
-                *recv_self,
-            );
+            let callees = resolve(model, name, qual.as_deref(), recv.as_ref());
             if !callees.is_empty() {
                 stats.resolved_sites += 1;
                 stats.edges += callees.len();
@@ -71,41 +67,28 @@ pub fn build(model: &Model) -> CallGraph {
     CallGraph { resolved, stats }
 }
 
-fn resolve(
-    model: &Model,
-    caller_impl: Option<&str>,
-    name: &str,
-    qual: Option<&str>,
-    method: bool,
-    recv_self: bool,
-) -> Vec<FnId> {
-    let candidates = model.fns_named(name);
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let by = |pred: &dyn Fn(FnId) -> bool| -> Vec<FnId> {
-        candidates.iter().copied().filter(|&id| pred(id)).collect()
+fn resolve(model: &Model, name: &str, qual: Option<&str>, recv: Option<&Recv>) -> Vec<FnId> {
+    let by = |pred: &dyn Fn(&FnDef) -> bool| -> Vec<FnId> {
+        let named = model.fns_named(name).iter().copied();
+        named.filter(|&id| pred(model.fn_def(id))).collect()
     };
-    if method {
-        if recv_self {
-            if let Some(t) = caller_impl {
-                let own = by(&|id| model.fn_def(id).impl_type.as_deref() == Some(t));
-                if !own.is_empty() {
-                    return own;
-                }
+    match (recv, qual) {
+        (Some(Recv::Foreign), _) => Vec::new(),
+        (Some(Recv::Type(t)), _) => {
+            let own = by(&|f| f.takes_self && f.impl_type.as_deref() == Some(t));
+            if own.is_empty() {
+                by(&|f| f.takes_self)
+            } else {
+                own
             }
         }
-        // May-call-any-impl: every method with this name (trait objects,
-        // unknown receiver types, prelude re-exports).
-        return by(&|id| model.fn_def(id).impl_type.is_some());
-    }
-    match qual {
-        Some(q) if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
-            // `Type::assoc(..)`: only that type's impls. No fallback — a
-            // `Vec::new(..)` must not pull in every workspace `new`.
-            by(&|id| model.fn_def(id).impl_type.as_deref() == Some(q))
+        (Some(Recv::Any), _) => by(&|f| f.takes_self),
+        // `Type::assoc(..)`: only that type's impls. No fallback — a
+        // `Vec::new(..)` must not pull in every workspace `new`.
+        (None, Some(q)) if q.starts_with(|c: char| c.is_ascii_uppercase()) => {
+            by(&|f| f.impl_type.as_deref() == Some(q))
         }
-        _ => by(&|id| model.fn_def(id).impl_type.is_none()),
+        (None, _) => by(&|f| f.impl_type.is_none()),
     }
 }
 
@@ -222,7 +205,7 @@ pub fn summaries(model: &Model, cg: &CallGraph) -> Summaries {
                         changed = true;
                     }
                     Event::Acquire {
-                        lock,
+                        lock: Some(lock),
                         blocking,
                         line,
                         ..

@@ -11,7 +11,8 @@
 //!   machine-readable `RANK_TABLE` out of that crate's source, and a unit
 //!   test over there pins the table to the enum, so neither side can
 //!   drift);
-//! * **blocking-reachability diagnostics** — a finding whenever a function
+//! * **blocking-reachability diagnostics** (`blocking-under-lock`, the
+//!   workspace's one check of this rule) — a finding whenever a function
 //!   transitively reachable while a guard is live may park the thread
 //!   (sleep, blocking SSD I/O, channel recv, thread join, `Ticket::wait`,
 //!   condvar waits), with the full call chain printed rustc-style;
@@ -20,18 +21,15 @@
 //!   construction sites naming ranks the table does not know
 //!   (`unknown-rank`).
 //!
-//! Findings can be suppressed via `xtask/deadlock-allow.toml`, which
-//! mirrors `lint-allow.toml`: every entry carries a mandatory written
-//! justification, and entries that no longer match any finding fail the
-//! run (`stale-allow`) so justifications cannot rot.
+//! There is no allowlist: a false positive is fixed in the model or the
+//! resolver, never suppressed.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt;
 use std::path::Path;
 
 use crate::callgraph::{self, CallGraph, Summaries};
-use crate::lint;
-use crate::model::{Event, FnDef, FnId, LockId, Model};
+use crate::model::{self, Event, FnDef, FnId, LockId, Model};
+use crate::{ChainStep, Diagnostic};
 
 // --------------------------------------------------------------------------
 // rank table
@@ -90,144 +88,7 @@ pub fn parse_rank_table(sync_src: &str) -> Result<Vec<(String, u8)>, String> {
 }
 
 // --------------------------------------------------------------------------
-// allowlist
-
-/// One justified suppression in `xtask/deadlock-allow.toml`.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    pub rule: String,
-    pub path: String,
-    /// Qualified function name (`Type::fn`); omitted = any in the file.
-    pub function: Option<String>,
-    pub reason: String,
-    /// 1-based line of the `[[allow]]` header, for stale-allow diagnostics.
-    pub line: usize,
-}
-
-#[derive(Debug, Default, Clone)]
-pub struct DeadlockAllow {
-    pub entries: Vec<AllowEntry>,
-}
-
-impl DeadlockAllow {
-    /// Minimal TOML subset: `[[allow]]` tables with string keys `rule`,
-    /// `path`, optional `function`, and a mandatory non-trivial `reason`.
-    pub fn parse(text: &str) -> Result<DeadlockAllow, String> {
-        struct Partial {
-            rule: Option<String>,
-            path: Option<String>,
-            function: Option<String>,
-            reason: Option<String>,
-            line: usize,
-        }
-        let mut out = DeadlockAllow::default();
-        let mut cur: Option<Partial> = None;
-        let flush = |cur: &mut Option<Partial>, out: &mut DeadlockAllow| -> Result<(), String> {
-            if let Some(p) = cur.take() {
-                let rule = p.rule.ok_or("[[allow]] entry missing `rule`")?;
-                let path = p.path.ok_or("[[allow]] entry missing `path`")?;
-                let reason = p.reason.ok_or("[[allow]] entry missing `reason`")?;
-                if reason.trim().len() < 10 {
-                    return Err(format!(
-                        "[[allow]] entry for {path}: `reason` must be a real justification"
-                    ));
-                }
-                out.entries.push(AllowEntry {
-                    rule,
-                    path,
-                    function: p.function,
-                    reason,
-                    line: p.line,
-                });
-            }
-            Ok(())
-        };
-        for (no, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[allow]]" {
-                flush(&mut cur, &mut out)?;
-                cur = Some(Partial {
-                    rule: None,
-                    path: None,
-                    function: None,
-                    reason: None,
-                    line: no + 1,
-                });
-                continue;
-            }
-            let (key, val) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = \"value\"`", no + 1))?;
-            let val = val
-                .trim()
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("line {}: value must be a quoted string", no + 1))?;
-            let entry = cur
-                .as_mut()
-                .ok_or_else(|| format!("line {}: key outside [[allow]] table", no + 1))?;
-            match key.trim() {
-                "rule" => entry.rule = Some(val.to_string()),
-                "path" => entry.path = Some(val.to_string()),
-                "function" => entry.function = Some(val.to_string()),
-                "reason" => entry.reason = Some(val.to_string()),
-                other => return Err(format!("line {}: unknown key `{other}`", no + 1)),
-            }
-        }
-        flush(&mut cur, &mut out)?;
-        Ok(out)
-    }
-}
-
-// --------------------------------------------------------------------------
 // findings
-
-#[derive(Debug, Clone)]
-pub struct ChainStep {
-    pub path: String,
-    pub line: usize,
-    pub note: String,
-}
-
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// `lock-order-inversion`, `lock-cycle`, `blocking-under-lock`,
-    /// `unknown-rank`, or `stale-allow`.
-    pub rule: &'static str,
-    pub path: String,
-    pub line: usize,
-    /// Qualified name of the function the finding anchors to.
-    pub function: String,
-    pub message: String,
-    /// Interprocedural witness, outermost frame first.
-    pub chain: Vec<ChainStep>,
-    pub help: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "error[{}]: {}", self.rule, self.message)?;
-        writeln!(
-            f,
-            "  --> {}:{} (in `{}`)",
-            self.path, self.line, self.function
-        )?;
-        for (i, step) in self.chain.iter().enumerate() {
-            writeln!(
-                f,
-                "   = note[{}]: {}:{}: {}",
-                i + 1,
-                step.path,
-                step.line,
-                step.note
-            )?;
-        }
-        writeln!(f, "   = help: {}", self.help)
-    }
-}
 
 /// One lock-order edge: `dst` acquired while a guard on `src` may be live.
 #[derive(Debug, Clone)]
@@ -262,8 +123,7 @@ pub struct Analysis {
     /// `(name, file, line, ranks)` per lock, indexed by [`LockId`].
     pub locks: Vec<(String, String, usize, Vec<String>)>,
     pub edges: Vec<Edge>,
-    pub findings: Vec<Finding>,
-    pub suppressed: Vec<(Finding, String)>,
+    pub findings: Vec<Diagnostic>,
     pub stats: AnalysisStats,
 }
 
@@ -326,17 +186,42 @@ impl Ctx<'_> {
 }
 
 struct Sink {
-    findings: Vec<Finding>,
+    findings: Vec<Diagnostic>,
     edges: Vec<Edge>,
     edge_seen: HashSet<(LockId, LockId, String, usize)>,
     finding_seen: HashSet<(&'static str, String, usize)>,
 }
 
 impl Sink {
-    fn push_finding(&mut self, f: Finding) {
-        if self.finding_seen.insert((f.rule, f.path.clone(), f.line)) {
-            self.findings.push(f);
+    /// Record `d` once per `(rule, path, line)`.
+    fn push(&mut self, d: Diagnostic) {
+        if self.finding_seen.insert((d.rule, d.path.clone(), d.line)) {
+            self.findings.push(d);
         }
+    }
+}
+
+/// A finding anchored at `line` of function `f`.
+fn in_fn(
+    rule: &'static str,
+    f: &FnDef,
+    line: usize,
+    message: String,
+    chain: Vec<ChainStep>,
+) -> Diagnostic {
+    let help = match rule {
+        "lock-order-inversion" => HELP_INVERSION,
+        _ => HELP_BLOCKING,
+    };
+    Diagnostic {
+        rule,
+        message,
+        path: f.file.clone(),
+        line,
+        function: f.qname.clone(),
+        chain,
+        help: help.to_string(),
+        ..Diagnostic::default()
     }
 }
 
@@ -400,21 +285,14 @@ fn note_acquire(
                         });
                     }
                 }
-                sink.push_finding(Finding {
-                    rule: "lock-order-inversion",
-                    path: f.file.clone(),
-                    line,
-                    function: f.qname.clone(),
-                    message: format!(
-                        "`{}` (rank {}) acquired while holding [{}] — violates the \
-                         LockRank lattice (new rank must be <= every held rank)",
-                        lock_name,
-                        ctx.rank_name(nr),
-                        ctx.held_desc(std::slice::from_ref(h)),
-                    ),
-                    chain,
-                    help: HELP_INVERSION.to_string(),
-                });
+                let message = format!(
+                    "`{}` (rank {}) acquired while holding [{}] — violates the \
+                     LockRank lattice (new rank must be <= every held rank)",
+                    lock_name,
+                    ctx.rank_name(nr),
+                    ctx.held_desc(std::slice::from_ref(h)),
+                );
+                sink.push(in_fn("lock-order-inversion", f, line, message, chain));
             }
         }
     }
@@ -439,16 +317,19 @@ fn walk_fn(ctx: &Ctx<'_>, fid: FnId, sink: &mut Sink) {
             }
             Event::Acquire {
                 lock,
+                label,
                 bound,
                 blocking,
                 line,
-                ..
             } => {
-                note_acquire(ctx, f, &held, *lock, *blocking, *line, None, sink);
+                if let Some(lock) = *lock {
+                    note_acquire(ctx, f, &held, lock, *blocking, *line, None, sink);
+                }
+                // A guard on an undeclared lock is held without a rank.
                 held.push(Held {
                     name: bound.clone(),
-                    locks: vec![*lock],
-                    label: ctx.model.lock(*lock).name.clone(),
+                    locks: lock.iter().copied().collect(),
+                    label: label.clone(),
                     depth,
                     temp_line: bound.is_none().then_some(*line),
                 });
@@ -465,36 +346,22 @@ fn walk_fn(ctx: &Ctx<'_>, fid: FnId, sink: &mut Sink) {
                     }
                 }
                 if !kept.is_empty() {
-                    sink.push_finding(Finding {
-                        rule: "blocking-under-lock",
-                        path: f.file.clone(),
-                        line: *line,
-                        function: f.qname.clone(),
-                        message: format!(
-                            "condvar wait parks the thread while guard(s) [{}] stay held",
-                            ctx.held_desc(&kept)
-                        ),
-                        chain: Vec::new(),
-                        help: HELP_BLOCKING.to_string(),
-                    });
+                    let message = format!(
+                        "condvar wait parks the thread while guard(s) [{}] stay held",
+                        ctx.held_desc(&kept)
+                    );
+                    sink.push(in_fn("blocking-under-lock", f, *line, message, Vec::new()));
                 }
                 held = kept;
                 held.extend(released);
             }
             Event::Block { what, line } => {
                 if !held.is_empty() {
-                    sink.push_finding(Finding {
-                        rule: "blocking-under-lock",
-                        path: f.file.clone(),
-                        line: *line,
-                        function: f.qname.clone(),
-                        message: format!(
-                            "blocking operation `{what}` while guard(s) [{}] are live",
-                            ctx.held_desc(&held)
-                        ),
-                        chain: Vec::new(),
-                        help: HELP_BLOCKING.to_string(),
-                    });
+                    let message = format!(
+                        "blocking operation `{what}` while guard(s) [{}] are live",
+                        ctx.held_desc(&held)
+                    );
+                    sink.push(in_fn("blocking-under-lock", f, *line, message, Vec::new()));
                 }
             }
             Event::Call {
@@ -504,88 +371,74 @@ fn walk_fn(ctx: &Ctx<'_>, fid: FnId, sink: &mut Sink) {
                 line,
                 ..
             } => {
-                let callees = ctx.cg.resolved[fid].get(&ei);
-                if let Some(callees) = callees {
-                    if !held.is_empty() {
-                        // Blocking reachability through the call.
-                        if let Some(&c) = callees.iter().find(|&&c| ctx.sums.blocks[c].is_some()) {
-                            let mut chain = vec![ChainStep {
-                                path: f.file.clone(),
-                                line: *line,
-                                note: format!(
-                                    "`{}` calls `{}` while holding [{}]",
-                                    f.qname,
-                                    ctx.model.fn_def(c).qname,
-                                    ctx.held_desc(&held)
-                                ),
-                            }];
-                            let mut terminal = String::new();
-                            for (cfid, l, note) in ctx.sums.block_chain(ctx.model, c) {
-                                let cf = ctx.model.fn_def(cfid);
-                                chain.push(ChainStep {
-                                    path: cf.file.clone(),
-                                    line: l,
-                                    note: format!("`{}` {note}", cf.qname),
-                                });
-                                terminal = note;
-                            }
-                            sink.push_finding(Finding {
-                                rule: "blocking-under-lock",
-                                path: f.file.clone(),
-                                line: *line,
-                                function: f.qname.clone(),
-                                message: format!(
-                                    "call to `{}` may block ({}) while guard(s) [{}] are live",
-                                    ctx.model.fn_def(c).qname,
-                                    terminal.trim_start_matches("blocks in "),
-                                    ctx.held_desc(&held)
-                                ),
-                                chain,
-                                help: HELP_BLOCKING.to_string(),
+                let callees = ctx.cg.resolved[fid].get(&ei).map_or(&[][..], Vec::as_slice);
+                if !held.is_empty() {
+                    // Blocking reachability through the call.
+                    if let Some(&c) = callees.iter().find(|&&c| ctx.sums.blocks[c].is_some()) {
+                        let mut chain = vec![ChainStep {
+                            path: f.file.clone(),
+                            line: *line,
+                            note: format!(
+                                "`{}` calls `{}` while holding [{}]",
+                                f.qname,
+                                ctx.model.fn_def(c).qname,
+                                ctx.held_desc(&held)
+                            ),
+                        }];
+                        let mut terminal = String::new();
+                        for (cfid, l, note) in ctx.sums.block_chain(ctx.model, c) {
+                            let cf = ctx.model.fn_def(cfid);
+                            chain.push(ChainStep {
+                                path: cf.file.clone(),
+                                line: l,
+                                note: format!("`{}` {note}", cf.qname),
                             });
+                            terminal = note;
                         }
-                        // Locks acquired inside the callees extend the
-                        // lock-order graph from every held lock.
-                        for &c in callees {
-                            let mut acqs: Vec<(LockId, bool, usize)> = ctx.sums.acquires[c]
-                                .iter()
-                                .map(|(l, a)| (*l, a.blocking, a.line))
-                                .collect();
-                            acqs.sort_unstable();
-                            for (l, blocking, _) in acqs {
-                                note_acquire(ctx, f, &held, l, blocking, *line, Some(c), sink);
-                            }
+                        let message = format!(
+                            "call to `{}` may block ({}) while guard(s) [{}] are live",
+                            ctx.model.fn_def(c).qname,
+                            terminal.trim_start_matches("blocks in "),
+                            ctx.held_desc(&held)
+                        );
+                        sink.push(in_fn("blocking-under-lock", f, *line, message, chain));
+                    }
+                    // Locks acquired inside the callees extend the
+                    // lock-order graph from every held lock.
+                    for &c in callees {
+                        let mut acqs: Vec<(LockId, bool, usize)> = ctx.sums.acquires[c]
+                            .iter()
+                            .map(|(l, a)| (*l, a.blocking, a.line))
+                            .collect();
+                        acqs.sort_unstable();
+                        for (l, blocking, _) in acqs {
+                            note_acquire(ctx, f, &held, l, blocking, *line, Some(c), sink);
                         }
                     }
-                    // Guard-returning helpers: the call *is* an acquisition
-                    // (the lint's known false-negative class).
-                    let guard_callees: Vec<FnId> = callees
-                        .iter()
-                        .copied()
-                        .filter(|&c| ctx.model.fn_def(c).returns_guard)
-                        .collect();
-                    for m in moved {
-                        held.retain(|h| h.name.as_deref() != Some(m.as_str()));
+                }
+                // By-value guard arguments move out of our held set, into a
+                // workspace callee or an unresolved one alike.
+                for m in moved {
+                    held.retain(|h| h.name.as_deref() != Some(m.as_str()));
+                }
+                // Guard-returning helpers: the call *is* an acquisition.
+                let guard_callees: Vec<FnId> = callees
+                    .iter()
+                    .copied()
+                    .filter(|&c| ctx.model.fn_def(c).returns_guard)
+                    .collect();
+                if !guard_callees.is_empty() {
+                    let mut locks: BTreeSet<LockId> = BTreeSet::new();
+                    for &c in &guard_callees {
+                        locks.extend(ctx.sums.acquires[c].keys().copied());
                     }
-                    if !guard_callees.is_empty() {
-                        let mut locks: BTreeSet<LockId> = BTreeSet::new();
-                        for &c in &guard_callees {
-                            locks.extend(ctx.sums.acquires[c].keys().copied());
-                        }
-                        held.push(Held {
-                            name: bound.clone(),
-                            locks: locks.into_iter().collect(),
-                            label: format!("{name}()"),
-                            depth,
-                            temp_line: bound.is_none().then_some(*line),
-                        });
-                    }
-                } else {
-                    // Unresolved callee (std, external): by-value guard
-                    // arguments still move out of our held set.
-                    for m in moved {
-                        held.retain(|h| h.name.as_deref() != Some(m.as_str()));
-                    }
+                    held.push(Held {
+                        name: bound.clone(),
+                        locks: locks.into_iter().collect(),
+                        label: format!("{name}()"),
+                        depth,
+                        temp_line: bound.is_none().then_some(*line),
+                    });
                 }
             }
         }
@@ -707,7 +560,7 @@ fn cycle_findings(model: &Model, edges: &[Edge], sink: &mut Sink) {
                 names.join(", ")
             )
         };
-        sink.push_finding(Finding {
+        sink.push(Diagnostic {
             rule: "lock-cycle",
             path,
             line,
@@ -717,6 +570,7 @@ fn cycle_findings(model: &Model, edges: &[Edge], sink: &mut Sink) {
             help: "pick one global order for these locks and enforce it at every site \
                    (equal-rank locks are invisible to the runtime checker)"
                 .to_string(),
+            ..Diagnostic::default()
         });
     };
     for members in sccs(n, &adj) {
@@ -735,11 +589,7 @@ fn cycle_findings(model: &Model, edges: &[Edge], sink: &mut Sink) {
 // --------------------------------------------------------------------------
 // analysis driver
 
-pub fn analyze_model(
-    model: &Model,
-    rank_table: &[(String, u8)],
-    allow: &DeadlockAllow,
-) -> Analysis {
+pub fn analyze_model(model: &Model, rank_table: &[(String, u8)]) -> Analysis {
     let cg = callgraph::build(model);
     let sums = callgraph::summaries(model, &cg);
     let ctx = Ctx {
@@ -758,7 +608,7 @@ pub fn analyze_model(
     for lock in &model.locks {
         for r in &lock.ranks {
             if !ctx.rank_of_name.contains_key(r) {
-                sink.push_finding(Finding {
+                sink.push(Diagnostic {
                     rule: "unknown-rank",
                     path: lock.file.clone(),
                     line: lock.line,
@@ -772,6 +622,7 @@ pub fn analyze_model(
                     help: "use a declared LockRank variant; if a new rank is needed, add it \
                            to the enum, RANK_TABLE and the DESIGN.md §8 lattice together"
                         .to_string(),
+                    ..Diagnostic::default()
                 });
             }
         }
@@ -782,42 +633,8 @@ pub fn analyze_model(
     let edges_snapshot = sink.edges.clone();
     cycle_findings(model, &edges_snapshot, &mut sink);
 
-    // Allowlist: split findings into kept vs suppressed, then flag stale
-    // entries so justifications cannot outlive their finding.
-    let mut used = vec![false; allow.entries.len()];
-    let mut kept: Vec<Finding> = Vec::new();
-    let mut suppressed: Vec<(Finding, String)> = Vec::new();
-    for f in sink.findings {
-        let hit = allow.entries.iter().enumerate().find(|(_, e)| {
-            e.rule == f.rule
-                && e.path == f.path
-                && e.function.as_deref().is_none_or(|func| func == f.function)
-        });
-        match hit {
-            Some((i, e)) => {
-                used[i] = true;
-                suppressed.push((f, e.reason.clone()));
-            }
-            None => kept.push(f),
-        }
-    }
-    for (e, _) in allow.entries.iter().zip(&used).filter(|(_, u)| !**u) {
-        kept.push(Finding {
-            rule: "stale-allow",
-            path: "xtask/deadlock-allow.toml".into(),
-            line: e.line,
-            function: e.function.clone().unwrap_or_else(|| "<any>".into()),
-            message: format!(
-                "allowlist entry for `{}` at {} matches no current finding",
-                e.rule, e.path
-            ),
-            chain: Vec::new(),
-            help: "the justified finding no longer exists; delete the entry (stale \
-                   justifications hide future regressions)"
-                .to_string(),
-        });
-    }
-    kept.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    let mut findings = sink.findings;
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     let mut edges = sink.edges;
     edges.sort_by(|a, b| (&a.path, a.line, a.src, a.dst).cmp(&(&b.path, b.line, b.src, b.dst)));
 
@@ -847,8 +664,7 @@ pub fn analyze_model(
             })
             .collect(),
         edges,
-        findings: kept,
-        suppressed,
+        findings,
         stats,
     }
 }
@@ -858,36 +674,8 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
     let sync_src = std::fs::read_to_string(root.join("crates/sync/src/lib.rs"))
         .map_err(|e| format!("cannot read crates/sync/src/lib.rs: {e}"))?;
     let rank_table = parse_rank_table(&sync_src)?;
-    let allow = match std::fs::read_to_string(root.join("xtask/deadlock-allow.toml")) {
-        Ok(text) => DeadlockAllow::parse(&text)?,
-        Err(_) => DeadlockAllow::default(),
-    };
-    let mut paths = Vec::new();
-    lint::collect_rs_files(&root.join("crates"), &mut paths);
-    lint::collect_rs_files(&root.join("src"), &mut paths);
-    paths.sort();
-    let mut files: Vec<(String, String)> = Vec::new();
-    for p in paths {
-        let rel = p
-            .strip_prefix(root)
-            .unwrap_or(&p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        // The sync crate implements the primitives (its internals hold raw
-        // `std::sync` locks by design); tests/benches/examples are not
-        // shipped concurrency surface.
-        if rel.starts_with("crates/sync/")
-            || rel.contains("/tests/")
-            || rel.contains("/benches/")
-            || rel.contains("/examples/")
-        {
-            continue;
-        }
-        let text = std::fs::read_to_string(&p).map_err(|e| format!("cannot read {rel}: {e}"))?;
-        files.push((rel, text));
-    }
-    let model = Model::build(&files);
-    Ok(analyze_model(&model, &rank_table, &allow))
+    let files = model::load_workspace(root)?;
+    Ok(analyze_model(&Model::build(&files), &rank_table))
 }
 
 // --------------------------------------------------------------------------
@@ -962,7 +750,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn finding_json(f: &Finding) -> String {
+fn finding_json(f: &Diagnostic) -> String {
     let chain = f
         .chain
         .iter()
@@ -988,7 +776,7 @@ fn finding_json(f: &Finding) -> String {
     )
 }
 
-/// Hand-rolled JSON artifact (`gnndrive.deadlock.v1`): the rank table, the
+/// Hand-rolled JSON artifact (`gnndrive.deadlock.v2`): the rank table, the
 /// lock-order graph, and every finding with its call chain.
 pub fn to_json(a: &Analysis) -> String {
     let rank_table = a
@@ -1043,26 +831,13 @@ pub fn to_json(a: &Analysis) -> String {
         .map(finding_json)
         .collect::<Vec<_>>()
         .join(",");
-    let suppressed = a
-        .suppressed
-        .iter()
-        .map(|(f, reason)| {
-            format!(
-                "{{\"finding\":{},\"reason\":\"{}\"}}",
-                finding_json(f),
-                json_escape(reason)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     let s = &a.stats;
     format!(
-        "{{\"schema\":\"gnndrive.deadlock.v1\",\"rank_table\":[{rank_table}],\
+        "{{\"schema\":\"gnndrive.deadlock.v2\",\"rank_table\":[{rank_table}],\
          \"stats\":{{\"files\":{},\"functions\":{},\"locks\":{},\"call_sites\":{},\
          \"resolved_call_sites\":{},\"call_edges\":{},\"unresolved_lock_receivers\":{},\
          \"dynamic_rank_sites\":{},\"lock_order_edges\":{}}},\
-         \"locks\":[{locks}],\"edges\":[{edges}],\"findings\":[{findings}],\
-         \"suppressed\":[{suppressed}]}}",
+         \"locks\":[{locks}],\"edges\":[{edges}],\"findings\":[{findings}]}}",
         s.files,
         s.functions,
         s.locks,
@@ -1081,7 +856,7 @@ pub fn to_json(a: &Analysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::{lint_source, Allowlist, FileClass};
+    use crate::model::SourceFile;
 
     /// The real lattice, as fixtures use real `LockRank` names.
     fn table() -> Vec<(String, u8)> {
@@ -1102,12 +877,8 @@ mod tests {
     }
 
     fn analyze(files: &[(&str, &str)]) -> Analysis {
-        let files: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        let model = Model::build(&files);
-        analyze_model(&model, &table(), &DeadlockAllow::default())
+        let files: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(p, s)).collect();
+        analyze_model(&Model::build(&files), &table())
     }
 
     fn rules(a: &Analysis) -> Vec<&'static str> {
@@ -1119,6 +890,7 @@ mod tests {
     const CHAIN_A: &str = include_str!("../fixtures/chain_a.rs");
     const CHAIN_B: &str = include_str!("../fixtures/chain_b.rs");
     const HELPER_GUARD: &str = include_str!("../fixtures/helper_guard.rs");
+    const RECEIVERS: &str = include_str!("../fixtures/receivers.rs");
 
     // -- seeded fixtures ---------------------------------------------------
 
@@ -1173,7 +945,7 @@ mod tests {
             .any(|s| s.path == "crates/fix_b/src/chain_b.rs"));
     }
 
-    // -- satellite 1: helper-returned guards -------------------------------
+    // -- helper-returned guards ---------------------------------------------
 
     #[test]
     fn helper_returned_guard_is_seen_interprocedurally() {
@@ -1187,26 +959,59 @@ mod tests {
         assert!(f.message.contains("lock_state()"), "{}", f.message);
     }
 
+    // -- blocking-under-lock: guard liveness --------------------------------
+
+    /// Findings for `body` inside a method of `S`, whose `inner` and `retry`
+    /// are declared locks and whose `state` is not.
+    fn blocking(body: &str) -> Vec<Diagnostic> {
+        let src = format!(
+            "use gnndrive_sync::{{LockRank, OrderedMutex}};\n\
+             pub struct S {{ inner: OrderedMutex<u64>, retry: OrderedMutex<u64>, \
+             state: Registry, ssd: Ssd }}\n\
+             impl S {{\n\
+             pub fn new() -> S {{ S {{ inner: OrderedMutex::new(LockRank::Buffer, 0),\n\
+                 retry: OrderedMutex::new(LockRank::Buffer, 0), \
+                 state: Registry::new(), ssd: Ssd::new() }} }}\n\
+             pub fn f(&self, buf: &mut [u8]) {{\n{body}\n}}\n\
+             }}\n"
+        );
+        analyze(&[("crates/fix/src/blocking.rs", &src)]).findings
+    }
+
     #[test]
-    fn lint_scope_tracker_misses_the_helper_guard_class() {
-        // Regression fixture for the known false-negative: the token-level
-        // lint cannot see a guard acquired through `lock_state()`, so the
-        // interprocedural pass above is the enforcing check for this class.
-        let class = FileClass {
-            is_test_file: false,
-            is_sync_crate: false,
-            is_recovery_path: false,
-        };
-        let diags = lint_source(
-            "crates/fix/src/helper_guard.rs",
-            HELPER_GUARD,
-            class,
-            &Allowlist::default(),
+    fn sleep_under_a_guard_on_an_undeclared_lock_is_flagged() {
+        let d = blocking("let g = self.state.lock();\nstd::thread::sleep(D);");
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].rule, "blocking-under-lock");
+        // Held, but with no rank: the receiver maps to no declared lock.
+        assert!(d[0].message.contains("[`state`]"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn blocking_ssd_read_under_a_guard_is_flagged() {
+        let d = blocking(
+            "let mut inner = self.inner.lock();\nself.ssd.read_blocking(0, 0, buf, true);",
         );
+        assert_eq!(d.len(), 1, "{d:#?}");
         assert!(
-            !diags.iter().any(|d| d.rule == "blocking-under-lock"),
-            "lint now sees helper guards; update this fixture and DESIGN.md §12"
+            d[0].message.contains("`inner` (Buffer)"),
+            "{}",
+            d[0].message
         );
+    }
+
+    #[test]
+    fn deref_copy_out_of_a_lock_is_not_a_live_guard() {
+        let body = "let policy = *self.retry.lock();\nself.ssd.read_blocking(0, 0, buf, false);";
+        assert!(blocking(body).is_empty());
+    }
+
+    #[test]
+    fn dropped_or_scoped_guards_do_not_flag() {
+        let dropped = "let g = self.state.lock();\ndrop(g);\nstd::thread::sleep(D);";
+        assert!(blocking(dropped).is_empty());
+        let scoped = "{\nlet g = self.state.lock();\n}\nstd::thread::sleep(D);";
+        assert!(blocking(scoped).is_empty());
     }
 
     // -- inversions --------------------------------------------------------
@@ -1281,12 +1086,12 @@ mod tests {
         assert!(a.edges.iter().any(|e| !e.blocking));
     }
 
-    // -- call-graph shapes (satellite 3) -----------------------------------
+    // -- call-graph shapes ------------------------------------------------
 
     #[test]
     fn method_call_through_reexport_resolves_by_name() {
         // b.rs calls `e.heavy()` on a type it imported through a prelude
-        // re-export; resolution is name-based so the re-export is invisible.
+        // re-export; re-exports don't rename, so the stated type finds it.
         let a_src = "use gnndrive_sync::{LockRank, OrderedMutex};\n\
              pub struct Engine;\n\
              impl Engine {\n\
@@ -1355,7 +1160,18 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_and_cfg_loom_bodies_are_excluded() {
+    fn stated_receiver_types_never_alias_std_namesakes() {
+        let a = analyze(&[("crates/fix/src/receivers.rs", RECEIVERS)]);
+        let count = |func: &str| a.findings.iter().filter(|f| f.function == func).count();
+        assert_eq!(count("Registry::tick"), 0, "{:#?}", a.findings);
+        // Generic and trait-object receivers still reach every impl.
+        assert_eq!(count("Registry::generic"), 1, "{:#?}", a.findings);
+        assert_eq!(count("Registry::dynamic"), 1, "{:#?}", a.findings);
+        assert_eq!(a.findings.len(), 2, "{:#?}", a.findings);
+    }
+
+    #[test]
+    fn cfg_test_bodies_are_excluded() {
         let src = "use gnndrive_sync::{LockRank, OrderedMutex};\n\
              pub struct T { m: OrderedMutex<u64> }\n\
              impl T {\n\
@@ -1364,10 +1180,6 @@ mod tests {
              }\n\
              #[cfg(test)]\nmod tests {\n\
              pub fn bad(t: &super::T) { let g = t.m.lock(); \
-             std::thread::sleep(std::time::Duration::from_millis(1)); let _ = *g; }\n\
-             }\n\
-             #[cfg(loom)]\nmod loom_model {\n\
-             pub fn also_bad(t: &super::T) { let g = t.m.lock(); \
              std::thread::sleep(std::time::Duration::from_millis(1)); let _ = *g; }\n\
              }\n";
         let a = analyze(&[("crates/fix/src/cfg.rs", src)]);
@@ -1437,45 +1249,6 @@ mod tests {
         assert!(a.findings[0].message.contains("Bogus"));
     }
 
-    // -- allowlist ---------------------------------------------------------
-
-    #[test]
-    fn allowlist_suppresses_and_flags_stale_entries() {
-        let allow = DeadlockAllow::parse(
-            "[[allow]]\nrule = \"lock-cycle\"\npath = \"crates/fix/src/cyclic.rs\"\n\
-             reason = \"seeded ABBA fixture kept on purpose for the analyzer tests\"\n\
-             [[allow]]\nrule = \"blocking-under-lock\"\npath = \"crates/gone/src/x.rs\"\n\
-             reason = \"this file was deleted two PRs ago, entry must go stale\"\n",
-        )
-        .unwrap();
-        let files = vec![("crates/fix/src/cyclic.rs".to_string(), CYCLIC.to_string())];
-        let model = Model::build(&files);
-        let a = analyze_model(&model, &table(), &allow);
-        // The cycle is suppressed with its justification...
-        assert!(a
-            .suppressed
-            .iter()
-            .any(|(f, r)| { f.rule == "lock-cycle" && r.contains("seeded ABBA") }));
-        // ...and the dangling entry surfaces as stale-allow.
-        assert_eq!(rules(&a), vec!["stale-allow"]);
-        assert_eq!(a.findings[0].path, "xtask/deadlock-allow.toml");
-    }
-
-    #[test]
-    fn allowlist_rejects_junk() {
-        assert!(DeadlockAllow::parse("[[allow]]\nrule = \"x\"\npath = \"y\"\n").is_err());
-        assert!(DeadlockAllow::parse(
-            "[[allow]]\nrule = \"x\"\npath = \"y\"\nreason = \"short\"\n"
-        )
-        .is_err());
-        assert!(DeadlockAllow::parse("rule = \"x\"\n").is_err());
-        assert!(DeadlockAllow::parse(
-            "[[allow]]\nrule = \"x\"\npath = \"y\"\nbogus = \"z\"\n\
-             reason = \"long enough reason\"\n"
-        )
-        .is_err());
-    }
-
     // -- exports -----------------------------------------------------------
 
     #[test]
@@ -1487,7 +1260,7 @@ mod tests {
         assert!(dot.contains("Buffer=6"), "{dot}");
         assert!(dot.contains("->"), "edges missing: {dot}");
         let json = to_json(&a);
-        assert!(json.contains("\"schema\":\"gnndrive.deadlock.v1\""));
+        assert!(json.contains("\"schema\":\"gnndrive.deadlock.v2\""));
         assert!(json.contains("\"rank\":\"Telemetry\",\"value\":0"));
         assert!(json.contains("\"findings\":[]"));
     }
@@ -1497,7 +1270,7 @@ mod tests {
     #[test]
     fn workspace_is_clean_and_lattice_consistent() {
         // The acceptance gate as a test: the real workspace must analyze
-        // with zero unsuppressed findings, and the emitted blocking
+        // with zero findings, and the emitted blocking
         // lock-order graph must be acyclic (cycles would have surfaced as
         // `lock-cycle` findings, so an empty findings list implies both).
         // Under cargo the manifest dir locates the workspace; the offline
@@ -1514,8 +1287,8 @@ mod tests {
         let a = run(&root).expect("workspace analysis runs");
         assert!(
             a.findings.is_empty(),
-            "workspace deadlock findings (fix them or justify in \
-             xtask/deadlock-allow.toml):\n{}",
+            "workspace deadlock findings (fix the code, or the resolver if \
+             one is a false positive):\n{}",
             a.findings
                 .iter()
                 .map(|f| f.to_string())
