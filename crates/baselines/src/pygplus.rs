@@ -18,7 +18,7 @@
 //!   training — large mini-batches OOM, as in the paper's Fig 10.
 
 use crate::common::{gather_features_mmap, seed_labels, BaselineMetrics};
-use gnndrive_core::{evaluate_model, EpochReport, TrainingSystem};
+use gnndrive_core::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::Dataset;
 use gnndrive_nn::{build_model, GnnModel, ModelKind};
@@ -298,36 +298,14 @@ impl TrainingSystem for PygPlus {
             epoch,
             self.cfg.seed,
         );
-        let batches = plan.num_batches().min(max_batches.unwrap_or(usize::MAX));
-        let sampler = Arc::new(NeighborSampler::new(
-            Arc::clone(&self.topo),
-            self.cfg.fanouts.clone(),
-        ));
-        let cursor = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..self.cfg.num_workers.max(1) {
-                let cursor = &cursor;
-                let plan = &plan;
-                let sampler = Arc::clone(&sampler);
-                let seed = self.cfg.seed;
-                std::thread::Builder::new()
-                    .name(format!("pyg-sample-{w}"))
-                    .spawn_scoped(s, move || {
-                        telemetry::register_thread(ThreadClass::Cpu);
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= batches {
-                                break;
-                            }
-                            let _busy = telemetry::state(State::Compute);
-                            let _ = sampler.sample(i as u64, plan.batch(i), seed ^ epoch);
-                        }
-                    })
-                    .expect("spawn sampler");
-            }
-        });
-        t0.elapsed()
+        let sampler = NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
+        sample_batches(
+            &sampler,
+            &plan,
+            max_batches.unwrap_or(usize::MAX),
+            self.cfg.num_workers,
+            self.cfg.seed ^ epoch,
+        )
     }
 
     fn evaluate(&mut self) -> f64 {

@@ -79,4 +79,4 @@ pub use feature_buffer::{ExtractPlan, FeatureBufferManager};
 pub use parallel::{run_data_parallel, ParallelConfig, ParallelReport, SegmentError};
 pub use pipeline::{BuildError, EpochStats, InferenceOutcome, Pipeline};
 pub use staging::StagingBuffer;
-pub use system::{evaluate_model, EpochReport, TrainingSystem};
+pub use system::{evaluate_model, sample_batches, EpochReport, TrainingSystem};

@@ -236,7 +236,7 @@ pub fn run_data_parallel(
             let sync = Arc::clone(&sync);
             handles.push(s.spawn(move || {
                 let _leave = LeaveGuard(&sync);
-                p.train_epoch_with_sync(epoch, max_batches, |m| sync.all_reduce(m))
+                p.train_epoch_range_with_sync(epoch, 0, max_batches, |m| sync.all_reduce(m))
                     .report
             }));
         }

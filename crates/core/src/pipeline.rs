@@ -16,18 +16,17 @@ use crate::error::Error;
 use crate::extractor::{extract_batch, ExtractedBatch, ExtractorContext};
 use crate::feature_buffer::FeatureBufferManager;
 use crate::staging::StagingBuffer;
-use crate::system::{evaluate_model, EpochReport, TrainingSystem};
+use crate::system::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
 use gnndrive_device::{DeviceAlloc, FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
 use gnndrive_sampling::{AsyncTopo, BatchPlan, MiniBatchSample, NeighborSampler, TopoReader};
 use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
-use gnndrive_sync::queue::{bounded, RecvTimeoutError};
-use gnndrive_sync::{LockRank, OrderedMutex};
+use gnndrive_sync::queue::bounded;
 use gnndrive_telemetry::{self as telemetry, HistSummary, State, ThreadClass};
 use gnndrive_tensor::{Adam, Matrix, Optimizer};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,6 +70,26 @@ pub struct InferenceOutcome {
     pub extract_ns: u64,
     /// Wall time of the model forward pass, in ns.
     pub forward_ns: u64,
+}
+
+/// A batch's stage-boundary stamps on the epoch clock (ns since its
+/// start), each taken once by the stage that crosses it and carried with
+/// the batch down the queues.
+#[derive(Clone, Copy, Default)]
+struct Stamps {
+    start: u64,
+    sampled: u64,
+    /// `PageFault` wait inside `start..sampled`.
+    fault_ns: u64,
+    extract_start: u64,
+    extracted: u64,
+}
+
+/// A batch whose extraction failed past recovery. It still reaches the
+/// trainer, which counts it as skipped (graceful degradation, DESIGN.md §7).
+struct Tombstone {
+    error: String,
+    stamps: Stamps,
 }
 
 /// Whether the feature buffer lives on the device or in host memory.
@@ -390,27 +409,9 @@ impl Pipeline {
         })
     }
 
-    /// Run one epoch with an optional per-step hook invoked after each
-    /// optimizer step (the data-parallel gradient synchronizer).
-    ///
-    /// Besides the [`EpochReport`], the returned [`EpochStats`] carries
-    /// per-stage batch-latency percentiles; the same distributions are also
-    /// recorded into the metrics registry (`pipeline.sample` ...), and when
-    /// tracing is enabled every batch leaves `sample`/`extract`/`train`/
-    /// `release` spans (plus `transfer` inside extraction).
-    pub fn train_epoch_with_sync(
-        &mut self,
-        epoch: u64,
-        max_batches: Option<usize>,
-        on_step: impl FnMut(&mut GnnModel) + Send,
-    ) -> EpochStats {
-        self.train_epoch_range_with_sync(epoch, 0, max_batches, on_step)
-    }
-
-    /// [`Pipeline::train_epoch_with_sync`] restricted to the batch range
-    /// `start_batch ..` of the epoch's plan — the resume path: a
-    /// checkpoint taken after batch *k* continues the epoch from batch *k*
-    /// without re-training the prefix.
+    /// [`Pipeline::train_epoch_range_with_sync`] without a step hook — the
+    /// resume path: a checkpoint taken after batch *k* continues the epoch
+    /// from batch *k* without re-training the prefix.
     pub fn train_epoch_range(
         &mut self,
         epoch: u64,
@@ -422,7 +423,19 @@ impl Pipeline {
 
     /// The general epoch driver: run batches `start_batch ..` of epoch
     /// `epoch`'s plan (at most `max_batches` of them), invoking `on_step`
-    /// after each optimizer step.
+    /// after each optimizer step (the data-parallel gradient synchronizer).
+    ///
+    /// Besides the [`EpochReport`], the returned [`EpochStats`] carries
+    /// per-stage batch-latency percentiles; the same distributions are also
+    /// recorded into the metrics registry (`pipeline.sample` ...), and when
+    /// tracing is enabled every batch leaves `sample`/`extract`/`train`/
+    /// `release` spans (plus `transfer` inside extraction).
+    ///
+    /// Each batch carries its own [`Stamps`] down the queues, and a batch
+    /// whose extraction fails reaches the trainer as a [`Tombstone`], so
+    /// every planned batch yields exactly one trainer message. The report,
+    /// the stage percentiles and the attribution are all derived from the
+    /// trainer's records once the epoch ends.
     pub fn train_epoch_range_with_sync(
         &mut self,
         epoch: u64,
@@ -430,7 +443,7 @@ impl Pipeline {
         max_batches: Option<usize>,
         mut on_step: impl FnMut(&mut GnnModel) + Send,
     ) -> EpochStats {
-        let plan = BatchPlan::new(
+        let plan = &BatchPlan::new(
             &self.train_segment,
             self.cfg.batch_size,
             epoch,
@@ -444,60 +457,36 @@ impl Pipeline {
             return EpochStats::default();
         }
 
-        let sampler = Arc::new(NeighborSampler::new(
-            Arc::clone(&self.topo),
-            self.cfg.fanouts.clone(),
-        ));
-        let ctx = Arc::new(self.extractor_context(IoPriority::Bulk));
+        let sampler = &NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
+        let ctx = &self.extractor_context(IoPriority::Bulk);
 
-        let (extract_tx, extract_rx) = bounded::<MiniBatchSample>(self.cfg.extract_queue_cap);
-        let (train_tx, train_rx) = bounded::<ExtractedBatch>(self.cfg.train_queue_cap);
+        let (extract_tx, extract_rx) =
+            bounded::<(MiniBatchSample, Stamps)>(self.cfg.extract_queue_cap);
+        let (train_tx, train_rx) =
+            bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(self.cfg.train_queue_cap);
         let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
 
         // Live depth gauges for the three bounded queues (𝔒2 diagnostics:
         // a congested extract stage shows as a full extract queue and an
         // empty train queue), plus registry histograms of the per-batch
-        // stage latencies. Local histograms feed this epoch's EpochStats.
-        let g_extract_q = telemetry::gauge("pipeline.extract_queue.depth");
-        let g_train_q = telemetry::gauge("pipeline.train_queue.depth");
-        let g_release_q = telemetry::gauge("pipeline.release_queue.depth");
-        let h_sample = telemetry::histogram_ns("pipeline.sample");
-        let h_extract = telemetry::histogram_ns("pipeline.extract");
-        let h_train = telemetry::histogram_ns("pipeline.train");
-        let h_release = telemetry::histogram_ns("pipeline.release");
-        let c_batches = telemetry::counter("pipeline.batches_trained");
-        let c_skipped = telemetry::counter("pipeline.batches_skipped");
-        let stage_sample = OrderedMutex::new(LockRank::Pipeline, telemetry::Histogram::new());
-        let stage_extract = OrderedMutex::new(LockRank::Pipeline, telemetry::Histogram::new());
-        let stage_release = OrderedMutex::new(LockRank::Pipeline, telemetry::Histogram::new());
-        let mut stage_train = telemetry::Histogram::new();
+        // stage latencies, each recorded by the stage that measures it.
+        let g_extract_q = &telemetry::gauge("pipeline.extract_queue.depth");
+        let g_train_q = &telemetry::gauge("pipeline.train_queue.depth");
+        let g_release_q = &telemetry::gauge("pipeline.release_queue.depth");
+        let h_sample = &telemetry::histogram_ns("pipeline.sample");
+        let h_extract = &telemetry::histogram_ns("pipeline.extract");
+        let h_train = &telemetry::histogram_ns("pipeline.train");
+        let h_release = &telemetry::histogram_ns("pipeline.release");
+        let c_batches = &telemetry::counter("pipeline.batches_trained");
+        let c_skipped = &telemetry::counter("pipeline.batches_skipped");
 
-        let cursor = AtomicUsize::new(first);
-        // Per-batch sample-start stamps (nanos since t0) for the latency
-        // histogram; index = batch id (absolute within the epoch plan).
-        let batch_started: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
-        // Stage-boundary stamps on the same shared clock; with
-        // `batch_started` they telescope a batch's wall time into
-        // sample / queue / extract / queue / train segments for the
-        // attribution records the trainer assembles.
-        let sample_ended: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
-        let extract_started: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
-        let extract_ended: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
-        // Page-fault time inside each batch's sample segment, drained from
-        // the sampler thread's wait accumulator at the batch boundary (the
-        // threads are new and nothing else they do is a timed wait, so the
-        // accumulator holds exactly one batch's faults).
-        let sample_faults: Vec<AtomicU64> = (0..end).map(|_| AtomicU64::new(0)).collect();
-        let mut attr_records: Vec<telemetry::BatchAttribution> = Vec::with_capacity(batches);
-        let mut latency = gnndrive_telemetry::Histogram::new();
-        let sample_nanos = AtomicU64::new(0);
-        let extract_nanos = AtomicU64::new(0);
-        let loaded_nodes = AtomicU64::new(0);
-        let reused_nodes = AtomicU64::new(0);
-        let failed_batches = AtomicUsize::new(0);
-        let first_error: OrderedMutex<Option<String>> = OrderedMutex::new(LockRank::Pipeline, None);
-        let mut train_secs = 0.0f64;
+        let cursor = &AtomicUsize::new(first);
+        // The trainer's outputs: one attribution record per trained batch
+        // (in training order), one tombstone per skipped batch.
+        let mut records: Vec<telemetry::BatchAttribution> = Vec::with_capacity(batches);
+        let mut tombstones: Vec<Tombstone> = Vec::new();
         let mut loss_sum = 0.0f64;
+        let (mut nodes_loaded, mut nodes_reused) = (0u64, 0u64);
         let io_before = self.ds.ssd.stats().snapshot();
         let seed = self.cfg.seed;
         let reorder = self.cfg.reorder;
@@ -511,21 +500,13 @@ impl Pipeline {
         let num_samplers = self.cfg.num_samplers.max(1);
         let num_extractors = self.cfg.num_extractors.max(1);
         let t0 = Instant::now();
+        // The epoch's shared clock: every stamp is nanoseconds since `t0`.
+        let now = move || t0.elapsed().as_nanos() as u64;
 
-        std::thread::scope(|s| {
+        let released = std::thread::scope(|s| {
             // ① Samplers.
             for w in 0..num_samplers {
-                let plan = &plan;
-                let cursor = &cursor;
-                let sampler = Arc::clone(&sampler);
                 let tx = extract_tx.clone();
-                let sample_nanos = &sample_nanos;
-                let batch_started = &batch_started;
-                let sample_ended = &sample_ended;
-                let sample_faults = &sample_faults;
-                let h_sample = h_sample.clone();
-                let g_extract_q = g_extract_q.clone();
-                let stage_sample = &stage_sample;
                 std::thread::Builder::new()
                     .name(format!("sampler-{w}"))
                     .spawn_scoped(s, move || {
@@ -535,26 +516,25 @@ impl Pipeline {
                             if i >= end {
                                 break;
                             }
-                            let t = Instant::now();
-                            batch_started[i]
-                                .store(t.duration_since(t0).as_nanos() as u64, Ordering::Relaxed);
+                            let start = now();
                             let sample = {
                                 let _span = telemetry::span("sample", i as u64);
                                 let _busy = telemetry::state(State::Compute);
                                 sampler.sample(i as u64, plan.batch(i), seed ^ epoch)
                             };
-                            let spent = t.elapsed().as_nanos() as u64;
-                            sample_faults[i].store(
-                                telemetry::waits_take().get(telemetry::WaitKind::PageFault),
-                                Ordering::Relaxed,
-                            );
-                            sample_ended[i]
-                                .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            sample_nanos.fetch_add(spent, Ordering::Relaxed);
-                            h_sample.record(spent);
-                            stage_sample.lock().record(spent);
+                            // The thread is new and nothing else it does is a
+                            // timed wait, so its accumulator holds exactly this
+                            // batch's page faults.
+                            let stamps = Stamps {
+                                start,
+                                sampled: now(),
+                                fault_ns: telemetry::waits_take()
+                                    .get(telemetry::WaitKind::PageFault),
+                                ..Stamps::default()
+                            };
+                            h_sample.record(stamps.sampled - start);
                             // ② enqueue into the extracting queue.
-                            if tx.send(sample).is_err() {
+                            if tx.send((sample, stamps)).is_err() {
                                 break;
                             }
                             g_extract_q.set(tx.len() as i64);
@@ -568,242 +548,166 @@ impl Pipeline {
             for w in 0..num_extractors {
                 let rx = extract_rx.clone();
                 let tx = train_tx.clone();
-                let ctx = Arc::clone(&ctx);
-                let extract_nanos = &extract_nanos;
-                let loaded_nodes = &loaded_nodes;
-                let reused_nodes = &reused_nodes;
-                let failed_batches = &failed_batches;
-                let first_error = &first_error;
-                let h_extract = h_extract.clone();
-                let g_extract_q = g_extract_q.clone();
-                let g_train_q = g_train_q.clone();
-                let c_skipped = c_skipped.clone();
-                let stage_extract = &stage_extract;
-                let extract_started = &extract_started;
-                let extract_ended = &extract_ended;
                 std::thread::Builder::new()
                     .name(format!("extractor-{w}"))
                     .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
-                        while let Ok(sample) = rx.recv() {
+                        while let Ok((sample, mut stamps)) = rx.recv() {
                             g_extract_q.set(rx.len() as i64);
-                            let t = Instant::now();
-                            let total = sample.input_nodes.len() as u64;
                             let batch_id = sample.batch_id;
-                            extract_started[batch_id as usize]
-                                .store(t.duration_since(t0).as_nanos() as u64, Ordering::Relaxed);
-                            let span = telemetry::span("extract", batch_id);
-                            match extract_batch(&ctx, sample) {
+                            stamps.extract_start = now();
+                            let extracted = {
+                                let _span = telemetry::span("extract", batch_id);
+                                extract_batch(ctx, sample)
+                            };
+                            let msg = match extracted {
                                 Ok(batch) => {
-                                    drop(span);
-                                    let spent = t.elapsed().as_nanos() as u64;
-                                    extract_ended[batch_id as usize]
-                                        .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                                    extract_nanos.fetch_add(spent, Ordering::Relaxed);
-                                    h_extract.record(spent);
-                                    stage_extract.lock().record(spent);
-                                    loaded_nodes
-                                        .fetch_add(batch.loaded_nodes as u64, Ordering::Relaxed);
-                                    reused_nodes.fetch_add(
-                                        total - batch.loaded_nodes as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                    if tx.send(batch).is_err() {
-                                        break;
-                                    }
-                                    g_train_q.set(tx.len() as i64);
+                                    stamps.extracted = now();
+                                    h_extract.record(stamps.extracted - stamps.extract_start);
+                                    Ok((batch, stamps))
                                 }
                                 Err(e) => {
-                                    // Graceful degradation: record the
-                                    // failure, skip the batch, and keep
-                                    // serving the epoch.
-                                    first_error.lock().get_or_insert_with(|| e.to_string());
-                                    failed_batches.fetch_add(1, Ordering::Relaxed);
+                                    // Graceful degradation: skip the batch
+                                    // and tell the trainer with a tombstone.
                                     c_skipped.inc();
+                                    Err(Tombstone {
+                                        error: e.to_string(),
+                                        stamps,
+                                    })
                                 }
+                            };
+                            if tx.send((batch_id, msg)).is_err() {
+                                break;
                             }
+                            g_train_q.set(tx.len() as i64);
                         }
                     })
                     .expect("spawn extractor");
             }
+            drop(extract_rx);
             drop(train_tx);
 
-            // ⑨ Releaser.
-            let releaser = {
-                let h_release = h_release.clone();
-                let g_release_q = g_release_q.clone();
-                let stage_release = &stage_release;
-                std::thread::Builder::new()
-                    .name("releaser".into())
-                    .spawn_scoped(s, move || {
-                        telemetry::register_thread(ThreadClass::Cpu);
-                        while let Ok((batch_id, nodes)) = release_rx.recv() {
-                            g_release_q.set(release_rx.len() as i64);
-                            let t = Instant::now();
-                            {
-                                let _span = telemetry::span("release", batch_id);
-                                let _busy = telemetry::state(State::Compute);
-                                fb_for_release.release(&nodes);
-                            }
-                            let spent = t.elapsed().as_nanos() as u64;
-                            h_release.record(spent);
-                            stage_release.lock().record(spent);
+            // ⑨ Releaser: hands its stage histogram back through `join`.
+            let releaser = std::thread::Builder::new()
+                .name("releaser".into())
+                .spawn_scoped(s, move || {
+                    telemetry::register_thread(ThreadClass::Cpu);
+                    let mut stage = telemetry::Histogram::new();
+                    while let Ok((batch_id, nodes)) = release_rx.recv() {
+                        g_release_q.set(release_rx.len() as i64);
+                        let t = Instant::now();
+                        {
+                            let _span = telemetry::span("release", batch_id);
+                            let _busy = telemetry::state(State::Compute);
+                            fb_for_release.release(&nodes);
                         }
-                    })
-                    .expect("spawn releaser")
-            };
+                        let spent = t.elapsed().as_nanos() as u64;
+                        h_release.record(spent);
+                        stage.record(spent);
+                    }
+                    stage
+                })
+                .expect("spawn releaser");
 
-            // ⑦⑧ Trainer (this thread).
+            // ⑦⑧ Trainer (this thread): one message per planned batch, so
+            // the epoch ends when the last extractor hangs up.
             telemetry::register_thread(ThreadClass::Cpu);
-            let mut pending: BTreeMap<u64, ExtractedBatch> = BTreeMap::new();
+            let mut pending = BTreeMap::new();
             let mut next_expected = first as u64;
-            let mut done = 0usize;
             // The gathered input features: one buffer, reused by every batch.
             let mut input = Vec::new();
-            'train: while done + failed_batches.load(Ordering::Relaxed) < batches {
-                // recv with a timeout so extraction failures (which shrink
-                // the expected batch count) cannot strand the trainer.
-                let recv_one =
-                    |pending: &mut BTreeMap<u64, ExtractedBatch>| -> Option<ExtractedBatch> {
-                        loop {
-                            match train_rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                                Ok(b) => {
-                                    g_train_q.set(train_rx.len() as i64);
-                                    return Some(b);
-                                }
-                                Err(RecvTimeoutError::Timeout) => {
-                                    if done + failed_batches.load(Ordering::Relaxed) + pending.len()
-                                        >= batches
-                                    {
-                                        return None;
-                                    }
-                                }
-                                Err(RecvTimeoutError::Disconnected) => return None,
-                            }
+            'train: while let Ok((id, msg)) = train_rx.recv() {
+                g_train_q.set(train_rx.len() as i64);
+                pending.insert(id, msg);
+                // Reordering trains each batch as it arrives (§4.3); the
+                // ablation trains in plan order, and a tombstone advances
+                // the cursor like a trained batch.
+                while let Some(msg) = pending.remove(&if reorder { id } else { next_expected }) {
+                    next_expected += 1;
+                    let (batch, stamps) = match msg {
+                        Ok(b) => b,
+                        Err(tombstone) => {
+                            tombstones.push(tombstone);
+                            continue;
                         }
                     };
-                let batch = if reorder {
-                    match recv_one(&mut pending) {
-                        Some(b) => b,
-                        None => break 'train,
+                    let train_start = now();
+                    let result = {
+                        let _span = telemetry::span("train", batch.sample.batch_id);
+                        slab.gather_into(&batch.aliases, &mut input);
+                        let features = Matrix::from_vec(
+                            batch.aliases.len(),
+                            feat_dim,
+                            std::mem::take(&mut input),
+                        );
+                        let y: Vec<usize> = batch
+                            .sample
+                            .seeds
+                            .iter()
+                            .map(|&n| labels[n as usize] as usize)
+                            .collect();
+                        let flops = model.flops(&batch.sample.blocks);
+                        let result = device.compute.run(flops, || {
+                            model.train_step(&batch.sample.blocks, &features, &y)
+                        });
+                        input = features.into_vec();
+                        // Data-parallel hook: gradient all-reduce happens
+                        // *before* the optimizer step so replicas stay in
+                        // lockstep.
+                        on_step(model);
+                        let mut params = model.params_mut();
+                        opt.step(&mut params);
+                        result
+                    };
+                    let train_end = now();
+                    loss_sum += result.loss as f64;
+                    h_train.record(train_end - train_start);
+                    c_batches.inc();
+                    nodes_loaded += batch.loaded_nodes as u64;
+                    nodes_reused += (batch.sample.input_nodes.len() - batch.loaded_nodes) as u64;
+                    // The batch's critical-path decomposition: its stamps
+                    // share one clock and telescope, so the segments
+                    // conserve wall time (DESIGN.md §10).
+                    let mut sample_waits = telemetry::WaitTotals::default();
+                    sample_waits.add(telemetry::WaitKind::PageFault, stamps.fault_ns);
+                    let rec = telemetry::BatchAttribution {
+                        batch: batch.sample.batch_id,
+                        wall_ns: train_end.saturating_sub(stamps.start),
+                        sample_ns: stamps.sampled - stamps.start,
+                        sample_waits,
+                        queue_extract_ns: stamps.extract_start.saturating_sub(stamps.sampled),
+                        extract_ns: stamps.extracted - stamps.extract_start,
+                        queue_train_ns: train_start.saturating_sub(stamps.extracted),
+                        train_ns: train_end - train_start,
+                        waits: batch.waits,
+                        io_queue_ns: batch.io_queue_ns,
+                        io_service_ns: batch.io_service_ns,
+                    };
+                    telemetry::record_batch_attribution(&rec);
+                    records.push(rec);
+                    // ⑧ hand the original sampled node list to the releaser.
+                    if release_tx
+                        .send((batch.sample.batch_id, batch.sample.input_nodes))
+                        .is_err()
+                    {
+                        // The releaser died (its thread panicked): without it
+                        // slots are never recycled, so stop the epoch cleanly
+                        // instead of deadlocking on an exhausted buffer.
+                        break 'train;
                     }
-                } else {
-                    // Restore submission order: buffer out-of-order batches.
-                    // A failed batch id never arrives; skip over it.
-                    loop {
-                        if let Some(b) = pending.remove(&next_expected) {
-                            break b;
-                        }
-                        match recv_one(&mut pending) {
-                            Some(b) => {
-                                if b.sample.batch_id == next_expected {
-                                    break b;
-                                }
-                                pending.insert(b.sample.batch_id, b);
-                            }
-                            None => match pending.pop_first() {
-                                Some((id, b)) => {
-                                    next_expected = id;
-                                    break b;
-                                }
-                                None => break 'train,
-                            },
-                        }
-                    }
-                };
-                next_expected = next_expected.max(batch.sample.batch_id) + 1;
-                let t = Instant::now();
-                let result = {
-                    let _span = telemetry::span("train", batch.sample.batch_id);
-                    slab.gather_into(&batch.aliases, &mut input);
-                    let features =
-                        Matrix::from_vec(batch.aliases.len(), feat_dim, std::mem::take(&mut input));
-                    let y: Vec<usize> = batch
-                        .sample
-                        .seeds
-                        .iter()
-                        .map(|&n| labels[n as usize] as usize)
-                        .collect();
-                    let flops = model.flops(&batch.sample.blocks);
-                    let result = device.compute.run(flops, || {
-                        model.train_step(&batch.sample.blocks, &features, &y)
-                    });
-                    input = features.into_vec();
-                    // Data-parallel hook: gradient all-reduce happens
-                    // *before* the optimizer step so replicas stay in
-                    // lockstep.
-                    on_step(model);
-                    let mut params = model.params_mut();
-                    opt.step(&mut params);
-                    result
-                };
-                loss_sum += result.loss as f64;
-                let spent = t.elapsed();
-                train_secs += spent.as_secs_f64();
-                h_train.record(spent.as_nanos() as u64);
-                stage_train.record(spent.as_nanos() as u64);
-                c_batches.inc();
-                let id = batch.sample.batch_id as usize;
-                let started = batch_started[id].load(Ordering::Relaxed);
-                let train_end = t0.elapsed().as_nanos() as u64;
-                latency.record(train_end.saturating_sub(started));
-                // Assemble the batch's critical-path decomposition from the
-                // shared-clock stamps plus the waits the extractor carried
-                // over; the segments telescope, so they conserve wall time
-                // (DESIGN.md §10).
-                let train_ns = spent.as_nanos() as u64;
-                let train_start = train_end.saturating_sub(train_ns);
-                let s_end = sample_ended[id].load(Ordering::Relaxed);
-                let e_start = extract_started[id].load(Ordering::Relaxed);
-                let e_end = extract_ended[id].load(Ordering::Relaxed);
-                let mut sample_waits = telemetry::WaitTotals::default();
-                sample_waits.add(
-                    telemetry::WaitKind::PageFault,
-                    sample_faults[id].load(Ordering::Relaxed),
-                );
-                let rec = telemetry::BatchAttribution {
-                    batch: batch.sample.batch_id,
-                    wall_ns: train_end.saturating_sub(started),
-                    sample_ns: s_end.saturating_sub(started),
-                    sample_waits,
-                    queue_extract_ns: e_start.saturating_sub(s_end),
-                    extract_ns: e_end.saturating_sub(e_start),
-                    queue_train_ns: train_start.saturating_sub(e_end),
-                    train_ns,
-                    waits: batch.waits,
-                    io_queue_ns: batch.io_queue_ns,
-                    io_service_ns: batch.io_service_ns,
-                };
-                telemetry::record_batch_attribution(&rec);
-                attr_records.push(rec);
-                // ⑧ hand the original sampled node list to the releaser.
-                if release_tx
-                    .send((batch.sample.batch_id, batch.sample.input_nodes))
-                    .is_err()
-                {
-                    // The releaser died (its thread panicked): without it
-                    // slots are never recycled, so stop the epoch cleanly
-                    // instead of deadlocking on an exhausted buffer.
-                    first_error
-                        .lock()
-                        .get_or_insert_with(|| "releaser thread gone".to_string());
-                    break 'train;
+                    g_release_q.set(release_tx.len() as i64);
                 }
-                g_release_q.set(release_tx.len() as i64);
-                done += 1;
             }
+            // Hanging up frees any extractor parked on a full train queue
+            // after an early exit.
+            drop(train_rx);
             drop(release_tx);
-            if releaser.join().is_err() {
-                first_error
-                    .lock()
-                    .get_or_insert_with(|| "releaser thread panicked".to_string());
-            }
+            releaser.join().ok()
         });
 
-        let io_after = self.ds.ssd.stats().snapshot();
-        let io = io_after.delta_since(&io_before);
+        let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
         telemetry::counter("pipeline.epochs").inc();
-        let attribution = telemetry::aggregate_attribution(&attr_records);
+        let attribution = telemetry::aggregate_attribution(&records);
         self.last_attribution = Some(attribution.clone());
         // Surface the epoch's verdict as a whole-epoch trace span so the
         // Chrome timeline names the bottleneck next to the stage lanes.
@@ -814,49 +718,53 @@ impl Pipeline {
             t0,
             t0.elapsed(),
         );
-        let failed = failed_batches.load(Ordering::Relaxed);
+        // Every batch was sampled, but only trained ones were extracted.
+        let sample: telemetry::Histogram = records
+            .iter()
+            .map(|r| r.sample_ns)
+            .chain(tombstones.iter().map(|t| t.stamps.sampled - t.stamps.start))
+            .collect();
+        let extract: telemetry::Histogram = records.iter().map(|r| r.extract_ns).collect();
+        let train: telemetry::Histogram = records.iter().map(|r| r.train_ns).collect();
+        let secs = |h: &telemetry::Histogram| h.sum() as f64 / 1e9;
+        let stage = |name: &str, h: &telemetry::Histogram| (name.to_string(), HistSummary::of(h));
         let report = EpochReport {
             wall: t0.elapsed(),
-            batches: batches - failed,
+            batches: records.len(),
             full_batches,
-            failed_batches: failed,
-            loss: (loss_sum / (batches - failed).max(1) as f64) as f32,
-            sample_secs: sample_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            extract_secs: extract_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            train_secs,
+            failed_batches: tombstones.len(),
+            loss: (loss_sum / records.len().max(1) as f64) as f32,
+            sample_secs: secs(&sample),
+            extract_secs: secs(&extract),
+            train_secs: secs(&train),
             bytes_read: io.read_bytes,
-            nodes_loaded: loaded_nodes.load(Ordering::Relaxed),
-            nodes_reused: reused_nodes.load(Ordering::Relaxed),
+            nodes_loaded,
+            nodes_reused,
             prep_secs: 0.0,
-            batch_latency: latency,
-            error: first_error.into_inner(),
+            batch_latency: records.iter().map(|r| r.wall_ns).collect(),
+            error: tombstones.first().map(|t| t.error.clone()).or_else(|| {
+                released
+                    .is_none()
+                    .then(|| "releaser thread panicked".to_string())
+            }),
         };
         EpochStats {
             report,
             stages: vec![
-                (
-                    "sample".to_string(),
-                    HistSummary::of(&stage_sample.into_inner()),
-                ),
-                (
-                    "extract".to_string(),
-                    HistSummary::of(&stage_extract.into_inner()),
-                ),
-                ("train".to_string(), HistSummary::of(&stage_train)),
-                (
-                    "release".to_string(),
-                    HistSummary::of(&stage_release.into_inner()),
-                ),
+                stage("sample", &sample),
+                stage("extract", &extract),
+                stage("train", &train),
+                stage("release", &released.unwrap_or_default()),
             ],
             attribution,
-            batch_attribution: attr_records,
+            batch_attribution: records,
         }
     }
 
-    /// [`Pipeline::train_epoch_with_sync`] without a step hook — one epoch
-    /// with per-stage latency percentiles.
+    /// [`Pipeline::train_epoch_range_with_sync`] from the first batch and
+    /// without a step hook — one epoch with per-stage latency percentiles.
     pub fn train_epoch_stats(&mut self, epoch: u64, max_batches: Option<usize>) -> EpochStats {
-        self.train_epoch_with_sync(epoch, max_batches, |_| {})
+        self.train_epoch_range(epoch, 0, max_batches)
     }
 
     /// Snapshot the training state — model weights, Adam moments and step
@@ -886,8 +794,7 @@ impl TrainingSystem for Pipeline {
     }
 
     fn train_epoch(&mut self, epoch: u64, max_batches: Option<usize>) -> EpochReport {
-        self.train_epoch_with_sync(epoch, max_batches, |_| {})
-            .report
+        self.train_epoch_stats(epoch, max_batches).report
     }
 
     fn last_attribution(&self) -> Option<telemetry::AttributionReport> {
@@ -901,46 +808,19 @@ impl TrainingSystem for Pipeline {
             epoch,
             self.cfg.seed,
         );
-        let batches = plan.num_batches().min(max_batches.unwrap_or(usize::MAX));
-        let sampler = Arc::new(NeighborSampler::new(
-            Arc::clone(&self.topo),
-            self.cfg.fanouts.clone(),
-        ));
-        let cursor = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..self.cfg.num_samplers.max(1) {
-                let plan = &plan;
-                let cursor = &cursor;
-                let sampler = Arc::clone(&sampler);
-                let seed = self.cfg.seed;
-                std::thread::Builder::new()
-                    .name(format!("sampler-only-{w}"))
-                    .spawn_scoped(s, move || {
-                        telemetry::register_thread(ThreadClass::Cpu);
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= batches {
-                                break;
-                            }
-                            let _busy = telemetry::state(State::Compute);
-                            let _ = sampler.sample(i as u64, plan.batch(i), seed ^ epoch);
-                        }
-                    })
-                    .expect("spawn sampler");
-            }
-        });
-        t0.elapsed()
+        let sampler = NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
+        sample_batches(
+            &sampler,
+            &plan,
+            max_batches.unwrap_or(usize::MAX),
+            self.cfg.num_samplers,
+            self.cfg.seed ^ epoch,
+        )
     }
 
     fn evaluate(&mut self) -> f64 {
         evaluate_model(&self.model, &self.ds, &self.cfg.fanouts, 512)
     }
-}
-
-/// Mutex-free helper usable by tests to run several epochs back to back.
-pub fn train_epochs(p: &mut Pipeline, epochs: u64, max_batches: Option<usize>) -> Vec<EpochReport> {
-    (0..epochs).map(|e| p.train_epoch(e, max_batches)).collect()
 }
 
 // Pipeline must remain Send: data-parallel workers move replicas across

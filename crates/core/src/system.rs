@@ -3,10 +3,12 @@
 
 use gnndrive_graph::Dataset;
 use gnndrive_nn::GnnModel;
-use gnndrive_sampling::{InMemTopo, NeighborSampler};
+use gnndrive_sampling::{BatchPlan, InMemTopo, NeighborSampler};
+use gnndrive_telemetry::{self as telemetry, State, ThreadClass};
 use gnndrive_tensor::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What one training epoch reported.
 #[derive(Debug, Clone, Default)]
@@ -107,6 +109,42 @@ pub fn evaluate_model(model: &GnnModel, ds: &Dataset, fanouts: &[usize], max_nod
         .map(|&s| ds.labels[s as usize] as usize)
         .collect();
     gnndrive_nn::accuracy(&logits, &labels)
+}
+
+/// Shared sample-only epoch ([`TrainingSystem::sample_only_epoch`]) for
+/// systems that sample straight from their topology reader: `threads`
+/// workers claim batches of `plan` from one cursor and sample at most
+/// `batches` of them with `seed`. Returns the sampling wall time.
+pub fn sample_batches(
+    sampler: &NeighborSampler,
+    plan: &BatchPlan,
+    batches: usize,
+    threads: usize,
+    seed: u64,
+) -> Duration {
+    let batches = batches.min(plan.num_batches());
+    let cursor = AtomicUsize::new(0);
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for w in 0..threads.max(1) {
+            let cursor = &cursor;
+            std::thread::Builder::new()
+                .name(format!("sampler-only-{w}"))
+                .spawn_scoped(s, move || {
+                    telemetry::register_thread(ThreadClass::Cpu);
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= batches {
+                            break;
+                        }
+                        let _busy = telemetry::state(State::Compute);
+                        let _ = sampler.sample(i as u64, plan.batch(i), seed);
+                    }
+                })
+                .expect("spawn sampler");
+        }
+    });
+    t0.elapsed()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use gnndrive_core::{GnnDriveConfig, Pipeline, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::{Dataset, DatasetSpec};
 use gnndrive_nn::ModelKind;
-use gnndrive_storage::{FaultPlan, MemoryGovernor, PageCache, SimSsd, SsdProfile};
+use gnndrive_storage::{FaultPlan, MemoryGovernor, PageCache, RetryPolicy, SimSsd, SsdProfile};
 use std::sync::Arc;
 
 fn dataset(dim: usize) -> Arc<Dataset> {
@@ -100,6 +100,57 @@ fn in_order_mode_processes_every_batch() {
     let report = p.train_epoch(0, None);
     assert_eq!(report.batches, report.full_batches);
     assert!(report.loss.is_finite());
+}
+
+#[test]
+fn in_order_mode_skips_failed_batches_and_keeps_plan_order() {
+    // One extractor with one read in flight and no retries: a batch fails
+    // when its read and the blocking re-read behind it both fault, so a
+    // four-read fault window fails exactly two batches. Two samplers still
+    // hand batches over out of plan order; the trainer must skip the two
+    // tombstones and train the survivors in plan order.
+    let ds = dataset(32);
+    let gov = MemoryGovernor::unlimited();
+    let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+    let cfg = GnnDriveConfig {
+        reorder: false,
+        batch_size: 25,
+        num_extractors: 1,
+        sync_extract: true,
+        retry: RetryPolicy::none(),
+        ..config()
+    };
+    let mut p = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
+        .with_model(ModelKind::GraphSage, 16)
+        .with_config(cfg)
+        .with_governor(gov)
+        .with_page_cache(cache)
+        .build()
+        .unwrap();
+    ds.ssd.set_fault_plan(
+        FaultPlan::new(0)
+            .with_read_fault_every(1)
+            .in_window(10..14)
+            .on_file(ds.features_file.id),
+    );
+    let stats = p.train_epoch_range(0, 0, Some(12));
+    ds.ssd.clear_faults();
+    let r = &stats.report;
+    assert!(r.full_batches >= 12, "the plan must cover the range");
+    assert_eq!(r.failed_batches, 2, "{r:?}");
+    assert_eq!(r.batches + r.failed_batches, 12);
+    assert_eq!(stats.batch_attribution.len(), r.batches);
+    let order: Vec<u64> = stats.batch_attribution.iter().map(|a| a.batch).collect();
+    assert!(
+        order.windows(2).all(|w| w[0] < w[1]),
+        "survivors must train in plan order: {order:?}"
+    );
+    assert!(r.error.is_some(), "a skipped batch must be reported");
+    p.feature_buffer().check_invariants();
+
+    let clean = p.train_epoch_range(1, 0, Some(12)).report;
+    assert!(clean.error.is_none(), "{:?}", clean.error);
+    assert_eq!((clean.batches, clean.failed_batches), (12, 0));
 }
 
 #[test]

@@ -69,8 +69,9 @@ pub enum LockRank {
     Governor = 5,
     /// Feature-buffer, staging-credit and feature-slab locks.
     Buffer = 6,
-    /// Pipeline-level state: stage timings, first-error slot, dataset
-    /// caches in the bench/baseline harnesses.
+    /// Harness-level state above the data path: the serving tier's stats
+    /// and cached attribution, the bench dataset cache, and the baselines'
+    /// error slot and result collectors.
     Pipeline = 7,
     /// Cross-worker gradient synchronization (the `GradSync` barrier).
     Sync = 8,

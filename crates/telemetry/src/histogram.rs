@@ -60,6 +60,11 @@ impl Histogram {
         self.count
     }
 
+    /// Exact sum of every recorded value.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -100,6 +105,14 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
+    }
+}
+
+impl FromIterator<u64> for Histogram {
+    fn from_iter<I: IntoIterator<Item = u64>>(values: I) -> Self {
+        let mut h = Histogram::new();
+        values.into_iter().for_each(|v| h.record(v));
+        h
     }
 }
 

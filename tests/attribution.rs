@@ -44,23 +44,27 @@ fn dataset_on(seed: u64, profile: SsdProfile) -> Arc<Dataset> {
     ))
 }
 
-fn pipeline(ds: &Arc<Dataset>, sync_extract: bool) -> Pipeline {
-    let cache = PageCache::new(Arc::clone(&ds.ssd), MemoryGovernor::unlimited());
-    pipeline_over(ds, sync_extract, cache)
+fn config(sync_extract: bool) -> GnnDriveConfig {
+    GnnDriveConfig {
+        sync_extract,
+        fanouts: vec![3, 3],
+        batch_size: 16,
+        feature_buffer_slots: 8_192,
+        seed: 13,
+        ..Default::default()
+    }
 }
 
-fn pipeline_over(ds: &Arc<Dataset>, sync_extract: bool, cache: Arc<PageCache>) -> Pipeline {
+fn pipeline(ds: &Arc<Dataset>, sync_extract: bool) -> Pipeline {
+    let cache = PageCache::new(Arc::clone(&ds.ssd), MemoryGovernor::unlimited());
+    pipeline_over(ds, config(sync_extract), cache)
+}
+
+fn pipeline_over(ds: &Arc<Dataset>, cfg: GnnDriveConfig, cache: Arc<PageCache>) -> Pipeline {
     let gov = MemoryGovernor::unlimited();
     Pipeline::builder(Arc::clone(ds), GpuDevice::rtx3090())
         .with_model(ModelKind::GraphSage, 16)
-        .with_config(GnnDriveConfig {
-            sync_extract,
-            fanouts: vec![3, 3],
-            batch_size: 16,
-            feature_buffer_slots: 8_192,
-            seed: 13,
-            ..Default::default()
-        })
+        .with_config(cfg)
         .with_governor(gov)
         .with_page_cache(cache)
         .build()
@@ -167,6 +171,53 @@ fn per_batch_conservation_holds_in_both_extractor_modes() {
     }
 }
 
+/// The report, the stage percentiles and the attribution are one set of
+/// numbers: each is derived from the same per-batch records, and a skipped
+/// batch still counts as sampled through the stamps its tombstone carries.
+#[test]
+fn stage_stats_and_attribution_come_from_one_record_per_batch() {
+    let _gate = TELEMETRY_GATE.lock();
+    let ds = dataset(46);
+    let stats = pipeline(&ds, false).train_epoch_stats(0, Some(12));
+    assert_conserved(&stats, "clean");
+    let r = &stats.report;
+    let count = |stage: &str| stats.stage(stage).map(|s| s.count);
+    for stage in ["sample", "extract", "train"] {
+        assert_eq!(count(stage), Some(r.batches as u64), "{stage}");
+    }
+    assert_eq!(r.batch_latency.count(), r.batches as u64);
+    let secs = |ns: fn(&telemetry::BatchAttribution) -> u64| {
+        stats.batch_attribution.iter().map(ns).sum::<u64>() as f64 / 1e9
+    };
+    assert!((r.train_secs - secs(|a| a.train_ns)).abs() < 1e-6);
+    assert!((r.extract_secs - secs(|a| a.extract_ns)).abs() < 1e-6);
+
+    // One extractor with one read in flight and no retries: a batch fails
+    // when its read and the re-read behind it both fault, so a four-read
+    // fault window skips exactly two batches.
+    let cache = PageCache::new(Arc::clone(&ds.ssd), MemoryGovernor::unlimited());
+    let cfg = GnnDriveConfig {
+        num_extractors: 1,
+        retry: RetryPolicy::none(),
+        ..config(true)
+    };
+    let mut p = pipeline_over(&ds, cfg, cache);
+    ds.ssd.set_fault_plan(
+        FaultPlan::new(0)
+            .with_read_fault_every(1)
+            .in_window(10..14)
+            .on_file(ds.features_file.id),
+    );
+    let stats = p.train_epoch_stats(0, Some(12));
+    ds.ssd.clear_faults();
+    let r = &stats.report;
+    let count = |stage: &str| stats.stage(stage).map(|s| s.count);
+    assert_eq!(r.failed_batches, 2, "{r:?}");
+    assert_eq!(count("sample"), Some((r.batches + r.failed_batches) as u64));
+    assert_eq!(count("extract"), Some(r.batches as u64));
+    assert_eq!(stats.batch_attribution.len(), r.batches);
+}
+
 #[test]
 fn conservation_survives_a_storage_fault_storm() {
     let _gate = TELEMETRY_GATE.lock();
@@ -203,7 +254,7 @@ fn page_faults_are_attributed_to_the_sample_segment() {
     let unlimited = MemoryGovernor::unlimited;
 
     let tight = PageCache::with_max_pages(Arc::clone(&ds.ssd), unlimited(), 2);
-    let stats = pipeline_over(&ds, false, tight).train_epoch_stats(0, Some(8));
+    let stats = pipeline_over(&ds, config(false), tight).train_epoch_stats(0, Some(8));
     assert_conserved(&stats, "tight page cache");
     let faults = stats.attribution.waits.get(telemetry::WaitKind::PageFault);
     assert!(
@@ -216,7 +267,7 @@ fn page_faults_are_attributed_to_the_sample_segment() {
     let roomy = PageCache::new(Arc::clone(&ds.ssd), unlimited());
     let mut warm = vec![0u8; ds.indices_file.len as usize];
     roomy.read(ds.indices_file, 0, &mut warm);
-    let stats = pipeline_over(&ds, false, roomy).train_epoch_stats(0, Some(8));
+    let stats = pipeline_over(&ds, config(false), roomy).train_epoch_stats(0, Some(8));
     assert_conserved(&stats, "warm page cache");
     assert_eq!(
         stats.attribution.waits.get(telemetry::WaitKind::PageFault),
