@@ -7,8 +7,9 @@
 //!    resident, wait-list what another extractor is loading, and take LRU
 //!    standby slots for the rest.
 //! 2. **Phase one (SSD → staging)** — issue asynchronous direct-I/O reads
-//!    through an io_uring-style [`IoRing`], one request per node (or per
-//!    *joint-extraction* group when rows are smaller than a sector, §4.4),
+//!    through an io_uring-style [`IoRing`], one request per read group —
+//!    rows whose windows touch (*joint extraction*, §4.4) or whose gap is
+//!    cheaper to read through than to pay another device op for —
 //!    bounded by the staging buffer's byte credits.
 //! 3. **Phase two (staging → device)** — the moment a node's load
 //!    completes, submit its host→device transfer; never wait for the rest
@@ -156,9 +157,9 @@ pub struct ExtractedBatch {
 }
 
 /// One joint-extraction read: a contiguous SSD window covering the feature
-/// rows of one or more nodes. Each entry is the on-disk row index, the node
-/// it belongs to (distinct once a packed layout remaps rows) and the
-/// feature-buffer slot the plan pinned for it.
+/// rows of one or more nodes and any gaps bridged between them. Each entry
+/// is the on-disk row index, the node it belongs to (distinct once a packed
+/// layout remaps rows) and the feature-buffer slot the plan pinned for it.
 struct ReadGroup {
     window_start: u64,
     window_len: usize,
@@ -167,18 +168,22 @@ struct ReadGroup {
 
 /// Plan the read windows for `rows` (`(row index, node, slot)`, sorted by
 /// row): align to sectors under direct I/O and coalesce rows whose windows
-/// touch, up to `max_bytes` per request (paper §4.4 "Access Granularity").
+/// lie within the batch's [`bridge_limit`] of each other, up to `max_bytes`
+/// per request (paper §4.4 "Access Granularity"). `op_cost_bytes` is the
+/// device's [`SsdProfile::op_cost_bytes`](gnndrive_storage::SsdProfile::op_cost_bytes);
+/// at 0 only touching windows coalesce. Bridged bytes are read and
+/// verified with the rest of the window, never decoded.
 fn plan_read_groups(
     rows: &[(u64, NodeId, u32)],
     row_bytes: u64,
     align: u64,
     max_bytes: usize,
     file_len: u64,
+    op_cost_bytes: u64,
 ) -> Vec<ReadGroup> {
-    let mut groups: Vec<ReadGroup> = Vec::new();
-    for &(row, node, slot) in rows {
+    let window = |row: u64| {
         let off = row * row_bytes;
-        let (start, end) = if align > 1 {
+        if align > 1 {
             (
                 off / align * align,
                 // Clamp the aligned window at EOF (the file itself is
@@ -188,11 +193,16 @@ fn plan_read_groups(
             )
         } else {
             (off, off + row_bytes)
-        };
+        }
+    };
+    let limit = bridge_limit(rows.iter().map(|&(row, ..)| window(row)), op_cost_bytes);
+    let mut groups: Vec<ReadGroup> = Vec::new();
+    for &(row, node, slot) in rows {
+        let (start, end) = window(row);
         if let Some(last) = groups.last_mut() {
             let last_end = last.window_start + last.window_len as u64;
             let merged_len = (end - last.window_start) as usize;
-            if start <= last_end && merged_len <= max_bytes {
+            if start <= last_end + limit && merged_len <= max_bytes {
                 last.window_len = last.window_len.max(merged_len);
                 last.rows.push((row, node, slot));
                 continue;
@@ -205,6 +215,50 @@ fn plan_read_groups(
         });
     }
     groups
+}
+
+/// The widest gap between a batch's sorted row windows worth reading
+/// through. The batch's ops hold the device's channels for `ops ×
+/// op_cost_bytes` (in link-byte time) and its bytes hold the link for
+/// `bytes`; the device serves both at once, so the batch costs the larger.
+/// Bridging a gap trades one op for `gap` bytes: bridge the smallest gaps
+/// first, equal gaps together (the merge rule is a threshold), and stop
+/// before link time would pass op time by more than the widest gap
+/// bridged. Past that point link time binds, and every further bridge
+/// only raises it.
+fn bridge_limit(windows: impl Iterator<Item = (u64, u64)>, op_cost_bytes: u64) -> u64 {
+    // A free op is never worth a byte: skip building the gap list.
+    if op_cost_bytes == 0 {
+        return 0;
+    }
+    // The touching-only plan: its op count, bytes and gaps.
+    let (mut ops, mut bytes, mut reach) = (0u64, 0u64, None::<u64>);
+    let mut gaps = Vec::new();
+    for (start, end) in windows {
+        match reach {
+            Some(r) if start <= r => {
+                bytes += end.saturating_sub(r);
+                reach = Some(r.max(end));
+            }
+            _ => {
+                gaps.extend(reach.map(|r| start - r));
+                ops += 1;
+                bytes += end - start;
+                reach = Some(end);
+            }
+        }
+    }
+    gaps.sort_unstable();
+    let mut limit = 0;
+    for run in gaps.chunk_by(|a, b| a == b) {
+        let (gap, n) = (run[0], run.len() as u64);
+        let (ops_after, bytes_after) = (ops - n, bytes + n * gap);
+        if bytes_after > ops_after.saturating_mul(op_cost_bytes).saturating_add(gap) {
+            break;
+        }
+        (ops, bytes, limit) = (ops_after, bytes_after, gap);
+    }
+    limit
 }
 
 /// Decode on-disk row `row` out of a group window buffer.
@@ -455,6 +509,7 @@ fn load(
             .max(row_bytes as usize)
             .max(align as usize),
         ctx.features_file.len,
+        ctx.ssd.profile().op_cost_bytes(),
     );
 
     let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
@@ -564,6 +619,17 @@ mod tests {
 
     fn tiny_dataset(dim: usize) -> Dataset {
         tiny_dataset_on(dim, SsdProfile::instant())
+    }
+
+    /// A device whose ops are worth bridging (≈2 KiB of link time each),
+    /// yet fast enough for unit tests.
+    fn bridging() -> SsdProfile {
+        SsdProfile {
+            read_latency: std::time::Duration::from_micros(2),
+            bandwidth: 1 << 30,
+            channels: 1,
+            ..SsdProfile::instant()
+        }
     }
 
     fn tiny_dataset_on(dim: usize, profile: SsdProfile) -> Dataset {
@@ -783,14 +849,52 @@ mod tests {
     fn read_group_planning_coalesces_neighbors() {
         // dim 16 → 64 B rows; rows 0..8 share sector 0.
         let rows: Vec<(u64, NodeId, u32)> = vec![(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)];
-        let groups = plan_read_groups(&rows, 64, 512, 4096, 1 << 20);
+        let groups = plan_read_groups(&rows, 64, 512, 4096, 1 << 20, 0);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 512);
         assert_eq!(groups[0].rows, rows);
         // A distant row gets its own group.
-        let groups = plan_read_groups(&[(0, 0, 0), (100, 100, 1)], 64, 512, 4096, 1 << 20);
+        let groups = plan_read_groups(&[(0, 0, 0), (100, 100, 1)], 64, 512, 4096, 1 << 20, 0);
         assert_eq!(groups.len(), 2);
+    }
+
+    /// With a per-op cost the planner reads through the smallest gaps until
+    /// link time meets op time: 512 B rows 0, 2, 3, 7 and 20 are four
+    /// touching-only windows (2 560 B) with gaps of 512, 1 536 and 6 144 B.
+    #[test]
+    fn read_group_planning_bridges_cheap_gaps_first() {
+        let rows: Vec<(u64, NodeId, u32)> =
+            vec![(0, 0, 0), (2, 2, 1), (3, 3, 2), (7, 7, 3), (20, 20, 4)];
+        let plan = |cost| {
+            plan_read_groups(&rows, 512, 512, 1 << 20, 1 << 20, cost)
+                .iter()
+                .map(|g| (g.window_start, g.window_len, g.rows.len()))
+                .collect::<Vec<_>>()
+        };
+        let touching = vec![
+            (0, 512, 1),
+            (1024, 1024, 2),
+            (3584, 512, 1),
+            (10240, 512, 1),
+        ];
+        assert_eq!(plan(0), touching);
+        // Bridging 512 B would leave 3 072 B of link time against
+        // 3 × 800 + 512 of op time: not worth it.
+        assert_eq!(plan(800), touching);
+        // Worth it at 1 000 B/op (3 072 ≤ 3 512); the next gap is not
+        // (4 608 > 2 × 1 000 + 1 536).
+        assert_eq!(
+            plan(1_000),
+            vec![(0, 2048, 3), (3584, 512, 1), (10240, 512, 1)]
+        );
+        // pm883_repro bridges 1 536 B too (4 608 ≤ 2 × 2 896 + 1 536), but
+        // never 6 144 B (10 752 > 2 896 + 6 144).
+        assert_eq!(plan(2_896), vec![(0, 4096, 4), (10240, 512, 1)]);
+        // The request cap still splits a bridged run.
+        let capped = plan_read_groups(&rows, 512, 512, 2048, 1 << 20, 2_896);
+        assert_eq!(capped.len(), 3);
+        assert!(capped.iter().all(|g| g.window_len <= 2048));
     }
 
     /// A packed layout decouples row from node id: adjacent *rows* coalesce
@@ -804,6 +908,7 @@ mod tests {
             512,
             4096,
             1 << 20,
+            0,
         );
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].rows, vec![(0, 9131, 5), (1, 4, 6), (2, 777, 7)]);
@@ -813,7 +918,7 @@ mod tests {
     fn read_group_clamps_at_eof_for_coarse_alignment() {
         // 512 B rows, 4 KiB (GDS) alignment, file of 3 sectors: the last
         // row's window must clamp to the file end.
-        let groups = plan_read_groups(&[(2, 2, 0)], 512, 4096, 1 << 20, 3 * 512);
+        let groups = plan_read_groups(&[(2, 2, 0)], 512, 4096, 1 << 20, 3 * 512, 0);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 3 * 512);
@@ -846,6 +951,49 @@ mod tests {
             0,
             "no corruption may escape verification"
         );
+    }
+
+    /// Bridged bytes are verified with the rows around them: a bit flipped
+    /// in a gap no row lives in still fails the window's checksum, and the
+    /// window is re-read rather than trusted.
+    #[test]
+    fn corruption_in_a_bridged_gap_is_reread() {
+        use gnndrive_storage::FaultPlan;
+        let ds = tiny_dataset_on(128, bridging());
+        let ctx = context(&ds, true, true);
+        // 512 B rows 10 and 12 become one 1 536 B read through row 11.
+        let rows = [(10, 10, 0), (12, 12, 1)];
+        let cost = ds.ssd.profile().op_cost_bytes();
+        let plan = plan_read_groups(&rows, 512, 512, 8192, ds.features_file.len, cost);
+        assert_eq!(shape(&plan), vec![(5120, 1536, rows.to_vec())]);
+        // Flip a bit of the middle sector on the first read, only.
+        let gap = 512 * 8..1024 * 8;
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(seed).with_bit_flips(1.0))
+            .find(|p| p.bit_flip(0, 1536).is_some_and(|bit| gap.contains(&bit)))
+            .expect("a seed that flips the gap")
+            .in_window(0..1)
+            .on_file(ds.features_file.id);
+        ds.ssd.set_fault_plan(plan);
+        let detected = telemetry::counter("storage.integrity.detected").get();
+        let ops = ds.ssd.stats().snapshot().read_ops;
+        let sample = MiniBatchSample {
+            batch_id: 0,
+            seeds: Vec::new(),
+            input_nodes: vec![10, 12],
+            blocks: Vec::new(),
+        };
+        let batch = extract_batch(&ctx, sample).unwrap();
+        ds.ssd.clear_faults();
+        verify_rows(&ds, &batch, &ctx.fb);
+        assert_eq!(batch.loaded_nodes, 2);
+        assert_eq!(
+            ds.ssd.stats().snapshot().read_ops - ops,
+            2,
+            "one bridged read, one re-read"
+        );
+        assert!(telemetry::counter("storage.integrity.detected").get() > detected);
+        assert_eq!(telemetry::counter("storage.integrity.escaped").get(), 0);
     }
 
     #[test]
@@ -927,7 +1075,9 @@ mod tests {
 
     /// One loop, two settings: over every row size class × device mode ×
     /// feature layout, serial and asynchronous extraction of the same
-    /// sample load the same nodes and leave bit-identical slab rows.
+    /// sample load the same nodes and leave bit-identical slab rows — on a
+    /// device that plans touching-only windows and on one that bridges
+    /// gaps, which issues fewer ops for the same rows.
     #[test]
     fn serial_and_async_extraction_agree_bit_for_bit() {
         use gnndrive_graph::pack_features;
@@ -935,25 +1085,31 @@ mod tests {
         let stacks: Vec<_> = DIMS
             .iter()
             .map(|&dim| {
-                let ds = tiny_dataset(dim);
-                let n = ds.spec.num_nodes;
-                // Reverse-id frequency: every row moves.
-                let freq: Vec<u64> = (0..n as u64).collect();
-                let layout = pack_features(&ds, &freq, &vec![0u64; n]).expect("pack");
-                (ds, layout)
+                // The same dataset (same spec seed) on both devices.
+                [SsdProfile::instant(), bridging()].map(|profile| {
+                    let ds = tiny_dataset_on(dim, profile);
+                    let n = ds.spec.num_nodes;
+                    // Reverse-id frequency: every row moves.
+                    let freq: Vec<u64> = (0..n as u64).collect();
+                    let layout = pack_features(&ds, &freq, &vec![0u64; n]).expect("pack");
+                    (ds, layout)
+                })
             })
             .collect();
         let mut case = 0usize;
+        let mut ops = [0u64; 2];
         gnndrive_sync::rng::cases(40, |rng| {
-            let (ds, layout) = &stacks[case % 5];
+            let devices = &stacks[case % 5];
             let (mode, packed) = (case / 5 % 4, case / 20 == 1);
             case += 1;
+            let n = devices[0].0.spec.num_nodes;
             let mut seeds: Vec<u32> = (0..1 + rng.below(12))
-                .map(|_| rng.below(ds.spec.num_nodes) as u32)
+                .map(|_| rng.below(n) as u32)
                 .collect();
             seeds.sort_unstable();
             seeds.dedup();
-            let extract = |serial: bool| {
+            let extract = |device: usize, serial: bool| {
+                let (ds, layout) = &devices[device];
                 // GPU staged, CPU, GPUDirect, buffered.
                 let mut ctx = context(ds, mode != 1, mode != 3);
                 if mode == 2 {
@@ -966,7 +1122,9 @@ mod tests {
                     ctx.remap = Some(Arc::clone(&layout.remap));
                 }
                 ctx.sync_extract = serial;
+                let before = ds.ssd.stats().snapshot().read_ops;
                 let batch = extract_batch(&ctx, sample_of(ds, &seeds)).unwrap();
+                let issued = ds.ssd.stats().snapshot().read_ops - before;
                 ctx.fb.check_invariants();
                 verify_rows(ds, &batch, &ctx.fb);
                 let mut row = vec![0.0f32; ds.spec.feat_dim];
@@ -975,15 +1133,24 @@ mod tests {
                     ctx.fb.slab().read_row(alias, &mut row);
                     bits.extend(row.iter().map(|v| v.to_bits()));
                 }
-                (bits, batch.loaded_nodes)
+                ((bits, batch.loaded_nodes), issued)
             };
-            assert_eq!(
-                extract(false),
-                extract(true),
-                "dim {} mode {mode} packed {packed}",
-                ds.spec.feat_dim
-            );
+            // (device, serial): touching-only async first, as the reference.
+            let runs = [(0, false), (0, true), (1, false), (1, true)].map(|(d, s)| extract(d, s));
+            for (i, (got, _)) in runs.iter().enumerate() {
+                assert_eq!(
+                    got, &runs[0].0,
+                    "dim {} mode {mode} packed {packed} run {i}",
+                    devices[0].0.spec.feat_dim
+                );
+            }
+            // Serial or not, a device plans the same groups.
+            let issued = runs.map(|(_, ops)| ops);
+            assert_eq!((issued[0], issued[2]), (issued[1], issued[3]));
+            ops[0] += issued[0];
+            ops[1] += issued[2];
         });
+        assert!(ops[1] < ops[0], "bridging never fired: {ops:?}");
     }
 
     /// Run one extraction under `retry` that may fail on the installed
@@ -1106,8 +1273,130 @@ mod tests {
             512,
             1024,
             1 << 20,
+            0,
         );
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.window_len <= 1024));
+    }
+
+    type Shape = Vec<(u64, usize, Vec<(u64, NodeId, u32)>)>;
+
+    fn shape(groups: &[ReadGroup]) -> Shape {
+        let shape = |g: &ReadGroup| (g.window_start, g.window_len, g.rows.clone());
+        groups.iter().map(shape).collect()
+    }
+
+    /// The planner before gap bridging: the oracle a free op reproduces.
+    fn touching_only(
+        rows: &[(u64, NodeId, u32)],
+        row_bytes: u64,
+        align: u64,
+        max_bytes: usize,
+        file_len: u64,
+    ) -> Shape {
+        let mut out: Shape = Vec::new();
+        for &r in rows {
+            let off = r.0 * row_bytes;
+            let start = off / align * align;
+            let end = ((off + row_bytes).div_ceil(align) * align).min(file_len);
+            match out.last_mut() {
+                Some((s, len, rs)) if start <= *s + *len as u64 && end - *s <= max_bytes as u64 => {
+                    *len = (*len).max((end - *s) as usize);
+                    rs.push(r);
+                }
+                _ => out.push((start, (end - start) as usize, vec![r])),
+            }
+        }
+        out
+    }
+
+    /// The planner's contract over random batches × alignments × op costs:
+    /// every row lands in exactly one group, in row order; windows are
+    /// aligned, clamped at EOF and within the cap; a free op plans exactly
+    /// the touching-only groups; and bridging goes smallest gap first and
+    /// stops where link time meets op time.
+    #[test]
+    fn read_group_planning_properties() {
+        gnndrive_sync::rng::cases(400, |rng| {
+            let row_bytes = [64u64, 96, 512, 516, 2048][rng.below(5)];
+            let align = [1u64, 512, 4096][rng.below(3)];
+            let num_rows = 1 + rng.below(2000) as u64;
+            let file_len = (num_rows * row_bytes).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
+            let mut picked: Vec<u64> = (0..rng.below(300))
+                .map(|_| rng.below(num_rows as usize) as u64)
+                .collect();
+            picked.sort_unstable();
+            picked.dedup();
+            let rows: Vec<(u64, NodeId, u32)> = picked
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| (r, (r * 7 % num_rows) as NodeId, i as u32))
+                .collect();
+            let max_bytes = [4096, 16 * 1024, 1 << 20][rng.below(3)];
+            let cost = [0, 512, 2_896, 100_000][rng.below(4)];
+            let groups = plan_read_groups(&rows, row_bytes, align, max_bytes, file_len, cost);
+
+            let flat: Vec<_> = groups.iter().flat_map(|g| g.rows.iter().copied()).collect();
+            assert_eq!(flat, rows, "every row once, in row order");
+            for g in &groups {
+                let end = g.window_start + g.window_len as u64;
+                assert!(end <= file_len, "past EOF");
+                assert_eq!(g.window_start % align, 0);
+                assert!(
+                    end.is_multiple_of(align) || end == file_len,
+                    "unaligned end"
+                );
+                // Only a single row's own window may exceed the cap.
+                assert!(g.window_len <= max_bytes || g.rows.len() == 1);
+                for &(row, ..) in &g.rows {
+                    let off = row * row_bytes;
+                    assert!(g.window_start <= off && off + row_bytes <= end);
+                }
+            }
+            if cost == 0 {
+                let oracle = touching_only(&rows, row_bytes, align, max_bytes, file_len);
+                assert_eq!(shape(&groups), oracle);
+                return;
+            }
+
+            // Uncapped, each group is one bridged run: check the stopping
+            // rule against the plan's own op count and link bytes.
+            let runs = plan_read_groups(&rows, row_bytes, align, usize::MAX, file_len, cost);
+            let (ops, link) = (
+                runs.len() as u64,
+                runs.iter().map(|g| g.window_len as u64).sum::<u64>(),
+            );
+            // The widest gap read through: between a row's window and the
+            // furthest end of the windows before it in its run.
+            let widest = runs
+                .iter()
+                .flat_map(|g| {
+                    let mut reach = g.window_start;
+                    g.rows.iter().map(move |&(row, ..)| {
+                        let start = row * row_bytes / align * align;
+                        let end = ((row + 1) * row_bytes).div_ceil(align) * align;
+                        let gap = start.saturating_sub(reach);
+                        reach = reach.max(end.min(file_len));
+                        gap
+                    })
+                })
+                .max()
+                .unwrap_or(0);
+            if widest > 0 {
+                assert!(link <= ops * cost + widest, "bridged past balance");
+            }
+            let between: Vec<u64> = runs
+                .windows(2)
+                .map(|w| w[1].window_start - (w[0].window_start + w[0].window_len as u64))
+                .collect();
+            if let Some(&next) = between.iter().min() {
+                assert!(next > widest, "a wider gap was bridged first");
+                let n = between.iter().filter(|&&g| g == next).count() as u64;
+                assert!(
+                    link + n * next > (ops - n) * cost + next,
+                    "stopped short of balance"
+                );
+            }
+        });
     }
 }

@@ -1,13 +1,24 @@
 //! End-to-end tests of the GNNDrive pipeline on a small on-SSD dataset.
 
-use gnndrive_core::{GnnDriveConfig, Pipeline, TrainingSystem};
-use gnndrive_device::GpuDevice;
+use gnndrive_core::extractor::ExtractorContext;
+use gnndrive_core::{
+    extract_batch, FeatureBufferManager, GnnDriveConfig, Pipeline, TrainingSystem,
+};
+use gnndrive_device::{FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, DatasetSpec};
 use gnndrive_nn::ModelKind;
-use gnndrive_storage::{FaultPlan, MemoryGovernor, PageCache, RetryPolicy, SimSsd, SsdProfile};
+use gnndrive_sampling::{InMemTopo, NeighborSampler};
+use gnndrive_storage::{
+    DeviceHealth, FaultPlan, HealthConfig, IoPriority, MemoryGovernor, PageCache, RetryPolicy,
+    SimSsd, SsdProfile,
+};
 use std::sync::Arc;
 
 fn dataset(dim: usize) -> Arc<Dataset> {
+    dataset_on(dim, SsdProfile::instant())
+}
+
+fn dataset_on(dim: usize, profile: SsdProfile) -> Arc<Dataset> {
     Arc::new(Dataset::build(
         DatasetSpec {
             name: "e2e".into(),
@@ -20,7 +31,7 @@ fn dataset(dim: usize) -> Arc<Dataset> {
             train_fraction: 0.2,
             seed: 17,
         },
-        SimSsd::new(SsdProfile::instant()),
+        SimSsd::new(profile),
     ))
 }
 
@@ -328,4 +339,76 @@ fn disk_path_inference_matches_offline_forward() {
         seeds.len()
     );
     p.feature_buffer().check_invariants();
+}
+
+/// Read planning, counted over one epoch of extraction: on `pm883_repro`,
+/// whose ops cost more than the link bytes between scattered rows, the
+/// epoch issues fewer device ops than touching-only planning would, which
+/// is itself at most one op per loaded node; on an instant device (no
+/// per-op cost) the same epoch issues exactly the touching-only count.
+/// Batches extract one after another into a buffer larger than the graph,
+/// so each batch loads exactly the nodes no earlier batch did, whatever
+/// the device.
+#[test]
+fn epoch_read_ops_follow_the_device_op_cost() {
+    const ROWS_PER_OP: usize = 16 * 1024 / 512;
+    let epoch = |profile: SsdProfile| {
+        let ds = dataset_on(128, profile); // 512 B rows: one sector each
+        let cfg = GnnDriveConfig::default();
+        let slab = Arc::new(FeatureSlab::new(4096, ds.spec.feat_dim));
+        let fb = Arc::new(FeatureBufferManager::new(slab, ds.spec.num_nodes, &cfg));
+        let ctx = ExtractorContext {
+            ssd: Arc::clone(&ds.ssd),
+            features_file: ds.features_file,
+            remap: None,
+            feat_dim: ds.spec.feat_dim,
+            fb: Arc::clone(&fb),
+            staging: None,
+            transfer: None,
+            direct_io: true,
+            gpu_direct: false,
+            sync_extract: false,
+            ring_depth: cfg.ring_depth,
+            max_joint_read_bytes: ROWS_PER_OP * 512,
+            retry: RetryPolicy::default(),
+            health: Arc::new(DeviceHealth::new(HealthConfig::default())),
+            io_priority: IoPriority::Bulk,
+        };
+        let sampler = NeighborSampler::new(
+            Arc::new(InMemTopo::new(Arc::clone(&ds.topology))),
+            vec![4, 4],
+        );
+        let mut seen = vec![false; ds.spec.num_nodes];
+        let (mut ops, mut loaded, mut touching) = (0, 0, 0);
+        for (b, seeds) in ds.train_idx.chunks(50).enumerate() {
+            let sample = sampler.sample(b as u64, seeds, 5);
+            let mut fresh: Vec<u32> = sample
+                .input_nodes
+                .iter()
+                .copied()
+                .filter(|&v| !std::mem::replace(&mut seen[v as usize], true))
+                .collect();
+            fresh.sort_unstable();
+            // Touching-only planning: one op per run of consecutive rows,
+            // split at the request cap.
+            for run in fresh.chunk_by(|a, b| a + 1 == *b) {
+                touching += run.len().div_ceil(ROWS_PER_OP) as u64;
+            }
+            let before = ds.ssd.stats().snapshot().read_ops;
+            let batch = extract_batch(&ctx, sample).expect("clean device");
+            ops += ds.ssd.stats().snapshot().read_ops - before;
+            assert_eq!(batch.loaded_nodes, fresh.len(), "batch {b}");
+            loaded += batch.loaded_nodes as u64;
+            fb.release(&batch.sample.input_nodes);
+        }
+        fb.check_invariants();
+        (ops, loaded, touching)
+    };
+    let (ops, loaded, touching) = epoch(SsdProfile::pm883_repro());
+    assert!(
+        ops < touching && touching <= loaded,
+        "pm883_repro: {ops} ops, {touching} touching-only, {loaded} nodes"
+    );
+    let (ops, _, touching) = epoch(SsdProfile::instant());
+    assert_eq!(ops, touching, "instant: touching-only planning");
 }

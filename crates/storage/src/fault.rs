@@ -133,6 +133,21 @@ impl FaultPlan {
         self
     }
 
+    /// The bit the plan flips in a successful `len`-byte read with targeted
+    /// read ordinal `read_no`, if it flips one: seeded, and inside the
+    /// read's full-sector prefix (the part the CRC table can vouch for), so
+    /// sub-sector reads are never flipped.
+    pub fn bit_flip(&self, read_no: u64, len: usize) -> Option<u64> {
+        let usable = (len - len % crate::ssd::SECTOR_SIZE as usize) as u64;
+        let flips = usable > 0
+            && self.bit_flip_prob > 0.0
+            && mix_unit(self.seed, read_no, 3) < self.bit_flip_prob;
+        flips.then(|| {
+            let bit = (mix_unit(self.seed, read_no, 4) * (usable as f64) * 8.0) as u64;
+            bit.min(usable * 8 - 1)
+        })
+    }
+
     /// Whether the plan can ever inject anything.
     pub fn is_active(&self) -> bool {
         self.read_fault_prob > 0.0
@@ -258,14 +273,8 @@ impl FaultInjector {
                 let sec = crate::ssd::SECTOR_SIZE as usize;
                 let usable = len - len % sec;
                 if verdict.fail.is_none() && usable > 0 {
-                    if self.plan.bit_flip_prob > 0.0
-                        && mix_unit(self.plan.seed, read_no, 3) < self.plan.bit_flip_prob
-                    {
-                        let bit =
-                            (mix_unit(self.plan.seed, read_no, 4) * (usable as f64) * 8.0) as u64;
-                        verdict.corrupt = Some(SilentCorruption::BitFlip {
-                            bit: bit.min(usable as u64 * 8 - 1),
-                        });
+                    if let Some(bit) = self.plan.bit_flip(read_no, len) {
+                        verdict.corrupt = Some(SilentCorruption::BitFlip { bit });
                     } else if self.plan.misdirected_read_prob > 0.0
                         && mix_unit(self.plan.seed, read_no, 5) < self.plan.misdirected_read_prob
                     {

@@ -123,6 +123,18 @@ impl SsdProfile {
             sleep_granularity: Duration::ZERO,
         }
     }
+
+    /// What one read op costs, in link bytes: `read_latency × bandwidth /
+    /// channels`, the bytes the link moves while one op holds its share of
+    /// the channels. A planner that reads `b` extra bytes to save one op
+    /// gains while `b` is below this (≈2.9 KB on `pm883_repro`); a device
+    /// with no per-op latency (`instant`) never gains.
+    pub fn op_cost_bytes(&self) -> u64 {
+        let bytes = self.read_latency.as_nanos() * self.bandwidth as u128
+            / 1_000_000_000
+            / self.channels.max(1) as u128;
+        bytes.min(u64::MAX as u128) as u64
+    }
 }
 
 /// Handle to a file (extent) on the device.
@@ -1215,6 +1227,20 @@ mod tests {
             elapsed >= Duration::from_millis(80),
             "bandwidth cap not enforced: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn op_cost_is_channel_time_in_link_bytes() {
+        // 340 µs × 130 MiB/s / 16 channels ≈ 2 896.7 B.
+        assert_eq!(SsdProfile::pm883_repro().op_cost_bytes(), 2_896);
+        assert_eq!(SsdProfile::instant().op_cost_bytes(), 0);
+        let one_channel = SsdProfile {
+            read_latency: Duration::from_micros(10),
+            bandwidth: 100_000_000,
+            channels: 1,
+            ..SsdProfile::instant()
+        };
+        assert_eq!(one_channel.op_cost_bytes(), 1_000);
     }
 
     #[test]
