@@ -4,8 +4,8 @@
 //!
 //! 1. **Plan** — pin every input node in the
 //!    [`FeatureBufferManager`](crate::FeatureBufferManager): reuse what is
-//!    resident, wait-list what another extractor is loading, and take LRU
-//!    standby slots for the rest.
+//!    resident, wait-list what another extractor is loading, and take
+//!    standby slots, coldest first, for the rest.
 //! 2. **Phase one (SSD → staging)** — issue asynchronous direct-I/O reads
 //!    through an io_uring-style [`IoRing`], one request per read group —
 //!    rows whose windows touch (*joint extraction*, §4.4) or whose gap is

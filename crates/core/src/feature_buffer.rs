@@ -1,20 +1,31 @@
 //! The feature-buffer manager (paper §4.2, Fig 6, Algorithm 1).
 //!
-//! Four components, exactly as the paper describes:
+//! Four components, as the paper describes:
 //!
-//! * a **mapping table** — per graph node: slot index (−1 = none), a
-//!   reference count, and a valid bit. (slot ≠ −1, valid=1) means the data
-//!   is ready in the slot; (slot ≠ −1, valid=0) means it is being extracted
-//!   by some extractor; (slot = −1, valid=0) means not buffered; (−1, 1) is
-//!   impossible.
+//! * a **mapping table** — per graph node: slot index (none = not
+//!   buffered), a reference count, and a valid bit. (slot, valid=1) means
+//!   the data is ready in the slot; (slot, valid=0) means it is being
+//!   extracted by some extractor; (none, valid=0) means not buffered;
+//!   (none, 1) is impossible. Each 16-byte entry also holds the node's
+//!   popularity class and how many queued batches announced it (below).
 //! * the **buffer** itself — a [`FeatureSlab`] of fixed feature-row slots
 //!   in device memory (host memory for CPU training);
 //! * a **reverse mapping array** — per slot, which node currently owns it
-//!   (−1 = free);
-//! * a **standby list** — an LRU list of slots that are free or retired
-//!   (reference count zero) but possibly still valid, enabling inter-batch
-//!   reuse; invalidation of a retired node is *delayed* until its slot is
-//!   actually stolen.
+//!   (none = free);
+//! * a **standby list** of slots that are free or retired (reference count
+//!   zero) but possibly still valid, enabling inter-batch reuse;
+//!   invalidation of a retired node is *delayed* until its slot is actually
+//!   stolen.
+//!
+//! Unlike the paper's LRU standby list, this one evicts cold rows first
+//! (DESIGN.md §4 item 10). It is an [`LruList`] with classes: free slots
+//! sit in class 0, a retired slot in its owner's *popularity class* (the
+//! bit length of the node's out-degree, fixed at construction), and a
+//! retired slot whose owner a queued batch has *announced* (see
+//! [`Horizon`]) in the top class. A steal takes the least recently
+//! retired slot of the lowest non-empty class. A manager made with
+//! [`FeatureBufferManager::new`] and never announced to keeps every slot
+//! in class 0: plain LRU.
 //!
 //! Concurrency follows Algorithm 1: an extractor plans a batch atomically
 //! (reuse pass + slot allocation), loads asynchronously, publishes valid
@@ -25,6 +36,7 @@
 use crate::config::GnnDriveConfig;
 use gnndrive_device::FeatureSlab;
 use gnndrive_graph::NodeId;
+use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::LruList;
 use gnndrive_sync::{LockRank, OrderedCondvar, OrderedMutex};
 use gnndrive_telemetry as telemetry;
@@ -33,23 +45,90 @@ use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{Counter, Gauge};
 
-const NO_SLOT: i64 = -1;
+const NO_SLOT: u32 = u32::MAX;
+const NO_NODE: NodeId = NodeId::MAX;
+
+/// Standby class of a retired slot whose owner is announced: above every
+/// popularity class (the bit length of a `u32` out-degree is at most 32),
+/// so it is stolen last.
+const ANNOUNCED: u8 = u32::BITS as u8 + 1;
+
+/// A node's popularity class: the bit length of its out-degree, i.e. of
+/// how many in-neighbour lists of the CSC it appears in (0 for none).
+fn popularity_class(out_degree: u32) -> u8 {
+    (u32::BITS - out_degree.leading_zeros()) as u8
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    slot: i64,
+    slot: u32,
     ref_count: u32,
+    /// Queued batches that announced this node. Never above
+    /// `Inner::announced`, which is held to `u32::MAX`.
+    announced: u32,
+    /// [`popularity_class`] of the node's out-degree.
+    class: u8,
     valid: bool,
     /// The extractor loading this node gave up (I/O failure); waiters must
     /// error out and future planners must re-load.
     aborted: bool,
 }
 
+// One mapping-table entry per graph node: the table must not grow.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+impl Entry {
+    /// The standby class this node's slot belongs in once retired.
+    fn standby_class(&self) -> u8 {
+        if self.announced > 0 {
+            ANNOUNCED
+        } else {
+            self.class
+        }
+    }
+}
+
 struct Inner {
     map: Vec<Entry>,
-    /// Per slot: owning node id, or −1.
-    reverse: Vec<i64>,
+    /// Per slot: owning node id, or [`NO_NODE`].
+    reverse: Vec<NodeId>,
     standby: LruList,
+    /// Announcements outstanding, summed over nodes.
+    announced: u64,
+    /// Open [`Horizon`]s: outside every one, nothing may be announced.
+    horizons: u32,
+}
+
+impl Inner {
+    /// The standby class `slot` belongs in: its owner's, or 0 when free.
+    fn slot_class(&self, slot: u32) -> u8 {
+        match self.reverse[slot as usize] {
+            NO_NODE => 0,
+            owner => self.map[owner as usize].standby_class(),
+        }
+    }
+
+    /// Put `slot` at the most-recently-retired end of its standby class.
+    fn retire(&mut self, slot: u32) {
+        let class = self.slot_class(slot);
+        self.standby.push_back_in(slot, class);
+    }
+
+    /// Move `node`'s slot, if it is on standby, into the class the node's
+    /// entry now implies.
+    fn refile(&mut self, node: NodeId) {
+        let e = self.map[node as usize];
+        if e.slot == NO_SLOT {
+            return;
+        }
+        match self.standby.class_of(e.slot) {
+            Some(class) if class != e.standby_class() => {
+                self.standby.remove(e.slot);
+                self.retire(e.slot);
+            }
+            _ => {}
+        }
+    }
 }
 
 /// The plan produced for one mini-batch: which slots alias which input
@@ -138,29 +217,46 @@ pub struct FeatureBufferManager {
 }
 
 impl FeatureBufferManager {
-    /// Manage `slab` for a graph of `num_nodes` nodes.
+    /// Manage `slab` for a graph of `num_nodes` nodes, every node in
+    /// popularity class 0: the standby list is plain LRU.
     pub fn new(slab: Arc<FeatureSlab>, num_nodes: usize, config: &GnnDriveConfig) -> Self {
+        Self::with_out_degrees(slab, &vec![0; num_nodes], config)
+    }
+
+    /// Manage `slab` for a graph whose node `v` has out-degree
+    /// `out_degrees[v]`: a retired row's popularity class, the bit length
+    /// of its out-degree, decides how soon its slot is stolen.
+    pub fn with_out_degrees(
+        slab: Arc<FeatureSlab>,
+        out_degrees: &[u32],
+        config: &GnnDriveConfig,
+    ) -> Self {
         let num_slots = slab.num_slots();
-        let mut standby = LruList::new(num_slots);
+        let mut standby = LruList::with_classes(num_slots, ANNOUNCED as usize + 1);
         for s in 0..num_slots as u32 {
             standby.push_back(s);
         }
+        let map = out_degrees
+            .iter()
+            .map(|&d| Entry {
+                slot: NO_SLOT,
+                ref_count: 0,
+                announced: 0,
+                class: popularity_class(d),
+                valid: false,
+                aborted: false,
+            })
+            .collect();
         FeatureBufferManager {
             slab,
             inner: OrderedMutex::new(
                 LockRank::Buffer,
                 Inner {
-                    map: vec![
-                        Entry {
-                            slot: NO_SLOT,
-                            ref_count: 0,
-                            valid: false,
-                            aborted: false,
-                        };
-                        num_nodes
-                    ],
-                    reverse: vec![NO_SLOT; num_slots],
+                    map,
+                    reverse: vec![NO_NODE; num_slots],
                     standby,
+                    announced: 0,
+                    horizons: 0,
                 },
             ),
             slot_available: OrderedCondvar::new(),
@@ -194,9 +290,9 @@ impl FeatureBufferManager {
     }
 
     /// Algorithm 1, lines 5–29: pin every input node, reusing valid data,
-    /// queueing in-flight nodes for waiting, and allocating LRU standby
-    /// slots (with delayed invalidation of their previous owners) for the
-    /// nodes this extractor must load.
+    /// queueing in-flight nodes for waiting, and taking standby slots
+    /// coldest class first (with delayed invalidation of their previous
+    /// owners) for the nodes this extractor must load.
     ///
     /// Blocks while the standby list is empty (waiting for the releaser);
     /// panics after the configured timeout — that means the feature buffer
@@ -215,9 +311,9 @@ impl FeatureBufferManager {
                 if e.ref_count == 0 {
                     // Retired but still resident: pull its slot back out of
                     // the standby list before someone steals it.
-                    inner.standby.remove(e.slot as u32);
+                    inner.standby.remove(e.slot);
                 }
-                aliases[i] = e.slot as u32;
+                aliases[i] = e.slot;
                 self.stats.add_reuse_hit();
             } else if e.ref_count > 0 && !e.aborted {
                 // Another extractor is loading this node right now.
@@ -264,15 +360,15 @@ impl FeatureBufferManager {
             drop(slot_wait);
             // Delayed invalidation: evict the slot's previous owner now.
             let prev = inner.reverse[slot as usize];
-            if prev != NO_SLOT {
+            if prev != NO_NODE {
                 let p = &mut inner.map[prev as usize];
                 debug_assert_eq!(p.ref_count, 0, "standby slot owner must be unpinned");
                 p.valid = false;
                 p.slot = NO_SLOT;
                 self.stats.add_delayed_invalidation();
             }
-            inner.reverse[slot as usize] = node as i64;
-            inner.map[node as usize].slot = slot as i64;
+            inner.reverse[slot as usize] = node;
+            inner.map[node as usize].slot = slot;
             debug_assert!(!inner.map[node as usize].valid);
             aliases[i] = slot;
             self.stats.add_load();
@@ -315,7 +411,7 @@ impl FeatureBufferManager {
             loop {
                 let e = inner.map[node as usize];
                 if e.valid {
-                    plan.aliases[i] = e.slot as u32;
+                    plan.aliases[i] = e.slot;
                     break;
                 }
                 if e.aborted {
@@ -354,28 +450,18 @@ impl FeatureBufferManager {
             let valid = e.valid;
             let slot = e.slot;
             if loading.contains(&node) && !valid {
-                if refs == 0 {
-                    // Nobody else cares: free the slot outright.
-                    if slot != NO_SLOT {
-                        inner.reverse[slot as usize] = NO_SLOT;
-                        let e = &mut inner.map[node as usize];
-                        e.slot = NO_SLOT;
-                        e.aborted = false;
-                        inner.standby.push_back(slot as u32);
-                    }
-                } else {
-                    // Waiters exist: poison the entry but release the slot
-                    // mapping so the takeover loader allocates fresh.
-                    if slot != NO_SLOT {
-                        inner.reverse[slot as usize] = NO_SLOT;
-                        inner.standby.push_back(slot as u32);
-                    }
-                    let e = &mut inner.map[node as usize];
-                    e.slot = NO_SLOT;
-                    e.aborted = true;
+                // Free the slot outright. With no other pins the entry
+                // simply forgets it; with waiters it is poisoned so they
+                // fail fast and the takeover loader allocates fresh.
+                if slot != NO_SLOT {
+                    inner.reverse[slot as usize] = NO_NODE;
+                    inner.retire(slot);
                 }
+                let e = &mut inner.map[node as usize];
+                e.slot = NO_SLOT;
+                e.aborted = refs > 0;
             } else if refs == 0 && slot != NO_SLOT {
-                inner.standby.push_back(slot as u32);
+                inner.retire(slot);
             }
         }
         self.m_standby.set(inner.standby.len() as i64);
@@ -386,7 +472,8 @@ impl FeatureBufferManager {
 
     /// Release stage (§4.2 "Release Feature Buffer"): unpin every node of a
     /// trained batch; slots whose reference count reaches zero join the
-    /// MRU end of the standby list, still valid for potential reuse.
+    /// most-recently-retired end of their standby class, still valid for
+    /// potential reuse.
     pub fn release(&self, input_nodes: &[NodeId]) {
         let mut inner = self.inner.lock();
         let mut freed = false;
@@ -397,7 +484,7 @@ impl FeatureBufferManager {
             if e.ref_count == 0 {
                 let slot = e.slot;
                 if slot != NO_SLOT {
-                    inner.standby.push_back(slot as u32);
+                    inner.retire(slot);
                     freed = true;
                 }
             }
@@ -409,42 +496,163 @@ impl FeatureBufferManager {
         }
     }
 
+    /// Open an announce horizon (see [`Horizon`]).
+    pub fn horizon(&self) -> Horizon<'_> {
+        self.inner.lock().horizons += 1;
+        Horizon { fb: self }
+    }
+
+    /// Count one announcement of each of `nodes`, moving newly announced
+    /// retired slots to the top class. Refused (`false`, nothing counted)
+    /// if the outstanding total would pass `u32::MAX`, which bounds every
+    /// per-node count whatever the extract queue's capacity.
+    fn announce_nodes(&self, nodes: &[NodeId]) -> bool {
+        let mut inner = self.inner.lock();
+        let total = inner.announced + nodes.len() as u64;
+        if total > u64::from(u32::MAX) {
+            return false;
+        }
+        inner.announced = total;
+        for &node in nodes {
+            let e = &mut inner.map[node as usize];
+            e.announced += 1;
+            if e.announced == 1 {
+                inner.refile(node);
+            }
+        }
+        true
+    }
+
+    /// Undo one [`FeatureBufferManager::announce_nodes`] of `nodes`.
+    fn withdraw_nodes(&self, nodes: &[NodeId]) {
+        let mut inner = self.inner.lock();
+        inner.announced -= nodes.len() as u64;
+        for &node in nodes {
+            let e = &mut inner.map[node as usize];
+            e.announced -= 1;
+            if e.announced == 0 {
+                inner.refile(node);
+            }
+        }
+    }
+
     /// Test/diagnostic view of one node's mapping entry:
-    /// `(slot, ref_count, valid)`.
+    /// `(slot, ref_count, valid)`, slot −1 when the node has none.
     pub fn entry(&self, node: NodeId) -> (i64, u32, bool) {
         let inner = self.inner.lock();
         let e = inner.map[node as usize];
-        (e.slot, e.ref_count, e.valid)
+        let slot = if e.slot == NO_SLOT { -1 } else { e.slot.into() };
+        (slot, e.ref_count, e.valid)
     }
 
     /// Validate the structural invariants (test helper): the live mapping
-    /// is injective, reverse mapping is consistent, and every standby slot
-    /// is free or owned by an unpinned node.
+    /// is injective, reverse mapping is consistent, every standby slot is
+    /// free or owned by an unpinned node and sits in the class its owner
+    /// implies (free slots in class 0), and announcements add up — to zero
+    /// while no [`Horizon`] is open.
     pub fn check_invariants(&self) {
         let inner = self.inner.lock();
         let mut seen = vec![false; inner.reverse.len()];
+        let mut announced = 0u64;
         for (node, e) in inner.map.iter().enumerate() {
+            announced += u64::from(e.announced);
             if e.slot != NO_SLOT {
                 let s = e.slot as usize;
                 assert!(!seen[s], "two nodes share slot {s}");
                 seen[s] = true;
                 assert_eq!(
-                    inner.reverse[s], node as i64,
+                    inner.reverse[s], node as NodeId,
                     "reverse mapping broken for slot {s}"
                 );
             } else {
                 assert!(!e.valid, "valid entry without slot (impossible state)");
             }
         }
+        assert_eq!(announced, inner.announced, "announcement counts drifted");
+        if inner.horizons == 0 {
+            assert_eq!(announced, 0, "announcements outlived every horizon");
+        }
         for slot in inner.standby.iter() {
             let owner = inner.reverse[slot as usize];
-            if owner != NO_SLOT {
+            if owner != NO_NODE {
                 assert_eq!(
                     inner.map[owner as usize].ref_count, 0,
                     "pinned node's slot {slot} is in standby"
                 );
             }
+            assert_eq!(
+                inner.standby.class_of(slot),
+                Some(inner.slot_class(slot)),
+                "standby slot {slot} (owner {owner}) is in the wrong class"
+            );
         }
+    }
+}
+
+/// An epoch's announce horizon: the batches sampled but not yet taken by
+/// an extractor, whose input rows are about to be used (Belady's "keep
+/// what is used soonest" over what the pipeline already knows).
+///
+/// [`Horizon::announce`] moves each input node's retired slot into the
+/// class stolen last; the returned [`Announced`] withdraws the
+/// announcement exactly once — when an extractor takes the batch
+/// ([`Announced::withdraw`]) or when it is dropped unextracted. It borrows
+/// the horizon, so no announcement outlives the epoch that made it, and
+/// [`FeatureBufferManager::check_invariants`] asserts nothing is announced
+/// while no horizon is open.
+pub struct Horizon<'fb> {
+    fb: &'fb FeatureBufferManager,
+}
+
+impl Horizon<'_> {
+    /// Announce `sample`'s input nodes until the returned handle is
+    /// withdrawn or dropped.
+    pub fn announce(&self, sample: MiniBatchSample) -> Announced<'_> {
+        let counted = self.fb.announce_nodes(&sample.input_nodes);
+        Announced {
+            fb: self.fb,
+            sample: Some(sample),
+            counted,
+        }
+    }
+}
+
+impl Drop for Horizon<'_> {
+    fn drop(&mut self) {
+        self.fb.inner.lock().horizons -= 1;
+    }
+}
+
+/// A sample whose input nodes are announced; see [`Horizon`].
+pub struct Announced<'h> {
+    fb: &'h FeatureBufferManager,
+    /// `None` once withdrawn.
+    sample: Option<MiniBatchSample>,
+    /// Whether the manager counted the announcement (it refuses one that
+    /// could overflow a count).
+    counted: bool,
+}
+
+impl Announced<'_> {
+    /// Withdraw the announcement and hand over the sample: the extractor
+    /// taking the batch off the queue.
+    pub fn withdraw(mut self) -> MiniBatchSample {
+        self.settle()
+            .expect("withdrawn once: `withdraw` consumes the handle")
+    }
+
+    fn settle(&mut self) -> Option<MiniBatchSample> {
+        let sample = self.sample.take()?;
+        if self.counted {
+            self.fb.withdraw_nodes(&sample.input_nodes);
+        }
+        Some(sample)
+    }
+}
+
+impl Drop for Announced<'_> {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -603,6 +811,111 @@ mod tests {
         assert_eq!(fb.standby_len(), 3, "still pinned: not in standby");
         fb.release(&[2]);
         assert_eq!(fb.standby_len(), 4);
+        fb.check_invariants();
+    }
+
+    fn sample(input_nodes: Vec<NodeId>) -> MiniBatchSample {
+        MiniBatchSample {
+            batch_id: 0,
+            seeds: Vec::new(),
+            input_nodes,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Plan, publish and release `nodes` as one batch.
+    fn cycle(fb: &FeatureBufferManager, nodes: &[NodeId]) -> ExtractPlan {
+        let plan = fb.plan_batch(nodes);
+        for &(_, n) in &plan.to_load {
+            fb.publish(n);
+        }
+        fb.release(nodes);
+        plan
+    }
+
+    #[test]
+    fn popularity_class_is_the_out_degree_bit_length() {
+        let classes: Vec<u8> = [0, 1, 2, 3, 4, 1000, u32::MAX]
+            .into_iter()
+            .map(popularity_class)
+            .collect();
+        assert_eq!(classes, vec![0, 1, 2, 2, 3, 10, 32]);
+        assert!(popularity_class(u32::MAX) < ANNOUNCED);
+    }
+
+    #[test]
+    fn cold_rows_are_stolen_before_popular_ones() {
+        // Node 0 is popular (out-degree 8), nodes 1 and 2 are cold.
+        let slab = Arc::new(FeatureSlab::new(2, 4));
+        let cfg = GnnDriveConfig::default();
+        let fb = FeatureBufferManager::with_out_degrees(slab, &[8, 1, 1], &cfg);
+        let p0 = cycle(&fb, &[0]);
+        let p1 = cycle(&fb, &[1]);
+        // LRU would steal node 0's slot; the classes steal the cold row's.
+        let p2 = cycle(&fb, &[2]);
+        assert_eq!(p2.aliases[0], p1.aliases[0]);
+        assert!(fb.entry(0).2, "the popular row survives");
+        assert_eq!(fb.entry(0).0, i64::from(p0.aliases[0]));
+        fb.check_invariants();
+    }
+
+    #[test]
+    fn announced_rows_are_stolen_last_until_withdrawn() {
+        let fb = manager(2, 10);
+        let p0 = cycle(&fb, &[0]);
+        let p1 = cycle(&fb, &[1]);
+        let horizon = fb.horizon();
+        let queued = horizon.announce(sample(vec![0, 5]));
+        fb.check_invariants();
+        // Node 0 is the LRU row, but a queued batch needs it.
+        let p2 = cycle(&fb, &[2]);
+        assert_eq!(p2.aliases[0], p1.aliases[0]);
+        assert!(fb.entry(0).2);
+        // The extractor takes the batch: node 0 is back in its class, at
+        // the most recently retired end.
+        let taken = queued.withdraw();
+        assert_eq!(taken.input_nodes, vec![0, 5]);
+        fb.check_invariants();
+        let p3 = cycle(&fb, &[3]);
+        assert_eq!(
+            p3.aliases[0], p2.aliases[0],
+            "node 2 retired before 0 was refiled"
+        );
+        assert_eq!(fb.entry(0).0, i64::from(p0.aliases[0]));
+        drop(horizon);
+        fb.check_invariants();
+    }
+
+    #[test]
+    fn a_batch_announced_but_never_planned_is_withdrawn_on_drop() {
+        let fb = manager(4, 10);
+        cycle(&fb, &[1, 2]);
+        {
+            let horizon = fb.horizon();
+            let a = horizon.announce(sample(vec![1, 3]));
+            let b = horizon.announce(sample(vec![1]));
+            assert_eq!(fb.inner.lock().map[1].announced, 2);
+            drop(a);
+            assert_eq!(fb.inner.lock().map[1].announced, 1);
+            fb.check_invariants();
+            // Dropped unextracted, e.g. left in the queue when the trainer
+            // stopped early.
+            drop(b);
+            fb.check_invariants();
+        }
+        let inner = fb.inner.lock();
+        assert_eq!((inner.announced, inner.horizons), (0, 0));
+        let slot = inner.map[1].slot;
+        assert_eq!(inner.standby.class_of(slot), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "announcements outlived every horizon")]
+    fn an_announcement_leaked_past_its_horizon_is_caught() {
+        let fb = manager(4, 10);
+        let horizon = fb.horizon();
+        std::mem::forget(horizon.announce(sample(vec![1])));
+        drop(horizon);
         fb.check_invariants();
     }
 }

@@ -7,7 +7,8 @@
 //!    are staged through a small, bounded host [`StagingBuffer`] into a
 //!    device-resident feature buffer managed by [`FeatureBufferManager`]
 //!    (mapping table, reference counts, valid bits, a reverse-mapping
-//!    array, and an LRU *standby list*), and feature loads use **direct
+//!    array, and a *standby list* that gives up cold rows first), and
+//!    feature loads use **direct
 //!    I/O** that bypasses the OS page cache — leaving host memory to the
 //!    sampler's memory-mapped topology and eliminating the memory
 //!    contention that cripples PyG+.

@@ -14,13 +14,13 @@ use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use crate::config::GnnDriveConfig;
 use crate::error::Error;
 use crate::extractor::{extract_batch, ExtractedBatch, ExtractorContext};
-use crate::feature_buffer::FeatureBufferManager;
+use crate::feature_buffer::{Announced, FeatureBufferManager};
 use crate::staging::StagingBuffer;
 use crate::system::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
 use gnndrive_device::{DeviceAlloc, FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
-use gnndrive_sampling::{AsyncTopo, BatchPlan, MiniBatchSample, NeighborSampler, TopoReader};
+use gnndrive_sampling::{AsyncTopo, BatchPlan, NeighborSampler, TopoReader};
 use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
 use gnndrive_sync::queue::bounded;
 use gnndrive_telemetry::{self as telemetry, HistSummary, State, ThreadClass};
@@ -245,9 +245,11 @@ impl Pipeline {
         } else {
             FeatureBufferHome::Host(governor.charge(slab.bytes()).map_err(BuildError::HostOom)?)
         };
-        let fb = Arc::new(FeatureBufferManager::new(
+        // Popularity classes for the standby list (DESIGN.md §4 item 10),
+        // from the same CSC the dataset pass wrote.
+        let fb = Arc::new(FeatureBufferManager::with_out_degrees(
             Arc::clone(&slab),
-            ds.spec.num_nodes,
+            &ds.topology.out_degrees(),
             &cfg,
         ));
 
@@ -459,9 +461,13 @@ impl Pipeline {
 
         let sampler = &NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
         let ctx = &self.extractor_context(IoPriority::Bulk);
+        // The epoch's announce horizon: a sample's input rows are announced
+        // from the moment its sampler hands it to the extract queue until
+        // an extractor takes it (DESIGN.md §4 item 10). Every queued
+        // handle borrows it, so none outlives the epoch.
+        let horizon = &ctx.fb.horizon();
 
-        let (extract_tx, extract_rx) =
-            bounded::<(MiniBatchSample, Stamps)>(self.cfg.extract_queue_cap);
+        let (extract_tx, extract_rx) = bounded::<(Announced, Stamps)>(self.cfg.extract_queue_cap);
         let (train_tx, train_rx) =
             bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(self.cfg.train_queue_cap);
         let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
@@ -533,8 +539,9 @@ impl Pipeline {
                                 ..Stamps::default()
                             };
                             h_sample.record(stamps.sampled - start);
-                            // ② enqueue into the extracting queue.
-                            if tx.send((sample, stamps)).is_err() {
+                            // ② enqueue into the extracting queue. A send
+                            // that fails drops, and so withdraws, the sample.
+                            if tx.send((horizon.announce(sample), stamps)).is_err() {
                                 break;
                             }
                             g_extract_q.set(tx.len() as i64);
@@ -552,8 +559,9 @@ impl Pipeline {
                     .name(format!("extractor-{w}"))
                     .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
-                        while let Ok((sample, mut stamps)) = rx.recv() {
+                        while let Ok((queued, mut stamps)) = rx.recv() {
                             g_extract_q.set(rx.len() as i64);
+                            let sample = queued.withdraw();
                             let batch_id = sample.batch_id;
                             stamps.extract_start = now();
                             let extracted = {

@@ -1,10 +1,12 @@
 //! Model-based and concurrency tests of the feature-buffer manager.
 
-use gnndrive_core::{FeatureBufferManager, GnnDriveConfig};
+use gnndrive_core::{ExtractPlan, FeatureBufferManager, GnnDriveConfig};
 use gnndrive_device::FeatureSlab;
+use gnndrive_graph::{generate_graph, MiniDataset, NodeId};
+use gnndrive_sampling::{BatchPlan, InMemTopo, MiniBatchSample, NeighborSampler};
 use gnndrive_sync::rng::cases;
 use gnndrive_sync::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,4 +149,404 @@ fn concurrent_extractors_stress() {
     for n in 0u32..300 {
         assert_eq!(fb.entry(n).1, 0, "node {n} leaked a pin");
     }
+}
+
+fn sample(input_nodes: Vec<NodeId>) -> MiniBatchSample {
+    MiniBatchSample {
+        batch_id: 0,
+        seeds: Vec::new(),
+        input_nodes,
+        blocks: Vec::new(),
+    }
+}
+
+/// The naive model of the manager: plain vectors, a standby *set* and a
+/// victim found by a linear scan. Every standby slot carries the time it
+/// entered its current class (a release, an abort, or an announcement
+/// that moved its owner in or out of the top class); the victim is the
+/// minimum over standby slots of (announced, class, that time).
+struct Model {
+    class: Vec<u8>,
+    slot: Vec<Option<u32>>,
+    refs: Vec<u32>,
+    valid: Vec<bool>,
+    aborted: Vec<bool>,
+    announced: Vec<u32>,
+    owner: Vec<Option<NodeId>>,
+    standby: BTreeMap<u32, u64>,
+    clock: u64,
+}
+
+/// What the model predicts `plan_batch` does.
+struct PlanPrediction {
+    to_load: Vec<NodeId>,
+    wait_for: Vec<NodeId>,
+    victims: Vec<u32>,
+}
+
+impl Model {
+    fn new(out_degrees: &[u32], slots: usize) -> Model {
+        let n = out_degrees.len();
+        Model {
+            class: out_degrees
+                .iter()
+                .map(|&d| (u32::BITS - d.leading_zeros()) as u8)
+                .collect(),
+            slot: vec![None; n],
+            refs: vec![0; n],
+            valid: vec![false; n],
+            aborted: vec![false; n],
+            announced: vec![0; n],
+            owner: vec![None; slots],
+            standby: (0..slots as u32).map(|s| (s, u64::from(s))).collect(),
+            clock: slots as u64,
+        }
+    }
+
+    fn key(&self, slot: u32) -> (bool, u8, u64) {
+        let entered = self.standby[&slot];
+        match self.owner[slot as usize] {
+            Some(n) if self.announced[n as usize] > 0 => (true, 0, entered),
+            Some(n) => (false, self.class[n as usize], entered),
+            None => (false, 0, entered),
+        }
+    }
+
+    fn retire(&mut self, slot: u32) {
+        self.clock += 1;
+        self.standby.insert(slot, self.clock);
+    }
+
+    fn restamp(&mut self, node: NodeId) {
+        if let Some(s) = self.slot[node as usize] {
+            if self.standby.contains_key(&s) {
+                self.retire(s);
+            }
+        }
+    }
+
+    /// `None` when the plan would block on an empty standby list.
+    fn plan(&mut self, nodes: &[NodeId]) -> Option<PlanPrediction> {
+        let loads = nodes
+            .iter()
+            .filter(|&&n| {
+                !self.valid[n as usize] && (self.refs[n as usize] == 0 || self.aborted[n as usize])
+            })
+            .count();
+        let rescued = nodes
+            .iter()
+            .filter(|&&n| self.valid[n as usize] && self.refs[n as usize] == 0)
+            .count();
+        if loads + rescued > self.standby.len() {
+            return None;
+        }
+        let (mut to_load, mut wait_for) = (Vec::new(), Vec::new());
+        for &n in nodes {
+            let i = n as usize;
+            if self.valid[i] {
+                if self.refs[i] == 0 {
+                    self.standby
+                        .remove(&self.slot[i].expect("valid has a slot"));
+                }
+            } else if self.refs[i] > 0 && !self.aborted[i] {
+                wait_for.push(n);
+            } else {
+                self.aborted[i] = false;
+                to_load.push(n);
+            }
+            self.refs[i] += 1;
+        }
+        let mut victims = Vec::new();
+        for &n in &to_load {
+            let victim = *self
+                .standby
+                .keys()
+                .min_by_key(|&&s| self.key(s))
+                .expect("checked above");
+            self.standby.remove(&victim);
+            if let Some(prev) = self.owner[victim as usize] {
+                self.valid[prev as usize] = false;
+                self.slot[prev as usize] = None;
+            }
+            self.owner[victim as usize] = Some(n);
+            self.slot[n as usize] = Some(victim);
+            victims.push(victim);
+        }
+        Some(PlanPrediction {
+            to_load,
+            wait_for,
+            victims,
+        })
+    }
+
+    fn release(&mut self, nodes: &[NodeId]) {
+        for &n in nodes {
+            let i = n as usize;
+            self.refs[i] -= 1;
+            if self.refs[i] == 0 {
+                if let Some(s) = self.slot[i] {
+                    self.retire(s);
+                }
+            }
+        }
+    }
+
+    fn abort(&mut self, nodes: &[NodeId], to_load: &[NodeId]) {
+        for &n in nodes {
+            let i = n as usize;
+            self.refs[i] -= 1;
+            if to_load.contains(&n) && !self.valid[i] {
+                if let Some(s) = self.slot[i].take() {
+                    self.owner[s as usize] = None;
+                    self.retire(s);
+                }
+                self.aborted[i] = self.refs[i] > 0;
+            } else if self.refs[i] == 0 {
+                if let Some(s) = self.slot[i] {
+                    self.retire(s);
+                }
+            }
+        }
+    }
+
+    fn announce(&mut self, nodes: &[NodeId], by: i32) {
+        for &n in nodes {
+            let i = n as usize;
+            let was = self.announced[i] > 0;
+            self.announced[i] = self.announced[i].checked_add_signed(by).expect("balanced");
+            if was != (self.announced[i] > 0) {
+                self.restamp(n);
+            }
+        }
+    }
+}
+
+/// A planned batch the property still owes a publish, release or abort.
+struct Outstanding {
+    nodes: Vec<NodeId>,
+    plan: ExtractPlan,
+    to_load: Vec<NodeId>,
+    published: bool,
+}
+
+/// Random plan/publish/release/announce/withdraw/abort sequences through
+/// a small buffer with random out-degrees: every slot the manager steals
+/// is the naive model's victim, and the mapping tables agree after every
+/// step.
+#[test]
+fn eviction_matches_the_naive_model() {
+    const NODES: usize = 24;
+    const SLOTS: usize = 10;
+    cases(96, |rng| {
+        let degrees: Vec<u32> = (0..NODES).map(|_| rng.below(40) as u32).collect();
+        let slab = Arc::new(FeatureSlab::new(SLOTS, 2));
+        let cfg = GnnDriveConfig {
+            slot_wait_timeout: Duration::from_millis(50),
+            ..Default::default()
+        };
+        let fb = FeatureBufferManager::with_out_degrees(slab, &degrees, &cfg);
+        let mut model = Model::new(&degrees, SLOTS);
+        let horizon = fb.horizon();
+        let mut queued = Vec::new();
+        let mut outstanding: Vec<Outstanding> = Vec::new();
+        for step in 0..200 {
+            match rng.below(6) {
+                0 => {
+                    let nodes: Vec<NodeId> = (0..1 + rng.below(6))
+                        .map(|_| rng.below(NODES) as NodeId)
+                        .collect::<BTreeSet<_>>()
+                        .into_iter()
+                        .collect();
+                    let Some(want) = model.plan(&nodes) else {
+                        continue;
+                    };
+                    let plan = fb.plan_batch(&nodes);
+                    let got = |pairs: &[(usize, NodeId)]| {
+                        pairs.iter().map(|&(_, n)| n).collect::<Vec<_>>()
+                    };
+                    assert_eq!(got(&plan.to_load), want.to_load, "step {step}");
+                    assert_eq!(got(&plan.wait_for), want.wait_for, "step {step}");
+                    let stolen: Vec<u32> =
+                        plan.to_load.iter().map(|&(i, _)| plan.aliases[i]).collect();
+                    assert_eq!(stolen, want.victims, "step {step}: wrong victim");
+                    outstanding.push(Outstanding {
+                        nodes,
+                        plan,
+                        to_load: want.to_load,
+                        published: false,
+                    });
+                }
+                1 if !outstanding.is_empty() => {
+                    let k = rng.below(outstanding.len());
+                    let o = &mut outstanding[k];
+                    if !o.published {
+                        for &n in &o.to_load {
+                            fb.publish(n);
+                            model.valid[n as usize] = true;
+                            model.aborted[n as usize] = false;
+                        }
+                        o.published = true;
+                    }
+                }
+                2 if !outstanding.is_empty() => {
+                    let k = rng.below(outstanding.len());
+                    let o = &outstanding[k];
+                    let dead = |n: &NodeId| model.aborted[*n as usize] && !model.valid[*n as usize];
+                    let waits: Vec<NodeId> = o.plan.wait_for.iter().map(|&(_, n)| n).collect();
+                    if !o.published || !waits.iter().all(|n| model.valid[*n as usize] || dead(n)) {
+                        continue; // wait_ready would block
+                    }
+                    let mut o = outstanding.swap_remove(k);
+                    if fb.wait_ready(&mut o.plan).is_ok() {
+                        fb.release(&o.nodes);
+                        model.release(&o.nodes);
+                    } else {
+                        fb.abort_batch(&o.plan, &o.nodes);
+                        model.abort(&o.nodes, &o.to_load);
+                    }
+                }
+                3 if !outstanding.is_empty() => {
+                    let o = outstanding.swap_remove(rng.below(outstanding.len()));
+                    fb.abort_batch(&o.plan, &o.nodes);
+                    model.abort(&o.nodes, &o.to_load);
+                }
+                4 => {
+                    let nodes: Vec<NodeId> = (0..1 + rng.below(5))
+                        .map(|_| rng.below(NODES) as NodeId)
+                        .collect::<BTreeSet<_>>()
+                        .into_iter()
+                        .collect();
+                    model.announce(&nodes, 1);
+                    queued.push((horizon.announce(sample(nodes.clone())), nodes));
+                }
+                5 if !queued.is_empty() => {
+                    let (a, nodes) = queued.swap_remove(rng.below(queued.len()));
+                    // Taken by an extractor, or dropped unextracted.
+                    if rng.bool(0.5) {
+                        assert_eq!(a.withdraw().input_nodes, nodes);
+                    } else {
+                        drop(a);
+                    }
+                    model.announce(&nodes, -1);
+                }
+                _ => continue,
+            }
+            fb.check_invariants();
+            for n in 0..NODES {
+                let want_slot = model.slot[n].map_or(-1, i64::from);
+                assert_eq!(
+                    fb.entry(n as NodeId),
+                    (want_slot, model.refs[n], model.valid[n]),
+                    "step {step}: node {n}"
+                );
+            }
+        }
+        drop(queued);
+        drop(horizon);
+        fb.check_invariants();
+    });
+}
+
+/// Rows a single-threaded replay of `samples` loads through `fb`: each
+/// batch stays pinned until `pinned` later batches were planned (the
+/// batches between extraction and release), and the next `ahead` batches
+/// are announced (the extract queue).
+fn replay_loads(
+    fb: &FeatureBufferManager,
+    samples: &[MiniBatchSample],
+    pinned: usize,
+    ahead: usize,
+) -> u64 {
+    let horizon = fb.horizon();
+    let mut queued: VecDeque<_> = samples[..ahead]
+        .iter()
+        .map(|s| horizon.announce(s.clone()))
+        .collect();
+    let mut held = VecDeque::new();
+    for (i, s) in samples.iter().enumerate() {
+        if ahead > 0 {
+            queued
+                .pop_front()
+                .expect("batch i was announced")
+                .withdraw();
+            if let Some(next) = samples.get(i + ahead) {
+                queued.push_back(horizon.announce(next.clone()));
+            }
+        }
+        let mut plan = fb.plan_batch(&s.input_nodes);
+        for &(_, n) in &plan.to_load {
+            fb.publish(n);
+        }
+        fb.wait_ready(&mut plan).expect("nothing aborts");
+        held.push_back(&s.input_nodes);
+        if held.len() > pinned {
+            fb.release(held.pop_front().expect("non-empty"));
+        }
+    }
+    held.into_iter().for_each(|nodes| fb.release(nodes));
+    drop(queued);
+    drop(horizon);
+    fb.check_invariants();
+    fb.stats().loads.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// The deterministic count behind the standby classes: the same batch
+/// stream through the same buffer loads strictly fewer rows with
+/// popularity classes than through plain LRU, and fewer again with the
+/// next batches announced. The stream is two 40-batch epochs of a
+/// quarter-scale papers100m-mini (fanouts 4,4,4, batch 32, ≈2 500 rows a
+/// batch) through 12 288 slots, with three batches pinned and six
+/// announced.
+#[test]
+fn classes_and_announcements_load_fewer_rows_than_lru() {
+    const SLOTS: usize = 12_288;
+    const PINNED: usize = 3;
+    const AHEAD: usize = 6;
+    const BATCHES: usize = 40;
+    let spec = MiniDataset::Papers100M.spec_scaled(0.25);
+    let g = generate_graph(
+        spec.num_nodes,
+        spec.num_edges,
+        spec.num_classes,
+        spec.intra_prob,
+        spec.seed,
+    );
+    let degrees = g.topology.out_degrees();
+    let sampler = NeighborSampler::new(
+        Arc::new(InMemTopo::new(Arc::new(g.topology))),
+        vec![4, 4, 4],
+    );
+    let train: Vec<NodeId> = (0..spec.num_nodes as NodeId).step_by(10).collect();
+    let samples: Vec<MiniBatchSample> = (0..2)
+        .flat_map(|epoch| {
+            let plan = BatchPlan::new(&train, 32, epoch, 7);
+            (0..BATCHES)
+                .map(|i| sampler.sample(i as u64, plan.batch(i), 7 ^ epoch))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let cfg = GnnDriveConfig::default();
+    let slab = || Arc::new(FeatureSlab::new(SLOTS, 2));
+    let lru = replay_loads(
+        &FeatureBufferManager::new(slab(), spec.num_nodes, &cfg),
+        &samples,
+        PINNED,
+        0,
+    );
+    let classes = replay_loads(
+        &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
+        &samples,
+        PINNED,
+        0,
+    );
+    let both = replay_loads(
+        &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
+        &samples,
+        PINNED,
+        AHEAD,
+    );
+    assert!(
+        both < classes && classes < lru,
+        "rows loaded: LRU {lru}, classes {classes}, classes + announcements {both}"
+    );
 }

@@ -263,9 +263,15 @@ fn transient_read_faults_are_retried_transparently() {
     let ds = dataset(32);
     let gov = MemoryGovernor::unlimited();
     let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+    // Two extractors read at once, so a retry can land on the next
+    // injected ordinal; three attempts ran out in about one epoch in forty.
+    let cfg = GnnDriveConfig {
+        retry: RetryPolicy::default().with_max_attempts(8),
+        ..config()
+    };
     let mut p2 = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
         .with_model(ModelKind::GraphSage, 16)
-        .with_config(config())
+        .with_config(cfg)
         .with_governor(gov)
         .with_page_cache(cache)
         .build()

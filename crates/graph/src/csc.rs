@@ -60,6 +60,16 @@ impl CscTopology {
         (self.indptr[v as usize + 1] - self.indptr[v as usize]) as usize
     }
 
+    /// Out-degree of every node: how many in-neighbor lists it appears in,
+    /// counting duplicate edges (saturating at `u32::MAX`).
+    pub fn out_degrees(&self) -> Vec<u32> {
+        let mut out = vec![0u32; self.num_nodes()];
+        for &src in &self.indices {
+            out[src as usize] = out[src as usize].saturating_add(1);
+        }
+        out
+    }
+
     pub fn indptr(&self) -> &[u64] {
         &self.indptr
     }
@@ -108,6 +118,7 @@ mod tests {
     fn duplicate_edges_are_preserved() {
         let topo = CscTopology::from_edges(2, &[(0, 1), (0, 1), (0, 1)]);
         assert_eq!(topo.degree(1), 3);
+        assert_eq!(topo.out_degrees(), vec![3, 0]);
     }
 
     #[test]

@@ -1,36 +1,72 @@
-//! A slab-backed intrusive LRU list over dense `u32` slot ids.
+//! A slab-backed intrusive LRU list over dense `u32` slot ids, split into
+//! eviction classes.
 //!
 //! Both the OS page-cache model and GNNDrive's feature-buffer *standby list*
 //! (paper §4.2) need least-recently-used ordering over a fixed universe of
-//! slots with O(1) insert, remove, touch, and pop. This list stores
-//! prev/next links in two flat vectors indexed by slot id, avoiding per-node
-//! allocation entirely.
+//! slots with O(1) insert, remove, touch, and pop. This list stores each
+//! slot's prev/next links and class in one flat vector indexed by slot id,
+//! avoiding per-node allocation entirely.
+//!
+//! Every slot sits in one *class*, and each class is its own LRU list.
+//! [`LruList::pop_front`] takes the least recently used slot of the lowest
+//! non-empty class, found in O(1) through a bitmask of non-empty classes.
+//! A list made with [`LruList::new`] has one class, and every slot pushed
+//! with [`LruList::push_back`] lands in class 0: plain LRU.
 
-/// Sentinel meaning "no link" / "not in list".
+/// Sentinel meaning "no link".
 const NIL: u32 = u32::MAX;
 
-/// Intrusive doubly-linked LRU list over slot ids `0..capacity`.
+/// Class of a slot that is not in the list.
+const UNLINKED: u8 = u8::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+    /// The slot's class, or [`UNLINKED`].
+    class: u8,
+}
+
+const FREE: Link = Link {
+    prev: NIL,
+    next: NIL,
+    class: UNLINKED,
+};
+
+/// Intrusive doubly-linked LRU lists over slot ids `0..capacity`, one per
+/// class.
 ///
-/// The *front* is the least recently used element; the *back* is the most
-/// recently used.
+/// Within a class the *front* is the least recently used element and the
+/// *back* the most recently used; classes are ordered low to high.
 #[derive(Debug, Clone)]
 pub struct LruList {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
+    links: Vec<Link>,
+    /// Per class: `(head, tail)`.
+    ends: Vec<(u32, u32)>,
+    /// Bit `c` is set while class `c` is non-empty.
+    non_empty: u64,
     len: usize,
 }
 
 impl LruList {
-    /// Create a list able to hold slot ids `0..capacity`, initially empty.
+    /// Create a one-class list able to hold slot ids `0..capacity`,
+    /// initially empty.
     pub fn new(capacity: usize) -> Self {
+        Self::with_classes(capacity, 1)
+    }
+
+    /// Create a list of `classes` classes (at most 64) able to hold slot
+    /// ids `0..capacity`, initially empty.
+    pub fn with_classes(capacity: usize, classes: usize) -> Self {
         assert!(capacity < NIL as usize, "capacity too large for u32 ids");
+        assert!(
+            (1..=u64::BITS as usize).contains(&classes),
+            "an LRU list has 1..=64 classes, not {classes}"
+        );
         LruList {
-            prev: vec![NIL; capacity],
-            next: vec![NIL; capacity],
-            head: NIL,
-            tail: NIL,
+            links: vec![FREE; capacity],
+            ends: vec![(NIL, NIL); classes],
+            non_empty: 0,
             len: 0,
         }
     }
@@ -46,99 +82,112 @@ impl LruList {
 
     /// Grow the id universe to at least `capacity`.
     pub fn ensure_capacity(&mut self, capacity: usize) {
-        if capacity > self.prev.len() {
+        if capacity > self.links.len() {
             assert!(capacity < NIL as usize);
-            self.prev.resize(capacity, NIL);
-            self.next.resize(capacity, NIL);
+            self.links.resize(capacity, FREE);
         }
     }
 
     /// Whether `slot` is currently in the list.
     pub fn contains(&self, slot: u32) -> bool {
-        let s = slot as usize;
-        s < self.prev.len() && (self.prev[s] != NIL || self.next[s] != NIL || self.head == slot)
+        self.class_of(slot).is_some()
     }
 
-    /// Append `slot` at the back (most-recently-used end).
+    /// The class `slot` sits in, or `None` if it is not in the list.
+    pub fn class_of(&self, slot: u32) -> Option<u8> {
+        self.links
+            .get(slot as usize)
+            .map(|l| l.class)
+            .filter(|&c| c != UNLINKED)
+    }
+
+    /// Append `slot` at the back (most-recently-used end) of class 0.
     ///
     /// Panics if the slot is already linked (callers track membership).
     pub fn push_back(&mut self, slot: u32) {
+        self.push_back_in(slot, 0);
+    }
+
+    /// Append `slot` at the back (most-recently-used end) of `class`.
+    pub fn push_back_in(&mut self, slot: u32, class: u8) {
         debug_assert!(!self.contains(slot), "slot {slot} already in LRU list");
-        let s = slot as usize;
-        self.prev[s] = self.tail;
-        self.next[s] = NIL;
-        if self.tail != NIL {
-            self.next[self.tail as usize] = slot;
+        let c = class as usize;
+        let tail = self.ends[c].1;
+        self.links[slot as usize] = Link {
+            prev: tail,
+            next: NIL,
+            class,
+        };
+        if tail != NIL {
+            self.links[tail as usize].next = slot;
         } else {
-            self.head = slot;
+            self.ends[c].0 = slot;
+            self.non_empty |= 1 << c;
         }
-        self.tail = slot;
+        self.ends[c].1 = slot;
         self.len += 1;
     }
 
-    /// Remove and return the least-recently-used slot.
+    /// Remove and return the least-recently-used slot of the lowest
+    /// non-empty class.
     pub fn pop_front(&mut self) -> Option<u32> {
-        if self.head == NIL {
-            return None;
-        }
-        let slot = self.head;
+        let slot = self.front()?;
         self.remove(slot);
         Some(slot)
     }
 
-    /// Peek the least-recently-used slot without removing it.
+    /// Peek the slot [`LruList::pop_front`] would return, without removing it.
     pub fn front(&self) -> Option<u32> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(self.head)
-        }
+        (self.non_empty != 0).then(|| self.ends[self.non_empty.trailing_zeros() as usize].0)
     }
 
     /// Unlink `slot` from the list. Returns `true` if it was present.
     pub fn remove(&mut self, slot: u32) -> bool {
-        if !self.contains(slot) {
+        let Some(class) = self.class_of(slot) else {
             return false;
-        }
-        let s = slot as usize;
-        let (p, n) = (self.prev[s], self.next[s]);
-        if p != NIL {
-            self.next[p as usize] = n;
+        };
+        let c = class as usize;
+        let Link { prev, next, .. } = std::mem::replace(&mut self.links[slot as usize], FREE);
+        if prev != NIL {
+            self.links[prev as usize].next = next;
         } else {
-            self.head = n;
+            self.ends[c].0 = next;
         }
-        if n != NIL {
-            self.prev[n as usize] = p;
+        if next != NIL {
+            self.links[next as usize].prev = prev;
         } else {
-            self.tail = p;
+            self.ends[c].1 = prev;
         }
-        self.prev[s] = NIL;
-        self.next[s] = NIL;
+        if self.ends[c].0 == NIL {
+            self.non_empty &= !(1 << c);
+        }
         self.len -= 1;
         true
     }
 
-    /// Mark `slot` most recently used (must be present).
+    /// Mark `slot` most recently used within its class (must be present).
     pub fn touch(&mut self, slot: u32) {
-        if self.tail == slot {
-            return;
+        let class = self.class_of(slot);
+        debug_assert!(class.is_some(), "touch of slot {slot} not in list");
+        let Some(class) = class else { return };
+        if self.ends[class as usize].1 != slot {
+            self.remove(slot);
+            self.push_back_in(slot, class);
         }
-        let was = self.remove(slot);
-        debug_assert!(was, "touch of slot {slot} not in list");
-        self.push_back(slot);
     }
 
-    /// Iterate from least- to most-recently-used.
+    /// Iterate class by class from low to high, each from least- to
+    /// most-recently-used.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                None
-            } else {
-                let out = cur;
-                cur = self.next[cur as usize];
-                Some(out)
-            }
+        self.ends.iter().flat_map(move |&(head, _)| {
+            let mut cur = head;
+            std::iter::from_fn(move || {
+                (cur != NIL).then(|| {
+                    let out = cur;
+                    cur = self.links[cur as usize].next;
+                    out
+                })
+            })
         })
     }
 }
@@ -202,60 +251,93 @@ mod tests {
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![0, 9]);
     }
 
-    /// Apply one (op, slot) step to both the list and the deque reference
-    /// model, then check every eviction-order invariant the page cache
-    /// relies on: identical length, identical front (the eviction victim),
-    /// and identical full order.
-    fn step_and_check(l: &mut LruList, model: &mut VecDeque<u32>, op: u8, slot: u32) {
+    #[test]
+    fn pop_takes_the_lowest_non_empty_class_first() {
+        let mut l = LruList::with_classes(8, 64);
+        l.push_back_in(5, 63);
+        l.push_back_in(1, 2);
+        l.push_back_in(0, 2);
+        l.push_back_in(7, 0);
+        l.touch(1);
+        assert_eq!(l.class_of(1), Some(2), "touch stays inside the class");
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![7, 0, 1, 5]);
+        let popped: Vec<u32> = std::iter::from_fn(|| l.pop_front()).collect();
+        assert_eq!(popped, vec![7, 0, 1, 5]);
+        assert_eq!(l.class_of(5), None);
+    }
+
+    /// Apply one (op, slot, class) step to both the list and the reference
+    /// model — one deque per class — then check every eviction-order
+    /// invariant the page cache and the standby list rely on: identical
+    /// length, identical front (the eviction victim: the head of the lowest
+    /// non-empty class), and identical full order, classes low to high.
+    fn step_and_check(l: &mut LruList, model: &mut [VecDeque<u32>], op: u8, slot: u32, class: u8) {
+        let holder = model.iter().position(|q| q.contains(&slot));
         match op {
             0 => {
-                if !model.contains(&slot) {
-                    l.push_back(slot);
-                    model.push_back(slot);
+                if holder.is_none() {
+                    l.push_back_in(slot, class);
+                    model[class as usize].push_back(slot);
                 }
             }
             1 => {
-                assert_eq!(l.pop_front(), model.pop_front());
+                let victim = model.iter_mut().find_map(|q| q.pop_front());
+                assert_eq!(l.pop_front(), victim);
             }
             2 => {
-                if model.contains(&slot) {
+                if let Some(c) = holder {
                     l.touch(slot);
-                    model.retain(|&s| s != slot);
-                    model.push_back(slot);
+                    model[c].retain(|&s| s != slot);
+                    model[c].push_back(slot);
                 }
             }
             _ => {
-                let was = model.contains(&slot);
-                model.retain(|&s| s != slot);
-                assert_eq!(l.remove(slot), was);
+                if let Some(c) = holder {
+                    model[c].retain(|&s| s != slot);
+                }
+                assert_eq!(l.remove(slot), holder.is_some());
             }
         }
-        assert_eq!(l.len(), model.len());
-        assert_eq!(l.front(), model.front().copied());
-        assert_eq!(
-            l.iter().collect::<Vec<_>>(),
-            model.iter().copied().collect::<Vec<_>>()
-        );
+        let order: Vec<u32> = model.iter().flatten().copied().collect();
+        assert_eq!(l.len(), order.len());
+        assert_eq!(l.front(), order.first().copied());
+        assert_eq!(l.iter().collect::<Vec<_>>(), order);
+        for (c, q) in model.iter().enumerate() {
+            assert!(q.iter().all(|&s| l.class_of(s) == Some(c as u8)));
+        }
     }
 
-    /// The list must behave identically to a reference deque model under
-    /// arbitrary interleavings of push/pop/touch/remove.
+    /// One seeded case of the reference-model property over `classes`
+    /// classes. A one-class case draws exactly what the plain-LRU property
+    /// always drew.
+    fn model_case(rng: &mut gnndrive_sync::Rng, classes: usize) {
+        let mut l = LruList::with_classes(32, classes);
+        let mut model: Vec<VecDeque<u32>> = vec![VecDeque::new(); classes];
+        // Half the cases skew toward pushes while the list is short, so
+        // touch/remove hit populated structure.
+        let fill_first = rng.bool(0.5);
+        for _ in 0..256 {
+            let op = if fill_first && l.len() < 4 {
+                0
+            } else {
+                rng.below(4) as u8
+            };
+            let slot = rng.below(32) as u32;
+            let class = if classes > 1 { rng.below(classes) } else { 0 };
+            step_and_check(&mut l, &mut model, op, slot, class as u8);
+        }
+    }
+
+    /// The list must behave identically to a reference model of one deque
+    /// per class under arbitrary interleavings of push/pop/touch/remove:
+    /// first with one class (the plain LRU the page cache relies on), then
+    /// with 2..=64.
     #[test]
     fn matches_reference_model() {
+        cases(256, |rng| model_case(rng, 1));
         cases(256, |rng| {
-            let mut l = LruList::new(32);
-            let mut model: VecDeque<u32> = VecDeque::new();
-            // Half the cases skew toward pushes while the list is short, so
-            // touch/remove hit populated structure.
-            let fill_first = rng.bool(0.5);
-            for _ in 0..256 {
-                let op = if fill_first && model.len() < 4 {
-                    0
-                } else {
-                    rng.below(4) as u8
-                };
-                step_and_check(&mut l, &mut model, op, rng.below(32) as u32);
-            }
+            let classes = 2 + rng.below(63);
+            model_case(rng, classes)
         });
     }
 }
