@@ -31,7 +31,7 @@
 //! re-read under the [`RetryPolicy`], and the batch's one rollback is in
 //! `extract_batch_inner`.
 
-use crate::feature_buffer::{ExtractPlan, FeatureBufferManager};
+use crate::feature_buffer::{Announced, ExtractPlan, FeatureBufferManager};
 use crate::staging::{StagingBuffer, StagingLease};
 use gnndrive_device::{TransferDone, TransferEngine};
 use gnndrive_graph::NodeId;
@@ -318,12 +318,54 @@ pub fn extract_batch(
     ctx: &ExtractorContext,
     sample: MiniBatchSample,
 ) -> Result<ExtractedBatch, ExtractError> {
+    extract_admitted(ctx, sample)
+}
+
+/// [`extract_batch`] for a batch taken off the extract queue: its
+/// announcement holds until planning has pinned the batch's rows, so no
+/// other extractor can steal them in between (DESIGN.md §4 item 10).
+pub(crate) fn extract_announced(
+    ctx: &ExtractorContext,
+    queued: Announced<'_>,
+) -> Result<ExtractedBatch, ExtractError> {
+    extract_admitted(ctx, queued)
+}
+
+/// A batch handed to extraction.
+trait Batch {
+    fn input_nodes(&self) -> &[NodeId];
+    /// The sample, once planning has pinned every input node.
+    fn pinned(self) -> MiniBatchSample;
+}
+
+impl Batch for MiniBatchSample {
+    fn input_nodes(&self) -> &[NodeId] {
+        &self.input_nodes
+    }
+    fn pinned(self) -> MiniBatchSample {
+        self
+    }
+}
+
+impl Batch for Announced<'_> {
+    fn input_nodes(&self) -> &[NodeId] {
+        &self.sample().input_nodes
+    }
+    fn pinned(self) -> MiniBatchSample {
+        self.withdraw()
+    }
+}
+
+fn extract_admitted(
+    ctx: &ExtractorContext,
+    batch: impl Batch,
+) -> Result<ExtractedBatch, ExtractError> {
     match ctx.health.admit() {
-        Admission::Normal => extract_batch_inner(ctx, sample, ctx.sync_extract),
-        Admission::Sync => extract_batch_inner(ctx, sample, true),
+        Admission::Normal => extract_batch_inner(ctx, batch, ctx.sync_extract),
+        Admission::Sync => extract_batch_inner(ctx, batch, true),
         Admission::FailFast => Err(ExtractError::CircuitOpen),
         Admission::Probe => {
-            let out = extract_batch_inner(ctx, sample, true);
+            let out = extract_batch_inner(ctx, batch, true);
             // Only device-level failures condemn the probe; a planner-level
             // abort (dependency raced away) says nothing about the media.
             let device_ok = !matches!(out, Err(ExtractError::Io(_)));
@@ -336,7 +378,7 @@ pub fn extract_batch(
 /// Plan → load → wait, with the batch's only rollback.
 fn extract_batch_inner(
     ctx: &ExtractorContext,
-    sample: MiniBatchSample,
+    batch: impl Batch,
     serial: bool,
 ) -> Result<ExtractedBatch, ExtractError> {
     let _busy = telemetry::state(telemetry::State::Compute);
@@ -344,7 +386,8 @@ fn extract_batch_inner(
     // from here to the return, the thread-local accumulator belongs to
     // this batch (one extractor owns one batch start-to-finish).
     let _ = telemetry::waits_take();
-    let mut plan = ctx.fb.plan_batch(&sample.input_nodes);
+    let mut plan = ctx.fb.plan_batch(batch.input_nodes());
+    let sample = batch.pinned();
     let loaded_nodes = plan.to_load.len();
     let loaded = load(ctx, &plan, sample.batch_id, serial).and_then(|io_split| {
         // Wait for nodes other extractors were loading, resolving aliases.
@@ -706,6 +749,52 @@ mod tests {
         let batch = extract_batch(&ctx, sample).unwrap();
         assert!(batch.loaded_nodes > 0);
         verify_rows(&ds, &batch, &ctx.fb);
+        ctx.fb.check_invariants();
+    }
+
+    /// A batch that records, when extraction takes its sample, whether
+    /// every input node was pinned by then.
+    struct Probe<'a> {
+        fb: &'a FeatureBufferManager,
+        sample: MiniBatchSample,
+        pinned_at_handover: &'a std::cell::Cell<Option<bool>>,
+    }
+
+    impl Batch for Probe<'_> {
+        fn input_nodes(&self) -> &[NodeId] {
+            &self.sample.input_nodes
+        }
+        fn pinned(self) -> MiniBatchSample {
+            let fb = self.fb;
+            let all = self.sample.input_nodes.iter().all(|&n| fb.entry(n).1 > 0);
+            self.pinned_at_handover.set(Some(all));
+            self.sample
+        }
+    }
+
+    /// A queued batch stays announced until planning has pinned its rows,
+    /// and is withdrawn by the time its horizon closes.
+    #[test]
+    fn announcements_hold_until_the_batch_is_pinned() {
+        let ds = tiny_dataset(32);
+        let ctx = context(&ds, false, true);
+        let seen = std::cell::Cell::new(None);
+        let probe = Probe {
+            fb: &ctx.fb,
+            sample: sample_of(&ds, &[3, 4]),
+            pinned_at_handover: &seen,
+        };
+        let batch = extract_admitted(&ctx, probe).unwrap();
+        assert_eq!(seen.get(), Some(true));
+        ctx.fb.release(&batch.sample.input_nodes);
+
+        {
+            let horizon = ctx.fb.horizon();
+            let queued = horizon.announce(sample_of(&ds, &[5, 6]));
+            let batch = extract_announced(&ctx, queued).unwrap();
+            verify_rows(&ds, &batch, &ctx.fb);
+            ctx.fb.release(&batch.sample.input_nodes);
+        }
         ctx.fb.check_invariants();
     }
 

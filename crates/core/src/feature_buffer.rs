@@ -63,8 +63,8 @@ fn popularity_class(out_degree: u32) -> u8 {
 struct Entry {
     slot: u32,
     ref_count: u32,
-    /// Queued batches that announced this node. Never above
-    /// `Inner::announced`, which is held to `u32::MAX`.
+    /// Queued batches that announced this node: at most the live
+    /// [`Announced`] handles, each owning a sample in memory.
     announced: u32,
     /// [`popularity_class`] of the node's out-degree.
     class: u8,
@@ -93,8 +93,6 @@ struct Inner {
     /// Per slot: owning node id, or [`NO_NODE`].
     reverse: Vec<NodeId>,
     standby: LruList,
-    /// Announcements outstanding, summed over nodes.
-    announced: u64,
     /// Open [`Horizon`]s: outside every one, nothing may be announced.
     horizons: u32,
 }
@@ -255,7 +253,6 @@ impl FeatureBufferManager {
                     map,
                     reverse: vec![NO_NODE; num_slots],
                     standby,
-                    announced: 0,
                     horizons: 0,
                 },
             ),
@@ -503,30 +500,26 @@ impl FeatureBufferManager {
     }
 
     /// Count one announcement of each of `nodes`, moving newly announced
-    /// retired slots to the top class. Refused (`false`, nothing counted)
-    /// if the outstanding total would pass `u32::MAX`, which bounds every
-    /// per-node count whatever the extract queue's capacity.
-    fn announce_nodes(&self, nodes: &[NodeId]) -> bool {
+    /// retired slots to the top class.
+    fn announce_nodes(&self, nodes: &[NodeId]) {
         let mut inner = self.inner.lock();
-        let total = inner.announced + nodes.len() as u64;
-        if total > u64::from(u32::MAX) {
-            return false;
-        }
-        inner.announced = total;
         for &node in nodes {
             let e = &mut inner.map[node as usize];
-            e.announced += 1;
+            // One count per live `Announced`, each holding a sample in
+            // memory: `u32::MAX` of them cannot exist.
+            e.announced = e
+                .announced
+                .checked_add(1)
+                .expect("announcement count overflow");
             if e.announced == 1 {
                 inner.refile(node);
             }
         }
-        true
     }
 
     /// Undo one [`FeatureBufferManager::announce_nodes`] of `nodes`.
     fn withdraw_nodes(&self, nodes: &[NodeId]) {
         let mut inner = self.inner.lock();
-        inner.announced -= nodes.len() as u64;
         for &node in nodes {
             let e = &mut inner.map[node as usize];
             e.announced -= 1;
@@ -548,14 +541,16 @@ impl FeatureBufferManager {
     /// Validate the structural invariants (test helper): the live mapping
     /// is injective, reverse mapping is consistent, every standby slot is
     /// free or owned by an unpinned node and sits in the class its owner
-    /// implies (free slots in class 0), and announcements add up — to zero
-    /// while no [`Horizon`] is open.
+    /// implies (free slots in class 0), and nothing is announced while no
+    /// [`Horizon`] is open.
     pub fn check_invariants(&self) {
         let inner = self.inner.lock();
         let mut seen = vec![false; inner.reverse.len()];
-        let mut announced = 0u64;
         for (node, e) in inner.map.iter().enumerate() {
-            announced += u64::from(e.announced);
+            assert!(
+                inner.horizons > 0 || e.announced == 0,
+                "announcements outlived every horizon (node {node})"
+            );
             if e.slot != NO_SLOT {
                 let s = e.slot as usize;
                 assert!(!seen[s], "two nodes share slot {s}");
@@ -567,10 +562,6 @@ impl FeatureBufferManager {
             } else {
                 assert!(!e.valid, "valid entry without slot (impossible state)");
             }
-        }
-        assert_eq!(announced, inner.announced, "announcement counts drifted");
-        if inner.horizons == 0 {
-            assert_eq!(announced, 0, "announcements outlived every horizon");
         }
         for slot in inner.standby.iter() {
             let owner = inner.reverse[slot as usize];
@@ -589,13 +580,13 @@ impl FeatureBufferManager {
     }
 }
 
-/// An epoch's announce horizon: the batches sampled but not yet taken by
+/// An epoch's announce horizon: the batches sampled but not yet pinned by
 /// an extractor, whose input rows are about to be used (Belady's "keep
 /// what is used soonest" over what the pipeline already knows).
 ///
 /// [`Horizon::announce`] moves each input node's retired slot into the
 /// class stolen last; the returned [`Announced`] withdraws the
-/// announcement exactly once — when an extractor takes the batch
+/// announcement exactly once — when an extractor has planned the batch
 /// ([`Announced::withdraw`]) or when it is dropped unextracted. It borrows
 /// the horizon, so no announcement outlives the epoch that made it, and
 /// [`FeatureBufferManager::check_invariants`] asserts nothing is announced
@@ -608,11 +599,10 @@ impl Horizon<'_> {
     /// Announce `sample`'s input nodes until the returned handle is
     /// withdrawn or dropped.
     pub fn announce(&self, sample: MiniBatchSample) -> Announced<'_> {
-        let counted = self.fb.announce_nodes(&sample.input_nodes);
+        self.fb.announce_nodes(&sample.input_nodes);
         Announced {
             fb: self.fb,
             sample: Some(sample),
-            counted,
         }
     }
 }
@@ -628,14 +618,18 @@ pub struct Announced<'h> {
     fb: &'h FeatureBufferManager,
     /// `None` once withdrawn.
     sample: Option<MiniBatchSample>,
-    /// Whether the manager counted the announcement (it refuses one that
-    /// could overflow a count).
-    counted: bool,
 }
 
 impl Announced<'_> {
+    /// The announced sample.
+    pub fn sample(&self) -> &MiniBatchSample {
+        self.sample
+            .as_ref()
+            .expect("present until `withdraw` consumes the handle")
+    }
+
     /// Withdraw the announcement and hand over the sample: the extractor
-    /// taking the batch off the queue.
+    /// has pinned the batch's rows.
     pub fn withdraw(mut self) -> MiniBatchSample {
         self.settle()
             .expect("withdrawn once: `withdraw` consumes the handle")
@@ -643,9 +637,7 @@ impl Announced<'_> {
 
     fn settle(&mut self) -> Option<MiniBatchSample> {
         let sample = self.sample.take()?;
-        if self.counted {
-            self.fb.withdraw_nodes(&sample.input_nodes);
-        }
+        self.fb.withdraw_nodes(&sample.input_nodes);
         Some(sample)
     }
 }
@@ -904,7 +896,8 @@ mod tests {
             fb.check_invariants();
         }
         let inner = fb.inner.lock();
-        assert_eq!((inner.announced, inner.horizons), (0, 0));
+        assert_eq!(inner.horizons, 0);
+        assert!(inner.map.iter().all(|e| e.announced == 0));
         let slot = inner.map[1].slot;
         assert_eq!(inner.standby.class_of(slot), Some(0));
     }

@@ -13,7 +13,7 @@ use crate::builder::PipelineBuilder;
 use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use crate::config::GnnDriveConfig;
 use crate::error::Error;
-use crate::extractor::{extract_batch, ExtractedBatch, ExtractorContext};
+use crate::extractor::{extract_announced, extract_batch, ExtractedBatch, ExtractorContext};
 use crate::feature_buffer::{Announced, FeatureBufferManager};
 use crate::staging::StagingBuffer;
 use crate::system::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
@@ -246,10 +246,11 @@ impl Pipeline {
             FeatureBufferHome::Host(governor.charge(slab.bytes()).map_err(BuildError::HostOom)?)
         };
         // Popularity classes for the standby list (DESIGN.md §4 item 10),
-        // from the same CSC the dataset pass wrote.
+        // from the out-degrees installed beside `indptr`. They are read
+        // once here: the mapping table keeps only each node's class.
         let fb = Arc::new(FeatureBufferManager::with_out_degrees(
             Arc::clone(&slab),
-            &ds.topology.out_degrees(),
+            &ds.out_degrees,
             &cfg,
         ));
 
@@ -463,7 +464,7 @@ impl Pipeline {
         let ctx = &self.extractor_context(IoPriority::Bulk);
         // The epoch's announce horizon: a sample's input rows are announced
         // from the moment its sampler hands it to the extract queue until
-        // an extractor takes it (DESIGN.md §4 item 10). Every queued
+        // an extractor has pinned them (DESIGN.md §4 item 10). Every queued
         // handle borrows it, so none outlives the epoch.
         let horizon = &ctx.fb.horizon();
 
@@ -561,12 +562,11 @@ impl Pipeline {
                         telemetry::register_thread(ThreadClass::Cpu);
                         while let Ok((queued, mut stamps)) = rx.recv() {
                             g_extract_q.set(rx.len() as i64);
-                            let sample = queued.withdraw();
-                            let batch_id = sample.batch_id;
+                            let batch_id = queued.sample().batch_id;
                             stamps.extract_start = now();
                             let extracted = {
                                 let _span = telemetry::span("extract", batch_id);
-                                extract_batch(ctx, sample)
+                                extract_announced(ctx, queued)
                             };
                             let msg = match extracted {
                                 Ok(batch) => {

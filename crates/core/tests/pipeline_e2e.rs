@@ -254,8 +254,12 @@ fn host_oom_is_reported_at_build_for_cpu_mode() {
 
 #[test]
 fn transient_read_faults_are_retried_transparently() {
-    // Every 5th feature read fails once; blocking-read retries recover and
-    // the epoch completes without error.
+    // Every 5th feature read fails once; blocking-read retries under the
+    // default policy recover and the epoch completes without error. One
+    // extractor with one read in flight makes that exact: a faulted read's
+    // retry is the very next read, so it never lands on the next faulted
+    // ordinal (with two extractors the other's reads can fall between the
+    // attempts, and now and then three faults in a row fail the batch).
     let mut p = build(true, 32, config());
     let ds = dataset(32);
     let _ = ds; // the pipeline holds its own dataset; fetch its SSD below
@@ -263,10 +267,9 @@ fn transient_read_faults_are_retried_transparently() {
     let ds = dataset(32);
     let gov = MemoryGovernor::unlimited();
     let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
-    // Two extractors read at once, so a retry can land on the next
-    // injected ordinal; three attempts ran out in about one epoch in forty.
     let cfg = GnnDriveConfig {
-        retry: RetryPolicy::default().with_max_attempts(8),
+        num_extractors: 1,
+        sync_extract: true,
         ..config()
     };
     let mut p2 = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
@@ -281,6 +284,8 @@ fn transient_read_faults_are_retried_transparently() {
             .with_read_fault_every(5)
             .on_file(ds.features_file.id),
     );
+    let retries = gnndrive_telemetry::counter("core.extract.retries");
+    let retries_before = retries.get();
     let report = p2.train_epoch(0, Some(6));
     ds.ssd.clear_faults();
     assert!(
@@ -289,6 +294,10 @@ fn transient_read_faults_are_retried_transparently() {
         report.error
     );
     assert_eq!(report.batches, 6);
+    assert!(
+        retries.get() > retries_before,
+        "faults must have been retried"
+    );
     let _ = p.train_epoch(0, Some(1));
 }
 

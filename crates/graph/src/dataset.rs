@@ -9,7 +9,10 @@
 //!   SSD and is read through the page cache by memory-mapped samplers;
 //! * the **feature table** lives on SSD, one `dim × f32` row per node in
 //!   ascending node-id order;
-//! * labels and the train/val split are host-resident (tiny).
+//! * labels and the train/val split are host-resident (tiny);
+//! * so is each node's **out-degree**, which the installer counts while it
+//!   writes the CSC, as it writes `indptr`: the feature buffer ranks
+//!   retired rows by it (DESIGN.md §4 item 10).
 //!
 //! [`Dataset::build`] synthesizes everything deterministically from a
 //! [`DatasetSpec`] and installs it on a [`SimSsd`] via the untimed import
@@ -74,6 +77,11 @@ pub struct Dataset {
     pub indptr: Arc<Vec<u64>>,
     /// CSC index array on SSD (u32 little-endian per edge).
     pub indices_file: FileHandle,
+    /// Per node, how many in-neighbor lists of the CSC it appears in.
+    /// Host-resident metadata from installation, half the size of
+    /// `indptr`, so a system under test learns it without scanning
+    /// `indices_file`.
+    pub out_degrees: Arc<Vec<u32>>,
     /// Feature table on SSD (`num_nodes × dim × f32`, row-major).
     pub features_file: FileHandle,
     /// Node labels (host-resident; tiny).
@@ -140,6 +148,7 @@ impl Dataset {
             ssd,
             indptr: Arc::new(g.topology.indptr().to_vec()),
             indices_file,
+            out_degrees: Arc::new(g.topology.out_degrees()),
             features_file,
             labels: Arc::new(g.labels),
             train_idx: Arc::new(train_idx),
@@ -292,6 +301,7 @@ impl Dataset {
             ssd,
             indptr: Arc::new(indptr),
             indices_file,
+            out_degrees: Arc::new(topology.out_degrees()),
             features_file,
             labels: Arc::new(labels),
             train_idx: Arc::new(train_idx),
@@ -358,6 +368,12 @@ mod tests {
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
         assert_eq!(&on_disk, ds.topology.indices());
+        // Out-degrees count each node's appearances in the on-SSD lists.
+        let mut counted = vec![0u32; 200];
+        for &src in &on_disk {
+            counted[src as usize] += 1;
+        }
+        assert_eq!(*ds.out_degrees, counted);
     }
 
     #[test]
@@ -398,6 +414,7 @@ mod tests {
         assert_eq!(back.labels, ds.labels);
         assert_eq!(back.train_idx, ds.train_idx);
         assert_eq!(back.topology.indices(), ds.topology.indices());
+        assert_eq!(back.out_degrees, ds.out_degrees);
         for v in [0u32, 7, 199] {
             assert_eq!(back.peek_feature_row(v), ds.peek_feature_row(v));
         }

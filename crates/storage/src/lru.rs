@@ -3,35 +3,22 @@
 //!
 //! Both the OS page-cache model and GNNDrive's feature-buffer *standby list*
 //! (paper §4.2) need least-recently-used ordering over a fixed universe of
-//! slots with O(1) insert, remove, touch, and pop. This list stores each
-//! slot's prev/next links and class in one flat vector indexed by slot id,
-//! avoiding per-node allocation entirely.
+//! slots with O(1) insert, remove, touch, and pop. This list stores
+//! prev/next links in two flat vectors indexed by slot id, avoiding per-node
+//! allocation entirely.
 //!
 //! Every slot sits in one *class*, and each class is its own LRU list.
 //! [`LruList::pop_front`] takes the least recently used slot of the lowest
 //! non-empty class, found in O(1) through a bitmask of non-empty classes.
 //! A list made with [`LruList::new`] has one class, and every slot pushed
-//! with [`LruList::push_back`] lands in class 0: plain LRU.
+//! with [`LruList::push_back`] lands in class 0: plain LRU, with no
+//! per-slot class byte.
 
-/// Sentinel meaning "no link".
+/// Sentinel meaning "no link" / "not in list".
 const NIL: u32 = u32::MAX;
 
-/// Class of a slot that is not in the list.
+/// Class byte of a slot that is not in a many-class list.
 const UNLINKED: u8 = u8::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    prev: u32,
-    next: u32,
-    /// The slot's class, or [`UNLINKED`].
-    class: u8,
-}
-
-const FREE: Link = Link {
-    prev: NIL,
-    next: NIL,
-    class: UNLINKED,
-};
 
 /// Intrusive doubly-linked LRU lists over slot ids `0..capacity`, one per
 /// class.
@@ -40,7 +27,11 @@ const FREE: Link = Link {
 /// *back* the most recently used; classes are ordered low to high.
 #[derive(Debug, Clone)]
 pub struct LruList {
-    links: Vec<Link>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Per slot: its class, or [`UNLINKED`]. Empty in a one-class list,
+    /// where every linked slot is in class 0.
+    class: Vec<u8>,
     /// Per class: `(head, tail)`.
     ends: Vec<(u32, u32)>,
     /// Bit `c` is set while class `c` is non-empty.
@@ -63,8 +54,11 @@ impl LruList {
             (1..=u64::BITS as usize).contains(&classes),
             "an LRU list has 1..=64 classes, not {classes}"
         );
+        let class_bytes = if classes > 1 { capacity } else { 0 };
         LruList {
-            links: vec![FREE; capacity],
+            prev: vec![NIL; capacity],
+            next: vec![NIL; capacity],
+            class: vec![UNLINKED; class_bytes],
             ends: vec![(NIL, NIL); classes],
             non_empty: 0,
             len: 0,
@@ -82,9 +76,13 @@ impl LruList {
 
     /// Grow the id universe to at least `capacity`.
     pub fn ensure_capacity(&mut self, capacity: usize) {
-        if capacity > self.links.len() {
+        if capacity > self.prev.len() {
             assert!(capacity < NIL as usize);
-            self.links.resize(capacity, FREE);
+            self.prev.resize(capacity, NIL);
+            self.next.resize(capacity, NIL);
+            if self.ends.len() > 1 {
+                self.class.resize(capacity, UNLINKED);
+            }
         }
     }
 
@@ -95,10 +93,13 @@ impl LruList {
 
     /// The class `slot` sits in, or `None` if it is not in the list.
     pub fn class_of(&self, slot: u32) -> Option<u8> {
-        self.links
-            .get(slot as usize)
-            .map(|l| l.class)
-            .filter(|&c| c != UNLINKED)
+        let s = slot as usize;
+        if self.ends.len() > 1 {
+            return self.class.get(s).copied().filter(|&c| c != UNLINKED);
+        }
+        let linked = s < self.prev.len()
+            && (self.prev[s] != NIL || self.next[s] != NIL || self.ends[0].0 == slot);
+        linked.then_some(0)
     }
 
     /// Append `slot` at the back (most-recently-used end) of class 0.
@@ -111,15 +112,15 @@ impl LruList {
     /// Append `slot` at the back (most-recently-used end) of `class`.
     pub fn push_back_in(&mut self, slot: u32, class: u8) {
         debug_assert!(!self.contains(slot), "slot {slot} already in LRU list");
-        let c = class as usize;
+        let (s, c) = (slot as usize, class as usize);
         let tail = self.ends[c].1;
-        self.links[slot as usize] = Link {
-            prev: tail,
-            next: NIL,
-            class,
-        };
+        self.prev[s] = tail;
+        self.next[s] = NIL;
+        if let Some(b) = self.class.get_mut(s) {
+            *b = class;
+        }
         if tail != NIL {
-            self.links[tail as usize].next = slot;
+            self.next[tail as usize] = slot;
         } else {
             self.ends[c].0 = slot;
             self.non_empty |= 1 << c;
@@ -146,20 +147,25 @@ impl LruList {
         let Some(class) = self.class_of(slot) else {
             return false;
         };
-        let c = class as usize;
-        let Link { prev, next, .. } = std::mem::replace(&mut self.links[slot as usize], FREE);
-        if prev != NIL {
-            self.links[prev as usize].next = next;
+        let (s, c) = (slot as usize, class as usize);
+        let (p, n) = (self.prev[s], self.next[s]);
+        if p != NIL {
+            self.next[p as usize] = n;
         } else {
-            self.ends[c].0 = next;
+            self.ends[c].0 = n;
         }
-        if next != NIL {
-            self.links[next as usize].prev = prev;
+        if n != NIL {
+            self.prev[n as usize] = p;
         } else {
-            self.ends[c].1 = prev;
+            self.ends[c].1 = p;
         }
         if self.ends[c].0 == NIL {
             self.non_empty &= !(1 << c);
+        }
+        self.prev[s] = NIL;
+        self.next[s] = NIL;
+        if let Some(b) = self.class.get_mut(s) {
+            *b = UNLINKED;
         }
         self.len -= 1;
         true
@@ -184,7 +190,7 @@ impl LruList {
             std::iter::from_fn(move || {
                 (cur != NIL).then(|| {
                     let out = cur;
-                    cur = self.links[cur as usize].next;
+                    cur = self.next[cur as usize];
                     out
                 })
             })
@@ -249,6 +255,23 @@ mod tests {
         l.ensure_capacity(10);
         l.push_back(9);
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![0, 9]);
+
+        let mut l = LruList::with_classes(1, 4);
+        l.push_back_in(0, 3);
+        l.ensure_capacity(10);
+        l.push_back_in(9, 1);
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![9, 0]);
+        assert_eq!((l.class_of(9), l.class_of(5)), (Some(1), None));
+    }
+
+    /// Plain LRU (the page cache and its policies) costs its two link
+    /// arrays and nothing per slot beyond them.
+    #[test]
+    fn one_class_lists_store_no_class_bytes() {
+        let mut l = LruList::new(16);
+        l.ensure_capacity(32);
+        assert!(l.class.is_empty());
+        assert_eq!(LruList::with_classes(16, 2).class.len(), 16);
     }
 
     #[test]
