@@ -3,115 +3,185 @@
 //! ```text
 //! gnndrive dataset build --name papers100m-mini [--dim 128] [--scale 1.0] --out DIR
 //! gnndrive train [--name papers100m-mini | --data DIR] [--system gnndrive-gpu]
-//!                [--model sage|gcn|gat] [--epochs 3] [--batch 32]
+//!                [--model sage|gcn|gat] [--epochs 3] [--batch 32] [--dim D]
 //!                [--memory-gb 32] [--max-batches N]
 //!                [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //! gnndrive systems          # list available systems
+//! gnndrive repro <experiment|all|list>
+//! gnndrive cache-sweep [--out DIR] [--check] [--baseline DIR] [--epsilon X]
+//! gnndrive crashsim [--out DIR] [--seed N] [--check]
+//! gnndrive serving-mixed [--chaos] [--check]
 //! ```
+//!
+//! Exit codes: 0 on success, 1 when a run or a `--check` gate fails, 2 on
+//! a bad command line.
 //!
 //! Checkpointing (GNNDrive systems only): `--checkpoint-every N` snapshots
 //! model weights, Adam state, and the epoch/batch cursor to `--checkpoint
 //! FILE` every N trained batches; `--resume FILE` restores a snapshot and
 //! continues the interrupted epoch at the exact batch it stopped before.
 //!
-//! Argument parsing is hand-rolled (the repo keeps its dependency set to
-//! the approved offline crates).
+//! `repro <name>` runs one table or figure of the paper (see
+//! `gnndrive_bench::repro`; `repro list` names them). `repro all` runs the
+//! paper's twelve in sequence, each in its own process (a re-execution of
+//! this binary), streaming their output; a failed or panicking experiment
+//! is recorded, the rest still run, and the exit code is 1. With defaults
+//! this takes tens of minutes on a small container; set
+//! `REPRO_MAX_BATCHES=6` and `REPRO_SCALE=0.25` for a faster pass.
+//!
+//! `cache-sweep` runs the pinned Belady-vs-LRU page-cache sweep, prints
+//! the Fig-9-style hit-rate table, and writes `BENCH_cache_sweep.json`
+//! plus the `TRACE_cache_sweep.bin` access-trace artifact under `--out`
+//! (default `results/reports`). With `--check` it fails if:
+//!
+//! * Belady's hit rate falls below LRU's at any budget (validation — the
+//!   trace-driven policy losing to LRU means the policy is broken);
+//! * any policy's hit rate drops more than `--epsilon` (default 0.001)
+//!   below the committed baseline (`--baseline`, default
+//!   `results/baselines`) — the sweep is deterministic, so any real drop
+//!   is a regression, not noise;
+//! * Belady's replay at the tightest budget is slower than LRU's by more
+//!   than 25% (at that budget the replay is miss-dominated, so fewer
+//!   misses must not cost wall time).
+//!
+//! `crashsim` enumerates crash schedules over a checkpointed training run
+//! and proves power-cut recovery: the recording pass (uninterrupted,
+//! enumerating every crash point of the persistence paths), then one
+//! armed run per schedule ordinal — cut at that point, power-cut the
+//! simulated SSD, restart, recover from the newest durable checkpoint
+//! slot, resume, and compare final weights against the uninterrupted run.
+//! It prints one row per schedule and writes `CRASH_SWEEP.json` plus a
+//! `crash_sweep` RunReport (recovery counters, write-cache fate counters)
+//! under `--out` (default `results/reports`). With `--check` it fails
+//! unless every schedule recovered to the last durable checkpoint with
+//! bit-identical weights, every host artifact was whole, and
+//! `storage.integrity.escaped` stayed 0.
+//!
+//! `serving-mixed` runs the online serving tier under concurrent training:
+//! a training loop soaks the shared storage stack while a Zipfian load
+//! generator drives the inference server; the run reports the serving
+//! latency distribution against its SLO and how much training throughput
+//! the co-located tier cost. `--chaos` storms the device to trip the
+//! breaker; `--check` fails on any violation.
 
+use gnndrive_bench::cache_sweep::{
+    compare_cache_sweep, hit_rate_rows, run_sweep, sweep_path, trace_artifact_path,
+    validate_cache_sweep, SWEEP_POLICIES,
+};
+use gnndrive_bench::crashsim::{
+    crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep,
+};
 use gnndrive_bench::{
-    build_gnndrive_pipeline, build_system, collect_report, dataset_for, env_knobs, scenario_desc,
-    slug, write_report, Scenario, SystemKind,
+    build_gnndrive_pipeline, build_system, collect_report, dataset_by_name, dataset_for, env_knobs,
+    model_by_name, print_table, repro, run_serving_mixed, scenario_desc, slug, write_report, Flags,
+    Row, Scenario, ServingMixedConfig, SystemKind, UsageError,
 };
 use gnndrive_core::{TrainCheckpoint, TrainingSystem};
 use gnndrive_graph::{Dataset, MiniDataset};
 use gnndrive_nn::ModelKind;
 use gnndrive_storage::{SimSsd, SsdProfile};
-use std::collections::HashMap;
-use std::path::PathBuf;
+use gnndrive_telemetry::{self as telemetry, Json, SeriesPoint};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  gnndrive dataset build --name <mini-dataset> [--dim D] [--scale S] --out DIR\n  \
-         gnndrive train [--name <mini-dataset> | --data DIR] [--system S] [--model M]\n          \
-         [--epochs N] [--batch B] [--memory-gb G] [--max-batches K]\n          \
-         [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n  \
-         gnndrive systems"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage:\n  \
+    gnndrive dataset build --name <mini-dataset> [--dim D] [--scale S] --out DIR\n  \
+    gnndrive train [--name <mini-dataset> | --data DIR] [--system S] [--model M]\n          \
+    [--epochs N] [--batch B] [--dim D] [--memory-gb G] [--max-batches K]\n          \
+    [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n  \
+    gnndrive systems\n  \
+    gnndrive repro <experiment|all|list>\n  \
+    gnndrive cache-sweep [--out DIR] [--check] [--baseline DIR] [--epsilon X]\n  \
+    gnndrive crashsim [--out DIR] [--seed N] [--check]\n  \
+    gnndrive serving-mixed [--chaos] [--check]";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for --{key}");
-                usage();
-            }
-            out.insert(key.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            eprintln!("unexpected argument: {a}");
-            usage();
-        }
-    }
-    out
-}
-
-fn dataset_by_name(name: &str) -> Option<MiniDataset> {
-    MiniDataset::ALL.into_iter().find(|d| d.name() == name)
-}
-
-fn system_by_name(name: &str) -> Option<SystemKind> {
-    match name {
-        "gnndrive-gpu" | "gnndrive" => Some(SystemKind::GnnDriveGpu),
-        "gnndrive-cpu" => Some(SystemKind::GnnDriveCpu),
-        "pyg+" | "pygplus" => Some(SystemKind::PygPlus),
-        "ginex" => Some(SystemKind::Ginex),
-        "marius" | "mariusgnn" => Some(SystemKind::Marius),
-        _ => None,
-    }
-}
-
-fn model_by_name(name: &str) -> Option<ModelKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "sage" | "graphsage" => Some(ModelKind::GraphSage),
-        "gcn" => Some(ModelKind::Gcn),
-        "gat" => Some(ModelKind::Gat),
-        _ => None,
-    }
-}
-
-fn cmd_dataset_build(flags: HashMap<String, String>) {
-    let name = flags
-        .get("name")
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let Some(mini) = dataset_by_name(name) else {
-        eprintln!(
-            "unknown dataset {name}; available: {}",
-            MiniDataset::ALL.map(|d| d.name()).join(", ")
-        );
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = run(&args) {
+        eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
+    }
+}
+
+fn run(args: &[String]) -> Result<(), UsageError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(UsageError("missing command".into()));
     };
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let knobs = env_knobs();
-    let mut sc = Scenario::default_for(mini, &knobs);
-    if let Some(d) = flags.get("dim") {
-        sc.dim = d.parse().expect("--dim");
+    match cmd.as_str() {
+        "dataset" => match rest.split_first() {
+            Some((sub, flags)) if sub == "build" => {
+                cmd_dataset_build(&Flags::parse(flags, &["name", "dim", "scale", "out"], &[])?)
+            }
+            _ => Err(UsageError("dataset: the subcommand is `build`".into())),
+        },
+        "train" => cmd_train(&Flags::parse(
+            rest,
+            &[
+                "name",
+                "data",
+                "system",
+                "model",
+                "epochs",
+                "batch",
+                "dim",
+                "memory-gb",
+                "max-batches",
+                "checkpoint",
+                "checkpoint-every",
+                "resume",
+            ],
+            &[],
+        )?),
+        "systems" => {
+            Flags::parse(rest, &[], &[])?;
+            for k in SystemKind::ALL {
+                println!("{}", k.name());
+            }
+            Ok(())
+        }
+        "repro" => cmd_repro(rest),
+        "cache-sweep" => cmd_cache_sweep(&Flags::parse(
+            rest,
+            &["out", "baseline", "epsilon"],
+            &["check"],
+        )?),
+        "crashsim" => cmd_crashsim(&Flags::parse(rest, &["out", "seed"], &["check"])?),
+        "serving-mixed" => cmd_serving_mixed(&Flags::parse(rest, &[], &["chaos", "check"])?),
+        other => Err(UsageError(format!("unknown command {other}"))),
     }
-    if let Some(s) = flags.get("scale") {
-        sc.scale = s.parse().expect("--scale");
-    }
+}
+
+/// Print `msg` after the subcommand's name and exit 1: a failed run or
+/// gate.
+fn fail(cmd: &str, msg: &str) -> ! {
+    eprintln!("{cmd}: {msg}");
+    std::process::exit(1);
+}
+
+fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, UsageError> {
+    flags
+        .get(key)
+        .ok_or_else(|| UsageError(format!("--{key} is required")))
+}
+
+fn unknown_dataset(name: &str) -> UsageError {
+    UsageError(format!(
+        "unknown dataset {name}; available: {}",
+        MiniDataset::ALL.map(|d| d.name()).join(", ")
+    ))
+}
+
+fn cmd_dataset_build(flags: &Flags) -> Result<(), UsageError> {
+    let name = required(flags, "name")?;
+    let mini = dataset_by_name(name).ok_or_else(|| unknown_dataset(name))?;
+    let out = required(flags, "out")?;
+    let mut sc = Scenario::default_for(mini, &env_knobs());
+    sc.dim = flags.parsed("dim")?.unwrap_or(sc.dim);
+    sc.scale = flags.parsed("scale")?.unwrap_or(sc.scale);
     let t0 = std::time::Instant::now();
     let ds = dataset_for(&sc);
-    ds.save_to_dir(std::path::Path::new(out))
-        .expect("save dataset");
+    ds.save_to_dir(Path::new(out)).expect("save dataset");
     println!(
         "built {} ({} nodes, {} edges, dim {}) in {:.2?} -> {out}",
         ds.spec.name,
@@ -120,65 +190,47 @@ fn cmd_dataset_build(flags: HashMap<String, String>) {
         ds.spec.feat_dim,
         t0.elapsed()
     );
+    Ok(())
 }
 
-fn cmd_train(flags: HashMap<String, String>) {
+fn cmd_train(flags: &Flags) -> Result<(), UsageError> {
     let knobs = env_knobs();
-    let system = flags
-        .get("system")
-        .map(|s| system_by_name(s).unwrap_or_else(|| usage()))
-        .unwrap_or(SystemKind::GnnDriveGpu);
-    let model = flags
-        .get("model")
-        .map(|m| model_by_name(m).unwrap_or_else(|| usage()))
-        .unwrap_or(ModelKind::GraphSage);
-    let epochs: u64 = flags
-        .get("epochs")
-        .map(|v| v.parse().expect("--epochs"))
-        .unwrap_or(3);
-    let max_batches = flags
-        .get("max-batches")
-        .map(|v| v.parse().expect("--max-batches"))
-        .map(Some)
-        .unwrap_or(knobs.max_batches);
+    let system = match flags.get("system") {
+        Some(s) => {
+            SystemKind::by_name(s).ok_or_else(|| UsageError(format!("unknown system {s}")))?
+        }
+        None => SystemKind::GnnDriveGpu,
+    };
+    let model = match flags.get("model") {
+        Some(m) => model_by_name(m).ok_or_else(|| UsageError(format!("unknown model {m}")))?,
+        None => ModelKind::GraphSage,
+    };
+    let epochs: u64 = flags.parsed("epochs")?.unwrap_or(3);
+    let max_batches = flags.parsed("max-batches")?.or(knobs.max_batches);
 
     // Resolve the dataset: saved directory or named analog.
-    let (sc, ds) = if let Some(dir) = flags.get("data") {
+    let (mut sc, ds) = if let Some(dir) = flags.get("data") {
         let ssd = SimSsd::new(SsdProfile::pm883_repro());
-        let ds =
-            Arc::new(Dataset::load_from_dir(std::path::Path::new(dir), ssd).expect("load dataset"));
+        let ds = Arc::new(Dataset::load_from_dir(Path::new(dir), ssd).expect("load dataset"));
         let mini = dataset_by_name(&ds.spec.name).unwrap_or(MiniDataset::Papers100M);
         let mut sc = Scenario::default_for(mini, &knobs);
         sc.dim = ds.spec.feat_dim;
         (sc, ds)
     } else {
-        let name = flags
-            .get("name")
-            .map(String::as_str)
-            .unwrap_or("papers100m-mini");
-        let mini = dataset_by_name(name).unwrap_or_else(|| usage());
+        let name = flags.get("name").unwrap_or("papers100m-mini");
+        let mini = dataset_by_name(name).ok_or_else(|| unknown_dataset(name))?;
         let mut sc = Scenario::default_for(mini, &knobs);
-        if let Some(d) = flags.get("dim") {
-            sc.dim = d.parse().expect("--dim");
-        }
+        sc.dim = flags.parsed("dim")?.unwrap_or(sc.dim);
         let ds = dataset_for(&sc);
         (sc, ds)
     };
-
-    let mut sc = sc;
     sc.model = model;
-    if let Some(b) = flags.get("batch") {
-        sc.batch_size = b.parse().expect("--batch");
-    }
-    if let Some(g) = flags.get("memory-gb") {
-        sc.memory_gb = g.parse().expect("--memory-gb");
-    }
+    sc.batch_size = flags.parsed("batch")?.unwrap_or(sc.batch_size);
+    sc.memory_gb = flags.parsed("memory-gb")?.unwrap_or(sc.memory_gb);
 
     let ck = CheckpointOpts {
         path: flags.get("checkpoint").map(PathBuf::from),
-        every: flags
-            .get("checkpoint-every")
-            .map(|v| v.parse::<usize>().expect("--checkpoint-every").max(1)),
+        every: flags.parsed::<usize>("checkpoint-every")?.map(|n| n.max(1)),
         resume: flags.get("resume").map(PathBuf::from),
     };
     if ck.requested() {
@@ -186,34 +238,23 @@ fn cmd_train(flags: HashMap<String, String>) {
             SystemKind::GnnDriveGpu => true,
             SystemKind::GnnDriveCpu => false,
             other => {
-                eprintln!(
+                return Err(UsageError(format!(
                     "--checkpoint/--checkpoint-every/--resume need a GNNDrive system \
                      (got {}): only the Pipeline API exposes training state.",
                     other.name()
-                );
-                std::process::exit(2);
+                )))
             }
         };
-        return train_checkpointed(&sc, &ds, gpu, epochs, max_batches, ck);
+        train_checkpointed(&sc, &ds, gpu, epochs, max_batches, ck);
+        return Ok(());
     }
 
     let mut sys = match build_system(system, &sc, &ds) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: failed to build: {e}", system.name());
-            std::process::exit(1);
-        }
+        Err(e) => fail(system.name(), &format!("failed to build: {e}")),
     };
-    println!(
-        "training {} / {} on {} (budget {} MiB, batch {})",
-        sys.name(),
-        model.name(),
-        ds.spec.name,
-        sc.budget_bytes() / (1024 * 1024),
-        sc.batch_size
-    );
-    println!("epoch -1: val acc {:.1}%", sys.evaluate() * 100.0);
-    let monitor = gnndrive_telemetry::Monitor::start(std::time::Duration::from_millis(100));
+    announce(sys.as_mut(), &sc, &ds);
+    let monitor = telemetry::Monitor::start(std::time::Duration::from_millis(100));
     let t0 = std::time::Instant::now();
     let mut last_loss = 0.0f64;
     let mut total_batches = 0usize;
@@ -234,17 +275,42 @@ fn cmd_train(flags: HashMap<String, String>) {
         last_loss = r.loss as f64;
         total_batches += r.batches;
     }
-    let wall = t0.elapsed();
-    let series = monitor.stop();
-    let mut report = collect_report(
-        &format!("train.{}", slug(&sys.name())),
-        &scenario_desc(&sc),
-        series,
+    let scalars = [
+        ("epochs", epochs as f64),
+        ("batches", total_batches as f64),
+        ("wall_secs", t0.elapsed().as_secs_f64()),
+        ("final_loss", last_loss),
+    ];
+    write_train_report(sys.as_mut(), &sc, monitor.stop(), &scalars);
+    Ok(())
+}
+
+/// The banner every `train` run starts with.
+fn announce(sys: &mut dyn TrainingSystem, sc: &Scenario, ds: &Dataset) {
+    println!(
+        "training {} / {} on {} (budget {} MiB, batch {})",
+        sys.name(),
+        sc.model.name(),
+        ds.spec.name,
+        sc.budget_bytes() / (1024 * 1024),
+        sc.batch_size
     );
-    report.add_scalar("epochs", epochs as f64);
-    report.add_scalar("batches", total_batches as f64);
-    report.add_scalar("wall_secs", wall.as_secs_f64());
-    report.add_scalar("final_loss", last_loss);
+    println!("epoch -1: val acc {:.1}%", sys.evaluate() * 100.0);
+}
+
+/// The run report of a `train` run: registry snapshot, monitor `series`,
+/// the run's `scalars`, final accuracy and the bottleneck verdict.
+fn write_train_report(
+    sys: &mut dyn TrainingSystem,
+    sc: &Scenario,
+    series: Vec<SeriesPoint>,
+    scalars: &[(&str, f64)],
+) {
+    let name = format!("train.{}", slug(&sys.name()));
+    let mut report = collect_report(&name, &scenario_desc(sc), series);
+    for &(key, value) in scalars {
+        report.add_scalar(key, value);
+    }
     report.add_scalar("val_acc", sys.evaluate());
     if let Some(attr) = sys.last_attribution() {
         attr.apply_to(&mut report);
@@ -327,16 +393,8 @@ fn train_checkpointed(
         }
     }
 
-    println!(
-        "training GNNDrive-{} / {} on {} (budget {} MiB, batch {})",
-        if gpu { "GPU" } else { "CPU" },
-        sc.model.name(),
-        ds.spec.name,
-        sc.budget_bytes() / (1024 * 1024),
-        sc.batch_size
-    );
-    println!("epoch -1: val acc {:.1}%", p.evaluate() * 100.0);
-    let monitor = gnndrive_telemetry::Monitor::start(std::time::Duration::from_millis(100));
+    announce(&mut p, sc, ds);
+    let monitor = telemetry::Monitor::start(std::time::Duration::from_millis(100));
     let t0 = std::time::Instant::now();
     let mut last_loss = 0.0f64;
     let mut total_batches = 0usize;
@@ -406,48 +464,270 @@ fn train_checkpointed(
         );
     }
 
-    let wall = t0.elapsed();
-    let series = monitor.stop();
-    let mut report = collect_report(
-        &format!(
-            "train.{}",
-            slug(&format!("GNNDrive-{}", if gpu { "GPU" } else { "CPU" }))
-        ),
-        &scenario_desc(sc),
-        series,
-    );
-    report.add_scalar("epochs", epochs as f64);
-    report.add_scalar("batches", total_batches as f64);
-    report.add_scalar("checkpoints", snapshots as f64);
-    report.add_scalar("wall_secs", wall.as_secs_f64());
-    report.add_scalar("final_loss", last_loss);
-    report.add_scalar("val_acc", p.evaluate());
-    if let Some(attr) = p.last_attribution() {
-        attr.apply_to(&mut report);
-        println!("bottleneck verdict: {}", attr.verdict.label());
-    }
-    write_report(&report);
+    let scalars = [
+        ("epochs", epochs as f64),
+        ("batches", total_batches as f64),
+        ("checkpoints", snapshots as f64),
+        ("wall_secs", t0.elapsed().as_secs_f64()),
+        ("final_loss", last_loss),
+    ];
+    write_train_report(&mut p, sc, monitor.stop(), &scalars);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) if cmd == "dataset" => match rest.split_first() {
-            Some((sub, flags)) if sub == "build" => cmd_dataset_build(parse_flags(flags)),
-            _ => usage(),
-        },
-        Some((cmd, rest)) if cmd == "train" => cmd_train(parse_flags(rest)),
-        Some((cmd, _)) if cmd == "systems" => {
-            for k in [
-                SystemKind::GnnDriveGpu,
-                SystemKind::GnnDriveCpu,
-                SystemKind::PygPlus,
-                SystemKind::Ginex,
-                SystemKind::Marius,
-            ] {
-                println!("{}", k.name());
+fn cmd_repro(args: &[String]) -> Result<(), UsageError> {
+    let Some((name, rest)) = args.split_first() else {
+        return Err(UsageError(
+            "repro: name an experiment, `all` or `list`".into(),
+        ));
+    };
+    Flags::parse(rest, &[], &[])?;
+    match name.as_str() {
+        "list" => {
+            for (name, _) in repro::EXPERIMENTS {
+                println!("{name}");
             }
         }
-        _ => usage(),
+        "all" => repro_all(),
+        name => repro::lookup(name)?(&env_knobs()),
     }
+    Ok(())
+}
+
+/// Run every experiment of [`repro::all`], each as `gnndrive repro <name>`
+/// in a process of its own (its datasets are freed at exit, and a panic
+/// is one recorded failure); exit 1 if any failed.
+fn repro_all() {
+    let me = std::env::current_exe().expect("own path");
+    let mut failures = Vec::new();
+    for (name, _) in repro::all() {
+        println!("\n########## repro {name} ##########");
+        match Command::new(&me).args(["repro", name]).status() {
+            Ok(status) if status.success() => {}
+            Ok(status) => {
+                eprintln!("{name} FAILED: {status}");
+                failures.push(*name);
+            }
+            Err(e) => {
+                eprintln!("{name} FAILED to launch: {e}");
+                failures.push(*name);
+            }
+        }
+    }
+    if failures.is_empty() {
+        println!("\nall {} experiments completed", repro::all().len());
+    } else {
+        eprintln!("\nfailed experiments: {failures:?}");
+        std::process::exit(1);
+    }
+}
+
+/// Belady-vs-LRU epoch seconds at the tightest (first) budget.
+fn tightest_epoch_secs(doc: &Json) -> Option<(f64, f64)> {
+    let point = doc.get("budgets")?.as_array()?.first()?;
+    let policies = point.get("policies")?;
+    let secs = |name: &str| policies.get(name)?.get("epoch_secs")?.as_f64();
+    Some((secs("lru")?, secs("belady")?))
+}
+
+fn cmd_cache_sweep(flags: &Flags) -> Result<(), UsageError> {
+    const CMD: &str = "cache-sweep";
+    let out_dir = PathBuf::from(flags.get("out").unwrap_or("results/reports"));
+    let baseline_dir = PathBuf::from(flags.get("baseline").unwrap_or("results/baselines"));
+    let epsilon = flags.parsed("epsilon")?.unwrap_or(0.001f64);
+
+    let outcome = run_sweep().unwrap_or_else(|e| fail(CMD, &e));
+    if let Err(e) = validate_cache_sweep(&outcome.doc) {
+        fail(CMD, &format!("sweep produced an invalid artifact: {e}"));
+    }
+
+    let mut header: Vec<&str> = SWEEP_POLICIES.to_vec();
+    header.push("belady-lru");
+    match hit_rate_rows(&outcome.doc) {
+        Ok(rows) => print_table("cache_sweep hit rates by budget", &header, &rows),
+        Err(e) => fail(CMD, &e),
+    }
+
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        fail(CMD, &format!("create {}: {e}", out_dir.display()));
+    }
+    let bench = sweep_path(&out_dir);
+    if let Err(e) = std::fs::write(&bench, outcome.doc.to_json_string() + "\n") {
+        fail(CMD, &format!("write {}: {e}", bench.display()));
+    }
+    println!("artifact: {}", bench.display());
+    let trace = trace_artifact_path(&out_dir);
+    if let Err(e) = outcome.trace.save(&trace) {
+        fail(CMD, &format!("write {}: {e}", trace.display()));
+    }
+    println!(
+        "trace: {} ({} accesses)",
+        trace.display(),
+        outcome.trace.len()
+    );
+
+    if !flags.has("check") {
+        return Ok(());
+    }
+
+    // Gate 1: Belady must not cost wall time where misses dominate.
+    if let Some((lru_secs, belady_secs)) = tightest_epoch_secs(&outcome.doc) {
+        if belady_secs > lru_secs * 1.25 {
+            fail(
+                CMD,
+                &format!(
+                    "belady replay at tightest budget took {belady_secs:.3}s vs lru {lru_secs:.3}s"
+                ),
+            );
+        }
+    }
+
+    // Gate 2: no hit-rate drop against the committed baseline.
+    let baseline_path = sweep_path(&baseline_dir);
+    let text = std::fs::read_to_string(&baseline_path)
+        .unwrap_or_else(|e| fail(CMD, &format!("baseline {}: {e}", baseline_path.display())));
+    let baseline = Json::parse(&text)
+        .unwrap_or_else(|e| fail(CMD, &format!("baseline {}: {e}", baseline_path.display())));
+    match compare_cache_sweep(&baseline, &outcome.doc, epsilon) {
+        Ok(regs) if regs.is_empty() => {
+            println!("check: no hit-rate regressions beyond {epsilon}");
+        }
+        Ok(regs) => {
+            for r in &regs {
+                eprintln!("{CMD}: {r}");
+            }
+            std::process::exit(1);
+        }
+        Err(e) => fail(CMD, &e),
+    }
+    Ok(())
+}
+
+fn cmd_crashsim(flags: &Flags) -> Result<(), UsageError> {
+    const CMD: &str = "crashsim";
+    let out_dir = PathBuf::from(flags.get("out").unwrap_or("results/reports"));
+    let seed = flags.parsed("seed")?.unwrap_or(0xC0FFEEu64);
+
+    let scratch = out_dir.join("crashsim-scratch");
+    let sweep = run_crash_sweep(seed, &scratch).unwrap_or_else(|e| fail(CMD, &e));
+
+    let rows: Vec<Row> = sweep
+        .outcomes
+        .iter()
+        .map(|o| Row {
+            label: format!("{:>2} {}", o.ordinal, o.point),
+            cells: vec![
+                o.recovered_next_batch.to_string(),
+                o.expected_next_batch.to_string(),
+                if o.bit_identical { "yes" } else { "NO" }.to_string(),
+                format!(
+                    "{}k/{}d/{}t",
+                    o.sectors_kept, o.sectors_dropped, o.sectors_torn
+                ),
+            ],
+        })
+        .collect();
+    print_table(
+        &format!("crash schedules (seed {seed:#x})"),
+        &["recovered", "expected", "bit-identical", "cut sectors"],
+        &rows,
+    );
+
+    let doc = sweep_doc(&sweep);
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        fail(CMD, &format!("create {}: {e}", out_dir.display()));
+    }
+    let artifact = crash_sweep_path(&out_dir);
+    if let Err(e) = telemetry::atomic_write_file(
+        "crashsim.artifact",
+        &artifact,
+        (doc.to_json_string() + "\n").as_bytes(),
+    ) {
+        fail(CMD, &format!("write {}: {e}", artifact.display()));
+    }
+    println!("artifact: {}", artifact.display());
+
+    // The recovery/write-cache counter story also lands as a RunReport.
+    std::env::set_var("REPRO_REPORT_DIR", &out_dir);
+    let report = collect_report(
+        "crash_sweep",
+        &format!("crash-schedule sweep, seed {seed:#x}"),
+        Vec::new(),
+    );
+    write_report(&report);
+
+    if !flags.has("check") {
+        return Ok(());
+    }
+    if let Err(e) = validate_crash_sweep(&doc) {
+        fail(CMD, &format!("check failed: {e}"));
+    }
+    println!(
+        "check: {} schedules recovered to the last durable checkpoint, bit-identical, escaped=0",
+        sweep.outcomes.len()
+    );
+    Ok(())
+}
+
+fn cmd_serving_mixed(flags: &Flags) -> Result<(), UsageError> {
+    let chaos = flags.has("chaos");
+    let sc = Scenario::default_for(MiniDataset::Twitter, &env_knobs());
+    let cfg = ServingMixedConfig {
+        chaos,
+        ..ServingMixedConfig::default()
+    };
+
+    let name = if chaos {
+        "serving_mixed_chaos"
+    } else {
+        "serving_mixed"
+    };
+    let outcome = match run_serving_mixed(&sc, &cfg) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            std::process::exit(2);
+        }
+    };
+
+    println!("== {name}");
+    println!(
+        "requests: {} submitted, {} completed, {} failed, {} rejected over {} batches",
+        outcome.serve.submitted,
+        outcome.serve.completed,
+        outcome.serve.failed,
+        outcome.serve.rejected,
+        outcome.serve.batches
+    );
+    println!(
+        "latency: p50 {:.2}ms p99 {:.2}ms (SLO {}ms, {} violations)",
+        outcome.serve.latency.p50_ns as f64 / 1e6,
+        outcome.serve.latency.p99_ns as f64 / 1e6,
+        cfg.slo.as_millis(),
+        outcome.serve.slo_violations
+    );
+    println!(
+        "training: {:.1} batches/s solo -> {:.1} mixed ({:.0}%)",
+        outcome.solo_throughput,
+        outcome.mixed_throughput,
+        outcome.training_ratio * 100.0
+    );
+    if chaos {
+        println!(
+            "chaos: breaker open seen: {}, recovered: {}",
+            outcome.saw_circuit_open, outcome.recovered
+        );
+    }
+
+    let mut report = collect_report(name, &scenario_desc(&sc), Vec::new());
+    outcome.fold_into(&mut report);
+    let _ = write_report(&report);
+
+    let violations = outcome.violations();
+    for v in &violations {
+        eprintln!("VIOLATION: {v}");
+    }
+    if flags.has("check") && !violations.is_empty() {
+        std::process::exit(1);
+    }
+    Ok(())
 }

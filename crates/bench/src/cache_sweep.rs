@@ -60,8 +60,6 @@ fn sweep_scenario(profile: SsdProfile) -> Scenario {
     let knobs = EnvKnobs {
         scale: 0.05,
         max_batches: Some(SWEEP_BATCHES),
-        epochs: 1,
-        full: false,
     };
     Scenario {
         batch_size: 16,

@@ -1,30 +1,35 @@
 //! Experiment harness for the GNNDrive reproduction.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; this
-//! library provides what they share: a [`Scenario`] describing one
-//! experimental point (dataset, model, dimension, memory budget, batch
-//! size, device), uniform constructors for all five systems under test,
-//! a process-wide dataset cache (building a dataset is expensive and every
-//! sweep reuses them), and plain-text table/series printers that emit the
-//! same rows the paper reports.
+//! One front end, the `gnndrive` binary in `src/bin/`, runs everything
+//! here: the paper's tables and figures ([`repro`], `gnndrive repro
+//! <name>`), the cache-policy sweep, the crash-schedule sweep and the
+//! mixed serving scenario. This library provides what they share: a
+//! [`Scenario`] describing one experimental point (dataset, model,
+//! dimension, memory budget, batch size, device), uniform constructors for
+//! all five systems under test, one name lookup each for systems, datasets
+//! and models, one command-line parser ([`cli`]), a process-wide dataset
+//! cache (building a dataset is expensive and every sweep reuses them),
+//! and plain-text table/series printers that emit the same rows the paper
+//! reports.
 //!
 //! Scaling: datasets are the ÷1000 analogs of Table 1 (see
 //! `gnndrive_graph::catalog`), host-memory budgets map paper-GB → MiB, and
 //! the SSD runs the `pm883_repro` profile (see `SsdProfile::pm883_repro`
 //! for why it is ~4× slower than the pm883 model). Harness knobs come from
-//! environment variables so `cargo run --bin repro_*` works bare:
+//! environment variables, so every experiment runs bare:
 //!
 //! * `REPRO_SCALE` — extra dataset scale multiplier (default 1.0)
 //! * `REPRO_MAX_BATCHES` — measured mini-batches per epoch (default 12)
-//! * `REPRO_EPOCHS` — measured epochs per point (default 1)
 //! * `REPRO_FULL=1` — full-size mini datasets, whole epochs (slow)
 //! * `REPRO_REPORT_DIR` — where JSON run reports land (default
 //!   `results/reports`; see [`artifacts`])
 
 pub mod artifacts;
 pub mod cache_sweep;
+pub mod cli;
 pub mod crashsim;
 pub mod report;
+pub mod repro;
 pub mod scenario;
 pub mod serving;
 
@@ -36,13 +41,15 @@ pub use cache_sweep::{
     validate_cache_sweep, SweepOutcome, CACHE_SWEEP_SCHEMA_VERSION, SWEEP_BUDGET_FRACTIONS,
     SWEEP_POLICIES,
 };
+pub use cli::{Flags, UsageError};
 pub use crashsim::{
     crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep, CrashSweepOutcome,
     ScheduleOutcome, CRASH_SWEEP_SCHEMA_VERSION,
 };
 pub use report::{print_series, print_table, Row};
 pub use scenario::{
-    build_gnndrive_pipeline, build_system, dataset_for, env_knobs, feature_buffer_slots_for,
-    worst_case_batch_nodes, EnvKnobs, Scenario, SystemKind,
+    build_gnndrive_pipeline, build_system, dataset_by_name, dataset_for, env_knobs,
+    feature_buffer_slots_for, model_by_name, worst_case_batch_nodes, EnvKnobs, Scenario,
+    SystemKind,
 };
 pub use serving::{run_serving_mixed, ServingMixedConfig, ServingMixedReport};

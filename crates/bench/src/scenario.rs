@@ -13,10 +13,11 @@ use std::sync::Arc;
 /// Harness knobs from the environment (see crate docs).
 #[derive(Debug, Clone)]
 pub struct EnvKnobs {
+    /// Extra dataset scale multiplier (`REPRO_SCALE`).
     pub scale: f64,
+    /// Measured mini-batches per epoch (`REPRO_MAX_BATCHES`); `None` runs
+    /// whole epochs (`REPRO_FULL=1`).
     pub max_batches: Option<usize>,
-    pub epochs: u64,
-    pub full: bool,
 }
 
 /// Read the `REPRO_*` environment variables.
@@ -38,16 +39,7 @@ pub fn env_knobs() -> EnvKnobs {
                 .unwrap_or(12),
         )
     };
-    let epochs = std::env::var("REPRO_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    EnvKnobs {
-        scale,
-        max_batches,
-        epochs,
-        full,
-    }
+    EnvKnobs { scale, max_batches }
 }
 
 /// One experimental point.
@@ -67,9 +59,6 @@ pub struct Scenario {
     pub ssd: SsdProfile,
     /// Override GNNDrive's feature-buffer slot count (Fig 12 sweeps it).
     pub fb_slots_override: Option<usize>,
-    /// Run GNNDrive's synchronous-extraction ablation instead of the
-    /// asynchronous two-phase path (§4.2).
-    pub sync_extract: bool,
 }
 
 impl Scenario {
@@ -90,7 +79,6 @@ impl Scenario {
             fanouts: vec![4, 4, 4],
             ssd: SsdProfile::pm883_repro(),
             fb_slots_override: None,
-            sync_extract: false,
         }
     }
 
@@ -159,6 +147,14 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    pub const ALL: [SystemKind; 5] = [
+        SystemKind::GnnDriveGpu,
+        SystemKind::GnnDriveCpu,
+        SystemKind::PygPlus,
+        SystemKind::Ginex,
+        SystemKind::Marius,
+    ];
+
     pub const MAIN_FOUR: [SystemKind; 4] = [
         SystemKind::PygPlus,
         SystemKind::Ginex,
@@ -174,6 +170,37 @@ impl SystemKind {
             SystemKind::Ginex => "Ginex",
             SystemKind::Marius => "MariusGNN",
         }
+    }
+
+    /// The system a command-line name selects, in any case: `gnndrive`
+    /// (the GPU variant), `gnndrive-gpu`, `gnndrive-cpu`, `pyg+`/`pygplus`,
+    /// `ginex`, `marius`/`mariusgnn`.
+    pub fn by_name(name: &str) -> Option<SystemKind> {
+        match name.to_ascii_lowercase().as_str() {
+            "gnndrive-gpu" | "gnndrive" => Some(SystemKind::GnnDriveGpu),
+            "gnndrive-cpu" => Some(SystemKind::GnnDriveCpu),
+            "pyg+" | "pygplus" => Some(SystemKind::PygPlus),
+            "ginex" => Some(SystemKind::Ginex),
+            "marius" | "mariusgnn" => Some(SystemKind::Marius),
+            _ => None,
+        }
+    }
+}
+
+/// The dataset analog a name selects, in any case (`papers100m-mini`, …).
+pub fn dataset_by_name(name: &str) -> Option<MiniDataset> {
+    MiniDataset::ALL
+        .into_iter()
+        .find(|d| d.name().eq_ignore_ascii_case(name))
+}
+
+/// The model a name selects, in any case: `sage`/`graphsage`, `gcn`, `gat`.
+pub fn model_by_name(name: &str) -> Option<ModelKind> {
+    match name.to_ascii_lowercase().as_str() {
+        "sage" | "graphsage" => Some(ModelKind::GraphSage),
+        "gcn" => Some(ModelKind::Gcn),
+        "gat" => Some(ModelKind::Gat),
+        _ => None,
     }
 }
 
@@ -305,7 +332,6 @@ pub fn build_gnndrive_pipeline(
         feature_buffer_slots: slots,
         staging_bytes_per_extractor: staging,
         seed,
-        sync_extract: sc.sync_extract,
         ..Default::default()
     };
     // `with_stack` overlays the shared knobs (fanouts, batch size, budget)
@@ -351,7 +377,6 @@ pub fn build_gnndrive_workers(
             fanouts: sc.fanouts.clone(),
             batch_size: sc.batch_size,
             seed,
-            sync_extract: sc.sync_extract,
             ..Default::default()
         };
         let p = Pipeline::builder(Arc::clone(ds), device)
@@ -398,8 +423,6 @@ mod tests {
         EnvKnobs {
             scale: 0.05,
             max_batches: Some(2),
-            epochs: 1,
-            full: false,
         }
     }
 
@@ -422,13 +445,7 @@ mod tests {
             ..Scenario::default_for(MiniDataset::Twitter, &knobs())
         };
         let ds = dataset_for(&sc);
-        for kind in [
-            SystemKind::GnnDriveGpu,
-            SystemKind::GnnDriveCpu,
-            SystemKind::PygPlus,
-            SystemKind::Ginex,
-            SystemKind::Marius,
-        ] {
+        for kind in SystemKind::ALL {
             let mut sys = build_system(kind, &sc, &ds)
                 .unwrap_or_else(|e| panic!("{} failed to build: {e}", kind.name()));
             let r = sys.train_epoch(0, Some(2));

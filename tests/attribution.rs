@@ -312,8 +312,6 @@ fn memory_tight_and_compute_heavy_reach_opposite_verdicts() {
     let knobs = EnvKnobs {
         scale: 0.05,
         max_batches: None,
-        epochs: 1,
-        full: false,
     };
     let base = Scenario {
         model: ModelKind::GraphSage,

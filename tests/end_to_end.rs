@@ -8,8 +8,6 @@ fn knobs() -> EnvKnobs {
     EnvKnobs {
         scale: 0.05, // ~5.5k-node papers analog: fast but disk-bound
         max_batches: Some(6),
-        epochs: 1,
-        full: false,
     }
 }
 

@@ -18,8 +18,6 @@ fn knobs() -> EnvKnobs {
     EnvKnobs {
         scale: 0.05,
         max_batches: Some(6),
-        epochs: 1,
-        full: false,
     }
 }
 
