@@ -2,32 +2,7 @@
 
 use gnndrive_graph::{Dataset, NodeId};
 use gnndrive_storage::{FileHandle, PageCache, SimSsd};
-use gnndrive_telemetry as telemetry;
 use gnndrive_tensor::Matrix;
-
-/// Registry handles every baseline reports into, under its own scope
-/// prefix (`pygplus.*`, `ginex.*`, `marius.*`). A single run comparing
-/// systems thus yields one metrics snapshot in which each system's
-/// series are distinguishable from GNNDrive's (`pipeline.*`) and from
-/// each other.
-pub struct BaselineMetrics {
-    pub epochs: telemetry::Counter,
-    pub batches: telemetry::Counter,
-    pub bytes_read: telemetry::Counter,
-    pub batch_latency: telemetry::HistogramHandle,
-}
-
-impl BaselineMetrics {
-    pub fn new(prefix: &str) -> Self {
-        let scope = telemetry::Scope::new(prefix);
-        BaselineMetrics {
-            epochs: scope.counter("epochs"),
-            batches: scope.counter("batches_trained"),
-            bytes_read: scope.counter("bytes_read"),
-            batch_latency: scope.histogram_ns("batch_latency"),
-        }
-    }
-}
 
 /// Gather the feature rows of `nodes` through the OS page-cache model
 /// (buffered, synchronous — the memory-mapped feature access of PyG+).

@@ -20,7 +20,7 @@
 //!   at an 8 GB (scaled) budget construction fails with OOM, matching
 //!   Fig 9.
 
-use crate::common::{read_feature_row_direct, seed_labels, BaselineMetrics};
+use crate::common::{read_feature_row_direct, seed_labels};
 use gnndrive_core::{evaluate_model, EpochReport, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::{Dataset, NodeId};
@@ -97,7 +97,6 @@ pub struct Ginex {
     /// The feature cache: node → row. Capacity in rows.
     feature_cache: HashMap<NodeId, Vec<f32>>,
     feature_cache_slots: usize,
-    metrics: BaselineMetrics,
     _charges: Vec<MemCharge>,
 }
 
@@ -140,7 +139,6 @@ impl Ginex {
             opt: Adam::new(0.003),
             feature_cache: HashMap::new(),
             feature_cache_slots,
-            metrics: BaselineMetrics::new("ginex"),
             _charges: charges,
         })
     }
@@ -451,10 +449,8 @@ impl TrainingSystem for Ginex {
                 let mut params = self.model.params_mut();
                 self.opt.step(&mut params);
                 loss_sum += result.loss as f64;
-                self.metrics
-                    .batch_latency
-                    .record(t.elapsed().as_nanos() as u64);
-                self.metrics.batches.inc();
+                telemetry::catalog::GINEX_BATCH_LATENCY.record(t.elapsed().as_nanos() as u64);
+                telemetry::catalog::GINEX_BATCHES_TRAINED.inc();
                 train_secs += t.elapsed().as_secs_f64();
                 processed += 1;
             }
@@ -462,8 +458,8 @@ impl TrainingSystem for Ginex {
         }
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
-        self.metrics.epochs.inc();
-        self.metrics.bytes_read.add(io.read_bytes);
+        telemetry::catalog::GINEX_EPOCHS.inc();
+        telemetry::catalog::GINEX_BYTES_READ.add(io.read_bytes);
         EpochReport {
             wall: t0.elapsed(),
             batches: processed,

@@ -20,7 +20,7 @@
 //!   when even the minimum buffer does not fit (MAG240M at 32 GB *and*
 //!   128 GB scaled), construction fails with OOM — Table 2's outcome.
 
-use crate::common::{seed_labels, BaselineMetrics};
+use crate::common::seed_labels;
 use gnndrive_core::{evaluate_model, EpochReport, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::{Dataset, NodeId};
@@ -95,7 +95,6 @@ pub struct MariusGnn {
     /// Resident partitions: partition id → row-major feature block.
     buffer: HashMap<usize, Vec<f32>>,
     partition_nodes: usize,
-    metrics: BaselineMetrics,
     _charges: Vec<MemCharge>,
 }
 
@@ -140,7 +139,6 @@ impl MariusGnn {
             opt: gnndrive_tensor::Adam::new(0.003),
             buffer: HashMap::new(),
             partition_nodes,
-            metrics: BaselineMetrics::new("marius"),
             _charges: charges,
         })
     }
@@ -357,18 +355,16 @@ impl TrainingSystem for MariusGnn {
                 let mut params = self.model.params_mut();
                 self.opt.step(&mut params);
                 loss_sum += result.loss as f64;
-                self.metrics
-                    .batch_latency
-                    .record(t.elapsed().as_nanos() as u64);
-                self.metrics.batches.inc();
+                telemetry::catalog::MARIUS_BATCH_LATENCY.record(t.elapsed().as_nanos() as u64);
+                telemetry::catalog::MARIUS_BATCHES_TRAINED.inc();
                 train_secs += t.elapsed().as_secs_f64();
                 processed += 1;
             }
         }
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
-        self.metrics.epochs.inc();
-        self.metrics.bytes_read.add(io.read_bytes);
+        telemetry::catalog::MARIUS_EPOCHS.inc();
+        telemetry::catalog::MARIUS_BYTES_READ.add(io.read_bytes);
         EpochReport {
             wall: t0.elapsed(),
             batches: processed,

@@ -17,7 +17,7 @@
 //!   host memory (charged to the governor) and in device memory for
 //!   training — large mini-batches OOM, as in the paper's Fig 10.
 
-use crate::common::{gather_features_mmap, seed_labels, BaselineMetrics};
+use crate::common::{gather_features_mmap, seed_labels};
 use gnndrive_core::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::Dataset;
@@ -65,7 +65,6 @@ pub struct PygPlus {
     topo: Arc<dyn TopoReader>,
     model: GnnModel,
     opt: Adam,
-    metrics: BaselineMetrics,
 }
 
 impl PygPlus {
@@ -100,7 +99,6 @@ impl PygPlus {
             topo,
             model,
             opt: Adam::new(0.003),
-            metrics: BaselineMetrics::new("pygplus"),
         }
     }
 }
@@ -261,18 +259,16 @@ impl TrainingSystem for PygPlus {
                 self.opt.step(&mut params);
                 drop(dev_alloc);
                 loss_sum += result.loss as f64;
-                self.metrics
-                    .batch_latency
-                    .record(t.elapsed().as_nanos() as u64);
-                self.metrics.batches.inc();
+                telemetry::catalog::PYGPLUS_BATCH_LATENCY.record(t.elapsed().as_nanos() as u64);
+                telemetry::catalog::PYGPLUS_BATCHES_TRAINED.inc();
                 train_secs += t.elapsed().as_secs_f64();
                 processed += 1;
             }
         });
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
-        self.metrics.epochs.inc();
-        self.metrics.bytes_read.add(io.read_bytes);
+        telemetry::catalog::PYGPLUS_EPOCHS.inc();
+        telemetry::catalog::PYGPLUS_BYTES_READ.add(io.read_bytes);
         EpochReport {
             wall: t0.elapsed(),
             batches: processed,

@@ -10,12 +10,17 @@
 //! are printed and swallowed.
 
 use crate::Scenario;
-use gnndrive_telemetry::{self as telemetry, RunReport, SeriesPoint};
+use gnndrive_telemetry::{self as telemetry, catalog, HistogramHandle, RunReport, SeriesPoint};
 use std::path::PathBuf;
 
-/// The four GNNDrive pipeline stages, in batch-lifecycle order. Their
-/// per-batch latencies live in the registry as `pipeline.<stage>`.
-pub const PIPELINE_STAGES: [&str; 4] = ["sample", "extract", "train", "release"];
+/// The four GNNDrive pipeline stages, in batch-lifecycle order, with the
+/// registry histogram of their per-batch latencies.
+pub static PIPELINE_STAGES: [(&str, &HistogramHandle); 4] = [
+    ("sample", &catalog::PIPELINE_SAMPLE),
+    ("extract", &catalog::PIPELINE_EXTRACT),
+    ("train", &catalog::PIPELINE_TRAIN),
+    ("release", &catalog::PIPELINE_RELEASE),
+];
 
 /// Where run reports land: `$REPRO_REPORT_DIR` or `results/reports`.
 pub fn report_dir() -> PathBuf {
@@ -60,8 +65,8 @@ pub fn collect_report(name: &str, scenario: &str, series: Vec<SeriesPoint>) -> R
     r.scenario = scenario.to_string();
     r.metrics = telemetry::snapshot_metrics();
     r.series = series;
-    for stage in PIPELINE_STAGES {
-        let h = telemetry::histogram_ns(&format!("pipeline.{stage}")).merged();
+    for (stage, hist) in PIPELINE_STAGES {
+        let h = hist.merged();
         if h.count() > 0 {
             r.add_stage(stage, &h);
         }

@@ -26,7 +26,7 @@ use gnndrive_device::GpuDevice;
 use gnndrive_graph::{Dataset, DatasetSpec};
 use gnndrive_nn::ModelKind;
 use gnndrive_storage::{FileHandle, MemoryGovernor, PageCache, SimSsd, SsdProfile};
-use gnndrive_telemetry::{self as telemetry, Json};
+use gnndrive_telemetry::{self as telemetry, catalog, Counter, Json};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -38,15 +38,20 @@ pub const SWEEP_CHUNKS: usize = 3;
 pub const SWEEP_CHUNK_BATCHES: usize = 4;
 
 /// The `storage.wcache.*` counters the sweep snapshots into its artifact.
-pub const WCACHE_METRICS: [&str; 7] = [
-    "storage.wcache.sectors_dirtied",
-    "storage.wcache.flushes",
-    "storage.wcache.sectors_flushed",
-    "storage.wcache.power_cuts",
-    "storage.wcache.sectors_kept",
-    "storage.wcache.sectors_dropped",
-    "storage.wcache.sectors_torn",
+pub static WCACHE_METRICS: [&Counter; 7] = [
+    &catalog::STORAGE_WCACHE_SECTORS_DIRTIED,
+    &catalog::STORAGE_WCACHE_FLUSHES,
+    &catalog::STORAGE_WCACHE_SECTORS_FLUSHED,
+    &catalog::STORAGE_WCACHE_POWER_CUTS,
+    &catalog::STORAGE_WCACHE_SECTORS_KEPT,
+    &catalog::STORAGE_WCACHE_SECTORS_DROPPED,
+    &catalog::STORAGE_WCACHE_SECTORS_TORN,
 ];
+
+/// The artifact key of a `storage.wcache.*` counter: its last segment.
+fn wcache_key(c: &Counter) -> &'static str {
+    c.name().trim_start_matches("storage.wcache.")
+}
 
 /// One enumerated crash schedule: cut at `ordinal` (the `ordinal`-th crash
 /// point of the run), power-cut the device, restart, recover, resume.
@@ -292,18 +297,15 @@ pub fn run_crash_sweep(seed: u64, scratch: &Path) -> Result<CrashSweepOutcome, S
         seed,
         schedule,
         outcomes,
-        escaped: telemetry::counter("storage.integrity.escaped").get(),
+        escaped: catalog::STORAGE_INTEGRITY_ESCAPED.get(),
     })
 }
 
 /// Assemble the `CRASH_SWEEP.json` document from a sweep outcome.
 pub fn sweep_doc(sweep: &CrashSweepOutcome) -> Json {
     let mut wcache = Json::obj();
-    for name in WCACHE_METRICS {
-        wcache.set(
-            name.trim_start_matches("storage.wcache."),
-            (telemetry::counter(name).get() as f64).into(),
-        );
+    for c in WCACHE_METRICS {
+        wcache.set(wcache_key(c), (c.get() as f64).into());
     }
     let mut rows = Vec::with_capacity(sweep.outcomes.len());
     for o in &sweep.outcomes {
@@ -404,8 +406,8 @@ pub fn validate_crash_sweep(doc: &Json) -> Result<(), String> {
         }
     }
     let wcache = doc.get("wcache").ok_or("missing wcache")?;
-    for name in WCACHE_METRICS {
-        let key = name.trim_start_matches("storage.wcache.");
+    for c in WCACHE_METRICS {
+        let key = wcache_key(c);
         if wcache.get(key).and_then(Json::as_u64).is_none() {
             return Err(format!("wcache missing {key}"));
         }

@@ -91,8 +91,8 @@ impl Scenario {
     }
 
     /// The shared storage-stack knobs of this experimental point, in the
-    /// form both the pipeline builder ([`PipelineBuilder::with_stack`]
-    /// [`gnndrive_core::PipelineBuilder::with_stack`]) and the serving
+    /// form both the pipeline builder
+    /// ([`gnndrive_core::PipelineBuilder::with_stack`]) and the serving
     /// tier's `ServeConfig` consume — one struct, so a trainer and a
     /// server co-located on this scenario cannot drift apart on them.
     pub fn stack(&self) -> StackConfig {

@@ -168,12 +168,6 @@ impl StackConfig {
         self
     }
 
-    /// Storage-read retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Device-health management configuration.
     pub fn with_health(mut self, health: HealthConfig) -> Self {
         self.health = health;

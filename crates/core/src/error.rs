@@ -4,8 +4,8 @@
 //! extracting a mini-batch, touching the storage stack, serializing a
 //! checkpoint — converges on [`Error`], so callers match one enum and walk
 //! one [`source`](std::error::Error::source) chain instead of juggling the
-//! per-layer types ([`BuildError`](crate::pipeline::BuildError),
-//! [`ExtractError`](crate::ExtractError), [`IoError`], [`OomError`]). The
+//! per-layer types ([`BuildError`],
+//! [`ExtractError`], [`IoError`], [`OomError`]). The
 //! layer types remain public for code that wants the narrow contract.
 
 use crate::checkpoint::CheckpointError;

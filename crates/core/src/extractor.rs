@@ -3,7 +3,7 @@
 //! One extractor handles one mini-batch end to end:
 //!
 //! 1. **Plan** — pin every input node in the
-//!    [`FeatureBufferManager`](crate::FeatureBufferManager): reuse what is
+//!    [`FeatureBufferManager`]: reuse what is
 //!    resident, wait-list what another extractor is loading, and take
 //!    standby slots, coldest first, for the rest.
 //! 2. **Phase one (SSD → staging)** — issue asynchronous direct-I/O reads
@@ -41,8 +41,8 @@ use gnndrive_storage::{
     SECTOR_SIZE,
 };
 use gnndrive_sync::queue::{Receiver, Sender};
-use gnndrive_telemetry as telemetry;
-use std::sync::{Arc, OnceLock};
+use gnndrive_telemetry::{self as telemetry, catalog};
+use std::sync::Arc;
 
 /// Everything an extractor needs, shared across the extractor pool.
 pub struct ExtractorContext {
@@ -271,13 +271,6 @@ fn row_from_window(buf: &[u8], window_start: u64, row: u64, row_bytes: u64) -> V
         .collect()
 }
 
-/// `core.extract.retries`, looked up once per process: the registry lookup
-/// hashes the name under a lock, and this sits on the per-read path.
-fn extract_retries() -> &'static telemetry::Counter {
-    static RETRIES: OnceLock<telemetry::Counter> = OnceLock::new();
-    RETRIES.get_or_init(|| telemetry::counter("core.extract.retries"))
-}
-
 /// Blocking feature read under the context's [`RetryPolicy`]: transient
 /// faults are retried with exponential backoff (counted in
 /// `core.extract.retries`) until the policy's attempt budget runs out.
@@ -290,7 +283,7 @@ fn extract_retries() -> &'static telemetry::Counter {
 fn read_with_retries(ctx: &ExtractorContext, offset: u64, buf: &mut [u8]) -> Result<(), IoError> {
     let direct = ctx.direct_io || ctx.gpu_direct;
     ctx.retry.run(
-        || extract_retries().inc(),
+        || catalog::CORE_EXTRACT_RETRIES.inc(),
         |_| {
             let out =
                 ctx.ssd
@@ -473,7 +466,7 @@ impl Loads<'_> {
                 // up front so fault recovery stays visible in
                 // `core.extract.retries` even when the blocking read
                 // succeeds immediately.
-                extract_retries().inc();
+                catalog::CORE_EXTRACT_RETRIES.inc();
                 let mut retry = vec![0u8; group.window_len];
                 let _wait = telemetry::wait_timer(telemetry::WaitKind::SyncRead);
                 read_with_retries(ctx, group.window_start, &mut retry)?;
@@ -887,8 +880,8 @@ mod tests {
                 .with_read_fault_prob(1.0)
                 .on_file(ds.features_file.id),
         );
-        let retries_before = telemetry::counter("core.extract.retries").get();
-        let faults_before = telemetry::counter("storage.faults").get();
+        let retries_before = catalog::CORE_EXTRACT_RETRIES.get();
+        let faults_before = catalog::STORAGE_FAULTS.get();
         let err = match extract_batch(&ctx, sample_of(&ds, &[1, 2, 3])) {
             Err(e) => e,
             Ok(_) => panic!("extraction must fail under a total fault storm"),
@@ -899,11 +892,11 @@ mod tests {
             "expected a typed device fault, got {err}"
         );
         assert!(
-            telemetry::counter("core.extract.retries").get() > retries_before,
+            catalog::CORE_EXTRACT_RETRIES.get() > retries_before,
             "retry attempts must be counted"
         );
         assert!(
-            telemetry::counter("storage.faults").get() > faults_before,
+            catalog::STORAGE_FAULTS.get() > faults_before,
             "injected faults must be counted"
         );
         // The buffer must be consistent after the aborted batch.
@@ -1027,16 +1020,16 @@ mod tests {
                 .with_bit_flips(0.5)
                 .on_file(ds.features_file.id),
         );
-        let detected_before = telemetry::counter("storage.integrity.detected").get();
+        let detected_before = catalog::STORAGE_INTEGRITY_DETECTED.get();
         let batch = extract_batch(&ctx, sample_of(&ds, &[40, 41, 42, 43, 44])).unwrap();
         ds.ssd.clear_faults();
         verify_rows(&ds, &batch, &ctx.fb);
         assert!(
-            telemetry::counter("storage.integrity.detected").get() > detected_before,
+            catalog::STORAGE_INTEGRITY_DETECTED.get() > detected_before,
             "bit flips at 50% must have corrupted at least one window"
         );
         assert_eq!(
-            telemetry::counter("storage.integrity.escaped").get(),
+            catalog::STORAGE_INTEGRITY_ESCAPED.get(),
             0,
             "no corruption may escape verification"
         );
@@ -1064,7 +1057,7 @@ mod tests {
             .in_window(0..1)
             .on_file(ds.features_file.id);
         ds.ssd.set_fault_plan(plan);
-        let detected = telemetry::counter("storage.integrity.detected").get();
+        let detected = catalog::STORAGE_INTEGRITY_DETECTED.get();
         let ops = ds.ssd.stats().snapshot().read_ops;
         let sample = MiniBatchSample {
             batch_id: 0,
@@ -1081,8 +1074,8 @@ mod tests {
             2,
             "one bridged read, one re-read"
         );
-        assert!(telemetry::counter("storage.integrity.detected").get() > detected);
-        assert_eq!(telemetry::counter("storage.integrity.escaped").get(), 0);
+        assert!(catalog::STORAGE_INTEGRITY_DETECTED.get() > detected);
+        assert_eq!(catalog::STORAGE_INTEGRITY_ESCAPED.get(), 0);
     }
 
     #[test]

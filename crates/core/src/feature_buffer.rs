@@ -43,7 +43,7 @@ use gnndrive_telemetry as telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::{Counter, Gauge};
+use telemetry::catalog;
 
 const NO_SLOT: u32 = u32::MAX;
 const NO_NODE: NodeId = NodeId::MAX;
@@ -158,23 +158,23 @@ pub struct FeatureBufferStats {
     pub loads: AtomicU64,
     /// Valid entries invalidated when their slot was stolen.
     pub delayed_invalidations: AtomicU64,
-    m_reuse_hits: Counter,
-    m_shared_loads: Counter,
-    m_loads: Counter,
-    m_delayed_invalidations: Counter,
 }
 
 impl Default for FeatureBufferStats {
     fn default() -> Self {
+        for c in [
+            &catalog::FEATURE_BUFFER_REUSE_HITS,
+            &catalog::FEATURE_BUFFER_SHARED_LOADS,
+            &catalog::FEATURE_BUFFER_LOADS,
+            &catalog::FEATURE_BUFFER_DELAYED_INVALIDATIONS,
+        ] {
+            c.register();
+        }
         FeatureBufferStats {
             reuse_hits: AtomicU64::new(0),
             shared_loads: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             delayed_invalidations: AtomicU64::new(0),
-            m_reuse_hits: telemetry::counter("feature_buffer.reuse_hits"),
-            m_shared_loads: telemetry::counter("feature_buffer.shared_loads"),
-            m_loads: telemetry::counter("feature_buffer.loads"),
-            m_delayed_invalidations: telemetry::counter("feature_buffer.delayed_invalidations"),
         }
     }
 }
@@ -182,22 +182,22 @@ impl Default for FeatureBufferStats {
 impl FeatureBufferStats {
     fn add_reuse_hit(&self) {
         self.reuse_hits.fetch_add(1, Ordering::Relaxed);
-        self.m_reuse_hits.inc();
+        catalog::FEATURE_BUFFER_REUSE_HITS.inc();
     }
 
     fn add_shared_load(&self) {
         self.shared_loads.fetch_add(1, Ordering::Relaxed);
-        self.m_shared_loads.inc();
+        catalog::FEATURE_BUFFER_SHARED_LOADS.inc();
     }
 
     fn add_load(&self) {
         self.loads.fetch_add(1, Ordering::Relaxed);
-        self.m_loads.inc();
+        catalog::FEATURE_BUFFER_LOADS.inc();
     }
 
     fn add_delayed_invalidation(&self) {
         self.delayed_invalidations.fetch_add(1, Ordering::Relaxed);
-        self.m_delayed_invalidations.inc();
+        catalog::FEATURE_BUFFER_DELAYED_INVALIDATIONS.inc();
     }
 }
 
@@ -209,9 +209,6 @@ pub struct FeatureBufferManager {
     data_ready: OrderedCondvar,
     timeout: Duration,
     stats: FeatureBufferStats,
-    /// Registry gauge tracking the standby-list occupancy (free/retired
-    /// slots): the paper's feature-buffer headroom, live in run reports.
-    m_standby: Gauge,
 }
 
 impl FeatureBufferManager {
@@ -245,6 +242,10 @@ impl FeatureBufferManager {
                 aborted: false,
             })
             .collect();
+        // The standby-list occupancy (free/retired slots) is the paper's
+        // feature-buffer headroom, live in run reports.
+        catalog::FEATURE_BUFFER_SLOTS.set(num_slots as i64);
+        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(num_slots as i64);
         FeatureBufferManager {
             slab,
             inner: OrderedMutex::new(
@@ -260,12 +261,6 @@ impl FeatureBufferManager {
             data_ready: OrderedCondvar::new(),
             timeout: config.slot_wait_timeout,
             stats: FeatureBufferStats::default(),
-            m_standby: {
-                telemetry::gauge("feature_buffer.slots").set(num_slots as i64);
-                let g = telemetry::gauge("feature_buffer.standby_slots");
-                g.set(num_slots as i64);
-                g
-            },
         }
     }
 
@@ -370,7 +365,7 @@ impl FeatureBufferManager {
             aliases[i] = slot;
             self.stats.add_load();
         }
-        self.m_standby.set(inner.standby.len() as i64);
+        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
 
         ExtractPlan {
             aliases,
@@ -461,7 +456,7 @@ impl FeatureBufferManager {
                 inner.retire(slot);
             }
         }
-        self.m_standby.set(inner.standby.len() as i64);
+        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
         drop(inner);
         self.slot_available.notify_all();
         self.data_ready.notify_all();
@@ -486,7 +481,7 @@ impl FeatureBufferManager {
                 }
             }
         }
-        self.m_standby.set(inner.standby.len() as i64);
+        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
         drop(inner);
         if freed {
             self.slot_available.notify_all();

@@ -252,7 +252,7 @@ pub fn run_data_parallel(
                         .or_else(|| payload.downcast_ref::<&str>().copied())
                         .unwrap_or("worker panicked")
                         .to_string();
-                    gnndrive_telemetry::counter("parallel.worker_failures").inc();
+                    gnndrive_telemetry::catalog::PARALLEL_WORKER_FAILURES.inc();
                     failed.push((w, msg));
                 }
             }

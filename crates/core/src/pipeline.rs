@@ -23,7 +23,7 @@ use gnndrive_nn::{build_model, GnnModel};
 use gnndrive_sampling::{AsyncTopo, BatchPlan, NeighborSampler, TopoReader};
 use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
 use gnndrive_sync::queue::bounded;
-use gnndrive_telemetry::{self as telemetry, HistSummary, State, ThreadClass};
+use gnndrive_telemetry::{self as telemetry, catalog, HistSummary, State, ThreadClass};
 use gnndrive_tensor::{Adam, Matrix, Optimizer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -434,8 +434,8 @@ impl Pipeline {
     /// tracing is enabled every batch leaves `sample`/`extract`/`train`/
     /// `release` spans (plus `transfer` inside extraction).
     ///
-    /// Each batch carries its own [`Stamps`] down the queues, and a batch
-    /// whose extraction fails reaches the trainer as a [`Tombstone`], so
+    /// Each batch carries its own `Stamps` down the queues, and a batch
+    /// whose extraction fails reaches the trainer as a `Tombstone`, so
     /// every planned batch yields exactly one trainer message. The report,
     /// the stage percentiles and the attribution are all derived from the
     /// trainer's records once the epoch ends.
@@ -477,15 +477,23 @@ impl Pipeline {
         // a congested extract stage shows as a full extract queue and an
         // empty train queue), plus registry histograms of the per-batch
         // stage latencies, each recorded by the stage that measures it.
-        let g_extract_q = &telemetry::gauge("pipeline.extract_queue.depth");
-        let g_train_q = &telemetry::gauge("pipeline.train_queue.depth");
-        let g_release_q = &telemetry::gauge("pipeline.release_queue.depth");
-        let h_sample = &telemetry::histogram_ns("pipeline.sample");
-        let h_extract = &telemetry::histogram_ns("pipeline.extract");
-        let h_train = &telemetry::histogram_ns("pipeline.train");
-        let h_release = &telemetry::histogram_ns("pipeline.release");
-        let c_batches = &telemetry::counter("pipeline.batches_trained");
-        let c_skipped = &telemetry::counter("pipeline.batches_skipped");
+        for g in [
+            &catalog::PIPELINE_EXTRACT_QUEUE_DEPTH,
+            &catalog::PIPELINE_TRAIN_QUEUE_DEPTH,
+            &catalog::PIPELINE_RELEASE_QUEUE_DEPTH,
+        ] {
+            g.register();
+        }
+        for h in [
+            &catalog::PIPELINE_SAMPLE,
+            &catalog::PIPELINE_EXTRACT,
+            &catalog::PIPELINE_TRAIN,
+            &catalog::PIPELINE_RELEASE,
+        ] {
+            h.register();
+        }
+        catalog::PIPELINE_BATCHES_TRAINED.register();
+        catalog::PIPELINE_BATCHES_SKIPPED.register();
 
         let cursor = &AtomicUsize::new(first);
         // The trainer's outputs: one attribution record per trained batch
@@ -539,13 +547,13 @@ impl Pipeline {
                                     .get(telemetry::WaitKind::PageFault),
                                 ..Stamps::default()
                             };
-                            h_sample.record(stamps.sampled - start);
+                            catalog::PIPELINE_SAMPLE.record(stamps.sampled - start);
                             // ② enqueue into the extracting queue. A send
                             // that fails drops, and so withdraws, the sample.
                             if tx.send((horizon.announce(sample), stamps)).is_err() {
                                 break;
                             }
-                            g_extract_q.set(tx.len() as i64);
+                            catalog::PIPELINE_EXTRACT_QUEUE_DEPTH.set(tx.len() as i64);
                         }
                     })
                     .expect("spawn sampler");
@@ -561,7 +569,7 @@ impl Pipeline {
                     .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
                         while let Ok((queued, mut stamps)) = rx.recv() {
-                            g_extract_q.set(rx.len() as i64);
+                            catalog::PIPELINE_EXTRACT_QUEUE_DEPTH.set(rx.len() as i64);
                             let batch_id = queued.sample().batch_id;
                             stamps.extract_start = now();
                             let extracted = {
@@ -571,13 +579,14 @@ impl Pipeline {
                             let msg = match extracted {
                                 Ok(batch) => {
                                     stamps.extracted = now();
-                                    h_extract.record(stamps.extracted - stamps.extract_start);
+                                    catalog::PIPELINE_EXTRACT
+                                        .record(stamps.extracted - stamps.extract_start);
                                     Ok((batch, stamps))
                                 }
                                 Err(e) => {
                                     // Graceful degradation: skip the batch
                                     // and tell the trainer with a tombstone.
-                                    c_skipped.inc();
+                                    catalog::PIPELINE_BATCHES_SKIPPED.inc();
                                     Err(Tombstone {
                                         error: e.to_string(),
                                         stamps,
@@ -587,7 +596,7 @@ impl Pipeline {
                             if tx.send((batch_id, msg)).is_err() {
                                 break;
                             }
-                            g_train_q.set(tx.len() as i64);
+                            catalog::PIPELINE_TRAIN_QUEUE_DEPTH.set(tx.len() as i64);
                         }
                     })
                     .expect("spawn extractor");
@@ -602,7 +611,7 @@ impl Pipeline {
                     telemetry::register_thread(ThreadClass::Cpu);
                     let mut stage = telemetry::Histogram::new();
                     while let Ok((batch_id, nodes)) = release_rx.recv() {
-                        g_release_q.set(release_rx.len() as i64);
+                        catalog::PIPELINE_RELEASE_QUEUE_DEPTH.set(release_rx.len() as i64);
                         let t = Instant::now();
                         {
                             let _span = telemetry::span("release", batch_id);
@@ -610,7 +619,7 @@ impl Pipeline {
                             fb_for_release.release(&nodes);
                         }
                         let spent = t.elapsed().as_nanos() as u64;
-                        h_release.record(spent);
+                        catalog::PIPELINE_RELEASE.record(spent);
                         stage.record(spent);
                     }
                     stage
@@ -625,7 +634,7 @@ impl Pipeline {
             // The gathered input features: one buffer, reused by every batch.
             let mut input = Vec::new();
             'train: while let Ok((id, msg)) = train_rx.recv() {
-                g_train_q.set(train_rx.len() as i64);
+                catalog::PIPELINE_TRAIN_QUEUE_DEPTH.set(train_rx.len() as i64);
                 pending.insert(id, msg);
                 // Reordering trains each batch as it arrives (§4.3); the
                 // ablation trains in plan order, and a tombstone advances
@@ -669,8 +678,8 @@ impl Pipeline {
                     };
                     let train_end = now();
                     loss_sum += result.loss as f64;
-                    h_train.record(train_end - train_start);
-                    c_batches.inc();
+                    catalog::PIPELINE_TRAIN.record(train_end - train_start);
+                    catalog::PIPELINE_BATCHES_TRAINED.inc();
                     nodes_loaded += batch.loaded_nodes as u64;
                     nodes_reused += (batch.sample.input_nodes.len() - batch.loaded_nodes) as u64;
                     // The batch's critical-path decomposition: its stamps
@@ -703,7 +712,7 @@ impl Pipeline {
                         // instead of deadlocking on an exhausted buffer.
                         break 'train;
                     }
-                    g_release_q.set(release_tx.len() as i64);
+                    catalog::PIPELINE_RELEASE_QUEUE_DEPTH.set(release_tx.len() as i64);
                 }
             }
             // Hanging up frees any extractor parked on a full train queue
@@ -714,7 +723,7 @@ impl Pipeline {
         });
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
-        telemetry::counter("pipeline.epochs").inc();
+        catalog::PIPELINE_EPOCHS.inc();
         let attribution = telemetry::aggregate_attribution(&records);
         self.last_attribution = Some(attribution.clone());
         // Surface the epoch's verdict as a whole-epoch trace span so the

@@ -284,7 +284,7 @@ fn transient_read_faults_are_retried_transparently() {
             .with_read_fault_every(5)
             .on_file(ds.features_file.id),
     );
-    let retries = gnndrive_telemetry::counter("core.extract.retries");
+    let retries = &gnndrive_telemetry::catalog::CORE_EXTRACT_RETRIES;
     let retries_before = retries.get();
     let report = p2.train_epoch(0, Some(6));
     ds.ssd.clear_faults();

@@ -6,21 +6,8 @@
 //! simulated 3090, and a CPU slower than both, while the time is attributed
 //! to the right telemetry class so GPU utilization reads correctly.
 
-use gnndrive_telemetry::{self as telemetry, State, ThreadClass};
-use std::sync::OnceLock;
+use gnndrive_telemetry::{self as telemetry, catalog, State, ThreadClass};
 use std::time::{Duration, Instant};
-
-/// Registry handles for kernel accounting, cached once per process —
-/// `run` executes per training step.
-fn compute_metrics() -> &'static (telemetry::Counter, telemetry::HistogramHandle) {
-    static METRICS: OnceLock<(telemetry::Counter, telemetry::HistogramHandle)> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        (
-            telemetry::counter("device.compute.kernels"),
-            telemetry::histogram_ns("device.compute.kernel"),
-        )
-    })
-}
 
 /// A rate-based kernel-execution model.
 #[derive(Debug, Clone)]
@@ -70,9 +57,8 @@ impl ComputeModel {
         if modeled > elapsed {
             std::thread::sleep(modeled - elapsed);
         }
-        let (kernels, kernel_ns) = compute_metrics();
-        kernels.inc();
-        kernel_ns.record(t0.elapsed().as_nanos() as u64);
+        catalog::DEVICE_COMPUTE_KERNELS.inc();
+        catalog::DEVICE_COMPUTE_KERNEL.record(t0.elapsed().as_nanos() as u64);
         out
     }
 

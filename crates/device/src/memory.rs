@@ -26,7 +26,7 @@ impl fmt::Display for DeviceOom {
 impl std::error::Error for DeviceOom {}
 
 /// A byte-accounted device-memory pool. Unlike the host
-/// [`gnndrive_storage::MemoryGovernor`] there is no reclaim: device
+/// `MemoryGovernor` (gnndrive-storage) there is no reclaim: device
 /// allocations either fit or OOM, as CUDA allocations do.
 #[derive(Debug)]
 pub struct DeviceMemory {

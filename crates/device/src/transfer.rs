@@ -10,32 +10,10 @@
 use crate::slab::FeatureSlab;
 use gnndrive_sync::queue::{unbounded, Receiver, Sender};
 use gnndrive_sync::{LockRank, OrderedMutex};
-use gnndrive_telemetry as telemetry;
-use std::sync::{Arc, OnceLock};
+use gnndrive_telemetry::{self as telemetry, catalog};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Registry handles for the transfer path, cached once per process —
-/// `pay_blocking` runs per node in the synchronous extract path, so a
-/// registry lookup per call would be measurable.
-fn transfer_metrics() -> &'static (
-    telemetry::Counter,
-    telemetry::Counter,
-    telemetry::HistogramHandle,
-) {
-    static METRICS: OnceLock<(
-        telemetry::Counter,
-        telemetry::Counter,
-        telemetry::HistogramHandle,
-    )> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        (
-            telemetry::counter("device.transfer.ops"),
-            telemetry::counter("device.transfer.bytes"),
-            telemetry::histogram_ns("device.transfer.service"),
-        )
-    })
-}
 
 /// PCIe-like timing for the copy engine.
 #[derive(Debug, Clone)]
@@ -145,10 +123,9 @@ impl TransferEngine {
             + Duration::from_nanos(
                 (bytes as u128 * 1_000_000_000 / self.profile.bandwidth as u128) as u64,
             );
-        let (ops, total_bytes, service) = transfer_metrics();
-        ops.inc();
-        total_bytes.add(bytes);
-        service.record(dur.as_nanos() as u64);
+        catalog::DEVICE_TRANSFER_OPS.inc();
+        catalog::DEVICE_TRANSFER_BYTES.add(bytes);
+        catalog::DEVICE_TRANSFER_SERVICE.record(dur.as_nanos() as u64);
         if dur > Duration::ZERO {
             let _io = telemetry::state(telemetry::State::IoWait);
             std::thread::sleep(dur);
@@ -170,7 +147,6 @@ impl Drop for TransferEngine {
 }
 
 fn engine_loop(profile: TransferProfile, rx: Receiver<Job>) {
-    let (m_ops, m_bytes, m_service) = transfer_metrics();
     let mut cursor = Instant::now();
     while let Ok(job) = rx.recv() {
         let now = Instant::now();
@@ -182,9 +158,9 @@ fn engine_loop(profile: TransferProfile, rx: Receiver<Job>) {
         let start = cursor.max(now);
         let deadline = start + service;
         cursor = deadline;
-        m_ops.inc();
-        m_bytes.add(bytes);
-        m_service.record(service.as_nanos() as u64);
+        catalog::DEVICE_TRANSFER_OPS.inc();
+        catalog::DEVICE_TRANSFER_BYTES.add(bytes);
+        catalog::DEVICE_TRANSFER_SERVICE.record(service.as_nanos() as u64);
 
         job.dst.write_row(job.slot, &job.data);
 

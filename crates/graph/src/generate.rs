@@ -8,8 +8,8 @@
 //! * **planted communities** — node labels correlated with both features
 //!   and neighborhoods, so GNN aggregation genuinely improves accuracy and
 //!   the time-to-accuracy experiment (Fig 14) converges like the paper's;
-//! * **class-centroid features** — feature[v] = centroid(label(v)) · s +
-//!   noise, the standard planted-partition feature model. (For Twitter and
+//! * **class-centroid features** — `feature[v] = centroid(label(v)) · s +
+//!   noise`, the standard planted-partition feature model. (For Twitter and
 //!   Friendster the paper itself generates random features/labels; our
 //!   generator covers both with the `signal` knob.)
 

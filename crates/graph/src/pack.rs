@@ -8,7 +8,7 @@
 //! page working sets shrink, and the cold tail becomes contiguous.
 //!
 //! [`pack_features`] builds the packed file on the dataset's own SSD via
-//! the untimed [`SimSsd::import`] path, which installs fresh CRC shadow
+//! the untimed [`SimSsd::import`](gnndrive_storage::SimSsd::import) path, which installs fresh CRC shadow
 //! sectors for the rewritten image — the integrity layer verifies packed
 //! reads exactly like unpacked ones, against the *new* layout. The
 //! resulting [`FeatureLayout`] carries the `node → packed row` remap that

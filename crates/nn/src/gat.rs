@@ -329,10 +329,6 @@ impl MultiHeadGat {
         }
     }
 
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
-
     pub fn in_dim(&self) -> usize {
         self.heads[0].in_dim()
     }

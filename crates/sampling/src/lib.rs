@@ -31,5 +31,5 @@ pub mod topo;
 pub use batches::BatchPlan;
 pub use block::{Block, MiniBatchSample};
 pub use neighbor::{NeighborSampler, SamplingPolicy};
-pub use presample::{presample_epoch, PresampleResult, ScheduleError};
+pub use presample::{presample_epoch, PresampleResult};
 pub use topo::{AsyncTopo, InMemTopo, MmapTopo, NeighborCacheTopo, TopoReader};

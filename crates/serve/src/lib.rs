@@ -26,7 +26,7 @@
 //! with a typed [`ServeError`]; nothing is silently dropped. The server
 //! keeps p50/p99 latency distributions against a configurable SLO deadline
 //! and folds them into a [`RunReport`](gnndrive_telemetry::RunReport) under
-//! the closed `serve.*` metric namespace.
+//! the `serve.*` metrics of [`gnndrive_telemetry::catalog`].
 //!
 //! ```
 //! use gnndrive_core::Pipeline;

@@ -6,7 +6,7 @@ use gnndrive_core::{Error as CoreError, Pipeline, TrainingSystem};
 use gnndrive_graph::NodeId;
 use gnndrive_sync::queue::{bounded, Receiver, Sender, TrySendError};
 use gnndrive_sync::{LockRank, OrderedMutex};
-use gnndrive_telemetry::{self as telemetry, AttributionReport, HistSummary, RunReport};
+use gnndrive_telemetry::{self as telemetry, catalog, AttributionReport, HistSummary, RunReport};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,15 +117,19 @@ impl ServeReport {
     /// Fold the serving outcome into a run report: `serve.*` scalars plus
     /// the three latency stages.
     pub fn fold_into(&self, report: &mut RunReport) {
-        report.add_scalar("serve.requests", self.submitted as f64);
-        report.add_scalar("serve.rejected", self.rejected as f64);
-        report.add_scalar("serve.completed", self.completed as f64);
-        report.add_scalar("serve.failed", self.failed as f64);
-        report.add_scalar("serve.batches", self.batches as f64);
-        report.add_scalar("serve.slo_violations", self.slo_violations as f64);
-        report.add_stage_summary("serve.latency", self.latency);
-        report.add_stage_summary("serve.queue_wait", self.queue_wait);
-        report.add_stage_summary("serve.service", self.service);
+        for (metric, value) in [
+            (&catalog::SERVE_REQUESTS, self.submitted),
+            (&catalog::SERVE_REJECTED, self.rejected),
+            (&catalog::SERVE_COMPLETED, self.completed),
+            (&catalog::SERVE_FAILED, self.failed),
+            (&catalog::SERVE_BATCHES, self.batches),
+            (&catalog::SERVE_SLO_VIOLATIONS, self.slo_violations),
+        ] {
+            report.add_scalar(metric.name(), value as f64);
+        }
+        report.add_stage_summary(catalog::SERVE_LATENCY.name(), self.latency);
+        report.add_stage_summary(catalog::SERVE_QUEUE_WAIT.name(), self.queue_wait);
+        report.add_stage_summary(catalog::SERVE_SERVICE.name(), self.service);
     }
 }
 
@@ -233,13 +237,13 @@ impl Server {
         match tx.try_send(req) {
             Ok(()) => {
                 self.shared.stats.lock().submitted += 1;
-                telemetry::counter("serve.requests").inc();
-                telemetry::gauge("serve.queue.depth").set(tx.len() as i64);
+                catalog::SERVE_REQUESTS.inc();
+                catalog::SERVE_QUEUE_DEPTH.set(tx.len() as i64);
                 Ok(Ticket { rx: reply_rx })
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.stats.lock().rejected += 1;
-                telemetry::counter("serve.rejected").inc();
+                catalog::SERVE_REJECTED.inc();
                 Err(ServeError::QueueFull)
             }
             Err(TrySendError::Disconnected(_)) => Err(ServeError::BatcherGone),
@@ -300,14 +304,22 @@ fn batcher(
     shared: Arc<Shared>,
 ) -> Pipeline {
     telemetry::register_thread(telemetry::ThreadClass::Cpu);
-    let c_completed = telemetry::counter("serve.completed");
-    let c_failed = telemetry::counter("serve.failed");
-    let c_batches = telemetry::counter("serve.batches");
-    let c_violations = telemetry::counter("serve.slo_violations");
-    let h_latency = telemetry::histogram_ns("serve.latency");
-    let h_queue = telemetry::histogram_ns("serve.queue_wait");
-    let h_service = telemetry::histogram_ns("serve.service");
-    let g_depth = telemetry::gauge("serve.queue.depth");
+    for c in [
+        &catalog::SERVE_COMPLETED,
+        &catalog::SERVE_FAILED,
+        &catalog::SERVE_BATCHES,
+        &catalog::SERVE_SLO_VIOLATIONS,
+    ] {
+        c.register();
+    }
+    for h in [
+        &catalog::SERVE_LATENCY,
+        &catalog::SERVE_QUEUE_WAIT,
+        &catalog::SERVE_SERVICE,
+    ] {
+        h.register();
+    }
+    catalog::SERVE_QUEUE_DEPTH.register();
 
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
@@ -322,7 +334,7 @@ fn batcher(
                 Err(_) => break, // deadline hit, or shutdown drain finished
             }
         }
-        g_depth.set(rx.len() as i64);
+        catalog::SERVE_QUEUE_DEPTH.set(rx.len() as i64);
 
         // Deduplicate seeds: concurrent users often ask about the same hot
         // node; one extraction serves them all.
@@ -345,7 +357,7 @@ fn batcher(
             pipeline.try_infer_detailed(&seeds).map_err(Arc::new);
         let service_ns = launched.elapsed().as_nanos() as u64;
         let batch_size = batch.len();
-        c_batches.inc();
+        catalog::SERVE_BATCHES.inc();
 
         let mut st = shared.stats.lock();
         st.batches += 1;
@@ -355,16 +367,16 @@ fn batcher(
             let reply = match &outcome {
                 Ok(out) => {
                     st.completed += 1;
-                    c_completed.inc();
+                    catalog::SERVE_COMPLETED.inc();
                     st.latency.record(latency_ns);
                     st.queue_wait.record(queue_ns);
                     st.service.record(service_ns);
-                    h_latency.record(latency_ns);
-                    h_queue.record(queue_ns);
-                    h_service.record(service_ns);
+                    catalog::SERVE_LATENCY.record(latency_ns);
+                    catalog::SERVE_QUEUE_WAIT.record(queue_ns);
+                    catalog::SERVE_SERVICE.record(service_ns);
                     if latency_ns as u128 > cfg.slo_deadline.as_nanos() {
                         st.slo_violations += 1;
-                        c_violations.inc();
+                        catalog::SERVE_SLO_VIOLATIONS.inc();
                     }
                     Ok(ServeResponse {
                         prediction: out.predictions[idx],
@@ -375,7 +387,7 @@ fn batcher(
                 }
                 Err(e) => {
                     st.failed += 1;
-                    c_failed.inc();
+                    catalog::SERVE_FAILED.inc();
                     Err(ServeError::Inference(Arc::clone(e)))
                 }
             };

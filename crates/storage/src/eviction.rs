@@ -10,17 +10,17 @@
 //! [`EvictionPolicy`] is the seam: the cache tells the policy about
 //! inserts, hits, and forced removals, and asks it for a victim when it
 //! needs room. [`LruPolicy`] wraps the existing [`LruList`]; [`BeladyPolicy`]
-//! consumes an [`AccessTrace`](crate::trace::AccessTrace) and falls back to
+//! consumes an [`AccessTrace`] and falls back to
 //! LRU ordering for pages the trace never mentions (e.g. serving traffic
 //! arriving on top of a training epoch).
 //!
-//! Telemetry lives in the closed `storage.cache.policy.*` namespace.
+//! Telemetry lives in the `storage.cache.policy.*` statics of
+//! [`gnndrive_telemetry::catalog`].
 
 use crate::lru::LruList;
 use crate::trace::AccessTrace;
-use gnndrive_telemetry as telemetry;
+use gnndrive_telemetry::catalog;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use telemetry::Counter;
 
 /// A page key: (file id, page number) — the same key the cache maps.
 pub type PageKey = (u32, u64);
@@ -36,9 +36,6 @@ pub type PageKey = (u32, u64);
 /// * `evict()` — pick a tracked victim, untrack it, return its slot;
 /// * pending (in-flight) slots are never given to the policy.
 pub trait EvictionPolicy: Send {
-    /// Short stable name for artifacts and telemetry ("lru", "belady").
-    fn name(&self) -> &'static str;
-
     /// Grow internal tables so slot ids `0..slots` are addressable.
     fn ensure_capacity(&mut self, slots: usize);
 
@@ -63,14 +60,13 @@ pub trait EvictionPolicy: Send {
 /// policy every baseline system in the paper trains under.
 pub struct LruPolicy {
     list: LruList,
-    evictions: Counter,
 }
 
 impl LruPolicy {
     pub fn new() -> Self {
+        catalog::STORAGE_CACHE_POLICY_LRU_EVICTIONS.register();
         LruPolicy {
             list: LruList::new(0),
-            evictions: telemetry::counter("storage.cache.policy.lru.evictions"),
         }
     }
 }
@@ -82,10 +78,6 @@ impl Default for LruPolicy {
 }
 
 impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn ensure_capacity(&mut self, slots: usize) {
         self.list.ensure_capacity(slots);
     }
@@ -101,7 +93,7 @@ impl EvictionPolicy for LruPolicy {
     fn evict(&mut self) -> Option<u32> {
         let victim = self.list.pop_front();
         if victim.is_some() {
-            self.evictions.inc();
+            catalog::STORAGE_CACHE_POLICY_LRU_EVICTIONS.inc();
         }
         victim
     }
@@ -149,9 +141,6 @@ pub struct BeladyPolicy {
     fallback: LruList,
     next_stamp: u64,
     tracked: usize,
-    evictions: Counter,
-    lru_fallbacks: Counter,
-    off_trace: Counter,
 }
 
 impl BeladyPolicy {
@@ -161,6 +150,13 @@ impl BeladyPolicy {
         for (pos, &key) in trace.accesses.iter().enumerate() {
             occurrences.entry(key).or_default().push_back(pos as u64);
         }
+        for c in [
+            &catalog::STORAGE_CACHE_POLICY_BELADY_EVICTIONS,
+            &catalog::STORAGE_CACHE_POLICY_BELADY_LRU_FALLBACKS,
+            &catalog::STORAGE_CACHE_POLICY_BELADY_OFF_TRACE_ACCESSES,
+        ] {
+            c.register();
+        }
         BeladyPolicy {
             occurrences,
             heap: BinaryHeap::new(),
@@ -168,9 +164,6 @@ impl BeladyPolicy {
             fallback: LruList::new(0),
             next_stamp: 0,
             tracked: 0,
-            evictions: telemetry::counter("storage.cache.policy.belady.evictions"),
-            lru_fallbacks: telemetry::counter("storage.cache.policy.belady.lru_fallbacks"),
-            off_trace: telemetry::counter("storage.cache.policy.belady.off_trace_accesses"),
         }
     }
 
@@ -187,7 +180,7 @@ impl BeladyPolicy {
                 next
             }
             None => {
-                self.off_trace.inc();
+                catalog::STORAGE_CACHE_POLICY_BELADY_OFF_TRACE_ACCESSES.inc();
                 NEVER
             }
         }
@@ -230,10 +223,6 @@ impl BeladyPolicy {
 }
 
 impl EvictionPolicy for BeladyPolicy {
-    fn name(&self) -> &'static str {
-        "belady"
-    }
-
     fn ensure_capacity(&mut self, slots: usize) {
         if slots > self.resident.len() {
             self.resident.resize_with(slots, || None);
@@ -272,8 +261,8 @@ impl EvictionPolicy for BeladyPolicy {
         if let Some(slot) = self.fallback.pop_front() {
             self.resident[slot as usize] = None;
             self.tracked -= 1;
-            self.evictions.inc();
-            self.lru_fallbacks.inc();
+            catalog::STORAGE_CACHE_POLICY_BELADY_EVICTIONS.inc();
+            catalog::STORAGE_CACHE_POLICY_BELADY_LRU_FALLBACKS.inc();
             return Some(slot);
         }
         while let Some(top) = self.heap.pop() {
@@ -283,7 +272,7 @@ impl EvictionPolicy for BeladyPolicy {
             if live {
                 self.resident[top.slot as usize] = None;
                 self.tracked -= 1;
-                self.evictions.inc();
+                catalog::STORAGE_CACHE_POLICY_BELADY_EVICTIONS.inc();
                 return Some(top.slot);
             }
         }

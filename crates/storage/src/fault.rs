@@ -21,7 +21,6 @@ use gnndrive_telemetry as telemetry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use telemetry::Counter;
 
 /// A seeded schedule of storage faults. Build one with the `with_*`
 /// combinators and install it via [`crate::SimSsd::set_fault_plan`].
@@ -201,21 +200,22 @@ pub struct FaultInjector {
     reads: AtomicU64,
     /// Write ordinal, drives torn-write decisions.
     writes: AtomicU64,
-    c_faults: Counter,
-    c_spikes: Counter,
-    c_stalls: Counter,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
+        for c in [
+            &telemetry::catalog::STORAGE_FAULTS,
+            &telemetry::catalog::STORAGE_LATENCY_SPIKES,
+            &telemetry::catalog::STORAGE_STALLS,
+        ] {
+            c.register();
+        }
         FaultInjector {
             plan,
             ops: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            c_faults: telemetry::counter("storage.faults"),
-            c_spikes: telemetry::counter("storage.latency_spikes"),
-            c_stalls: telemetry::counter("storage.stalls"),
         }
     }
 
@@ -238,12 +238,12 @@ impl FaultInjector {
             && mix_unit(self.plan.seed, ordinal, 1) < self.plan.latency_spike_prob
         {
             verdict.extra_latency += self.plan.latency_spike;
-            self.c_spikes.inc();
+            telemetry::catalog::STORAGE_LATENCY_SPIKES.inc();
         }
         if let Some(w) = &self.plan.stall_window {
             if w.contains(&ordinal) && !self.plan.stall.is_zero() {
                 verdict.extra_latency += self.plan.stall;
-                self.c_stalls.inc();
+                telemetry::catalog::STORAGE_STALLS.inc();
             }
         }
 
@@ -266,7 +266,7 @@ impl FaultInjector {
                     && mix_unit(self.plan.seed, read_no, 2) < self.plan.read_fault_prob;
                 if every || prob {
                     verdict.fail = Some(IoError::DeviceFault { file, offset });
-                    self.c_faults.inc();
+                    telemetry::catalog::STORAGE_FAULTS.inc();
                 }
                 // Bytes only get silently corrupted when the read otherwise
                 // succeeds; bit flip and misdirect are mutually exclusive.

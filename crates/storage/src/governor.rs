@@ -250,7 +250,7 @@ impl MemoryGovernor {
                 && self.serve_waiters.load(Ordering::Acquire) > 0;
             let outcome = if defer {
                 deferred_polls += 1;
-                gnndrive_telemetry::counter("governor.bulk_deferrals").inc();
+                gnndrive_telemetry::catalog::GOVERNOR_BULK_DEFERRALS.inc();
                 Err(OomError {
                     requested: bytes,
                     available: self.available(),
@@ -262,7 +262,7 @@ impl MemoryGovernor {
             match outcome {
                 Ok(c) => {
                     if lane == Lane::Serve && stalled.is_some() {
-                        gnndrive_telemetry::counter("governor.serve_admissions_waited").inc();
+                        gnndrive_telemetry::catalog::GOVERNOR_SERVE_ADMISSIONS_WAITED.inc();
                     }
                     return Ok(c);
                 }
@@ -276,7 +276,7 @@ impl MemoryGovernor {
                         stalled = Some(gnndrive_telemetry::wait_timer(
                             gnndrive_telemetry::WaitKind::MemAdmission,
                         ));
-                        gnndrive_telemetry::counter("governor.admission_stalls").inc();
+                        gnndrive_telemetry::catalog::GOVERNOR_ADMISSION_STALLS.inc();
                     }
                     if std::time::Instant::now() >= deadline {
                         // One last *real* attempt: a deferring bulk waiter

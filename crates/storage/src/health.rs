@@ -34,10 +34,9 @@
 //! `storage.health.recoveries`.
 
 use gnndrive_sync::{LockRank, OrderedMutex};
-use gnndrive_telemetry as telemetry;
+use gnndrive_telemetry::catalog;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
-use telemetry::{Counter, Gauge};
 
 /// Tuning for [`DeviceHealth`]. The default plan is *disabled* — the
 /// breaker observes but never changes state — so health management is
@@ -183,10 +182,6 @@ pub struct DeviceHealth {
     state: AtomicU8,
     /// Set while a half-open probe is in flight (CAS-guarded single slot).
     probing: AtomicBool,
-    g_state: Gauge,
-    c_trips: Counter,
-    c_probes: Counter,
-    c_recoveries: Counter,
 }
 
 impl DeviceHealth {
@@ -206,12 +201,15 @@ impl DeviceHealth {
             ),
             state: AtomicU8::new(HealthState::Healthy as u8),
             probing: AtomicBool::new(false),
-            g_state: telemetry::gauge("storage.health.state"),
-            c_trips: telemetry::counter("storage.health.trips"),
-            c_probes: telemetry::counter("storage.health.probes"),
-            c_recoveries: telemetry::counter("storage.health.recoveries"),
         };
-        h.g_state.set(HealthState::Healthy as i64);
+        catalog::STORAGE_HEALTH_STATE.set(HealthState::Healthy as i64);
+        for c in [
+            &catalog::STORAGE_HEALTH_TRIPS,
+            &catalog::STORAGE_HEALTH_PROBES,
+            &catalog::STORAGE_HEALTH_RECOVERIES,
+        ] {
+            c.register();
+        }
         h
     }
 
@@ -285,7 +283,7 @@ impl DeviceHealth {
                         .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                 {
-                    self.c_probes.inc();
+                    catalog::STORAGE_HEALTH_PROBES.inc();
                     Admission::Probe
                 } else {
                     Admission::FailFast
@@ -303,7 +301,7 @@ impl DeviceHealth {
             w.clear();
             w.opened_at = None;
             self.set_state(HealthState::Healthy);
-            self.c_recoveries.inc();
+            catalog::STORAGE_HEALTH_RECOVERIES.inc();
         } else {
             w.opened_at = Some(Instant::now());
         }
@@ -315,12 +313,12 @@ impl DeviceHealth {
     fn trip(&self, w: &mut HealthWindow) {
         w.opened_at = Some(Instant::now());
         self.set_state(HealthState::CircuitOpen);
-        self.c_trips.inc();
+        catalog::STORAGE_HEALTH_TRIPS.inc();
     }
 
     fn set_state(&self, s: HealthState) {
         self.state.store(s as u8, Ordering::Release);
-        self.g_state.set(s as i64);
+        catalog::STORAGE_HEALTH_STATE.set(s as i64);
     }
 }
 

@@ -20,7 +20,7 @@
 //! publishes the page; other threads faulting the same page wait on a
 //! condition variable instead of duplicating the read.
 //!
-//! All of that is one routine, [`PageCache::fault_in`], over a list of page
+//! All of that is one routine, `PageCache::fault_in`, over a list of page
 //! accesses. [`PageCache::read`] is the `mmap` case — one access per fill,
 //! so a reader takes its faults one synchronous round trip at a time —
 //! and [`PageCache::read_vectored`] hands the whole list over at once: the
@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::{Counter, Gauge, WaitKind};
+use telemetry::{catalog, WaitKind};
 
 /// Page size of the modeled OS (Linux default).
 pub const PAGE_SIZE: usize = 4096;
@@ -143,18 +143,6 @@ pub struct PageCache {
     bypasses: AtomicU64,
     readaheads: AtomicU64,
     fills: AtomicU64,
-    // Registry mirrors of the counters above, plus the resident-page level
-    // (`page_cache.*`), kept in lockstep so run reports see the cache.
-    m_hits: Counter,
-    m_misses: Counter,
-    m_evictions: Counter,
-    m_bypasses: Counter,
-    m_readaheads: Counter,
-    m_fills: Counter,
-    m_retries: Counter,
-    m_read_errors: Counter,
-    m_resident: Gauge,
-    m_trace_recorded: Counter,
     /// Recovery policy for device reads behind a fault. On exhaustion the
     /// cache degrades: the page is served zero-filled (the mmap analog of
     /// SIGBUS would kill training; a hole in a feature table only perturbs
@@ -190,6 +178,22 @@ impl PageCache {
         max_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Arc<Self> {
+        // The registry mirrors the counters above, plus the resident-page
+        // level, so run reports see the cache (zeros included).
+        for c in [
+            &catalog::PAGE_CACHE_HITS,
+            &catalog::PAGE_CACHE_MISSES,
+            &catalog::PAGE_CACHE_EVICTIONS,
+            &catalog::PAGE_CACHE_BYPASSES,
+            &catalog::PAGE_CACHE_READAHEADS,
+            &catalog::PAGE_CACHE_FILLS,
+            &catalog::PAGE_CACHE_RETRIES,
+            &catalog::PAGE_CACHE_READ_ERRORS,
+            &catalog::STORAGE_TRACE_RECORDED,
+        ] {
+            c.register();
+        }
+        catalog::PAGE_CACHE_RESIDENT_PAGES.register();
         let cache = Arc::new(PageCache {
             ssd,
             gov: Arc::clone(&gov),
@@ -211,16 +215,6 @@ impl PageCache {
             bypasses: AtomicU64::new(0),
             readaheads: AtomicU64::new(0),
             fills: AtomicU64::new(0),
-            m_hits: telemetry::counter("page_cache.hits"),
-            m_misses: telemetry::counter("page_cache.misses"),
-            m_evictions: telemetry::counter("page_cache.evictions"),
-            m_bypasses: telemetry::counter("page_cache.bypasses"),
-            m_readaheads: telemetry::counter("page_cache.readaheads"),
-            m_fills: telemetry::counter("page_cache.fills"),
-            m_retries: telemetry::counter("page_cache.retries"),
-            m_read_errors: telemetry::counter("page_cache.read_errors"),
-            m_resident: telemetry::gauge("page_cache.resident_pages"),
-            m_trace_recorded: telemetry::counter("storage.trace.recorded"),
             retry: OrderedMutex::new(LockRank::PageCache, RetryPolicy::default()),
             readahead_pages: std::sync::atomic::AtomicUsize::new(4),
             last_miss: OrderedMutex::new(LockRank::PageCache, std::collections::HashMap::new()),
@@ -238,11 +232,6 @@ impl PageCache {
     /// Set the recovery policy for faulting device reads.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         *self.retry.lock() = policy;
-    }
-
-    /// Name of the installed replacement policy ("lru", "belady", …).
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.lock().policy.name()
     }
 
     /// Start recording the page-access sequence (hits and misses alike)
@@ -275,12 +264,12 @@ impl PageCache {
     ) {
         let policy = *self.retry.lock();
         let outcome = policy.run(
-            || self.m_retries.inc(),
+            || catalog::PAGE_CACHE_RETRIES.inc(),
             |_| self.ssd.read_verified(file, offset, buf, false, prio),
         );
         if outcome.is_err() {
             buf.fill(0);
-            self.m_read_errors.inc();
+            catalog::PAGE_CACHE_READ_ERRORS.inc();
         }
     }
 
@@ -344,7 +333,7 @@ impl PageCache {
 
     fn count_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.m_hits.inc();
+        catalog::PAGE_CACHE_HITS.inc();
     }
 
     /// Serve `accesses` (pages of `file`, bytes into `out`), faulting in
@@ -382,7 +371,7 @@ impl PageCache {
             for a in accesses {
                 t.push(file.id, a.page_no);
             }
-            self.m_trace_recorded.add(accesses.len() as u64);
+            catalog::STORAGE_TRACE_RECORDED.add(accesses.len() as u64);
         }
         // Accesses that found their page in flight on another thread and
         // are still to be served; `None` in round one, which takes every
@@ -425,13 +414,13 @@ impl PageCache {
                             self.count_hit();
                         } else {
                             self.misses.fetch_add(1, Ordering::Relaxed);
-                            self.m_misses.inc();
+                            catalog::PAGE_CACHE_MISSES.inc();
                         }
                         let slot = self.acquire_slot(&mut inner, key);
                         if slot.is_none() {
                             // No room at all: uncached read-through.
                             self.bypasses.fetch_add(1, Ordering::Relaxed);
-                            self.m_bypasses.inc();
+                            catalog::PAGE_CACHE_BYPASSES.inc();
                         } else if speculate {
                             let mut lm = self.last_miss.lock();
                             if lm.insert(file.id, a.page_no) == Some(a.page_no.wrapping_sub(1)) {
@@ -556,7 +545,7 @@ impl PageCache {
         }
         self.readaheads
             .fetch_add(pages.len() as u64, Ordering::Relaxed);
-        self.m_readaheads.add(pages.len() as u64);
+        catalog::PAGE_CACHE_READAHEADS.add(pages.len() as u64);
         self.ready_cond.notify_all();
         inner
     }
@@ -592,7 +581,7 @@ impl PageCache {
             })
             .collect();
         self.fills.fetch_add(1, Ordering::Relaxed);
-        self.m_fills.inc();
+        catalog::PAGE_CACHE_FILLS.inc();
         let mut data: Vec<Box<[u8]>> = vec![Box::default(); pages.len()];
         // A single whole page becomes the cached page as is; anything else
         // (a merged run, a short tail) is cut into padded pages.
@@ -636,7 +625,7 @@ impl PageCache {
             .stats()
             .add_io_wait(started.elapsed().as_nanos() as u64);
         for (run, _) in landed.iter().enumerate().filter(|(_, ok)| !**ok) {
-            self.m_retries.inc();
+            catalog::PAGE_CACHE_RETRIES.inc();
             let (offset, len) = requests[run];
             let mut bytes = vec![0u8; len];
             {
@@ -692,7 +681,7 @@ impl PageCache {
             }
         };
         inner.map.insert(key, slot);
-        self.m_resident.set(inner.map.len() as i64);
+        catalog::PAGE_CACHE_RESIDENT_PAGES.set(inner.map.len() as i64);
         Some(slot)
     }
 
@@ -706,8 +695,8 @@ impl PageCache {
                 inner.free.push(slot);
                 drop(page.charge);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.m_evictions.inc();
-                self.m_resident.set(inner.map.len() as i64);
+                catalog::PAGE_CACHE_EVICTIONS.inc();
+                catalog::PAGE_CACHE_RESIDENT_PAGES.set(inner.map.len() as i64);
                 true
             }
             None => false,
@@ -1272,8 +1261,8 @@ mod tests {
         use crate::fault::FaultPlan;
         let (cache, f) = patterned(32 * PAGE_SIZE, 64);
         cache.set_retry_policy(RetryPolicy::default().with_max_attempts(16));
-        let detected = telemetry::counter("storage.integrity.detected");
-        let escaped = telemetry::counter("storage.integrity.escaped");
+        let detected = &telemetry::catalog::STORAGE_INTEGRITY_DETECTED;
+        let escaped = &telemetry::catalog::STORAGE_INTEGRITY_ESCAPED;
         let (d0, e0) = (detected.get(), escaped.get());
         cache
             .ssd
@@ -1299,7 +1288,7 @@ mod tests {
         let (cache, f) = patterned(8 * PAGE_SIZE, 4);
         cache.set_readahead(0); // no merging: one device request per page
         cache.set_retry_policy(RetryPolicy::default().with_max_attempts(2));
-        let errors = telemetry::counter("page_cache.read_errors");
+        let errors = &telemetry::catalog::PAGE_CACHE_READ_ERRORS;
         let before = errors.get();
         cache
             .ssd

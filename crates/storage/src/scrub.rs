@@ -16,7 +16,7 @@
 
 use crate::ssd::SimSsd;
 use gnndrive_sync::queue::{bounded, RecvTimeoutError, Sender};
-use gnndrive_telemetry as telemetry;
+use gnndrive_telemetry::catalog;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -51,10 +51,6 @@ impl Scrubber {
     /// Start scrubbing `ssd` with the given pacing.
     pub fn start(ssd: Arc<SimSsd>, cfg: ScrubConfig) -> Scrubber {
         let (stop_tx, stop_rx) = bounded::<()>(1);
-        let c_scanned = telemetry::counter("storage.scrub.scanned");
-        let c_repaired = telemetry::counter("storage.scrub.repaired");
-        let c_unrecoverable = telemetry::counter("storage.scrub.unrecoverable");
-        let c_passes = telemetry::counter("storage.scrub.passes");
         let handle = std::thread::Builder::new()
             .name("gnnd-scrub".into())
             .spawn(move || {
@@ -68,11 +64,11 @@ impl Scrubber {
                         return;
                     }
                     let chunk = ssd.scrub_chunk(cursor, cfg.sectors_per_pass.max(1));
-                    c_scanned.add(chunk.scanned);
-                    c_repaired.add(chunk.repaired);
-                    c_unrecoverable.add(chunk.unrecoverable);
+                    catalog::STORAGE_SCRUB_SCANNED.add(chunk.scanned);
+                    catalog::STORAGE_SCRUB_REPAIRED.add(chunk.repaired);
+                    catalog::STORAGE_SCRUB_UNRECOVERABLE.add(chunk.unrecoverable);
                     if chunk.next_sector == 0 && chunk.total_sectors > 0 {
-                        c_passes.inc();
+                        catalog::STORAGE_SCRUB_PASSES.inc();
                     }
                     cursor = chunk.next_sector;
                 }

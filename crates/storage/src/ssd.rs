@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::Counter;
+use telemetry::catalog;
 
 /// Legacy disk sector size; direct I/O must be aligned to this (paper §4.4).
 pub const SECTOR_SIZE: u64 = 512;
@@ -248,36 +248,6 @@ struct IntegrityState {
     quarantined: HashSet<u64>,
 }
 
-/// Cached `storage.integrity.*` counters (one registry lookup at device
-/// creation, not per request).
-struct IntegrityCounters {
-    /// Effective silent corruptions injected (bytes actually changed).
-    injected: Counter,
-    bit_flips: Counter,
-    misdirects: Counter,
-    torn_writes: Counter,
-    /// Verification boundaries that caught a mismatch.
-    detected: Counter,
-    /// Ground-truth tripwire: corrupt bytes that passed every CRC check.
-    escaped: Counter,
-    /// Sectors fenced off as persistently bad.
-    quarantined: Counter,
-}
-
-impl IntegrityCounters {
-    fn new() -> Self {
-        IntegrityCounters {
-            injected: telemetry::counter("storage.integrity.injected"),
-            bit_flips: telemetry::counter("storage.integrity.bit_flips"),
-            misdirects: telemetry::counter("storage.integrity.misdirects"),
-            torn_writes: telemetry::counter("storage.integrity.torn_writes"),
-            detected: telemetry::counter("storage.integrity.detected"),
-            escaped: telemetry::counter("storage.integrity.escaped"),
-            quarantined: telemetry::counter("storage.integrity.quarantined"),
-        }
-    }
-}
-
 /// Result of one [`SimSsd::scrub_chunk`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrubChunk {
@@ -310,7 +280,6 @@ struct Shared {
     /// Volatile write-back cache undo log; always acquired *after*
     /// `integrity` (same conventional ordering).
     wcache: OrderedMutex<WriteCache>,
-    im: IntegrityCounters,
     stats: IoStats,
     /// Global bandwidth reservation cursor: the instant the device link is
     /// next free. Reserving `b` bytes advances it by `b / bandwidth`.
@@ -341,6 +310,21 @@ pub(crate) enum SubmitOutcome {
 impl SimSsd {
     /// Bring up a device with the given profile.
     pub fn new(profile: SsdProfile) -> Arc<Self> {
+        // Listed from device creation on, so reports show zero escapes
+        // rather than no key. `injected` counts effective corruptions
+        // (bytes actually changed); `escaped` is the ground-truth tripwire:
+        // corrupt bytes that passed every CRC check.
+        for c in [
+            &catalog::STORAGE_INTEGRITY_INJECTED,
+            &catalog::STORAGE_INTEGRITY_BIT_FLIPS,
+            &catalog::STORAGE_INTEGRITY_MISDIRECTS,
+            &catalog::STORAGE_INTEGRITY_TORN_WRITES,
+            &catalog::STORAGE_INTEGRITY_DETECTED,
+            &catalog::STORAGE_INTEGRITY_ESCAPED,
+            &catalog::STORAGE_INTEGRITY_QUARANTINED,
+        ] {
+            c.register();
+        }
         let shared = Arc::new(Shared {
             profile: profile.clone(),
             queue: LaneQueue::new(profile.queue_depth),
@@ -354,7 +338,6 @@ impl SimSsd {
             files: OrderedMutex::new(LockRank::Storage, Vec::new()),
             integrity: OrderedMutex::new(LockRank::Storage, IntegrityState::default()),
             wcache: OrderedMutex::new(LockRank::Storage, WriteCache::new()),
-            im: IntegrityCounters::new(),
             stats: IoStats::default(),
             bw_cursor: OrderedMutex::new(LockRank::Storage, Instant::now()),
             fault: OrderedRwLock::new(LockRank::Storage, None),
@@ -516,11 +499,11 @@ impl SimSsd {
             let actual = crc32(slice);
             let fenced = st.quarantined.contains(&s);
             if actual != expected || fenced {
-                self.shared.im.detected.inc();
+                catalog::STORAGE_INTEGRITY_DETECTED.inc();
                 let ilo = (s * sec) as usize;
                 let persistent = fenced || crc32(&image.bytes[ilo..ilo + sec as usize]) != expected;
                 if persistent && st.quarantined.insert(s) {
-                    self.shared.im.quarantined.inc();
+                    catalog::STORAGE_INTEGRITY_QUARANTINED.inc();
                 }
                 return Err(IntegrityError {
                     file: file.id,
@@ -532,7 +515,7 @@ impl SimSsd {
             }
         }
         if data != &image.bytes[start as usize..end as usize] {
-            self.shared.im.escaped.inc();
+            catalog::STORAGE_INTEGRITY_ESCAPED.inc();
         }
         Ok(())
     }
@@ -586,7 +569,7 @@ impl SimSsd {
                     // No redundancy to repair from: fence the sector so
                     // reads fail decisively instead of serving rot.
                     if st.quarantined.insert(s) {
-                        self.shared.im.quarantined.inc();
+                        catalog::STORAGE_INTEGRITY_QUARANTINED.inc();
                     }
                     report.unrecoverable += 1;
                 }
@@ -648,7 +631,7 @@ impl SimSsd {
             dirty: dirty.len() as u64,
             ..Default::default()
         };
-        wc.counters.power_cuts.inc();
+        catalog::STORAGE_WCACHE_POWER_CUTS.inc();
         let sec = SECTOR_SIZE as usize;
         for (s, snap) in dirty {
             let lo = s as usize * sec;
@@ -657,7 +640,7 @@ impl SimSsd {
                 // Kept: the cache line had drained; pending state (bytes,
                 // CRC, ledger, fence — all already in place) is durable.
                 report.kept += 1;
-                wc.counters.sectors_kept.inc();
+                catalog::STORAGE_WCACHE_SECTORS_KEPT.inc();
                 continue;
             }
             if u < 2.0 / 3.0 {
@@ -675,13 +658,13 @@ impl SimSsd {
                 }
                 if snap.durable_quarantined {
                     if st.quarantined.insert(s) {
-                        self.shared.im.quarantined.inc();
+                        catalog::STORAGE_INTEGRITY_QUARANTINED.inc();
                     }
                 } else {
                     st.quarantined.remove(&s);
                 }
                 report.dropped += 1;
-                wc.counters.sectors_dropped.inc();
+                catalog::STORAGE_WCACHE_SECTORS_DROPPED.inc();
                 continue;
             }
             // Torn: a seeded prefix of the pending bytes made it to media
@@ -696,7 +679,7 @@ impl SimSsd {
                 // The durable suffix equals the pending one — the tear
                 // changed nothing observable; the sector persisted intact.
                 report.kept += 1;
-                wc.counters.sectors_kept.inc();
+                catalog::STORAGE_WCACHE_SECTORS_KEPT.inc();
                 continue;
             }
             // The CRC table keeps the pending checksum, so the mismatch is
@@ -705,7 +688,7 @@ impl SimSsd {
             // is nothing to repair from — only fencing remains.
             st.intents.remove(&s);
             report.torn += 1;
-            wc.counters.sectors_torn.inc();
+            catalog::STORAGE_WCACHE_SECTORS_TORN.inc();
         }
         report
     }
@@ -1053,8 +1036,8 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
                     let byte = (bit / 8) as usize;
                     if byte < len {
                         buf[byte] ^= 1 << (bit % 8);
-                        shared.im.injected.inc();
-                        shared.im.bit_flips.inc();
+                        catalog::STORAGE_INTEGRITY_INJECTED.inc();
+                        catalog::STORAGE_INTEGRITY_BIT_FLIPS.inc();
                     }
                 }
                 Some(SilentCorruption::MisdirectedRead { shift }) => {
@@ -1066,8 +1049,8 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
                     let src = (base as i64 + shift * SECTOR_SIZE as i64).clamp(lo, hi) as usize;
                     if src != base && image.bytes[src..src + len] != buf[..] {
                         buf.copy_from_slice(&image.bytes[src..src + len]);
-                        shared.im.injected.inc();
-                        shared.im.misdirects.inc();
+                        catalog::STORAGE_INTEGRITY_INJECTED.inc();
+                        catalog::STORAGE_INTEGRITY_MISDIRECTS.inc();
                     }
                 }
                 _ => {}
@@ -1141,8 +1124,8 @@ fn do_torn_write(
         // The ledger (or a clean persist) supersedes any earlier fencing.
         st.quarantined.remove(&(s as u64));
     }
-    shared.im.injected.inc();
-    shared.im.torn_writes.inc();
+    catalog::STORAGE_INTEGRITY_INJECTED.inc();
+    catalog::STORAGE_INTEGRITY_TORN_WRITES.inc();
     Ok(Vec::new())
 }
 
@@ -1349,7 +1332,7 @@ mod tests {
         };
         let mut out = vec![0u8; 512];
         let blocking = |out: &mut [u8]| ssd.read_verified(f, 512, out, true, IoPriority::Bulk);
-        let detected = telemetry::counter("storage.integrity.detected");
+        let detected = &catalog::STORAGE_INTEGRITY_DETECTED;
 
         assert_eq!(complete().verified(&ssd, f, 512).unwrap(), data[512..1024]);
         blocking(&mut out).unwrap();

@@ -10,7 +10,8 @@
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry as telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use telemetry::{Counter, HistSummary, Histogram, HistogramHandle};
+use telemetry::catalog;
+use telemetry::{HistSummary, Histogram};
 
 /// Cumulative counters maintained by a [`crate::SimSsd`].
 ///
@@ -39,31 +40,34 @@ pub struct IoStats {
     pub bulk_ops: AtomicU64,
     service: OrderedMutex<Histogram>,
     queueing: OrderedMutex<Histogram>,
-    // Cached registry handles: one relaxed atomic op per event after
-    // construction (see telemetry::metrics module docs).
-    m_read_ops: Counter,
-    m_read_bytes: Counter,
-    m_write_ops: Counter,
-    m_write_bytes: Counter,
-    m_io_wait: Counter,
-    m_stalls: Counter,
-    m_service: HistogramHandle,
-    m_queueing: HistogramHandle,
-    // Cumulative enqueue→dispatch vs dispatch→complete split in summed
-    // nanoseconds; the attribution layer (DESIGN.md §10) divides these to
-    // tell a congested device (queue-dominated) from a slow one.
-    m_queue_wait_ns: Counter,
-    m_service_ns: Counter,
-    // Per-QoS-lane op counts and summed queueing delay (the serving tier's
-    // evidence that its reads really do jump the bulk queue).
-    m_serve_ops: Counter,
-    m_bulk_ops: Counter,
-    m_serve_wait_ns: Counter,
-    m_bulk_wait_ns: Counter,
 }
 
 impl Default for IoStats {
     fn default() -> Self {
+        // Every device lists its whole registry set, so a report shows
+        // zero stalls or serve-lane reads rather than omitting the keys.
+        // The `storage.queue.*` split is what the attribution layer
+        // (DESIGN.md §10) divides to tell a congested device from a slow
+        // one; the lane split is the serving tier's evidence that its reads
+        // jump the bulk queue.
+        for c in [
+            &catalog::SSD_READ_OPS,
+            &catalog::SSD_READ_BYTES,
+            &catalog::SSD_WRITE_OPS,
+            &catalog::SSD_WRITE_BYTES,
+            &catalog::SSD_IO_WAIT_NS,
+            &catalog::SSD_QUEUE_FULL_STALLS,
+            &catalog::STORAGE_QUEUE_WAIT_NS,
+            &catalog::STORAGE_QUEUE_SERVICE_NS,
+            &catalog::STORAGE_QUEUE_LANE_SERVE_OPS,
+            &catalog::STORAGE_QUEUE_LANE_BULK_OPS,
+            &catalog::STORAGE_QUEUE_LANE_SERVE_WAIT_NS,
+            &catalog::STORAGE_QUEUE_LANE_BULK_WAIT_NS,
+        ] {
+            c.register();
+        }
+        catalog::SSD_SERVICE.register();
+        catalog::SSD_QUEUE_WAIT.register();
         IoStats {
             read_ops: AtomicU64::new(0),
             read_bytes: AtomicU64::new(0),
@@ -75,20 +79,6 @@ impl Default for IoStats {
             bulk_ops: AtomicU64::new(0),
             service: OrderedMutex::new(LockRank::Storage, Histogram::new()),
             queueing: OrderedMutex::new(LockRank::Storage, Histogram::new()),
-            m_read_ops: telemetry::counter("ssd.read_ops"),
-            m_read_bytes: telemetry::counter("ssd.read_bytes"),
-            m_write_ops: telemetry::counter("ssd.write_ops"),
-            m_write_bytes: telemetry::counter("ssd.write_bytes"),
-            m_io_wait: telemetry::counter("ssd.io_wait_ns"),
-            m_stalls: telemetry::counter("ssd.queue_full_stalls"),
-            m_service: telemetry::histogram_ns("ssd.service"),
-            m_queueing: telemetry::histogram_ns("ssd.queue_wait"),
-            m_queue_wait_ns: telemetry::counter("storage.queue.wait_ns"),
-            m_service_ns: telemetry::counter("storage.queue.service_ns"),
-            m_serve_ops: telemetry::counter("storage.queue.lane.serve_ops"),
-            m_bulk_ops: telemetry::counter("storage.queue.lane.bulk_ops"),
-            m_serve_wait_ns: telemetry::counter("storage.queue.lane.serve_wait_ns"),
-            m_bulk_wait_ns: telemetry::counter("storage.queue.lane.bulk_wait_ns"),
         }
     }
 }
@@ -144,25 +134,25 @@ impl IoStats {
     pub fn add_read(&self, bytes: u64) {
         self.read_ops.fetch_add(1, Ordering::Relaxed);
         self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.m_read_ops.inc();
-        self.m_read_bytes.add(bytes);
+        catalog::SSD_READ_OPS.inc();
+        catalog::SSD_READ_BYTES.add(bytes);
     }
 
     pub fn add_write(&self, bytes: u64) {
         self.write_ops.fetch_add(1, Ordering::Relaxed);
         self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.m_write_ops.inc();
-        self.m_write_bytes.add(bytes);
+        catalog::SSD_WRITE_OPS.inc();
+        catalog::SSD_WRITE_BYTES.add(bytes);
     }
 
     pub fn add_io_wait(&self, nanos: u64) {
         self.io_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.m_io_wait.add(nanos);
+        catalog::SSD_IO_WAIT_NS.add(nanos);
     }
 
     pub fn add_queue_full_stall(&self) {
         self.queue_full_stalls.fetch_add(1, Ordering::Relaxed);
-        self.m_stalls.inc();
+        catalog::SSD_QUEUE_FULL_STALLS.inc();
     }
 
     /// Record one serviced request: the modeled service time and the
@@ -170,10 +160,10 @@ impl IoStats {
     pub fn record_op(&self, service_ns: u64, queue_ns: u64) {
         self.service.lock().record(service_ns);
         self.queueing.lock().record(queue_ns);
-        self.m_service.record(service_ns);
-        self.m_queueing.record(queue_ns);
-        self.m_queue_wait_ns.add(queue_ns);
-        self.m_service_ns.add(service_ns);
+        catalog::SSD_SERVICE.record(service_ns);
+        catalog::SSD_QUEUE_WAIT.record(queue_ns);
+        catalog::STORAGE_QUEUE_WAIT_NS.add(queue_ns);
+        catalog::STORAGE_QUEUE_SERVICE_NS.add(service_ns);
     }
 
     /// Record which QoS lane a serviced request came from and the queueing
@@ -182,13 +172,13 @@ impl IoStats {
         match prio {
             crate::IoPriority::Serve => {
                 self.serve_ops.fetch_add(1, Ordering::Relaxed);
-                self.m_serve_ops.inc();
-                self.m_serve_wait_ns.add(queue_ns);
+                catalog::STORAGE_QUEUE_LANE_SERVE_OPS.inc();
+                catalog::STORAGE_QUEUE_LANE_SERVE_WAIT_NS.add(queue_ns);
             }
             crate::IoPriority::Bulk => {
                 self.bulk_ops.fetch_add(1, Ordering::Relaxed);
-                self.m_bulk_ops.inc();
-                self.m_bulk_wait_ns.add(queue_ns);
+                catalog::STORAGE_QUEUE_LANE_BULK_OPS.inc();
+                catalog::STORAGE_QUEUE_LANE_BULK_WAIT_NS.add(queue_ns);
             }
         }
     }
@@ -282,14 +272,14 @@ mod tests {
         s.add_queue_full_stall();
         s.record_op(50_000, 10_000);
         let m = telemetry::snapshot_metrics();
-        assert!(m.counter("ssd.read_bytes") >= 4096);
-        assert!(m.counter("ssd.queue_full_stalls") >= 1);
+        assert!(m.counter(catalog::SSD_READ_BYTES.name()) >= 4096);
+        assert!(m.counter(catalog::SSD_QUEUE_FULL_STALLS.name()) >= 1);
         assert!(matches!(
-            m.get("ssd.service"),
+            m.get(catalog::SSD_SERVICE.name()),
             Some(telemetry::MetricValue::Histogram(h)) if h.count >= 1
         ));
-        assert!(m.counter("storage.queue.wait_ns") >= 10_000);
-        assert!(m.counter("storage.queue.service_ns") >= 50_000);
+        assert!(m.counter(catalog::STORAGE_QUEUE_WAIT_NS.name()) >= 10_000);
+        assert!(m.counter(catalog::STORAGE_QUEUE_SERVICE_NS.name()) >= 50_000);
     }
 
     #[test]
@@ -304,7 +294,7 @@ mod tests {
         let d = snap.delta_since(&IoStatsSnapshot::default());
         assert_eq!((d.serve_ops, d.bulk_ops), (1, 2));
         let m = telemetry::snapshot_metrics();
-        assert!(m.counter("storage.queue.lane.serve_ops") >= 1);
-        assert!(m.counter("storage.queue.lane.bulk_wait_ns") >= 5_000);
+        assert!(m.counter(catalog::STORAGE_QUEUE_LANE_SERVE_OPS.name()) >= 1);
+        assert!(m.counter(catalog::STORAGE_QUEUE_LANE_BULK_WAIT_NS.name()) >= 5_000);
     }
 }

@@ -6,13 +6,14 @@
 //! sequence plus the metadata needed to reject a stale artifact: a magic,
 //! a format version, the seed, and the epoch. The
 //! [`BeladyPolicy`](crate::eviction::BeladyPolicy) consumes it; the
-//! `cache_sweep` bench persists it next to `BENCH_cache_sweep.json` so CI
+//! `gnndrive cache-sweep` persists it next to `BENCH_cache_sweep.json` so CI
 //! can archive the evidence behind the miss-rate gate.
 //!
 //! Format (all little-endian): `magic[8] version:u32 page_size:u32
 //! seed:u64 epoch:u64 count:u64 (file:u32 page:u64)*count`.
 //!
-//! Telemetry lives in the closed `storage.trace.*` namespace.
+//! Telemetry lives in the `storage.trace.*` statics of
+//! [`gnndrive_telemetry::catalog`].
 
 use crate::pagecache::PAGE_SIZE;
 use gnndrive_telemetry as telemetry;
@@ -160,19 +161,19 @@ impl AccessTrace {
     /// [`AccessTrace::load_from`] with a truncated artifact.
     pub fn save(&self, path: &Path) -> Result<(), TraceError> {
         telemetry::atomic_write_file("trace.save", path, &self.to_bytes())?;
-        telemetry::counter("storage.trace.saved").inc();
+        telemetry::catalog::STORAGE_TRACE_SAVED.inc();
         Ok(())
     }
 
     /// Load an artifact from `path`, rejecting foreign or stale formats.
     ///
-    /// This takes telemetry locks. It is an associated function (no
-    /// `self`), so `cargo xtask deadlock` never resolves a method-syntax
-    /// `.load()` call, such as an atomic read under a guard, to it.
+    /// It is an associated function (no `self`), so `cargo xtask
+    /// deadlock` never resolves a method-syntax `.load()` call, such as an
+    /// atomic read under a guard, to it.
     pub fn load_from(path: &Path) -> Result<Self, TraceError> {
         let bytes = std::fs::read(path)?;
         let trace = Self::from_bytes(&bytes)?;
-        telemetry::counter("storage.trace.loaded").inc();
+        telemetry::catalog::STORAGE_TRACE_LOADED.inc();
         Ok(trace)
     }
 }

@@ -22,18 +22,17 @@
 //!   cut. The media holds the mixed prefix+suffix while the CRC table
 //!   holds the pending checksum, and the intent-ledger entry is *removed*
 //!   (the controller journal was in the same volatile domain), so every
-//!   later read surfaces a typed persistent [`IntegrityError`]
-//!   (crate::IntegrityError) and the scrubber can only fence the sector —
+//!   later read surfaces a typed persistent
+//!   [`IntegrityError`](crate::IntegrityError) and the scrubber can only
+//!   fence the sector —
 //!   never silently serve garbage.
 //!
-//! Telemetry lives in the closed `storage.wcache.*` namespace:
-//! `sectors_dirtied`, `flushes`, `sectors_flushed`, `power_cuts`,
-//! `sectors_kept`, `sectors_dropped`, `sectors_torn`.
+//! Telemetry lives in the `storage.wcache.*` statics of
+//! [`gnndrive_telemetry::catalog`].
 
-use gnndrive_telemetry as telemetry;
+use gnndrive_telemetry::catalog;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use telemetry::Counter;
 
 /// Durable-state snapshot of one sector taken when it first went dirty.
 #[derive(Debug, Clone)]
@@ -63,46 +62,31 @@ pub struct PowerCutReport {
     pub torn: u64,
 }
 
-/// Cached `storage.wcache.*` counters (one registry lookup at device
-/// creation, not per write).
-pub(crate) struct WcacheCounters {
-    pub(crate) sectors_dirtied: Counter,
-    pub(crate) flushes: Counter,
-    pub(crate) sectors_flushed: Counter,
-    pub(crate) power_cuts: Counter,
-    pub(crate) sectors_kept: Counter,
-    pub(crate) sectors_dropped: Counter,
-    pub(crate) sectors_torn: Counter,
-}
-
-impl WcacheCounters {
-    fn new() -> Self {
-        WcacheCounters {
-            sectors_dirtied: telemetry::counter("storage.wcache.sectors_dirtied"),
-            flushes: telemetry::counter("storage.wcache.flushes"),
-            sectors_flushed: telemetry::counter("storage.wcache.sectors_flushed"),
-            power_cuts: telemetry::counter("storage.wcache.power_cuts"),
-            sectors_kept: telemetry::counter("storage.wcache.sectors_kept"),
-            sectors_dropped: telemetry::counter("storage.wcache.sectors_dropped"),
-            sectors_torn: telemetry::counter("storage.wcache.sectors_torn"),
-        }
-    }
-}
-
 /// The dirty-sector undo log. Lives behind its own lock in the device's
 /// shared state, always acquired *after* `image` and `integrity` (same
 /// rank — equal-rank nesting is allowed, order is conventional).
 pub(crate) struct WriteCache {
     /// Absolute image sector index → durable snapshot.
     dirty: HashMap<u64, DirtySector>,
-    pub(crate) counters: WcacheCounters,
 }
 
 impl WriteCache {
     pub(crate) fn new() -> Self {
+        // Listed from device creation on, so reports show zero power cuts
+        // rather than no key.
+        for c in [
+            &catalog::STORAGE_WCACHE_SECTORS_DIRTIED,
+            &catalog::STORAGE_WCACHE_FLUSHES,
+            &catalog::STORAGE_WCACHE_SECTORS_FLUSHED,
+            &catalog::STORAGE_WCACHE_POWER_CUTS,
+            &catalog::STORAGE_WCACHE_SECTORS_KEPT,
+            &catalog::STORAGE_WCACHE_SECTORS_DROPPED,
+            &catalog::STORAGE_WCACHE_SECTORS_TORN,
+        ] {
+            c.register();
+        }
         WriteCache {
             dirty: HashMap::new(),
-            counters: WcacheCounters::new(),
         }
     }
 
@@ -112,7 +96,7 @@ impl WriteCache {
     pub(crate) fn capture(&mut self, sector: u64, make: impl FnOnce() -> DirtySector) {
         if let Entry::Vacant(slot) = self.dirty.entry(sector) {
             slot.insert(make());
-            self.counters.sectors_dirtied.inc();
+            catalog::STORAGE_WCACHE_SECTORS_DIRTIED.inc();
         }
     }
 
@@ -127,8 +111,8 @@ impl WriteCache {
         let before = self.dirty.len();
         self.dirty.retain(|&s, _| s < lo || s >= hi);
         let drained = (before - self.dirty.len()) as u64;
-        self.counters.flushes.inc();
-        self.counters.sectors_flushed.add(drained);
+        catalog::STORAGE_WCACHE_FLUSHES.inc();
+        catalog::STORAGE_WCACHE_SECTORS_FLUSHED.add(drained);
         drained
     }
 
@@ -136,8 +120,8 @@ impl WriteCache {
     pub(crate) fn drain_all(&mut self) -> u64 {
         let drained = self.dirty.len() as u64;
         self.dirty.clear();
-        self.counters.flushes.inc();
-        self.counters.sectors_flushed.add(drained);
+        catalog::STORAGE_WCACHE_FLUSHES.inc();
+        catalog::STORAGE_WCACHE_SECTORS_FLUSHED.add(drained);
         drained
     }
 
@@ -209,12 +193,12 @@ mod tests {
     #[test]
     fn write_through_forgets_without_counting_a_flush() {
         let mut wc = WriteCache::new();
-        let flushes = wc.counters.flushes.get();
-        let flushed = wc.counters.sectors_flushed.get();
+        let flushes = catalog::STORAGE_WCACHE_FLUSHES.get();
+        let flushed = catalog::STORAGE_WCACHE_SECTORS_FLUSHED.get();
         wc.capture(3, || snap(0));
         wc.write_through(0, 10);
         assert_eq!(wc.dirty_len(), 0);
-        assert_eq!(wc.counters.flushes.get(), flushes);
-        assert_eq!(wc.counters.sectors_flushed.get(), flushed);
+        assert_eq!(catalog::STORAGE_WCACHE_FLUSHES.get(), flushes);
+        assert_eq!(catalog::STORAGE_WCACHE_SECTORS_FLUSHED.get(), flushed);
     }
 }

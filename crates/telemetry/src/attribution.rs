@@ -23,10 +23,11 @@
 //! supporting fractions, emitted into [`crate::RunReport`]s and the Chrome
 //! trace.
 
-use crate::metrics::{histogram_ns, HistogramHandle};
+use crate::catalog;
+use crate::metrics::HistogramHandle;
 use crate::report::RunReport;
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::Once;
 use std::time::Instant;
 
 /// A blocking edge on the batch critical path that the stage spans alone
@@ -89,19 +90,19 @@ impl WaitKind {
         }
     }
 
-    /// Registry histogram fed by every [`WaitTimer`] of this kind. The
-    /// `core.attr.*` namespace is a closed set enforced by `cargo xtask
-    /// lint`; extend the table in DESIGN.md §10 when adding a kind.
-    pub fn metric_name(self) -> &'static str {
+    /// Registry histogram fed by every [`WaitTimer`] of this kind. Extend
+    /// the `core.attr.*` statics in [`crate::catalog`] and the table in
+    /// DESIGN.md §10 when adding a kind.
+    fn hist(self) -> &'static HistogramHandle {
         match self {
-            WaitKind::MemAdmission => "core.attr.mem_admission",
-            WaitKind::StagingAcquire => "core.attr.staging_wait",
-            WaitKind::SlotWait => "core.attr.slot_wait",
-            WaitKind::RingWait => "core.attr.ring_wait",
-            WaitKind::SyncRead => "core.attr.sync_read_wait",
-            WaitKind::TransferWait => "core.attr.transfer_wait",
-            WaitKind::ReadyWait => "core.attr.ready_wait",
-            WaitKind::PageFault => "core.attr.page_fault_wait",
+            WaitKind::MemAdmission => &catalog::CORE_ATTR_MEM_ADMISSION,
+            WaitKind::StagingAcquire => &catalog::CORE_ATTR_STAGING_WAIT,
+            WaitKind::SlotWait => &catalog::CORE_ATTR_SLOT_WAIT,
+            WaitKind::RingWait => &catalog::CORE_ATTR_RING_WAIT,
+            WaitKind::SyncRead => &catalog::CORE_ATTR_SYNC_READ_WAIT,
+            WaitKind::TransferWait => &catalog::CORE_ATTR_TRANSFER_WAIT,
+            WaitKind::ReadyWait => &catalog::CORE_ATTR_READY_WAIT,
+            WaitKind::PageFault => &catalog::CORE_ATTR_PAGE_FAULT_WAIT,
         }
     }
 
@@ -115,27 +116,6 @@ impl WaitKind {
                 | WaitKind::PageFault
         )
     }
-}
-
-fn wait_hists() -> &'static [HistogramHandle; WaitKind::COUNT] {
-    static HISTS: OnceLock<[HistogramHandle; WaitKind::COUNT]> = OnceLock::new();
-    HISTS.get_or_init(|| {
-        [
-            histogram_ns("core.attr.mem_admission"),
-            histogram_ns("core.attr.staging_wait"),
-            histogram_ns("core.attr.slot_wait"),
-            histogram_ns("core.attr.ring_wait"),
-            histogram_ns("core.attr.sync_read_wait"),
-            histogram_ns("core.attr.transfer_wait"),
-            histogram_ns("core.attr.ready_wait"),
-            histogram_ns("core.attr.page_fault_wait"),
-        ]
-    })
-}
-
-fn residual_hist() -> &'static HistogramHandle {
-    static HIST: OnceLock<HistogramHandle> = OnceLock::new();
-    HIST.get_or_init(|| histogram_ns("core.attr.other"))
 }
 
 thread_local! {
@@ -216,7 +196,11 @@ impl Drop for WaitTimer {
             *slot = slot.saturating_add(ns);
             w.set(cur);
         });
-        wait_hists()[self.kind.index()].record(ns);
+        // The taxonomy is reported as a whole: one timed wait lists every
+        // kind's histogram, so reports show zeros rather than missing keys.
+        static LISTED: Once = Once::new();
+        LISTED.call_once(|| WaitKind::ALL.iter().for_each(|k| k.hist().register()));
+        self.kind.hist().record(ns);
     }
 }
 
@@ -289,7 +273,7 @@ impl BatchAttribution {
 
 /// Record a finished batch's residual into the `core.attr.other` histogram.
 pub fn record_batch(rec: &BatchAttribution) {
-    residual_hist().record(rec.residual_ns());
+    catalog::CORE_ATTR_OTHER.record(rec.residual_ns());
 }
 
 /// Which pathology an epoch-slice was bound by (paper §2: 𝔒1 vs 𝔒2).

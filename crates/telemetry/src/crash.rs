@@ -25,12 +25,12 @@
 //! When the registry is disabled (the default) a `point` call is one
 //! relaxed atomic load — production paths pay effectively nothing.
 //!
-//! Progress is visible in the closed `storage.crash.*` metric namespace:
+//! Progress is visible in the `storage.crash.*` counters of [`crate::catalog`]:
 //! `points` (crash points evaluated while the registry is active), `cuts`
 //! (simulated crashes fired), and `recoveries` (successful post-crash
 //! recoveries recorded by [`note_recovery`]).
 
-use crate::counter;
+use crate::catalog;
 use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex};
 use std::fmt;
@@ -156,9 +156,9 @@ pub fn point(name: &str) -> Result<(), CrashCut> {
         }
         (result, fresh_cut)
     };
-    counter("storage.crash.points").inc();
+    catalog::STORAGE_CRASH_POINTS.inc();
     if fresh_cut {
-        counter("storage.crash.cuts").inc();
+        catalog::STORAGE_CRASH_CUTS.inc();
     }
     result
 }
@@ -228,7 +228,7 @@ pub fn disarm() {
 /// Record one successful post-crash recovery (the harness or a recovery
 /// helper landed on a durable artifact after a cut).
 pub fn note_recovery() {
-    counter("storage.crash.recoveries").inc();
+    catalog::STORAGE_CRASH_RECOVERIES.inc();
 }
 
 #[cfg(test)]

@@ -41,8 +41,13 @@ fn bucket_floor(idx: usize) -> u64 {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
-        Histogram::default()
+    pub const fn new() -> Self {
+        Histogram {
+            buckets: Vec::new(),
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 
     pub fn record(&mut self, v: u64) {

@@ -14,6 +14,7 @@
 //! storage and device crates; telemetry only observes.
 
 pub mod attribution;
+pub mod catalog;
 pub mod crash;
 mod histogram;
 pub mod json;
@@ -33,8 +34,8 @@ pub use crash::CrashCut;
 pub use histogram::Histogram;
 pub use json::Json;
 pub use metrics::{
-    counter, gauge, histogram_ns, reset_metrics, snapshot_metrics, Counter, Gauge, HistSummary,
-    HistogramHandle, MetricValue, MetricsSnapshot, Scope,
+    reset_metrics, snapshot_metrics, Counter, Gauge, HistSummary, HistogramHandle, MetricValue,
+    MetricsSnapshot,
 };
 pub use monitor::{Monitor, SeriesPoint};
 pub use persist::{atomic_write_file, StagedFile};

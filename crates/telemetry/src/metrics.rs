@@ -4,93 +4,151 @@
 //! single [`MetricsSnapshot`] can show the storage stack, the pipeline, and
 //! the device model side by side — the unified view behind run reports.
 //!
-//! Hot paths stay cheap: looking a metric up by name takes a registry lock
-//! once, but the returned handle is a clonable `Arc` around an atomic (or a
-//! sharded histogram), so instruments cache their handles at construction
-//! and the per-event cost is one relaxed atomic op (counters/gauges) or one
-//! uncontended shard lock (histograms).
+//! Each metric is a `static` declared once in [`crate::catalog`]; the
+//! constructors are private to this crate, so a name missing from the
+//! catalog does not compile. A static holds its value inline (an atomic,
+//! or eight histogram shards), so the per-event cost is one relaxed atomic
+//! op (counters/gauges) or one uncontended shard lock (histograms), plus a
+//! flag check that lists the metric in the registry on first use. A
+//! snapshot therefore shows exactly the metrics a run touched.
 //!
 //! Naming convention: dot-separated lowercase paths, subsystem first —
 //! `ssd.read_bytes`, `page_cache.hits`, `pipeline.extract_queue.depth`.
-//! Baselines report under their own prefix via [`Scope`] (`pygplus.`,
-//! `ginex.`, `marius.`), GNNDrive under the bare subsystem names, so one
-//! report can compare stage breakdowns across systems.
+//! Baselines report under their own prefix (`pygplus.`, `ginex.`,
+//! `marius.`), GNNDrive under the bare subsystem names, so one report can
+//! compare stage breakdowns across systems.
 
 use crate::json::Json;
 use crate::Histogram;
 use gnndrive_sync::{LockRank, OrderedMutex};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A monotonically increasing event/byte counter.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter {
+    name: &'static str,
+    listed: AtomicBool,
+    value: AtomicU64,
+}
 
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Counter").field(&self.get()).finish()
+        f.debug_tuple("Counter")
+            .field(&self.name)
+            .field(&self.value.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
 impl Counter {
-    pub fn inc(&self) {
+    pub(crate) const fn new(name: &'static str) -> Counter {
+        Counter {
+            name,
+            listed: AtomicBool::new(false),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// List this counter in snapshots from now on, even while it stays 0.
+    /// Every other method does so on first use; instruments call this at
+    /// construction so their reports show a zero rather than no key.
+    pub fn register(&'static self) {
+        if !self.listed.load(Ordering::Acquire) {
+            list(&self.listed, Metric::Counter(self));
+        }
+    }
+
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
+    pub fn add(&'static self, v: u64) {
+        self.register();
+        self.value.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+    pub fn get(&'static self) -> u64 {
+        self.register();
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// An instantaneous level (queue depth, resident pages, bytes in use).
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
+pub struct Gauge {
+    name: &'static str,
+    listed: AtomicBool,
+    value: AtomicI64,
+}
 
 impl std::fmt::Debug for Gauge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get()).finish()
+        f.debug_tuple("Gauge")
+            .field(&self.name)
+            .field(&self.value.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
 impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+    pub(crate) const fn new(name: &'static str) -> Gauge {
+        Gauge {
+            name,
+            listed: AtomicBool::new(false),
+            value: AtomicI64::new(0),
+        }
     }
 
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
-    pub fn sub(&self, d: i64) {
-        self.0.fetch_sub(d, Ordering::Relaxed);
+    /// See [`Counter::register`].
+    pub fn register(&'static self) {
+        if !self.listed.load(Ordering::Acquire) {
+            list(&self.listed, Metric::Gauge(self));
+        }
     }
 
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+    pub fn set(&'static self, v: i64) {
+        self.register();
+        self.value.store(v, Ordering::Relaxed);
+    }
+
+    pub fn add(&'static self, d: i64) {
+        self.register();
+        self.value.fetch_add(d, Ordering::Relaxed);
+    }
+
+    pub fn sub(&'static self, d: i64) {
+        self.register();
+        self.value.fetch_sub(d, Ordering::Relaxed);
+    }
+
+    pub fn get(&'static self) -> i64 {
+        self.register();
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 const HIST_SHARDS: usize = 8;
 
-struct ShardedHistogram {
+/// A latency histogram (values in nanoseconds by convention). Recording
+/// locks one of eight shards chosen per-thread, so concurrent recorders
+/// rarely contend.
+pub struct HistogramHandle {
+    name: &'static str,
+    listed: AtomicBool,
     shards: [OrderedMutex<Histogram>; HIST_SHARDS],
 }
-
-/// Handle to a registered latency histogram (values in nanoseconds by
-/// convention). Recording locks one of eight shards chosen per-thread, so
-/// concurrent recorders rarely contend.
-#[derive(Clone)]
-pub struct HistogramHandle(Arc<ShardedHistogram>);
 
 impl std::fmt::Debug for HistogramHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistogramHandle")
-            .field("count", &self.merged().count())
+            .field("name", &self.name)
             .finish()
     }
 }
@@ -103,87 +161,101 @@ thread_local! {
 }
 
 impl HistogramHandle {
-    pub fn record(&self, v: u64) {
+    pub(crate) const fn new(name: &'static str) -> HistogramHandle {
+        HistogramHandle {
+            name,
+            listed: AtomicBool::new(false),
+            shards: [const { OrderedMutex::new(LockRank::Telemetry, Histogram::new()) };
+                HIST_SHARDS],
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// See [`Counter::register`].
+    pub fn register(&'static self) {
+        if !self.listed.load(Ordering::Acquire) {
+            list(&self.listed, Metric::Histogram(self));
+        }
+    }
+
+    pub fn record(&'static self, v: u64) {
+        self.register();
         let shard = SHARD.with(|s| *s);
-        self.0.shards[shard].lock().record(v);
+        // Path syntax: the shard guard's type is not stated, and
+        // `cargo xtask deadlock` would resolve `.record` on it by name.
+        Histogram::record(&mut self.shards[shard].lock(), v);
     }
 
     /// Merged view across all shards.
-    pub fn merged(&self) -> Histogram {
+    pub fn merged(&'static self) -> Histogram {
+        self.register();
         let mut out = Histogram::new();
-        for s in &self.0.shards {
+        for s in &self.shards {
             out.merge(&s.lock());
         }
         out
     }
 }
 
+/// A registry entry: the catalog static a name stands for.
+#[derive(Clone, Copy)]
 enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(HistogramHandle),
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static HistogramHandle),
 }
 
-fn registry() -> &'static OrderedMutex<HashMap<String, Metric>> {
-    static REGISTRY: OnceLock<OrderedMutex<HashMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| OrderedMutex::new(LockRank::Telemetry, HashMap::new()))
-}
-
-/// Get (or register) the counter named `name`.
-///
-/// Panics if `name` is already registered as a different metric kind — a
-/// naming collision is a bug worth failing loudly on.
-pub fn counter(name: &str) -> Counter {
-    let mut reg = registry().lock();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-    {
-        Metric::Counter(c) => c.clone(),
-        _ => panic!("metric {name:?} already registered with a different kind"),
+impl Metric {
+    fn name(self) -> &'static str {
+        match self {
+            Metric::Counter(c) => c.name,
+            Metric::Gauge(g) => g.name,
+            Metric::Histogram(h) => h.name,
+        }
     }
 }
 
-/// Get (or register) the gauge named `name`.
-pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry().lock();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
-    {
-        Metric::Gauge(g) => g.clone(),
-        _ => panic!("metric {name:?} already registered with a different kind"),
+/// Room in the registry: more than the catalog declares.
+pub(crate) const CAPACITY: usize = 256;
+
+/// Every metric touched so far, in first-touch order: a push-only table
+/// that takes no lock, so a first touch under any caller's guard nests
+/// nothing inside it.
+static REGISTRY: [OnceLock<Metric>; CAPACITY] = [const { OnceLock::new() }; CAPACITY];
+static REGISTERED: AtomicUsize = AtomicUsize::new(0);
+
+/// First-use slow path of `register`: claim the next registry slot.
+#[cold]
+fn list(listed: &AtomicBool, metric: Metric) {
+    if listed.swap(true, Ordering::AcqRel) {
+        return; // another thread is listing it
     }
+    let i = REGISTERED.fetch_add(1, Ordering::AcqRel);
+    let slot: &OnceLock<Metric> = REGISTRY.get(i).expect("more metrics than CAPACITY");
+    let _ = slot.set(metric);
 }
 
-/// Get (or register) the nanosecond histogram named `name`.
-pub fn histogram_ns(name: &str) -> HistogramHandle {
-    let mut reg = registry().lock();
-    match reg.entry(name.to_string()).or_insert_with(|| {
-        Metric::Histogram(HistogramHandle(Arc::new(ShardedHistogram {
-            shards: std::array::from_fn(|_| {
-                OrderedMutex::new(LockRank::Telemetry, Histogram::new())
-            }),
-        })))
-    }) {
-        Metric::Histogram(h) => h.clone(),
-        _ => panic!("metric {name:?} already registered with a different kind"),
-    }
+/// The metrics listed so far, in first-touch order.
+fn registered() -> impl Iterator<Item = Metric> {
+    let n = REGISTERED.load(Ordering::Acquire).min(CAPACITY);
+    REGISTRY[..n].iter().filter_map(|slot| slot.get().copied())
 }
 
 /// Zero every registered metric **in place**.
 ///
-/// Handles cached by instruments stay valid and keep pointing at the same
-/// storage; only the recorded values are cleared. Used between benchmark
-/// runs so each system's report starts from a clean slate.
+/// The statics stay listed; only the recorded values are cleared. Used
+/// between benchmark runs so each system's report starts from a clean
+/// slate.
 pub fn reset_metrics() {
-    let reg = registry().lock();
-    for metric in reg.values() {
+    for metric in registered() {
         match metric {
-            Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-            Metric::Gauge(g) => g.0.store(0, Ordering::Relaxed),
+            Metric::Counter(c) => c.value.store(0, Ordering::Relaxed),
+            Metric::Gauge(g) => g.value.store(0, Ordering::Relaxed),
             Metric::Histogram(h) => {
-                for s in &h.0.shards {
+                for s in &h.shards {
                     *s.lock() = Histogram::new();
                 }
             }
@@ -317,87 +389,50 @@ impl MetricsSnapshot {
 /// Capture every registered metric. Histograms are summarized (the shards
 /// are merged and reduced to percentiles).
 pub fn snapshot_metrics() -> MetricsSnapshot {
-    let reg = registry().lock();
-    let mut entries: Vec<(String, MetricValue)> = reg
-        .iter()
-        .map(|(name, metric)| {
+    let mut entries: Vec<(String, MetricValue)> = registered()
+        .map(|metric| {
             let value = match metric {
                 Metric::Counter(c) => MetricValue::Counter(c.get()),
                 Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                 Metric::Histogram(h) => MetricValue::Histogram(HistSummary::of(&h.merged())),
             };
-            (name.clone(), value)
+            (metric.name().to_string(), value)
         })
         .collect();
-    drop(reg);
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     MetricsSnapshot { entries }
-}
-
-/// A name prefix under which a subsystem (or baseline) registers metrics:
-/// `Scope::new("ginex").counter("cache.hits")` → `ginex.cache.hits`.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    prefix: String,
-}
-
-impl Scope {
-    pub fn new(prefix: &str) -> Scope {
-        let prefix = prefix.trim_end_matches('.');
-        Scope {
-            prefix: if prefix.is_empty() {
-                String::new()
-            } else {
-                format!("{prefix}.")
-            },
-        }
-    }
-
-    pub fn name(&self, metric: &str) -> String {
-        format!("{}{metric}", self.prefix)
-    }
-
-    pub fn counter(&self, metric: &str) -> Counter {
-        counter(&self.name(metric))
-    }
-
-    pub fn gauge(&self, metric: &str) -> Gauge {
-        gauge(&self.name(metric))
-    }
-
-    pub fn histogram_ns(&self, metric: &str) -> HistogramHandle {
-        histogram_ns(&self.name(metric))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    static OPS: Counter = Counter::new("test.metrics.ops");
+    static DEPTH: Gauge = Gauge::new("test.metrics.depth");
+    static LAT: HistogramHandle = HistogramHandle::new("test.metrics.lat");
+    static UNTOUCHED: Counter = Counter::new("test.metrics.untouched");
+
     #[test]
     fn counters_and_gauges_register_once() {
         let _gate = crate::TEST_GATE.lock();
-        let a = counter("test.metrics.ops");
-        let b = counter("test.metrics.ops");
-        a.add(3);
-        b.inc();
-        assert_eq!(a.get(), 4);
-        let g = gauge("test.metrics.depth");
-        g.set(7);
-        g.sub(2);
-        assert_eq!(gauge("test.metrics.depth").get(), 5);
+        let before = OPS.get();
+        OPS.add(3);
+        OPS.inc();
+        assert_eq!(OPS.get() - before, 4);
+        DEPTH.set(7);
+        DEPTH.sub(2);
+        assert_eq!(DEPTH.get(), 5);
     }
 
     #[test]
     fn histogram_merges_across_threads() {
         let _gate = crate::TEST_GATE.lock();
-        let h = histogram_ns("test.metrics.lat");
+        reset_metrics();
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let h = h.clone();
-                std::thread::spawn(move || {
+                std::thread::spawn(|| {
                     for v in 1..=100u64 {
-                        h.record(v * 1000);
+                        LAT.record(v * 1000);
                     }
                 })
             })
@@ -405,7 +440,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let merged = h.merged();
+        let merged = LAT.merged();
         assert_eq!(merged.count(), 400);
         assert!(merged.percentile(0.5) >= 40_000);
     }
@@ -413,50 +448,46 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_typed() {
         let _gate = crate::TEST_GATE.lock();
-        counter("test.snap.b").add(2);
-        gauge("test.snap.a").set(-3);
-        histogram_ns("test.snap.c").record(5);
+        OPS.add(2);
+        DEPTH.set(-3);
+        LAT.record(5);
         let snap = snapshot_metrics();
         let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-        assert!(snap.counter("test.snap.b") >= 2);
-        assert_eq!(snap.gauge("test.snap.a"), -3);
+        assert!(snap.counter(OPS.name()) >= 2);
+        assert_eq!(snap.gauge(DEPTH.name()), -3);
         assert!(matches!(
-            snap.get("test.snap.c"),
+            snap.get(LAT.name()),
             Some(MetricValue::Histogram(h)) if h.count >= 1
         ));
+        assert!(snap.get(UNTOUCHED.name()).is_none());
+        UNTOUCHED.register();
+        assert_eq!(
+            snapshot_metrics().get(UNTOUCHED.name()),
+            Some(&MetricValue::Counter(0))
+        );
     }
 
     #[test]
     fn reset_keeps_handles_live() {
         let _gate = crate::TEST_GATE.lock();
-        let c = counter("test.reset.ops");
-        c.add(10);
+        OPS.add(10);
         reset_metrics();
-        assert_eq!(c.get(), 0);
-        c.add(1);
-        assert_eq!(counter("test.reset.ops").get(), 1);
-    }
-
-    #[test]
-    fn scope_prefixes_names() {
-        let _gate = crate::TEST_GATE.lock();
-        let s = Scope::new("ginex");
-        assert_eq!(s.name("cache.hits"), "ginex.cache.hits");
-        s.counter("cache.hits").inc();
-        assert!(snapshot_metrics().counter("ginex.cache.hits") >= 1);
+        assert_eq!(OPS.get(), 0);
+        OPS.add(1);
+        assert_eq!(snapshot_metrics().counter(OPS.name()), 1);
     }
 
     #[test]
     fn snapshot_json_round_trips() {
         let _gate = crate::TEST_GATE.lock();
-        counter("test.json.reads").add(9);
+        OPS.add(9);
         let snap = snapshot_metrics();
         let text = snap.to_json().to_json_string();
         let back = Json::parse(&text).unwrap();
-        let v = back.get("test.json.reads").unwrap();
+        let v = back.get(OPS.name()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("counter"));
         assert!(v.get("value").unwrap().as_u64().unwrap() >= 9);
     }

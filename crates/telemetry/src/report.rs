@@ -260,12 +260,14 @@ impl ParsedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{counter, snapshot_metrics};
+    use crate::metrics::{snapshot_metrics, Counter};
+
+    static READS: Counter = Counter::new("test.report.reads");
 
     #[test]
     fn report_round_trips_through_json() {
         let _g = crate::TEST_GATE.lock();
-        counter("test.report.reads").add(11);
+        READS.add(11);
         let mut h = Histogram::new();
         for v in [10_000u64, 20_000, 30_000] {
             h.record(v);
@@ -287,7 +289,7 @@ mod tests {
         let p = RunReport::parse(&text).unwrap();
         assert_eq!(p.name, "unit.report");
         assert_eq!(p.scenario, "tiny");
-        assert!(p.counter("test.report.reads").unwrap() >= 11);
+        assert!(p.counter(READS.name()).unwrap() >= 11);
         let extract = p.stage("extract").unwrap();
         assert_eq!(extract.count, 3);
         assert_eq!(extract.max_ns, 30_000);

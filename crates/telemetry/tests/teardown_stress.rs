@@ -1,6 +1,7 @@
 //! Teardown-race stress test: `reset()` / `reset_metrics()` racing
-//! in-flight `StateGuard` drops, late `register_thread` calls, and live
-//! metric handles must never panic, underflow, or double-count.
+//! in-flight `StateGuard` drops, late `register_thread` calls, and metrics
+//! racing their own first-use registration must never panic, underflow,
+//! or double-count.
 //!
 //! This is the shutdown/epoch-boundary scenario: the harness resets the
 //! registries between systems while worker threads from the previous
@@ -10,6 +11,7 @@ use gnndrive_telemetry as telemetry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use telemetry::catalog::{SERVE_LATENCY as LAT, SERVE_QUEUE_DEPTH as DEPTH, SERVE_REQUESTS as OPS};
 
 #[test]
 fn reset_races_inflight_guards_and_late_registration() {
@@ -25,11 +27,6 @@ fn reset_races_inflight_guards_and_late_registration() {
             } else {
                 telemetry::ThreadClass::Gpu
             };
-            // A handle cached before any reset: reset_metrics() must keep
-            // it live (zeroed in place, not replaced).
-            let ops = telemetry::counter("stress.ops");
-            let depth = telemetry::gauge("stress.depth");
-            let lat = telemetry::histogram_ns("stress.lat");
             while !stop.load(Ordering::Relaxed) {
                 // Late / repeated registration racing reset().
                 telemetry::register_thread(class);
@@ -40,12 +37,11 @@ fn reset_races_inflight_guards_and_late_registration() {
                 // Mirror first so `registry <= mirror` holds at every
                 // instant the main thread might snapshot.
                 local_ops.fetch_add(1, Ordering::Relaxed);
-                ops.inc();
-                depth.set(i as i64 - 3);
-                lat.record(i * 100 + 1);
-                // A fresh get-or-register lookup racing reset_metrics().
-                local_ops.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("stress.ops").inc();
+                // The first of these races the other workers' first use
+                // and the main thread's snapshots and resets.
+                OPS.inc();
+                DEPTH.set(i as i64 - 3);
+                LAT.record(i * 100 + 1);
             }
         }));
     }
@@ -59,7 +55,7 @@ fn reset_races_inflight_guards_and_late_registration() {
         // Never more counted than actually performed (no double-count),
         // even while increments race the reset.
         assert!(
-            snap.counter("stress.ops") <= local_ops.load(Ordering::Relaxed),
+            snap.counter(OPS.name()) <= local_ops.load(Ordering::Relaxed),
             "registry counted more ops than the workers performed"
         );
         std::thread::sleep(Duration::from_millis(2));
@@ -71,12 +67,11 @@ fn reset_races_inflight_guards_and_late_registration() {
 
     // The registry must still be consistent after the storm.
     telemetry::reset_metrics();
-    let ops = telemetry::counter("stress.ops");
-    assert_eq!(ops.get(), 0, "reset_metrics left a residue");
-    ops.inc();
-    assert_eq!(ops.get(), 1);
+    assert_eq!(OPS.get(), 0, "reset_metrics left a residue");
+    OPS.inc();
+    assert_eq!(OPS.get(), 1);
     let snap = telemetry::snapshot_metrics();
-    assert_eq!(snap.counter("stress.ops"), 1);
+    assert_eq!(snap.counter(OPS.name()), 1);
 
     // And the thread-state side still takes registrations and guards.
     telemetry::reset();

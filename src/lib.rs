@@ -42,9 +42,7 @@ pub mod prelude {
     pub use gnndrive_graph::{
         pack_features, Dataset, DatasetSpec, FeatureLayout, MiniDataset, NodeId,
     };
-    pub use gnndrive_sampling::{
-        presample_epoch, InMemTopo, NeighborSampler, PresampleResult, ScheduleError,
-    };
+    pub use gnndrive_sampling::{presample_epoch, InMemTopo, NeighborSampler, PresampleResult};
 
     // Device and model.
     pub use gnndrive_device::{FeatureSlab, GpuDevice};
@@ -65,8 +63,9 @@ pub mod prelude {
 
     // Concurrency hygiene and telemetry.
     pub use gnndrive_sync::{LockRank, OrderedMutex};
-    /// Free-function telemetry entry points (`telemetry::counter(..)`, …)
-    /// under the name programs already use.
+    /// Telemetry entry points (`telemetry::catalog::SSD_READ_BYTES.get()`,
+    /// `telemetry::snapshot_metrics()`, …) under the name programs already
+    /// use.
     pub use gnndrive_telemetry as telemetry;
     pub use gnndrive_telemetry::{atomic_write_file, CrashCut, Json, Monitor, RunReport};
 }

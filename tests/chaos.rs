@@ -13,6 +13,7 @@
 //! probe.
 
 use gnndrive::prelude::*;
+use gnndrive::telemetry::catalog;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,14 +84,13 @@ fn epoch_completes_under_seeded_fault_storm() {
             .with_latency_spikes(0.10, Duration::from_micros(200))
             .on_file(ds.features_file.id),
     );
-    let faults_before = telemetry::counter("storage.faults").get();
-    let spikes_before = telemetry::counter("storage.latency_spikes").get();
+    let faults_before = catalog::STORAGE_FAULTS.get();
+    let spikes_before = catalog::STORAGE_LATENCY_SPIKES.get();
     // Faults may be absorbed at either layer: the page cache retries its
     // own degraded device reads, and only faults on the direct-I/O path
     // reach the extractor's retry loop. Which layer fires depends on where
     // the seeded faults land, so the assertion below sums both.
-    let retries_before = telemetry::counter("core.extract.retries").get()
-        + telemetry::counter("page_cache.retries").get();
+    let retries_before = catalog::CORE_EXTRACT_RETRIES.get() + catalog::PAGE_CACHE_RETRIES.get();
 
     // Extra attempts: at 5% per read the default 3 still loses the odd
     // batch; 6 makes completed-epoch progress all but certain while the
@@ -111,17 +111,15 @@ fn epoch_completes_under_seeded_fault_storm() {
     assert!(r.batches >= 8, "storm should not stop the epoch: {r:?}");
     assert!(r.loss.is_finite() && r.loss > 0.0);
     assert!(
-        telemetry::counter("storage.faults").get() > faults_before,
+        catalog::STORAGE_FAULTS.get() > faults_before,
         "the 5% plan must actually fire"
     );
     assert!(
-        telemetry::counter("storage.latency_spikes").get() > spikes_before,
+        catalog::STORAGE_LATENCY_SPIKES.get() > spikes_before,
         "the latency-spike plan must actually fire"
     );
     assert!(
-        telemetry::counter("core.extract.retries").get()
-            + telemetry::counter("page_cache.retries").get()
-            > retries_before,
+        catalog::CORE_EXTRACT_RETRIES.get() + catalog::PAGE_CACHE_RETRIES.get() > retries_before,
         "injected faults must surface as extractor or page-cache retries"
     );
 
@@ -131,11 +129,11 @@ fn epoch_completes_under_seeded_fault_storm() {
     let parsed = telemetry::RunReport::parse(&text).expect("valid report JSON");
     let names = parsed.metric_names();
     for required in [
-        "storage.faults",
-        "storage.latency_spikes",
-        "core.extract.retries",
-        "pipeline.batches_skipped",
-        "pipeline.batches_trained",
+        catalog::STORAGE_FAULTS.name(),
+        catalog::STORAGE_LATENCY_SPIKES.name(),
+        catalog::CORE_EXTRACT_RETRIES.name(),
+        catalog::PIPELINE_BATCHES_SKIPPED.name(),
+        catalog::PIPELINE_BATCHES_TRAINED.name(),
     ] {
         assert!(
             names.contains(&required),
@@ -152,7 +150,7 @@ fn persistent_failures_degrade_gracefully_and_recover() {
             .with_read_fault_prob(1.0)
             .on_file(ds.features_file.id),
     );
-    let skipped_before = telemetry::counter("pipeline.batches_skipped").get();
+    let skipped_before = catalog::PIPELINE_BATCHES_SKIPPED.get();
 
     let mut p = pipeline(&ds, true, RetryPolicy::none());
     let r = p.train_epoch(0, Some(4));
@@ -160,7 +158,7 @@ fn persistent_failures_degrade_gracefully_and_recover() {
     assert_eq!(r.failed_batches, r.full_batches.min(4));
     assert!(r.error.is_some(), "the first failure must be reported");
     assert!(
-        telemetry::counter("pipeline.batches_skipped").get() >= skipped_before + 4,
+        catalog::PIPELINE_BATCHES_SKIPPED.get() >= skipped_before + 4,
         "skips must be counted"
     );
 
@@ -233,8 +231,8 @@ fn corruption_storm_matches_clean_loss_trajectory() {
             .with_bit_flips(0.02)
             .on_file(ds_dirty.features_file.id),
     );
-    let injected_before = telemetry::counter("storage.integrity.injected").get();
-    let detected_before = telemetry::counter("storage.integrity.detected").get();
+    let injected_before = catalog::STORAGE_INTEGRITY_INJECTED.get();
+    let detected_before = catalog::STORAGE_INTEGRITY_DETECTED.get();
 
     // reorder = false → the trajectory is a pure function of the batch
     // plan, so the two runs are comparable batch for batch. Extra retry
@@ -246,8 +244,8 @@ fn corruption_storm_matches_clean_loss_trajectory() {
     let r_dirty = dirty.train_epoch(0, None);
     ds_dirty.ssd.clear_faults();
 
-    let injected = telemetry::counter("storage.integrity.injected").get() - injected_before;
-    let detected = telemetry::counter("storage.integrity.detected").get() - detected_before;
+    let injected = catalog::STORAGE_INTEGRITY_INJECTED.get() - injected_before;
+    let detected = catalog::STORAGE_INTEGRITY_DETECTED.get() - detected_before;
     assert!(
         injected > 0,
         "a 2% bit-flip plan over a full epoch must fire"
@@ -257,7 +255,7 @@ fn corruption_storm_matches_clean_loss_trajectory() {
         "every silently corrupted read must be caught by verification"
     );
     assert_eq!(
-        telemetry::counter("storage.integrity.escaped").get(),
+        catalog::STORAGE_INTEGRITY_ESCAPED.get(),
         0,
         "zero poisoned extractions: no corruption may pass verification"
     );
@@ -296,8 +294,8 @@ fn corruption_detection_is_deterministic_and_rows_checksum_clean() {
                 .with_bit_flips(0.05)
                 .on_file(ds.features_file.id),
         );
-        let injected_before = telemetry::counter("storage.integrity.injected").get();
-        let detected_before = telemetry::counter("storage.integrity.detected").get();
+        let injected_before = catalog::STORAGE_INTEGRITY_INJECTED.get();
+        let detected_before = catalog::STORAGE_INTEGRITY_DETECTED.get();
 
         let cfg = GnnDriveConfig::default();
         let slab = Arc::new(FeatureSlab::new(8_192, ds.spec.feat_dim));
@@ -357,8 +355,8 @@ fn corruption_detection_is_deterministic_and_rows_checksum_clean() {
             fb.release(&nodes);
         }
         ds.ssd.clear_faults();
-        let injected = telemetry::counter("storage.integrity.injected").get() - injected_before;
-        let detected = telemetry::counter("storage.integrity.detected").get() - detected_before;
+        let injected = catalog::STORAGE_INTEGRITY_INJECTED.get() - injected_before;
+        let detected = catalog::STORAGE_INTEGRITY_DETECTED.get() - detected_before;
         (injected, detected)
     };
 
@@ -372,7 +370,7 @@ fn corruption_detection_is_deterministic_and_rows_checksum_clean() {
         "fixed seed must reproduce exact corruption counts"
     );
     assert_eq!(
-        telemetry::counter("storage.integrity.escaped").get(),
+        catalog::STORAGE_INTEGRITY_ESCAPED.get(),
         0,
         "zero silent escapes"
     );
@@ -466,8 +464,8 @@ fn power_cut_composed_with_corruption_storm_and_tripped_breaker_recovers() {
 
     // Resume under a silent bit-rot storm: every corruption must be caught
     // and healed by re-reads, none reaching a feature slab.
-    let injected_before = telemetry::counter("storage.integrity.injected").get();
-    let detected_before = telemetry::counter("storage.integrity.detected").get();
+    let injected_before = catalog::STORAGE_INTEGRITY_INJECTED.get();
+    let detected_before = catalog::STORAGE_INTEGRITY_DETECTED.get();
     ds.ssd.set_fault_plan(
         FaultPlan::new(0xB17F)
             .with_bit_flips(0.02)
@@ -480,12 +478,12 @@ fn power_cut_composed_with_corruption_storm_and_tripped_breaker_recovers() {
     assert!(rest.error.is_none(), "{:?}", rest.error);
     assert_eq!(rest.failed_batches, 0);
 
-    let injected = telemetry::counter("storage.integrity.injected").get() - injected_before;
-    let detected = telemetry::counter("storage.integrity.detected").get() - detected_before;
+    let injected = catalog::STORAGE_INTEGRITY_INJECTED.get() - injected_before;
+    let detected = catalog::STORAGE_INTEGRITY_DETECTED.get() - detected_before;
     assert!(injected > 0, "the resume-phase bit-flip plan must fire");
     assert_eq!(detected, injected, "every corruption must be detected");
     assert_eq!(
-        telemetry::counter("storage.integrity.escaped").get(),
+        catalog::STORAGE_INTEGRITY_ESCAPED.get(),
         0,
         "nothing may pass verification silently"
     );
@@ -510,8 +508,8 @@ fn circuit_breaker_trips_fails_fast_and_recovers_via_probe() {
             .with_stall(0..u64::MAX, Duration::from_micros(500))
             .on_file(ds.features_file.id),
     );
-    let trips_before = telemetry::counter("storage.health.trips").get();
-    let recoveries_before = telemetry::counter("storage.health.recoveries").get();
+    let trips_before = catalog::STORAGE_HEALTH_TRIPS.get();
+    let recoveries_before = catalog::STORAGE_HEALTH_RECOVERIES.get();
 
     let mut cfg = chaos_cfg(true, RetryPolicy::none());
     // One extractor so post-recovery admission is strictly sequential:
@@ -533,7 +531,7 @@ fn circuit_breaker_trips_fails_fast_and_recovers_via_probe() {
     assert_eq!(r.batches, 0, "no batch can survive a total fault storm");
     assert_eq!(r.failed_batches, r.full_batches.min(8));
     assert!(
-        telemetry::counter("storage.health.trips").get() > trips_before,
+        catalog::STORAGE_HEALTH_TRIPS.get() > trips_before,
         "the error burst must trip the circuit"
     );
     assert_eq!(
@@ -554,7 +552,7 @@ fn circuit_breaker_trips_fails_fast_and_recovers_via_probe() {
     assert_eq!(r2.batches, r2.full_batches.min(8));
     assert_eq!(p.device_health().state(), HealthState::Healthy);
     assert!(
-        telemetry::counter("storage.health.recoveries").get() > recoveries_before,
+        catalog::STORAGE_HEALTH_RECOVERIES.get() > recoveries_before,
         "recovery must go through a successful half-open probe"
     );
 
@@ -564,12 +562,12 @@ fn circuit_breaker_trips_fails_fast_and_recovers_via_probe() {
     let parsed = telemetry::RunReport::parse(&text).expect("valid report JSON");
     let names = parsed.metric_names();
     for required in [
-        "storage.health.state",
-        "storage.health.trips",
-        "storage.health.probes",
-        "storage.health.recoveries",
-        "storage.integrity.detected",
-        "pipeline.batches_skipped",
+        catalog::STORAGE_HEALTH_STATE.name(),
+        catalog::STORAGE_HEALTH_TRIPS.name(),
+        catalog::STORAGE_HEALTH_PROBES.name(),
+        catalog::STORAGE_HEALTH_RECOVERIES.name(),
+        catalog::STORAGE_INTEGRITY_DETECTED.name(),
+        catalog::PIPELINE_BATCHES_SKIPPED.name(),
     ] {
         assert!(
             names.contains(&required),

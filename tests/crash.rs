@@ -10,6 +10,7 @@
 //! old version, the complete new version, or nothing.
 
 use gnndrive::prelude::*;
+use gnndrive::telemetry::catalog;
 use gnndrive_bench::crashsim::{run_crash_sweep, sweep_doc, validate_crash_sweep};
 use std::fs;
 use std::path::PathBuf;
@@ -36,9 +37,9 @@ fn crash_schedule_sweep_recovers_to_last_durable_checkpoint() {
     let _g = CRASH_GATE.lock();
     telemetry::crash::disarm();
     let dir = scratch("sweep");
-    let cuts_before = telemetry::counter("storage.crash.cuts").get();
-    let recoveries_before = telemetry::counter("storage.crash.recoveries").get();
-    let power_cuts_before = telemetry::counter("storage.wcache.power_cuts").get();
+    let cuts_before = catalog::STORAGE_CRASH_CUTS.get();
+    let recoveries_before = catalog::STORAGE_CRASH_RECOVERIES.get();
+    let power_cuts_before = catalog::STORAGE_WCACHE_POWER_CUTS.get();
 
     let sweep = run_crash_sweep(0xDEC0DE, &dir).expect("sweep");
     assert!(
@@ -87,17 +88,17 @@ fn crash_schedule_sweep_recovers_to_last_durable_checkpoint() {
     // recovery per schedule.
     let n = sweep.outcomes.len() as u64;
     assert_eq!(
-        telemetry::counter("storage.crash.cuts").get() - cuts_before,
+        catalog::STORAGE_CRASH_CUTS.get() - cuts_before,
         n,
         "one registry cut per schedule"
     );
     assert_eq!(
-        telemetry::counter("storage.wcache.power_cuts").get() - power_cuts_before,
+        catalog::STORAGE_WCACHE_POWER_CUTS.get() - power_cuts_before,
         n,
         "one device power cut per schedule"
     );
     assert_eq!(
-        telemetry::counter("storage.crash.recoveries").get() - recoveries_before,
+        catalog::STORAGE_CRASH_RECOVERIES.get() - recoveries_before,
         n,
         "one recorded recovery per schedule"
     );

@@ -188,7 +188,7 @@ fn run_report_artifact_covers_all_subsystems() {
         storage && core && device,
         "metrics must span storage/core/device crates: {names:?}"
     );
-    for stage in PIPELINE_STAGES {
+    for (stage, _) in PIPELINE_STAGES {
         let s = parsed
             .stage(stage)
             .unwrap_or_else(|| panic!("missing stage {stage}"));

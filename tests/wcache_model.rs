@@ -16,6 +16,7 @@
 use gnndrive::prelude::*;
 use gnndrive::storage::{FileHandle, SECTOR_SIZE};
 use gnndrive::sync::Rng;
+use gnndrive::telemetry::catalog;
 
 /// The integrity/wcache counters are process-global and the tests below
 /// assert exact deltas, so they serialize on this gate.
@@ -74,7 +75,7 @@ fn flushed_sectors_survive_any_power_cut() {
         ssd.verify(file, (s * SEC) as u64, bytes)
             .expect("flushed sector must verify clean");
     }
-    assert_eq!(telemetry::counter("storage.integrity.escaped").get(), 0);
+    assert_eq!(catalog::STORAGE_INTEGRITY_ESCAPED.get(), 0);
 }
 
 /// The main property run: random write/flush schedules punctuated by
@@ -83,14 +84,14 @@ fn flushed_sectors_survive_any_power_cut() {
 #[test]
 fn random_schedules_never_expose_silent_corruption() {
     let _g = WCACHE_GATE.lock();
-    let escaped_before = telemetry::counter("storage.integrity.escaped").get();
+    let escaped_before = catalog::STORAGE_INTEGRITY_ESCAPED.get();
 
     for seed in [3u64, 0x5EED, 0xB007, 77] {
         run_schedule(seed);
     }
 
     assert_eq!(
-        telemetry::counter("storage.integrity.escaped").get(),
+        catalog::STORAGE_INTEGRITY_ESCAPED.get(),
         escaped_before,
         "no schedule may let wrong bytes pass verification"
     );
@@ -230,10 +231,10 @@ fn wcache_counters_match_power_cut_reports() {
     let file = ssd.create_file(64 * SECTOR_SIZE);
     let mut rng = Rng::seed_from_u64(0xC0DE);
 
-    let kept_before = telemetry::counter("storage.wcache.sectors_kept").get();
-    let dropped_before = telemetry::counter("storage.wcache.sectors_dropped").get();
-    let torn_before = telemetry::counter("storage.wcache.sectors_torn").get();
-    let cuts_before = telemetry::counter("storage.wcache.power_cuts").get();
+    let kept_before = catalog::STORAGE_WCACHE_SECTORS_KEPT.get();
+    let dropped_before = catalog::STORAGE_WCACHE_SECTORS_DROPPED.get();
+    let torn_before = catalog::STORAGE_WCACHE_SECTORS_TORN.get();
+    let cuts_before = catalog::STORAGE_WCACHE_POWER_CUTS.get();
 
     for s in 0..64usize {
         let bytes = sector_bytes(&mut rng);
@@ -247,19 +248,16 @@ fn wcache_counters_match_power_cut_reports() {
         "64 dirty sectors must not all survive a cut: {report:?}"
     );
     assert_eq!(
-        telemetry::counter("storage.wcache.sectors_kept").get() - kept_before,
+        catalog::STORAGE_WCACHE_SECTORS_KEPT.get() - kept_before,
         report.kept
     );
     assert_eq!(
-        telemetry::counter("storage.wcache.sectors_dropped").get() - dropped_before,
+        catalog::STORAGE_WCACHE_SECTORS_DROPPED.get() - dropped_before,
         report.dropped
     );
     assert_eq!(
-        telemetry::counter("storage.wcache.sectors_torn").get() - torn_before,
+        catalog::STORAGE_WCACHE_SECTORS_TORN.get() - torn_before,
         report.torn
     );
-    assert_eq!(
-        telemetry::counter("storage.wcache.power_cuts").get() - cuts_before,
-        1
-    );
+    assert_eq!(catalog::STORAGE_WCACHE_POWER_CUTS.get() - cuts_before, 1);
 }

@@ -6,13 +6,16 @@
 //! type the source states: a guarded `HashMap`, an
 //! `OrderedMutex<Histogram>`, a `&mut [u8]` parameter and an `AtomicBool`
 //! field. Its last call reaches `load` through an unannotated local by
-//! method syntax, which only functions taking `self` answer. None may
-//! alias: `tick` must produce no finding. `generic` and `dynamic` call
+//! method syntax, which only functions taking `self` answer. It also
+//! calls `TALLY.record(..)` on a `static` whose type has its own `record`,
+//! beside the namesakes `Device::record` (parks) and `Window::record`
+//! (takes a lock). None may alias: `tick` must produce no finding and no
+//! lock-order edge into `Window`'s lock. `generic` and `dynamic` call
 //! `Stage::run` through a generic and a trait object: both must still
 //! reach the impl that parks, one finding each.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use gnndrive_sync::{LockRank, OrderedMutex};
 
@@ -55,6 +58,36 @@ impl Histogram {
     }
 }
 
+pub struct Window {
+    slots: OrderedMutex<u64>,
+}
+
+impl Window {
+    pub fn new() -> Window {
+        Window {
+            slots: OrderedMutex::new(LockRank::Health, 0),
+        }
+    }
+
+    pub fn record(&self, v: u64) {
+        *self.slots.lock() += v;
+    }
+}
+
+pub struct Tally {
+    n: AtomicU64,
+}
+
+impl Tally {
+    pub fn record(&self, v: u64) {
+        self.n.fetch_add(v, Ordering::Relaxed);
+    }
+}
+
+pub static TALLY: Tally = Tally {
+    n: AtomicU64::new(0),
+};
+
 pub trait Stage {
     fn run(&self);
 }
@@ -92,6 +125,7 @@ impl Registry {
         let mut names = self.names.lock();
         *names.entry("x".to_string()).or_insert(0) += 1;
         self.hist.lock().record(1);
+        TALLY.record(1);
         buf.fill(0);
         let ready = &self.ready;
         self.ready.load(Ordering::Acquire) && ready.load(Ordering::Acquire)

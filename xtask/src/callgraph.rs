@@ -6,9 +6,9 @@
 //!
 //! * `recv.method(..)` with a stated workspace type — that type's own
 //!   methods named `method` (`self` is the caller's impl type; a field,
-//!   an annotated param or `let`, or a guard on a lock whose inner type is
-//!   declared, is its stated type). A type without such a method falls
-//!   back to every impl (trait defaults, blanket impls);
+//!   an annotated param or `let`, a `static`, or a guard on a lock whose
+//!   inner type is declared, is its stated type). A type without such a
+//!   method falls back to every impl (trait defaults, blanket impls);
 //! * `recv.method(..)` on a concrete non-workspace type (`HashMap`,
 //!   `[u8]`, `AtomicU64`) — no callee;
 //! * `recv.method(..)` on a generic, `impl Trait`, `dyn Trait` or

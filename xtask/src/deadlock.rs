@@ -1164,6 +1164,10 @@ mod tests {
         let a = analyze(&[("crates/fix/src/receivers.rs", RECEIVERS)]);
         let count = |func: &str| a.findings.iter().filter(|f| f.function == func).count();
         assert_eq!(count("Registry::tick"), 0, "{:#?}", a.findings);
+        assert!(
+            a.edges.iter().all(|e| a.locks[e.dst].0 != "slots"),
+            "`TALLY.record` aliased `Window::record`"
+        );
         // Generic and trait-object receivers still reach every impl.
         assert_eq!(count("Registry::generic"), 1, "{:#?}", a.findings);
         assert_eq!(count("Registry::dynamic"), 1, "{:#?}", a.findings);

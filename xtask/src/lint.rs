@@ -12,10 +12,11 @@
 //!   justification; otherwise rewrite the site to Acquire/Release.
 //! * **fallible-sync** — no `.unwrap()`/`.expect(..)` on lock/channel/join
 //!   results in non-test library code; use a real error path.
-//! * **metric-name** — metric names at `counter`/`gauge`/`histogram_ns`/
-//!   `Scope::new` call sites follow the registry scheme:
-//!   dot-separated segments of `[a-z0-9_]`, and names under a closed
-//!   namespace are members of it.
+//! * **span-name** — stage names at `span`/`span_cat`/`record_span` call
+//!   sites follow the registry scheme (dot-separated segments of
+//!   `[a-z0-9_]`), and span categories come from a closed set. Registry
+//!   metrics need no rule: each is a typed static in
+//!   `gnndrive_telemetry::catalog`, whose unit test checks the scheme.
 //! * **recovery-abort** — the integrity/recovery paths (retry, fault
 //!   injection, scrubbing, device health, checksum verification,
 //!   checkpoint decode) may not abort the process: no `panic!`,
@@ -181,9 +182,9 @@ pub fn lint_file(f: &SourceFile, allow: &Allowlist) -> Vec<Diagnostic> {
             rule_recovery_abort(f, &mut diags);
         }
     }
-    // Metric names are checked in tests too: test metrics pollute the
-    // registry just the same.
-    rule_metric_name(f, &mut diags);
+    // Span names are checked in tests too: test spans land in the same
+    // trace.
+    rule_span_name(f, &mut diags);
     diags
 }
 
@@ -359,26 +360,18 @@ fn rule_recovery_abort(f: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule `metric-name`: registry names are dot-separated `[a-z0-9_]`.
-fn rule_metric_name(f: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    const SITES: [&str; 7] = [
-        "counter(",
-        "gauge(",
-        "histogram_ns(",
-        "Scope::new(",
-        "span(",
-        "span_cat(",
-        "record_span(",
-    ];
-    // Trace-span openers: the first literal is the stage name, and the
-    // second literal (explicit-category variants only) must come from the
-    // closed category set below.
+/// Rule `span-name`: trace-span stage names are dot-separated
+/// `[a-z0-9_]`, and span categories are known.
+fn rule_span_name(f: &SourceFile, diags: &mut Vec<Diagnostic>) {
+    const SITES: [&str; 3] = ["span(", "span_cat(", "record_span("];
+    // The first literal is the stage name; the second (explicit-category
+    // openers only) must come from the closed category set below.
     const CATEGORIZED_SITES: [&str; 2] = ["span_cat(", "record_span("];
     let stripped = &f.stripped;
     let bytes = stripped.as_bytes();
     for site in SITES {
         for (idx, _) in stripped.match_indices(site) {
-            // Skip definitions (`fn counter(`) and longer identifiers.
+            // Skip definitions (`fn span(`) and longer identifiers.
             if idx > 0 && (is_ident(bytes[idx - 1]) || bytes[idx - 1] == b'.') {
                 continue;
             }
@@ -387,31 +380,28 @@ fn rule_metric_name(f: &SourceFile, diags: &mut Vec<Diagnostic>) {
             }
             let rest = f.text[idx + site.len()..].trim_start();
             let Some(lit) = rest.strip_prefix('"') else {
-                continue; // dynamic name — checked at the construction site
+                continue; // dynamic name
             };
             let Some(close) = lit.find('"') else {
                 continue;
             };
             let name = &lit[..close];
-            if !valid_metric_name(name) {
+            if !valid_name(name) {
                 diags.push(diag(
                     f,
-                    "metric-name",
-                    format!("metric name \"{name}\" violates the registry scheme"),
-                    "names are dot-separated segments of [a-z0-9_], subsystem \
-                     first (e.g. `ssd.read_bytes`, `pipeline.extract_queue.depth`)",
+                    "span-name",
+                    format!("span name \"{name}\" violates the registry scheme"),
+                    "names are dot-separated segments of [a-z0-9_] \
+                     (e.g. `extract`, `memory_contention_bound`)",
                     idx,
                 ));
-            } else if let Some(hint) = closed_set_violation(name) {
-                let msg = format!("metric name \"{name}\" is not in its closed namespace set");
-                diags.push(diag(f, "metric-name", msg, hint, idx));
             }
             if CATEGORIZED_SITES.contains(&site) {
                 if let Some(cat) = second_string_literal(&lit[close + 1..]) {
                     if !SPAN_CATEGORIES.contains(&cat) {
                         diags.push(diag(
                             f,
-                            "metric-name",
+                            "span-name",
                             format!("span category \"{cat}\" is not a known category"),
                             "trace categories are a closed set (see \
                              telemetry::span_cat and DESIGN.md §10): pipeline, \
@@ -429,112 +419,6 @@ fn rule_metric_name(f: &SourceFile, diags: &mut Vec<Diagnostic>) {
 /// Closed trace-category set (`telemetry::span_cat` second argument).
 const SPAN_CATEGORIES: [&str; 2] = ["pipeline", "verdict"];
 
-/// Closed metric namespaces as `(prefix, members, hint)`. A well-formed
-/// name under a prefix that is not a member is almost always a typo that
-/// would silently split a time series. The longest matching prefix
-/// decides, so the lane split is checked before `storage.queue.`. Add a
-/// member here together with its emitter and the DESIGN.md table the hint
-/// names.
-const CLOSED_NAMESPACES: [(&str, &[&str], &str); 8] = [
-    (
-        "core.attr.",
-        &[
-            "mem_admission",
-            "staging_wait",
-            "slot_wait",
-            "ring_wait",
-            "sync_read_wait",
-            "transfer_wait",
-            "ready_wait",
-            "page_fault_wait",
-            "other",
-        ],
-        "`core.attr.*` is the closed attribution taxonomy, one histogram per \
-         `WaitKind` plus the residual (DESIGN.md §10); extend CLOSED_NAMESPACES \
-         in xtask and WaitKind in gnndrive-telemetry together",
-    ),
-    (
-        "storage.queue.",
-        &["wait_ns", "service_ns"],
-        "`storage.queue.*` is the closed SimSsd queue/service split; extend \
-         CLOSED_NAMESPACES in xtask alongside the stats counters",
-    ),
-    (
-        "storage.queue.lane.",
-        &["serve_ops", "bulk_ops", "serve_wait_ns", "bulk_wait_ns"],
-        "`storage.queue.lane.*` is the closed QoS lane split (DESIGN.md §11); \
-         extend CLOSED_NAMESPACES in xtask alongside the stats counters",
-    ),
-    (
-        "storage.cache.policy.",
-        &[
-            "lru.evictions",
-            "belady.evictions",
-            "belady.lru_fallbacks",
-            "belady.off_trace_accesses",
-        ],
-        "`storage.cache.policy.*` is the closed replacement-policy namespace \
-         (DESIGN.md §13); extend CLOSED_NAMESPACES in xtask alongside the \
-         EvictionPolicy impl's counters",
-    ),
-    (
-        "storage.trace.",
-        &["recorded", "saved", "loaded"],
-        "`storage.trace.*` is the closed access-trace lifecycle set \
-         (DESIGN.md §13); extend CLOSED_NAMESPACES in xtask alongside the \
-         AccessTrace/PageCache counters",
-    ),
-    (
-        "storage.wcache.",
-        &[
-            "sectors_dirtied",
-            "flushes",
-            "sectors_flushed",
-            "power_cuts",
-            "sectors_kept",
-            "sectors_dropped",
-            "sectors_torn",
-        ],
-        "`storage.wcache.*` is the closed write-back cache set (DESIGN.md \
-         §14); extend CLOSED_NAMESPACES in xtask alongside the \
-         WcacheCounters struct",
-    ),
-    (
-        "storage.crash.",
-        &["points", "cuts", "recoveries"],
-        "`storage.crash.*` is the closed crash-registry set (DESIGN.md §14); \
-         extend CLOSED_NAMESPACES in xtask alongside the registry counters",
-    ),
-    (
-        "serve.",
-        &[
-            "requests",
-            "rejected",
-            "completed",
-            "failed",
-            "batches",
-            "slo_violations",
-            "latency",
-            "queue_wait",
-            "service",
-            "queue.depth",
-        ],
-        "`serve.*` is the serving tier's closed namespace; extend \
-         CLOSED_NAMESPACES in xtask alongside the Server counters and the \
-         DESIGN.md §11 table",
-    ),
-];
-
-/// The hint of the closed namespace `name` falls under but is not a
-/// member of, by longest matching prefix.
-fn closed_set_violation(name: &str) -> Option<&'static str> {
-    let (prefix, members, hint) = CLOSED_NAMESPACES
-        .iter()
-        .filter(|(p, ..)| name.starts_with(p))
-        .max_by_key(|(p, ..)| p.len())?;
-    (!members.contains(&&name[prefix.len()..])).then_some(*hint)
-}
-
 /// The next `"…"` literal after a comma in `rest` (the tail following the
 /// first literal's closing quote), if the very next token is one.
 fn second_string_literal(rest: &str) -> Option<&str> {
@@ -543,7 +427,7 @@ fn second_string_literal(rest: &str) -> Option<&str> {
     lit.find('"').map(|close| &lit[..close])
 }
 
-fn valid_metric_name(name: &str) -> bool {
+fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.split('.').all(|seg| {
             !seg.is_empty()
@@ -656,40 +540,18 @@ mod tests {
         assert!(rules(in_mod).is_empty());
     }
 
-    // -- rule d: metric-name ---------------------------------------------
+    // -- rule d: span-name -----------------------------------------------
 
     #[test]
-    fn bad_metric_names_are_flagged() {
-        for bad in [
-            "telemetry::counter(\"Ssd.ReadBytes\")",
-            "telemetry::gauge(\"pipeline..depth\")",
-            "telemetry::histogram_ns(\"pipeline-extract\")",
-            "Scope::new(\"Epoch 3\")",
-        ] {
-            let src = format!("fn f() {{ {bad}; }}\n");
-            assert_eq!(rules(&src), vec!["metric-name"], "for {bad}");
-        }
-    }
-
-    #[test]
-    fn good_metric_names_and_dynamic_names_pass() {
-        let src = "fn f() {\n    telemetry::counter(\"ssd.read_bytes\");\n    \
-                   telemetry::gauge(\"feature_buffer.standby_slots\");\n    \
-                   telemetry::counter(name);\n}\n";
-        assert!(rules(src).is_empty());
-    }
-
-    #[test]
-    fn metric_definition_sites_are_not_call_sites() {
-        let src = "pub fn counter(name: &str) -> Counter { todo!() }\n\
-                   pub fn span_cat(stage: &str, cat: &str) -> SpanGuard { todo!() }\n";
+    fn span_definition_sites_are_not_call_sites() {
+        let src = "pub fn span_cat(stage: &str, cat: &str) -> SpanGuard { todo!() }\n";
         assert!(rules(src).is_empty());
     }
 
     #[test]
     fn span_stage_names_follow_the_registry_scheme() {
         let src = "fn f() { let _s = telemetry::span(\"Extract Phase\", 3); }\n";
-        assert_eq!(rules(src), vec!["metric-name"]);
+        assert_eq!(rules(src), vec!["span-name"]);
         let src = "fn f() {\n    let _s = telemetry::span(\"transfer\", 3);\n    \
                    telemetry::record_span(\"memory_contention_bound\", \"verdict\", 0, t, d);\n}\n";
         assert!(rules(src).is_empty());
@@ -698,34 +560,38 @@ mod tests {
     #[test]
     fn unknown_span_categories_are_flagged() {
         let src = "fn f() { let _s = telemetry::span_cat(\"extract\", \"gpu\", 3); }\n";
-        assert_eq!(rules(src), vec!["metric-name"]);
+        assert_eq!(rules(src), vec!["span-name"]);
         let src = "fn f() { let _s = telemetry::span_cat(\"extract\", \"pipeline\", 3); }\n";
         assert!(rules(src).is_empty());
     }
 
+    /// The frozen benchmark reads registry counters by name; a rename in
+    /// the catalog would silently zero a per-layer metric.
     #[test]
-    fn closed_namespaces_accept_every_member_and_reject_typos() {
-        // One well-formed typo per namespace; each must be reported with
-        // its own namespace's hint (the lane typo proves longest-prefix).
-        let typos = [
-            "core.attr.slotwait",
-            "storage.queue.depth_ns",
-            "storage.queue.lane.srv_ops",
-            "storage.cache.policy.lru.eviction",
-            "storage.trace.record",
-            "storage.wcache.sectors_teared",
-            "storage.crash.recovered",
-            "serve.request",
-        ];
-        for ((prefix, members, _), typo) in CLOSED_NAMESPACES.iter().zip(typos) {
-            for m in *members {
-                let src = format!("fn f() {{ telemetry::counter(\"{prefix}{m}\"); }}\n");
-                assert!(rules(&src).is_empty(), "member {prefix}{m} rejected");
+    fn benchmark_reads_only_catalog_metrics() {
+        let root = match option_env!("CARGO_MANIFEST_DIR") {
+            Some(d) => Path::new(d).join(".."),
+            None => Path::new(".").to_path_buf(),
+        };
+        let read = |p: &str| std::fs::read_to_string(root.join(p)).expect(p);
+        let run = read("benchmark/src/run.rs");
+        let catalog = read("crates/telemetry/src/catalog.rs");
+        let mut names: Vec<&str> = Vec::new();
+        for site in ["delta(", ".counter(", "hist_total_ns("] {
+            for (idx, _) in run.match_indices(site) {
+                let args = &run[idx + site.len()..];
+                let args = &args[..args.find(')').unwrap_or(0)];
+                names.extend(args.split('"').nth(1));
             }
-            let src = format!("fn f() {{ telemetry::counter(\"{typo}\"); }}\n");
-            let diags = lint(&src);
-            assert_eq!(diags.len(), 1, "typo {typo} accepted");
-            assert!(diags[0].help.starts_with(&format!("`{prefix}*`")), "{typo}");
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert!(names.len() >= 12, "benchmark reads: {names:?}");
+        for name in names {
+            assert!(
+                catalog.contains(&format!("::new(\"{name}\")")),
+                "benchmark/src/run.rs reads `{name}`, which the catalog does not declare"
+            );
         }
     }
 

@@ -22,8 +22,9 @@
 //!   field, `let`, or `static`) scoped to its file, with the inner type the
 //!   declaration (or, failing that, the constructor) states;
 //! * **types** — the names the workspace declares or implements, its
-//!   traits, struct field types and generic parameters, from which each
-//!   method call's receiver type ([`Recv`]) is derived;
+//!   traits, struct field types, `static` item types and generic
+//!   parameters, from which each method call's receiver type ([`Recv`]) is
+//!   derived;
 //! * **events** — lock acquisitions (`.lock()`, `.read()`, `.write()`,
 //!   `try_*`), condvar waits, directly blocking operations
 //!   (`thread::sleep`, `read_blocking`/`write_blocking`, channel `recv`,
@@ -457,6 +458,8 @@ struct Builder {
     types: HashSet<String>,
     traits: HashSet<String>,
     structs: HashMap<String, Vec<StructDef>>,
+    /// `static NAME: Type` declarations: `(file, type)` per name.
+    statics: HashMap<String, Vec<(String, String)>>,
     stats: ModelStats,
 }
 
@@ -574,6 +577,22 @@ impl Builder {
                     generics,
                     fields,
                 });
+            }
+        }
+        for (idx, _) in code.match_indices("static ") {
+            if idx > 0 && (is_ident(bytes[idx - 1]) || bytes[idx - 1] == b'\'') {
+                continue; // a longer identifier or a `'static` lifetime
+            }
+            let item = &code[idx + "static ".len()..];
+            let Some(eq) = item.find('=') else { continue };
+            if item[..eq].contains(['{', '}']) {
+                continue;
+            }
+            if let Some((name, ty)) = typed_binding(&item[..eq]) {
+                self.statics
+                    .entry(name)
+                    .or_default()
+                    .push((path.to_string(), ty));
             }
         }
     }
@@ -951,15 +970,20 @@ impl Builder {
     }
 
     /// The type a receiver chain evaluates to, where the source states it:
-    /// a local's annotation (or a guard's lock), `self`, a struct field's
-    /// declared type, and a lock's declared inner type through `.lock()`
-    /// and friends. Anything else (a call's return, an index) is unknown.
+    /// a local's annotation (or a guard's lock), a `static`'s declared
+    /// type, `self`, a struct field's declared type, and a lock's declared
+    /// inner type through `.lock()` and friends. Anything else (a call's
+    /// return, an index) is unknown.
     fn chain_type(&self, b: &Body, segs: &[Seg]) -> Option<String> {
         let mut ty: Option<String> = None;
         for (k, seg) in segs.iter().enumerate() {
             ty = match seg {
                 Seg::Name(n) if k == 0 && n == "self" => b.impl_type.map(str::to_string),
-                Seg::Name(n) if k == 0 => b.env.get(n).cloned(),
+                Seg::Name(n) if k == 0 => b
+                    .env
+                    .get(n)
+                    .cloned()
+                    .or_else(|| self.static_type(b.path, n)),
                 Seg::Name(field) => self.field_type(b.path, &ty?, field),
                 Seg::Call(m) if k > 0 && LOCK_METHODS.contains(&m.as_str()) => self
                     .lookup_lock(b.path, segs[k - 1].name())
@@ -983,6 +1007,21 @@ impl Builder {
         let t = def.fields.get(field)?;
         let generic = def.generics.iter().any(|g| g == base_name(peel(t)));
         (!generic).then(|| t.clone())
+    }
+
+    /// The declared type of the `static` named `name`: the caller's file's
+    /// own, else the only one by that name.
+    fn static_type(&self, file: &str, name: &str) -> Option<String> {
+        let decls = self.statics.get(name)?;
+        let (_, ty) = decls
+            .iter()
+            .find(|(f, _)| f == file)
+            .or(if decls.len() == 1 {
+                decls.first()
+            } else {
+                None
+            })?;
+        Some(ty.clone())
     }
 
     /// What a stated type means for method resolution, after peeling
