@@ -14,7 +14,12 @@ pub struct GnnDriveConfig {
     /// Extractor thread-pool size (paper default: 4). Also bounds the
     /// staging buffer: its size is `num_extractors × per-extractor quota`.
     pub num_extractors: usize,
-    /// Extracting-queue capacity (paper default: 6).
+    /// Extracting-queue capacity (paper default: 6): the uncharged part of
+    /// the epoch's announce horizon. Samplers may always hold this many
+    /// sampled batches that no extractor has pinned yet; past it, each
+    /// further one is charged to the host memory governor, and a sampler
+    /// whose charge is refused waits as at a full queue (DESIGN.md §4
+    /// item 10).
     pub extract_queue_cap: usize,
     /// Training-queue capacity (paper default: 4; restricted by device
     /// memory to avoid OOM during training).

@@ -317,9 +317,9 @@ pub fn extract_batch(
 /// [`extract_batch`] for a batch taken off the extract queue: its
 /// announcement holds until planning has pinned the batch's rows, so no
 /// other extractor can steal them in between (DESIGN.md §4 item 10).
-pub(crate) fn extract_announced(
+pub(crate) fn extract_announced<H>(
     ctx: &ExtractorContext,
-    queued: Announced<'_>,
+    queued: Announced<'_, H>,
 ) -> Result<ExtractedBatch, ExtractError> {
     extract_admitted(ctx, queued)
 }
@@ -340,7 +340,7 @@ impl Batch for MiniBatchSample {
     }
 }
 
-impl Batch for Announced<'_> {
+impl<H> Batch for Announced<'_, H> {
     fn input_nodes(&self) -> &[NodeId] {
         &self.sample().input_nodes
     }
@@ -782,8 +782,8 @@ mod tests {
         ctx.fb.release(&batch.sample.input_nodes);
 
         {
-            let horizon = ctx.fb.horizon();
-            let queued = horizon.announce(sample_of(&ds, &[5, 6]));
+            let horizon = ctx.fb.horizon(0..1);
+            let queued = horizon.announce(sample_of(&ds, &[5, 6]), ());
             let batch = extract_announced(&ctx, queued).unwrap();
             verify_rows(&ds, &batch, &ctx.fb);
             ctx.fb.release(&batch.sample.input_nodes);

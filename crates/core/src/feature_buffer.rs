@@ -22,7 +22,8 @@
 //! sit in class 0, a retired slot in its owner's *popularity class* (the
 //! bit length of the node's out-degree, fixed at construction), and a
 //! retired slot whose owner a queued batch has *announced* (see
-//! [`Horizon`]) in the top class. A steal takes the least recently
+//! [`Horizon`]) in one of [`NEXT_USE_BUCKETS`] next-use classes above
+//! those, the farthest next use lowest. A steal takes the least recently
 //! retired slot of the lowest non-empty class. A manager made with
 //! [`FeatureBufferManager::new`] and never announced to keeps every slot
 //! in class 0: plain LRU.
@@ -40,6 +41,8 @@ use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::LruList;
 use gnndrive_sync::{LockRank, OrderedCondvar, OrderedMutex};
 use gnndrive_telemetry as telemetry;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,10 +51,16 @@ use telemetry::catalog;
 const NO_SLOT: u32 = u32::MAX;
 const NO_NODE: NodeId = NodeId::MAX;
 
-/// Standby class of a retired slot whose owner is announced: above every
-/// popularity class (the bit length of a `u32` out-degree is at most 32),
-/// so it is stolen last.
-const ANNOUNCED: u8 = u32::BITS as u8 + 1;
+/// Next-use classes above the popularity classes (the bit length of a
+/// `u32` out-degree is at most 32): an announced row's slot is filed by
+/// how soon a queued batch needs it, the soonest in the top class.
+pub const NEXT_USE_BUCKETS: u8 = 30;
+
+/// The lowest next-use class, for the farthest announced use.
+const FARTHEST: u8 = u32::BITS as u8 + 1;
+
+/// Standby classes: free (0), the popularity classes, the next-use ones.
+const CLASSES: usize = FARTHEST as usize + NEXT_USE_BUCKETS as usize;
 
 /// A node's popularity class: the bit length of its out-degree, i.e. of
 /// how many in-neighbour lists of the CSC it appears in (0 for none).
@@ -63,9 +72,10 @@ fn popularity_class(out_degree: u32) -> u8 {
 struct Entry {
     slot: u32,
     ref_count: u32,
-    /// Queued batches that announced this node: at most the live
-    /// [`Announced`] handles, each owning a sample in memory.
-    announced: u32,
+    /// Bit `b` is set while a queued batch in next-use bucket `b` (0 the
+    /// nearest) announced the node; further uses in a bucket are counted
+    /// in [`Inner::more_uses`].
+    uses: u32,
     /// [`popularity_class`] of the node's out-degree.
     class: u8,
     valid: bool,
@@ -77,32 +87,41 @@ struct Entry {
 // One mapping-table entry per graph node: the table must not grow.
 const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
-impl Entry {
-    /// The standby class this node's slot belongs in once retired.
-    fn standby_class(&self) -> u8 {
-        if self.announced > 0 {
-            ANNOUNCED
-        } else {
-            self.class
-        }
-    }
-}
-
 struct Inner {
     map: Vec<Entry>,
     /// Per slot: owning node id, or [`NO_NODE`].
     reverse: Vec<NodeId>,
     standby: LruList,
-    /// Open [`Horizon`]s: outside every one, nothing may be announced.
-    horizons: u32,
+    /// The side table of queued uses beyond the first of a node in a
+    /// bucket: bounded by the horizon, and empty while every bucket holds
+    /// at most one announced batch.
+    more_uses: HashMap<(NodeId, u8), u32>,
+    /// Nodes with at least one queued use.
+    announced_rows: usize,
+    /// Live [`Announced`] handles, and the most at once in this horizon.
+    horizon_batches: usize,
+    horizon_peak: usize,
+    /// The open [`Horizon`]'s plan span `(first, len)`: outside it, nothing
+    /// may be announced.
+    span: Option<(u64, u64)>,
 }
 
 impl Inner {
+    /// The standby class `node`'s slot belongs in once retired: the
+    /// next-use bucket of its nearest queued use, else its popularity.
+    fn node_class(&self, node: NodeId) -> u8 {
+        let e = &self.map[node as usize];
+        match e.uses {
+            0 => e.class,
+            uses => FARTHEST + NEXT_USE_BUCKETS - 1 - uses.trailing_zeros() as u8,
+        }
+    }
+
     /// The standby class `slot` belongs in: its owner's, or 0 when free.
     fn slot_class(&self, slot: u32) -> u8 {
         match self.reverse[slot as usize] {
             NO_NODE => 0,
-            owner => self.map[owner as usize].standby_class(),
+            owner => self.node_class(owner),
         }
     }
 
@@ -115,17 +134,57 @@ impl Inner {
     /// Move `node`'s slot, if it is on standby, into the class the node's
     /// entry now implies.
     fn refile(&mut self, node: NodeId) {
-        let e = self.map[node as usize];
-        if e.slot == NO_SLOT {
+        let slot = self.map[node as usize].slot;
+        if slot == NO_SLOT {
             return;
         }
-        match self.standby.class_of(e.slot) {
-            Some(class) if class != e.standby_class() => {
-                self.standby.remove(e.slot);
-                self.retire(e.slot);
+        match self.standby.class_of(slot) {
+            Some(class) if class != self.node_class(node) => {
+                self.standby.remove(slot);
+                self.retire(slot);
             }
             _ => {}
         }
+    }
+
+    fn publish_horizon(&self) {
+        catalog::PIPELINE_HORIZON_BATCHES.set(self.horizon_batches as i64);
+        catalog::FEATURE_BUFFER_ANNOUNCED_ROWS.set(self.announced_rows as i64);
+    }
+
+    /// Record a queued use of `node` in next-use bucket `bucket`.
+    fn add_use(&mut self, node: NodeId, bucket: u8) {
+        let uses = &mut self.map[node as usize].uses;
+        if *uses & 1 << bucket == 0 {
+            self.announced_rows += usize::from(*uses == 0);
+            *uses |= 1 << bucket;
+        } else {
+            *self.more_uses.entry((node, bucket)).or_insert(0) += 1;
+        }
+    }
+
+    /// Drop one queued use of `node` in `bucket`.
+    fn remove_use(&mut self, node: NodeId, bucket: u8) {
+        // Skip hashing while no bucket holds two batches (the common case).
+        let more = if self.more_uses.is_empty() {
+            None
+        } else {
+            self.more_uses.get_mut(&(node, bucket))
+        };
+        if let Some(more) = more {
+            *more -= 1;
+            if *more == 0 {
+                self.more_uses.remove(&(node, bucket));
+            }
+            return;
+        }
+        let uses = &mut self.map[node as usize].uses;
+        assert!(
+            *uses & 1 << bucket != 0,
+            "node {node} has no use in bucket {bucket}"
+        );
+        *uses &= !(1 << bucket);
+        self.announced_rows -= usize::from(*uses == 0);
     }
 }
 
@@ -158,6 +217,9 @@ pub struct FeatureBufferStats {
     pub loads: AtomicU64,
     /// Valid entries invalidated when their slot was stolen.
     pub delayed_invalidations: AtomicU64,
+    /// Slots stolen from a row a queued batch announced: the horizon
+    /// outgrew the buffer.
+    pub announced_steals: AtomicU64,
 }
 
 impl Default for FeatureBufferStats {
@@ -167,6 +229,7 @@ impl Default for FeatureBufferStats {
             &catalog::FEATURE_BUFFER_SHARED_LOADS,
             &catalog::FEATURE_BUFFER_LOADS,
             &catalog::FEATURE_BUFFER_DELAYED_INVALIDATIONS,
+            &catalog::FEATURE_BUFFER_ANNOUNCED_STEALS,
         ] {
             c.register();
         }
@@ -175,6 +238,7 @@ impl Default for FeatureBufferStats {
             shared_loads: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             delayed_invalidations: AtomicU64::new(0),
+            announced_steals: AtomicU64::new(0),
         }
     }
 }
@@ -198,6 +262,11 @@ impl FeatureBufferStats {
     fn add_delayed_invalidation(&self) {
         self.delayed_invalidations.fetch_add(1, Ordering::Relaxed);
         catalog::FEATURE_BUFFER_DELAYED_INVALIDATIONS.inc();
+    }
+
+    fn add_announced_steal(&self) {
+        self.announced_steals.fetch_add(1, Ordering::Relaxed);
+        catalog::FEATURE_BUFFER_ANNOUNCED_STEALS.inc();
     }
 }
 
@@ -227,7 +296,7 @@ impl FeatureBufferManager {
         config: &GnnDriveConfig,
     ) -> Self {
         let num_slots = slab.num_slots();
-        let mut standby = LruList::with_classes(num_slots, ANNOUNCED as usize + 1);
+        let mut standby = LruList::with_classes(num_slots, CLASSES);
         for s in 0..num_slots as u32 {
             standby.push_back(s);
         }
@@ -236,7 +305,7 @@ impl FeatureBufferManager {
             .map(|&d| Entry {
                 slot: NO_SLOT,
                 ref_count: 0,
-                announced: 0,
+                uses: 0,
                 class: popularity_class(d),
                 valid: false,
                 aborted: false,
@@ -254,7 +323,11 @@ impl FeatureBufferManager {
                     map,
                     reverse: vec![NO_NODE; num_slots],
                     standby,
-                    horizons: 0,
+                    more_uses: HashMap::new(),
+                    announced_rows: 0,
+                    horizon_batches: 0,
+                    horizon_peak: 0,
+                    span: None,
                 },
             ),
             slot_available: OrderedCondvar::new(),
@@ -357,7 +430,11 @@ impl FeatureBufferManager {
                 debug_assert_eq!(p.ref_count, 0, "standby slot owner must be unpinned");
                 p.valid = false;
                 p.slot = NO_SLOT;
+                let announced = p.uses != 0;
                 self.stats.add_delayed_invalidation();
+                if announced {
+                    self.stats.add_announced_steal();
+                }
             }
             inner.reverse[slot as usize] = node;
             inner.map[node as usize].slot = slot;
@@ -488,40 +565,48 @@ impl FeatureBufferManager {
         }
     }
 
-    /// Open an announce horizon (see [`Horizon`]).
-    pub fn horizon(&self) -> Horizon<'_> {
-        self.inner.lock().horizons += 1;
+    /// Open the announce horizon of the batches at plan positions `plan`
+    /// (see [`Horizon`]). One horizon is open at a time.
+    pub fn horizon(&self, plan: Range<u64>) -> Horizon<'_> {
+        let mut inner = self.inner.lock();
+        assert!(inner.span.is_none(), "one horizon at a time");
+        inner.span = Some((plan.start, plan.end.saturating_sub(plan.start).max(1)));
+        inner.horizon_peak = 0;
         Horizon { fb: self }
     }
 
-    /// Count one announcement of each of `nodes`, moving newly announced
-    /// retired slots to the top class.
-    fn announce_nodes(&self, nodes: &[NodeId]) {
+    /// Distinct rows some queued batch announced.
+    pub fn announced_rows(&self) -> usize {
+        self.inner.lock().announced_rows
+    }
+
+    /// Record one queued use of each of `nodes` by the batch at plan
+    /// position `pos`, refiling retired slots whose nearest use moved;
+    /// returns the batch's next-use bucket.
+    fn announce_nodes(&self, nodes: &[NodeId], pos: u64) -> u8 {
         let mut inner = self.inner.lock();
+        let (first, len) = inner.span.expect("announced inside an open horizon");
+        let offset = pos.saturating_sub(first).min(len - 1);
+        let bucket = (offset * u64::from(NEXT_USE_BUCKETS) / len) as u8;
         for &node in nodes {
-            let e = &mut inner.map[node as usize];
-            // One count per live `Announced`, each holding a sample in
-            // memory: `u32::MAX` of them cannot exist.
-            e.announced = e
-                .announced
-                .checked_add(1)
-                .expect("announcement count overflow");
-            if e.announced == 1 {
-                inner.refile(node);
-            }
+            inner.add_use(node, bucket);
+            inner.refile(node);
         }
+        inner.horizon_batches += 1;
+        inner.horizon_peak = inner.horizon_peak.max(inner.horizon_batches);
+        inner.publish_horizon();
+        bucket
     }
 
     /// Undo one [`FeatureBufferManager::announce_nodes`] of `nodes`.
-    fn withdraw_nodes(&self, nodes: &[NodeId]) {
+    fn withdraw_nodes(&self, nodes: &[NodeId], bucket: u8) {
         let mut inner = self.inner.lock();
         for &node in nodes {
-            let e = &mut inner.map[node as usize];
-            e.announced -= 1;
-            if e.announced == 0 {
-                inner.refile(node);
-            }
+            inner.remove_use(node, bucket);
+            inner.refile(node);
         }
+        inner.horizon_batches -= 1;
+        inner.publish_horizon();
     }
 
     /// Test/diagnostic view of one node's mapping entry:
@@ -536,16 +621,19 @@ impl FeatureBufferManager {
     /// Validate the structural invariants (test helper): the live mapping
     /// is injective, reverse mapping is consistent, every standby slot is
     /// free or owned by an unpinned node and sits in the class its owner
-    /// implies (free slots in class 0), and nothing is announced while no
-    /// [`Horizon`] is open.
+    /// implies (free slots in class 0), the announced rows are counted
+    /// right, every further use of a node in a bucket has a first, and
+    /// nothing is announced while no [`Horizon`] is open.
     pub fn check_invariants(&self) {
         let inner = self.inner.lock();
         let mut seen = vec![false; inner.reverse.len()];
+        let mut announced_rows = 0;
         for (node, e) in inner.map.iter().enumerate() {
             assert!(
-                inner.horizons > 0 || e.announced == 0,
+                inner.span.is_some() || e.uses == 0,
                 "announcements outlived every horizon (node {node})"
             );
+            announced_rows += usize::from(e.uses != 0);
             if e.slot != NO_SLOT {
                 let s = e.slot as usize;
                 assert!(!seen[s], "two nodes share slot {s}");
@@ -572,6 +660,16 @@ impl FeatureBufferManager {
                 "standby slot {slot} (owner {owner}) is in the wrong class"
             );
         }
+        assert_eq!(
+            inner.announced_rows, announced_rows,
+            "announced rows miscounted"
+        );
+        for &(node, bucket) in inner.more_uses.keys() {
+            assert!(
+                inner.map[node as usize].uses & 1 << bucket != 0,
+                "node {node} has further uses in bucket {bucket} but no first"
+            );
+        }
     }
 }
 
@@ -579,43 +677,58 @@ impl FeatureBufferManager {
 /// an extractor, whose input rows are about to be used (Belady's "keep
 /// what is used soonest" over what the pipeline already knows).
 ///
-/// [`Horizon::announce`] moves each input node's retired slot into the
-/// class stolen last; the returned [`Announced`] withdraws the
-/// announcement exactly once — when an extractor has planned the batch
-/// ([`Announced::withdraw`]) or when it is dropped unextracted. It borrows
-/// the horizon, so no announcement outlives the epoch that made it, and
-/// [`FeatureBufferManager::check_invariants`] asserts nothing is announced
-/// while no horizon is open.
+/// [`Horizon::announce`] files each input node's retired slot by its
+/// nearest queued use: the plan position `pos` of the soonest announced
+/// batch that needs it puts it in next-use bucket
+/// `(pos − first) · NEXT_USE_BUCKETS / (end − first)`, the farthest bucket
+/// stolen first and every bucket after the popularity classes. The
+/// returned [`Announced`] withdraws the announcement exactly once — when
+/// an extractor has planned the batch ([`Announced::withdraw`]) or when it
+/// is dropped unextracted — and drops the caller's hold with it. It
+/// borrows the horizon, so no announcement outlives the epoch that made
+/// it, and [`FeatureBufferManager::check_invariants`] asserts nothing is
+/// announced while no horizon is open.
 pub struct Horizon<'fb> {
     fb: &'fb FeatureBufferManager,
 }
 
 impl Horizon<'_> {
-    /// Announce `sample`'s input nodes until the returned handle is
-    /// withdrawn or dropped.
-    pub fn announce(&self, sample: MiniBatchSample) -> Announced<'_> {
-        self.fb.announce_nodes(&sample.input_nodes);
+    /// Announce `sample`'s input nodes, its `batch_id` being its plan
+    /// position, until the returned handle is withdrawn or dropped; `hold`
+    /// is dropped right after the withdrawal.
+    pub fn announce<H>(&self, sample: MiniBatchSample, hold: H) -> Announced<'_, H> {
+        let bucket = self.fb.announce_nodes(&sample.input_nodes, sample.batch_id);
         Announced {
             fb: self.fb,
+            bucket,
             sample: Some(sample),
+            hold: Some(hold),
         }
+    }
+
+    /// The most batches announced at once since the horizon opened.
+    pub fn peak_batches(&self) -> usize {
+        self.fb.inner.lock().horizon_peak
     }
 }
 
 impl Drop for Horizon<'_> {
     fn drop(&mut self) {
-        self.fb.inner.lock().horizons -= 1;
+        self.fb.inner.lock().span = None;
     }
 }
 
 /// A sample whose input nodes are announced; see [`Horizon`].
-pub struct Announced<'h> {
+pub struct Announced<'h, H> {
     fb: &'h FeatureBufferManager,
+    /// The batch's next-use bucket.
+    bucket: u8,
     /// `None` once withdrawn.
     sample: Option<MiniBatchSample>,
+    hold: Option<H>,
 }
 
-impl Announced<'_> {
+impl<H> Announced<'_, H> {
     /// The announced sample.
     pub fn sample(&self) -> &MiniBatchSample {
         self.sample
@@ -632,12 +745,13 @@ impl Announced<'_> {
 
     fn settle(&mut self) -> Option<MiniBatchSample> {
         let sample = self.sample.take()?;
-        self.fb.withdraw_nodes(&sample.input_nodes);
+        self.fb.withdraw_nodes(&sample.input_nodes, self.bucket);
+        self.hold = None;
         Some(sample)
     }
 }
 
-impl Drop for Announced<'_> {
+impl<H> Drop for Announced<'_, H> {
     fn drop(&mut self) {
         self.settle();
     }
@@ -802,8 +916,12 @@ mod tests {
     }
 
     fn sample(input_nodes: Vec<NodeId>) -> MiniBatchSample {
+        sample_at(0, input_nodes)
+    }
+
+    fn sample_at(batch_id: u64, input_nodes: Vec<NodeId>) -> MiniBatchSample {
         MiniBatchSample {
-            batch_id: 0,
+            batch_id,
             seeds: Vec::new(),
             input_nodes,
             blocks: Vec::new(),
@@ -827,7 +945,7 @@ mod tests {
             .map(popularity_class)
             .collect();
         assert_eq!(classes, vec![0, 1, 2, 2, 3, 10, 32]);
-        assert!(popularity_class(u32::MAX) < ANNOUNCED);
+        assert!(popularity_class(u32::MAX) < FARTHEST);
     }
 
     #[test]
@@ -851,8 +969,8 @@ mod tests {
         let fb = manager(2, 10);
         let p0 = cycle(&fb, &[0]);
         let p1 = cycle(&fb, &[1]);
-        let horizon = fb.horizon();
-        let queued = horizon.announce(sample(vec![0, 5]));
+        let horizon = fb.horizon(0..1);
+        let queued = horizon.announce(sample(vec![0, 5]), ());
         fb.check_invariants();
         // Node 0 is the LRU row, but a queued batch needs it.
         let p2 = cycle(&fb, &[2]);
@@ -873,17 +991,74 @@ mod tests {
         fb.check_invariants();
     }
 
+    /// How many queued batches announced `node`.
+    fn queued_uses(fb: &FeatureBufferManager, node: NodeId) -> u32 {
+        let inner = fb.inner.lock();
+        let uses = inner.map[node as usize].uses;
+        uses.count_ones()
+            + (0..NEXT_USE_BUCKETS)
+                .filter_map(|b| inner.more_uses.get(&(node, b)))
+                .sum::<u32>()
+    }
+
+    #[test]
+    fn farther_next_uses_are_stolen_first() {
+        let fb = manager(4, 10);
+        let p: Vec<ExtractPlan> = (0..4).map(|n| cycle(&fb, &[n])).collect();
+        // Plan positions 10..70: rows 0..3 are next used at 60, 10, 40,
+        // and never; 3 goes first (popularity), then the farthest use.
+        let horizon = fb.horizon(10..70);
+        let _uses: Vec<_> = [(60, 0), (10, 1), (40, 2)]
+            .into_iter()
+            .map(|(pos, n)| horizon.announce(sample_at(pos, vec![n]), ()))
+            .collect();
+        fb.check_invariants();
+        let order = cycle(&fb, &[4, 5, 6, 7]).aliases;
+        let want: Vec<u32> = [3, 0, 2, 1].iter().map(|&n| p[n].aliases[0]).collect();
+        assert_eq!(order, want);
+        assert_eq!(fb.stats().announced_steals.load(Ordering::Relaxed), 3);
+        fb.check_invariants();
+    }
+
+    #[test]
+    fn a_withdrawn_use_refiles_the_row_by_its_next_one() {
+        let fb = manager(2, 10);
+        let p0 = cycle(&fb, &[0]);
+        let p1 = cycle(&fb, &[1]);
+        let horizon = fb.horizon(0..30);
+        // Row 0 is needed now and late, row 1 in the middle.
+        let now = horizon.announce(sample_at(0, vec![0]), ());
+        let _late = horizon.announce(sample_at(29, vec![0]), ());
+        let _mid = horizon.announce(sample_at(15, vec![1]), ());
+        assert_eq!(fb.announced_rows(), 2);
+        // Once the batch at 0 is pinned, row 0's next use is the farther.
+        drop(now);
+        fb.check_invariants();
+        assert_eq!(cycle(&fb, &[2]).aliases[0], p0.aliases[0]);
+        assert!(fb.entry(1).2);
+        assert_eq!(fb.entry(1).0, i64::from(p1.aliases[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one horizon at a time")]
+    fn horizons_do_not_nest() {
+        let fb = manager(2, 10);
+        let _a = fb.horizon(0..4);
+        let _b = fb.horizon(0..4);
+    }
+
     #[test]
     fn a_batch_announced_but_never_planned_is_withdrawn_on_drop() {
         let fb = manager(4, 10);
         cycle(&fb, &[1, 2]);
         {
-            let horizon = fb.horizon();
-            let a = horizon.announce(sample(vec![1, 3]));
-            let b = horizon.announce(sample(vec![1]));
-            assert_eq!(fb.inner.lock().map[1].announced, 2);
+            let horizon = fb.horizon(0..1);
+            let a = horizon.announce(sample(vec![1, 3]), ());
+            let b = horizon.announce(sample(vec![1]), ());
+            assert_eq!(queued_uses(&fb, 1), 2);
+            assert_eq!(fb.announced_rows(), 2);
             drop(a);
-            assert_eq!(fb.inner.lock().map[1].announced, 1);
+            assert_eq!(queued_uses(&fb, 1), 1);
             fb.check_invariants();
             // Dropped unextracted, e.g. left in the queue when the trainer
             // stopped early.
@@ -891,8 +1066,10 @@ mod tests {
             fb.check_invariants();
         }
         let inner = fb.inner.lock();
-        assert_eq!(inner.horizons, 0);
-        assert!(inner.map.iter().all(|e| e.announced == 0));
+        assert!(inner.span.is_none());
+        assert!(inner.map.iter().all(|e| e.uses == 0));
+        assert!(inner.more_uses.is_empty());
+        assert_eq!(inner.announced_rows, 0);
         let slot = inner.map[1].slot;
         assert_eq!(inner.standby.class_of(slot), Some(0));
     }
@@ -901,8 +1078,8 @@ mod tests {
     #[should_panic(expected = "announcements outlived every horizon")]
     fn an_announcement_leaked_past_its_horizon_is_caught() {
         let fb = manager(4, 10);
-        let horizon = fb.horizon();
-        std::mem::forget(horizon.announce(sample(vec![1])));
+        let horizon = fb.horizon(0..1);
+        std::mem::forget(horizon.announce(sample(vec![1]), ()));
         drop(horizon);
         fb.check_invariants();
     }

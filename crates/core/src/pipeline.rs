@@ -1,11 +1,13 @@
 //! The GNNDrive pipeline: samplers → extractors → trainer → releaser
 //! (paper §4.1, Fig 4).
 //!
-//! Three bounded queues connect the four stages; since the queues carry
-//! only node-id lists and slot aliases — never feature payloads — they add
-//! no memory pressure. Samplers claim mini-batches from a shared cursor
-//! and may finish out of order; extractors likewise. Mini-batch
-//! *reordering* (§4.3) is therefore the default; setting
+//! Three queues connect the four stages; they carry only samples, node-id
+//! lists and slot aliases, never feature payloads. The train and release
+//! queues are bounded; the extract queue is bounded by the epoch's announce
+//! horizon, whose samples past `extract_queue_cap` are charged to the host
+//! memory governor (DESIGN.md §4 item 10). Samplers claim mini-batches
+//! from a shared cursor and may finish out of order; extractors likewise.
+//! Mini-batch *reordering* (§4.3) is therefore the default; setting
 //! [`GnnDriveConfig::reorder`] to `false` makes the trainer restore
 //! submission order (the ablation).
 
@@ -20,9 +22,13 @@ use crate::system::{evaluate_model, sample_batches, EpochReport, TrainingSystem}
 use gnndrive_device::{DeviceAlloc, FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
-use gnndrive_sampling::{AsyncTopo, BatchPlan, NeighborSampler, TopoReader};
-use gnndrive_storage::{DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache};
-use gnndrive_sync::queue::bounded;
+use gnndrive_sampling::{
+    AsyncTopo, BatchPlan, Block, MiniBatchSample, NeighborSampler, TopoReader,
+};
+use gnndrive_storage::{
+    ChargeKind, DeviceHealth, IoPriority, MemCharge, MemoryGovernor, OomError, PageCache,
+};
+use gnndrive_sync::queue::{bounded, unbounded, Receiver};
 use gnndrive_telemetry::{self as telemetry, catalog, HistSummary, State, ThreadClass};
 use gnndrive_tensor::{Adam, Matrix, Optimizer};
 use std::collections::BTreeMap;
@@ -45,6 +51,9 @@ pub struct EpochStats {
     /// training-completion order — each one carries the conservation
     /// invariant (parts sum to the batch wall within the residual).
     pub batch_attribution: Vec<telemetry::BatchAttribution>,
+    /// The most samples announced but not yet pinned at once: how far the
+    /// samplers ran ahead of the extractors this epoch.
+    pub horizon_peak: usize,
 }
 
 impl EpochStats {
@@ -83,6 +92,51 @@ struct Stamps {
     fault_ns: u64,
     extract_start: u64,
     extracted: u64,
+}
+
+/// What keeps a sampled batch in the epoch's horizon until an extractor
+/// has pinned it: one of the `extract_queue_cap` uncharged places, or a
+/// governor charge for the bytes it holds.
+enum Hold<'a> {
+    /// A place whose token the holder put in this channel; dropping the
+    /// hold takes one back out.
+    Place(&'a Receiver<()>),
+    Charge {
+        _bytes: MemCharge,
+    },
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        if let Hold::Place(places) = self {
+            // The holder's own token is queued, so this cannot come back
+            // empty.
+            let _ = places.try_recv();
+        }
+    }
+}
+
+/// Copy a sample's buffers to exact-size allocations, since it may wait in
+/// the horizon for the rest of the epoch, and return the heap bytes it then
+/// holds: what a sample beyond the uncharged places is charged. A copy, not
+/// `shrink_to_fit`: the copies can fill the holes the sampler's scratch
+/// left, where shrinking in place keeps each sample between them (≈1 MiB
+/// more peak RSS on `host_extract`'s 45-batch horizon).
+fn trim(s: &mut MiniBatchSample) -> u64 {
+    s.seeds = s.seeds.to_vec();
+    s.input_nodes = s.input_nodes.to_vec();
+    for b in &mut s.blocks {
+        b.edge_src = b.edge_src.to_vec();
+        b.edge_dst = b.edge_dst.to_vec();
+    }
+    let words = s.seeds.len()
+        + s.input_nodes.len()
+        + s.blocks
+            .iter()
+            .map(|b| b.edge_src.len() + b.edge_dst.len())
+            .sum::<usize>();
+    (std::mem::size_of::<MiniBatchSample>() + s.blocks.len() * std::mem::size_of::<Block>()) as u64
+        + 4 * words as u64
 }
 
 /// A batch whose extraction failed past recovery. It still reaches the
@@ -125,6 +179,8 @@ pub struct Pipeline {
     opt: Adam,
     fb_home: FeatureBufferHome,
     _host_charges: Vec<MemCharge>,
+    /// The host budget samplers charge for running past the extract queue.
+    governor: Arc<MemoryGovernor>,
     /// Training set override for data-parallel segments (defaults to the
     /// dataset's full training set).
     train_segment: Arc<Vec<NodeId>>,
@@ -295,6 +351,7 @@ impl Pipeline {
             opt: Adam::new(0.003),
             fb_home,
             _host_charges: host_charges,
+            governor,
             train_segment,
             health,
             feature_layout,
@@ -466,24 +523,49 @@ impl Pipeline {
         // from the moment its sampler hands it to the extract queue until
         // an extractor has pinned them (DESIGN.md §4 item 10). Every queued
         // handle borrows it, so none outlives the epoch.
-        let horizon = &ctx.fb.horizon();
+        let horizon = &ctx.fb.horizon(first as u64..end as u64);
+        // Samplers run ahead of the extractors (DESIGN.md §4 item 10): the
+        // first `extract_queue_cap` announced samples each hold a place, a
+        // token in this channel; past those, a sample is announced only
+        // while the governor grants its bytes without reclaiming and the
+        // announced rows stay under twice the buffer's slots. Otherwise the
+        // sampler waits for a place, as at a full queue.
+        let places = &bounded::<()>(self.cfg.extract_queue_cap);
+        let max_announced_rows = 2 * ctx.fb.num_slots();
+        let governor = &self.governor;
+        let admit = &|sample: &mut MiniBatchSample| {
+            if places.0.try_send(()).is_ok() {
+                return Some(Hold::Place(&places.1));
+            }
+            if ctx.fb.announced_rows() < max_announced_rows {
+                if let Some(c) = governor.try_charge(trim(sample), ChargeKind::Anonymous) {
+                    return Some(Hold::Charge { _bytes: c });
+                }
+            }
+            places.0.send(()).ok().map(|()| Hold::Place(&places.1))
+        };
 
-        let (extract_tx, extract_rx) = bounded::<(Announced, Stamps)>(self.cfg.extract_queue_cap);
+        let (extract_tx, extract_rx) = unbounded::<(Announced<Hold>, Stamps)>();
         let (train_tx, train_rx) =
             bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(self.cfg.train_queue_cap);
         let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
 
-        // Live depth gauges for the three bounded queues (𝔒2 diagnostics:
-        // a congested extract stage shows as a full extract queue and an
-        // empty train queue), plus registry histograms of the per-batch
-        // stage latencies, each recorded by the stage that measures it.
+        // Live depth gauges for the three queues (𝔒2 diagnostics: a
+        // congested extract stage shows as a deep extract queue and an
+        // empty train queue), the horizon's batches, rows and stolen rows
+        // (how far the samplers ran ahead, and whether the buffer bounded
+        // them), plus registry histograms of the per-batch stage latencies,
+        // each recorded by the stage that measures it.
         for g in [
             &catalog::PIPELINE_EXTRACT_QUEUE_DEPTH,
             &catalog::PIPELINE_TRAIN_QUEUE_DEPTH,
             &catalog::PIPELINE_RELEASE_QUEUE_DEPTH,
+            &catalog::PIPELINE_HORIZON_BATCHES,
+            &catalog::FEATURE_BUFFER_ANNOUNCED_ROWS,
         ] {
             g.register();
         }
+        catalog::FEATURE_BUFFER_ANNOUNCED_STEALS.register();
         for h in [
             &catalog::PIPELINE_SAMPLE,
             &catalog::PIPELINE_EXTRACT,
@@ -532,7 +614,7 @@ impl Pipeline {
                                 break;
                             }
                             let start = now();
-                            let sample = {
+                            let mut sample = {
                                 let _span = telemetry::span("sample", i as u64);
                                 let _busy = telemetry::state(State::Compute);
                                 sampler.sample(i as u64, plan.batch(i), seed ^ epoch)
@@ -548,9 +630,12 @@ impl Pipeline {
                                 ..Stamps::default()
                             };
                             catalog::PIPELINE_SAMPLE.record(stamps.sampled - start);
+                            let Some(hold) = admit(&mut sample) else {
+                                break;
+                            };
                             // ② enqueue into the extracting queue. A send
                             // that fails drops, and so withdraws, the sample.
-                            if tx.send((horizon.announce(sample), stamps)).is_err() {
+                            if tx.send((horizon.announce(sample, hold), stamps)).is_err() {
                                 break;
                             }
                             catalog::PIPELINE_EXTRACT_QUEUE_DEPTH.set(tx.len() as i64);
@@ -775,6 +860,7 @@ impl Pipeline {
             ],
             attribution,
             batch_attribution: records,
+            horizon_peak: horizon.peak_batches(),
         }
     }
 

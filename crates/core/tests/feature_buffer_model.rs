@@ -1,5 +1,6 @@
 //! Model-based and concurrency tests of the feature-buffer manager.
 
+use gnndrive_core::feature_buffer::Announced;
 use gnndrive_core::{ExtractPlan, FeatureBufferManager, GnnDriveConfig};
 use gnndrive_device::FeatureSlab;
 use gnndrive_graph::{generate_graph, MiniDataset, NodeId};
@@ -7,6 +8,7 @@ use gnndrive_sampling::{BatchPlan, InMemTopo, MiniBatchSample, NeighborSampler};
 use gnndrive_sync::rng::cases;
 use gnndrive_sync::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -151,9 +153,9 @@ fn concurrent_extractors_stress() {
     }
 }
 
-fn sample(input_nodes: Vec<NodeId>) -> MiniBatchSample {
+fn sample(batch_id: u64, input_nodes: Vec<NodeId>) -> MiniBatchSample {
     MiniBatchSample {
-        batch_id: 0,
+        batch_id,
         seeds: Vec::new(),
         input_nodes,
         blocks: Vec::new(),
@@ -161,20 +163,25 @@ fn sample(input_nodes: Vec<NodeId>) -> MiniBatchSample {
 }
 
 /// The naive model of the manager: plain vectors, a standby *set* and a
-/// victim found by a linear scan. Every standby slot carries the time it
-/// entered its current class (a release, an abort, or an announcement
-/// that moved its owner in or out of the top class); the victim is the
-/// minimum over standby slots of (announced, class, that time).
+/// victim found by a linear scan. Every node keeps the plan offsets of
+/// the queued batches that announced it, and every standby slot the time
+/// it entered its current class (a release, an abort, or an announcement
+/// or withdrawal that changed its owner's class); the victim is the
+/// minimum over standby slots of (class, that time), where an announced
+/// owner's class is 33 + 29 − its nearest offset's next-use bucket.
 struct Model {
     class: Vec<u8>,
     slot: Vec<Option<u32>>,
     refs: Vec<u32>,
     valid: Vec<bool>,
     aborted: Vec<bool>,
-    announced: Vec<u32>,
+    uses: Vec<Vec<u64>>,
+    /// The horizon's plan span.
+    span: u64,
     owner: Vec<Option<NodeId>>,
     standby: BTreeMap<u32, u64>,
     clock: u64,
+    announced_steals: u64,
 }
 
 /// What the model predicts `plan_batch` does.
@@ -185,7 +192,7 @@ struct PlanPrediction {
 }
 
 impl Model {
-    fn new(out_degrees: &[u32], slots: usize) -> Model {
+    fn new(out_degrees: &[u32], slots: usize, span: u64) -> Model {
         let n = out_degrees.len();
         Model {
             class: out_degrees
@@ -196,19 +203,27 @@ impl Model {
             refs: vec![0; n],
             valid: vec![false; n],
             aborted: vec![false; n],
-            announced: vec![0; n],
+            uses: vec![Vec::new(); n],
+            span,
             owner: vec![None; slots],
             standby: (0..slots as u32).map(|s| (s, u64::from(s))).collect(),
             clock: slots as u64,
+            announced_steals: 0,
         }
     }
 
-    fn key(&self, slot: u32) -> (bool, u8, u64) {
+    fn node_class(&self, n: NodeId) -> u8 {
+        match self.uses[n as usize].iter().min() {
+            Some(&offset) => 33 + 29 - (offset * 30 / self.span) as u8,
+            None => self.class[n as usize],
+        }
+    }
+
+    fn key(&self, slot: u32) -> (u8, u64) {
         let entered = self.standby[&slot];
         match self.owner[slot as usize] {
-            Some(n) if self.announced[n as usize] > 0 => (true, 0, entered),
-            Some(n) => (false, self.class[n as usize], entered),
-            None => (false, 0, entered),
+            Some(n) => (self.node_class(n), entered),
+            None => (0, entered),
         }
     }
 
@@ -267,6 +282,7 @@ impl Model {
             if let Some(prev) = self.owner[victim as usize] {
                 self.valid[prev as usize] = false;
                 self.slot[prev as usize] = None;
+                self.announced_steals += u64::from(!self.uses[prev as usize].is_empty());
             }
             self.owner[victim as usize] = Some(n);
             self.slot[n as usize] = Some(victim);
@@ -309,12 +325,18 @@ impl Model {
         }
     }
 
-    fn announce(&mut self, nodes: &[NodeId], by: i32) {
+    /// A queued batch at `offset` announces (`add`) or withdraws `nodes`.
+    fn announce(&mut self, nodes: &[NodeId], offset: u64, add: bool) {
         for &n in nodes {
-            let i = n as usize;
-            let was = self.announced[i] > 0;
-            self.announced[i] = self.announced[i].checked_add_signed(by).expect("balanced");
-            if was != (self.announced[i] > 0) {
+            let was = self.node_class(n);
+            let uses = &mut self.uses[n as usize];
+            if add {
+                uses.push(offset);
+            } else {
+                let at = uses.iter().position(|&u| u == offset).expect("announced");
+                uses.swap_remove(at);
+            }
+            if was != self.node_class(n) {
                 self.restamp(n);
             }
         }
@@ -330,9 +352,10 @@ struct Outstanding {
 }
 
 /// Random plan/publish/release/announce/withdraw/abort sequences through
-/// a small buffer with random out-degrees: every slot the manager steals
-/// is the naive model's victim, and the mapping tables agree after every
-/// step.
+/// a small buffer with random out-degrees and a random horizon span (plan
+/// positions sometimes outside it): every slot the manager steals is the
+/// naive model's victim, next-use buckets included, and the mapping
+/// tables agree after every step.
 #[test]
 fn eviction_matches_the_naive_model() {
     const NODES: usize = 24;
@@ -345,8 +368,10 @@ fn eviction_matches_the_naive_model() {
             ..Default::default()
         };
         let fb = FeatureBufferManager::with_out_degrees(slab, &degrees, &cfg);
-        let mut model = Model::new(&degrees, SLOTS);
-        let horizon = fb.horizon();
+        let first = rng.below(8) as u64;
+        let span = 1 + rng.below(80) as u64;
+        let mut model = Model::new(&degrees, SLOTS, span);
+        let horizon = fb.horizon(first..first + span);
         let mut queued = Vec::new();
         let mut outstanding: Vec<Outstanding> = Vec::new();
         for step in 0..200 {
@@ -416,18 +441,24 @@ fn eviction_matches_the_naive_model() {
                         .collect::<BTreeSet<_>>()
                         .into_iter()
                         .collect();
-                    model.announce(&nodes, 1);
-                    queued.push((horizon.announce(sample(nodes.clone())), nodes));
+                    let pos = rng.below((first + span + 4) as usize) as u64;
+                    let offset = pos.saturating_sub(first).min(span - 1);
+                    model.announce(&nodes, offset, true);
+                    queued.push((
+                        horizon.announce(sample(pos, nodes.clone()), ()),
+                        nodes,
+                        offset,
+                    ));
                 }
                 5 if !queued.is_empty() => {
-                    let (a, nodes) = queued.swap_remove(rng.below(queued.len()));
+                    let (a, nodes, offset) = queued.swap_remove(rng.below(queued.len()));
                     // Taken by an extractor, or dropped unextracted.
                     if rng.bool(0.5) {
                         assert_eq!(a.withdraw().input_nodes, nodes);
                     } else {
                         drop(a);
                     }
-                    model.announce(&nodes, -1);
+                    model.announce(&nodes, offset, false);
                 }
                 _ => continue,
             }
@@ -441,68 +472,83 @@ fn eviction_matches_the_naive_model() {
                 );
             }
         }
+        let stolen = fb.stats().announced_steals.load(Ordering::Relaxed);
+        assert_eq!(stolen, model.announced_steals);
         drop(queued);
         drop(horizon);
         fb.check_invariants();
+        assert_eq!(fb.announced_rows(), 0);
     });
 }
 
-/// Rows a single-threaded replay of `samples` loads through `fb`: each
-/// batch stays pinned until `pinned` later batches were planned (the
-/// batches between extraction and release), and the next `ahead` batches
-/// are announced (the extract queue).
-fn replay_loads(
-    fb: &FeatureBufferManager,
-    samples: &[MiniBatchSample],
-    pinned: usize,
-    ahead: usize,
-) -> u64 {
-    let horizon = fb.horizon();
-    let mut queued: VecDeque<_> = samples[..ahead]
-        .iter()
-        .map(|s| horizon.announce(s.clone()))
-        .collect();
-    let mut held = VecDeque::new();
-    for (i, s) in samples.iter().enumerate() {
-        if ahead > 0 {
-            queued
-                .pop_front()
-                .expect("batch i was announced")
-                .withdraw();
-            if let Some(next) = samples.get(i + ahead) {
-                queued.push_back(horizon.announce(next.clone()));
-            }
-        }
-        let mut plan = fb.plan_batch(&s.input_nodes);
-        for &(_, n) in &plan.to_load {
-            fb.publish(n);
-        }
-        fb.wait_ready(&mut plan).expect("nothing aborts");
-        held.push_back(&s.input_nodes);
-        if held.len() > pinned {
-            fb.release(held.pop_front().expect("non-empty"));
-        }
-    }
-    held.into_iter().for_each(|nodes| fb.release(nodes));
-    drop(queued);
-    drop(horizon);
-    fb.check_invariants();
-    fb.stats().loads.load(std::sync::atomic::Ordering::Relaxed)
+/// How far a replay announces ahead of the batch it plans.
+#[derive(Debug, Clone, Copy)]
+enum Ahead {
+    /// The next `n` batches, as `n` places on the extract queue give.
+    Batches(usize),
+    /// The epoch driver's run-ahead under a governor that grants every
+    /// charge: the next `n` batches, then more until the epoch ends or the
+    /// announced rows reach twice the slots.
+    RunAhead(usize),
 }
 
-/// The deterministic count behind the standby classes: the same batch
-/// stream through the same buffer loads strictly fewer rows with
-/// popularity classes than through plain LRU, and fewer again with the
-/// next batches announced. The stream is two 40-batch epochs of a
-/// quarter-scale papers100m-mini (fanouts 4,4,4, batch 32, ≈2 500 rows a
-/// batch) through 12 288 slots, with three batches pinned and six
-/// announced.
-#[test]
-fn classes_and_announcements_load_fewer_rows_than_lru() {
-    const SLOTS: usize = 12_288;
-    const PINNED: usize = 3;
-    const AHEAD: usize = 6;
-    const BATCHES: usize = 40;
+/// Rows a single-threaded replay of `epochs` loads through `fb`: each
+/// epoch opens its own horizon, each batch stays pinned until `pinned`
+/// later batches were planned (the batches between extraction and
+/// release), and every batch still pinned is released at the epoch's end.
+fn replay_loads(
+    fb: &FeatureBufferManager,
+    epochs: &[Vec<MiniBatchSample>],
+    pinned: usize,
+    ahead: Ahead,
+) -> u64 {
+    let (places, run_ahead) = match ahead {
+        Ahead::Batches(n) => (n, false),
+        Ahead::RunAhead(n) => (n, true),
+    };
+    let max_rows = 2 * fb.num_slots();
+    for samples in epochs {
+        let horizon = fb.horizon(0..samples.len() as u64);
+        // Batches `i + 1 .. next` are announced while batch `i` is planned.
+        let mut queued: VecDeque<Announced<()>> = VecDeque::new();
+        let mut next = 0;
+        let mut held = VecDeque::new();
+        for (i, s) in samples.iter().enumerate() {
+            if next > i {
+                queued
+                    .pop_front()
+                    .expect("batch i was announced")
+                    .withdraw();
+            } else {
+                next = i + 1;
+            }
+            while next < samples.len()
+                && (next <= i + places || run_ahead && fb.announced_rows() < max_rows)
+            {
+                queued.push_back(horizon.announce(samples[next].clone(), ()));
+                next += 1;
+            }
+            let mut plan = fb.plan_batch(&s.input_nodes);
+            for &(_, n) in &plan.to_load {
+                fb.publish(n);
+            }
+            fb.wait_ready(&mut plan).expect("nothing aborts");
+            held.push_back(&s.input_nodes);
+            if held.len() > pinned {
+                fb.release(held.pop_front().expect("non-empty"));
+            }
+        }
+        held.into_iter().for_each(|nodes| fb.release(nodes));
+        drop(queued);
+        drop(horizon);
+        fb.check_invariants();
+    }
+    fb.stats().loads.load(Ordering::Relaxed)
+}
+
+/// Two epochs of `batches` mini-batches of a quarter-scale papers100m-mini
+/// (fanouts 4,4,4, batch 32, ≈2 500 rows a batch), and its out-degrees.
+fn quarter_scale_epochs(batches: usize) -> (Vec<Vec<MiniBatchSample>>, Vec<u32>) {
     let spec = MiniDataset::Papers100M.spec_scaled(0.25);
     let g = generate_graph(
         spec.num_nodes,
@@ -516,37 +562,90 @@ fn classes_and_announcements_load_fewer_rows_than_lru() {
         Arc::new(InMemTopo::new(Arc::new(g.topology))),
         vec![4, 4, 4],
     );
-    let train: Vec<NodeId> = (0..spec.num_nodes as NodeId).step_by(10).collect();
-    let samples: Vec<MiniBatchSample> = (0..2)
-        .flat_map(|epoch| {
+    let train: Vec<NodeId> = (0..spec.num_nodes as NodeId).step_by(5).collect();
+    let epochs = (0..2)
+        .map(|epoch| {
             let plan = BatchPlan::new(&train, 32, epoch, 7);
-            (0..BATCHES)
+            assert!(plan.num_batches() >= batches);
+            (0..batches)
                 .map(|i| sampler.sample(i as u64, plan.batch(i), 7 ^ epoch))
-                .collect::<Vec<_>>()
+                .collect()
         })
         .collect();
+    (epochs, degrees)
+}
+
+/// The deterministic count behind the standby classes: the same batch
+/// stream through the same buffer loads strictly fewer rows with
+/// popularity classes than through plain LRU, and fewer again with the
+/// next batches announced. The stream is two 40-batch epochs through
+/// 12 288 slots, with three batches pinned and six announced.
+#[test]
+fn classes_and_announcements_load_fewer_rows_than_lru() {
+    const SLOTS: usize = 12_288;
+    const PINNED: usize = 3;
+    let (epochs, degrees) = quarter_scale_epochs(40);
     let cfg = GnnDriveConfig::default();
     let slab = || Arc::new(FeatureSlab::new(SLOTS, 2));
+    let num_nodes = degrees.len();
     let lru = replay_loads(
-        &FeatureBufferManager::new(slab(), spec.num_nodes, &cfg),
-        &samples,
+        &FeatureBufferManager::new(slab(), num_nodes, &cfg),
+        &epochs,
         PINNED,
-        0,
+        Ahead::Batches(0),
     );
     let classes = replay_loads(
         &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
-        &samples,
+        &epochs,
         PINNED,
-        0,
+        Ahead::Batches(0),
     );
     let both = replay_loads(
         &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
-        &samples,
+        &epochs,
         PINNED,
-        AHEAD,
+        Ahead::Batches(6),
     );
     assert!(
         both < classes && classes < lru,
         "rows loaded: LRU {lru}, classes {classes}, classes + announcements {both}"
     );
+}
+
+/// The exact counts behind the run-ahead horizon: two 40- and two
+/// 160-batch epochs through 16 384 slots (≈6.5 batches, as io_bound's
+/// 32 768 slots hold ≈10.7 of its larger batches), three batches pinned.
+/// Announcing further ahead never loads more rows, up to the run-ahead
+/// horizon, which stops at the epoch's end or at twice the slots in
+/// announced rows. With one flat announced class instead of the next-use
+/// buckets, rows a far batch announced crowd out rows a near one needs as
+/// soon as the horizon outgrows the buffer, and loads climb back past
+/// six ahead.
+#[test]
+fn a_longer_horizon_never_loads_more_rows() {
+    const SLOTS: usize = 16_384;
+    const PINNED: usize = 3;
+    // (epoch length, rows loaded six ahead, rows loaded running ahead)
+    for (batches, six_ahead, run_ahead) in [(40, 46_309, 38_755), (160, 147_299, 106_363)] {
+        let (epochs, degrees) = quarter_scale_epochs(batches);
+        let cfg = GnnDriveConfig::default();
+        let loads: Vec<(Ahead, u64)> = [0, 6, 12, 24, 48]
+            .map(Ahead::Batches)
+            .into_iter()
+            .chain([Ahead::RunAhead(6)])
+            .map(|ahead| {
+                let slab = Arc::new(FeatureSlab::new(SLOTS, 2));
+                let fb = FeatureBufferManager::with_out_degrees(slab, &degrees, &cfg);
+                (ahead, replay_loads(&fb, &epochs, PINNED, ahead))
+            })
+            .collect();
+        for w in loads.windows(2) {
+            assert!(w[1].1 <= w[0].1, "{batches}-batch epochs: {loads:?}");
+        }
+        assert_eq!(
+            (loads[1].1, loads[5].1),
+            (six_ahead, run_ahead),
+            "{loads:?}"
+        );
+    }
 }

@@ -164,6 +164,76 @@ fn in_order_mode_skips_failed_batches_and_keeps_plan_order() {
     assert_eq!((clean.batches, clean.failed_batches), (12, 0));
 }
 
+/// Samplers run past the extract queue's `extract_queue_cap` places only
+/// on governor charges. With no headroom the horizon never holds more than
+/// the places; with headroom it runs further. Either way every charge is
+/// back by the end of an epoch that ends normally, one cut short by
+/// `max_batches`, and one that skips tombstoned batches.
+#[test]
+fn samplers_run_ahead_only_on_charges_and_return_them() {
+    for headroom in [false, true] {
+        // A modeled SSD and one serial extractor: extraction is the slow
+        // stage, so samplers get ahead of it whenever they may.
+        let ds = dataset_on(32, SsdProfile::pm883_repro());
+        let gov = MemoryGovernor::new(64 << 20);
+        let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+        let cfg = GnnDriveConfig {
+            batch_size: 25,
+            num_extractors: 1,
+            sync_extract: true,
+            retry: RetryPolicy::none(),
+            ..config()
+        };
+        let cap = cfg.extract_queue_cap;
+        let mut p = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
+            .with_model(ModelKind::GraphSage, 16)
+            .with_config(cfg)
+            .with_governor(Arc::clone(&gov))
+            .with_page_cache(cache)
+            .build()
+            .unwrap();
+        let _rest = (!headroom).then(|| gov.charge(gov.available()).unwrap());
+        let before = gov.used_anonymous();
+        let mut epoch = |e: u64, max_batches: Option<usize>, faults: bool| {
+            if faults {
+                ds.ssd.set_fault_plan(
+                    FaultPlan::new(0)
+                        .with_read_fault_every(1)
+                        .in_window(10..14)
+                        .on_file(ds.features_file.id),
+                );
+            }
+            let stats = p.train_epoch_range(e, 0, max_batches);
+            ds.ssd.clear_faults();
+            assert_eq!(gov.used_anonymous(), before, "epoch {e}: a charge leaked");
+            assert_eq!(p.feature_buffer().announced_rows(), 0);
+            p.feature_buffer().check_invariants();
+            let r = &stats.report;
+            assert_eq!(
+                r.batches + r.failed_batches,
+                max_batches.unwrap_or(r.full_batches)
+            );
+            (stats.horizon_peak, r.failed_batches)
+        };
+        let (whole, _) = epoch(0, None, false);
+        let (cut, _) = epoch(1, Some(10), false);
+        let (faulty, failed) = epoch(2, None, true);
+        assert_eq!(failed, 2, "the fault window fails two batches");
+        for peak in [whole, cut, faulty] {
+            assert!(peak >= 1);
+            if !headroom {
+                assert!(
+                    peak <= cap,
+                    "no headroom, yet {peak} batches were announced"
+                );
+            }
+        }
+        if headroom {
+            assert!(whole > cap, "with headroom the samplers run ahead: {whole}");
+        }
+    }
+}
+
 #[test]
 fn inter_batch_locality_reuses_nodes_across_epochs() {
     let mut p = build(true, 32, config());

@@ -130,8 +130,12 @@ impl MemoryGovernor {
 
     /// Attempt to reserve `bytes` without triggering reclaim.
     ///
-    /// Returns `false` if the budget would be exceeded. Used by the page
-    /// cache, which shrinks itself instead of pressuring others.
+    /// Returns `None` if the budget would be exceeded. It never reclaims
+    /// and never waits: a refusal leaves every other charge, the page
+    /// cache's included, as it was. Used by the page cache, which shrinks
+    /// itself instead of pressuring others, and by the pipeline's samplers,
+    /// which run ahead of the extract queue only on memory nobody else
+    /// needs (DESIGN.md §4 item 10).
     pub fn try_charge(self: &Arc<Self>, bytes: u64, kind: ChargeKind) -> Option<MemCharge> {
         let counter = self.counter(kind);
         // Acquire/Release pairing: a successful charge publishes the new

@@ -111,6 +111,11 @@ pub static FEATURE_BUFFER_DELAYED_INVALIDATIONS: Counter =
     Counter::new("feature_buffer.delayed_invalidations");
 pub static FEATURE_BUFFER_SLOTS: Gauge = Gauge::new("feature_buffer.slots");
 pub static FEATURE_BUFFER_STANDBY_SLOTS: Gauge = Gauge::new("feature_buffer.standby_slots");
+// The announce horizon inside the buffer: distinct rows queued batches
+// announced, and slots stolen from such rows (the horizon outgrew the buffer).
+pub static FEATURE_BUFFER_ANNOUNCED_ROWS: Gauge = Gauge::new("feature_buffer.announced_rows");
+pub static FEATURE_BUFFER_ANNOUNCED_STEALS: Counter =
+    Counter::new("feature_buffer.announced_steals");
 
 // The GNNDrive pipeline: stage latencies, queue depths, batches and epochs.
 pub static PIPELINE_SAMPLE: HistogramHandle = HistogramHandle::new("pipeline.sample");
@@ -120,6 +125,8 @@ pub static PIPELINE_RELEASE: HistogramHandle = HistogramHandle::new("pipeline.re
 pub static PIPELINE_EXTRACT_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.extract_queue.depth");
 pub static PIPELINE_TRAIN_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.train_queue.depth");
 pub static PIPELINE_RELEASE_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.release_queue.depth");
+// Samples announced but not yet pinned: how far the samplers ran ahead.
+pub static PIPELINE_HORIZON_BATCHES: Gauge = Gauge::new("pipeline.horizon_batches");
 pub static PIPELINE_BATCHES_TRAINED: Counter = Counter::new("pipeline.batches_trained");
 pub static PIPELINE_BATCHES_SKIPPED: Counter = Counter::new("pipeline.batches_skipped");
 pub static PIPELINE_EPOCHS: Counter = Counter::new("pipeline.epochs");
