@@ -28,10 +28,10 @@ use gnndrive_nn::{build_model, GnnModel, ModelKind};
 use gnndrive_sampling::{
     BatchPlan, MiniBatchSample, MmapTopo, NeighborCacheTopo, NeighborSampler, TopoReader,
 };
-use gnndrive_storage::{MemCharge, MemoryGovernor, OomError, PageCache, SECTOR_SIZE};
+use gnndrive_storage::{MemCharge, MemoryGovernor, NextUse, OomError, PageCache, SECTOR_SIZE};
 use gnndrive_telemetry::{self as telemetry, State, ThreadClass};
 use gnndrive_tensor::{Adam, Matrix, Optimizer};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,13 +77,6 @@ struct Changeset {
     /// Nodes of this batch that do not fit the cache at all (working set
     /// larger than capacity): loaded transiently, never cached.
     transient: Vec<NodeId>,
-}
-
-/// The Belady planner's working state: cached nodes keyed by next use,
-/// plus the lazy-deletion max-heap ordering evictions farthest-first.
-struct BeladyState {
-    cached: HashMap<NodeId, usize>,
-    heap: BinaryHeap<(usize, NodeId)>,
 }
 
 /// See module docs.
@@ -147,103 +140,27 @@ impl Ginex {
     /// the Belady (farthest next use) schedule starting from the current
     /// cache contents.
     fn inspect(&self, samples: &[MiniBatchSample]) -> Vec<Changeset> {
-        // Occurrence lists per node, in batch order.
-        let mut occurrences: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (b, s) in samples.iter().enumerate() {
-            for &n in &s.input_nodes {
-                occurrences.entry(n).or_default().push(b);
-            }
-        }
-        let next_use_after = |node: NodeId, b: usize| -> usize {
-            occurrences
-                .get(&node)
-                .and_then(|v| v.iter().find(|&&x| x > b))
-                .copied()
-                .unwrap_or(usize::MAX)
-        };
-
-        let mut cached: HashMap<NodeId, usize> = self
-            .feature_cache
-            .keys()
-            .map(|&n| (n, next_use_after(n, usize::MAX - 1)))
-            .collect();
-        // Seed the pre-existing contents with their first use in this
-        // superbatch (or never).
-        for (n, nu) in cached.iter_mut() {
-            *nu = occurrences
-                .get(n)
-                .and_then(|v| v.first())
-                .copied()
-                .unwrap_or(usize::MAX);
-        }
-        // Max-heap on next use (lazy deletion).
-        let heap: BinaryHeap<(usize, NodeId)> = cached.iter().map(|(&n, &nu)| (nu, n)).collect();
-        let mut belady = BeladyState { cached, heap };
-
-        let mut changesets = Vec::with_capacity(samples.len());
-        for (b, s) in samples.iter().enumerate() {
-            let mut cs = Changeset::default();
-            // Unique nodes of the batch (input_nodes is already deduped).
-            let batch_set: Vec<NodeId> = s.input_nodes.clone();
-            if batch_set.len() > self.feature_cache_slots {
-                // Working set exceeds the whole cache: cache what fits,
-                // stream the rest transiently.
-                let (fit, overflow) = batch_set.split_at(self.feature_cache_slots);
-                cs.transient = overflow.to_vec();
-                self.admit_all(fit, b, &mut belady, &mut cs, &next_use_after);
-            } else {
-                self.admit_all(&batch_set, b, &mut belady, &mut cs, &next_use_after);
-            }
-            changesets.push(cs);
-        }
-        changesets
-    }
-
-    fn admit_all(
-        &self,
-        nodes: &[NodeId],
-        b: usize,
-        belady: &mut BeladyState,
-        cs: &mut Changeset,
-        next_use_after: &dyn Fn(NodeId, usize) -> usize,
-    ) {
-        let BeladyState { cached, heap } = belady;
-        // Refresh next-use of hits, admit misses.
-        for &n in nodes {
-            let nu = next_use_after(n, b);
-            if let Some(slot) = cached.get_mut(&n) {
-                *slot = nu;
-                heap.push((nu, n));
-            } else {
-                cs.load.push(n);
-                cached.insert(n, nu);
-                heap.push((nu, n));
-            }
-        }
-        // Evict down to capacity, farthest-next-use first. The current
-        // batch's own nodes are in use *now* and may not be evicted; they
-        // are set aside and re-pushed with their true keys afterwards.
-        let current: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-        let mut protected = Vec::new();
-        while cached.len() > self.feature_cache_slots {
-            match heap.pop() {
-                Some((nu, n)) => {
-                    if cached.get(&n) != Some(&nu) {
-                        continue; // stale heap entry
-                    }
-                    if current.contains(&n) {
-                        protected.push((nu, n));
-                        continue;
-                    }
-                    cached.remove(&n);
-                    cs.evict.push(n);
-                }
-                None => break,
-            }
-        }
-        for e in protected {
-            heap.push(e);
-        }
+        let mut belady = NextUse::new(
+            samples.iter().map(|s| &s.input_nodes[..]),
+            self.feature_cache_slots,
+        )
+        .with_resident(self.feature_cache.keys().copied());
+        samples
+            .iter()
+            .enumerate()
+            .map(|(b, s)| {
+                // A working set wider than the whole cache caches what
+                // fits and streams the rest transiently.
+                let fit = s.input_nodes.len().min(self.feature_cache_slots);
+                let (fit, overflow) = s.input_nodes.split_at(fit);
+                let mut cs = Changeset {
+                    transient: overflow.to_vec(),
+                    ..Changeset::default()
+                };
+                belady.access(b, fit, &mut cs.load, &mut cs.evict);
+                cs
+            })
+            .collect()
     }
 
     /// Spill a superbatch's sampled node lists to SSD and return the
@@ -611,6 +528,57 @@ mod tests {
         .err()
         .expect("must OOM");
         assert!(err.requested > 0);
+    }
+
+    /// Ginex's changesets on a pinned 8-batch superbatch, once from a cold
+    /// cache and once from the cache an 8-batch epoch prefix left behind,
+    /// hashed list by list. The batches outgrow the cache, so `transient`
+    /// is exercised too. Table 2 and Fig 8 move only if these do.
+    #[test]
+    fn inspect_changesets_are_pinned() {
+        let (ds, gov, cache) = setup();
+        let cfg = GinexConfig {
+            superbatch_size: 8,
+            batch_size: 30,
+            feature_cache_bytes: 20 * 1024,
+            ..config()
+        };
+        let mut sys = Ginex::new(
+            ds,
+            ModelKind::GraphSage,
+            8,
+            cfg,
+            GpuDevice::rtx3090(),
+            gov,
+            cache,
+        )
+        .unwrap();
+        let changesets = |sys: &Ginex, epoch: u64| {
+            let plan = BatchPlan::new(&sys.ds.train_idx, sys.cfg.batch_size, epoch, sys.cfg.seed);
+            let samples = sys.sample_superbatch(&plan, 0..8, epoch);
+            let mut bytes = Vec::new();
+            let mut lens = [0usize; 3];
+            for cs in sys.inspect(&samples) {
+                for (i, list) in [&cs.load, &cs.evict, &cs.transient].into_iter().enumerate() {
+                    lens[i] += list.len();
+                    bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
+                    for n in list {
+                        bytes.extend_from_slice(&n.to_le_bytes());
+                    }
+                }
+            }
+            (gnndrive_storage::crc32(&bytes), lens)
+        };
+        let cold = changesets(&sys, 0);
+        sys.train_epoch(0, Some(8));
+        let warm = changesets(&sys, 1);
+        assert_eq!(
+            (cold, warm),
+            (
+                (264_871_639, [1653, 1333, 501]),
+                (92_399_038, [1616, 1616, 456])
+            )
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!                [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //! gnndrive systems          # list available systems
 //! gnndrive repro <experiment|all|list>
-//! gnndrive cache-sweep [--out DIR] [--check] [--baseline DIR] [--epsilon X]
+//! gnndrive replay [--out DIR] [--check] [--baseline DIR]
 //! gnndrive crashsim [--out DIR] [--seed N] [--check]
 //! gnndrive serving-mixed [--chaos] [--check]
 //! ```
@@ -29,20 +29,18 @@
 //! this takes tens of minutes on a small container; set
 //! `REPRO_MAX_BATCHES=6` and `REPRO_SCALE=0.25` for a faster pass.
 //!
-//! `cache-sweep` runs the pinned Belady-vs-LRU page-cache sweep, prints
-//! the Fig-9-style hit-rate table, and writes `BENCH_cache_sweep.json`
-//! plus the `TRACE_cache_sweep.bin` access-trace artifact under `--out`
-//! (default `results/reports`). With `--check` it fails if:
+//! `replay` runs the deterministic I/O replay (`gnndrive_bench::replay`):
+//! the `io_bound` and `mem_tight` points through the real sampler, feature
+//! buffer (LRU, popularity classes, classes + run-ahead horizon) and read
+//! planner, plus Belady's OPT. It prints the per-batch counts and writes
+//! `BENCH_replay.json` under `--out` (default `results/reports`). With
+//! `--check` it fails if:
 //!
-//! * Belady's hit rate falls below LRU's at any budget (validation — the
-//!   trace-driven policy losing to LRU means the policy is broken);
-//! * any policy's hit rate drops more than `--epsilon` (default 0.001)
-//!   below the committed baseline (`--baseline`, default
-//!   `results/baselines`) — the sweep is deterministic, so any real drop
-//!   is a regression, not noise;
-//! * Belady's replay at the tightest budget is slower than LRU's by more
-//!   than 25% (at that budget the replay is miss-dominated, so fewer
-//!   misses must not cost wall time).
+//! * OPT loads more rows than an online variant, or rows loaded break the
+//!   order classes + horizon ≤ classes ≤ LRU;
+//! * any count is worse than in the committed baseline (`--baseline`,
+//!   default `results/baselines`) — the replay is deterministic, so any
+//!   change for the worse is a regression, not noise.
 //!
 //! `crashsim` enumerates crash schedules over a checkpointed training run
 //! and proves power-cut recovery: the recording pass (uninterrupted,
@@ -64,12 +62,11 @@
 //! the co-located tier cost. `--chaos` storms the device to trip the
 //! breaker; `--check` fails on any violation.
 
-use gnndrive_bench::cache_sweep::{
-    compare_cache_sweep, hit_rate_rows, run_sweep, sweep_path, trace_artifact_path,
-    validate_cache_sweep, SWEEP_POLICIES,
-};
 use gnndrive_bench::crashsim::{
     crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep,
+};
+use gnndrive_bench::replay::{
+    check_replay, replay_rows, run_replay, POINTS, REPLAY_FILE, REPLAY_HEADER,
 };
 use gnndrive_bench::{
     build_gnndrive_pipeline, build_system, collect_report, dataset_by_name, dataset_for, env_knobs,
@@ -92,7 +89,7 @@ const USAGE: &str = "usage:\n  \
     [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n  \
     gnndrive systems\n  \
     gnndrive repro <experiment|all|list>\n  \
-    gnndrive cache-sweep [--out DIR] [--check] [--baseline DIR] [--epsilon X]\n  \
+    gnndrive replay [--out DIR] [--check] [--baseline DIR]\n  \
     gnndrive crashsim [--out DIR] [--seed N] [--check]\n  \
     gnndrive serving-mixed [--chaos] [--check]";
 
@@ -141,11 +138,7 @@ fn run(args: &[String]) -> Result<(), UsageError> {
             Ok(())
         }
         "repro" => cmd_repro(rest),
-        "cache-sweep" => cmd_cache_sweep(&Flags::parse(
-            rest,
-            &["out", "baseline", "epsilon"],
-            &["check"],
-        )?),
+        "replay" => cmd_replay(&Flags::parse(rest, &["out", "baseline"], &["check"])?),
         "crashsim" => cmd_crashsim(&Flags::parse(rest, &["out", "seed"], &["check"])?),
         "serving-mixed" => cmd_serving_mixed(&Flags::parse(rest, &[], &["chaos", "check"])?),
         other => Err(UsageError(format!("unknown command {other}"))),
@@ -521,79 +514,38 @@ fn repro_all() {
     }
 }
 
-/// Belady-vs-LRU epoch seconds at the tightest (first) budget.
-fn tightest_epoch_secs(doc: &Json) -> Option<(f64, f64)> {
-    let point = doc.get("budgets")?.as_array()?.first()?;
-    let policies = point.get("policies")?;
-    let secs = |name: &str| policies.get(name)?.get("epoch_secs")?.as_f64();
-    Some((secs("lru")?, secs("belady")?))
-}
-
-fn cmd_cache_sweep(flags: &Flags) -> Result<(), UsageError> {
-    const CMD: &str = "cache-sweep";
+fn cmd_replay(flags: &Flags) -> Result<(), UsageError> {
+    const CMD: &str = "replay";
     let out_dir = PathBuf::from(flags.get("out").unwrap_or("results/reports"));
     let baseline_dir = PathBuf::from(flags.get("baseline").unwrap_or("results/baselines"));
-    let epsilon = flags.parsed("epsilon")?.unwrap_or(0.001f64);
 
-    let outcome = run_sweep().unwrap_or_else(|e| fail(CMD, &e));
-    if let Err(e) = validate_cache_sweep(&outcome.doc) {
-        fail(CMD, &format!("sweep produced an invalid artifact: {e}"));
-    }
-
-    let mut header: Vec<&str> = SWEEP_POLICIES.to_vec();
-    header.push("belady-lru");
-    match hit_rate_rows(&outcome.doc) {
-        Ok(rows) => print_table("cache_sweep hit rates by budget", &header, &rows),
+    let doc = run_replay(1.0, &POINTS).unwrap_or_else(|e| fail(CMD, &e));
+    match replay_rows(&doc) {
+        Ok(rows) => print_table("replay, per measured batch", &REPLAY_HEADER, &rows),
         Err(e) => fail(CMD, &e),
     }
-
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         fail(CMD, &format!("create {}: {e}", out_dir.display()));
     }
-    let bench = sweep_path(&out_dir);
-    if let Err(e) = std::fs::write(&bench, outcome.doc.to_json_string() + "\n") {
-        fail(CMD, &format!("write {}: {e}", bench.display()));
+    let path = out_dir.join(REPLAY_FILE);
+    if let Err(e) = std::fs::write(&path, doc.to_json_string() + "\n") {
+        fail(CMD, &format!("write {}: {e}", path.display()));
     }
-    println!("artifact: {}", bench.display());
-    let trace = trace_artifact_path(&out_dir);
-    if let Err(e) = outcome.trace.save(&trace) {
-        fail(CMD, &format!("write {}: {e}", trace.display()));
-    }
-    println!(
-        "trace: {} ({} accesses)",
-        trace.display(),
-        outcome.trace.len()
-    );
+    println!("artifact: {}", path.display());
 
     if !flags.has("check") {
         return Ok(());
     }
-
-    // Gate 1: Belady must not cost wall time where misses dominate.
-    if let Some((lru_secs, belady_secs)) = tightest_epoch_secs(&outcome.doc) {
-        if belady_secs > lru_secs * 1.25 {
-            fail(
-                CMD,
-                &format!(
-                    "belady replay at tightest budget took {belady_secs:.3}s vs lru {lru_secs:.3}s"
-                ),
-            );
-        }
-    }
-
-    // Gate 2: no hit-rate drop against the committed baseline.
-    let baseline_path = sweep_path(&baseline_dir);
+    let baseline_path = baseline_dir.join(REPLAY_FILE);
     let text = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| fail(CMD, &format!("baseline {}: {e}", baseline_path.display())));
     let baseline = Json::parse(&text)
         .unwrap_or_else(|e| fail(CMD, &format!("baseline {}: {e}", baseline_path.display())));
-    match compare_cache_sweep(&baseline, &outcome.doc, epsilon) {
-        Ok(regs) if regs.is_empty() => {
-            println!("check: no hit-rate regressions beyond {epsilon}");
-        }
-        Ok(regs) => {
-            for r in &regs {
-                eprintln!("{CMD}: {r}");
+    match check_replay(&baseline, &doc) {
+        Ok(lines) if lines.is_empty() => println!("check: no count is worse than the baseline"),
+        Ok(lines) => {
+            for l in &lines {
+                eprintln!("{CMD}: {l}");
             }
             std::process::exit(1);
         }

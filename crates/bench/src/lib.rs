@@ -2,8 +2,8 @@
 //!
 //! One front end, the `gnndrive` binary in `src/bin/`, runs everything
 //! here: the paper's tables and figures ([`repro`], `gnndrive repro
-//! <name>`), the cache-policy sweep, the crash-schedule sweep and the
-//! mixed serving scenario. This library provides what they share: a
+//! <name>`), the I/O replay ([`replay`]), the crash-schedule sweep and
+//! the mixed serving scenario. This library provides what they share: a
 //! [`Scenario`] describing one experimental point (dataset, model,
 //! dimension, memory budget, batch size, device), uniform constructors for
 //! all five systems under test, one name lookup each for systems, datasets
@@ -25,9 +25,9 @@
 //!   `results/reports`; see [`artifacts`])
 
 pub mod artifacts;
-pub mod cache_sweep;
 pub mod cli;
 pub mod crashsim;
+pub mod replay;
 pub mod report;
 pub mod repro;
 pub mod scenario;
@@ -36,16 +36,12 @@ pub mod serving;
 pub use artifacts::{
     collect_report, report_dir, scenario_desc, slug, write_report, PIPELINE_STAGES,
 };
-pub use cache_sweep::{
-    compare_cache_sweep, hit_rate_rows, run_sweep, sweep_path, trace_artifact_path,
-    validate_cache_sweep, SweepOutcome, CACHE_SWEEP_SCHEMA_VERSION, SWEEP_BUDGET_FRACTIONS,
-    SWEEP_POLICIES,
-};
 pub use cli::{Flags, UsageError};
 pub use crashsim::{
     crash_sweep_path, run_crash_sweep, sweep_doc, validate_crash_sweep, CrashSweepOutcome,
     ScheduleOutcome, CRASH_SWEEP_SCHEMA_VERSION,
 };
+pub use replay::{check_replay, replay_rows, run_replay, REPLAY_FILE};
 pub use report::{print_series, print_table, Row};
 pub use scenario::{
     build_gnndrive_pipeline, build_system, dataset_by_name, dataset_for, env_knobs,

@@ -144,8 +144,8 @@ fn bad_command_lines_exit_2() {
         &["repro", "fig99"][..],
         &["repro"][..],
         &["repro", "table1", "--check"][..],
-        &["cache-sweep", "--epsilon"][..],
-        &["cache-sweep", "--epsilon", "x"][..],
+        &["replay", "--out"][..],
+        &["replay", "--epsilon", "0.1"][..],
         &["crashsim", "--bogus"][..],
         &["serving-mixed", "--slo", "1"][..],
         &["train", "--model", "mlp"][..],

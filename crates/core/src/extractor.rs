@@ -160,10 +160,68 @@ pub struct ExtractedBatch {
 /// rows of one or more nodes and any gaps bridged between them. Each entry
 /// is the on-disk row index, the node it belongs to (distinct once a packed
 /// layout remaps rows) and the feature-buffer slot the plan pinned for it.
-struct ReadGroup {
-    window_start: u64,
-    window_len: usize,
-    rows: Vec<(u64, NodeId, u32)>,
+pub struct ReadGroup {
+    pub window_start: u64,
+    pub window_len: usize,
+    pub rows: Vec<(u64, NodeId, u32)>,
+}
+
+/// How extraction reads one feature table: the row width, the access
+/// granularity, the per-request cap, the file's end and the device's op
+/// cost. [`ReadGeometry::plan`] is the one read planner: `load` calls it
+/// for every batch, and offline replays call it for their op counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadGeometry {
+    pub row_bytes: u64,
+    /// 4 KiB under GPUDirect Storage (its hard requirement, §4.4), one
+    /// sector under plain direct I/O, byte-exact (1) when buffered.
+    pub align: u64,
+    pub max_bytes: usize,
+    pub file_len: u64,
+    /// The device's [`SsdProfile::op_cost_bytes`](gnndrive_storage::SsdProfile::op_cost_bytes).
+    pub op_cost_bytes: u64,
+}
+
+impl ReadGeometry {
+    /// The geometry of `feat_dim`-wide `f32` rows in a `file_len`-byte
+    /// table, read with at most `max_joint_read_bytes` a request (raised
+    /// to one row and one alignment unit).
+    pub fn new(
+        feat_dim: usize,
+        file_len: u64,
+        op_cost_bytes: u64,
+        max_joint_read_bytes: usize,
+        direct_io: bool,
+        gpu_direct: bool,
+    ) -> Self {
+        let row_bytes = (feat_dim * 4) as u64;
+        let align = match (gpu_direct, direct_io) {
+            (true, _) => 4096,
+            (false, true) => SECTOR_SIZE,
+            (false, false) => 1,
+        };
+        ReadGeometry {
+            row_bytes,
+            align,
+            max_bytes: max_joint_read_bytes
+                .max(row_bytes as usize)
+                .max(align as usize),
+            file_len,
+            op_cost_bytes,
+        }
+    }
+
+    /// The read windows for `rows`, as `plan_read_groups` plans them.
+    pub fn plan(&self, rows: &[(u64, NodeId, u32)]) -> Vec<ReadGroup> {
+        plan_read_groups(
+            rows,
+            self.row_bytes,
+            self.align,
+            self.max_bytes,
+            self.file_len,
+            self.op_cost_bytes,
+        )
+    }
 }
 
 /// Plan the read windows for `rows` (`(row index, node, slot)`, sorted by
@@ -526,27 +584,16 @@ fn load(
         })
         .collect();
     to_load.sort_unstable();
-    let row_bytes = (ctx.feat_dim * 4) as u64;
-    // Access granularity: 4 KiB under GPUDirect Storage (its hard
-    // requirement, §4.4), one sector under plain direct I/O, byte-exact
-    // when buffered.
-    let align = if ctx.gpu_direct {
-        4096
-    } else if ctx.direct_io {
-        SECTOR_SIZE
-    } else {
-        1
-    };
-    let groups = plan_read_groups(
-        &to_load,
-        row_bytes,
-        align,
-        ctx.max_joint_read_bytes
-            .max(row_bytes as usize)
-            .max(align as usize),
+    let geometry = ReadGeometry::new(
+        ctx.feat_dim,
         ctx.features_file.len,
         ctx.ssd.profile().op_cost_bytes(),
+        ctx.max_joint_read_bytes,
+        ctx.direct_io,
+        ctx.gpu_direct,
     );
+    let row_bytes = geometry.row_bytes;
+    let groups = geometry.plan(&to_load);
 
     let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
     let mut loads = Loads {

@@ -75,7 +75,7 @@ pub use builder::PipelineBuilder;
 pub use checkpoint::{CheckpointError, TrainCheckpoint};
 pub use config::{GnnDriveConfig, StackConfig};
 pub use error::Error;
-pub use extractor::{extract_batch, ExtractError, ExtractedBatch};
+pub use extractor::{extract_batch, ExtractError, ExtractedBatch, ReadGeometry, ReadGroup};
 pub use feature_buffer::{ExtractPlan, FeatureBufferManager};
 pub use parallel::{run_data_parallel, ParallelConfig, ParallelReport, SegmentError};
 pub use pipeline::{BuildError, EpochStats, InferenceOutcome, Pipeline};

@@ -368,6 +368,12 @@ impl Pipeline {
         &self.fb
     }
 
+    /// The topology reader training samples through: an [`AsyncTopo`] on
+    /// the bulk lane over the pipeline's page cache.
+    pub fn topology(&self) -> &Arc<dyn TopoReader> {
+        &self.topo
+    }
+
     /// Bytes reserved for the feature buffer — against device memory in
     /// GPU mode, against the host governor in CPU mode.
     pub fn feature_buffer_bytes(&self) -> u64 {

@@ -1,13 +1,12 @@
 //! Model-based and concurrency tests of the feature-buffer manager.
 
-use gnndrive_core::feature_buffer::Announced;
 use gnndrive_core::{ExtractPlan, FeatureBufferManager, GnnDriveConfig};
 use gnndrive_device::FeatureSlab;
-use gnndrive_graph::{generate_graph, MiniDataset, NodeId};
-use gnndrive_sampling::{BatchPlan, InMemTopo, MiniBatchSample, NeighborSampler};
+use gnndrive_graph::NodeId;
+use gnndrive_sampling::MiniBatchSample;
 use gnndrive_sync::rng::cases;
 use gnndrive_sync::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -479,173 +478,4 @@ fn eviction_matches_the_naive_model() {
         fb.check_invariants();
         assert_eq!(fb.announced_rows(), 0);
     });
-}
-
-/// How far a replay announces ahead of the batch it plans.
-#[derive(Debug, Clone, Copy)]
-enum Ahead {
-    /// The next `n` batches, as `n` places on the extract queue give.
-    Batches(usize),
-    /// The epoch driver's run-ahead under a governor that grants every
-    /// charge: the next `n` batches, then more until the epoch ends or the
-    /// announced rows reach twice the slots.
-    RunAhead(usize),
-}
-
-/// Rows a single-threaded replay of `epochs` loads through `fb`: each
-/// epoch opens its own horizon, each batch stays pinned until `pinned`
-/// later batches were planned (the batches between extraction and
-/// release), and every batch still pinned is released at the epoch's end.
-fn replay_loads(
-    fb: &FeatureBufferManager,
-    epochs: &[Vec<MiniBatchSample>],
-    pinned: usize,
-    ahead: Ahead,
-) -> u64 {
-    let (places, run_ahead) = match ahead {
-        Ahead::Batches(n) => (n, false),
-        Ahead::RunAhead(n) => (n, true),
-    };
-    let max_rows = 2 * fb.num_slots();
-    for samples in epochs {
-        let horizon = fb.horizon(0..samples.len() as u64);
-        // Batches `i + 1 .. next` are announced while batch `i` is planned.
-        let mut queued: VecDeque<Announced<()>> = VecDeque::new();
-        let mut next = 0;
-        let mut held = VecDeque::new();
-        for (i, s) in samples.iter().enumerate() {
-            if next > i {
-                queued
-                    .pop_front()
-                    .expect("batch i was announced")
-                    .withdraw();
-            } else {
-                next = i + 1;
-            }
-            while next < samples.len()
-                && (next <= i + places || run_ahead && fb.announced_rows() < max_rows)
-            {
-                queued.push_back(horizon.announce(samples[next].clone(), ()));
-                next += 1;
-            }
-            let mut plan = fb.plan_batch(&s.input_nodes);
-            for &(_, n) in &plan.to_load {
-                fb.publish(n);
-            }
-            fb.wait_ready(&mut plan).expect("nothing aborts");
-            held.push_back(&s.input_nodes);
-            if held.len() > pinned {
-                fb.release(held.pop_front().expect("non-empty"));
-            }
-        }
-        held.into_iter().for_each(|nodes| fb.release(nodes));
-        drop(queued);
-        drop(horizon);
-        fb.check_invariants();
-    }
-    fb.stats().loads.load(Ordering::Relaxed)
-}
-
-/// Two epochs of `batches` mini-batches of a quarter-scale papers100m-mini
-/// (fanouts 4,4,4, batch 32, ≈2 500 rows a batch), and its out-degrees.
-fn quarter_scale_epochs(batches: usize) -> (Vec<Vec<MiniBatchSample>>, Vec<u32>) {
-    let spec = MiniDataset::Papers100M.spec_scaled(0.25);
-    let g = generate_graph(
-        spec.num_nodes,
-        spec.num_edges,
-        spec.num_classes,
-        spec.intra_prob,
-        spec.seed,
-    );
-    let degrees = g.topology.out_degrees();
-    let sampler = NeighborSampler::new(
-        Arc::new(InMemTopo::new(Arc::new(g.topology))),
-        vec![4, 4, 4],
-    );
-    let train: Vec<NodeId> = (0..spec.num_nodes as NodeId).step_by(5).collect();
-    let epochs = (0..2)
-        .map(|epoch| {
-            let plan = BatchPlan::new(&train, 32, epoch, 7);
-            assert!(plan.num_batches() >= batches);
-            (0..batches)
-                .map(|i| sampler.sample(i as u64, plan.batch(i), 7 ^ epoch))
-                .collect()
-        })
-        .collect();
-    (epochs, degrees)
-}
-
-/// The deterministic count behind the standby classes: the same batch
-/// stream through the same buffer loads strictly fewer rows with
-/// popularity classes than through plain LRU, and fewer again with the
-/// next batches announced. The stream is two 40-batch epochs through
-/// 12 288 slots, with three batches pinned and six announced.
-#[test]
-fn classes_and_announcements_load_fewer_rows_than_lru() {
-    const SLOTS: usize = 12_288;
-    const PINNED: usize = 3;
-    let (epochs, degrees) = quarter_scale_epochs(40);
-    let cfg = GnnDriveConfig::default();
-    let slab = || Arc::new(FeatureSlab::new(SLOTS, 2));
-    let num_nodes = degrees.len();
-    let lru = replay_loads(
-        &FeatureBufferManager::new(slab(), num_nodes, &cfg),
-        &epochs,
-        PINNED,
-        Ahead::Batches(0),
-    );
-    let classes = replay_loads(
-        &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
-        &epochs,
-        PINNED,
-        Ahead::Batches(0),
-    );
-    let both = replay_loads(
-        &FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg),
-        &epochs,
-        PINNED,
-        Ahead::Batches(6),
-    );
-    assert!(
-        both < classes && classes < lru,
-        "rows loaded: LRU {lru}, classes {classes}, classes + announcements {both}"
-    );
-}
-
-/// The exact counts behind the run-ahead horizon: two 40- and two
-/// 160-batch epochs through 16 384 slots (≈6.5 batches, as io_bound's
-/// 32 768 slots hold ≈10.7 of its larger batches), three batches pinned.
-/// Announcing further ahead never loads more rows, up to the run-ahead
-/// horizon, which stops at the epoch's end or at twice the slots in
-/// announced rows. With one flat announced class instead of the next-use
-/// buckets, rows a far batch announced crowd out rows a near one needs as
-/// soon as the horizon outgrows the buffer, and loads climb back past
-/// six ahead.
-#[test]
-fn a_longer_horizon_never_loads_more_rows() {
-    const SLOTS: usize = 16_384;
-    const PINNED: usize = 3;
-    // (epoch length, rows loaded six ahead, rows loaded running ahead)
-    for (batches, six_ahead, run_ahead) in [(40, 46_309, 38_755), (160, 147_299, 106_363)] {
-        let (epochs, degrees) = quarter_scale_epochs(batches);
-        let cfg = GnnDriveConfig::default();
-        let loads: Vec<(Ahead, u64)> = [0, 6, 12, 24, 48]
-            .map(Ahead::Batches)
-            .into_iter()
-            .chain([Ahead::RunAhead(6)])
-            .map(|ahead| {
-                let slab = Arc::new(FeatureSlab::new(SLOTS, 2));
-                let fb = FeatureBufferManager::with_out_degrees(slab, &degrees, &cfg);
-                (ahead, replay_loads(&fb, &epochs, PINNED, ahead))
-            })
-            .collect();
-        for w in loads.windows(2) {
-            assert!(w[1].1 <= w[0].1, "{batches}-batch epochs: {loads:?}");
-        }
-        assert_eq!(
-            (loads[1].1, loads[5].1),
-            (six_ahead, run_ahead),
-            "{loads:?}"
-        );
-    }
 }

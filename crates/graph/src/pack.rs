@@ -64,8 +64,9 @@ impl FeatureLayout {
 /// id asc)` into a new file on the same SSD, returning its layout.
 ///
 /// `freq[v]` and `first_seen[v]` come from an offline pre-sampling pass
-/// (`gnndrive-sampling`'s `presample_epoch`); nodes the epoch never
-/// touches sort last in id order, keeping the permutation total.
+/// (how often, and from which batch on, one epoch's samples touch `v`);
+/// nodes the epoch never touches sort last in id order, keeping the
+/// permutation total.
 ///
 /// The rewrite is restart-safe by construction: it builds a *new* file
 /// and only hands out its handle on success, so a crash mid-pack (each

@@ -25,11 +25,9 @@
 pub mod batches;
 pub mod block;
 pub mod neighbor;
-pub mod presample;
 pub mod topo;
 
 pub use batches::BatchPlan;
 pub use block::{Block, MiniBatchSample};
 pub use neighbor::{NeighborSampler, SamplingPolicy};
-pub use presample::{presample_epoch, PresampleResult};
 pub use topo::{AsyncTopo, InMemTopo, MmapTopo, NeighborCacheTopo, TopoReader};

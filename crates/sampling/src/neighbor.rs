@@ -34,10 +34,10 @@ pub struct NeighborSampler {
 
 impl NeighborSampler {
     pub fn new(topo: Arc<dyn TopoReader>, fanouts: Vec<usize>) -> Self {
-        Self::with_policy(topo, fanouts, SamplingPolicy::Uniform)
+        Self::with_sampling_policy(topo, fanouts, SamplingPolicy::Uniform)
     }
 
-    pub fn with_policy(
+    pub fn with_sampling_policy(
         topo: Arc<dyn TopoReader>,
         fanouts: Vec<usize>,
         policy: SamplingPolicy,
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn full_policy_takes_every_neighbor() {
         let (topo, r) = reader(200, 2000, 11);
-        let sampler = NeighborSampler::with_policy(r, vec![2], SamplingPolicy::Full);
+        let sampler = NeighborSampler::with_sampling_policy(r, vec![2], SamplingPolicy::Full);
         let sample = sampler.sample(0, &[3, 4, 5], 1);
         let b = &sample.blocks[0];
         let mut per_dst = vec![0usize; b.num_dst];
@@ -295,8 +295,11 @@ mod tests {
     #[test]
     fn top_degree_policy_is_deterministic_and_degree_sorted() {
         let (topo, r) = reader(300, 5000, 12);
-        let sampler =
-            NeighborSampler::with_policy(Arc::clone(&r), vec![3], SamplingPolicy::TopDegree);
+        let sampler = NeighborSampler::with_sampling_policy(
+            Arc::clone(&r),
+            vec![3],
+            SamplingPolicy::TopDegree,
+        );
         let a = sampler.sample(0, &[1, 2, 3], 5);
         let b = sampler.sample(0, &[1, 2, 3], 99); // seed-independent
         assert_eq!(a, b, "TopDegree must not depend on the RNG seed");

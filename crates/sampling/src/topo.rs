@@ -295,7 +295,9 @@ mod tests {
         ] {
             let samplers: Vec<NeighborSampler> = readers
                 .iter()
-                .map(|r| NeighborSampler::with_policy(Arc::clone(r), vec![3, 2, 3], policy))
+                .map(|r| {
+                    NeighborSampler::with_sampling_policy(Arc::clone(r), vec![3, 2, 3], policy)
+                })
                 .collect();
             gnndrive_sync::rng::cases(64, |rng| {
                 let seeds: Vec<NodeId> = (0..1 + rng.below(12))

@@ -60,29 +60,28 @@
 //! still pending (see [`wcache`]).
 
 pub mod error;
-pub mod eviction;
 pub mod fault;
 pub mod governor;
 pub mod health;
 pub mod integrity;
 pub mod lru;
+pub mod next_use;
 pub mod pagecache;
 pub mod retry;
 pub mod ring;
 pub mod scrub;
 pub mod ssd;
 pub mod stats;
-pub mod trace;
 pub mod wcache;
 
 pub use error::{IoError, OomError};
-pub use eviction::{BeladyPolicy, EvictionPolicy, LruPolicy, PageKey};
 pub use fault::{FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
 pub use governor::{ChargeKind, Lane, MemCharge, MemoryGovernor, MemoryReclaimer};
 pub use health::{Admission, DeviceHealth, HealthConfig, HealthState};
 pub use integrity::{crc32, IntegrityError};
 pub use lru::LruList;
-pub use pagecache::{MmapArray, PageCache, PageCacheStats, Pod, PAGE_SIZE};
+pub use next_use::NextUse;
+pub use pagecache::{AccessTrace, MmapArray, PageCache, PageCacheStats, Pod, PAGE_SIZE};
 pub use retry::RetryPolicy;
 pub use ring::IoRing;
 pub use scrub::{ScrubConfig, Scrubber};
@@ -90,5 +89,4 @@ pub use ssd::{
     Completion, FileHandle, IoOp, IoPriority, ScrubChunk, SimSsd, SsdProfile, SECTOR_SIZE,
 };
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use trace::{pages_for_rows, AccessTrace, TraceError, TRACE_VERSION};
 pub use wcache::PowerCutReport;

@@ -10,10 +10,8 @@
 //! it: a global cache of 4 KiB pages charged against the [`MemoryGovernor`]
 //! as [`ChargeKind::PageCache`], registered as a [`MemoryReclaimer`] so
 //! anonymous allocations shrink it — exactly Linux's reclaim behaviour.
-//! Replacement is pluggable through [`crate::eviction::EvictionPolicy`]
-//! (LRU by default, like Linux; trace-driven Belady for the Ginex-style
-//! precomputed-epoch experiments), and the cache can record the exact
-//! access sequence into an [`AccessTrace`] for that precomputation.
+//! Replacement is LRU, like Linux, and the cache can record the exact
+//! page-access sequence into an [`AccessTrace`].
 //!
 //! Concurrency follows the kernel too: a faulting thread inserts a *pending*
 //! page, drops the lock, reads from the device (real blocking I/O), then
@@ -27,11 +25,10 @@
 //! missing pages of a sampling hop become one batch of device requests in
 //! flight together (DESIGN.md §4).
 
-use crate::eviction::{EvictionPolicy, LruPolicy};
 use crate::governor::{ChargeKind, MemCharge, MemoryGovernor, MemoryReclaimer};
+use crate::lru::LruList;
 use crate::retry::RetryPolicy;
 use crate::ssd::{FileHandle, IoPriority, SimSsd};
-use crate::trace::AccessTrace;
 use gnndrive_sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use gnndrive_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
@@ -119,16 +116,25 @@ struct Inner {
     map: HashMap<(u32, u64), u32>,
     slots: Vec<Option<PageSlot>>,
     free: Vec<u32>,
-    /// Replacement policy over the *ready* slots (pending fills are never
-    /// eviction candidates). LRU by default; see [`crate::eviction`].
-    policy: Box<dyn EvictionPolicy>,
+    /// LRU order of the *ready* slots (pending fills are never eviction
+    /// candidates).
+    lru: LruList,
     /// When recording, every page access (hit or miss) is appended here in
-    /// order — the ground truth a [`crate::eviction::BeladyPolicy`] replays.
+    /// order.
     trace: Option<AccessTrace>,
 }
 
-/// A bounded, shared page cache over one [`SimSsd`] with pluggable
-/// replacement (LRU unless built via [`PageCache::with_policy`]).
+/// The page accesses a [`PageCache`] saw between
+/// [`PageCache::start_trace`] and [`PageCache::finish_trace`], hits and
+/// misses alike, as `(file id, page number)` in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessTrace {
+    pub seed: u64,
+    pub epoch: u64,
+    pub accesses: Vec<(u32, u64)>,
+}
+
+/// A bounded, shared page cache over one [`SimSsd`] with LRU replacement.
 pub struct PageCache {
     ssd: Arc<SimSsd>,
     gov: Arc<MemoryGovernor>,
@@ -167,17 +173,6 @@ impl PageCache {
         gov: Arc<MemoryGovernor>,
         max_pages: usize,
     ) -> Arc<Self> {
-        Self::with_policy(ssd, gov, max_pages, Box::new(LruPolicy::new()))
-    }
-
-    /// Like [`PageCache::with_max_pages`] with an explicit replacement
-    /// policy (e.g. a trace-driven [`crate::eviction::BeladyPolicy`]).
-    pub fn with_policy(
-        ssd: Arc<SimSsd>,
-        gov: Arc<MemoryGovernor>,
-        max_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-    ) -> Arc<Self> {
         // The registry mirrors the counters above, plus the resident-page
         // level, so run reports see the cache (zeros included).
         for c in [
@@ -204,7 +199,7 @@ impl PageCache {
                     map: HashMap::new(),
                     slots: Vec::new(),
                     free: Vec::new(),
-                    policy,
+                    lru: LruList::new(0),
                     trace: None,
                 },
             ),
@@ -234,11 +229,15 @@ impl PageCache {
         *self.retry.lock() = policy;
     }
 
-    /// Start recording the page-access sequence (hits and misses alike)
-    /// under the given `(seed, epoch)` schedule metadata. Any trace being
-    /// recorded so far is discarded.
+    /// Start recording the page-access sequence (hits and misses alike),
+    /// labelled with the `(seed, epoch)` schedule that drives it. Any trace
+    /// being recorded so far is discarded.
     pub fn start_trace(&self, seed: u64, epoch: u64) {
-        self.inner.lock().trace = Some(AccessTrace::new(seed, epoch));
+        self.inner.lock().trace = Some(AccessTrace {
+            seed,
+            epoch,
+            accesses: Vec::new(),
+        });
     }
 
     /// Stop recording and return the trace (None if none was started).
@@ -353,7 +352,7 @@ impl PageCache {
     /// readahead window in behind it.
     ///
     /// Accounting is per *logical access* (one access = one hit or one
-    /// miss), matching the oracle a recorded trace replays: a waiter whose
+    /// miss), matching a recorded [`AccessTrace`]: a waiter whose
     /// pending page was evicted before it woke re-drives the fill, but that
     /// is the same fill attempt — it must not count a fresh miss (and the
     /// access did find the page in flight, so it counts as the hit the
@@ -368,9 +367,8 @@ impl PageCache {
     ) {
         let mut inner = self.inner.lock();
         if let Some(t) = inner.trace.as_mut() {
-            for a in accesses {
-                t.push(file.id, a.page_no);
-            }
+            t.accesses
+                .extend(accesses.iter().map(|a| (file.id, a.page_no)));
             catalog::STORAGE_TRACE_RECORDED.add(accesses.len() as u64);
         }
         // Accesses that found their page in flight on another thread and
@@ -395,7 +393,7 @@ impl PageCache {
                         if page.state == PageState::Ready {
                             out[a.dst..a.dst + a.len]
                                 .copy_from_slice(&page.data[a.in_page..a.in_page + a.len]);
-                            inner.policy.on_hit(slot, key);
+                            inner.lru.touch(slot);
                             self.count_hit();
                         } else if fetch.contains_key(&a.page_no) {
                             // A page this round already faults: resident by
@@ -410,7 +408,8 @@ impl PageCache {
                         if waited.is_some() {
                             // Re-fault of a fill this access already waited
                             // on: the page was present when the access
-                            // arrived, so the trace oracle scores it a hit.
+                            // arrived, so it counts as the hit the trace
+                            // records.
                             self.count_hit();
                         } else {
                             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -447,16 +446,15 @@ impl PageCache {
             let (pages, slots): (Vec<u64>, Vec<Option<u32>>) = fetch.into_iter().unzip();
             let mut data = self.fetch_pages(file, &pages, prio);
             inner = self.inner.lock();
-            // Publish and copy out in request order, so the policy sees the
+            // Publish and copy out in request order, so the LRU list sees the
             // inserts and hits in the order a sequential reader makes them.
             for &i in &mine {
                 let a = &accesses[i];
                 let at = pages.binary_search(&a.page_no).expect("fetched page");
                 let page: &[u8] = match slots[at] {
                     Some(slot) => {
-                        let key = (file.id, a.page_no);
-                        if !self.publish_page(&mut inner, slot, key, &mut data[at]) {
-                            inner.policy.on_hit(slot, key);
+                        if !self.publish_page(&mut inner, slot, &mut data[at]) {
+                            inner.lru.touch(slot);
                         }
                         &inner.slots[slot as usize]
                             .as_ref()
@@ -488,20 +486,14 @@ impl PageCache {
     /// Make the pending page in `slot` resident, taking the bytes out of
     /// `data`. Returns false (and changes nothing) if the slot is already
     /// published.
-    fn publish_page(
-        &self,
-        inner: &mut Inner,
-        slot: u32,
-        key: (u32, u64),
-        data: &mut Box<[u8]>,
-    ) -> bool {
+    fn publish_page(&self, inner: &mut Inner, slot: u32, data: &mut Box<[u8]>) -> bool {
         let page = inner.slots[slot as usize].as_mut().expect("owned slot");
         if page.state == PageState::Ready {
             return false;
         }
         page.data = std::mem::take(data);
         page.state = PageState::Ready;
-        inner.policy.on_insert(slot, key);
+        inner.lru.push_back(slot);
         true
     }
 
@@ -540,8 +532,8 @@ impl PageCache {
         // Adjacent pages within the window: one contiguous device read.
         let mut data = self.fetch_pages(file, &pages, prio);
         let mut inner = self.inner.lock();
-        for ((&p, &slot), page) in pages.iter().zip(&slots).zip(&mut data) {
-            self.publish_page(&mut inner, slot, (file.id, p), page);
+        for (&slot, page) in slots.iter().zip(&mut data) {
+            self.publish_page(&mut inner, slot, page);
         }
         self.readaheads
             .fetch_add(pages.len() as u64, Ordering::Relaxed);
@@ -637,7 +629,7 @@ impl PageCache {
         data
     }
 
-    /// Grab a free slot, asking the policy for a victim if necessary;
+    /// Grab a free slot, evicting the LRU page if necessary;
     /// insert a Pending entry for `key`. Returns `None` when no page can
     /// be held.
     fn acquire_slot(&self, inner: &mut Inner, key: (u32, u64)) -> Option<u32> {
@@ -676,7 +668,7 @@ impl PageCache {
                     charge: Some(charge),
                 }));
                 let cap = inner.slots.len();
-                inner.policy.ensure_capacity(cap);
+                inner.lru.ensure_capacity(cap);
                 s
             }
         };
@@ -686,9 +678,9 @@ impl PageCache {
     }
 
     fn evict_one(&self, inner: &mut Inner) -> bool {
-        // Pending pages are never handed to the policy, so any victim it
+        // Pending pages are never on the LRU list, so any victim it
         // returns is safe to drop.
-        match inner.policy.evict() {
+        match inner.lru.pop_front() {
             Some(slot) => {
                 let page = inner.slots[slot as usize].take().expect("slot occupied");
                 inner.map.remove(&page.key);
@@ -1006,11 +998,28 @@ mod tests {
         }
     }
 
+    /// A trace records every page access in order, hits and misses alike,
+    /// and only between `start_trace` and `finish_trace`.
+    #[test]
+    fn trace_records_hits_and_misses_in_order() {
+        let (cache, f, _gov) = setup(64, 16);
+        let mut b = [0u8; 1];
+        cache.read(f, 0, &mut b);
+        cache.start_trace(7, 2);
+        for p in [3u64, 0, 3, 5] {
+            cache.read(f, p * PAGE_SIZE as u64, &mut b);
+        }
+        let t = cache.finish_trace().expect("trace recorded");
+        assert_eq!((t.seed, t.epoch), (7, 2));
+        assert_eq!(t.accesses, [3, 0, 3, 5].map(|p| (f.id, p)));
+        assert!(cache.finish_trace().is_none());
+    }
+
     /// A waiter whose pending page is evicted before it wakes (here: the
     /// filler's own readahead steals the slot under a 2-page budget) must
     /// not count a fresh miss for the same logical access — the page *was*
     /// in flight when the access arrived, which is what the recorded trace
-    /// (and therefore the Belady oracle and the CI miss-rate gate) sees.
+    /// sees.
     #[test]
     fn waiter_refault_is_not_a_fresh_miss() {
         use std::time::Duration;
@@ -1062,44 +1071,6 @@ mod tests {
         );
     }
 
-    /// End-to-end policy seam: record an epoch-like access pattern, build
-    /// a Belady policy from the trace, replay the identical pattern at the
-    /// same tight budget under both policies — Belady must hit more.
-    #[test]
-    fn recorded_trace_drives_belady_past_lru() {
-        use crate::eviction::BeladyPolicy;
-        let (recorder, f, _gov) = setup(64, 16);
-        recorder.set_readahead(0);
-        // A cyclic scan over 10 pages: LRU's worst case at budget 8.
-        let pattern: Vec<u64> = (0..80u64).map(|i| i % 10).collect();
-        recorder.start_trace(7, 0);
-        let mut b = [0u8; 1];
-        for &p in &pattern {
-            recorder.read(f, p * PAGE_SIZE as u64, &mut b);
-        }
-        let trace = recorder.finish_trace().expect("trace recorded");
-        assert_eq!(trace.len(), pattern.len());
-        assert_eq!(trace.seed, 7);
-
-        let replay = |policy: Box<dyn EvictionPolicy>| {
-            let ssd = Arc::clone(&recorder.ssd);
-            let cache = PageCache::with_policy(ssd, MemoryGovernor::unlimited(), 8, policy);
-            cache.set_readahead(0);
-            let mut b = [0u8; 1];
-            for &p in &pattern {
-                cache.read(f, p * PAGE_SIZE as u64, &mut b);
-            }
-            cache.stats()
-        };
-        let lru = replay(Box::<LruPolicy>::default());
-        let belady = replay(Box::new(BeladyPolicy::from_trace(&trace)));
-        assert_eq!(lru.hits, 0, "cyclic scan must thrash LRU: {lru:?}");
-        assert!(
-            belady.hits > lru.hits && belady.misses < lru.misses,
-            "belady {belady:?} must beat lru {lru:?}"
-        );
-    }
-
     /// Byte `i` of the property tests' file: no two pages (and no two
     /// offsets within 251 bytes of each other) look alike.
     fn pattern(i: usize) -> u8 {
@@ -1118,7 +1089,7 @@ mod tests {
     }
 
     /// Quiescent-state invariants: no fill left in flight, every resident
-    /// page tracked by the policy and charged to the governor exactly once.
+    /// page on the LRU list and charged to the governor exactly once.
     fn check(cache: &PageCache) {
         let inner = cache.inner.lock();
         let occupied: Vec<&PageSlot> = inner.slots.iter().flatten().collect();
@@ -1128,7 +1099,7 @@ mod tests {
         );
         assert!(occupied.iter().all(|p| p.data.len() == PAGE_SIZE));
         assert_eq!(occupied.len(), inner.map.len());
-        assert_eq!(inner.policy.len(), inner.map.len());
+        assert_eq!(inner.lru.len(), inner.map.len());
         assert_eq!(
             cache.gov.used_page_cache(),
             (inner.map.len() * PAGE_SIZE) as u64,

@@ -71,20 +71,8 @@ pub static STORAGE_CRASH_POINTS: Counter = Counter::new("storage.crash.points");
 pub static STORAGE_CRASH_CUTS: Counter = Counter::new("storage.crash.cuts");
 pub static STORAGE_CRASH_RECOVERIES: Counter = Counter::new("storage.crash.recoveries");
 
-// Page-cache replacement policies (DESIGN.md §13).
-pub static STORAGE_CACHE_POLICY_LRU_EVICTIONS: Counter =
-    Counter::new("storage.cache.policy.lru.evictions");
-pub static STORAGE_CACHE_POLICY_BELADY_EVICTIONS: Counter =
-    Counter::new("storage.cache.policy.belady.evictions");
-pub static STORAGE_CACHE_POLICY_BELADY_LRU_FALLBACKS: Counter =
-    Counter::new("storage.cache.policy.belady.lru_fallbacks");
-pub static STORAGE_CACHE_POLICY_BELADY_OFF_TRACE_ACCESSES: Counter =
-    Counter::new("storage.cache.policy.belady.off_trace_accesses");
-
-// The access trace behind the Belady policy: recorded accesses, saves, loads.
+// Page accesses recorded by `PageCache::start_trace`.
 pub static STORAGE_TRACE_RECORDED: Counter = Counter::new("storage.trace.recorded");
-pub static STORAGE_TRACE_SAVED: Counter = Counter::new("storage.trace.saved");
-pub static STORAGE_TRACE_LOADED: Counter = Counter::new("storage.trace.loaded");
 
 // The OS page-cache model (`PageCache`).
 pub static PAGE_CACHE_HITS: Counter = Counter::new("page_cache.hits");

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use gnndrive_graph::{
         pack_features, Dataset, DatasetSpec, FeatureLayout, MiniDataset, NodeId,
     };
-    pub use gnndrive_sampling::{presample_epoch, InMemTopo, NeighborSampler, PresampleResult};
+    pub use gnndrive_sampling::{InMemTopo, NeighborSampler};
 
     // Device and model.
     pub use gnndrive_device::{FeatureSlab, GpuDevice};
@@ -50,9 +50,8 @@ pub mod prelude {
 
     // Storage stack: simulated SSD, memory admission, faults and health.
     pub use gnndrive_storage::{
-        crc32, AccessTrace, BeladyPolicy, DeviceHealth, EvictionPolicy, FaultPlan, HealthConfig,
-        HealthState, IoPriority, IoRing, Lane, LruPolicy, MemoryGovernor, PageCache,
-        PowerCutReport, RetryPolicy, SimSsd, SsdProfile,
+        crc32, DeviceHealth, FaultPlan, HealthConfig, HealthState, IoPriority, IoRing, Lane,
+        MemoryGovernor, PageCache, PowerCutReport, RetryPolicy, SimSsd, SsdProfile,
     };
 
     // Online serving tier.
