@@ -10,7 +10,11 @@
 //!   as extraction drives it ([`replay_buffer`]), later batches announced
 //!   as the samplers announce them.
 //! * **Read planning** — each batch's loads through [`ReadGeometry::plan`],
-//!   the planner extraction calls: device ops, bytes and rows bridged.
+//!   the planner extraction calls: device ops, bytes and rows bridged. The
+//!   `harvest` variant offers each window's
+//!   [`ReadGroup::bridged_rows`](gnndrive_core::ReadGroup::bridged_rows) to
+//!   [`FeatureBufferManager::harvest`], as extraction does once a window
+//!   verifies.
 //! * **OPT** — [`NextUse`], Belady's MIN over the same batches and the
 //!   same slots: the ceiling no online variant can pass.
 //!
@@ -47,8 +51,9 @@ const EPOCHS: u64 = 4;
 const PINNED: usize = 6;
 
 /// The variants of every point, in table order: the classless buffer,
-/// popularity classes, classes with the run-ahead horizon, and Belady.
-const VARIANTS: [&str; 4] = ["lru", "classes", "classes_horizon", "opt"];
+/// popularity classes, classes with the run-ahead horizon, those with the
+/// bridged rows harvested, and Belady.
+const VARIANTS: [&str; 5] = ["lru", "classes", "classes_horizon", "harvest", "opt"];
 
 /// Mini-batch seeds and fanouts of both points.
 const BATCH_SIZE: usize = 32;
@@ -107,12 +112,16 @@ pub enum Ahead {
 /// drive it: each epoch opens its own horizon, each batch is planned and
 /// its loads published in order, and it stays pinned until `pinned` later
 /// batches were planned; every batch still pinned is released at the
-/// epoch's end. `visit(epoch, sample, plan)` sees every batch's plan.
+/// epoch's end. With a `harvest` geometry the loads are read in its
+/// windows, window by window, each window's bridged rows offered to the
+/// buffer and landed with its loads. `visit(epoch, sample, plan)` sees
+/// every batch's plan.
 pub fn replay_buffer(
     fb: &FeatureBufferManager,
     epochs: &[Vec<MiniBatchSample>],
     pinned: usize,
     ahead: Ahead,
+    harvest: Option<&ReadGeometry>,
     mut visit: impl FnMut(usize, &MiniBatchSample, &ExtractPlan),
 ) {
     let (places, run_ahead) = match ahead {
@@ -143,8 +152,23 @@ pub fn replay_buffer(
             }
             let mut plan = fb.plan_batch(&s.input_nodes);
             visit(epoch, s, &plan);
-            for &(_, n) in &plan.to_load {
-                fb.publish(n);
+            match harvest {
+                None => plan.to_load.iter().for_each(|&(_, n)| fb.publish(n)),
+                Some(geometry) => {
+                    let mut rows: Vec<_> = (plan.to_load.iter())
+                        .map(|&(i, n)| (n.into(), n, plan.aliases[i]))
+                        .collect();
+                    rows.sort_unstable();
+                    for mut g in geometry.plan(&rows) {
+                        let bridged = g.bridged_rows(geometry.row_bytes);
+                        let offers: Vec<NodeId> = bridged.map(|row| row as NodeId).collect();
+                        let loaded = g.rows.len();
+                        let taken = fb.harvest(&offers);
+                        g.rows
+                            .extend(taken.iter().map(|&(n, slot)| (n.into(), n, slot)));
+                        fb.publish_window(&g.rows, loaded);
+                    }
+                }
             }
             fb.wait_ready(&mut plan).expect("nothing aborts");
             held.push_back(&s.input_nodes);
@@ -177,15 +201,12 @@ impl Counts {
     fn add_batch(&mut self, geometry: &ReadGeometry, input_rows: usize, nodes: &[NodeId]) {
         let mut rows: Vec<_> = nodes.iter().map(|&n| (n as u64, n, 0)).collect();
         rows.sort_unstable();
-        let rb = geometry.row_bytes;
         self.input_rows += input_rows as u64;
         self.rows_loaded += rows.len() as u64;
         for g in geometry.plan(&rows) {
-            let end = g.window_start + g.window_len as u64;
-            let covered = end / rb - g.window_start.div_ceil(rb);
             self.ops += 1;
             self.bytes += g.window_len as u64;
-            self.rows_bridged += covered - g.rows.len() as u64;
+            self.rows_bridged += g.bridged_rows(geometry.row_bytes).count() as u64;
         }
     }
 
@@ -272,19 +293,27 @@ fn replay_point(ds: &Arc<Dataset>, p: &Point) -> Result<Json, String> {
     let classes = || FeatureBufferManager::with_out_degrees(Arc::clone(slab), &ds.out_degrees, cfg);
     let lru = FeatureBufferManager::new(Arc::clone(slab), ds.spec.num_nodes, cfg);
     let online = [
-        (lru, Ahead::Batches(0)),
-        (classes(), Ahead::Batches(0)),
-        (classes(), p.ahead),
+        (lru, Ahead::Batches(0), None),
+        (classes(), Ahead::Batches(0), None),
+        (classes(), p.ahead, None),
+        (classes(), p.ahead, Some(&geometry)),
     ];
     let mut point = Json::obj();
-    for ((fb, ahead), name) in online.into_iter().zip(VARIANTS) {
+    for ((fb, ahead, harvest), name) in online.into_iter().zip(VARIANTS) {
         let mut counts = Counts::default();
-        replay_buffer(&fb, &epochs, PINNED, ahead, |epoch, sample, plan| {
-            if epoch > 0 {
-                let nodes: Vec<NodeId> = plan.to_load.iter().map(|&(_, n)| n).collect();
-                counts.add_batch(&geometry, sample.input_nodes.len(), &nodes);
-            }
-        });
+        replay_buffer(
+            &fb,
+            &epochs,
+            PINNED,
+            ahead,
+            harvest,
+            |epoch, sample, plan| {
+                if epoch > 0 {
+                    let nodes: Vec<NodeId> = plan.to_load.iter().map(|&(_, n)| n).collect();
+                    counts.add_batch(&geometry, sample.input_nodes.len(), &nodes);
+                }
+            },
+        );
         point.set(name, counts.to_json());
     }
 
@@ -301,7 +330,7 @@ fn replay_point(ds: &Arc<Dataset>, p: &Point) -> Result<Json, String> {
             counts.add_batch(&geometry, s.input_nodes.len(), &load);
         }
     }
-    point.set(VARIANTS[3], counts.to_json());
+    point.set(VARIANTS[4], counts.to_json());
 
     let mut topology = Json::obj();
     topology
@@ -378,24 +407,24 @@ fn count(counts: &BTreeMap<String, u64>, key: &str) -> Result<u64, String> {
 /// `baseline` (topology page hits lower, any other count higher; the
 /// replay is deterministic, so that is a regression, not noise), OPT
 /// loading more rows than an online variant, and rows loaded out of the
-/// order classes + horizon ≤ classes ≤ LRU.
+/// order harvest ≤ classes + horizon ≤ classes ≤ LRU.
 pub fn check_replay(baseline: &Json, current: &Json) -> Result<Vec<String>, String> {
     let cur = counts(current)?;
     let mut out = Vec::new();
     for name in names(&cur) {
         let loaded = VARIANTS.map(|v| cur.get(&format!("{name}.{v}.rows_loaded")).copied());
-        let [Some(lru), Some(classes), Some(horizon), Some(opt)] = loaded else {
+        let [Some(lru), Some(classes), Some(horizon), Some(harvest), Some(opt)] = loaded else {
             return Err(format!("{name}: a variant lacks rows_loaded"));
         };
-        if opt > horizon.min(classes).min(lru) {
+        if opt > harvest.min(horizon).min(classes).min(lru) {
             out.push(format!(
                 "{name}: OPT loads {opt} rows, more than an online variant"
             ));
         }
-        if !(horizon <= classes && classes <= lru) {
+        if !(harvest <= horizon && horizon <= classes && classes <= lru) {
             out.push(format!(
-                "{name}: rows loaded out of order: classes_horizon {horizon}, \
-                 classes {classes}, lru {lru}"
+                "{name}: rows loaded out of order: harvest {harvest}, \
+                 classes_horizon {horizon}, classes {classes}, lru {lru}"
             ));
         }
     }
@@ -466,15 +495,17 @@ mod tests {
         ahead: Ahead::RunAhead(6),
     };
 
-    /// Rows `replay_buffer` loads through `fb`.
+    /// Rows `replay_buffer` loads through `fb`, harvesting in `harvest`'s
+    /// windows if given.
     fn loads(
         fb: &FeatureBufferManager,
         epochs: &[Vec<MiniBatchSample>],
         pinned: usize,
         ahead: Ahead,
+        harvest: Option<&ReadGeometry>,
     ) -> u64 {
         let mut n = 0;
-        replay_buffer(fb, epochs, pinned, ahead, |_, _, p| {
+        replay_buffer(fb, epochs, pinned, ahead, harvest, |_, _, p| {
             n += p.to_load.len() as u64
         });
         n
@@ -512,9 +543,11 @@ mod tests {
 
     /// The deterministic count behind the standby classes: the same batch
     /// stream through the same buffer loads strictly fewer rows with
-    /// popularity classes than through plain LRU, and fewer again with the
-    /// next batches announced. The stream is two 40-batch epochs through
-    /// 12 288 slots, with three batches pinned and six announced.
+    /// popularity classes than through plain LRU, fewer again with the
+    /// next batches announced, and fewer still with their rows harvested
+    /// from `pm883_repro`'s bridged 512-byte windows. The stream is two
+    /// 40-batch epochs through 12 288 slots, with three batches pinned and
+    /// six announced.
     #[test]
     fn classes_and_announcements_load_fewer_rows_than_lru() {
         const SLOTS: usize = 12_288;
@@ -523,15 +556,24 @@ mod tests {
         let cfg = GnnDriveConfig::default();
         let slab = || Arc::new(FeatureSlab::new(SLOTS, 2));
         let classes = || FeatureBufferManager::with_out_degrees(slab(), &degrees, &cfg);
-        let [lru, classes, both] = [
-            (FeatureBufferManager::new(slab(), degrees.len(), &cfg), 0),
-            (classes(), 0),
-            (classes(), 6),
+        let file_len = degrees.len() as u64 * 512;
+        let op_cost = SsdProfile::pm883_repro().op_cost_bytes();
+        let geometry = ReadGeometry::new(128, file_len, op_cost, 16 << 10, true, false);
+        let [lru, classes, both, harvest] = [
+            (
+                FeatureBufferManager::new(slab(), degrees.len(), &cfg),
+                0,
+                None,
+            ),
+            (classes(), 0, None),
+            (classes(), 6, None),
+            (classes(), 6, Some(&geometry)),
         ]
-        .map(|(fb, ahead)| loads(&fb, &epochs, PINNED, Ahead::Batches(ahead)));
+        .map(|(fb, ahead, h)| loads(&fb, &epochs, PINNED, Ahead::Batches(ahead), h));
         assert!(
-            both < classes && classes < lru,
-            "rows loaded: LRU {lru}, classes {classes}, classes + announcements {both}"
+            harvest < both && both < classes && classes < lru,
+            "rows loaded: LRU {lru}, classes {classes}, classes + announcements {both}, \
+             + harvest {harvest}"
         );
     }
 
@@ -559,7 +601,7 @@ mod tests {
                 .map(|ahead| {
                     let slab = Arc::new(FeatureSlab::new(SLOTS, 2));
                     let fb = FeatureBufferManager::with_out_degrees(slab, &degrees, &cfg);
-                    (ahead, loads(&fb, &epochs, PINNED, ahead))
+                    (ahead, loads(&fb, &epochs, PINNED, ahead, None))
                 })
                 .collect();
             for w in counts.windows(2) {
@@ -590,7 +632,8 @@ mod tests {
     /// The replay is a pure function of its seed: two runs in one process
     /// serialize byte for byte alike and pass the check against each
     /// other. The check flags a count raised by one (and not one lowered),
-    /// an OPT above the online variants and LRU below classes.
+    /// an OPT above the online variants, LRU below classes and classes +
+    /// horizon below harvest.
     #[test]
     fn two_runs_serialize_identically_and_the_check_flags_one_more() {
         let doc = run_replay(0.1, &[SMALL]).unwrap();
@@ -600,6 +643,7 @@ mod tests {
         for (variant, key) in [
             ("lru", "ops"),
             ("classes_horizon", "rows_loaded"),
+            ("harvest", "ops"),
             ("opt", "bytes"),
         ] {
             let worse = with_count(&doc, variant, key, |v| v + 1);
@@ -608,7 +652,11 @@ mod tests {
             assert!(regs[0].starts_with(&format!("small.{variant}.{key} regressed")));
             assert_eq!(check_replay(&worse, &doc), Ok(vec![]));
         }
-        for (variant, error) in [("opt", "OPT loads"), ("classes", "out of order")] {
+        for (variant, error) in [
+            ("opt", "OPT loads"),
+            ("classes", "out of order"),
+            ("classes_horizon", "out of order"),
+        ] {
             let worse = with_count(&doc, variant, "rows_loaded", |_| u64::MAX);
             let lines = check_replay(&doc, &worse).unwrap();
             assert!(lines.iter().any(|l| l.contains(error)), "{lines:?}");

@@ -14,7 +14,7 @@ use gnndrive_core::{GnnDriveConfig, Pipeline, TrainingSystem};
 use gnndrive_device::GpuDevice;
 use gnndrive_graph::Dataset;
 use gnndrive_serve::{LoadGen, LoadGenConfig, ServeConfig, Server, Ticket};
-use gnndrive_storage::{FaultPlan, HealthConfig, HealthState, PageCache};
+use gnndrive_storage::{FaultPlan, HealthConfig, PageCache};
 use gnndrive_telemetry::RunReport;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -199,6 +199,10 @@ pub fn run_serving_mixed(
     // until serving finishes.
     let (trainer, server_pipeline) = build_pair(sc, &ds)?;
     let health = Arc::clone(server_pipeline.device_health());
+    // The breaker's own transition count: an open is seen even when it
+    // happens after the last arrival, or a probe closes it between two
+    // submits.
+    let trips_before = health.trips();
     let server = Server::start(
         server_pipeline,
         ServeConfig::default()
@@ -210,7 +214,7 @@ pub fn run_serving_mixed(
     let stop = AtomicBool::new(false);
     let num_nodes = ds.spec.num_nodes as u64;
     let mut mixed_batches = 0usize;
-    let mut saw_open = false;
+    let saw_open = || health.trips() > trips_before;
     let mut recovered = false;
     let mut tickets: Vec<Ticket> = Vec::with_capacity(cfg.requests);
     let mut mixed_wall = Duration::ZERO;
@@ -259,9 +263,6 @@ pub fn run_serving_mixed(
                 Ok(t) => tickets.push(t),
                 Err(_rejected) => {} // counted by the server as rejected
             }
-            if health.state() == HealthState::CircuitOpen {
-                saw_open = true;
-            }
         }
         // Drain every admitted request: each must resolve Ok or typed Err.
         for t in tickets.drain(..) {
@@ -276,7 +277,7 @@ pub fn run_serving_mixed(
             let deadline = Instant::now() + Duration::from_secs(5);
             while Instant::now() < deadline {
                 if let Ok(t) = server.submit((cfg.seed % num_nodes) as u32) {
-                    if t.wait().is_ok() && saw_open {
+                    if t.wait().is_ok() && saw_open() {
                         recovered = true;
                         break;
                     }
@@ -302,7 +303,7 @@ pub fn run_serving_mixed(
         solo_throughput,
         mixed_throughput,
         training_ratio: mixed_throughput / solo_throughput.max(1e-9),
-        saw_circuit_open: saw_open,
+        saw_circuit_open: saw_open(),
         recovered,
         chaos: cfg.chaos,
         slo: cfg.slo,

@@ -11,10 +11,13 @@
 //!    rows whose windows touch (*joint extraction*, §4.4) or whose gap is
 //!    cheaper to read through than to pay another device op for —
 //!    bounded by the staging buffer's byte credits.
-//! 3. **Phase two (staging → device)** — the moment a node's load
-//!    completes, submit its host→device transfer; never wait for the rest
-//!    of the mini-batch. Publish the node's valid bit when the transfer
-//!    lands.
+//! 3. **Phase two (staging → device)** — the moment a read window
+//!    completes and verifies, submit it as one host→device copy; never
+//!    wait for the rest of the mini-batch. The copy carries the window's
+//!    loaded rows plus its *harvested* ones — bridged rows a queued batch
+//!    announced, which [`FeatureBufferManager::harvest`] takes when that
+//!    costs no nearer use — and decodes each straight from the window
+//!    bytes into its slot. Publish the rows' valid bits when it lands.
 //! 4. **Wait** — for nodes on the wait list, confirm the other extractor
 //!    published them, then resolve their aliases.
 //!
@@ -25,15 +28,16 @@
 //! (what PyG+ and Ginex do) and the load a Degraded or probed device gets
 //! (DESIGN.md §9) — is a setting of the same loop: after each submit it
 //! waits until nothing is outstanding, so one read is in flight, and a
-//! landed row pays its host→device copy inline instead of handing it to
+//! landed window pays its host→device copy inline instead of handing it to
 //! the transfer engine. Every check is shared: completions become bytes
 //! only through [`gnndrive_storage::Completion::verified`], failed ones are
 //! re-read under the [`RetryPolicy`], and the batch's one rollback is in
-//! `extract_batch_inner`.
+//! `extract_batch_inner` — after every copy the batch submitted has landed,
+//! so no copy can land in a slot the rollback handed back.
 
 use crate::feature_buffer::{Announced, ExtractPlan, FeatureBufferManager};
 use crate::staging::{StagingBuffer, StagingLease};
-use gnndrive_device::{TransferDone, TransferEngine};
+use gnndrive_device::{TransferDone, TransferEngine, WindowCopy};
 use gnndrive_graph::NodeId;
 use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::{
@@ -166,6 +170,19 @@ pub struct ReadGroup {
     pub rows: Vec<(u64, NodeId, u32)>,
 }
 
+impl ReadGroup {
+    /// The rows of `row_bytes` bytes lying wholly inside the window that
+    /// are not in `rows`: read and verified with it, loaded by nobody.
+    pub fn bridged_rows(&self, row_bytes: u64) -> impl Iterator<Item = u64> + '_ {
+        let end = self.window_start + self.window_len as u64;
+        let mut loaded = self.rows.iter().map(|&(row, ..)| row).peekable();
+        (self.window_start.div_ceil(row_bytes)..end / row_bytes).filter(move |&row| {
+            while loaded.next_if(|&l| l < row).is_some() {}
+            loaded.next_if_eq(&row).is_none()
+        })
+    }
+}
+
 /// How extraction reads one feature table: the row width, the access
 /// granularity, the per-request cap, the file's end and the device's op
 /// cost. [`ReadGeometry::plan`] is the one read planner: `load` calls it
@@ -230,7 +247,8 @@ impl ReadGeometry {
 /// per request (paper §4.4 "Access Granularity"). `op_cost_bytes` is the
 /// device's [`SsdProfile::op_cost_bytes`](gnndrive_storage::SsdProfile::op_cost_bytes);
 /// at 0 only touching windows coalesce. Bridged bytes are read and
-/// verified with the rest of the window, never decoded.
+/// verified with the rest of the window; their rows are
+/// [`ReadGroup::bridged_rows`], offered to the feature buffer's harvest.
 fn plan_read_groups(
     rows: &[(u64, NodeId, u32)],
     row_bytes: u64,
@@ -317,16 +335,6 @@ fn bridge_limit(windows: impl Iterator<Item = (u64, u64)>, op_cost_bytes: u64) -
         (ops, bytes, limit) = (ops_after, bytes_after, gap);
     }
     limit
-}
-
-/// Decode on-disk row `row` out of a group window buffer.
-fn row_from_window(buf: &[u8], window_start: u64, row: u64, row_bytes: u64) -> Vec<f32> {
-    let off = (row * row_bytes - window_start) as usize;
-    let bytes = &buf[off..off + row_bytes as usize];
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
 /// Blocking feature read under the context's [`RetryPolicy`]: transient
@@ -465,6 +473,16 @@ fn extract_batch_inner(
     }
 }
 
+/// Where one read window of a batch stands.
+enum Window {
+    /// On the ring, holding the staging credits it occupies.
+    Reading(ReadGroup, Option<StagingLease>),
+    /// Handed to the transfer engine with these harvested rows.
+    Copying(Vec<(NodeId, u32)>),
+    /// Its rows are in the feature buffer and published.
+    Landed,
+}
+
 /// The loads of one batch: Algorithm 1's state, owned by one thread.
 struct Loads<'a> {
     ctx: &'a ExtractorContext,
@@ -473,12 +491,17 @@ struct Loads<'a> {
     serial: bool,
     row_bytes: u64,
     ring: IoRing,
-    /// Submitted groups by group id (the ring's `user_data`), each with the
-    /// staging credits its window occupies; `None` once reaped.
-    groups: Vec<Option<(ReadGroup, Option<StagingLease>)>>,
-    xfer_tx: Sender<TransferDone>,
+    /// Every window submitted, by id (the ring's and the engine's
+    /// `user_data`).
+    windows: Vec<Window>,
+    /// Windows in [`Window::Copying`].
+    copying: usize,
+    /// The bridged nodes of the window being harvested (reused).
+    offers: Vec<NodeId>,
+    /// The copies' reply channel; the sender is dropped once the drain
+    /// begins.
+    xfer_tx: Option<Sender<TransferDone>>,
     xfer_rx: Receiver<TransferDone>,
-    inflight_transfers: usize,
     /// Enqueue→dispatch and dispatch→complete time, summed over the
     /// completions reaped so far.
     io_queue_ns: u64,
@@ -488,9 +511,9 @@ struct Loads<'a> {
 impl Loads<'_> {
     /// Reap one load completion — parking until one arrives (bounded by the
     /// retry policy's per-wait deadline) when `block`, else only if one is
-    /// already there — and launch phase two for each node its window
-    /// covers. `Ok(false)` means nothing was reaped; when blocking, that
-    /// nothing of this batch is outstanding.
+    /// already there — and launch phase two for its window. `Ok(false)`
+    /// means nothing was reaped; when blocking, that nothing of this batch
+    /// is outstanding.
     fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
         let ctx = self.ctx;
         let completion = if block {
@@ -505,15 +528,18 @@ impl Loads<'_> {
         };
         self.io_queue_ns = self.io_queue_ns.saturating_add(c.queue_ns);
         self.io_service_ns = self.io_service_ns.saturating_add(c.service_ns);
-        let (group, lease) = self.groups[c.user_data as usize]
-            .take()
-            .expect("unknown group");
+        let id = c.user_data as usize;
+        let Window::Reading(group, lease) =
+            std::mem::replace(&mut self.windows[id], Window::Landed)
+        else {
+            panic!("window {id} completed twice");
+        };
         // A completion becomes bytes only through the checksum gate, here
         // at the ring boundary, so silently corrupted windows never reach a
         // feature slab. Media errors and mismatches fall back to (retried)
         // blocking reads — the firmware-reread recovery path — before
         // giving up.
-        let buf = match c.verified(&ctx.ssd, ctx.features_file, group.window_start) {
+        let window = match c.verified(&ctx.ssd, ctx.features_file, group.window_start) {
             Ok(b) => {
                 ctx.health.record_success();
                 b
@@ -531,39 +557,164 @@ impl Loads<'_> {
                 retry
             }
         };
-        // Serial pays each host→device copy inline; the span keeps stage
-        // coverage identical to the asynchronous tail's.
-        let _tspan = (self.serial && ctx.transfer.is_some())
-            .then(|| telemetry::span("transfer", self.batch_id));
-        for &(disk_row, node, slot) in &group.rows {
-            let row = row_from_window(&buf, group.window_start, disk_row, self.row_bytes);
-            match &ctx.transfer {
-                Some(engine) if !self.serial => {
-                    let (slab, reply) = (Arc::clone(ctx.fb.slab()), self.xfer_tx.clone());
-                    engine.submit(row, slab, slot, node as u64, reply);
-                    self.inflight_transfers += 1;
+        // Only now are the bridged bytes trusted: offer their rows to the
+        // buffer. A packed layout has no row → node inverse, so it harvests
+        // nothing.
+        self.offers.clear();
+        if ctx.remap.is_none() {
+            let bridged = group.bridged_rows(self.row_bytes);
+            self.offers.extend(bridged.map(|row| row as NodeId));
+        }
+        let harvested = if self.offers.is_empty() {
+            Vec::new()
+        } else {
+            ctx.fb.harvest(&self.offers)
+        };
+        let loaded = group.rows.len();
+        let mut rows = group.rows;
+        rows.extend(
+            harvested
+                .iter()
+                .map(|&(node, slot)| (node.into(), node, slot)),
+        );
+        let copy = WindowCopy {
+            window,
+            window_start: group.window_start,
+            rows,
+        };
+        let slab = ctx.fb.slab();
+        match &ctx.transfer {
+            Some(engine) if !self.serial => {
+                let reply = self.xfer_tx.clone().expect("open until the drain");
+                engine.submit(copy, Arc::clone(slab), id as u64, reply);
+                self.windows[id] = Window::Copying(harvested);
+                self.copying += 1;
+            }
+            engine => {
+                // No asynchronous hop: pay the copy here if there is a
+                // device link (CPU training and GPUDirect have none),
+                // write the feature buffer and publish immediately. The
+                // span keeps stage coverage identical to the asynchronous
+                // tail's.
+                if let Some(engine) = engine {
+                    let _tspan = telemetry::span("transfer", self.batch_id);
+                    let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
+                    engine.pay_blocking(copy.bytes(slab));
                 }
-                engine => {
-                    // No asynchronous hop: pay the copy here if there is a
-                    // device link (CPU training and GPUDirect have none),
-                    // write the feature buffer and publish immediately.
-                    if let Some(engine) = engine {
-                        let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
-                        engine.pay_blocking(self.row_bytes);
+                copy.write_into(slab);
+                ctx.fb.publish_window(&copy.rows, loaded);
+            }
+        }
+        // Staging credits return at hand-off, not when the copy lands.
+        drop(lease);
+        Ok(true)
+    }
+
+    /// Publish a landed copy's rows and release its harvested ones.
+    fn land(&mut self, done: TransferDone) {
+        let id = done.user_data as usize;
+        let Window::Copying(harvested) = std::mem::replace(&mut self.windows[id], Window::Landed)
+        else {
+            panic!("window {id} landed twice");
+        };
+        let loaded = done.rows.len() - harvested.len();
+        self.ctx.fb.publish_window(&done.rows, loaded);
+        self.copying -= 1;
+    }
+
+    /// Phase one: submit every group, reaping as we go to keep the ring
+    /// deep but bounded, then reap the rest.
+    fn read(&mut self, groups: Vec<ReadGroup>) -> Result<(), ExtractError> {
+        let ctx = self.ctx;
+        for group in groups {
+            // Staging credits. Never block in `acquire` while this
+            // extractor still holds leases with reapable load completions:
+            // with every extractor doing that simultaneously the pool can
+            // never refill (each would wait on credits the others'
+            // unreaped completions hold). Reap-then-retry until we hold
+            // nothing, then block.
+            let lease = match &ctx.staging {
+                None => None,
+                Some(staging) => loop {
+                    if let Some(l) = staging.try_acquire(group.window_len as u64) {
+                        break Some(l);
                     }
-                    ctx.fb.slab().write_row(slot, &row);
-                    ctx.fb.publish(node);
+                    if !self.reap(true)? {
+                        // We hold no leases; blocking cannot self-deadlock.
+                        break Some(staging.acquire(group.window_len as u64));
+                    }
+                },
+            };
+            let id = self.windows.len() as u64;
+            let (start, len) = (group.window_start, group.window_len);
+            while let Err(e) = self.ring.prepare_read(ctx.features_file, start, len, id) {
+                match e {
+                    IoError::RingFull => self.reap(true)?,
+                    e => return Err(e.into()),
+                };
+            }
+            self.windows.push(Window::Reading(group, lease));
+            self.ring.submit();
+            // Serial: wait until the read just submitted has landed, so one
+            // is in flight at a time. Otherwise drain whatever already
+            // finished without blocking.
+            while self.reap(self.serial)? {}
+            // Land finished copies opportunistically too.
+            while let Some(done) = self.xfer_rx.try_recv() {
+                self.land(done);
+            }
+        }
+        // Wait for the remaining loads.
+        while self.reap(true)? {}
+        debug_assert!(
+            self.windows
+                .iter()
+                .all(|w| !matches!(w, Window::Reading(..))),
+            "all groups must complete"
+        );
+        Ok(())
+    }
+
+    /// Phase two tail: wait until every copy submitted has landed and is
+    /// published — after a failed read too, so the rollback never hands
+    /// back a slot a copy is still bound for. The `transfer` span covers
+    /// exactly the H2D drain left on the critical path: under healthy
+    /// overlap it is near-zero; in a trace, wide transfer spans mean the
+    /// device link is the bottleneck.
+    fn drain_copies(mut self) -> Result<(), ExtractError> {
+        // Dropping our sender leaves the engine's in-flight jobs holding
+        // the only ones, so a dead engine disconnects the channel below.
+        self.xfer_tx = None;
+        let asynchronous = self.ctx.transfer.is_some() && !self.serial;
+        let _span = asynchronous.then(|| telemetry::span("transfer", self.batch_id));
+        while self.copying > 0 {
+            let done = {
+                let _io = telemetry::state(telemetry::State::IoWait);
+                let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
+                self.xfer_rx.recv()
+            };
+            match done {
+                Ok(done) => self.land(done),
+                Err(_) => {
+                    // The engine is gone and with it every job it held:
+                    // no copy can land any more. Give the harvested rows
+                    // back; the loaded ones go with the batch's rollback.
+                    for w in &self.windows {
+                        if let Window::Copying(harvested) = w {
+                            self.ctx.fb.abandon_harvest(harvested);
+                        }
+                    }
+                    return Err(ExtractError::TransferEngineGone);
                 }
             }
         }
-        // Staging credits return at hand-off, not when the transfers land.
-        drop(lease);
-        Ok(true)
+        Ok(())
     }
 }
 
 /// Phases one and two for the nodes `plan` says this extractor loads.
-/// Returns the batch's (queue, service) I/O time split.
+/// Returns the batch's (queue, service) I/O time split. Returns only once
+/// every copy it submitted has landed, whether it succeeds or fails.
 fn load(
     ctx: &ExtractorContext,
     plan: &ExtractPlan,
@@ -592,7 +743,6 @@ fn load(
         ctx.direct_io,
         ctx.gpu_direct,
     );
-    let row_bytes = geometry.row_bytes;
     let groups = geometry.plan(&to_load);
 
     let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
@@ -600,95 +750,25 @@ fn load(
         ctx,
         batch_id,
         serial,
-        row_bytes,
+        row_bytes: geometry.row_bytes,
         ring: IoRing::with_priority(
             Arc::clone(&ctx.ssd),
             ctx.ring_depth.max(1),
             ctx.direct_io || ctx.gpu_direct,
             ctx.io_priority,
         ),
-        groups: Vec::with_capacity(groups.len()),
-        xfer_tx,
+        windows: Vec::with_capacity(groups.len()),
+        copying: 0,
+        offers: Vec::new(),
+        xfer_tx: Some(xfer_tx),
         xfer_rx,
-        inflight_transfers: 0,
         io_queue_ns: 0,
         io_service_ns: 0,
     };
-
-    // Phase one: submit every group, reaping as we go to keep the ring
-    // deep but bounded.
-    for group in groups {
-        // Staging credits. Never block in `acquire` while this extractor
-        // still holds leases with reapable load completions: with every
-        // extractor doing that simultaneously the pool can never refill
-        // (each would wait on credits the others' unreaped completions
-        // hold). Reap-then-retry until we hold nothing, then block.
-        let lease = match &ctx.staging {
-            None => None,
-            Some(staging) => loop {
-                if let Some(l) = staging.try_acquire(group.window_len as u64) {
-                    break Some(l);
-                }
-                if !loads.reap(true)? {
-                    // We hold no leases; blocking cannot self-deadlock.
-                    break Some(staging.acquire(group.window_len as u64));
-                }
-            },
-        };
-        let id = loads.groups.len() as u64;
-        let (start, len) = (group.window_start, group.window_len);
-        while let Err(e) = loads.ring.prepare_read(ctx.features_file, start, len, id) {
-            match e {
-                IoError::RingFull => loads.reap(true)?,
-                e => return Err(e.into()),
-            };
-        }
-        loads.groups.push(Some((group, lease)));
-        loads.ring.submit();
-        // Serial: wait until the read just submitted has landed, so one is
-        // in flight at a time. Otherwise drain whatever already finished
-        // without blocking.
-        while loads.reap(serial)? {}
-        // Reap transfer completions opportunistically too.
-        while let Some(done) = loads.xfer_rx.try_recv() {
-            ctx.fb.publish(done.user_data as NodeId);
-            loads.inflight_transfers -= 1;
-        }
-    }
-    // Wait for the remaining loads.
-    while loads.reap(true)? {}
-    debug_assert!(
-        loads.groups.iter().all(Option::is_none),
-        "all groups must complete"
-    );
-    // Dropping our sender here leaves the engine's in-flight jobs holding
-    // the only ones, so a dead engine disconnects the channel below.
-    let Loads {
-        xfer_rx,
-        mut inflight_transfers,
-        io_queue_ns,
-        io_service_ns,
-        ..
-    } = loads;
-
-    // Phase two tail: wait for outstanding transfers and publish. The
-    // `transfer` span covers exactly the H2D drain left on the critical
-    // path — under healthy overlap it is near-zero; in a trace, wide
-    // transfer spans mean the device link is the bottleneck.
-    if ctx.transfer.is_some() && !serial {
-        let _span = telemetry::span("transfer", batch_id);
-        while inflight_transfers > 0 {
-            let done = {
-                let _io = telemetry::state(telemetry::State::IoWait);
-                let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
-                xfer_rx.recv()
-            }
-            .map_err(|_| ExtractError::TransferEngineGone)?;
-            ctx.fb.publish(done.user_data as NodeId);
-            inflight_transfers -= 1;
-        }
-    }
-    Ok((io_queue_ns, io_service_ns))
+    let read = loads.read(groups);
+    let io_split = (loads.io_queue_ns, loads.io_service_ns);
+    let copied = loads.drain_copies();
+    read.and(copied).map(|()| io_split)
 }
 
 #[cfg(test)]
@@ -770,6 +850,30 @@ mod tests {
             vec![3, 3],
         );
         sampler.sample(0, seeds, 99)
+    }
+
+    /// A batch of exactly `input_nodes`.
+    fn batch_of(batch_id: u64, input_nodes: Vec<NodeId>) -> MiniBatchSample {
+        MiniBatchSample {
+            batch_id,
+            seeds: Vec::new(),
+            input_nodes,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// The slab row of resident `node` equals its feature row bit for bit.
+    fn assert_resident(ds: &Dataset, fb: &FeatureBufferManager, node: NodeId) {
+        let (slot, _, valid) = fb.entry(node);
+        assert!(valid && slot >= 0, "node {node} is not resident");
+        let mut out = vec![0.0f32; ds.spec.feat_dim];
+        fb.slab().read_row(slot as u32, &mut out);
+        let want = ds.peek_feature_row(node);
+        assert_eq!(
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "row mismatch for node {node}"
+        );
     }
 
     fn verify_rows(ds: &Dataset, batch: &ExtractedBatch, fb: &FeatureBufferManager) {
@@ -1106,15 +1210,14 @@ mod tests {
         ds.ssd.set_fault_plan(plan);
         let detected = catalog::STORAGE_INTEGRITY_DETECTED.get();
         let ops = ds.ssd.stats().snapshot().read_ops;
-        let sample = MiniBatchSample {
-            batch_id: 0,
-            seeds: Vec::new(),
-            input_nodes: vec![10, 12],
-            blocks: Vec::new(),
-        };
-        let batch = extract_batch(&ctx, sample).unwrap();
+        // A queued batch wants row 11: the flipped gap is its row, so only
+        // the re-read's bytes may be harvested.
+        let horizon = ctx.fb.horizon(0..2);
+        let _queued = horizon.announce(batch_of(1, vec![11]), ());
+        let batch = extract_batch(&ctx, batch_of(0, vec![10, 12])).unwrap();
         ds.ssd.clear_faults();
         verify_rows(&ds, &batch, &ctx.fb);
+        assert_resident(&ds, &ctx.fb, 11);
         assert_eq!(batch.loaded_nodes, 2);
         assert_eq!(
             ds.ssd.stats().snapshot().read_ops - ops,
@@ -1123,6 +1226,111 @@ mod tests {
         );
         assert!(catalog::STORAGE_INTEGRITY_DETECTED.get() > detected);
         assert_eq!(catalog::STORAGE_INTEGRITY_ESCAPED.get(), 0);
+    }
+
+    /// A row a bridged read brought in that a queued batch announced is
+    /// harvested: resident with its exact bytes, unpinned, and reused by
+    /// the announcing batch without a read — on the asynchronous copy
+    /// path, the serial one and in CPU mode. The unannounced row bridged
+    /// alongside is not taken.
+    #[test]
+    fn an_announced_bridged_row_is_harvested_with_exact_bytes() {
+        let ds = tiny_dataset_on(128, bridging());
+        for (gpu, serial) in [(true, false), (true, true), (false, false)] {
+            let mut ctx = context(&ds, gpu, true);
+            ctx.sync_extract = serial;
+            // Rows 10 and 14 become one read through rows 11..14.
+            let cost = ds.ssd.profile().op_cost_bytes();
+            let rows = [(10, 10, 0), (14, 14, 1)];
+            let plan = plan_read_groups(&rows, 512, 512, 8192, ds.features_file.len, cost);
+            assert_eq!(shape(&plan), vec![(5120, 2560, rows.to_vec())]);
+            let horizon = ctx.fb.horizon(0..2);
+            let queued = horizon.announce(batch_of(1, vec![11, 13, 20]), ());
+            let harvested = ctx
+                .fb
+                .stats()
+                .harvested_rows
+                .load(std::sync::atomic::Ordering::Acquire);
+            let batch = extract_batch(&ctx, batch_of(0, vec![10, 14])).unwrap();
+            verify_rows(&ds, &batch, &ctx.fb);
+            let now = ctx
+                .fb
+                .stats()
+                .harvested_rows
+                .load(std::sync::atomic::Ordering::Acquire);
+            assert_eq!(now - harvested, 2, "gpu {gpu} serial {serial}");
+            for node in [11, 13] {
+                assert_resident(&ds, &ctx.fb, node);
+                assert_eq!(ctx.fb.entry(node).1, 0, "a landed harvest is unpinned");
+            }
+            assert_eq!(ctx.fb.entry(12), (-1, 0, false), "12 was not announced");
+            ctx.fb.release(&batch.sample.input_nodes);
+            let ops = ds.ssd.stats().snapshot().read_ops;
+            let next = extract_announced(&ctx, queued).unwrap();
+            // Only row 20 is read.
+            assert_eq!(next.loaded_nodes, 1);
+            assert_eq!(ds.ssd.stats().snapshot().read_ops - ops, 1);
+            verify_rows(&ds, &next, &ctx.fb);
+            ctx.fb.release(&next.sample.input_nodes);
+            drop(horizon);
+            ctx.fb.check_invariants();
+        }
+    }
+
+    /// A batch that fails after some of its windows went to the (slow)
+    /// copy engine lands those copies before its rollback hands their
+    /// slots back: a serial extractor that takes the freed slots right
+    /// after keeps its rows. The harvested row of a landed window is
+    /// published and released like a loaded one.
+    #[test]
+    fn a_failed_batch_lands_its_copies_before_rollback() {
+        use gnndrive_storage::FaultPlan;
+        let ds = tiny_dataset_on(128, bridging());
+        let slab = Arc::new(FeatureSlab::new(7, ds.spec.feat_dim));
+        let fb = Arc::new(FeatureBufferManager::new(
+            slab,
+            ds.spec.num_nodes,
+            &GnnDriveConfig::default(),
+        ));
+        let mut ctx = context(&ds, true, true);
+        ctx.fb = Arc::clone(&fb);
+        ctx.retry = RetryPolicy::none();
+        ctx.transfer = Some(TransferEngine::new(TransferProfile {
+            name: "slow",
+            latency: std::time::Duration::from_millis(30),
+            bandwidth: u64::MAX / 4,
+            sleep_granularity: std::time::Duration::from_micros(100),
+        }));
+        // The serial extractor: inline writes, no staging hop.
+        let mut serial = context(&ds, false, true);
+        serial.fb = Arc::clone(&fb);
+        serial.sync_extract = true;
+
+        let horizon = fb.horizon(0..2);
+        let _queued = horizon.announce(batch_of(1, vec![11]), ());
+        // Five windows, [10, 12] bridging 11 first; reads 3 and on fail.
+        ds.ssd.set_fault_plan(
+            FaultPlan::new(0)
+                .with_read_fault_prob(1.0)
+                .in_window(3..u64::MAX)
+                .on_file(ds.features_file.id),
+        );
+        let failing = batch_of(0, vec![10, 12, 30, 40, 50, 60]);
+        let err = extract_batch(&ctx, failing).err().expect("reads 3.. fail");
+        ds.ssd.clear_faults();
+        assert!(matches!(err, ExtractError::Io(_)), "{err}");
+        fb.check_invariants();
+        assert_eq!(fb.standby_len(), 7, "every pin returned");
+        if fb.entry(11).2 {
+            assert_resident(&ds, &fb, 11);
+        }
+        // Six fresh rows take the six slots the failed batch held.
+        let batch = extract_batch(&serial, batch_of(2, vec![1, 3, 5, 7, 9, 70])).unwrap();
+        // Long enough for any copy still bound for those slots to land.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        verify_rows(&ds, &batch, &fb);
+        fb.release(&batch.sample.input_nodes);
+        fb.check_invariants();
     }
 
     #[test]
@@ -1204,9 +1412,11 @@ mod tests {
 
     /// One loop, two settings: over every row size class × device mode ×
     /// feature layout, serial and asynchronous extraction of the same
-    /// sample load the same nodes and leave bit-identical slab rows — on a
-    /// device that plans touching-only windows and on one that bridges
-    /// gaps, which issues fewer ops for the same rows.
+    /// sample, with a random set of rows announced by a queued batch, load
+    /// the same nodes, leave bit-identical slab rows and harvest the same
+    /// announced rows, each with its exact bytes — on a device that plans
+    /// touching-only windows and on one that bridges gaps, which issues
+    /// fewer ops for the same rows.
     #[test]
     fn serial_and_async_extraction_agree_bit_for_bit() {
         use gnndrive_graph::pack_features;
@@ -1227,6 +1437,7 @@ mod tests {
             .collect();
         let mut case = 0usize;
         let mut ops = [0u64; 2];
+        let mut harvests = 0;
         gnndrive_sync::rng::cases(40, |rng| {
             let devices = &stacks[case % 5];
             let (mode, packed) = (case / 5 % 4, case / 20 == 1);
@@ -1237,6 +1448,7 @@ mod tests {
                 .collect();
             seeds.sort_unstable();
             seeds.dedup();
+            let announced: Vec<NodeId> = (0..n as NodeId).filter(|_| rng.bool(0.2)).collect();
             let extract = |device: usize, serial: bool| {
                 let (ds, layout) = &devices[device];
                 // GPU staged, CPU, GPUDirect, buffered.
@@ -1251,6 +1463,8 @@ mod tests {
                     ctx.remap = Some(Arc::clone(&layout.remap));
                 }
                 ctx.sync_extract = serial;
+                let horizon = ctx.fb.horizon(0..2);
+                let queued = horizon.announce(batch_of(1, announced.clone()), ());
                 let before = ds.ssd.stats().snapshot().read_ops;
                 let batch = extract_batch(&ctx, sample_of(ds, &seeds)).unwrap();
                 let issued = ds.ssd.stats().snapshot().read_ops - before;
@@ -1262,24 +1476,40 @@ mod tests {
                     ctx.fb.slab().read_row(alias, &mut row);
                     bits.extend(row.iter().map(|v| v.to_bits()));
                 }
-                ((bits, batch.loaded_nodes), issued)
+                let input = &batch.sample.input_nodes;
+                let harvested: Vec<NodeId> = (announced.iter().copied())
+                    .filter(|n| !input.contains(n) && ctx.fb.entry(*n).2)
+                    .collect();
+                for &node in &harvested {
+                    assert_resident(ds, &ctx.fb, node);
+                }
+                drop(queued);
+                drop(horizon);
+                ((bits, batch.loaded_nodes), harvested, issued)
             };
             // (device, serial): touching-only async first, as the reference.
             let runs = [(0, false), (0, true), (1, false), (1, true)].map(|(d, s)| extract(d, s));
-            for (i, (got, _)) in runs.iter().enumerate() {
-                assert_eq!(
-                    got, &runs[0].0,
-                    "dim {} mode {mode} packed {packed} run {i}",
-                    devices[0].0.spec.feat_dim
-                );
+            let case = format!(
+                "dim {} mode {mode} packed {packed}",
+                devices[0].0.spec.feat_dim
+            );
+            for (i, (got, ..)) in runs.iter().enumerate() {
+                assert_eq!(got, &runs[0].0, "{case} run {i}");
             }
-            // Serial or not, a device plans the same groups.
-            let issued = runs.map(|(_, ops)| ops);
+            // Serial or not, a device plans the same groups and harvests
+            // the same rows; a packed layout harvests none.
+            assert_eq!((&runs[0].1, &runs[2].1), (&runs[1].1, &runs[3].1), "{case}");
+            if packed {
+                assert!(runs.iter().all(|r| r.1.is_empty()), "{case}");
+            }
+            harvests += runs[2].1.len();
+            let issued = runs.map(|(.., ops)| ops);
             assert_eq!((issued[0], issued[2]), (issued[1], issued[3]));
             ops[0] += issued[0];
             ops[1] += issued[2];
         });
         assert!(ops[1] < ops[0], "bridging never fired: {ops:?}");
+        assert!(harvests > 0, "no bridged row was ever harvested");
     }
 
     /// Run one extraction under `retry` that may fail on the installed

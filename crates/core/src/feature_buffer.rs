@@ -28,6 +28,18 @@
 //! [`FeatureBufferManager::new`] and never announced to keeps every slot
 //! in class 0: plain LRU.
 //!
+//! A verified read window also carries rows the batch did not ask for:
+//! the gaps the read planner bridged. [`FeatureBufferManager::harvest`]
+//! keeps those a queued batch announced, when that costs no nearer use: a
+//! bridged node is taken only if it is announced, absent (no slot, not
+//! pinned, not valid), and the standby front — the slot a load would steal
+//! next — sits in a class strictly below the node's next-use class (a free
+//! slot, a popularity class, or a farther next-use bucket). A harvested
+//! row is pinned once with the valid bit clear, exactly like a load, so
+//! other extractors wait for it rather than load it again; when its copy
+//! lands, [`FeatureBufferManager::publish_window`] publishes and releases
+//! it, which files it into its next-use bucket.
+//!
 //! Concurrency follows Algorithm 1: an extractor plans a batch atomically
 //! (reuse pass + slot allocation), loads asynchronously, publishes valid
 //! bits, and other extractors wanting the same node wait instead of
@@ -147,6 +159,22 @@ impl Inner {
         }
     }
 
+    /// Unpin `node`, whose load this thread gave up, and free its slot
+    /// outright. With no other pins the entry simply forgets the slot; with
+    /// waiters it is poisoned so they fail fast and the takeover loader
+    /// allocates fresh.
+    fn drop_load(&mut self, node: NodeId) {
+        let e = &mut self.map[node as usize];
+        debug_assert!(e.ref_count > 0);
+        e.ref_count -= 1;
+        e.aborted = e.ref_count > 0;
+        let slot = std::mem::replace(&mut e.slot, NO_SLOT);
+        if slot != NO_SLOT {
+            self.reverse[slot as usize] = NO_NODE;
+            self.retire(slot);
+        }
+    }
+
     fn publish_horizon(&self) {
         catalog::PIPELINE_HORIZON_BATCHES.set(self.horizon_batches as i64);
         catalog::FEATURE_BUFFER_ANNOUNCED_ROWS.set(self.announced_rows as i64);
@@ -220,6 +248,11 @@ pub struct FeatureBufferStats {
     /// Slots stolen from a row a queued batch announced: the horizon
     /// outgrew the buffer.
     pub announced_steals: AtomicU64,
+    /// Announced rows a bridged read brought in, taken into the buffer.
+    pub harvested_rows: AtomicU64,
+    /// Announced, absent bridged rows refused because the standby front
+    /// was no colder than their next use.
+    pub harvest_declined: AtomicU64,
 }
 
 impl Default for FeatureBufferStats {
@@ -230,6 +263,8 @@ impl Default for FeatureBufferStats {
             &catalog::FEATURE_BUFFER_LOADS,
             &catalog::FEATURE_BUFFER_DELAYED_INVALIDATIONS,
             &catalog::FEATURE_BUFFER_ANNOUNCED_STEALS,
+            &catalog::FEATURE_BUFFER_HARVESTED_ROWS,
+            &catalog::FEATURE_BUFFER_HARVEST_DECLINED,
         ] {
             c.register();
         }
@@ -239,6 +274,8 @@ impl Default for FeatureBufferStats {
             loads: AtomicU64::new(0),
             delayed_invalidations: AtomicU64::new(0),
             announced_steals: AtomicU64::new(0),
+            harvested_rows: AtomicU64::new(0),
+            harvest_declined: AtomicU64::new(0),
         }
     }
 }
@@ -267,6 +304,16 @@ impl FeatureBufferStats {
     fn add_announced_steal(&self) {
         self.announced_steals.fetch_add(1, Ordering::Relaxed);
         catalog::FEATURE_BUFFER_ANNOUNCED_STEALS.inc();
+    }
+
+    fn add_harvested_row(&self) {
+        self.harvested_rows.fetch_add(1, Ordering::Relaxed);
+        catalog::FEATURE_BUFFER_HARVESTED_ROWS.inc();
+    }
+
+    fn add_harvest_declined(&self) {
+        self.harvest_declined.fetch_add(1, Ordering::Relaxed);
+        catalog::FEATURE_BUFFER_HARVEST_DECLINED.inc();
     }
 }
 
@@ -423,22 +470,7 @@ impl FeatureBufferManager {
                 }
             };
             drop(slot_wait);
-            // Delayed invalidation: evict the slot's previous owner now.
-            let prev = inner.reverse[slot as usize];
-            if prev != NO_NODE {
-                let p = &mut inner.map[prev as usize];
-                debug_assert_eq!(p.ref_count, 0, "standby slot owner must be unpinned");
-                p.valid = false;
-                p.slot = NO_SLOT;
-                let announced = p.uses != 0;
-                self.stats.add_delayed_invalidation();
-                if announced {
-                    self.stats.add_announced_steal();
-                }
-            }
-            inner.reverse[slot as usize] = node;
-            inner.map[node as usize].slot = slot;
-            debug_assert!(!inner.map[node as usize].valid);
+            self.assign(&mut inner, slot, node);
             aliases[i] = slot;
             self.stats.add_load();
         }
@@ -451,8 +483,68 @@ impl FeatureBufferManager {
         }
     }
 
+    /// Hand the standby slot `slot`, just popped, to `node`, evicting its
+    /// previous owner now (delayed invalidation).
+    fn assign(&self, inner: &mut Inner, slot: u32, node: NodeId) {
+        let prev = inner.reverse[slot as usize];
+        if prev != NO_NODE {
+            let p = &mut inner.map[prev as usize];
+            debug_assert_eq!(p.ref_count, 0, "standby slot owner must be unpinned");
+            p.valid = false;
+            p.slot = NO_SLOT;
+            let announced = p.uses != 0;
+            self.stats.add_delayed_invalidation();
+            if announced {
+                self.stats.add_announced_steal();
+            }
+        }
+        inner.reverse[slot as usize] = node;
+        inner.map[node as usize].slot = slot;
+        debug_assert!(!inner.map[node as usize].valid);
+    }
+
+    /// Offer the nodes whose rows a verified read window bridged (module
+    /// docs): each one announced, absent and worth more than the standby
+    /// front is given that slot and pinned once with its valid bit clear.
+    /// Returns the `(node, slot)` pairs taken, in offer order; the caller
+    /// copies their rows in and lands them with
+    /// [`FeatureBufferManager::publish_window`] (or gives them back with
+    /// [`FeatureBufferManager::abandon_harvest`]). Nodes outside the table
+    /// (a window's tail past the last row) are ignored. Never blocks.
+    pub fn harvest(&self, nodes: &[NodeId]) -> Vec<(NodeId, u32)> {
+        let mut inner = self.inner.lock();
+        let mut taken = Vec::new();
+        for &node in nodes {
+            let Some(&e) = inner.map.get(node as usize) else {
+                continue;
+            };
+            if e.uses == 0 || e.slot != NO_SLOT || e.ref_count != 0 {
+                continue;
+            }
+            let front = inner
+                .standby
+                .front()
+                .and_then(|s| inner.standby.class_of(s));
+            if front.is_none_or(|class| class >= inner.node_class(node)) {
+                self.stats.add_harvest_declined();
+                continue;
+            }
+            let slot = inner.standby.pop_front().expect("the front was just seen");
+            self.assign(&mut inner, slot, node);
+            let e = &mut inner.map[node as usize];
+            e.ref_count = 1;
+            e.aborted = false;
+            taken.push((node, slot));
+            self.stats.add_harvested_row();
+        }
+        if !taken.is_empty() {
+            catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
+        }
+        taken
+    }
+
     /// Mark `node`'s slot data as extracted (valid bit → 1) and wake
-    /// waiters. Called once the node's host→device transfer completed.
+    /// waiters: [`FeatureBufferManager::publish_window`] for one node.
     pub fn publish(&self, node: NodeId) {
         let mut inner = self.inner.lock();
         let e = &mut inner.map[node as usize];
@@ -460,6 +552,52 @@ impl FeatureBufferManager {
         e.valid = true;
         e.aborted = false;
         drop(inner);
+        self.data_ready.notify_all();
+    }
+
+    /// Publish a landed window's rows (`(row, node, slot)`) under one lock:
+    /// every row's valid bit goes to 1, and the rows past the first
+    /// `loaded` — the window's harvested ones — drop their pin, so a
+    /// harvested row with no other pin retires into its next-use bucket.
+    pub fn publish_window(&self, rows: &[(u64, NodeId, u32)], loaded: usize) {
+        let mut inner = self.inner.lock();
+        for &(_, node, _) in rows {
+            let e = &mut inner.map[node as usize];
+            debug_assert!(e.slot != NO_SLOT, "publish of unmapped node {node}");
+            e.valid = true;
+            e.aborted = false;
+        }
+        let harvested = &rows[loaded..];
+        for &(_, node, _) in harvested {
+            let e = &mut inner.map[node as usize];
+            debug_assert!(e.ref_count > 0, "harvested node {node} is unpinned");
+            e.ref_count -= 1;
+            if e.ref_count == 0 {
+                let slot = e.slot;
+                inner.retire(slot);
+            }
+        }
+        if !harvested.is_empty() {
+            catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
+        }
+        drop(inner);
+        self.data_ready.notify_all();
+        if !harvested.is_empty() {
+            self.slot_available.notify_all();
+        }
+    }
+
+    /// Give back harvested rows whose copy never landed: as a failed load,
+    /// each frees its slot, and is marked aborted if another extractor
+    /// waits on it.
+    pub fn abandon_harvest(&self, taken: &[(NodeId, u32)]) {
+        let mut inner = self.inner.lock();
+        for &(node, _) in taken {
+            inner.drop_load(node);
+        }
+        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
+        drop(inner);
+        self.slot_available.notify_all();
         self.data_ready.notify_all();
     }
 
@@ -512,25 +650,15 @@ impl FeatureBufferManager {
             plan.to_load.iter().map(|&(_, n)| n).collect();
         let mut inner = self.inner.lock();
         for &node in input_nodes {
-            let e = &mut inner.map[node as usize];
+            let e = inner.map[node as usize];
+            if loading.contains(&node) && !e.valid {
+                inner.drop_load(node);
+                continue;
+            }
             debug_assert!(e.ref_count > 0);
-            e.ref_count -= 1;
-            let refs = e.ref_count;
-            let valid = e.valid;
-            let slot = e.slot;
-            if loading.contains(&node) && !valid {
-                // Free the slot outright. With no other pins the entry
-                // simply forgets it; with waiters it is poisoned so they
-                // fail fast and the takeover loader allocates fresh.
-                if slot != NO_SLOT {
-                    inner.reverse[slot as usize] = NO_NODE;
-                    inner.retire(slot);
-                }
-                let e = &mut inner.map[node as usize];
-                e.slot = NO_SLOT;
-                e.aborted = refs > 0;
-            } else if refs == 0 && slot != NO_SLOT {
-                inner.retire(slot);
+            inner.map[node as usize].ref_count -= 1;
+            if e.ref_count == 1 && e.slot != NO_SLOT {
+                inner.retire(e.slot);
             }
         }
         catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
@@ -1037,6 +1165,84 @@ mod tests {
         assert_eq!(cycle(&fb, &[2]).aliases[0], p0.aliases[0]);
         assert!(fb.entry(1).2);
         assert_eq!(fb.entry(1).0, i64::from(p1.aliases[0]));
+    }
+
+    /// Harvest takes an announced, absent row only from a slot in a class
+    /// strictly below the row's next use — a free slot or a farther use,
+    /// never a nearer one — and never a resident, in-flight, pinned or
+    /// unannounced row. A landed harvest retires into its next-use bucket.
+    #[test]
+    fn harvest_never_steals_a_nearer_use() {
+        let fb = manager(4, 20);
+        let p0 = cycle(&fb, &[0]);
+        cycle(&fb, &[1]);
+        let horizon = fb.horizon(0..30);
+        // Rows 0 and 1 are resident and needed next; 7 goes in flight.
+        let _near = horizon.announce(sample_at(0, vec![0, 1, 7]), ());
+        let in_flight = fb.plan_batch(&[7]);
+        let _far = horizon.announce(sample_at(29, vec![5, 6, 8]), ());
+        let stats = |fb: &FeatureBufferManager| {
+            let s = fb.stats();
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            (get(&s.harvested_rows), get(&s.harvest_declined))
+        };
+        // Resident 0, in-flight 7 and unannounced 9 are not candidates;
+        // 5 takes the last free slot.
+        let taken = fb.harvest(&[0, 7, 9, 5]);
+        assert_eq!(taken.len(), 1);
+        let (node, slot) = taken[0];
+        assert_eq!(node, 5);
+        assert_eq!(
+            fb.entry(5),
+            (i64::from(slot), 1, false),
+            "pinned, not valid"
+        );
+        assert_eq!(stats(&fb), (1, 0));
+        // Only nearer uses are left on standby: 6 is declined, and 5,
+        // pinned by its harvest, is no candidate.
+        assert!(fb.harvest(&[6, 5]).is_empty());
+        assert_eq!(stats(&fb), (1, 1));
+        assert!(fb.entry(0).2 && fb.entry(1).2, "nearer uses kept");
+        fb.check_invariants();
+        fb.publish_window(&[(5, 5, slot)], 0);
+        assert_eq!(fb.entry(5), (i64::from(slot), 0, true));
+        fb.check_invariants();
+        // 8's use is as far as 5's: no strictly colder slot.
+        assert!(fb.harvest(&[8]).is_empty());
+        // Once 6 is also needed sooner, 5's farther use is the colder one.
+        let _mid = horizon.announce(sample_at(10, vec![6]), ());
+        assert_eq!(fb.harvest(&[6]), vec![(6, slot)]);
+        assert_eq!(fb.entry(5), (-1, 0, false));
+        assert_eq!(fb.stats().announced_steals.load(Ordering::Relaxed), 1);
+        assert_eq!(stats(&fb), (2, 2));
+        fb.publish_window(&[(6, 6, slot)], 0);
+        fb.publish(7);
+        fb.release(&[7]);
+        assert_eq!(fb.entry(0).0, i64::from(p0.aliases[0]));
+        drop(in_flight);
+        fb.check_invariants();
+    }
+
+    /// A harvest whose copy never lands is given back like a failed load:
+    /// its slot is freed, and a batch waiting on the row fails fast.
+    #[test]
+    fn an_abandoned_harvest_fails_its_waiters() {
+        let fb = manager(4, 20);
+        let horizon = fb.horizon(0..2);
+        let queued = horizon.announce(sample_at(1, vec![3]), ());
+        let taken = fb.harvest(&[3]);
+        assert_eq!(taken.len(), 1);
+        let mut waiter = fb.plan_batch(&[3]);
+        assert_eq!(waiter.wait_for.len(), 1, "another extractor waits");
+        fb.abandon_harvest(&taken);
+        assert_eq!(fb.wait_ready(&mut waiter), Err(3));
+        fb.abort_batch(&waiter, &[3]);
+        assert_eq!(fb.entry(3), (-1, 0, false));
+        assert_eq!(fb.standby_len(), 4);
+        fb.check_invariants();
+        // The next planner loads it afresh.
+        assert_eq!(fb.plan_batch(&[3]).to_load, vec![(0, 3)]);
+        drop(queued);
     }
 
     #[test]

@@ -560,8 +560,9 @@ impl Pipeline {
         // congested extract stage shows as a deep extract queue and an
         // empty train queue), the horizon's batches, rows and stolen rows
         // (how far the samplers ran ahead, and whether the buffer bounded
-        // them), plus registry histograms of the per-batch stage latencies,
-        // each recorded by the stage that measures it.
+        // them), the bridged rows harvested or declined, plus registry
+        // histograms of the per-batch stage latencies, each recorded by the
+        // stage that measures it.
         for g in [
             &catalog::PIPELINE_EXTRACT_QUEUE_DEPTH,
             &catalog::PIPELINE_TRAIN_QUEUE_DEPTH,
@@ -571,7 +572,13 @@ impl Pipeline {
         ] {
             g.register();
         }
-        catalog::FEATURE_BUFFER_ANNOUNCED_STEALS.register();
+        for c in [
+            &catalog::FEATURE_BUFFER_ANNOUNCED_STEALS,
+            &catalog::FEATURE_BUFFER_HARVESTED_ROWS,
+            &catalog::FEATURE_BUFFER_HARVEST_DECLINED,
+        ] {
+            c.register();
+        }
         for h in [
             &catalog::PIPELINE_SAMPLE,
             &catalog::PIPELINE_EXTRACT,

@@ -167,7 +167,9 @@ fn sample(batch_id: u64, input_nodes: Vec<NodeId>) -> MiniBatchSample {
 /// it entered its current class (a release, an abort, or an announcement
 /// or withdrawal that changed its owner's class); the victim is the
 /// minimum over standby slots of (class, that time), where an announced
-/// owner's class is 33 + 29 − its nearest offset's next-use bucket.
+/// owner's class is 33 + 29 − its nearest offset's next-use bucket. A
+/// harvest offer takes that victim for an announced, absent, unpinned node
+/// only if the victim's class is strictly below the node's.
 struct Model {
     class: Vec<u8>,
     slot: Vec<Option<u32>>,
@@ -181,6 +183,8 @@ struct Model {
     standby: BTreeMap<u32, u64>,
     clock: u64,
     announced_steals: u64,
+    harvested: u64,
+    declined: u64,
 }
 
 /// What the model predicts `plan_batch` does.
@@ -208,6 +212,8 @@ impl Model {
             standby: (0..slots as u32).map(|s| (s, u64::from(s))).collect(),
             clock: slots as u64,
             announced_steals: 0,
+            harvested: 0,
+            declined: 0,
         }
     }
 
@@ -272,19 +278,8 @@ impl Model {
         }
         let mut victims = Vec::new();
         for &n in &to_load {
-            let victim = *self
-                .standby
-                .keys()
-                .min_by_key(|&&s| self.key(s))
-                .expect("checked above");
-            self.standby.remove(&victim);
-            if let Some(prev) = self.owner[victim as usize] {
-                self.valid[prev as usize] = false;
-                self.slot[prev as usize] = None;
-                self.announced_steals += u64::from(!self.uses[prev as usize].is_empty());
-            }
-            self.owner[victim as usize] = Some(n);
-            self.slot[n as usize] = Some(victim);
+            let victim = self.victim().expect("checked above");
+            self.take(victim, n);
             victims.push(victim);
         }
         Some(PlanPrediction {
@@ -292,6 +287,60 @@ impl Model {
             wait_for,
             victims,
         })
+    }
+
+    /// The standby slot a steal takes next.
+    fn victim(&self) -> Option<u32> {
+        self.standby.keys().copied().min_by_key(|&s| self.key(s))
+    }
+
+    /// Give standby slot `victim` to `n`, evicting its owner.
+    fn take(&mut self, victim: u32, n: NodeId) {
+        self.standby.remove(&victim);
+        if let Some(prev) = self.owner[victim as usize] {
+            self.valid[prev as usize] = false;
+            self.slot[prev as usize] = None;
+            self.announced_steals += u64::from(!self.uses[prev as usize].is_empty());
+        }
+        self.owner[victim as usize] = Some(n);
+        self.slot[n as usize] = Some(victim);
+    }
+
+    /// What the model predicts `harvest` takes.
+    fn harvest(&mut self, offers: &[NodeId]) -> Vec<(NodeId, u32)> {
+        let mut taken = Vec::new();
+        for &n in offers {
+            let i = n as usize;
+            if self.uses[i].is_empty() || self.slot[i].is_some() || self.refs[i] > 0 {
+                continue;
+            }
+            match self.victim() {
+                Some(victim) if self.key(victim).0 < self.node_class(n) => {
+                    self.take(victim, n);
+                    self.refs[i] = 1;
+                    self.aborted[i] = false;
+                    self.harvested += 1;
+                    taken.push((n, victim));
+                }
+                _ => self.declined += 1,
+            }
+        }
+        taken
+    }
+
+    /// A harvest's copy landed: publish and unpin.
+    fn land(&mut self, taken: &[(NodeId, u32)]) {
+        for &(n, _) in taken {
+            self.valid[n as usize] = true;
+            self.aborted[n as usize] = false;
+        }
+        self.release(&taken.iter().map(|&(n, _)| n).collect::<Vec<_>>());
+    }
+
+    /// A harvest's copy never landed: unpin and free, as an aborted load.
+    fn abandon(&mut self, taken: &[(NodeId, u32)]) {
+        let nodes: Vec<NodeId> = taken.iter().map(|&(n, _)| n).collect();
+        self.abort(&nodes, &nodes);
     }
 
     fn release(&mut self, nodes: &[NodeId]) {
@@ -342,6 +391,11 @@ impl Model {
     }
 }
 
+/// A harvest's `(row, node, slot)` window rows: the row is the node.
+fn offered(taken: &[(NodeId, u32)]) -> Vec<(u64, NodeId, u32)> {
+    taken.iter().map(|&(n, s)| (n.into(), n, s)).collect()
+}
+
 /// A planned batch the property still owes a publish, release or abort.
 struct Outstanding {
     nodes: Vec<NodeId>,
@@ -350,15 +404,17 @@ struct Outstanding {
     published: bool,
 }
 
-/// Random plan/publish/release/announce/withdraw/abort sequences through
-/// a small buffer with random out-degrees and a random horizon span (plan
-/// positions sometimes outside it): every slot the manager steals is the
-/// naive model's victim, next-use buckets included, and the mapping
-/// tables agree after every step.
+/// Random plan/publish/release/announce/withdraw/abort/harvest sequences
+/// through a small buffer with random out-degrees and a random horizon
+/// span (plan positions sometimes outside it): every slot the manager
+/// steals, for a load or a harvest offer, is the naive model's victim,
+/// next-use buckets included, every offer is taken or declined as the
+/// model says, and the mapping tables agree after every step.
 #[test]
 fn eviction_matches_the_naive_model() {
     const NODES: usize = 24;
     const SLOTS: usize = 10;
+    let (mut harvested, mut declined) = (0, 0);
     cases(96, |rng| {
         let degrees: Vec<u32> = (0..NODES).map(|_| rng.below(40) as u32).collect();
         let slab = Arc::new(FeatureSlab::new(SLOTS, 2));
@@ -373,8 +429,9 @@ fn eviction_matches_the_naive_model() {
         let horizon = fb.horizon(first..first + span);
         let mut queued = Vec::new();
         let mut outstanding: Vec<Outstanding> = Vec::new();
+        let mut harvests: Vec<Vec<(NodeId, u32)>> = Vec::new();
         for step in 0..200 {
-            match rng.below(6) {
+            match rng.below(8) {
                 0 => {
                     let nodes: Vec<NodeId> = (0..1 + rng.below(6))
                         .map(|_| rng.below(NODES) as NodeId)
@@ -459,6 +516,29 @@ fn eviction_matches_the_naive_model() {
                     }
                     model.announce(&nodes, offset, false);
                 }
+                6 => {
+                    // A verified window's bridged rows, in row order.
+                    let first = rng.below(NODES) as NodeId;
+                    let offers: Vec<NodeId> = (first..NODES as NodeId)
+                        .take(1 + rng.below(6))
+                        .filter(|_| rng.bool(0.7))
+                        .collect();
+                    let want = model.harvest(&offers);
+                    let taken = fb.harvest(&offers);
+                    assert_eq!(taken, want, "step {step}: harvest of {offers:?}");
+                    harvests.push(taken);
+                }
+                7 if !harvests.is_empty() => {
+                    let taken = harvests.swap_remove(rng.below(harvests.len()));
+                    if rng.bool(0.9) {
+                        // The loaded rows of the window are not modelled.
+                        fb.publish_window(&offered(&taken), 0);
+                        model.land(&taken);
+                    } else {
+                        fb.abandon_harvest(&taken);
+                        model.abandon(&taken);
+                    }
+                }
                 _ => continue,
             }
             fb.check_invariants();
@@ -471,11 +551,25 @@ fn eviction_matches_the_naive_model() {
                 );
             }
         }
-        let stolen = fb.stats().announced_steals.load(Ordering::Relaxed);
+        let stats = fb.stats();
+        let stolen = stats.announced_steals.load(Ordering::Relaxed);
         assert_eq!(stolen, model.announced_steals);
+        assert_eq!(
+            stats.harvested_rows.load(Ordering::Relaxed),
+            model.harvested
+        );
+        assert_eq!(
+            stats.harvest_declined.load(Ordering::Relaxed),
+            model.declined
+        );
+        (harvested, declined) = (harvested + model.harvested, declined + model.declined);
         drop(queued);
         drop(horizon);
         fb.check_invariants();
         assert_eq!(fb.announced_rows(), 0);
     });
+    assert!(
+        harvested > 0 && declined > 0,
+        "{harvested} taken, {declined} declined"
+    );
 }

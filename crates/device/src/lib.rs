@@ -29,7 +29,7 @@ pub mod transfer;
 pub use compute::ComputeModel;
 pub use memory::{DeviceAlloc, DeviceMemory, DeviceOom};
 pub use slab::{FeatureSlab, GatherResult};
-pub use transfer::{TransferDone, TransferEngine, TransferProfile};
+pub use transfer::{TransferDone, TransferEngine, TransferProfile, WindowCopy};
 
 use gnndrive_telemetry::ThreadClass;
 use std::sync::Arc;

@@ -43,10 +43,14 @@ impl FeatureSlab {
         (self.slots.len() * self.dim * 4) as u64
     }
 
-    /// Overwrite slot `slot` with `row`.
-    pub fn write_row(&self, slot: u32, row: &[f32]) {
-        assert_eq!(row.len(), self.dim, "row dimension mismatch");
-        self.slots[slot as usize].write().copy_from_slice(row);
+    /// Overwrite slot `slot` with the little-endian `f32`s of `bytes` (the
+    /// on-disk row format), decoded straight into the slot.
+    pub fn write_row_le(&self, slot: u32, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.dim * 4, "row dimension mismatch");
+        let mut row = self.slots[slot as usize].write();
+        for (v, le) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([le[0], le[1], le[2], le[3]]);
+        }
     }
 
     /// Copy slot `slot` into `out`.
@@ -79,10 +83,16 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Write `row` to `slot` through its on-disk encoding.
+    fn put(slab: &FeatureSlab, slot: u32, row: &[f32]) {
+        let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+        slab.write_row_le(slot, &bytes);
+    }
+
     #[test]
     fn write_read_round_trip() {
         let slab = FeatureSlab::new(4, 3);
-        slab.write_row(2, &[1.0, 2.0, 3.0]);
+        put(&slab, 2, &[1.0, 2.0, 3.0]);
         let mut out = [0.0; 3];
         slab.read_row(2, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
@@ -91,11 +101,21 @@ mod tests {
     }
 
     #[test]
+    fn little_endian_rows_decode_in_place() {
+        let slab = FeatureSlab::new(2, 3);
+        let row = [1.5f32, -0.0, f32::MIN_POSITIVE];
+        put(&slab, 1, &row);
+        let mut out = [9.0; 3];
+        slab.read_row(1, &mut out);
+        assert_eq!(out.map(f32::to_bits), row.map(f32::to_bits));
+    }
+
+    #[test]
     fn gather_orders_rows_by_request() {
         let slab = FeatureSlab::new(3, 2);
-        slab.write_row(0, &[1.0, 1.0]);
-        slab.write_row(1, &[2.0, 2.0]);
-        slab.write_row(2, &[3.0, 3.0]);
+        put(&slab, 0, &[1.0, 1.0]);
+        put(&slab, 1, &[2.0, 2.0]);
+        put(&slab, 2, &[3.0, 3.0]);
         let (rows, cols, data) = slab.gather(&[2, 0, 2]);
         assert_eq!((rows, cols), (3, 2));
         assert_eq!(data, vec![3.0, 3.0, 1.0, 1.0, 3.0, 3.0]);
@@ -105,7 +125,7 @@ mod tests {
     fn gather_into_equals_gather_and_reuses_capacity() {
         let slab = FeatureSlab::new(5, 3);
         for slot in 0..5 {
-            slab.write_row(slot, &[slot as f32, 0.5, -(slot as f32)]);
+            put(&slab, slot, &[slot as f32, 0.5, -(slot as f32)]);
         }
         let mut data = vec![9.0; 2];
         slab.gather_into(&[4, 1, 1, 0], &mut data);
@@ -133,7 +153,7 @@ mod tests {
                 s.spawn(move || {
                     for i in (t..64).step_by(4) {
                         let row = vec![i as f32; 16];
-                        slab.write_row(i as u32, &row);
+                        put(&slab, i as u32, &row);
                     }
                 });
             }

@@ -35,7 +35,7 @@
 
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry::catalog;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Tuning for [`DeviceHealth`]. The default plan is *disabled* — the
@@ -182,6 +182,8 @@ pub struct DeviceHealth {
     state: AtomicU8,
     /// Set while a half-open probe is in flight (CAS-guarded single slot).
     probing: AtomicBool,
+    /// How many times this tracker's circuit has opened.
+    trips: AtomicU64,
 }
 
 impl DeviceHealth {
@@ -201,6 +203,7 @@ impl DeviceHealth {
             ),
             state: AtomicU8::new(HealthState::Healthy as u8),
             probing: AtomicBool::new(false),
+            trips: AtomicU64::new(0),
         };
         catalog::STORAGE_HEALTH_STATE.set(HealthState::Healthy as i64);
         for c in [
@@ -220,6 +223,14 @@ impl DeviceHealth {
     /// Current state (lock-free).
     pub fn state(&self) -> HealthState {
         HealthState::from_u8(self.state.load(Ordering::Acquire))
+    }
+
+    /// How many times the circuit has opened (Healthy or Degraded →
+    /// CircuitOpen), counted at the transition: a caller that samples
+    /// [`DeviceHealth::state`] can miss an open that a probe already
+    /// closed, but never a trip.
+    pub fn trips(&self) -> u64 {
+        self.trips.load(Ordering::Acquire)
     }
 
     /// Record one successful device read.
@@ -313,6 +324,7 @@ impl DeviceHealth {
     fn trip(&self, w: &mut HealthWindow) {
         w.opened_at = Some(Instant::now());
         self.set_state(HealthState::CircuitOpen);
+        self.trips.fetch_add(1, Ordering::AcqRel);
         catalog::STORAGE_HEALTH_TRIPS.inc();
     }
 
@@ -396,15 +408,18 @@ mod tests {
             h.record_error();
         }
         assert_eq!(h.state(), HealthState::CircuitOpen);
+        assert_eq!(h.trips(), 1);
         std::thread::sleep(Duration::from_millis(2));
         // Cooldown elapsed: exactly one caller wins the probe slot, the
         // rest fail fast while it is in flight.
         assert_eq!(h.admit(), Admission::Probe);
         assert_eq!(h.admit(), Admission::FailFast);
-        // Probe success closes the circuit with a clean window.
+        // Probe success closes the circuit with a clean window; the trip
+        // stays counted.
         h.probe_result(true);
         assert_eq!(h.state(), HealthState::Healthy);
         assert_eq!(h.admit(), Admission::Normal);
+        assert_eq!(h.trips(), 1);
     }
 
     #[test]

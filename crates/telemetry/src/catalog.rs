@@ -104,6 +104,11 @@ pub static FEATURE_BUFFER_STANDBY_SLOTS: Gauge = Gauge::new("feature_buffer.stan
 pub static FEATURE_BUFFER_ANNOUNCED_ROWS: Gauge = Gauge::new("feature_buffer.announced_rows");
 pub static FEATURE_BUFFER_ANNOUNCED_STEALS: Counter =
     Counter::new("feature_buffer.announced_steals");
+// Bridged rows a queued batch announced: taken into the buffer straight
+// from the read window, or refused because the standby front was no colder.
+pub static FEATURE_BUFFER_HARVESTED_ROWS: Counter = Counter::new("feature_buffer.harvested_rows");
+pub static FEATURE_BUFFER_HARVEST_DECLINED: Counter =
+    Counter::new("feature_buffer.harvest_declined");
 
 // The GNNDrive pipeline: stage latencies, queue depths, batches and epochs.
 pub static PIPELINE_SAMPLE: HistogramHandle = HistogramHandle::new("pipeline.sample");
