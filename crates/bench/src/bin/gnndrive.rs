@@ -37,10 +37,12 @@
 //! `--check` it fails if:
 //!
 //! * OPT loads more rows than an online variant, or rows loaded break the
-//!   order classes + horizon ≤ classes ≤ LRU;
-//! * any count is worse than in the committed baseline (`--baseline`,
-//!   default `results/baselines`) — the replay is deterministic, so any
-//!   change for the worse is a regression, not noise.
+//!   order harvest ≤ classes + horizon ≤ classes ≤ LRU;
+//! * any count differs from the committed baseline (`--baseline`, default
+//!   `results/baselines`) — the replay is deterministic, so a worse count
+//!   is a regression, not noise, and a better one is a gain to record with
+//!   `gnndrive replay --out results/baselines` before a later change can
+//!   give it back unseen.
 //!
 //! `crashsim` enumerates crash schedules over a checkpointed training run
 //! and proves power-cut recovery: the recording pass (uninterrupted,
@@ -542,7 +544,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), UsageError> {
     let baseline = Json::parse(&text)
         .unwrap_or_else(|e| fail(CMD, &format!("baseline {}: {e}", baseline_path.display())));
     match check_replay(&baseline, &doc) {
-        Ok(lines) if lines.is_empty() => println!("check: no count is worse than the baseline"),
+        Ok(lines) if lines.is_empty() => println!("check: every count equals the baseline"),
         Ok(lines) => {
             for l in &lines {
                 eprintln!("{CMD}: {l}");

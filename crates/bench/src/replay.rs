@@ -24,6 +24,7 @@
 //! the committed `results/baselines/BENCH_replay.json`.
 
 use crate::Row;
+use gnndrive_core::config::{EXTRACT_QUEUE_CAP, TRAIN_QUEUE_CAP};
 use gnndrive_core::feature_buffer::Announced;
 use gnndrive_core::{
     ExtractPlan, FeatureBufferManager, GnnDriveConfig, Pipeline, ReadGeometry, StackConfig,
@@ -47,8 +48,8 @@ const REPLAY_SEED: u64 = 7;
 const EPOCHS: u64 = 4;
 
 /// Batches a batch stays pinned behind: the ones between its extraction
-/// and its release (two extracting, four queued for training).
-const PINNED: usize = 6;
+/// and its release (two extracting, a full training queue).
+const PINNED: usize = 2 + TRAIN_QUEUE_CAP;
 
 /// The variants of every point, in table order: the classless buffer,
 /// popularity classes, classes with the run-ahead horizon, those with the
@@ -76,24 +77,24 @@ pub struct Point {
 
 /// The gated points, restating `benchmark/src/workloads.rs`: 32 768 slots
 /// is eight worst-case batches rounded up to a power of two. Past the
-/// extract queue's six places the pipeline announces a sample only while
-/// the governor grants its bytes without reclaiming: at 32 MiB that runs
-/// to the epoch's end, and at 6 MiB, where the page cache holds the whole
-/// budget, never.
+/// extract queue's [`EXTRACT_QUEUE_CAP`] places the pipeline announces a
+/// sample only while the governor grants its bytes without reclaiming: at
+/// 32 MiB that runs to the epoch's end, and at 6 MiB, where the page cache
+/// holds the whole budget, never.
 pub const POINTS: [Point; 2] = [
     Point {
         name: "io_bound",
         budget_mib: 32,
         epoch_batches: 32,
         slots: 32_768,
-        ahead: Ahead::RunAhead(6),
+        ahead: Ahead::RunAhead(EXTRACT_QUEUE_CAP),
     },
     Point {
         name: "mem_tight",
         budget_mib: 6,
         epoch_batches: 16,
         slots: 32_768,
-        ahead: Ahead::Batches(6),
+        ahead: Ahead::Batches(EXTRACT_QUEUE_CAP),
     },
 ];
 
@@ -156,16 +157,13 @@ pub fn replay_buffer(
                 None => plan.to_load.iter().for_each(|&(_, n)| fb.publish(n)),
                 Some(geometry) => {
                     let mut rows: Vec<_> = (plan.to_load.iter())
-                        .map(|&(i, n)| (n.into(), n, plan.aliases[i]))
+                        .map(|&(i, n)| (n, plan.aliases[i]))
                         .collect();
                     rows.sort_unstable();
                     for mut g in geometry.plan(&rows) {
-                        let bridged = g.bridged_rows(geometry.row_bytes);
-                        let offers: Vec<NodeId> = bridged.map(|row| row as NodeId).collect();
+                        let offers: Vec<NodeId> = g.bridged_rows(geometry.row_bytes).collect();
                         let loaded = g.rows.len();
-                        let taken = fb.harvest(&offers);
-                        g.rows
-                            .extend(taken.iter().map(|&(n, slot)| (n.into(), n, slot)));
+                        g.rows.extend_from_slice(&fb.harvest(&offers));
                         fb.publish_window(&g.rows, loaded);
                     }
                 }
@@ -199,7 +197,7 @@ impl Counts {
     /// (any order), read as `geometry` plans them. Which slot a row lands
     /// in does not change the plan.
     fn add_batch(&mut self, geometry: &ReadGeometry, input_rows: usize, nodes: &[NodeId]) {
-        let mut rows: Vec<_> = nodes.iter().map(|&n| (n as u64, n, 0)).collect();
+        let mut rows: Vec<_> = nodes.iter().map(|&n| (n, 0)).collect();
         rows.sort_unstable();
         self.input_rows += input_rows as u64;
         self.rows_loaded += rows.len() as u64;
@@ -403,11 +401,13 @@ fn count(counts: &BTreeMap<String, u64>, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing {key}"))
 }
 
-/// Everything `--check` fails on, one line each: a count worse than in
-/// `baseline` (topology page hits lower, any other count higher; the
-/// replay is deterministic, so that is a regression, not noise), OPT
-/// loading more rows than an online variant, and rows loaded out of the
-/// order harvest ≤ classes + horizon ≤ classes ≤ LRU.
+/// Everything `--check` fails on, one line each: a count that differs
+/// from `baseline`, named worse (topology page hits lower, any other count
+/// higher) or better; OPT loading more rows than an online variant; and
+/// rows loaded out of the order harvest ≤ classes + horizon ≤ classes ≤
+/// LRU. The replay is deterministic, so a worse count is a regression, not
+/// noise, and a better one must be recorded in the baseline before a later
+/// change could give it back unseen.
 pub fn check_replay(baseline: &Json, current: &Json) -> Result<Vec<String>, String> {
     let cur = counts(current)?;
     let mut out = Vec::new();
@@ -433,13 +433,13 @@ pub fn check_replay(baseline: &Json, current: &Json) -> Result<Vec<String>, Stri
         if key.ends_with(".measured_batches") && now != base {
             return Err(format!("{key}: {now} vs the baseline's {base}"));
         }
-        let worse = if key.ends_with(".page_hits") {
-            now < base
-        } else {
-            now > base
-        };
-        if worse {
-            out.push(format!("{key} regressed {base} -> {now}"));
+        if now != base {
+            let worse = (now < base) == key.ends_with(".page_hits");
+            out.push(format!(
+                "{key} is {} than the baseline: {base} -> {now} (refresh the baseline \
+                 with `gnndrive replay --out results/baselines` if the change is meant)",
+                if worse { "worse" } else { "better" }
+            ));
         }
     }
     Ok(out)
@@ -631,7 +631,8 @@ mod tests {
 
     /// The replay is a pure function of its seed: two runs in one process
     /// serialize byte for byte alike and pass the check against each
-    /// other. The check flags a count raised by one (and not one lowered),
+    /// other. The check flags a count raised by one as worse and one
+    /// lowered by one as better (topology page hits the other way round),
     /// an OPT above the online variants, LRU below classes and classes +
     /// horizon below harvest.
     #[test]
@@ -640,17 +641,21 @@ mod tests {
         let again = run_replay(0.1, &[SMALL]).unwrap();
         assert_eq!(doc.to_json_string(), again.to_json_string());
         assert_eq!(check_replay(&doc, &again), Ok(vec![]));
-        for (variant, key) in [
-            ("lru", "ops"),
-            ("classes_horizon", "rows_loaded"),
-            ("harvest", "ops"),
-            ("opt", "bytes"),
+        for (variant, key, raised) in [
+            ("lru", "ops", "worse"),
+            ("classes_horizon", "rows_loaded", "worse"),
+            ("harvest", "ops", "worse"),
+            ("opt", "bytes", "worse"),
+            ("topology", "page_hits", "better"),
         ] {
-            let worse = with_count(&doc, variant, key, |v| v + 1);
-            let regs = check_replay(&doc, &worse).unwrap();
-            assert_eq!(regs.len(), 1, "{regs:?}");
-            assert!(regs[0].starts_with(&format!("small.{variant}.{key} regressed")));
-            assert_eq!(check_replay(&worse, &doc), Ok(vec![]));
+            let lowered = if raised == "worse" { "better" } else { "worse" };
+            for (delta, verdict) in [(1, raised), (-1, lowered)] {
+                let moved = with_count(&doc, variant, key, |v| v.saturating_add_signed(delta));
+                let lines = check_replay(&doc, &moved).unwrap();
+                assert_eq!(lines.len(), 1, "{lines:?}");
+                assert!(lines[0].starts_with(&format!("small.{variant}.{key} is {verdict}")));
+                assert!(lines[0].contains("gnndrive replay --out results/baselines"));
+            }
         }
         for (variant, error) in [
             ("opt", "OPT loads"),

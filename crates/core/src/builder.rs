@@ -30,7 +30,7 @@ use crate::config::{GnnDriveConfig, StackConfig};
 use crate::error::Error;
 use crate::pipeline::Pipeline;
 use gnndrive_device::GpuDevice;
-use gnndrive_graph::{Dataset, FeatureLayout};
+use gnndrive_graph::Dataset;
 use gnndrive_nn::ModelKind;
 use gnndrive_storage::{MemoryGovernor, PageCache};
 use std::sync::Arc;
@@ -49,7 +49,6 @@ pub struct PipelineBuilder {
     pub(crate) gpu_mode: bool,
     pub(crate) governor: Option<Arc<MemoryGovernor>>,
     pub(crate) page_cache: Option<Arc<PageCache>>,
-    pub(crate) feature_layout: Option<FeatureLayout>,
 }
 
 impl PipelineBuilder {
@@ -63,7 +62,6 @@ impl PipelineBuilder {
             gpu_mode: true,
             governor: None,
             page_cache: None,
-            feature_layout: None,
         }
     }
 
@@ -97,17 +95,6 @@ impl PipelineBuilder {
     /// cache over the dataset's SSD under the builder's governor.
     pub fn with_page_cache(mut self, cache: Arc<PageCache>) -> Self {
         self.page_cache = Some(cache);
-        self
-    }
-
-    /// Read features through a packed on-disk layout (from
-    /// `gnndrive_graph::pack_features`) instead of the dataset's natural
-    /// node-id order. The layout's remap is threaded through the
-    /// extractors' read planning; `build` rejects a layout whose remap
-    /// does not cover the dataset or whose file length differs from the
-    /// natural feature file.
-    pub fn with_feature_layout(mut self, layout: FeatureLayout) -> Self {
-        self.feature_layout = Some(layout);
         self
     }
 

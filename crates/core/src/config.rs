@@ -4,9 +4,21 @@ use gnndrive_storage::{HealthConfig, MemoryGovernor, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Extracting-queue capacity (paper default: 6): the uncharged part of the
+/// epoch's announce horizon. Samplers may always hold this many sampled
+/// batches that no extractor has pinned yet; past it, each further one is
+/// charged to the host memory governor, and a sampler whose charge is
+/// refused waits as at a full queue (DESIGN.md §4 item 10).
+pub const EXTRACT_QUEUE_CAP: usize = 6;
+
+/// Training-queue capacity (paper default: 4; restricted by device memory
+/// to avoid OOM during training).
+pub const TRAIN_QUEUE_CAP: usize = 4;
+
 /// Tunables of a GNNDrive pipeline. Defaults follow the paper's evaluation
 /// setup (§5 "Baselines"): four samplers, four extractors, one trainer, one
-/// releaser; extracting-queue capacity six, training-queue capacity four.
+/// releaser; the queue capacities are [`EXTRACT_QUEUE_CAP`] and
+/// [`TRAIN_QUEUE_CAP`].
 #[derive(Debug, Clone)]
 pub struct GnnDriveConfig {
     /// Sampler thread-pool size (paper default: 4).
@@ -14,16 +26,6 @@ pub struct GnnDriveConfig {
     /// Extractor thread-pool size (paper default: 4). Also bounds the
     /// staging buffer: its size is `num_extractors × per-extractor quota`.
     pub num_extractors: usize,
-    /// Extracting-queue capacity (paper default: 6): the uncharged part of
-    /// the epoch's announce horizon. Samplers may always hold this many
-    /// sampled batches that no extractor has pinned yet; past it, each
-    /// further one is charged to the host memory governor, and a sampler
-    /// whose charge is refused waits as at a full queue (DESIGN.md §4
-    /// item 10).
-    pub extract_queue_cap: usize,
-    /// Training-queue capacity (paper default: 4; restricted by device
-    /// memory to avoid OOM during training).
-    pub train_queue_cap: usize,
     /// Feature-buffer capacity in slots (one feature row each). Must hold
     /// at least `Ne × Mb` rows (deadlock reservation, §4.2).
     pub feature_buffer_slots: usize,
@@ -76,8 +78,6 @@ impl Default for GnnDriveConfig {
         GnnDriveConfig {
             num_samplers: 4,
             num_extractors: 4,
-            extract_queue_cap: 6,
-            train_queue_cap: 4,
             feature_buffer_slots: 64 * 1024,
             staging_bytes_per_extractor: 8 * 1024 * 1024,
             fanouts: vec![10, 10, 10],
@@ -207,10 +207,10 @@ mod tests {
         let c = GnnDriveConfig::default();
         assert_eq!(c.num_samplers, 4);
         assert_eq!(c.num_extractors, 4);
-        assert_eq!(c.extract_queue_cap, 6);
-        assert_eq!(c.train_queue_cap, 4);
-        assert!(c.extract_queue_cap >= c.num_samplers);
-        assert!(c.train_queue_cap >= c.train_queue_cap.min(c.num_extractors));
+        assert_eq!(EXTRACT_QUEUE_CAP, 6);
+        assert_eq!(TRAIN_QUEUE_CAP, 4);
+        assert!(EXTRACT_QUEUE_CAP >= c.num_samplers);
+        assert!(TRAIN_QUEUE_CAP >= c.num_extractors);
         assert!(c.direct_io && c.reorder);
     }
 

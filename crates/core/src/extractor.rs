@@ -52,12 +52,10 @@ use std::sync::Arc;
 pub struct ExtractorContext {
     pub ssd: Arc<SimSsd>,
     pub features_file: FileHandle,
-    /// `node id → row index` into `features_file` when the feature table
-    /// was rewritten by the layout packer (`gnndrive-graph`'s
-    /// `pack_features`); `None` means the natural layout (row = node id).
-    /// Read planning sorts and coalesces by *row*, so a packed layout
-    /// turns hot-node scatter into dense prefix reads.
-    pub remap: Option<Arc<Vec<u32>>>,
+    /// Always `None`: a node's id is its row in `features_file`. Kept only
+    /// because `benchmark/src/replay.rs` writes `remap: None` in a struct
+    /// literal; it goes with ROADMAP item 9. Nothing reads it.
+    pub remap: Option<std::convert::Infallible>,
     pub feat_dim: usize,
     pub fb: Arc<FeatureBufferManager>,
     /// `None` for CPU training (paper §4.4: CPU mode extracts straight into
@@ -162,23 +160,25 @@ pub struct ExtractedBatch {
 
 /// One joint-extraction read: a contiguous SSD window covering the feature
 /// rows of one or more nodes and any gaps bridged between them. Each entry
-/// is the on-disk row index, the node it belongs to (distinct once a packed
-/// layout remaps rows) and the feature-buffer slot the plan pinned for it.
+/// is a node — whose id is its row in the feature table — and the
+/// feature-buffer slot the plan pinned for it.
 pub struct ReadGroup {
     pub window_start: u64,
     pub window_len: usize,
-    pub rows: Vec<(u64, NodeId, u32)>,
+    pub rows: Vec<(NodeId, u32)>,
 }
 
 impl ReadGroup {
-    /// The rows of `row_bytes` bytes lying wholly inside the window that
-    /// are not in `rows`: read and verified with it, loaded by nobody.
-    pub fn bridged_rows(&self, row_bytes: u64) -> impl Iterator<Item = u64> + '_ {
+    /// The nodes whose rows of `row_bytes` bytes lie wholly inside the
+    /// window but are not in `rows`, ascending: read and verified with it,
+    /// loaded by nobody.
+    pub fn bridged_rows(&self, row_bytes: u64) -> impl Iterator<Item = NodeId> + '_ {
         let end = self.window_start + self.window_len as u64;
-        let mut loaded = self.rows.iter().map(|&(row, ..)| row).peekable();
-        (self.window_start.div_ceil(row_bytes)..end / row_bytes).filter(move |&row| {
-            while loaded.next_if(|&l| l < row).is_some() {}
-            loaded.next_if_eq(&row).is_none()
+        let first = self.window_start.div_ceil(row_bytes) as NodeId;
+        let mut loaded = self.rows.iter().map(|&(node, _)| node).peekable();
+        (first..(end / row_bytes) as NodeId).filter(move |&node| {
+            while loaded.next_if(|&l| l < node).is_some() {}
+            loaded.next_if_eq(&node).is_none()
         })
     }
 }
@@ -229,7 +229,7 @@ impl ReadGeometry {
     }
 
     /// The read windows for `rows`, as `plan_read_groups` plans them.
-    pub fn plan(&self, rows: &[(u64, NodeId, u32)]) -> Vec<ReadGroup> {
+    pub fn plan(&self, rows: &[(NodeId, u32)]) -> Vec<ReadGroup> {
         plan_read_groups(
             rows,
             self.row_bytes,
@@ -241,24 +241,25 @@ impl ReadGeometry {
     }
 }
 
-/// Plan the read windows for `rows` (`(row index, node, slot)`, sorted by
-/// row): align to sectors under direct I/O and coalesce rows whose windows
-/// lie within the batch's [`bridge_limit`] of each other, up to `max_bytes`
-/// per request (paper §4.4 "Access Granularity"). `op_cost_bytes` is the
-/// device's [`SsdProfile::op_cost_bytes`](gnndrive_storage::SsdProfile::op_cost_bytes);
+/// Plan the read windows for `rows` (`(node, slot)`, sorted by node, whose
+/// id is its row): align to sectors under direct I/O and coalesce rows
+/// whose windows lie within the batch's [`bridge_limit`] of each other, up
+/// to `max_bytes` per request (paper §4.4 "Access Granularity").
+/// `op_cost_bytes` is the device's
+/// [`SsdProfile::op_cost_bytes`](gnndrive_storage::SsdProfile::op_cost_bytes);
 /// at 0 only touching windows coalesce. Bridged bytes are read and
 /// verified with the rest of the window; their rows are
 /// [`ReadGroup::bridged_rows`], offered to the feature buffer's harvest.
 fn plan_read_groups(
-    rows: &[(u64, NodeId, u32)],
+    rows: &[(NodeId, u32)],
     row_bytes: u64,
     align: u64,
     max_bytes: usize,
     file_len: u64,
     op_cost_bytes: u64,
 ) -> Vec<ReadGroup> {
-    let window = |row: u64| {
-        let off = row * row_bytes;
+    let window = |node: NodeId| {
+        let off = u64::from(node) * row_bytes;
         if align > 1 {
             (
                 off / align * align,
@@ -271,23 +272,23 @@ fn plan_read_groups(
             (off, off + row_bytes)
         }
     };
-    let limit = bridge_limit(rows.iter().map(|&(row, ..)| window(row)), op_cost_bytes);
+    let limit = bridge_limit(rows.iter().map(|&(node, _)| window(node)), op_cost_bytes);
     let mut groups: Vec<ReadGroup> = Vec::new();
-    for &(row, node, slot) in rows {
-        let (start, end) = window(row);
+    for &(node, slot) in rows {
+        let (start, end) = window(node);
         if let Some(last) = groups.last_mut() {
             let last_end = last.window_start + last.window_len as u64;
             let merged_len = (end - last.window_start) as usize;
             if start <= last_end + limit && merged_len <= max_bytes {
                 last.window_len = last.window_len.max(merged_len);
-                last.rows.push((row, node, slot));
+                last.rows.push((node, slot));
                 continue;
             }
         }
         groups.push(ReadGroup {
             window_start: start,
             window_len: (end - start) as usize,
-            rows: vec![(row, node, slot)],
+            rows: vec![(node, slot)],
         });
     }
     groups
@@ -558,13 +559,9 @@ impl Loads<'_> {
             }
         };
         // Only now are the bridged bytes trusted: offer their rows to the
-        // buffer. A packed layout has no row → node inverse, so it harvests
-        // nothing.
+        // buffer.
         self.offers.clear();
-        if ctx.remap.is_none() {
-            let bridged = group.bridged_rows(self.row_bytes);
-            self.offers.extend(bridged.map(|row| row as NodeId));
-        }
+        self.offers.extend(group.bridged_rows(self.row_bytes));
         let harvested = if self.offers.is_empty() {
             Vec::new()
         } else {
@@ -572,11 +569,7 @@ impl Loads<'_> {
         };
         let loaded = group.rows.len();
         let mut rows = group.rows;
-        rows.extend(
-            harvested
-                .iter()
-                .map(|&(node, slot)| (node.into(), node, slot)),
-        );
+        rows.extend_from_slice(&harvested);
         let copy = WindowCopy {
             window,
             window_start: group.window_start,
@@ -721,18 +714,12 @@ fn load(
     batch_id: u64,
     serial: bool,
 ) -> Result<(u64, u64), ExtractError> {
-    // Map nodes to on-disk rows (identity without a packed layout) and
-    // sort by row for coalescing and sequential-ish access.
-    let mut to_load: Vec<(u64, NodeId, u32)> = plan
+    // A node's id is its row: sort by node for coalescing and
+    // sequential-ish access.
+    let mut to_load: Vec<(NodeId, u32)> = plan
         .to_load
         .iter()
-        .map(|&(i, n)| {
-            let row = match &ctx.remap {
-                Some(r) => r[n as usize] as u64,
-                None => n as u64,
-            };
-            (row, n, plan.aliases[i])
-        })
+        .map(|&(i, n)| (n, plan.aliases[i]))
         .collect();
     to_load.sort_unstable();
     let geometry = ReadGeometry::new(
@@ -1081,14 +1068,14 @@ mod tests {
     #[test]
     fn read_group_planning_coalesces_neighbors() {
         // dim 16 → 64 B rows; rows 0..8 share sector 0.
-        let rows: Vec<(u64, NodeId, u32)> = vec![(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)];
+        let rows: Vec<(NodeId, u32)> = vec![(0, 0), (1, 1), (2, 2), (3, 3)];
         let groups = plan_read_groups(&rows, 64, 512, 4096, 1 << 20, 0);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 512);
         assert_eq!(groups[0].rows, rows);
         // A distant row gets its own group.
-        let groups = plan_read_groups(&[(0, 0, 0), (100, 100, 1)], 64, 512, 4096, 1 << 20, 0);
+        let groups = plan_read_groups(&[(0, 0), (100, 1)], 64, 512, 4096, 1 << 20, 0);
         assert_eq!(groups.len(), 2);
     }
 
@@ -1097,8 +1084,7 @@ mod tests {
     /// touching-only windows (2 560 B) with gaps of 512, 1 536 and 6 144 B.
     #[test]
     fn read_group_planning_bridges_cheap_gaps_first() {
-        let rows: Vec<(u64, NodeId, u32)> =
-            vec![(0, 0, 0), (2, 2, 1), (3, 3, 2), (7, 7, 3), (20, 20, 4)];
+        let rows: Vec<(NodeId, u32)> = vec![(0, 0), (2, 1), (3, 2), (7, 3), (20, 4)];
         let plan = |cost| {
             plan_read_groups(&rows, 512, 512, 1 << 20, 1 << 20, cost)
                 .iter()
@@ -1130,28 +1116,11 @@ mod tests {
         assert!(capped.iter().all(|g| g.window_len <= 2048));
     }
 
-    /// A packed layout decouples row from node id: adjacent *rows* coalesce
-    /// even when their node ids are scattered, which is the whole point of
-    /// hot-first packing.
-    #[test]
-    fn read_group_planning_coalesces_remapped_rows() {
-        let groups = plan_read_groups(
-            &[(0, 9131, 5), (1, 4, 6), (2, 777, 7)],
-            64,
-            512,
-            4096,
-            1 << 20,
-            0,
-        );
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].rows, vec![(0, 9131, 5), (1, 4, 6), (2, 777, 7)]);
-    }
-
     #[test]
     fn read_group_clamps_at_eof_for_coarse_alignment() {
         // 512 B rows, 4 KiB (GDS) alignment, file of 3 sectors: the last
         // row's window must clamp to the file end.
-        let groups = plan_read_groups(&[(2, 2, 0)], 512, 4096, 1 << 20, 3 * 512, 0);
+        let groups = plan_read_groups(&[(2, 0)], 512, 4096, 1 << 20, 3 * 512, 0);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].window_start, 0);
         assert_eq!(groups[0].window_len, 3 * 512);
@@ -1195,7 +1164,7 @@ mod tests {
         let ds = tiny_dataset_on(128, bridging());
         let ctx = context(&ds, true, true);
         // 512 B rows 10 and 12 become one 1 536 B read through row 11.
-        let rows = [(10, 10, 0), (12, 12, 1)];
+        let rows = [(10, 0), (12, 1)];
         let cost = ds.ssd.profile().op_cost_bytes();
         let plan = plan_read_groups(&rows, 512, 512, 8192, ds.features_file.len, cost);
         assert_eq!(shape(&plan), vec![(5120, 1536, rows.to_vec())]);
@@ -1241,7 +1210,7 @@ mod tests {
             ctx.sync_extract = serial;
             // Rows 10 and 14 become one read through rows 11..14.
             let cost = ds.ssd.profile().op_cost_bytes();
-            let rows = [(10, 10, 0), (14, 14, 1)];
+            let rows = [(10, 0), (14, 1)];
             let plan = plan_read_groups(&rows, 512, 512, 8192, ds.features_file.len, cost);
             assert_eq!(shape(&plan), vec![(5120, 2560, rows.to_vec())]);
             let horizon = ctx.fb.horizon(0..2);
@@ -1383,56 +1352,20 @@ mod tests {
         ctx.fb.check_invariants();
     }
 
-    /// Extraction through a packed feature layout must return exactly the
-    /// rows the natural layout would: the remap points every node at its
-    /// relocated row, and the packed file's CRC shadows verify at the new
-    /// offsets — on both the async ring and the sync ablation path.
-    #[test]
-    fn packed_layout_extracts_identical_rows() {
-        use gnndrive_graph::pack_features;
-        let ds = tiny_dataset(64);
-        let n = ds.spec.num_nodes;
-        // Reverse-id frequency: the packed order is the exact reverse of
-        // the natural one, so every row moves.
-        let freq: Vec<u64> = (0..n as u64).collect();
-        let first = vec![0u64; n];
-        let layout = pack_features(&ds, &freq, &first).expect("pack");
-        assert_ne!(layout.row_of(0), 0, "packing must actually move rows");
-        for sync in [false, true] {
-            let mut ctx = context(&ds, true, true);
-            ctx.features_file = layout.file;
-            ctx.remap = Some(Arc::clone(&layout.remap));
-            ctx.sync_extract = sync;
-            let sample = sample_of(&ds, &[1, 2, 3, 4, 5]);
-            let batch = extract_batch(&ctx, sample).unwrap();
-            verify_rows(&ds, &batch, &ctx.fb);
-            ctx.fb.check_invariants();
-        }
-    }
-
-    /// One loop, two settings: over every row size class × device mode ×
-    /// feature layout, serial and asynchronous extraction of the same
-    /// sample, with a random set of rows announced by a queued batch, load
-    /// the same nodes, leave bit-identical slab rows and harvest the same
+    /// One loop, two settings: over every row size class × device mode,
+    /// serial and asynchronous extraction of the same sample, with a random
+    /// set of rows announced by a queued batch, load the same nodes, leave bit-identical slab rows and harvest the same
     /// announced rows, each with its exact bytes — on a device that plans
     /// touching-only windows and on one that bridges gaps, which issues
     /// fewer ops for the same rows.
     #[test]
     fn serial_and_async_extraction_agree_bit_for_bit() {
-        use gnndrive_graph::pack_features;
         const DIMS: [usize; 5] = [16, 24, 64, 128, 129];
         let stacks: Vec<_> = DIMS
             .iter()
             .map(|&dim| {
                 // The same dataset (same spec seed) on both devices.
-                [SsdProfile::instant(), bridging()].map(|profile| {
-                    let ds = tiny_dataset_on(dim, profile);
-                    let n = ds.spec.num_nodes;
-                    // Reverse-id frequency: every row moves.
-                    let freq: Vec<u64> = (0..n as u64).collect();
-                    let layout = pack_features(&ds, &freq, &vec![0u64; n]).expect("pack");
-                    (ds, layout)
-                })
+                [SsdProfile::instant(), bridging()].map(|profile| tiny_dataset_on(dim, profile))
             })
             .collect();
         let mut case = 0usize;
@@ -1440,9 +1373,9 @@ mod tests {
         let mut harvests = 0;
         gnndrive_sync::rng::cases(40, |rng| {
             let devices = &stacks[case % 5];
-            let (mode, packed) = (case / 5 % 4, case / 20 == 1);
+            let mode = case / 5 % 4;
             case += 1;
-            let n = devices[0].0.spec.num_nodes;
+            let n = devices[0].spec.num_nodes;
             let mut seeds: Vec<u32> = (0..1 + rng.below(12))
                 .map(|_| rng.below(n) as u32)
                 .collect();
@@ -1450,17 +1383,13 @@ mod tests {
             seeds.dedup();
             let announced: Vec<NodeId> = (0..n as NodeId).filter(|_| rng.bool(0.2)).collect();
             let extract = |device: usize, serial: bool| {
-                let (ds, layout) = &devices[device];
+                let ds = &devices[device];
                 // GPU staged, CPU, GPUDirect, buffered.
                 let mut ctx = context(ds, mode != 1, mode != 3);
                 if mode == 2 {
                     ctx.gpu_direct = true;
                     ctx.staging = None;
                     ctx.transfer = None;
-                }
-                if packed {
-                    ctx.features_file = layout.file;
-                    ctx.remap = Some(Arc::clone(&layout.remap));
                 }
                 ctx.sync_extract = serial;
                 let horizon = ctx.fb.horizon(0..2);
@@ -1489,19 +1418,13 @@ mod tests {
             };
             // (device, serial): touching-only async first, as the reference.
             let runs = [(0, false), (0, true), (1, false), (1, true)].map(|(d, s)| extract(d, s));
-            let case = format!(
-                "dim {} mode {mode} packed {packed}",
-                devices[0].0.spec.feat_dim
-            );
+            let case = format!("dim {} mode {mode}", devices[0].spec.feat_dim);
             for (i, (got, ..)) in runs.iter().enumerate() {
                 assert_eq!(got, &runs[0].0, "{case} run {i}");
             }
             // Serial or not, a device plans the same groups and harvests
-            // the same rows; a packed layout harvests none.
+            // the same rows.
             assert_eq!((&runs[0].1, &runs[2].1), (&runs[1].1, &runs[3].1), "{case}");
-            if packed {
-                assert!(runs.iter().all(|r| r.1.is_empty()), "{case}");
-            }
             harvests += runs[2].1.len();
             let issued = runs.map(|(.., ops)| ops);
             assert_eq!((issued[0], issued[2]), (issued[1], issued[3]));
@@ -1627,7 +1550,7 @@ mod tests {
     fn read_group_respects_max_bytes() {
         // 512 B rows, adjacent rows, 1 KiB cap → pairs.
         let groups = plan_read_groups(
-            &[(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)],
+            &[(0, 0), (1, 1), (2, 2), (3, 3)],
             512,
             512,
             1024,
@@ -1638,7 +1561,7 @@ mod tests {
         assert!(groups.iter().all(|g| g.window_len <= 1024));
     }
 
-    type Shape = Vec<(u64, usize, Vec<(u64, NodeId, u32)>)>;
+    type Shape = Vec<(u64, usize, Vec<(NodeId, u32)>)>;
 
     fn shape(groups: &[ReadGroup]) -> Shape {
         let shape = |g: &ReadGroup| (g.window_start, g.window_len, g.rows.clone());
@@ -1647,7 +1570,7 @@ mod tests {
 
     /// The planner before gap bridging: the oracle a free op reproduces.
     fn touching_only(
-        rows: &[(u64, NodeId, u32)],
+        rows: &[(NodeId, u32)],
         row_bytes: u64,
         align: u64,
         max_bytes: usize,
@@ -1655,7 +1578,7 @@ mod tests {
     ) -> Shape {
         let mut out: Shape = Vec::new();
         for &r in rows {
-            let off = r.0 * row_bytes;
+            let off = u64::from(r.0) * row_bytes;
             let start = off / align * align;
             let end = ((off + row_bytes).div_ceil(align) * align).min(file_len);
             match out.last_mut() {
@@ -1671,9 +1594,11 @@ mod tests {
 
     /// The planner's contract over random batches × alignments × op costs:
     /// every row lands in exactly one group, in row order; windows are
-    /// aligned, clamped at EOF and within the cap; a free op plans exactly
-    /// the touching-only groups; and bridging goes smallest gap first and
-    /// stops where link time meets op time.
+    /// aligned, clamped at EOF and within the cap; a group's bridged rows
+    /// ascend, miss its loaded rows, and with them are exactly the rows
+    /// wholly inside its window; a free op plans exactly the touching-only
+    /// groups; and bridging goes smallest gap first and stops where link
+    /// time meets op time.
     #[test]
     fn read_group_planning_properties() {
         gnndrive_sync::rng::cases(400, |rng| {
@@ -1681,15 +1606,15 @@ mod tests {
             let align = [1u64, 512, 4096][rng.below(3)];
             let num_rows = 1 + rng.below(2000) as u64;
             let file_len = (num_rows * row_bytes).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-            let mut picked: Vec<u64> = (0..rng.below(300))
-                .map(|_| rng.below(num_rows as usize) as u64)
+            let mut picked: Vec<NodeId> = (0..rng.below(300))
+                .map(|_| rng.below(num_rows as usize) as NodeId)
                 .collect();
             picked.sort_unstable();
             picked.dedup();
-            let rows: Vec<(u64, NodeId, u32)> = picked
+            let rows: Vec<(NodeId, u32)> = picked
                 .iter()
                 .enumerate()
-                .map(|(i, &r)| (r, (r * 7 % num_rows) as NodeId, i as u32))
+                .map(|(i, &r)| (r, i as u32))
                 .collect();
             let max_bytes = [4096, 16 * 1024, 1 << 20][rng.below(3)];
             let cost = [0, 512, 2_896, 100_000][rng.below(4)];
@@ -1707,10 +1632,22 @@ mod tests {
                 );
                 // Only a single row's own window may exceed the cap.
                 assert!(g.window_len <= max_bytes || g.rows.len() == 1);
-                for &(row, ..) in &g.rows {
-                    let off = row * row_bytes;
-                    assert!(g.window_start <= off && off + row_bytes <= end);
-                }
+                let inside = |r: &NodeId| {
+                    let off = u64::from(*r) * row_bytes;
+                    g.window_start <= off && off + row_bytes <= end
+                };
+                assert!(g.rows.iter().all(|(r, _)| inside(r)));
+                let bridged: Vec<NodeId> = g.bridged_rows(row_bytes).collect();
+                assert!(bridged.is_sorted(), "bridged rows ascend");
+                let mut read: Vec<NodeId> = g.rows.iter().map(|&(r, _)| r).collect();
+                read.extend(&bridged);
+                read.sort_unstable();
+                assert!(read.windows(2).all(|w| w[0] < w[1]), "bridged a loaded row");
+                let first = (g.window_start / row_bytes) as NodeId;
+                let whole: Vec<NodeId> = (first..=(end / row_bytes) as NodeId)
+                    .filter(inside)
+                    .collect();
+                assert_eq!(read, whole, "loaded ∪ bridged = the rows inside");
             }
             if cost == 0 {
                 let oracle = touching_only(&rows, row_bytes, align, max_bytes, file_len);
@@ -1731,7 +1668,8 @@ mod tests {
                 .iter()
                 .flat_map(|g| {
                     let mut reach = g.window_start;
-                    g.rows.iter().map(move |&(row, ..)| {
+                    g.rows.iter().map(move |&(node, _)| {
+                        let row = u64::from(node);
                         let start = row * row_bytes / align * align;
                         let end = ((row + 1) * row_bytes).div_ceil(align) * align;
                         let gap = start.saturating_sub(reach);

@@ -555,20 +555,20 @@ impl FeatureBufferManager {
         self.data_ready.notify_all();
     }
 
-    /// Publish a landed window's rows (`(row, node, slot)`) under one lock:
+    /// Publish a landed window's rows (`(node, slot)`) under one lock:
     /// every row's valid bit goes to 1, and the rows past the first
     /// `loaded` — the window's harvested ones — drop their pin, so a
     /// harvested row with no other pin retires into its next-use bucket.
-    pub fn publish_window(&self, rows: &[(u64, NodeId, u32)], loaded: usize) {
+    pub fn publish_window(&self, rows: &[(NodeId, u32)], loaded: usize) {
         let mut inner = self.inner.lock();
-        for &(_, node, _) in rows {
+        for &(node, _) in rows {
             let e = &mut inner.map[node as usize];
             debug_assert!(e.slot != NO_SLOT, "publish of unmapped node {node}");
             e.valid = true;
             e.aborted = false;
         }
         let harvested = &rows[loaded..];
-        for &(_, node, _) in harvested {
+        for &(node, _) in harvested {
             let e = &mut inner.map[node as usize];
             debug_assert!(e.ref_count > 0, "harvested node {node} is unpinned");
             e.ref_count -= 1;
@@ -1204,7 +1204,7 @@ mod tests {
         assert_eq!(stats(&fb), (1, 1));
         assert!(fb.entry(0).2 && fb.entry(1).2, "nearer uses kept");
         fb.check_invariants();
-        fb.publish_window(&[(5, 5, slot)], 0);
+        fb.publish_window(&[(5, slot)], 0);
         assert_eq!(fb.entry(5), (i64::from(slot), 0, true));
         fb.check_invariants();
         // 8's use is as far as 5's: no strictly colder slot.
@@ -1215,7 +1215,7 @@ mod tests {
         assert_eq!(fb.entry(5), (-1, 0, false));
         assert_eq!(fb.stats().announced_steals.load(Ordering::Relaxed), 1);
         assert_eq!(stats(&fb), (2, 2));
-        fb.publish_window(&[(6, 6, slot)], 0);
+        fb.publish_window(&[(6, slot)], 0);
         fb.publish(7);
         fb.release(&[7]);
         assert_eq!(fb.entry(0).0, i64::from(p0.aliases[0]));

@@ -4,7 +4,7 @@
 //! Three queues connect the four stages; they carry only samples, node-id
 //! lists and slot aliases, never feature payloads. The train and release
 //! queues are bounded; the extract queue is bounded by the epoch's announce
-//! horizon, whose samples past `extract_queue_cap` are charged to the host
+//! horizon, whose samples past [`EXTRACT_QUEUE_CAP`] are charged to the host
 //! memory governor (DESIGN.md §4 item 10). Samplers claim mini-batches
 //! from a shared cursor and may finish out of order; extractors likewise.
 //! Mini-batch *reordering* (§4.3) is therefore the default; setting
@@ -13,14 +13,14 @@
 
 use crate::builder::PipelineBuilder;
 use crate::checkpoint::{CheckpointError, TrainCheckpoint};
-use crate::config::GnnDriveConfig;
+use crate::config::{GnnDriveConfig, EXTRACT_QUEUE_CAP, TRAIN_QUEUE_CAP};
 use crate::error::Error;
 use crate::extractor::{extract_announced, extract_batch, ExtractedBatch, ExtractorContext};
 use crate::feature_buffer::{Announced, FeatureBufferManager};
 use crate::staging::StagingBuffer;
 use crate::system::{evaluate_model, sample_batches, EpochReport, TrainingSystem};
 use gnndrive_device::{DeviceAlloc, FeatureSlab, GpuDevice};
-use gnndrive_graph::{Dataset, FeatureLayout, NodeId};
+use gnndrive_graph::{Dataset, NodeId};
 use gnndrive_nn::{build_model, GnnModel};
 use gnndrive_sampling::{
     AsyncTopo, BatchPlan, Block, MiniBatchSample, NeighborSampler, TopoReader,
@@ -95,7 +95,7 @@ struct Stamps {
 }
 
 /// What keeps a sampled batch in the epoch's horizon until an extractor
-/// has pinned it: one of the `extract_queue_cap` uncharged places, or a
+/// has pinned it: one of the [`EXTRACT_QUEUE_CAP`] uncharged places, or a
 /// governor charge for the bytes it holds.
 enum Hold<'a> {
     /// A place whose token the holder put in this channel; dropping the
@@ -187,9 +187,6 @@ pub struct Pipeline {
     /// Device-health tracker / circuit breaker shared by every extractor
     /// (and inference) against this pipeline's SSD.
     health: Arc<DeviceHealth>,
-    /// Packed on-disk feature layout, when the builder installed one;
-    /// `None` reads the dataset's natural node-id-ordered file.
-    feature_layout: Option<FeatureLayout>,
     /// Bottleneck attribution of the most recent epoch, kept so callers
     /// that only see the [`TrainingSystem`] trait (the CLI, harness bins)
     /// can still fold the verdict into their run reports.
@@ -201,9 +198,6 @@ pub struct Pipeline {
 pub enum BuildError {
     HostOom(OomError),
     DeviceOom(gnndrive_device::DeviceOom),
-    /// The builder's [`FeatureLayout`] does not describe this dataset's
-    /// feature table (wrong remap length, row width, or file length).
-    BadLayout(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -211,7 +205,6 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::HostOom(e) => write!(f, "host {e}"),
             BuildError::DeviceOom(e) => write!(f, "{e}"),
-            BuildError::BadLayout(why) => write!(f, "bad feature layout: {why}"),
         }
     }
 }
@@ -221,7 +214,6 @@ impl std::error::Error for BuildError {
         match self {
             BuildError::HostOom(e) => Some(e),
             BuildError::DeviceOom(e) => Some(e),
-            BuildError::BadLayout(_) => None,
         }
     }
 }
@@ -253,30 +245,7 @@ impl Pipeline {
             gpu_mode,
             governor,
             page_cache,
-            feature_layout,
         } = b;
-        if let Some(layout) = &feature_layout {
-            if layout.remap.len() != ds.spec.num_nodes {
-                return Err(BuildError::BadLayout(format!(
-                    "remap covers {} nodes, dataset has {}",
-                    layout.remap.len(),
-                    ds.spec.num_nodes
-                )));
-            }
-            if layout.row_bytes != ds.spec.feature_row_bytes() {
-                return Err(BuildError::BadLayout(format!(
-                    "layout row is {} B, dataset rows are {} B",
-                    layout.row_bytes,
-                    ds.spec.feature_row_bytes()
-                )));
-            }
-            if layout.file.len != ds.features_file.len {
-                return Err(BuildError::BadLayout(format!(
-                    "packed file is {} B, feature table is {} B",
-                    layout.file.len, ds.features_file.len
-                )));
-            }
-        }
         let governor = governor.unwrap_or_else(MemoryGovernor::unlimited);
         let page_cache = page_cache
             .unwrap_or_else(|| PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&governor)));
@@ -354,7 +323,6 @@ impl Pipeline {
             governor,
             train_segment,
             health,
-            feature_layout,
             last_attribution: None,
         })
     }
@@ -401,12 +369,8 @@ impl Pipeline {
     fn extractor_context(&self, io_priority: IoPriority) -> ExtractorContext {
         ExtractorContext {
             ssd: Arc::clone(&self.ds.ssd),
-            features_file: self
-                .feature_layout
-                .as_ref()
-                .map(|l| l.file)
-                .unwrap_or(self.ds.features_file),
-            remap: self.feature_layout.as_ref().map(|l| Arc::clone(&l.remap)),
+            features_file: self.ds.features_file,
+            remap: None,
             feat_dim: self.ds.spec.feat_dim,
             fb: Arc::clone(&self.fb),
             staging: self.staging.clone(),
@@ -531,12 +495,12 @@ impl Pipeline {
         // handle borrows it, so none outlives the epoch.
         let horizon = &ctx.fb.horizon(first as u64..end as u64);
         // Samplers run ahead of the extractors (DESIGN.md §4 item 10): the
-        // first `extract_queue_cap` announced samples each hold a place, a
+        // first `EXTRACT_QUEUE_CAP` announced samples each hold a place, a
         // token in this channel; past those, a sample is announced only
         // while the governor grants its bytes without reclaiming and the
         // announced rows stay under twice the buffer's slots. Otherwise the
         // sampler waits for a place, as at a full queue.
-        let places = &bounded::<()>(self.cfg.extract_queue_cap);
+        let places = &bounded::<()>(EXTRACT_QUEUE_CAP);
         let max_announced_rows = 2 * ctx.fb.num_slots();
         let governor = &self.governor;
         let admit = &|sample: &mut MiniBatchSample| {
@@ -553,7 +517,7 @@ impl Pipeline {
 
         let (extract_tx, extract_rx) = unbounded::<(Announced<Hold>, Stamps)>();
         let (train_tx, train_rx) =
-            bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(self.cfg.train_queue_cap);
+            bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(TRAIN_QUEUE_CAP);
         let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
 
         // Live depth gauges for the three queues (𝔒2 diagnostics: a

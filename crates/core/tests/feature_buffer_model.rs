@@ -391,11 +391,6 @@ impl Model {
     }
 }
 
-/// A harvest's `(row, node, slot)` window rows: the row is the node.
-fn offered(taken: &[(NodeId, u32)]) -> Vec<(u64, NodeId, u32)> {
-    taken.iter().map(|&(n, s)| (n.into(), n, s)).collect()
-}
-
 /// A planned batch the property still owes a publish, release or abort.
 struct Outstanding {
     nodes: Vec<NodeId>,
@@ -532,7 +527,7 @@ fn eviction_matches_the_naive_model() {
                     let taken = harvests.swap_remove(rng.below(harvests.len()));
                     if rng.bool(0.9) {
                         // The loaded rows of the window are not modelled.
-                        fb.publish_window(&offered(&taken), 0);
+                        fb.publish_window(&taken, 0);
                         model.land(&taken);
                     } else {
                         fb.abandon_harvest(&taken);

@@ -1,5 +1,6 @@
 //! End-to-end tests of the GNNDrive pipeline on a small on-SSD dataset.
 
+use gnndrive_core::config::EXTRACT_QUEUE_CAP;
 use gnndrive_core::extractor::ExtractorContext;
 use gnndrive_core::{
     extract_batch, FeatureBufferManager, GnnDriveConfig, Pipeline, TrainingSystem,
@@ -164,7 +165,7 @@ fn in_order_mode_skips_failed_batches_and_keeps_plan_order() {
     assert_eq!((clean.batches, clean.failed_batches), (12, 0));
 }
 
-/// Samplers run past the extract queue's `extract_queue_cap` places only
+/// Samplers run past the extract queue's `EXTRACT_QUEUE_CAP` places only
 /// on governor charges. With no headroom the horizon never holds more than
 /// the places; with headroom it runs further. Either way every charge is
 /// back by the end of an epoch that ends normally, one cut short by
@@ -184,7 +185,6 @@ fn samplers_run_ahead_only_on_charges_and_return_them() {
             retry: RetryPolicy::none(),
             ..config()
         };
-        let cap = cfg.extract_queue_cap;
         let mut p = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
             .with_model(ModelKind::GraphSage, 16)
             .with_config(cfg)
@@ -223,13 +223,16 @@ fn samplers_run_ahead_only_on_charges_and_return_them() {
             assert!(peak >= 1);
             if !headroom {
                 assert!(
-                    peak <= cap,
+                    peak <= EXTRACT_QUEUE_CAP,
                     "no headroom, yet {peak} batches were announced"
                 );
             }
         }
         if headroom {
-            assert!(whole > cap, "with headroom the samplers run ahead: {whole}");
+            assert!(
+                whole > EXTRACT_QUEUE_CAP,
+                "with headroom the samplers run ahead: {whole}"
+            );
         }
     }
 }

@@ -55,14 +55,14 @@ impl TransferProfile {
 }
 
 /// One verified read window bound for the feature buffer: its bytes, the
-/// file offset they start at, and each `(row, node, slot)` to copy out of
-/// them. Row `r` of a table of `row_bytes`-wide rows sits at byte
-/// `r × row_bytes − window_start` of the window.
+/// file offset they start at, and each `(node, slot)` to copy out of them.
+/// A node's id is its row: node `n` of a table of `row_bytes`-wide rows
+/// sits at byte `n × row_bytes − window_start` of the window.
 #[derive(Debug)]
 pub struct WindowCopy {
     pub window: Vec<u8>,
     pub window_start: u64,
-    pub rows: Vec<(u64, u32, u32)>,
+    pub rows: Vec<(u32, u32)>,
 }
 
 impl WindowCopy {
@@ -74,8 +74,8 @@ impl WindowCopy {
     /// Decode every row from the window into its slot of `slab`.
     pub fn write_into(&self, slab: &FeatureSlab) {
         let row_bytes = slab.dim() * 4;
-        for &(row, _, slot) in &self.rows {
-            let off = (row * row_bytes as u64 - self.window_start) as usize;
+        for &(node, slot) in &self.rows {
+            let off = (u64::from(node) * row_bytes as u64 - self.window_start) as usize;
             slab.write_row_le(slot, &self.window[off..off + row_bytes]);
         }
     }
@@ -86,7 +86,7 @@ impl WindowCopy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferDone {
     pub user_data: u64,
-    pub rows: Vec<(u64, u32, u32)>,
+    pub rows: Vec<(u32, u32)>,
 }
 
 struct Job {
@@ -212,15 +212,15 @@ mod tests {
 
     /// A window of `rows` consecutive `dim`-wide rows from row `first`, row
     /// `r` holding `r` in every element, copied to slot `r − first`.
-    fn window(first: u64, rows: u32, dim: usize) -> WindowCopy {
-        let window = (first..first + u64::from(rows))
+    fn window(first: u32, rows: u32, dim: usize) -> WindowCopy {
+        let window = (first..first + rows)
             .flat_map(|r| std::iter::repeat_n(r as f32, dim))
             .flat_map(f32::to_le_bytes)
             .collect();
         WindowCopy {
             window,
-            window_start: first * dim as u64 * 4,
-            rows: (0..rows).map(|i| (first + u64::from(i), 0, i)).collect(),
+            window_start: u64::from(first) * dim as u64 * 4,
+            rows: (0..rows).map(|i| (first + i, i)).collect(),
         }
     }
 
@@ -232,7 +232,7 @@ mod tests {
         let (tx, rx) = unbounded();
         // Rows 10..14 into slots 0..4, rows 20..24 into slots 4..8.
         let mut high = window(20, 4, 4);
-        high.rows.iter_mut().for_each(|r| r.2 += 4);
+        high.rows.iter_mut().for_each(|r| r.1 += 4);
         engine.submit(window(10, 4, 4), Arc::clone(&slab), 1, tx.clone());
         engine.submit(high, Arc::clone(&slab), 2, tx.clone());
         let mut done: Vec<TransferDone> = (0..2)
@@ -262,7 +262,7 @@ mod tests {
             catalog::DEVICE_TRANSFER_BYTES.get(),
         );
         for (w, rows) in [1, 5, 3, 7].into_iter().enumerate() {
-            let copy = window(100 * w as u64, rows, 4);
+            let copy = window(100 * w as u32, rows, 4);
             engine.submit(copy, Arc::clone(&slab), w as u64, tx.clone());
         }
         for _ in 0..4 {
@@ -286,7 +286,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let t0 = Instant::now();
         for i in 0..4u32 {
-            engine.submit(window(u64::from(i), 1, 2), Arc::clone(&slab), 0, tx.clone());
+            engine.submit(window(i, 1, 2), Arc::clone(&slab), 0, tx.clone());
         }
         for _ in 0..4 {
             rx.recv_timeout(Duration::from_secs(2)).unwrap();

@@ -41,13 +41,11 @@ pub mod catalog;
 pub mod csc;
 pub mod dataset;
 pub mod generate;
-pub mod pack;
 
 pub use catalog::{scaled_memory_budget, MiniDataset};
 pub use csc::CscTopology;
 pub use dataset::{Dataset, DatasetSpec};
 pub use generate::{generate_graph, GeneratedGraph};
-pub use pack::{pack_features, FeatureLayout};
 
 /// Node identifier. The paper's graphs exceed u32 in edge count but not in
 /// node count; our scaled analogs fit comfortably.

@@ -39,9 +39,7 @@ pub mod prelude {
     };
 
     // Graph data and sampling.
-    pub use gnndrive_graph::{
-        pack_features, Dataset, DatasetSpec, FeatureLayout, MiniDataset, NodeId,
-    };
+    pub use gnndrive_graph::{Dataset, DatasetSpec, MiniDataset, NodeId};
     pub use gnndrive_sampling::{InMemTopo, NeighborSampler};
 
     // Device and model.
