@@ -58,7 +58,8 @@ impl Default for ServingMixedConfig {
 pub struct ServingMixedReport {
     /// The serving tier's own accounting and latency distributions.
     pub serve: gnndrive_serve::ServeReport,
-    /// Training throughput alone on the stack (batches/s).
+    /// Training throughput alone on the stack (batches/s), over a warm
+    /// epoch: one that starts with the head its predecessor extracted.
     pub solo_throughput: f64,
     /// Training throughput while serving rode along (batches/s).
     pub mixed_throughput: f64,
@@ -186,10 +187,14 @@ pub fn run_serving_mixed(
 ) -> Result<ServingMixedReport, String> {
     let ds = dataset_for(sc);
 
-    // Solo baseline: the training pipeline with the stack to itself.
+    // Solo baseline: the training pipeline with the stack to itself. Each
+    // soak epoch after the first starts with the head its predecessor
+    // extracted (DESIGN.md §4 item 12), so the timed solo epoch does too:
+    // epoch 0 runs untimed and lands epoch 1's head.
     let mut solo = crate::build_gnndrive_pipeline(sc, &ds, true)?;
-    let r = solo.train_epoch(0, Some(24));
-    if let Some(e) = r.error {
+    let warm_up = solo.train_epoch(0, Some(24));
+    let r = solo.train_epoch(1, Some(24));
+    if let Some(e) = warm_up.error.or(r.error) {
         return Err(format!("solo epoch failed: {e}"));
     }
     let solo_throughput = r.batches as f64 / r.wall.as_secs_f64().max(1e-9);
@@ -225,8 +230,9 @@ pub fn run_serving_mixed(
             let mut trainer = trainer;
             let mut batches = 0usize;
             let mut epoch = 1;
-            // Same per-epoch batch cap as the solo baseline: per-epoch
-            // worker spin-up costs the same on both sides of the ratio.
+            // Same per-epoch batch cap as the solo baseline, and every
+            // epoch after the first starts warm, with the head the one
+            // before extracted, as the timed solo epoch does.
             while !stop.load(Ordering::Acquire) {
                 let r = trainer.train_epoch(epoch, Some(24));
                 batches += r.batches;

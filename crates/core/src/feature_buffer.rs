@@ -825,7 +825,19 @@ impl Horizon<'_> {
     /// position, until the returned handle is withdrawn or dropped; `hold`
     /// is dropped right after the withdrawal.
     pub fn announce<H>(&self, sample: MiniBatchSample, hold: H) -> Announced<'_, H> {
-        let bucket = self.fb.announce_nodes(&sample.input_nodes, sample.batch_id);
+        let pos = sample.batch_id;
+        self.announce_at(sample, hold, pos)
+    }
+
+    /// [`Horizon::announce`] for a batch of the epoch after this horizon's
+    /// (the next epoch's head, DESIGN.md §4 item 12): every batch of the
+    /// horizon comes first, so it files in the farthest next-use bucket.
+    pub fn announce_next<H>(&self, sample: MiniBatchSample, hold: H) -> Announced<'_, H> {
+        self.announce_at(sample, hold, u64::MAX)
+    }
+
+    fn announce_at<H>(&self, sample: MiniBatchSample, hold: H, pos: u64) -> Announced<'_, H> {
+        let bucket = self.fb.announce_nodes(&sample.input_nodes, pos);
         Announced {
             fb: self.fb,
             bucket,

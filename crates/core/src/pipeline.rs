@@ -10,6 +10,11 @@
 //! Mini-batch *reordering* (§4.3) is therefore the default; setting
 //! [`GnnDriveConfig::reorder`] to `false` makes the trainer restore
 //! submission order (the ablation).
+//!
+//! An epoch boundary does not drain the pipeline (DESIGN.md §4 item 12):
+//! while an epoch's last batches train, the same call samples and extracts
+//! the next epoch's first [`TRAIN_QUEUE_CAP`] batches, and the next call
+//! for that epoch starts with them in its train queue.
 
 use crate::builder::PipelineBuilder;
 use crate::checkpoint::{CheckpointError, TrainCheckpoint};
@@ -54,6 +59,9 @@ pub struct EpochStats {
     /// The most samples announced but not yet pinned at once: how far the
     /// samplers ran ahead of the extractors this epoch.
     pub horizon_peak: usize,
+    /// Batches the call started with already extracted: the head the
+    /// previous call extracted for this epoch (DESIGN.md §4 item 12).
+    pub head_batches: usize,
 }
 
 impl EpochStats {
@@ -81,9 +89,9 @@ pub struct InferenceOutcome {
     pub forward_ns: u64,
 }
 
-/// A batch's stage-boundary stamps on the epoch clock (ns since its
-/// start), each taken once by the stage that crosses it and carried with
-/// the batch down the queues.
+/// A batch's stage-boundary stamps on the pipeline clock (ns since the
+/// pipeline was built), each taken once by the stage that crosses it and
+/// carried with the batch down the queues — across calls, for a head batch.
 #[derive(Clone, Copy, Default)]
 struct Stamps {
     start: u64,
@@ -146,6 +154,27 @@ struct Tombstone {
     stamps: Stamps,
 }
 
+/// The next epoch's first batches, extracted while an epoch's last ones
+/// trained (DESIGN.md §4 item 12). Each batch still pins its rows; dropping
+/// the head releases the batches it still holds.
+struct Head {
+    /// The epoch, and the training segment, whose plan the batches follow.
+    epoch: u64,
+    segment: Arc<Vec<NodeId>>,
+    /// Ascending by plan position.
+    batches: Vec<(ExtractedBatch, Stamps)>,
+    fb: Arc<FeatureBufferManager>,
+}
+
+impl Drop for Head {
+    fn drop(&mut self) {
+        for (batch, _) in self.batches.drain(..) {
+            self.fb.release(&batch.sample.input_nodes);
+            catalog::PIPELINE_HEAD_DISCARDED.inc();
+        }
+    }
+}
+
 /// Whether the feature buffer lives on the device or in host memory.
 enum FeatureBufferHome {
     Device(DeviceAlloc),
@@ -191,6 +220,10 @@ pub struct Pipeline {
     /// that only see the [`TrainingSystem`] trait (the CLI, harness bins)
     /// can still fold the verdict into their run reports.
     last_attribution: Option<telemetry::AttributionReport>,
+    /// The clock every batch's `Stamps` are taken on.
+    clock: Instant,
+    /// The head the last training call extracted, if it still pins it.
+    head: Option<Head>,
 }
 
 /// Construction failure: either host OOM (governor) or device OOM.
@@ -324,11 +357,15 @@ impl Pipeline {
             train_segment,
             health,
             last_attribution: None,
+            clock: Instant::now(),
+            head: None,
         })
     }
 
     /// Restrict training to a segment (multi-device data parallelism §4.3).
+    /// Releases the extracted head of the old segment's next epoch.
     pub fn set_train_segment(&mut self, segment: Vec<NodeId>) {
+        self.head = None;
         self.train_segment = Arc::new(segment);
     }
 
@@ -414,8 +451,10 @@ impl Pipeline {
     }
 
     /// [`Pipeline::try_infer`] plus the measurements a serving tier needs:
-    /// how much work the batch did and where its wall time went.
+    /// how much work the batch did and where its wall time went. Releases
+    /// the extracted head of the next training epoch.
     pub fn try_infer_detailed(&mut self, seeds: &[NodeId]) -> Result<InferenceOutcome, Error> {
+        self.head = None;
         if seeds.is_empty() {
             return Ok(InferenceOutcome::default());
         }
@@ -466,6 +505,29 @@ impl Pipeline {
     /// every planned batch yields exactly one trainer message. The report,
     /// the stage percentiles and the attribution are all derived from the
     /// trainer's records once the epoch ends.
+    ///
+    /// The epoch boundary does not drain the pipeline (DESIGN.md §4 item
+    /// 12). Once the samplers have taken every batch of this call, they
+    /// sample the first [`TRAIN_QUEUE_CAP`] batches of epoch `epoch + 1`
+    /// (at most `max_batches`) and announce them behind every batch of this
+    /// epoch
+    /// ([`Horizon::announce_next`](crate::feature_buffer::Horizon::announce_next));
+    /// the extractors reach them after every batch of this epoch, and the
+    /// call returns once they have landed, still pinned. A call for
+    /// `epoch + 1` from batch 0 on the same training segment starts with
+    /// them in its train queue; any other call, a segment change, inference
+    /// and drop release them. A head batch whose extraction fails is no
+    /// tombstone: the next call samples it again.
+    ///
+    /// Pin bound: at most `num_extractors + TRAIN_QUEUE_CAP + 1` batches
+    /// pin feature-buffer rows at once — one per extractor, the train queue
+    /// and the batch training — as without the head. A head batch of the
+    /// next epoch pins only on a permit from the trainer, granted while the
+    /// permits plus this epoch's batches not yet trained stay under that
+    /// bound, and a head the call started with waits in the train queue.
+    /// The head also leaves the `Ne × Mb` reservation whole: it is only as
+    /// long as the buffer holds a worst-case batch per extractor besides
+    /// it, so no extraction waits on slots only a head could free.
     pub fn train_epoch_range_with_sync(
         &mut self,
         epoch: u64,
@@ -483,9 +545,33 @@ impl Pipeline {
         let first = start_batch.min(full_batches);
         let end = full_batches.min(first.saturating_add(max_batches.unwrap_or(usize::MAX)));
         let batches = end - first;
+        // Only this epoch from its first batch, on the segment it was
+        // planned over, trains the head the last call extracted; the
+        // batches past `end`, or the whole head for any other call, are
+        // released here.
+        let started: Vec<(ExtractedBatch, Stamps)> = match self.head.take() {
+            Some(mut head)
+                if head.epoch == epoch
+                    && first == 0
+                    && Arc::ptr_eq(&head.segment, &self.train_segment) =>
+            {
+                let trained = head
+                    .batches
+                    .partition_point(|(b, _)| b.sample.batch_id < end as u64);
+                head.batches.drain(..trained).collect()
+            }
+            _ => Vec::new(),
+        };
         if batches == 0 {
             return EpochStats::default();
         }
+        let head_batches = started.len();
+        let taken = &started
+            .iter()
+            .map(|(b, _)| b.sample.batch_id)
+            .collect::<Vec<u64>>();
+        let to_sample = |i: usize| !taken.contains(&(i as u64));
+        let first_sampled = (first..end).find(|&i| to_sample(i)).unwrap_or(end);
 
         let sampler = &NeighborSampler::new(Arc::clone(&self.topo), self.cfg.fanouts.clone());
         let ctx = &self.extractor_context(IoPriority::Bulk);
@@ -493,7 +579,7 @@ impl Pipeline {
         // from the moment its sampler hands it to the extract queue until
         // an extractor has pinned them (DESIGN.md §4 item 10). Every queued
         // handle borrows it, so none outlives the epoch.
-        let horizon = &ctx.fb.horizon(first as u64..end as u64);
+        let horizon = &ctx.fb.horizon(first_sampled as u64..end as u64);
         // Samplers run ahead of the extractors (DESIGN.md §4 item 10): the
         // first `EXTRACT_QUEUE_CAP` announced samples each hold a place, a
         // token in this channel; past those, a sample is announced only
@@ -515,10 +601,43 @@ impl Pipeline {
             places.0.send(()).ok().map(|()| Hold::Place(&places.1))
         };
 
+        let num_samplers = self.cfg.num_samplers.max(1);
+        let num_extractors = self.cfg.num_extractors.max(1);
+        // The next epoch's head and the pins it may take (see above).
+        let next_epoch = epoch.wrapping_add(1);
+        let next_plan = &BatchPlan::new(
+            &self.train_segment,
+            self.cfg.batch_size,
+            next_epoch,
+            self.cfg.seed,
+        );
+        // A worst-case batch (`Mb`): each layer keeps its destinations and
+        // adds up to `fanout` sources for each.
+        let worst_batch = self
+            .cfg
+            .fanouts
+            .iter()
+            .fold(self.cfg.batch_size, |n, &f| n.saturating_mul(1 + f))
+            .clamp(1, self.ds.spec.num_nodes.max(1));
+        let head_len = TRAIN_QUEUE_CAP
+            .min(next_plan.num_batches())
+            .min(max_batches.unwrap_or(usize::MAX))
+            .min((ctx.fb.num_slots() / worst_batch).saturating_sub(num_extractors));
+        let pin_bound = num_extractors + TRAIN_QUEUE_CAP + 1;
+
         let (extract_tx, extract_rx) = unbounded::<(Announced<Hold>, Stamps)>();
+        let (head_tx, head_rx) = unbounded::<(Announced<Hold>, Stamps)>();
         let (train_tx, train_rx) =
             bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(TRAIN_QUEUE_CAP);
         let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
+        let (permit_tx, permit_rx) = bounded::<()>(TRAIN_QUEUE_CAP);
+        let (landed_tx, landed_rx) = unbounded::<(ExtractedBatch, Stamps)>();
+        // The head this call started with waits in the train queue, in plan
+        // order. It is at most `TRAIN_QUEUE_CAP` batches and this thread
+        // holds the receiver, so no send blocks or fails.
+        for (batch, stamps) in started {
+            let _ = train_tx.send((batch.sample.batch_id, Ok((batch, stamps))));
+        }
 
         // Live depth gauges for the three queues (𝔒2 diagnostics: a
         // congested extract stage shows as a deep extract queue and an
@@ -540,6 +659,10 @@ impl Pipeline {
             &catalog::FEATURE_BUFFER_ANNOUNCED_STEALS,
             &catalog::FEATURE_BUFFER_HARVESTED_ROWS,
             &catalog::FEATURE_BUFFER_HARVEST_DECLINED,
+            &catalog::PIPELINE_BATCHES_TRAINED,
+            &catalog::PIPELINE_BATCHES_SKIPPED,
+            &catalog::PIPELINE_HEAD_BATCHES,
+            &catalog::PIPELINE_HEAD_DISCARDED,
         ] {
             c.register();
         }
@@ -551,10 +674,10 @@ impl Pipeline {
         ] {
             h.register();
         }
-        catalog::PIPELINE_BATCHES_TRAINED.register();
-        catalog::PIPELINE_BATCHES_SKIPPED.register();
+        catalog::PIPELINE_HEAD_BATCHES.add(head_batches as u64);
 
-        let cursor = &AtomicUsize::new(first);
+        let cursor = &AtomicUsize::new(first_sampled);
+        let head_cursor = &AtomicUsize::new(0);
         // The trainer's outputs: one attribution record per trained batch
         // (in training order), one tombstone per skipped batch.
         let mut records: Vec<telemetry::BatchAttribution> = Vec::with_capacity(batches);
@@ -571,16 +694,50 @@ impl Pipeline {
         let opt = &mut self.opt;
         let device = Arc::clone(&self.device);
         let fb_for_release = Arc::clone(&self.fb);
-        let num_samplers = self.cfg.num_samplers.max(1);
-        let num_extractors = self.cfg.num_extractors.max(1);
         let t0 = Instant::now();
-        // The epoch's shared clock: every stamp is nanoseconds since `t0`.
-        let now = move || t0.elapsed().as_nanos() as u64;
+        // The pipeline's clock: every stamp is nanoseconds since it started,
+        // so a head batch's stamps telescope across the calls it spans.
+        let clock = self.clock;
+        let now = move || clock.elapsed().as_nanos() as u64;
+        // One sample of batch `i` of `plan`, stamped.
+        let sample_one = &|i: usize, plan: &BatchPlan, salt: u64| {
+            let start = now();
+            let sample = {
+                let _span = telemetry::span("sample", i as u64);
+                let _busy = telemetry::state(State::Compute);
+                sampler.sample(i as u64, plan.batch(i), salt)
+            };
+            // The thread is new and nothing else it does is a timed wait,
+            // so its accumulator holds exactly this batch's page faults.
+            let stamps = Stamps {
+                start,
+                sampled: now(),
+                fault_ns: telemetry::waits_take().get(telemetry::WaitKind::PageFault),
+                ..Stamps::default()
+            };
+            catalog::PIPELINE_SAMPLE.record(stamps.sampled - start);
+            (sample, stamps)
+        };
+        // One extraction of a queued batch; a landed one is stamped.
+        let extract_one = &|queued: Announced<Hold>, mut stamps: Stamps| {
+            let batch_id = queued.sample().batch_id;
+            stamps.extract_start = now();
+            let extracted = {
+                let _span = telemetry::span("extract", batch_id);
+                extract_announced(ctx, queued)
+            };
+            if extracted.is_ok() {
+                stamps.extracted = now();
+                catalog::PIPELINE_EXTRACT.record(stamps.extracted - stamps.extract_start);
+            }
+            (batch_id, extracted, stamps)
+        };
 
-        let released = std::thread::scope(|s| {
+        let (released, landed) = std::thread::scope(|s| {
             // ① Samplers.
             for w in 0..num_samplers {
                 let tx = extract_tx.clone();
+                let head_tx = head_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("sampler-{w}"))
                     .spawn_scoped(s, move || {
@@ -590,23 +747,10 @@ impl Pipeline {
                             if i >= end {
                                 break;
                             }
-                            let start = now();
-                            let mut sample = {
-                                let _span = telemetry::span("sample", i as u64);
-                                let _busy = telemetry::state(State::Compute);
-                                sampler.sample(i as u64, plan.batch(i), seed ^ epoch)
-                            };
-                            // The thread is new and nothing else it does is a
-                            // timed wait, so its accumulator holds exactly this
-                            // batch's page faults.
-                            let stamps = Stamps {
-                                start,
-                                sampled: now(),
-                                fault_ns: telemetry::waits_take()
-                                    .get(telemetry::WaitKind::PageFault),
-                                ..Stamps::default()
-                            };
-                            catalog::PIPELINE_SAMPLE.record(stamps.sampled - start);
+                            if !to_sample(i) {
+                                continue;
+                            }
+                            let (mut sample, stamps) = sample_one(i, plan, seed ^ epoch);
                             let Some(hold) = admit(&mut sample) else {
                                 break;
                             };
@@ -617,34 +761,47 @@ impl Pipeline {
                             }
                             catalog::PIPELINE_EXTRACT_QUEUE_DEPTH.set(tx.len() as i64);
                         }
+                        // Once every sampler has hung up, the extractors turn
+                        // to the head, so it queues behind all of this epoch.
+                        drop(tx);
+                        loop {
+                            let i = head_cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= head_len {
+                                break;
+                            }
+                            let (mut sample, stamps) = sample_one(i, next_plan, seed ^ next_epoch);
+                            // Announced behind every batch of this epoch, so
+                            // this epoch's tail keeps the rows it will need.
+                            let Some(hold) = admit(&mut sample) else {
+                                break;
+                            };
+                            let queued = horizon.announce_next(sample, hold);
+                            if head_tx.send((queued, stamps)).is_err() {
+                                break;
+                            }
+                        }
                     })
                     .expect("spawn sampler");
             }
             drop(extract_tx);
+            drop(head_tx);
 
             // ③④⑤⑥ Extractors.
             for w in 0..num_extractors {
                 let rx = extract_rx.clone();
+                let head_rx = head_rx.clone();
                 let tx = train_tx.clone();
+                let permits = permit_rx.clone();
+                let landed = landed_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("extractor-{w}"))
                     .spawn_scoped(s, move || {
                         telemetry::register_thread(ThreadClass::Cpu);
-                        while let Ok((queued, mut stamps)) = rx.recv() {
+                        while let Ok((queued, stamps)) = rx.recv() {
                             catalog::PIPELINE_EXTRACT_QUEUE_DEPTH.set(rx.len() as i64);
-                            let batch_id = queued.sample().batch_id;
-                            stamps.extract_start = now();
-                            let extracted = {
-                                let _span = telemetry::span("extract", batch_id);
-                                extract_announced(ctx, queued)
-                            };
+                            let (batch_id, extracted, stamps) = extract_one(queued, stamps);
                             let msg = match extracted {
-                                Ok(batch) => {
-                                    stamps.extracted = now();
-                                    catalog::PIPELINE_EXTRACT
-                                        .record(stamps.extracted - stamps.extract_start);
-                                    Ok((batch, stamps))
-                                }
+                                Ok(batch) => Ok((batch, stamps)),
                                 Err(e) => {
                                     // Graceful degradation: skip the batch
                                     // and tell the trainer with a tombstone.
@@ -656,15 +813,36 @@ impl Pipeline {
                                 }
                             };
                             if tx.send((batch_id, msg)).is_err() {
-                                break;
+                                return;
                             }
                             catalog::PIPELINE_TRAIN_QUEUE_DEPTH.set(tx.len() as i64);
+                        }
+                        // Every batch of this epoch is taken: hang up so the
+                        // trainer's loop can end, and extract the head.
+                        drop(tx);
+                        // The permit of a head batch that failed pins nothing
+                        // any more, so this extractor keeps it for its next.
+                        let mut permit = false;
+                        while let Ok((queued, stamps)) = head_rx.recv() {
+                            if !permit && permits.recv().is_err() {
+                                break;
+                            }
+                            let (_, extracted, stamps) = extract_one(queued, stamps);
+                            permit = extracted.is_err();
+                            if let Ok(batch) = extracted {
+                                // The trainer holds the receiver until every
+                                // extractor is done.
+                                let _ = landed.send((batch, stamps));
+                            }
                         }
                     })
                     .expect("spawn extractor");
             }
             drop(extract_rx);
+            drop(head_rx);
             drop(train_tx);
+            drop(permit_rx);
+            drop(landed_tx);
 
             // ⑨ Releaser: hands its stage histogram back through `join`.
             let releaser = std::thread::Builder::new()
@@ -693,6 +871,19 @@ impl Pipeline {
             telemetry::register_thread(ThreadClass::Cpu);
             let mut pending = BTreeMap::new();
             let mut next_expected = first as u64;
+            // This epoch's batches not yet trained or skipped bound its
+            // pinned ones, so granting a head permit only while the permits
+            // and these stay under `pin_bound` keeps the pin bound.
+            let (mut remaining, mut permits) = (batches, 0);
+            let mut grant = |remaining: usize| {
+                while permits < head_len && permits + remaining < pin_bound {
+                    // The channel has room for `TRAIN_QUEUE_CAP >=
+                    // head_len` permits, so this never fails.
+                    let _ = permit_tx.try_send(());
+                    permits += 1;
+                }
+            };
+            grant(remaining);
             // The gathered input features: one buffer, reused by every batch.
             let mut input = Vec::new();
             'train: while let Ok((id, msg)) = train_rx.recv() {
@@ -703,6 +894,7 @@ impl Pipeline {
                 // the cursor like a trained batch.
                 while let Some(msg) = pending.remove(&if reorder { id } else { next_expected }) {
                     next_expected += 1;
+                    remaining -= 1;
                     let (batch, stamps) = match msg {
                         Ok(b) => b,
                         Err(tombstone) => {
@@ -776,13 +968,28 @@ impl Pipeline {
                     }
                     catalog::PIPELINE_RELEASE_QUEUE_DEPTH.set(release_tx.len() as i64);
                 }
+                grant(remaining);
             }
-            // Hanging up frees any extractor parked on a full train queue
-            // after an early exit.
+            // Hanging up frees any extractor parked on a full train queue,
+            // or waiting for a head permit, after an early exit.
             drop(train_rx);
+            drop(permit_tx);
             drop(release_tx);
-            releaser.join().ok()
+            // The head lands once every extractor is done.
+            let landed: Vec<(ExtractedBatch, Stamps)> =
+                std::iter::from_fn(|| landed_rx.recv().ok()).collect();
+            (releaser.join().ok(), landed)
         });
+        let mut landed = landed;
+        landed.sort_unstable_by_key(|(b, _)| b.sample.batch_id);
+        if !landed.is_empty() {
+            self.head = Some(Head {
+                epoch: next_epoch,
+                segment: Arc::clone(&self.train_segment),
+                batches: landed,
+                fb: Arc::clone(&self.fb),
+            });
+        }
 
         let io = self.ds.ssd.stats().snapshot().delta_since(&io_before);
         catalog::PIPELINE_EPOCHS.inc();
@@ -838,6 +1045,7 @@ impl Pipeline {
             attribution,
             batch_attribution: records,
             horizon_peak: horizon.peak_batches(),
+            head_batches,
         }
     }
 
@@ -902,6 +1110,10 @@ impl TrainingSystem for Pipeline {
         evaluate_model(&self.model, &self.ds, &self.cfg.fanouts, 512)
     }
 }
+
+// Head samples hold places while this epoch's last samples may still wait
+// for one; leaving them at least one keeps the samplers going.
+const _: () = assert!(TRAIN_QUEUE_CAP < EXTRACT_QUEUE_CAP);
 
 // Pipeline must remain Send: data-parallel workers move replicas across
 // threads (the thread scope in `run_data_parallel`).

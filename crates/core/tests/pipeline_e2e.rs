@@ -1,6 +1,6 @@
 //! End-to-end tests of the GNNDrive pipeline on a small on-SSD dataset.
 
-use gnndrive_core::config::EXTRACT_QUEUE_CAP;
+use gnndrive_core::config::{EXTRACT_QUEUE_CAP, TRAIN_QUEUE_CAP};
 use gnndrive_core::extractor::ExtractorContext;
 use gnndrive_core::{
     extract_batch, FeatureBufferManager, GnnDriveConfig, Pipeline, TrainingSystem,
@@ -13,7 +13,9 @@ use gnndrive_storage::{
     DeviceHealth, FaultPlan, HealthConfig, IoPriority, MemoryGovernor, PageCache, RetryPolicy,
     SimSsd, SsdProfile,
 };
+use gnndrive_telemetry::catalog;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn dataset(dim: usize) -> Arc<Dataset> {
     dataset_on(dim, SsdProfile::instant())
@@ -398,10 +400,174 @@ fn persistent_read_faults_surface_as_epoch_errors_not_panics() {
     assert!(report.error.is_some(), "persistent faults must be reported");
     assert!(report.batches < 6, "failed batches are not counted as done");
     p.feature_buffer().check_invariants();
-    // The device is healthy again: the next epoch trains normally.
-    let recovered = p.train_epoch(1, Some(4));
+    // The next epoch's head faulted too: its batches pin nothing and are
+    // no tombstones, so with this epoch's released every slot is back.
+    let fb = p.feature_buffer();
+    assert_eq!(fb.standby_len(), fb.num_slots(), "a faulted head kept pins");
+    assert_eq!(report.batches + report.failed_batches, 6);
+    // The device is healthy again: the next epoch trains normally,
+    // sampling and extracting the head it lost.
+    let recovered = p.train_epoch_stats(1, Some(4));
+    assert_eq!(recovered.head_batches, 0);
+    let recovered = recovered.report;
     assert!(recovered.error.is_none(), "{:?}", recovered.error);
     assert_eq!(recovered.batches, 4);
+    assert_eq!(recovered.failed_batches, 0);
+}
+
+/// A head the next call trains is the same batches the call would have
+/// sampled and extracted itself: with plan-order training, two epochs back
+/// to back end exactly where a checkpoint after the first, restored into a
+/// fresh pipeline that starts the second with no head, ends.
+#[test]
+fn a_consumed_head_changes_no_training_result() {
+    let cfg = GnnDriveConfig {
+        reorder: false,
+        ..config()
+    };
+    let mut back_to_back = build(true, 32, cfg.clone());
+    assert_eq!(back_to_back.train_epoch_stats(0, None).head_batches, 0);
+    let with_head = back_to_back.train_epoch_stats(1, None);
+    assert_eq!(with_head.head_batches, TRAIN_QUEUE_CAP);
+
+    let mut first = build(true, 32, cfg.clone());
+    first.train_epoch(0, None);
+    let ck = first.checkpoint(1, 0);
+    let mut restored = build(true, 32, cfg);
+    restored.restore(&ck).expect("restore");
+    let without_head = restored.train_epoch_stats(1, None);
+    assert_eq!(without_head.head_batches, 0);
+
+    for r in [&with_head.report, &without_head.report] {
+        assert!(r.error.is_none(), "{:?}", r.error);
+        assert_eq!(r.batches, r.full_batches);
+    }
+    assert_eq!(
+        with_head.report.loss.to_bits(),
+        without_head.report.loss.to_bits()
+    );
+    assert_eq!(
+        back_to_back.model_mut().save(),
+        restored.model_mut().save(),
+        "a consumed head must train exactly the batches it replaced"
+    );
+}
+
+/// Every way a head goes untrained gives back every pin and charge: a
+/// resume from batch 3, a call for a later epoch, a segment change and
+/// inference between epochs each release it (a faulted head is covered by
+/// `persistent_read_faults_surface_as_epoch_errors_not_panics`). Dropping
+/// the pipeline releases the head the last call made, after which every
+/// slot is on standby again.
+#[test]
+fn every_head_discard_returns_every_pin_and_charge() {
+    let seeds: Vec<u32> = (100..140).collect();
+    for path in ["resume", "later epoch", "segment", "inference"] {
+        let ds = dataset(32);
+        let gov = MemoryGovernor::new(64 << 20);
+        let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+        let mut p = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
+            .with_model(ModelKind::GraphSage, 16)
+            .with_config(config())
+            .with_governor(Arc::clone(&gov))
+            .with_page_cache(cache)
+            .build()
+            .unwrap();
+        let fb = Arc::clone(p.feature_buffer());
+        let before = gov.used_anonymous();
+        p.train_epoch(0, None);
+        assert!(fb.standby_len() < fb.num_slots(), "{path}: no head pinned");
+        let discarded = catalog::PIPELINE_HEAD_DISCARDED.get();
+        let next = match path {
+            "resume" => Some(p.train_epoch_range(1, 3, None)),
+            "later epoch" => Some(p.train_epoch_stats(2, None)),
+            "segment" => {
+                p.set_train_segment(ds.train_idx.to_vec());
+                None
+            }
+            _ => {
+                p.infer(&seeds);
+                None
+            }
+        };
+        assert!(
+            catalog::PIPELINE_HEAD_DISCARDED.get() >= discarded + TRAIN_QUEUE_CAP as u64,
+            "{path}: the head was not counted as discarded"
+        );
+        assert_eq!(gov.used_anonymous(), before, "{path}: a charge leaked");
+        assert_eq!(fb.announced_rows(), 0);
+        fb.check_invariants();
+        match next {
+            Some(stats) => {
+                assert_eq!(stats.head_batches, 0, "{path}");
+                assert!(stats.report.error.is_none(), "{path}");
+            }
+            None => {
+                assert_eq!(fb.standby_len(), fb.num_slots(), "{path}: pins leaked");
+                let stats = p.train_epoch_stats(1, None);
+                assert_eq!(stats.head_batches, 0, "{path}");
+            }
+        }
+        drop(p);
+        assert_eq!(fb.standby_len(), fb.num_slots(), "{path}: pins leaked");
+        fb.check_invariants();
+    }
+}
+
+/// The head adds no pins: a buffer of exactly `num_extractors +
+/// TRAIN_QUEUE_CAP + 1` worst-case batches — each extractor's, the train
+/// queue's and the training one — runs epochs back to back, each starting
+/// with the head the last extracted, without an extractor ever waiting out
+/// the slot timeout. A sparse graph keeps batches near the worst case
+/// (≈65 of 72 rows), and a train step (≈130 ms on the modeled K80) longer
+/// than the timeout keeps the train queue full while the head is
+/// extracted: a head batch pinned past the bound would wait a whole step
+/// for a slot, and panic.
+#[test]
+fn back_to_back_epochs_fit_the_pin_bound() {
+    let ds = Arc::new(Dataset::build(
+        DatasetSpec {
+            name: "pins".into(),
+            num_nodes: 20_000,
+            num_edges: 160_000,
+            feat_dim: 32,
+            num_classes: 4,
+            intra_prob: 0.8,
+            feature_signal: 1.3,
+            train_fraction: 0.004,
+            seed: 17,
+        },
+        SimSsd::new(SsdProfile::instant()),
+    ));
+    let (batch_size, fanouts) = (8, vec![2, 2]);
+    let worst_batch = batch_size * fanouts.iter().map(|f| 1 + f).product::<usize>();
+    let num_extractors = 2;
+    let cfg = GnnDriveConfig {
+        num_extractors,
+        batch_size,
+        fanouts,
+        feature_buffer_slots: (num_extractors + TRAIN_QUEUE_CAP + 1) * worst_batch,
+        slot_wait_timeout: Duration::from_millis(50),
+        ..config()
+    };
+    let gov = MemoryGovernor::unlimited();
+    let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+    let mut p = Pipeline::builder(ds, GpuDevice::k80())
+        .with_model(ModelKind::GraphSage, 4096)
+        .with_config(cfg)
+        .with_governor(gov)
+        .with_page_cache(cache)
+        .build()
+        .unwrap();
+    for epoch in 0..3 {
+        let stats = p.train_epoch_stats(epoch, None);
+        let r = &stats.report;
+        assert!(r.error.is_none(), "{:?}", r.error);
+        assert_eq!(r.batches, r.full_batches);
+        let head = if epoch == 0 { 0 } else { TRAIN_QUEUE_CAP };
+        assert_eq!(stats.head_batches, head);
+        p.feature_buffer().check_invariants();
+    }
 }
 
 #[test]

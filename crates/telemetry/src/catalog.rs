@@ -123,6 +123,10 @@ pub static PIPELINE_HORIZON_BATCHES: Gauge = Gauge::new("pipeline.horizon_batche
 pub static PIPELINE_BATCHES_TRAINED: Counter = Counter::new("pipeline.batches_trained");
 pub static PIPELINE_BATCHES_SKIPPED: Counter = Counter::new("pipeline.batches_skipped");
 pub static PIPELINE_EPOCHS: Counter = Counter::new("pipeline.epochs");
+// The next epoch's head, extracted at an epoch's tail: batches a call
+// started with already extracted, and head batches released untrained.
+pub static PIPELINE_HEAD_BATCHES: Counter = Counter::new("pipeline.head_batches");
+pub static PIPELINE_HEAD_DISCARDED: Counter = Counter::new("pipeline.head_discarded");
 
 // Extractor reads retried after a transient device error.
 pub static CORE_EXTRACT_RETRIES: Counter = Counter::new("core.extract.retries");
