@@ -118,6 +118,7 @@ impl Json {
     /// Parse a JSON document. Returns a message with a byte offset on error.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
@@ -183,7 +184,10 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The input, as text for decoding characters and as bytes for peeking at
+/// the ASCII structure around them.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -307,14 +311,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                                .ok_or("truncated or bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // Surrogate pairs are not needed for our exports;
                             // map unpaired surrogates to the replacement char.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -325,11 +326,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s_rest = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s_rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `get` checks that `pos` sits
+                    // on a character boundary instead of assuming it.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("split character at byte {}", self.pos))?;
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -348,9 +351,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
@@ -392,6 +395,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("{} x").is_err());
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_beside_escapes() {
+        let text = "π ≈ 3.14 \"ünï\" 🦀\\ / \u{7}\t€";
+        let mut doc = Json::obj();
+        doc.set(text, text.into());
+        let back = Json::parse(&doc.to_json_string()).unwrap();
+        assert_eq!(back.get(text).unwrap().as_str(), Some(text));
+        let parsed = Json::parse("\"é\\u00e9\\\"😀\\u0041ß\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("éé\"😀Aß"));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! [`State::IoWait`]. Nothing here is modeled — the model lives in the
 //! storage and device crates; telemetry only observes.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod attribution;
 pub mod catalog;
 pub mod crash;

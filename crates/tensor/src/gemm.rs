@@ -15,14 +15,22 @@
 //! both contiguous along `k`, and an `MR×NR` micro-kernel with its
 //! accumulators in registers runs over every panel pair. Edge tiles run
 //! the same kernel on zero-padded panels and store only the valid part.
+//!
+//! **Instruction sets.** The body is one `#[inline(always)]` generic over
+//! the tile, compiled into a `#[target_feature]` entry point per vector
+//! instruction set with the tile measured fastest there: portable (SSE2 on
+//! x86-64) 4×8, AVX2 4×16, AVX-512 4×32. Each product takes the widest the
+//! CPU has, detected at run time. The contract above holds in every copy:
+//! a wider tile computes more sums side by side, each still in ascending
+//! `k`, and no copy enables contraction, so the bits never depend on the
+//! CPU.
 
+use crate::isa::Isa;
 use crate::matrix::{MatRef, Matrix};
 
-/// Micro-kernel tile: `MR` rows of A by `NR` columns of B.
-const MR: usize = 4;
-const NR: usize = 8;
-/// Rows of A and columns of B packed at a time (multiples of `MR`/`NR`):
-/// the packing scratch is `k·(MC + NC)` floats whatever the product's size.
+/// Rows of A and columns of B packed at a time (multiples of every tile's
+/// `MR`/`NR`): the packing scratch is `k·(MC + NC)` floats whatever the
+/// product's size.
 const MC: usize = 64;
 const NC: usize = 256;
 
@@ -41,6 +49,9 @@ struct Strided<'a> {
 pub struct Gemm {
     a_panels: Vec<f32>,
     b_panels: Vec<f32>,
+    /// Run every product on this ISA instead of the detected one.
+    #[cfg(test)]
+    pinned: Option<Isa>,
 }
 
 impl Gemm {
@@ -86,8 +97,57 @@ impl Gemm {
         self.gemm(k, a, rows_of(b), out);
     }
 
-    /// `c[i][j] = Σ_kk a(i, kk) · b(j, kk)`, overwriting the `m×n` matrix `c`.
+    /// `c[i][j] = Σ_kk a(i, kk) · b(j, kk)`, overwriting the `m×n` matrix
+    /// `c`, on the widest ISA this CPU runs.
     fn gemm(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
+        match self.isa_for(c.cols()) {
+            Isa::Portable => self.tiled::<4, 8>(k, a, b, c),
+            // SAFETY: `isa_for` returns `Avx2` only once `avx2` was detected
+            // (`Isa::Avx2` or `Isa::Avx512` came from detection).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.avx2(k, a, b, c) },
+            // SAFETY: `Isa::Avx512` exists only once `avx512f` was detected.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { self.avx512(k, a, b, c) },
+        }
+    }
+
+    /// The ISA for a product `n` columns wide: the widest detected, except
+    /// that a product no wider than AVX2's tile stays on AVX2, since half of
+    /// AVX-512's 32-column tile would be padding.
+    fn isa_for(&self, n: usize) -> Isa {
+        #[cfg(test)]
+        if let Some(isa) = self.pinned {
+            return isa;
+        }
+        match Isa::widest() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if n <= 16 => Isa::Avx2,
+            isa => isa,
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
+        self.tiled::<4, 16>(k, a, b, c)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
+        self.tiled::<4, 32>(k, a, b, c)
+    }
+
+    /// The product on `MR×NR` tiles, compiled into each ISA's entry point.
+    #[inline(always)]
+    fn tiled<const MR: usize, const NR: usize>(
+        &mut self,
+        k: usize,
+        a: Strided,
+        b: Strided,
+        c: &mut Matrix,
+    ) {
         let (m, n) = (c.rows(), c.cols());
         if m == 0 || n == 0 {
             return;
@@ -121,7 +181,7 @@ impl Gemm {
                     let cols = NR.min(n - j);
                     for (p, a_panel) in self.a_panels.chunks_exact(k * MR).enumerate() {
                         let i = ic + p * MR;
-                        let tile = kernel(a_panel, b_panel);
+                        let tile = kernel::<MR, NR>(a_panel, b_panel);
                         for (r, tile_row) in tile.iter().enumerate().take(m - i) {
                             c[(i + r) * n + j..][..cols].copy_from_slice(&tile_row[..cols]);
                         }
@@ -151,6 +211,7 @@ fn columns_of(m: MatRef) -> Strided {
 /// Copy lines `first..end` of `src` into `W`-line panels: panel `p` holds,
 /// for each `kk` in turn, its `W` lines' elements side by side. Lines past
 /// `end` in the last panel are zero.
+#[inline(always)]
 fn pack<const W: usize>(dst: &mut Vec<f32>, src: Strided, first: usize, end: usize, k: usize) {
     dst.resize((end - first).div_ceil(W) * k * W, 0.0);
     for (p, panel) in dst.chunks_exact_mut(k * W).enumerate() {
@@ -175,8 +236,9 @@ fn pack<const W: usize>(dst: &mut Vec<f32>, src: Strided, first: usize, end: usi
 }
 
 /// `MR×NR` tile of products of one A panel with one B panel, accumulated
-/// in ascending `k`. The fixed-size arrays keep the 32 sums in registers.
-fn kernel(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+/// in ascending `k`. The fixed-size arrays keep the sums in registers.
+#[inline(always)]
+fn kernel<const MR: usize, const NR: usize>(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     let (a_groups, _) = a_panel.as_chunks::<MR>();
     let (b_groups, _) = b_panel.as_chunks::<NR>();
@@ -250,9 +312,12 @@ mod tests {
         out
     }
 
-    /// Shapes on both sides of every tile, block and thin-path boundary.
+    /// Shapes on both sides of every tile (8, 16 and 32 columns), block
+    /// (64 rows, 256 columns) and thin-path boundary.
     #[cfg(not(miri))]
-    const SIZES: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 160];
+    const SIZES: &[usize] = &[
+        0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 160, 257,
+    ];
     #[cfg(miri)]
     const SIZES: &[usize] = &[0, 1, 5, 9];
 
@@ -279,19 +344,44 @@ mod tests {
         }
     }
 
+    /// One scratch per instantiation this CPU runs, each pinned to it:
+    /// the portable one always, the vector ones where detected.
+    fn every_isa() -> Vec<(Isa, Gemm)> {
+        let pinned = |isa| Gemm {
+            pinned: Some(isa),
+            ..Gemm::default()
+        };
+        Isa::supported()
+            .into_iter()
+            .map(|isa| (isa, pinned(isa)))
+            .collect()
+    }
+
     #[test]
     fn products_are_bit_identical_to_the_reference_loops() {
         let cases_n = if cfg!(miri) { 6 } else { 300 };
+        let mut gemms = every_isa();
+        let mut out = Matrix::default();
         cases(cases_n, |rng| {
             let mut dim = || SIZES[rng.below(SIZES.len())];
             let (m, k, n) = (dim(), dim(), dim());
-            let what = format!("{m}x{k}x{n}");
             let (a, b) = (random_matrix(rng, m, k), random_matrix(rng, k, n));
-            assert_same_bits(&what, &a.matmul(&b), &matmul_oracle(&a, &b));
             let a_t = random_matrix(rng, k, m);
-            assert_same_bits(&what, &a_t.t_matmul(&b), &t_matmul_oracle(&a_t, &b));
             let b_t = random_matrix(rng, n, k);
-            assert_same_bits(&what, &a.matmul_t(&b_t), &matmul_t_oracle(&a, &b_t));
+            let want = [
+                matmul_oracle(&a, &b),
+                t_matmul_oracle(&a_t, &b),
+                matmul_t_oracle(&a, &b_t),
+            ];
+            for (isa, gemm) in &mut gemms {
+                let what = format!("{isa:?} {m}x{k}x{n}");
+                gemm.matmul(&a, &b, &mut out);
+                assert_same_bits(&what, &out, &want[0]);
+                gemm.t_matmul(&a_t, &b, &mut out);
+                assert_same_bits(&what, &out, &want[1]);
+                gemm.matmul_t(&a, &b_t, &mut out);
+                assert_same_bits(&what, &out, &want[2]);
+            }
         });
     }
 
@@ -305,20 +395,27 @@ mod tests {
             (MC + 5, 6, NC + 9)
         };
         let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, k, n));
-        assert_same_bits("blocked", &a.matmul(&b), &matmul_oracle(&a, &b));
+        let want = matmul_oracle(&a, &b);
+        let mut out = Matrix::default();
+        for (isa, mut gemm) in every_isa() {
+            gemm.matmul(&a, &b, &mut out);
+            assert_same_bits(&format!("{isa:?} blocked"), &out, &want);
+        }
     }
 
     #[test]
     fn a_reused_gemm_and_output_forget_the_previous_product() {
-        let mut rng = Rng::seed_from_u64(4);
-        let (mut gemm, mut out) = (Gemm::default(), Matrix::default());
-        for (m, k, n) in [(17, 9, 33), (3, 5, 4), (9, 0, 8), (9, 2, 8), (16, 16, 1)] {
-            let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, k, n));
-            gemm.matmul(&a, &b, &mut out);
-            assert_same_bits("reused", &out, &matmul_oracle(&a, &b));
-            gemm.matmul(a.top_rows(m / 2), &b, &mut out);
-            let top = Matrix::from_fn(m / 2, k, |r, c| a.get(r, c));
-            assert_same_bits("prefix", &out, &matmul_oracle(&top, &b));
+        for (isa, mut gemm) in every_isa() {
+            let mut rng = Rng::seed_from_u64(4);
+            let mut out = Matrix::default();
+            for (m, k, n) in [(17, 9, 33), (3, 5, 4), (9, 0, 8), (9, 2, 8), (16, 16, 1)] {
+                let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, k, n));
+                gemm.matmul(&a, &b, &mut out);
+                assert_same_bits(&format!("{isa:?} reused"), &out, &matmul_oracle(&a, &b));
+                gemm.matmul(a.top_rows(m / 2), &b, &mut out);
+                let top = Matrix::from_fn(m / 2, k, |r, c| a.get(r, c));
+                assert_same_bits(&format!("{isa:?} prefix"), &out, &matmul_oracle(&top, &b));
+            }
         }
     }
 }

@@ -3,7 +3,8 @@
 //! The paper trains its models with PyTorch; this crate supplies the slice
 //! of tensor functionality GNN training actually needs — row-major `f32`
 //! matrices, the handful of kernels behind GraphSAGE/GCN/GAT layers
-//! (one register-blocked GEMM under all transpose combinations, fused
+//! (one register-blocked GEMM under all transpose combinations, compiled
+//! per vector instruction set and picked at run time, fused
 //! gather-and-reduce segment aggregations,
 //! activations, softmax cross-entropy), weight initialization, and SGD/Adam
 //! optimizers — all deterministic given a seed so experiments are
@@ -22,8 +23,11 @@
 //! assert_eq!(w.value.get(0, 0), -1.0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod gemm;
 pub mod init;
+mod isa;
 pub mod loss;
 pub mod matrix;
 pub mod ops;

@@ -1,5 +1,6 @@
 //! Parameters and optimizers (SGD and Adam).
 
+use crate::isa::Isa;
 use crate::matrix::Matrix;
 
 /// A trainable parameter: value plus accumulated gradient.
@@ -132,21 +133,78 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), params.len(), "parameter set changed");
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            let m = self.m[i].data_mut();
-            let v = self.v[i].data_mut();
-            for (j, &g) in p.grad.data().iter().enumerate() {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g;
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g * g;
-            }
-            for (j, w) in p.value.data_mut().iter_mut().enumerate() {
-                let mhat = m[j] / b1t;
-                let vhat = v[j] / b2t;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            p.zero_grad();
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            b1t: 1.0 - self.beta1.powi(self.t as i32),
+            b2t: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        let isa = Isa::widest();
+        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let (value, grad) = (p.value.data_mut(), p.grad.data_mut());
+            // The pass zips the four, so a mismatch would skip elements.
+            let len = value.len();
+            assert!(
+                grad.len() == len && m.data().len() == len && v.data().len() == len,
+                "parameter shape changed"
+            );
+            step.apply(isa, value, grad, m.data_mut(), v.data_mut());
+        }
+    }
+}
+
+/// One Adam step's scalars: the hyperparameters and both bias corrections.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    b1t: f32,
+    b2t: f32,
+}
+
+impl AdamStep {
+    /// Update one parameter and zero its gradient, on `isa`.
+    fn apply(self, isa: Isa, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        match isa {
+            Isa::Portable => self.update(value, grad, m, v),
+            // SAFETY: `Isa::Avx2` exists only once `avx2` was detected.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.avx2(value, grad, m, v) },
+            // SAFETY: `Isa::Avx512` exists only once `avx512f` was detected.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { self.avx512(value, grad, m, v) },
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        self.update(value, grad, m, v)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        self.update(value, grad, m, v)
+    }
+
+    /// One pass over the elements: both moments, the bias-corrected step
+    /// (`(lr·m̂) / (√v̂ + ε)`, with `v` fed `((1 − β2)·g)·g`), and the
+    /// gradient zeroed behind it. Each element's operations and their order
+    /// are the textbook update's, so every ISA produces the same bits.
+    #[inline(always)]
+    fn update(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        for (((w, g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+            let g = std::mem::take(g);
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let mhat = *m / self.b1t;
+            let vhat = *v / self.b2t;
+            *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
 }
@@ -218,6 +276,51 @@ mod tests {
         assert_eq!(pw.value.get(0, 0).to_bits(), pv.value.get(0, 0).to_bits());
     }
 
+    /// The fused pass reproduces the two-loop update it replaced, bit for
+    /// bit, on every ISA this CPU runs.
+    #[test]
+    fn fused_update_matches_the_two_loop_reference_on_every_isa() {
+        let mut rng = gnndrive_sync::rng::Rng::seed_from_u64(9);
+        let len = if cfg!(miri) { 19 } else { 1003 };
+        let mut draw = || match rng.below(8) {
+            0 => 0.0,
+            1 => f32::from_bits(1 + rng.below(1 << 20) as u32),
+            _ => rng.f32(-3.0..3.0),
+        };
+        let value: Vec<f32> = (0..len).map(|_| draw()).collect();
+        let grad: Vec<f32> = (0..len).map(|_| draw()).collect();
+        let m0: Vec<f32> = (0..len).map(|_| draw()).collect();
+        let v0: Vec<f32> = (0..len).map(|_| draw().abs()).collect();
+        let step = AdamStep {
+            lr: 0.003,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            b1t: 1.0 - 0.9f32.powi(7),
+            b2t: 1.0 - 0.999f32.powi(7),
+        };
+        let (mut want_w, mut want_m, mut want_v) = (value.clone(), m0.clone(), v0.clone());
+        for (j, &g) in grad.iter().enumerate() {
+            want_m[j] = step.beta1 * want_m[j] + (1.0 - step.beta1) * g;
+            want_v[j] = step.beta2 * want_v[j] + (1.0 - step.beta2) * g * g;
+        }
+        for (j, w) in want_w.iter_mut().enumerate() {
+            let mhat = want_m[j] / step.b1t;
+            let vhat = want_v[j] / step.b2t;
+            *w -= step.lr * mhat / (vhat.sqrt() + step.eps);
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in Isa::supported() {
+            let (mut w, mut g, mut m, mut v) =
+                (value.clone(), grad.clone(), m0.clone(), v0.clone());
+            step.apply(isa, &mut w, &mut g, &mut m, &mut v);
+            assert_eq!(bits(&w), bits(&want_w), "{isa:?} value");
+            assert_eq!(bits(&m), bits(&want_m), "{isa:?} m");
+            assert_eq!(bits(&v), bits(&want_v), "{isa:?} v");
+            assert!(g.iter().all(|&g| g.to_bits() == 0), "{isa:?} grad zeroed");
+        }
+    }
+
     #[test]
     fn adam_load_rejects_malformed_blobs() {
         assert!(Adam::load(&[0u8; 8]).is_err());
@@ -227,6 +330,16 @@ mod tests {
             Adam::load(&blob).is_err(),
             "trailing bytes must be rejected"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter shape changed")]
+    fn adam_rejects_a_reshaped_param() {
+        let mut opt = Adam::new(0.1);
+        let mut a = Param::new(Matrix::zeros(2, 2));
+        opt.step(&mut [&mut a]);
+        let mut wider = Param::new(Matrix::zeros(2, 3));
+        opt.step(&mut [&mut wider]);
     }
 
     #[test]
