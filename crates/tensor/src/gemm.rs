@@ -100,30 +100,18 @@ impl Gemm {
     /// `c[i][j] = Σ_kk a(i, kk) · b(j, kk)`, overwriting the `m×n` matrix
     /// `c`, on the widest ISA this CPU runs.
     fn gemm(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
-        match self.isa_for(c.cols()) {
+        #[cfg(test)]
+        let isa = self.pinned.unwrap_or_else(Isa::widest);
+        #[cfg(not(test))]
+        let isa = Isa::widest();
+        match isa {
             Isa::Portable => self.tiled::<4, 8>(k, a, b, c),
-            // SAFETY: `isa_for` returns `Avx2` only once `avx2` was detected
-            // (`Isa::Avx2` or `Isa::Avx512` came from detection).
+            // SAFETY: `Isa::Avx2` exists only once `avx2` was detected.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => unsafe { self.avx2(k, a, b, c) },
             // SAFETY: `Isa::Avx512` exists only once `avx512f` was detected.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => unsafe { self.avx512(k, a, b, c) },
-        }
-    }
-
-    /// The ISA for a product `n` columns wide: the widest detected, except
-    /// that a product no wider than AVX2's tile stays on AVX2, since half of
-    /// AVX-512's 32-column tile would be padding.
-    fn isa_for(&self, n: usize) -> Isa {
-        #[cfg(test)]
-        if let Some(isa) = self.pinned {
-            return isa;
-        }
-        match Isa::widest() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 if n <= 16 => Isa::Avx2,
-            isa => isa,
         }
     }
 
@@ -344,16 +332,18 @@ mod tests {
         }
     }
 
-    /// One scratch per instantiation this CPU runs, each pinned to it:
-    /// the portable one always, the vector ones where detected.
-    fn every_isa() -> Vec<(Isa, Gemm)> {
+    /// One scratch per instantiation this CPU runs, each pinned to it (the
+    /// portable one always, the vector ones where detected), and one that
+    /// dispatches as the product does.
+    fn every_isa() -> Vec<(String, Gemm)> {
         let pinned = |isa| Gemm {
             pinned: Some(isa),
             ..Gemm::default()
         };
         Isa::supported()
             .into_iter()
-            .map(|isa| (isa, pinned(isa)))
+            .map(|isa| (format!("{isa:?}"), pinned(isa)))
+            .chain([("detected".to_string(), Gemm::default())])
             .collect()
     }
 
@@ -374,7 +364,7 @@ mod tests {
                 matmul_t_oracle(&a, &b_t),
             ];
             for (isa, gemm) in &mut gemms {
-                let what = format!("{isa:?} {m}x{k}x{n}");
+                let what = format!("{isa} {m}x{k}x{n}");
                 gemm.matmul(&a, &b, &mut out);
                 assert_same_bits(&what, &out, &want[0]);
                 gemm.t_matmul(&a_t, &b, &mut out);
@@ -399,7 +389,7 @@ mod tests {
         let mut out = Matrix::default();
         for (isa, mut gemm) in every_isa() {
             gemm.matmul(&a, &b, &mut out);
-            assert_same_bits(&format!("{isa:?} blocked"), &out, &want);
+            assert_same_bits(&format!("{isa} blocked"), &out, &want);
         }
     }
 
@@ -411,10 +401,10 @@ mod tests {
             for (m, k, n) in [(17, 9, 33), (3, 5, 4), (9, 0, 8), (9, 2, 8), (16, 16, 1)] {
                 let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, k, n));
                 gemm.matmul(&a, &b, &mut out);
-                assert_same_bits(&format!("{isa:?} reused"), &out, &matmul_oracle(&a, &b));
+                assert_same_bits(&format!("{isa} reused"), &out, &matmul_oracle(&a, &b));
                 gemm.matmul(a.top_rows(m / 2), &b, &mut out);
                 let top = Matrix::from_fn(m / 2, k, |r, c| a.get(r, c));
-                assert_same_bits(&format!("{isa:?} prefix"), &out, &matmul_oracle(&top, &b));
+                assert_same_bits(&format!("{isa} prefix"), &out, &matmul_oracle(&top, &b));
             }
         }
     }

@@ -1,16 +1,16 @@
-//! Which vector instruction set the hot loops run on, chosen per call.
+//! Which vector instruction set the GEMM runs on, chosen per call.
 //!
 //! The crate compiles for the target's baseline (SSE2, four lanes, on
-//! x86-64). Each hot loop — the GEMM and Adam's update — is written once
-//! as an `#[inline(always)]` body and instantiated again inside
-//! `#[target_feature]` entry points for AVX2 (eight lanes) and AVX-512
-//! (sixteen). A call takes the widest one `is_x86_feature_detected!`
-//! reports, so there is nothing to configure. Wider vectors change which
-//! elements share an instruction, never one element's operations or their
-//! order, and Rust never contracts `a * b + c` into an FMA even where the
-//! feature is enabled, so every instantiation produces the same bits.
+//! x86-64). The GEMM is written once as an `#[inline(always)]` body and
+//! instantiated again inside `#[target_feature]` entry points for AVX2
+//! (eight lanes) and AVX-512 (sixteen). A call takes the widest one
+//! `is_x86_feature_detected!` reports, so there is nothing to configure.
+//! Wider vectors change which elements share an instruction, never one
+//! element's operations or their order, and Rust never contracts
+//! `a * b + c` into an FMA even where the feature is enabled, so every
+//! instantiation produces the same bits.
 
-/// An instruction set a hot loop has an instantiation for. Every value but
+/// An instruction set the GEMM has an instantiation for. Every value but
 /// `Portable` is constructed only after its feature, and every narrower
 /// one's, was detected on this CPU: that is the safety argument of every
 /// dispatch on it (an `Avx512` caller may also run the AVX2 copy).

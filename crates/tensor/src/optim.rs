@@ -1,6 +1,5 @@
 //! Parameters and optimizers (SGD and Adam).
 
-use crate::isa::Isa;
 use crate::matrix::Matrix;
 
 /// A trainable parameter: value plus accumulated gradient.
@@ -141,7 +140,6 @@ impl Optimizer for Adam {
             b1t: 1.0 - self.beta1.powi(self.t as i32),
             b2t: 1.0 - self.beta2.powi(self.t as i32),
         };
-        let isa = Isa::widest();
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
             let (value, grad) = (p.value.data_mut(), p.grad.data_mut());
             // The pass zips the four, so a mismatch would skip elements.
@@ -150,7 +148,7 @@ impl Optimizer for Adam {
                 grad.len() == len && m.data().len() == len && v.data().len() == len,
                 "parameter shape changed"
             );
-            step.apply(isa, value, grad, m.data_mut(), v.data_mut());
+            step.update(value, grad, m.data_mut(), v.data_mut());
         }
     }
 }
@@ -167,36 +165,10 @@ struct AdamStep {
 }
 
 impl AdamStep {
-    /// Update one parameter and zero its gradient, on `isa`.
-    fn apply(self, isa: Isa, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
-        match isa {
-            Isa::Portable => self.update(value, grad, m, v),
-            // SAFETY: `Isa::Avx2` exists only once `avx2` was detected.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { self.avx2(value, grad, m, v) },
-            // SAFETY: `Isa::Avx512` exists only once `avx512f` was detected.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { self.avx512(value, grad, m, v) },
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn avx2(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
-        self.update(value, grad, m, v)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn avx512(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
-        self.update(value, grad, m, v)
-    }
-
-    /// One pass over the elements: both moments, the bias-corrected step
-    /// (`(lr·m̂) / (√v̂ + ε)`, with `v` fed `((1 − β2)·g)·g`), and the
-    /// gradient zeroed behind it. Each element's operations and their order
-    /// are the textbook update's, so every ISA produces the same bits.
-    #[inline(always)]
+    /// Update one parameter and zero its gradient in one pass over the
+    /// elements: both moments, the bias-corrected step (`(lr·m̂) / (√v̂ + ε)`,
+    /// with `v` fed `((1 − β2)·g)·g`), and the gradient zeroed behind it.
+    /// Each element's operations and their order are the textbook update's.
     fn update(self, value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32]) {
         for (((w, g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
             let g = std::mem::take(g);
@@ -277,9 +249,9 @@ mod tests {
     }
 
     /// The fused pass reproduces the two-loop update it replaced, bit for
-    /// bit, on every ISA this CPU runs.
+    /// bit.
     #[test]
-    fn fused_update_matches_the_two_loop_reference_on_every_isa() {
+    fn fused_update_matches_the_two_loop_reference() {
         let mut rng = gnndrive_sync::rng::Rng::seed_from_u64(9);
         let len = if cfg!(miri) { 19 } else { 1003 };
         let mut draw = || match rng.below(8) {
@@ -310,15 +282,12 @@ mod tests {
             *w -= step.lr * mhat / (vhat.sqrt() + step.eps);
         }
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for isa in Isa::supported() {
-            let (mut w, mut g, mut m, mut v) =
-                (value.clone(), grad.clone(), m0.clone(), v0.clone());
-            step.apply(isa, &mut w, &mut g, &mut m, &mut v);
-            assert_eq!(bits(&w), bits(&want_w), "{isa:?} value");
-            assert_eq!(bits(&m), bits(&want_m), "{isa:?} m");
-            assert_eq!(bits(&v), bits(&want_v), "{isa:?} v");
-            assert!(g.iter().all(|&g| g.to_bits() == 0), "{isa:?} grad zeroed");
-        }
+        let (mut w, mut g, mut m, mut v) = (value, grad, m0, v0);
+        step.update(&mut w, &mut g, &mut m, &mut v);
+        assert_eq!(bits(&w), bits(&want_w), "value");
+        assert_eq!(bits(&m), bits(&want_m), "m");
+        assert_eq!(bits(&v), bits(&want_v), "v");
+        assert!(g.iter().all(|&g| g.to_bits() == 0), "grad zeroed");
     }
 
     #[test]
