@@ -8,7 +8,7 @@
 
 use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
-use gnndrive_tensor::ops::{leaky_relu_grad, relu_backward_inplace, relu_inplace};
+use gnndrive_tensor::ops::{bias_act, relu_backward_inplace};
 use gnndrive_tensor::{xavier_uniform, Matrix, Param};
 
 const SLOPE: f32 = 0.2;
@@ -26,6 +26,17 @@ pub struct GatLayer {
 fn refill(v: &mut Vec<f32>, len: usize, value: f32) {
     v.clear();
     v.resize(len, value);
+}
+
+/// Backward of one attention half, `alpha = z · aᵀ`, over the first
+/// `d_alpha.len()` rows of `z`: into `a`'s gradient and `d_z`.
+fn score_backward(a: &mut Param, z: &Matrix, d_alpha: &[f32], d_z: &mut Matrix) {
+    for (i, &g) in d_alpha.iter().enumerate().filter(|&(_, &g)| g != 0.0) {
+        for (c, (&zv, &av)) in z.row(i).iter().zip(a.value.row(0)).enumerate() {
+            a.grad.data_mut()[c] += g * zv;
+            d_z.row_mut(i)[c] += g * av;
+        }
+    }
 }
 
 impl GatLayer {
@@ -105,10 +116,7 @@ impl GatLayer {
                 *o += a * zv;
             }
         }
-        out.add_row_bias(&self.bias.value);
-        if self.relu {
-            relu_inplace(out);
-        }
+        bias_act(out, &self.bias.value, self.relu);
     }
 
     /// Accumulate parameter gradients from the upstream gradient in
@@ -160,34 +168,17 @@ impl GatLayer {
         refill(d_alpha_dst, block.num_dst, 0.0);
         for (e, (s, d)) in edges.enumerate() {
             let d_act = cache.att[e] * (d_att[e] - dst_dot[d]);
-            let d_raw = d_act * leaky_relu_grad(cache.raw[e], SLOPE);
+            let d_raw = d_act * if cache.raw[e] >= 0.0 { 1.0 } else { SLOPE };
             d_alpha_src[s] += d_raw;
             d_alpha_dst[d] += d_raw;
         }
 
         // alpha_src = z · a_srcᵀ  (and alpha_dst on the dst prefix).
-        for (i, &g) in d_alpha_src.iter().enumerate() {
-            let zrow = cache.z.row(i);
-            if g != 0.0 {
-                for (c, (&zv, &av)) in zrow.iter().zip(self.a_src.value.row(0)).enumerate() {
-                    self.a_src.grad.data_mut()[c] += g * zv;
-                    d_z.row_mut(i)[c] += g * av;
-                }
-            }
-        }
-        for (d, &g) in d_alpha_dst.iter().enumerate() {
-            let zrow = cache.z.row(d);
-            if g != 0.0 {
-                for (c, (&zv, &av)) in zrow.iter().zip(self.a_dst.value.row(0)).enumerate() {
-                    self.a_dst.grad.data_mut()[c] += g * zv;
-                    d_z.row_mut(d)[c] += g * av;
-                }
-            }
-        }
+        score_backward(&mut self.a_src, &cache.z, d_alpha_src, d_z);
+        score_backward(&mut self.a_dst, &cache.z, d_alpha_dst, d_z);
 
         // z = h_src · W: dW = h_srcᵀ · d_z, d_h = d_z · Wᵀ.
-        gemm.t_matmul(h_src, &*d_z, grad);
-        self.weight.grad.add_assign(grad);
+        gemm.t_matmul_add(h_src, &*d_z, &mut self.weight.grad);
         if want_input_grad {
             gemm.matmul_t(&*d_z, &self.weight.value, d_src);
         }

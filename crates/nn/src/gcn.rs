@@ -7,9 +7,7 @@
 
 use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
-use gnndrive_tensor::ops::{
-    relu_backward_inplace, relu_inplace, segment_mean, segment_mean_backward,
-};
+use gnndrive_tensor::ops::{bias_act, relu_backward_inplace, segment_mean, segment_mean_backward};
 use gnndrive_tensor::{xavier_uniform, Matrix, Param};
 
 /// One GCN layer: `h' = act(mean(h_neigh ∪ {h_self}) · W + b)`.
@@ -51,10 +49,7 @@ impl GcnLayer {
         let edges = block.edges_with_self_loops();
         segment_mean(h_src, edges, block.num_dst, agg, counts);
         ws.gemm.matmul(&*agg, &self.weight.value, out);
-        out.add_row_bias(&self.bias.value);
-        if self.relu {
-            relu_inplace(out);
-        }
+        bias_act(out, &self.bias.value, self.relu);
     }
 
     /// Accumulate parameter gradients from the upstream gradient in
@@ -78,8 +73,7 @@ impl GcnLayer {
             relu_backward_inplace(d_out, &cache.out);
         }
         let d_out = &*d_out;
-        gemm.t_matmul(&cache.agg, d_out, grad);
-        self.weight.grad.add_assign(grad);
+        gemm.t_matmul_add(&cache.agg, d_out, &mut self.weight.grad);
         d_out.sum_rows_into(grad);
         self.bias.grad.add_assign(grad);
         if !want_input_grad {

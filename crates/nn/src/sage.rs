@@ -3,7 +3,7 @@
 use crate::workspace::{LayerCache, Workspace};
 use gnndrive_sampling::Block;
 use gnndrive_tensor::ops::{
-    relu_backward_inplace, relu_inplace, segment_max, segment_max_backward, segment_mean,
+    bias_act, relu_backward_inplace, segment_max, segment_max_backward, segment_mean,
     segment_mean_backward, segment_sum, segment_sum_backward,
 };
 use gnndrive_tensor::{xavier_uniform, Matrix, Param};
@@ -83,19 +83,11 @@ impl SageLayer {
             Aggregator::Sum => segment_sum(h_src, edges, num_dst, agg),
             Aggregator::Max => segment_max(h_src, edges, num_dst, agg, max_winners),
         }
-        let Workspace {
-            gemm,
-            mats: [neigh, ..],
-            ..
-        } = ws;
         // Prefix convention: destinations are the first num_dst sources.
+        let gemm = &mut ws.gemm;
         gemm.matmul(h_src.top_rows(num_dst), &self.w_self.value, out);
-        gemm.matmul(&*agg, &self.w_neigh.value, neigh);
-        out.add_assign(neigh);
-        out.add_row_bias(&self.bias.value);
-        if self.relu {
-            relu_inplace(out);
-        }
+        gemm.matmul_add(&*agg, &self.w_neigh.value, out);
+        bias_act(out, &self.bias.value, self.relu);
     }
 
     /// Accumulate parameter gradients from the upstream gradient in
@@ -120,10 +112,8 @@ impl SageLayer {
             relu_backward_inplace(d_out, &cache.out);
         }
         let d_out = &*d_out;
-        gemm.t_matmul(h_src.top_rows(block.num_dst), d_out, grad);
-        self.w_self.grad.add_assign(grad);
-        gemm.t_matmul(&cache.agg, d_out, grad);
-        self.w_neigh.grad.add_assign(grad);
+        gemm.t_matmul_add(h_src.top_rows(block.num_dst), d_out, &mut self.w_self.grad);
+        gemm.t_matmul_add(&cache.agg, d_out, &mut self.w_neigh.grad);
         d_out.sum_rows_into(grad);
         self.bias.grad.add_assign(grad);
         if !want_input_grad {

@@ -1,4 +1,5 @@
-//! The one matrix product behind `matmul`, `t_matmul` and `matmul_t`.
+//! The one matrix product behind `matmul`, `t_matmul`, `matmul_t` and the
+//! accumulating `matmul_add` and `t_matmul_add`.
 //!
 //! **Numeric contract.** Every output element is the sum of its `k`
 //! products taken in ascending `k`, starting from `+0.0`, each product
@@ -14,7 +15,8 @@
 //! copied into `MR`-row panels and a block of B into `NR`-column panels,
 //! both contiguous along `k`, and an `MR×NR` micro-kernel with its
 //! accumulators in registers runs over every panel pair. Edge tiles run
-//! the same kernel on zero-padded panels and store only the valid part.
+//! the same kernel on zero-padded panels and store only the valid part. An
+//! accumulating product adds each finished sum to its element at the store.
 //!
 //! **Instruction sets.** The body is one `#[inline(always)]` generic over
 //! the tile, compiled into a `#[target_feature]` entry point per vector
@@ -49,6 +51,8 @@ struct Strided<'a> {
 pub struct Gemm {
     a_panels: Vec<f32>,
     b_panels: Vec<f32>,
+    /// The thin path's row of sums.
+    row: Vec<f32>,
     /// Run every product on this ISA instead of the detected one.
     #[cfg(test)]
     pinned: Option<Isa>,
@@ -65,8 +69,22 @@ impl Gemm {
         let (a, b) = (a.into(), b.into());
         assert_eq!(a.cols, b.rows, "matmul shape mismatch");
         out.reshape(a.rows, b.cols);
-        let (a, k) = (rows_of(a), a.cols);
-        self.gemm(k, a, columns_of(b), out);
+        self.gemm(a.cols, rows_of(a), columns_of(b), out, false);
+    }
+
+    /// `out += a @ b` into an `out` already of that shape: each sum is built
+    /// as [`Gemm::matmul`] builds it and added once, at the store — the bits
+    /// of `matmul` into a temporary then [`Matrix::add_assign`].
+    pub fn matmul_add<'a>(
+        &mut self,
+        a: impl Into<MatRef<'a>>,
+        b: impl Into<MatRef<'a>>,
+        out: &mut Matrix,
+    ) {
+        let (a, b) = (a.into(), b.into());
+        assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+        assert_eq!(out.shape(), (a.rows, b.cols), "output shape mismatch");
+        self.gemm(a.cols, rows_of(a), columns_of(b), out, true);
     }
 
     /// `out = aᵀ @ b` without materializing the transpose.
@@ -79,8 +97,20 @@ impl Gemm {
         let (a, b) = (a.into(), b.into());
         assert_eq!(a.rows, b.rows, "t_matmul shape mismatch");
         out.reshape(a.cols, b.cols);
-        let (a, k) = (columns_of(a), a.rows);
-        self.gemm(k, a, columns_of(b), out);
+        self.gemm(a.rows, columns_of(a), columns_of(b), out, false);
+    }
+
+    /// `out += aᵀ @ b`, added at the store as [`Gemm::matmul_add`] adds.
+    pub fn t_matmul_add<'a>(
+        &mut self,
+        a: impl Into<MatRef<'a>>,
+        b: impl Into<MatRef<'a>>,
+        out: &mut Matrix,
+    ) {
+        let (a, b) = (a.into(), b.into());
+        assert_eq!(a.rows, b.rows, "t_matmul shape mismatch");
+        assert_eq!(out.shape(), (a.cols, b.cols), "output shape mismatch");
+        self.gemm(a.rows, columns_of(a), columns_of(b), out, true);
     }
 
     /// `out = a @ bᵀ` without materializing the transpose.
@@ -93,38 +123,37 @@ impl Gemm {
         let (a, b) = (a.into(), b.into());
         assert_eq!(a.cols, b.cols, "matmul_t shape mismatch");
         out.reshape(a.rows, b.rows);
-        let (a, k) = (rows_of(a), a.cols);
-        self.gemm(k, a, rows_of(b), out);
+        self.gemm(a.cols, rows_of(a), rows_of(b), out, false);
     }
 
-    /// `c[i][j] = Σ_kk a(i, kk) · b(j, kk)`, overwriting the `m×n` matrix
-    /// `c`, on the widest ISA this CPU runs.
-    fn gemm(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
+    /// `c[i][j] = Σ_kk a(i, kk) · b(j, kk)`, or `+=` if `add`, on the
+    /// widest ISA this CPU runs.
+    fn gemm(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix, add: bool) {
         #[cfg(test)]
         let isa = self.pinned.unwrap_or_else(Isa::widest);
         #[cfg(not(test))]
         let isa = Isa::widest();
         match isa {
-            Isa::Portable => self.tiled::<4, 8>(k, a, b, c),
+            Isa::Portable => self.tiled::<4, 8>(k, a, b, c, add),
             // SAFETY: `Isa::Avx2` exists only once `avx2` was detected.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { self.avx2(k, a, b, c) },
+            Isa::Avx2 => unsafe { self.avx2(k, a, b, c, add) },
             // SAFETY: `Isa::Avx512` exists only once `avx512f` was detected.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { self.avx512(k, a, b, c) },
+            Isa::Avx512 => unsafe { self.avx512(k, a, b, c, add) },
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn avx2(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
-        self.tiled::<4, 16>(k, a, b, c)
+    fn avx2(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix, add: bool) {
+        self.tiled::<4, 16>(k, a, b, c, add)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    fn avx512(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix) {
-        self.tiled::<4, 32>(k, a, b, c)
+    fn avx512(&mut self, k: usize, a: Strided, b: Strided, c: &mut Matrix, add: bool) {
+        self.tiled::<4, 32>(k, a, b, c, add)
     }
 
     /// The product on `MR×NR` tiles, compiled into each ISA's entry point.
@@ -135,27 +164,30 @@ impl Gemm {
         a: Strided,
         b: Strided,
         c: &mut Matrix,
+        add: bool,
     ) {
         let (m, n) = (c.rows(), c.cols());
         if m == 0 || n == 0 {
             return;
         }
         // A thin product (every single-seed serving forward) is not worth
-        // packing B for: it keeps the row-times-matrix loop, which with no
-        // `k` at all just zeroes `c`.
+        // packing B for: it keeps the row-times-matrix loop, summing each
+        // row into scratch (with no `k` at all, zeros) and storing it once.
         if k == 0 || (m < 2 * MR && b.line_stride == 1) {
             for (i, c_row) in c.data_mut().chunks_exact_mut(n).enumerate() {
-                c_row.fill(0.0);
+                self.row.clear();
+                self.row.resize(n, 0.0);
                 for kk in 0..k {
                     let a_ik = a.data[i * a.line_stride + kk * a.k_stride];
                     if a_ik == 0.0 {
                         continue;
                     }
                     let b_row = &b.data[kk * b.k_stride..][..n];
-                    for (o, &b_kj) in c_row.iter_mut().zip(b_row) {
+                    for (o, &b_kj) in self.row.iter_mut().zip(b_row) {
                         *o += a_ik * b_kj;
                     }
                 }
+                store(c_row, &self.row, add);
             }
             return;
         }
@@ -171,12 +203,22 @@ impl Gemm {
                         let i = ic + p * MR;
                         let tile = kernel::<MR, NR>(a_panel, b_panel);
                         for (r, tile_row) in tile.iter().enumerate().take(m - i) {
-                            c[(i + r) * n + j..][..cols].copy_from_slice(&tile_row[..cols]);
+                            store(&mut c[(i + r) * n + j..][..cols], &tile_row[..cols], add);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// Write finished sums into `out`, or add each to its element if `add`.
+#[inline(always)]
+fn store(out: &mut [f32], sums: &[f32], add: bool) {
+    if add {
+        out.iter_mut().zip(sums).for_each(|(o, &s)| *o += s);
+    } else {
+        out.copy_from_slice(sums);
     }
 }
 
@@ -321,6 +363,28 @@ mod tests {
         })
     }
 
+    /// An output to accumulate into, salted with the values an add at the
+    /// store can get wrong: both zeros, subnormals and both infinities.
+    fn random_output(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.below(9) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1 + rng.below(1 << 20) as u32),
+            3 => -f32::from_bits(1 + rng.below(1 << 20) as u32),
+            4 => f32::INFINITY,
+            5 => f32::NEG_INFINITY,
+            _ => rng.f32(-2.0..2.0),
+        })
+    }
+
+    /// `c0 + product`, element by element: what the accumulating products
+    /// must equal bit for bit.
+    fn plus(c0: &Matrix, product: &Matrix) -> Matrix {
+        let mut sum = c0.clone();
+        sum.add_assign(product);
+        sum
+    }
+
     fn assert_same_bits(what: &str, got: &Matrix, want: &Matrix) {
         assert_eq!(
             (got.rows(), got.cols()),
@@ -358,11 +422,13 @@ mod tests {
             let (a, b) = (random_matrix(rng, m, k), random_matrix(rng, k, n));
             let a_t = random_matrix(rng, k, m);
             let b_t = random_matrix(rng, n, k);
+            let c0 = random_output(rng, m, n);
             let want = [
                 matmul_oracle(&a, &b),
                 t_matmul_oracle(&a_t, &b),
                 matmul_t_oracle(&a, &b_t),
             ];
+            let want_added = [plus(&c0, &want[0]), plus(&c0, &want[1])];
             for (isa, gemm) in &mut gemms {
                 let what = format!("{isa} {m}x{k}x{n}");
                 gemm.matmul(&a, &b, &mut out);
@@ -371,8 +437,47 @@ mod tests {
                 assert_same_bits(&what, &out, &want[1]);
                 gemm.matmul_t(&a, &b_t, &mut out);
                 assert_same_bits(&what, &out, &want[2]);
+                let mut acc = c0.clone();
+                gemm.matmul_add(&a, &b, &mut acc);
+                assert_same_bits(&format!("{what} matmul_add"), &acc, &want_added[0]);
+                let mut acc = c0.clone();
+                gemm.t_matmul_add(&a_t, &b, &mut acc);
+                assert_same_bits(&format!("{what} t_matmul_add"), &acc, &want_added[1]);
             }
         });
+    }
+
+    #[test]
+    fn accumulating_products_add_once_at_every_size() {
+        // Every size on every axis in turn, the other two drawn: the thin
+        // path (m < 2·MR), packed tiles, padded edges and, at 65/160/257
+        // rows or 257 columns, more than one MC or NC block.
+        let mut rng = Rng::seed_from_u64(5);
+        let mut gemms = every_isa();
+        for (axis, &size) in (0..3).flat_map(|axis| SIZES.iter().map(move |s| (axis, s))) {
+            let mut dims = [0; 3].map(|_| SIZES[rng.below(SIZES.len())]);
+            dims[axis] = size;
+            let [m, k, n] = dims;
+            let (a, b, a_t) = (
+                random_matrix(&mut rng, m, k),
+                random_matrix(&mut rng, k, n),
+                random_matrix(&mut rng, k, m),
+            );
+            let c0 = random_output(&mut rng, m, n);
+            let want = [
+                plus(&c0, &matmul_oracle(&a, &b)),
+                plus(&c0, &t_matmul_oracle(&a_t, &b)),
+            ];
+            for (isa, gemm) in &mut gemms {
+                let what = format!("{isa} {m}x{k}x{n}");
+                let mut acc = c0.clone();
+                gemm.matmul_add(&a, &b, &mut acc);
+                assert_same_bits(&format!("{what} matmul_add"), &acc, &want[0]);
+                let mut acc = c0.clone();
+                gemm.t_matmul_add(&a_t, &b, &mut acc);
+                assert_same_bits(&format!("{what} t_matmul_add"), &acc, &want[1]);
+            }
+        }
     }
 
     #[test]
@@ -385,12 +490,37 @@ mod tests {
             (MC + 5, 6, NC + 9)
         };
         let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, k, n));
+        let a_t = random_matrix(&mut rng, k, m);
+        let c0 = random_output(&mut rng, m, n);
         let want = matmul_oracle(&a, &b);
+        let want_added = [plus(&c0, &want), plus(&c0, &t_matmul_oracle(&a_t, &b))];
         let mut out = Matrix::default();
         for (isa, mut gemm) in every_isa() {
             gemm.matmul(&a, &b, &mut out);
             assert_same_bits(&format!("{isa} blocked"), &out, &want);
+            let mut acc = c0.clone();
+            gemm.matmul_add(&a, &b, &mut acc);
+            assert_same_bits(&format!("{isa} blocked matmul_add"), &acc, &want_added[0]);
+            let mut acc = c0.clone();
+            gemm.t_matmul_add(&a_t, &b, &mut acc);
+            assert_same_bits(&format!("{isa} blocked t_matmul_add"), &acc, &want_added[1]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn accumulating_into_an_output_of_the_wrong_shape_panics() {
+        // Reshaping would silently drop what `out` held; it must refuse.
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(3, 4));
+        Gemm::default().matmul_add(&a, &b, &mut Matrix::zeros(4, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn accumulating_a_transposed_product_into_the_wrong_shape_panics() {
+        // `out` shaped like `a @ b` where `aᵀ @ b` is meant.
+        let (a, b) = (Matrix::zeros(3, 2), Matrix::zeros(3, 4));
+        Gemm::default().t_matmul_add(&a, &b, &mut Matrix::zeros(3, 4));
     }
 
     #[test]

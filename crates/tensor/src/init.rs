@@ -29,7 +29,8 @@ mod tests {
         let m = xavier_uniform(16, 48, 7);
         let a = (6.0 / 64.0f32).sqrt();
         assert!(m.data().iter().all(|&v| v > -a && v < a));
-        // Not degenerate.
-        assert!(m.norm() > 0.0);
+        // Not degenerate: a nonzero Frobenius norm.
+        let norm = m.data().iter().map(|&x| x * x).sum::<f32>().sqrt();
+        assert!(norm > 0.0);
     }
 }

@@ -64,6 +64,10 @@ impl Matrix {
         self.cols
     }
 
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
     pub fn data(&self) -> &[f32] {
         &self.data
     }
@@ -174,18 +178,6 @@ impl Matrix {
         }
     }
 
-    /// Add a row-vector `bias` (1 × cols) to every row.
-    pub fn add_row_bias(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1);
-        assert_eq!(bias.cols, self.cols);
-        for r in 0..self.rows {
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (a, &b) in row.iter_mut().zip(bias.data.iter()) {
-                *a += b;
-            }
-        }
-    }
-
     /// Column-sum into `out` as a 1 × cols matrix (bias-gradient reduction).
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         out.reset(1, self.cols);
@@ -194,11 +186,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Frobenius norm (for gradient diagnostics / clipping).
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
     /// Copy a column range into a new matrix.
@@ -288,7 +275,7 @@ mod tests {
     fn bias_and_sum_rows_are_inverse_shapes() {
         let mut x = m(2, 3, &[1., 1., 1., 2., 2., 2.]);
         let bias = m(1, 3, &[10., 20., 30.]);
-        x.add_row_bias(&bias);
+        crate::ops::bias_act(&mut x, &bias, false);
         assert_eq!(x.data(), &[11., 21., 31., 12., 22., 32.]);
         let mut s = m(2, 1, &[9., 9.]);
         x.sum_rows_into(&mut s);

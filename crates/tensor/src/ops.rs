@@ -2,35 +2,28 @@
 
 use crate::matrix::Matrix;
 
-/// In-place ReLU.
-pub fn relu_inplace(x: &mut Matrix) {
-    for v in x.data_mut() {
-        if *v < 0.0 {
-            *v = 0.0;
+/// `x = act(x + bias)` in one pass: `bias` (1 × cols) on every row, then
+/// ReLU if `relu`. Both ReLUs here are selects, not stores under a branch,
+/// so they vectorize; only `< 0` (backward: `<= 0`) becomes `+0.0`, so
+/// `−0.0` and NaN pass through.
+pub fn bias_act(x: &mut Matrix, bias: &Matrix, relu: bool) {
+    assert_eq!(bias.shape(), (1, x.cols()), "bias shape");
+    for r in 0..x.rows() {
+        let row = x.row_mut(r).iter_mut().zip(bias.data());
+        if relu {
+            row.for_each(|(v, &b)| *v = if *v + b < 0.0 { 0.0 } else { *v + b });
+        } else {
+            row.for_each(|(v, &b)| *v += b);
         }
     }
 }
 
-/// Gradient of ReLU: zero `grad` wherever the forward *output* was zero.
-///
-/// Using the output rather than the input is valid for ReLU (output > 0 ⟺
-/// input > 0) and avoids keeping the pre-activation around.
+/// Gradient of ReLU: zero `grad` wherever the forward *output* was zero —
+/// valid for ReLU (output > 0 ⟺ input > 0), and no pre-activation is kept.
 pub fn relu_backward_inplace(grad: &mut Matrix, output: &Matrix) {
-    assert_eq!(grad.rows(), output.rows());
-    assert_eq!(grad.cols(), output.cols());
-    for (g, &o) in grad.data_mut().iter_mut().zip(output.data().iter()) {
-        if o <= 0.0 {
-            *g = 0.0;
-        }
-    }
-}
-
-/// Derivative of LeakyReLU w.r.t. its input, evaluated from the input.
-pub fn leaky_relu_grad(input: f32, alpha: f32) -> f32 {
-    if input >= 0.0 {
-        1.0
-    } else {
-        alpha
+    assert_eq!(grad.shape(), output.shape());
+    for (g, &o) in grad.data_mut().iter_mut().zip(output.data()) {
+        *g = if o <= 0.0 { 0.0 } else { *g };
     }
 }
 
@@ -207,14 +200,102 @@ pub fn argmax_rows(x: &Matrix) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    use gnndrive_sync::rng::{cases, Rng};
+
+    // The branchy loops the select forms replaced, kept verbatim as the
+    // bit-for-bit reference: `Matrix::add_row_bias`, then `relu_inplace`.
+
+    fn add_row_bias_oracle(x: &mut Matrix, bias: &Matrix) {
+        let cols = x.cols();
+        for r in 0..x.rows() {
+            let row = &mut x.data_mut()[r * cols..(r + 1) * cols];
+            for (a, &b) in row.iter_mut().zip(bias.data().iter()) {
+                *a += b;
+            }
+        }
+    }
+
+    fn relu_oracle(x: &mut Matrix) {
+        for v in x.data_mut() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+    }
+
+    fn relu_backward_oracle(grad: &mut Matrix, output: &Matrix) {
+        for (g, &o) in grad.data_mut().iter_mut().zip(output.data().iter()) {
+            if o <= 0.0 {
+                *g = 0.0;
+            }
+        }
+    }
+
+    /// Mostly ordinary values, salted with the ones a select can get
+    /// wrong: both zeros, NaN, both infinities and subnormals.
+    fn salted(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.below(16) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::NAN,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            5 => f32::from_bits(1 + rng.below(1 << 20) as u32),
+            6 => -f32::from_bits(1 + rng.below(1 << 20) as u32),
+            _ => rng.f32(-2.0..2.0),
+        })
+    }
+
+    fn assert_same_bits(what: &str, got: &Matrix, want: &Matrix) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn relu_clamps_and_backward_masks() {
         let mut x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        relu_inplace(&mut x);
+        bias_act(&mut x, &Matrix::zeros(1, 4), true);
         assert_eq!(x.data(), &[0.0, 0.0, 2.0, 0.0]);
         let mut g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         relu_backward_inplace(&mut g, &x);
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn select_forms_are_bit_identical_to_the_branchy_loops() {
+        cases(200, |rng| {
+            let (rows, cols) = (rng.below(6), rng.below(40));
+            let x = salted(rng, rows, cols);
+            // A bias of zeros of either sign leaves `x + bias` exactly `x`
+            // (`−0.0 + −0.0` stays `−0.0`), so ReLU meets every salt as is.
+            let biases = [
+                salted(rng, 1, cols),
+                Matrix::from_vec(1, cols, vec![-0.0; cols]),
+            ];
+            for (bias, relu) in biases.iter().flat_map(|b| [(b, false), (b, true)]) {
+                let mut want = x.clone();
+                add_row_bias_oracle(&mut want, bias);
+                if relu {
+                    relu_oracle(&mut want);
+                }
+                let mut got = x.clone();
+                bias_act(&mut got, bias, relu);
+                assert_same_bits(&format!("bias_act relu={relu}"), &got, &want);
+            }
+            let (mut got, output) = (salted(rng, rows, cols), salted(rng, rows, cols));
+            let mut want = got.clone();
+            relu_backward_oracle(&mut want, &output);
+            relu_backward_inplace(&mut got, &output);
+            assert_same_bits("relu_backward_inplace", &got, &want);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bias shape")]
+    fn a_bias_of_the_wrong_width_panics() {
+        bias_act(&mut Matrix::zeros(2, 3), &Matrix::zeros(1, 2), false);
     }
 
     #[test]
