@@ -11,13 +11,15 @@
 //!    rows whose windows touch (*joint extraction*, §4.4) or whose gap is
 //!    cheaper to read through than to pay another device op for —
 //!    bounded by the staging buffer's byte credits.
-//! 3. **Phase two (staging → device)** — the moment a read window
-//!    completes and verifies, submit it as one host→device copy; never
-//!    wait for the rest of the mini-batch. The copy carries the window's
-//!    loaded rows plus its *harvested* ones — bridged rows a queued batch
-//!    announced, which [`FeatureBufferManager::harvest`] takes when that
-//!    costs no nearer use — and decodes each straight from the window
-//!    bytes into its slot. Publish the rows' valid bits when it lands.
+//! 3. **Phase two (staging → device)** — the moment a reap round's read
+//!    windows complete and verify, submit them as one host→device job, one
+//!    copy per window; never wait for the rest of the mini-batch. The
+//!    submission queue likewise goes to the device a batch at a time, as
+//!    with io_uring. A copy carries the window's loaded rows plus its
+//!    *harvested* ones — bridged rows a queued batch announced, which
+//!    [`FeatureBufferManager::harvest`] takes when that costs no nearer
+//!    use — and decodes each straight from the window bytes into its slot.
+//!    Publish the rows' valid bits when it lands.
 //! 4. **Wait** — for nodes on the wait list, confirm the other extractor
 //!    published them, then resolve their aliases.
 //!
@@ -26,10 +28,10 @@
 //!
 //! It is written once. *Serial* extraction — the `sync_extract` ablation
 //! (what PyG+ and Ginex do) and the load a Degraded or probed device gets
-//! (DESIGN.md §9) — is a setting of the same loop: after each submit it
-//! waits until nothing is outstanding, so one read is in flight, and a
-//! landed window pays its host→device copy inline instead of handing it to
-//! the transfer engine. Every check is shared: completions become bytes
+//! (DESIGN.md §9) — is a setting of the same loop: after each read it
+//! prepares it waits until nothing is outstanding, so one read is in
+//! flight, and a landed window pays its host→device copy inline instead of
+//! handing it to the transfer engine. Every check is shared: completions become bytes
 //! only through [`gnndrive_storage::Completion::verified`], failed ones are
 //! re-read under the [`RetryPolicy`], and the batch's one rollback is in
 //! `extract_batch_inner` — after every copy the batch submitted has landed,
@@ -41,8 +43,8 @@ use gnndrive_device::{TransferDone, TransferEngine, WindowCopy};
 use gnndrive_graph::NodeId;
 use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::{
-    Admission, DeviceHealth, FileHandle, IoError, IoPriority, IoRing, RetryPolicy, SimSsd,
-    SECTOR_SIZE,
+    Admission, Completion, DeviceHealth, FileHandle, IoError, IoPriority, IoRing, RetryPolicy,
+    SimSsd, SECTOR_SIZE,
 };
 use gnndrive_sync::queue::{Receiver, Sender};
 use gnndrive_telemetry::{self as telemetry, catalog};
@@ -497,12 +499,15 @@ struct Loads<'a> {
     windows: Vec<Window>,
     /// Windows in [`Window::Copying`].
     copying: usize,
+    /// The copies of the reap round in progress, each with its window id;
+    /// they leave as one transfer job when the round ends.
+    outbox: Vec<(WindowCopy, u64)>,
     /// The bridged nodes of the window being harvested (reused).
     offers: Vec<NodeId>,
-    /// The copies' reply channel; the sender is dropped once the drain
+    /// The copy jobs' reply channel; the sender is dropped once the drain
     /// begins.
-    xfer_tx: Option<Sender<TransferDone>>,
-    xfer_rx: Receiver<TransferDone>,
+    xfer_tx: Option<Sender<Vec<TransferDone>>>,
+    xfer_rx: Receiver<Vec<TransferDone>>,
     /// Enqueue→dispatch and dispatch→complete time, summed over the
     /// completions reaped so far.
     io_queue_ns: u64,
@@ -510,23 +515,47 @@ struct Loads<'a> {
 }
 
 impl Loads<'_> {
-    /// Reap one load completion — parking until one arrives (bounded by the
-    /// retry policy's per-wait deadline) when `block`, else only if one is
-    /// already there — and launch phase two for its window. `Ok(false)`
-    /// means nothing was reaped; when blocking, that nothing of this batch
-    /// is outstanding.
-    fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
-        let ctx = self.ctx;
-        let completion = if block {
+    /// One reap round, the io_uring way: when `block`, hand the SQ to the
+    /// device and park for one completion (bounded by the retry policy's
+    /// per-wait deadline); then take every completion already there.
+    /// Launch phase two for each, and send the round's copies to the
+    /// transfer engine as one job. Returns how many completions were
+    /// reaped; 0 from a blocking round means nothing of this batch is
+    /// outstanding.
+    fn reap(&mut self, block: bool) -> Result<usize, ExtractError> {
+        let mut reaped = 0;
+        if block {
             self.ring.submit();
-            self.ring
-                .wait_completion_deadline(Some(ctx.retry.deadline()))?
-        } else {
-            self.ring.peek_completion()
-        };
-        let Some(c) = completion else {
-            return Ok(false);
-        };
+            let deadline = Some(self.ctx.retry.deadline());
+            let Some(c) = self.ring.wait_completion_deadline(deadline)? else {
+                return Ok(0);
+            };
+            self.launch(c)?;
+            reaped += 1;
+        }
+        while let Some(c) = self.ring.peek_completion() {
+            self.launch(c)?;
+            reaped += 1;
+        }
+        self.flush();
+        Ok(reaped)
+    }
+
+    /// Hand the round's copies to the transfer engine as one job.
+    fn flush(&mut self) {
+        if let (Some(engine), Some(reply)) = (&self.ctx.transfer, &self.xfer_tx) {
+            if !self.outbox.is_empty() {
+                let slab = Arc::clone(self.ctx.fb.slab());
+                engine.submit(std::mem::take(&mut self.outbox), slab, reply.clone());
+            }
+        }
+    }
+
+    /// Phase two for one load completion: verify (re-reading on failure),
+    /// harvest, and either queue the window's copy in the round's outbox or
+    /// pay it inline and publish.
+    fn launch(&mut self, c: Completion) -> Result<(), ExtractError> {
+        let ctx = self.ctx;
         self.io_queue_ns = self.io_queue_ns.saturating_add(c.queue_ns);
         self.io_service_ns = self.io_service_ns.saturating_add(c.service_ns);
         let id = c.user_data as usize;
@@ -577,9 +606,8 @@ impl Loads<'_> {
         };
         let slab = ctx.fb.slab();
         match &ctx.transfer {
-            Some(engine) if !self.serial => {
-                let reply = self.xfer_tx.clone().expect("open until the drain");
-                engine.submit(copy, Arc::clone(slab), id as u64, reply);
+            Some(_) if !self.serial => {
+                self.outbox.push((copy, id as u64));
                 self.windows[id] = Window::Copying(harvested);
                 self.copying += 1;
             }
@@ -600,23 +628,28 @@ impl Loads<'_> {
         }
         // Staging credits return at hand-off, not when the copy lands.
         drop(lease);
-        Ok(true)
+        Ok(())
     }
 
-    /// Publish a landed copy's rows and release its harvested ones.
-    fn land(&mut self, done: TransferDone) {
-        let id = done.user_data as usize;
-        let Window::Copying(harvested) = std::mem::replace(&mut self.windows[id], Window::Landed)
-        else {
-            panic!("window {id} landed twice");
-        };
-        let loaded = done.rows.len() - harvested.len();
-        self.ctx.fb.publish_window(&done.rows, loaded);
-        self.copying -= 1;
+    /// Publish a landed job's rows and release its harvested ones.
+    fn land(&mut self, job: Vec<TransferDone>) {
+        for done in job {
+            let id = done.user_data as usize;
+            let Window::Copying(harvested) =
+                std::mem::replace(&mut self.windows[id], Window::Landed)
+            else {
+                panic!("window {id} landed twice");
+            };
+            let loaded = done.rows.len() - harvested.len();
+            self.ctx.fb.publish_window(&done.rows, loaded);
+            self.copying -= 1;
+        }
     }
 
-    /// Phase one: submit every group, reaping as we go to keep the ring
-    /// deep but bounded, then reap the rest.
+    /// Phase one: prepare every group, reaping as we go to keep the ring
+    /// deep but bounded, then reap the rest. The SQ goes to the device as
+    /// one batch when it is full, before any blocking reap and at the end;
+    /// serially, each read goes alone and lands before the next.
     fn read(&mut self, groups: Vec<ReadGroup>) -> Result<(), ExtractError> {
         let ctx = self.ctx;
         for group in groups {
@@ -632,7 +665,7 @@ impl Loads<'_> {
                     if let Some(l) = staging.try_acquire(group.window_len as u64) {
                         break Some(l);
                     }
-                    if !self.reap(true)? {
+                    if self.reap(true)? == 0 {
                         // We hold no leases; blocking cannot self-deadlock.
                         break Some(staging.acquire(group.window_len as u64));
                     }
@@ -642,23 +675,31 @@ impl Loads<'_> {
             let (start, len) = (group.window_start, group.window_len);
             while let Err(e) = self.ring.prepare_read(ctx.features_file, start, len, id) {
                 match e {
-                    IoError::RingFull => self.reap(true)?,
+                    // A full SQ goes to the device; park only if the
+                    // device took none of it.
+                    IoError::RingFull if self.ring.submit() > 0 => {}
+                    IoError::RingFull => {
+                        self.reap(true)?;
+                    }
                     e => return Err(e.into()),
                 };
             }
             self.windows.push(Window::Reading(group, lease));
-            self.ring.submit();
-            // Serial: wait until the read just submitted has landed, so one
-            // is in flight at a time. Otherwise drain whatever already
-            // finished without blocking.
-            while self.reap(self.serial)? {}
+            if self.serial {
+                // Wait until the read just prepared has landed, so one is
+                // in flight at a time.
+                while self.reap(true)? > 0 {}
+            } else {
+                // Reap whatever already finished without blocking.
+                self.reap(false)?;
+            }
             // Land finished copies opportunistically too.
-            while let Some(done) = self.xfer_rx.try_recv() {
-                self.land(done);
+            while let Some(job) = self.xfer_rx.try_recv() {
+                self.land(job);
             }
         }
         // Wait for the remaining loads.
-        while self.reap(true)? {}
+        while self.reap(true)? > 0 {}
         debug_assert!(
             self.windows
                 .iter()
@@ -675,6 +716,8 @@ impl Loads<'_> {
     /// overlap it is near-zero; in a trace, wide transfer spans mean the
     /// device link is the bottleneck.
     fn drain_copies(mut self) -> Result<(), ExtractError> {
+        // A failed read can leave the round's reaped copies unsent.
+        self.flush();
         // Dropping our sender leaves the engine's in-flight jobs holding
         // the only ones, so a dead engine disconnects the channel below.
         self.xfer_tx = None;
@@ -687,7 +730,7 @@ impl Loads<'_> {
                 self.xfer_rx.recv()
             };
             match done {
-                Ok(done) => self.land(done),
+                Ok(job) => self.land(job),
                 Err(_) => {
                     // The engine is gone and with it every job it held:
                     // no copy can land any more. Give the harvested rows
@@ -746,6 +789,7 @@ fn load(
         ),
         windows: Vec::with_capacity(groups.len()),
         copying: 0,
+        outbox: Vec::new(),
         offers: Vec::new(),
         xfer_tx: Some(xfer_tx),
         xfer_rx,
@@ -1250,7 +1294,9 @@ mod tests {
     /// copy engine lands those copies before its rollback hands their
     /// slots back: a serial extractor that takes the freed slots right
     /// after keeps its rows. The harvested row of a landed window is
-    /// published and released like a loaded one.
+    /// published and released like a loaded one. The read fails in the
+    /// same reap round as three good windows, so their copies are still in
+    /// the round's outbox, not yet sent, when it does.
     #[test]
     fn a_failed_batch_lands_its_copies_before_rollback() {
         use gnndrive_storage::FaultPlan;
@@ -1277,22 +1323,38 @@ mod tests {
 
         let horizon = fb.horizon(0..2);
         let _queued = horizon.announce(batch_of(1, vec![11]), ());
-        // Five windows, [10, 12] bridging 11 first; reads 3 and on fail.
+        // Every third read of the features file fails, in service order on
+        // the device's one channel. Two warm-up reads take ordinals 0 and
+        // 1; the batch's five windows — [10, 12] bridging 11, then 30, 40,
+        // 50 and 60 — go to the device as one batch and take 2..=6, so
+        // windows 0 and 3 fail. Window 0's re-read (7) queues behind all
+        // five and passes; by then windows 1..=4 have completed, so one
+        // round reaps windows 0..=3, and window 3's re-read (8) fails the
+        // batch with windows 0..=2 in the outbox.
         ds.ssd.set_fault_plan(
             FaultPlan::new(0)
-                .with_read_fault_prob(1.0)
-                .in_window(3..u64::MAX)
+                .with_read_fault_every(3)
                 .on_file(ds.features_file.id),
         );
+        let mut sector = [0u8; 512];
+        for _ in 0..2 {
+            ds.ssd
+                .read_blocking(ds.features_file, 0, &mut sector, true)
+                .unwrap();
+        }
         let failing = batch_of(0, vec![10, 12, 30, 40, 50, 60]);
-        let err = extract_batch(&ctx, failing).err().expect("reads 3.. fail");
+        let err = extract_batch(&ctx, failing).err().expect("window 3 fails");
         ds.ssd.clear_faults();
         assert!(matches!(err, ExtractError::Io(_)), "{err}");
         fb.check_invariants();
         assert_eq!(fb.standby_len(), 7, "every pin returned");
-        if fb.entry(11).2 {
-            assert_resident(&ds, &fb, 11);
+        for node in [10, 11, 12, 30, 40] {
+            assert_resident(&ds, &fb, node);
         }
+        assert!(
+            !fb.entry(50).2 && !fb.entry(60).2,
+            "failed windows publish nothing"
+        );
         // Six fresh rows take the six slots the failed batch held.
         let batch = extract_batch(&serial, batch_of(2, vec![1, 3, 5, 7, 9, 70])).unwrap();
         // Long enough for any copy still bound for those slots to land.

@@ -3,12 +3,14 @@
 //! GNNDrive's second extraction phase launches a transfer from the staging
 //! buffer to the device-resident feature buffer *as soon as a load
 //! completes*, without waiting for the rest of the mini-batch (paper §4.2,
-//! ⑤ in Fig 4). A load completion is one verified read window, so a job is
-//! one [`WindowCopy`]: the window's bytes, moved in, and every row to copy
-//! out of them. A dedicated engine thread charges the modeled PCIe setup
-//! latency once per job plus the bytes of the rows it carries, decodes each
-//! row straight from the window into its slot, and replies on a channel
-//! with the row list.
+//! ⑤ in Fig 4). A load completion is one verified read window, a
+//! [`WindowCopy`]: the window's bytes, moved in, and every row to copy out
+//! of them. A job is one reap round's windows — the completions an
+//! extractor reaped together — so the round crosses to the engine thread
+//! and back once. The engine still charges each window its own modeled
+//! PCIe setup latency plus the bytes of the rows it carries, decodes each
+//! row straight from the window into its slot, and replies once per job
+//! with every window's row list.
 
 use crate::slab::FeatureSlab;
 use gnndrive_sync::queue::{unbounded, Receiver, Sender};
@@ -90,10 +92,10 @@ pub struct TransferDone {
 }
 
 struct Job {
-    copy: WindowCopy,
+    /// Each window with its submitter's `user_data`.
+    copies: Vec<(WindowCopy, u64)>,
     dst: Arc<FeatureSlab>,
-    user_data: u64,
-    reply: Sender<TransferDone>,
+    reply: Sender<Vec<TransferDone>>,
 }
 
 /// The copy engine. One per simulated device.
@@ -122,25 +124,21 @@ impl TransferEngine {
         &self.profile
     }
 
-    /// Submit an asynchronous copy of `copy`'s rows into their slots of
-    /// `dst`. Completion is delivered on `reply`. If the engine has already
-    /// shut down the job is dropped — including its `reply` sender — so
-    /// the caller observes the failure as a disconnected completion channel
-    /// rather than a panic here.
+    /// Submit one asynchronous job: each window's rows copied into their
+    /// slots of `dst`, in order. One reply, every window's
+    /// [`TransferDone`] in submission order, is delivered on `reply` once
+    /// the last window has landed. If the engine has already shut down the
+    /// job is dropped — including its `reply` sender — so the caller
+    /// observes the failure as a disconnected completion channel rather
+    /// than a panic here.
     pub fn submit(
         &self,
-        copy: WindowCopy,
+        copies: Vec<(WindowCopy, u64)>,
         dst: Arc<FeatureSlab>,
-        user_data: u64,
-        reply: Sender<TransferDone>,
+        reply: Sender<Vec<TransferDone>>,
     ) {
         if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(Job {
-                copy,
-                dst,
-                user_data,
-                reply,
-            });
+            let _ = tx.send(Job { copies, dst, reply });
         }
     }
 
@@ -169,7 +167,7 @@ impl Drop for TransferEngine {
     }
 }
 
-/// Count one job of `bytes` and return its modeled service time: the
+/// Count one transfer of `bytes` and return its modeled service time: the
 /// link's setup latency plus the bytes at its bandwidth.
 fn charge(profile: &TransferProfile, bytes: u64) -> Duration {
     let service = profile.latency
@@ -183,22 +181,27 @@ fn charge(profile: &TransferProfile, bytes: u64) -> Duration {
 fn engine_loop(profile: TransferProfile, rx: Receiver<Job>) {
     let mut cursor = Instant::now();
     while let Ok(job) = rx.recv() {
-        let now = Instant::now();
-        let service = charge(&profile, job.copy.bytes(&job.dst));
-        let start = cursor.max(now);
-        let deadline = start + service;
-        cursor = deadline;
+        let mut done = Vec::with_capacity(job.copies.len());
+        let mut windows = job.copies.into_iter().peekable();
+        while let Some((copy, user_data)) = windows.next() {
+            // Each window is its own transfer: one setup plus its bytes.
+            let service = charge(&profile, copy.bytes(&job.dst));
+            let deadline = cursor.max(Instant::now()) + service;
+            cursor = deadline;
 
-        job.copy.write_into(&job.dst);
+            copy.write_into(&job.dst);
 
-        let ahead = deadline.saturating_duration_since(Instant::now());
-        if ahead > Duration::ZERO && (rx.is_empty() || ahead >= profile.sleep_granularity) {
-            std::thread::sleep(ahead);
+            let ahead = deadline.saturating_duration_since(Instant::now());
+            let idle = windows.peek().is_none() && rx.is_empty();
+            if ahead > Duration::ZERO && (idle || ahead >= profile.sleep_granularity) {
+                std::thread::sleep(ahead);
+            }
+            done.push(TransferDone {
+                user_data,
+                rows: copy.rows,
+            });
         }
-        let _ = job.reply.send(TransferDone {
-            user_data: job.user_data,
-            rows: job.copy.rows,
-        });
+        let _ = job.reply.send(done);
     }
 }
 
@@ -211,8 +214,8 @@ mod tests {
     static ENGINES: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
 
     /// A window of `rows` consecutive `dim`-wide rows from row `first`, row
-    /// `r` holding `r` in every element, copied to slot `r − first`.
-    fn window(first: u32, rows: u32, dim: usize) -> WindowCopy {
+    /// `r` holding `r` in every element, copied to slot `r − first + slot0`.
+    fn window(first: u32, rows: u32, dim: usize, slot0: u32) -> WindowCopy {
         let window = (first..first + rows)
             .flat_map(|r| std::iter::repeat_n(r as f32, dim))
             .flat_map(f32::to_le_bytes)
@@ -220,7 +223,16 @@ mod tests {
         WindowCopy {
             window,
             window_start: u64::from(first) * dim as u64 * 4,
-            rows: (0..rows).map(|i| (first + i, i)).collect(),
+            rows: (0..rows).map(|i| (first + i, slot0 + i)).collect(),
+        }
+    }
+
+    /// Slot `s` holds row `rows[s]` in every element.
+    fn assert_slots(slab: &FeatureSlab, rows: &[u32]) {
+        let mut out = vec![0.0; slab.dim()];
+        for (slot, &row) in rows.iter().enumerate() {
+            slab.read_row(slot as u32, &mut out);
+            assert!(out.iter().all(|&v| v == row as f32), "slot {slot}: {out:?}");
         }
     }
 
@@ -230,27 +242,31 @@ mod tests {
         let engine = TransferEngine::new(TransferProfile::host_memcpy());
         let slab = Arc::new(FeatureSlab::new(8, 4));
         let (tx, rx) = unbounded();
-        // Rows 10..14 into slots 0..4, rows 20..24 into slots 4..8.
-        let mut high = window(20, 4, 4);
-        high.rows.iter_mut().for_each(|r| r.1 += 4);
-        engine.submit(window(10, 4, 4), Arc::clone(&slab), 1, tx.clone());
-        engine.submit(high, Arc::clone(&slab), 2, tx.clone());
+        // Rows 10..14 into slots 0..4 in one job, rows 20..24 into slots
+        // 4..8 in another.
+        engine.submit(
+            vec![(window(10, 4, 4, 0), 1)],
+            Arc::clone(&slab),
+            tx.clone(),
+        );
+        engine.submit(
+            vec![(window(20, 4, 4, 4), 2)],
+            Arc::clone(&slab),
+            tx.clone(),
+        );
         let mut done: Vec<TransferDone> = (0..2)
-            .map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
+            .flat_map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
             .collect();
         done.sort_by_key(|d| d.user_data);
-        assert_eq!(done[0].rows, window(10, 4, 4).rows);
-        assert_eq!(done[1].rows.len(), 4);
-        let mut out = [0.0; 4];
-        for slot in 0..8u32 {
-            slab.read_row(slot, &mut out);
-            let row = if slot < 4 { 10 + slot } else { 16 + slot };
-            assert!(out.iter().all(|&v| v == row as f32), "slot {slot}: {out:?}");
-        }
+        assert_eq!(done[0].rows, window(10, 4, 4, 0).rows);
+        assert_eq!(done[1].rows, window(20, 4, 4, 4).rows);
+        assert_slots(&slab, &[10, 11, 12, 13, 20, 21, 22, 23]);
     }
 
-    /// One job per window, however many rows it carries: the op counter
-    /// counts windows and the byte counter the rows' bytes.
+    /// One op per window, however many rows it carries and however many
+    /// windows share a job: the op counter counts windows, the byte
+    /// counter the rows' bytes, and each job gets one reply listing its
+    /// windows in order.
     #[test]
     fn one_transfer_op_per_window() {
         let _gate = ENGINES.lock();
@@ -261,17 +277,33 @@ mod tests {
             catalog::DEVICE_TRANSFER_OPS.get(),
             catalog::DEVICE_TRANSFER_BYTES.get(),
         );
+        let (mut slot, mut jobs) = (0, [Vec::new(), Vec::new()]);
         for (w, rows) in [1, 5, 3, 7].into_iter().enumerate() {
-            let copy = window(100 * w as u32, rows, 4);
-            engine.submit(copy, Arc::clone(&slab), w as u64, tx.clone());
+            jobs[w / 2].push((window(100 * w as u32, rows, 4, slot), w as u64));
+            slot += rows;
         }
-        for _ in 0..4 {
-            rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        for job in jobs {
+            engine.submit(job, Arc::clone(&slab), tx.clone());
         }
+        let replies: Vec<Vec<TransferDone>> = (0..2)
+            .map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
+            .collect();
+        let ids = |r: &Vec<TransferDone>| r.iter().map(|d| d.user_data).collect::<Vec<_>>();
+        assert_eq!(
+            (ids(&replies[0]), ids(&replies[1])),
+            (vec![0, 1], vec![2, 3])
+        );
+        assert!(rx.try_recv().is_none(), "one reply per job");
         assert_eq!(catalog::DEVICE_TRANSFER_OPS.get() - ops, 4);
         assert_eq!(catalog::DEVICE_TRANSFER_BYTES.get() - bytes, 16 * 16);
+        let rows: Vec<u32> = [(0, 1), (100, 5), (200, 3), (300, 7)]
+            .iter()
+            .flat_map(|&(first, n)| first..first + n)
+            .collect();
+        assert_slots(&slab, &rows);
     }
 
+    /// A job of four windows pays four setups, not one.
     #[test]
     fn latency_model_paces_transfers() {
         let _gate = ENGINES.lock();
@@ -284,17 +316,20 @@ mod tests {
         let engine = TransferEngine::new(profile);
         let slab = Arc::new(FeatureSlab::new(4, 2));
         let (tx, rx) = unbounded();
+        let service = catalog::DEVICE_TRANSFER_SERVICE.merged().count();
         let t0 = Instant::now();
-        for i in 0..4u32 {
-            engine.submit(window(i, 1, 2), Arc::clone(&slab), 0, tx.clone());
-        }
-        for _ in 0..4 {
-            rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        }
+        let job = (0..4u32).map(|i| (window(i, 1, 2, i), 0)).collect();
+        engine.submit(job, Arc::clone(&slab), tx);
+        let done = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(
             t0.elapsed() >= Duration::from_millis(7),
             "4 transfers at 2ms each should take >=7ms, took {:?}",
             t0.elapsed()
         );
+        assert_eq!(done.len(), 4);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(2)).ok(), None);
+        let charged = catalog::DEVICE_TRANSFER_SERVICE.merged().count();
+        assert_eq!(charged - service, 4, "one charge per window");
+        assert_slots(&slab, &[0, 1, 2, 3]);
     }
 }

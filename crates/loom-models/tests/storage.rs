@@ -3,9 +3,10 @@
 //! * the [`MemoryGovernor::try_charge`] CAS admission loop
 //!   (`crates/storage/src/governor.rs`) — the budget is never overshot and
 //!   charge/release balances to zero;
-//! * the SimSsd channel-worker handoff (`crates/storage/src/ssd.rs`) — submit /
-//!   complete / deadline bookkeeping never loses a request, and a racing
-//!   shutdown still answers every queued submission;
+//! * the SimSsd channel-worker handoff (`crates/storage/src/ssd.rs`) — a
+//!   batch submit that fills the device queue, the workers' completions
+//!   and a reap that drains them all in one lock never lose or duplicate a
+//!   request, and a racing shutdown still answers every submission;
 //! * the [`DeviceHealth`] window update and half-open probe slot
 //!   (`crates/storage/src/health.rs`) — concurrent outcome records keep the error
 //!   accounting consistent and trip the breaker exactly once, and the
@@ -121,10 +122,16 @@ fn governor_charge_release_balances() {
 // SimSsd channel-worker handoff model
 // ---------------------------------------------------------------------
 
-/// Mutex+Condvar re-statement of the submit → channel-worker → completion
-/// pipeline in `crates/storage/src/ssd.rs` (real loom has no mpsc, so the queue is
-/// explicit). `closed` mirrors `Shared::closed` with the same
-/// Release-store / Acquire-load pairing used by `shutdown()`.
+/// Mutex+Condvar re-statement of the batched submit → channel-worker →
+/// completion pipeline in `crates/storage/src/ssd.rs` and `ring.rs` (real
+/// loom has no mpsc, so the queues are explicit). `IoRing::submit` hands
+/// its whole SQ to `SimSsd::try_submit_many`, which moves entries until the
+/// device queue is full under one lock and wakes at most one parked worker
+/// per entry moved (`LaneQueue::try_send_many`); a reap takes every
+/// completion that has arrived under one lock (`LaneQueue::drain_into`).
+/// `closed` mirrors `Shared::closed` with the same Release-store /
+/// Acquire-load pairing used by `shutdown()`; `queue_closed` is the
+/// `LaneQueue`'s own flag, set under its lock after the store.
 struct ModelRing {
     queue: Mutex<RingState>,
     submitted: Condvar,
@@ -133,23 +140,28 @@ struct ModelRing {
 }
 
 struct RingState {
-    /// Pending request deadlines (virtual clock ticks), FIFO.
-    pending: Vec<u64>,
-    /// (deadline, ok) completions.
-    done: Vec<(u64, bool)>,
-    /// The channel's virtual clock — monotone across serviced requests.
-    cursor: u64,
-    hung_up: bool,
+    /// Device queue of `(id, service)` requests, FIFO, at most `cap` long.
+    pending: Vec<(u64, u64)>,
+    cap: usize,
+    /// `(id, deadline, ok)` completions not yet drained.
+    done: Vec<(u64, u64, bool)>,
+    queue_closed: bool,
+    /// Workers parked on `submitted`: a batch wakes at most one per entry.
+    parked: usize,
+    /// Workers that have exited.
+    hung_up: usize,
 }
 
 impl ModelRing {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         ModelRing {
             queue: Mutex::new(RingState {
                 pending: Vec::new(),
+                cap,
                 done: Vec::new(),
-                cursor: 0,
-                hung_up: false,
+                queue_closed: false,
+                parked: 0,
+                hung_up: 0,
             }),
             submitted: Condvar::new(),
             completed: Condvar::new(),
@@ -157,76 +169,112 @@ impl ModelRing {
         }
     }
 
-    /// `SimSsd::submit_blocking` + `done.recv()`: enqueue, then wait for
-    /// this request's completion. Returns `(deadline, ok)`.
-    fn submit_and_wait(&self, service: u64) -> (u64, bool) {
+    /// `IoRing::submit`: move the front of `sq` into the device queue until
+    /// it is full, under one lock. A closed queue consumes every entry and
+    /// answers it failed (`SimSsd::refuse`). Returns how many left `sq`.
+    fn submit_batch(&self, sq: &mut Vec<(u64, u64)>) -> usize {
         let mut st = self.queue.lock().unwrap();
-        st.pending.push(service);
-        self.submitted.notify_one();
-        while st.done.is_empty() && !st.hung_up {
-            st = self.completed.wait(st).unwrap();
+        if st.queue_closed {
+            let n = sq.len();
+            st.done.extend(sq.drain(..).map(|(id, _)| (id, 0, false)));
+            self.completed.notify_all();
+            return n;
         }
-        if st.done.is_empty() {
-            (0, false) // worker hung up without answering: must not happen
-        } else {
-            st.done.remove(0)
+        let moved = (st.cap - st.pending.len()).min(sq.len());
+        st.pending.extend(sq.drain(..moved));
+        for _ in 0..moved.min(st.parked) {
+            self.submitted.notify_one();
         }
+        moved
     }
 
-    /// One `channel_worker` servicing rounds until told to stop: pops a
-    /// request, advances the virtual deadline cursor, completes it —
-    /// failing fast (ok = false) when shutdown already closed the device.
-    fn worker(&self, rounds: usize) {
-        for _ in 0..rounds {
+    /// The extractor's reap rounds: backfill the device from the SQ, take
+    /// every completion that has arrived in one lock, and park only when
+    /// none has. Returns the `n` answers in arrival order.
+    fn reap(&self, sq: &mut Vec<(u64, u64)>, n: usize) -> Vec<(u64, u64, bool)> {
+        let mut cq = Vec::new();
+        while cq.len() < n {
+            self.submit_batch(sq);
             let mut st = self.queue.lock().unwrap();
-            while st.pending.is_empty() {
+            while st.done.is_empty() && st.hung_up == 0 {
+                st = self.completed.wait(st).unwrap();
+            }
+            // A worker only hangs up on a closed queue, which the next
+            // submit answers for whatever the SQ still holds.
+            if st.done.is_empty() && sq.is_empty() {
+                break; // nothing left that could answer: must not happen
+            }
+            cq.append(&mut st.done);
+        }
+        cq
+    }
+
+    /// One `channel_worker`: pops requests until the queue is closed and
+    /// drained, advancing its own virtual clock, and answers each —
+    /// failing fast (ok = false) once shutdown has closed the device.
+    fn worker(&self) {
+        let mut cursor = 0;
+        loop {
+            let mut st = self.queue.lock().unwrap();
+            while st.pending.is_empty() && !st.queue_closed {
+                st.parked += 1;
                 st = self.submitted.wait(st).unwrap();
+                st.parked -= 1;
             }
-            let service = st.pending.remove(0);
-            if self.closed.load(Ordering::Acquire) {
-                let at = st.cursor;
-                st.done.push((at, false));
+            if st.pending.is_empty() {
+                st.hung_up += 1;
                 self.completed.notify_all();
-                continue;
+                return;
             }
-            let deadline = st.cursor + service;
-            st.cursor = deadline;
-            st.done.push((deadline, true));
+            let (id, service) = st.pending.remove(0);
+            if self.closed.load(Ordering::Acquire) {
+                st.done.push((id, cursor, false));
+            } else {
+                cursor += service;
+                st.done.push((id, cursor, true));
+            }
             self.completed.notify_all();
         }
-        let mut st = self.queue.lock().unwrap();
-        st.hung_up = true;
-        self.completed.notify_all();
     }
 
+    /// `SimSsd::shutdown`: flag the device closed, then close its queue so
+    /// parked workers drain it and exit.
     fn shutdown(&self) {
         self.closed.store(true, Ordering::Release);
+        let mut st = self.queue.lock().unwrap();
+        st.queue_closed = true;
+        self.submitted.notify_all();
+        self.completed.notify_all();
     }
 }
 
-/// Two submitters, one channel worker: every request is answered exactly
-/// once and deadlines advance monotonically (the ring never hands two
-/// requests the same service window).
+/// A three-entry SQ against a two-deep device queue and two channel
+/// workers: the first batch submits partially, one batch wakes both
+/// parked workers (no lost wake-up — loom reports a deadlock otherwise),
+/// every request is answered exactly once, and each channel's deadlines
+/// advance with the services it charged.
 #[test]
-fn ring_submissions_complete_with_monotone_deadlines() {
+fn batched_submissions_complete_once_each() {
     loom::model(|| {
-        let ring = Arc::new(ModelRing::new());
-        let w = {
-            let r = Arc::clone(&ring);
-            thread::spawn(move || r.worker(2))
-        };
-        let s2 = {
-            let r = Arc::clone(&ring);
-            thread::spawn(move || r.submit_and_wait(7))
-        };
-        let (d1, ok1) = ring.submit_and_wait(5);
-        let (d2, ok2) = s2.join().unwrap();
-        w.join().unwrap();
-        assert!(ok1 && ok2, "open-device submissions must succeed");
-        assert_ne!(d1, d2, "two requests shared one deadline slot");
+        let ring = Arc::new(ModelRing::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let r = Arc::clone(&ring);
+                thread::spawn(move || r.worker())
+            })
+            .collect();
+        let mut sq = vec![(0, 5), (1, 7), (2, 11)];
+        assert_eq!(ring.submit_batch(&mut sq), 2, "the device queue holds two");
+        let mut answers = ring.reap(&mut sq, 3);
+        ring.shutdown();
+        workers.into_iter().for_each(|w| w.join().unwrap());
+        assert!(answers.iter().all(|a| a.2), "open-device submissions succeed");
+        assert!(answers.iter().all(|a| a.1 >= [5, 7, 11][a.0 as usize]));
+        answers.sort_unstable();
+        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(ids, [0, 1, 2], "a request was lost or answered twice");
         let st = ring.queue.lock().unwrap();
-        assert!(st.pending.is_empty(), "request lost in the queue");
-        assert_eq!(st.cursor, 12, "cursor must accumulate both services");
+        assert!(st.pending.is_empty() && st.done.is_empty());
     });
 }
 
@@ -499,26 +547,31 @@ fn lane_governor_bulk_defers_bounded_then_admits() {
     });
 }
 
-/// Shutdown racing a submission: the submitter is always answered —
-/// either serviced (submitted before the close became visible) or failed
-/// fast — never left waiting on a dead ring.
+/// Shutdown racing a batch submission: each entry is answered exactly
+/// once — serviced (taken before the close became visible) or failed fast,
+/// by the worker or by the closed queue's refusal — and the submitter is
+/// never left waiting on a dead ring.
 #[test]
-fn ring_shutdown_race_always_answers_the_submitter() {
+fn ring_shutdown_race_answers_every_batched_submission() {
     loom::model(|| {
-        let ring = Arc::new(ModelRing::new());
+        let ring = Arc::new(ModelRing::new(1));
         let w = {
             let r = Arc::clone(&ring);
-            thread::spawn(move || r.worker(1))
+            thread::spawn(move || r.worker())
         };
         let closer = {
             let r = Arc::clone(&ring);
             thread::spawn(move || r.shutdown())
         };
-        let (deadline, ok) = ring.submit_and_wait(5);
+        let mut sq = vec![(0, 5), (1, 7)];
+        let mut answers = ring.reap(&mut sq, 2);
         w.join().unwrap();
         closer.join().unwrap();
-        if ok {
-            assert_eq!(deadline, 5, "serviced request must pay full latency");
+        answers.sort_unstable();
+        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(ids, [0, 1], "a request was lost or answered twice");
+        if answers[0].2 {
+            assert_eq!(answers[0].1, 5, "serviced request must pay full latency");
         }
         let st = ring.queue.lock().unwrap();
         assert!(st.pending.is_empty(), "request lost during shutdown race");

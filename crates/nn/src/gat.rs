@@ -289,144 +289,3 @@ mod tests {
         assert!(layer.flops(&mk(200)) > layer.flops(&mk(20)));
     }
 }
-
-/// Multi-head GAT layer: `heads` independent attention heads whose outputs
-/// are concatenated (the standard hidden-layer configuration of Veličković
-/// et al.). Composed from verified single-head layers.
-pub struct MultiHeadGat {
-    heads: Vec<GatLayer>,
-    out_per_head: usize,
-}
-
-/// Per-head forward caches and the concatenated output.
-#[derive(Debug, Default)]
-pub struct MultiHeadCache {
-    pub out: Matrix,
-    heads: Vec<LayerCache>,
-}
-
-impl MultiHeadGat {
-    /// `out_dim` must divide evenly among `heads`.
-    pub fn new(in_dim: usize, out_dim: usize, heads: usize, relu: bool, seed: u64) -> Self {
-        assert!(heads >= 1);
-        assert_eq!(out_dim % heads, 0, "out_dim must be divisible by heads");
-        let per = out_dim / heads;
-        let heads = (0..heads)
-            .map(|h| GatLayer::new(in_dim, per, relu, seed.wrapping_add(h as u64 * 0x9E37)))
-            .collect();
-        MultiHeadGat {
-            heads,
-            out_per_head: per,
-        }
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.heads[0].in_dim()
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.out_per_head * self.heads.len()
-    }
-
-    /// Concatenated multi-head forward into `cache.out`.
-    pub fn forward(
-        &self,
-        block: &Block,
-        h_src: &Matrix,
-        cache: &mut MultiHeadCache,
-        ws: &mut Workspace,
-    ) {
-        cache
-            .heads
-            .resize_with(self.heads.len(), LayerCache::default);
-        cache.out.reset(block.num_dst, 0);
-        for (head, hc) in self.heads.iter().zip(cache.heads.iter_mut()) {
-            head.forward(block, h_src, hc, ws);
-            cache.out = cache.out.hcat(&hc.out);
-        }
-    }
-
-    /// Backward: split the upstream gradient in `ws.d_out` per head, sum
-    /// the heads' input gradients into `ws.d_src` if wanted.
-    pub fn backward(
-        &mut self,
-        block: &Block,
-        h_src: &Matrix,
-        cache: &MultiHeadCache,
-        want_input_grad: bool,
-        ws: &mut Workspace,
-    ) {
-        let d_out = std::mem::take(&mut ws.d_out);
-        assert_eq!(d_out.cols(), self.out_dim());
-        let per = self.out_per_head;
-        let mut d_src = Matrix::zeros(block.num_src, self.in_dim());
-        for (h, (head, hc)) in self.heads.iter_mut().zip(cache.heads.iter()).enumerate() {
-            ws.d_out = d_out.columns(h * per..(h + 1) * per);
-            head.backward(block, h_src, hc, want_input_grad, ws);
-            if want_input_grad {
-                d_src.add_assign(&ws.d_src);
-            }
-        }
-        ws.d_src = d_src;
-    }
-
-    pub fn params_mut(&mut self) -> Vec<&mut gnndrive_tensor::Param> {
-        self.heads
-            .iter_mut()
-            .flat_map(|h| vec![&mut h.weight, &mut h.a_src, &mut h.a_dst, &mut h.bias])
-            .collect()
-    }
-
-    pub fn flops(&self, block: &Block) -> u64 {
-        self.heads.iter().map(|h| h.flops(block)).sum()
-    }
-}
-
-#[cfg(test)]
-mod multihead_tests {
-    use super::*;
-    use crate::sage::tests::{gradcheck_input, test_block, test_input, workspace_with, INIT_SEEDS};
-
-    fn forward(layer: &MultiHeadGat, block: &Block, h: &Matrix) -> MultiHeadCache {
-        let mut cache = MultiHeadCache::default();
-        layer.forward(block, h, &mut cache, &mut Workspace::default());
-        cache
-    }
-
-    #[test]
-    fn concatenates_head_outputs() {
-        let layer = MultiHeadGat::new(3, 4, 2, false, 1);
-        let block = test_block();
-        let h = test_input(4, 3);
-        let cache = forward(&layer, &block, &h);
-        assert_eq!((cache.out.rows(), cache.out.cols()), (2, 4));
-        // Each half equals the corresponding single head's output.
-        let mut single = LayerCache::default();
-        for (head, cols) in layer.heads.iter().zip([0..2, 2..4]) {
-            head.forward(&block, &h, &mut single, &mut Workspace::default());
-            assert_eq!(cache.out.columns(cols), single.out);
-        }
-    }
-
-    #[test]
-    fn input_gradient_matches_finite_difference() {
-        for seed in INIT_SEEDS {
-            let mut layer = MultiHeadGat::new(3, 4, 2, true, seed);
-            let block = test_block();
-            let h = test_input(4, 3);
-            let upstream =
-                Matrix::from_fn(2, 4, |r, c| 0.2 * (r as f32 + 1.0) - 0.1 * c as f32 + 0.3);
-            let cache = forward(&layer, &block, &h);
-            let mut ws = workspace_with(&upstream);
-            layer.backward(&block, &h, &cache, true, &mut ws);
-            let fwd = |m: &Matrix| forward(&layer, &block, m).out;
-            gradcheck_input(&fwd, &ws.d_src, &h, &upstream, 6e-2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "divisible")]
-    fn rejects_indivisible_head_split() {
-        let _ = MultiHeadGat::new(3, 5, 2, true, 1);
-    }
-}

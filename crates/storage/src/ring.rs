@@ -8,15 +8,18 @@
 //! * [`IoRing::prepare_read`] / [`IoRing::prepare_write`] append SQEs to a
 //!   software submission queue (capacity `sq_capacity`);
 //! * [`IoRing::submit`] pushes as many SQEs as the device queue will accept
-//!   without blocking;
+//!   without blocking — the whole SQ under one device-queue lock, as one
+//!   `io_uring_enter` submits a batch;
 //! * [`IoRing::peek_completion`] / [`IoRing::wait_completion`] reap CQEs,
-//!   the latter parking the thread in I/O-wait.
+//!   the latter parking the thread in I/O-wait. Both pop a local CQ that
+//!   one lock of the completion channel refills with everything that has
+//!   arrived, so a burst of completions is reaped in one crossing.
 //!
 //! One ring belongs to one thread (like an io_uring instance); the extractor
 //! in `gnndrive-core` owns one per mini-batch extraction.
 
 use crate::error::IoError;
-use crate::ssd::{Completion, FileHandle, IoOp, IoPriority, Request, SimSsd, SubmitOutcome};
+use crate::ssd::{Completion, FileHandle, IoOp, IoPriority, Request, SimSsd};
 use gnndrive_sync::queue::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gnndrive_telemetry as telemetry;
 use std::collections::VecDeque;
@@ -29,7 +32,11 @@ pub struct IoRing {
     sq: VecDeque<Request>,
     cq_tx: Sender<Completion>,
     cq_rx: Receiver<Completion>,
+    /// Completions taken off `cq_rx` and not yet reaped.
+    cq: VecDeque<Completion>,
     sq_capacity: usize,
+    /// Requests handed to the device and not yet reaped (including those
+    /// waiting in `cq`).
     inflight: usize,
     /// Whether prepared requests must obey direct-I/O sector alignment.
     direct: bool,
@@ -64,6 +71,7 @@ impl IoRing {
             sq: VecDeque::with_capacity(sq_capacity),
             cq_tx,
             cq_rx,
+            cq: VecDeque::new(),
             sq_capacity,
             inflight: 0,
             direct,
@@ -135,28 +143,23 @@ impl IoRing {
     /// completes with [`IoError::DeviceClosed`] through the normal reap
     /// path, so callers see the failure rather than hanging.
     pub fn submit(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(req) = self.sq.pop_front() {
-            match self.device.try_submit(req) {
-                SubmitOutcome::Accepted | SubmitOutcome::Closed => {
-                    // Closed: the device already sent a DeviceClosed
-                    // completion on our cq channel; count it in flight so
-                    // reaping stays balanced.
-                    self.inflight += 1;
-                    n += 1;
-                }
-                SubmitOutcome::Full(req) => {
-                    self.sq.push_front(req);
-                    break;
-                }
-            }
+        if self.sq.is_empty() {
+            return 0;
         }
+        // A closed device answered each request it consumed with a
+        // DeviceClosed completion on our cq channel; counting them in
+        // flight keeps reaping balanced.
+        let n = self.device.try_submit_many(self.prio, &mut self.sq);
+        self.inflight += n;
         n
     }
 
     /// Reap one completion if available, without blocking.
     pub fn peek_completion(&mut self) -> Option<Completion> {
-        let c = self.cq_rx.try_recv()?;
+        if self.cq.is_empty() && self.inflight > 0 {
+            self.cq_rx.drain_into(&mut self.cq);
+        }
+        let c = self.cq.pop_front()?;
         self.inflight -= 1;
         Some(c)
     }
@@ -197,6 +200,11 @@ impl IoRing {
                 let _wait = telemetry::wait_timer(telemetry::WaitKind::RingWait);
                 std::thread::sleep(Duration::from_micros(100));
             }
+        }
+        if let Some(c) = self.cq.pop_front() {
+            self.inflight -= 1;
+            self.submit();
+            return Ok(Some(c));
         }
         let started = Instant::now();
         let completion = {
@@ -385,6 +393,67 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 256);
+    }
+
+    /// A device that queues 4 requests, holding `n` sectors whose bytes
+    /// name them, and a ring with `n` SQEs prepared, one per sector.
+    fn shallow_device_with_prepared_ring(n: u64, latency: Duration) -> (Arc<SimSsd>, IoRing) {
+        let profile = SsdProfile {
+            queue_depth: 4,
+            channels: 1,
+            read_latency: latency,
+            ..SsdProfile::instant()
+        };
+        let ssd = SimSsd::new(profile);
+        let f = ssd.create_file(n * 512);
+        for i in 0..n {
+            ssd.import(f, i * 512, &[i as u8; 512]).unwrap();
+        }
+        let mut ring = IoRing::new(Arc::clone(&ssd), n as usize, true);
+        for i in 0..n {
+            ring.prepare_read(f, i * 512, 512, i).unwrap();
+        }
+        (ssd, ring)
+    }
+
+    #[test]
+    fn a_batch_deeper_than_the_device_submits_partially_and_reaps_all() {
+        let (ssd, mut ring) = shallow_device_with_prepared_ring(16, Duration::from_micros(50));
+        let stalls = ssd.stats().snapshot().queue_full_stalls;
+        assert_eq!(ring.submit(), 4, "one batch fills the empty device queue");
+        assert_eq!(ring.inflight(), 4);
+        assert_eq!(ssd.stats().snapshot().queue_full_stalls - stalls, 1);
+        let mut seen = [0u32; 16];
+        while let Some(c) = ring.wait_completion().unwrap() {
+            let buf = c.result.expect("read ok");
+            assert!(buf.iter().all(|&b| u64::from(b) == c.user_data));
+            seen[c.user_data as usize] += 1;
+        }
+        assert_eq!(seen, [1; 16], "every SQE is reaped exactly once");
+        assert_eq!(ring.inflight(), 0);
+        assert!(ring.peek_completion().is_none());
+    }
+
+    #[test]
+    fn shutdown_mid_batch_answers_each_sqe_once() {
+        let (ssd, mut ring) = shallow_device_with_prepared_ring(16, Duration::from_millis(20));
+        assert_eq!(ring.submit(), 4);
+        ssd.shutdown();
+        assert_eq!(ring.submit(), 12, "a closed device consumes the rest");
+        let mut answers = [0u32; 16];
+        while let Some(c) = ring.peek_completion() {
+            match c.result {
+                // Only a request a channel took before the close is served.
+                Ok(buf) if c.user_data < 4 => {
+                    assert!(buf.iter().all(|&b| u64::from(b) == c.user_data));
+                }
+                r => assert_eq!(r.unwrap_err(), IoError::DeviceClosed),
+            }
+            answers[c.user_data as usize] += 1;
+        }
+        assert_eq!(answers, [1; 16], "every SQE is answered exactly once");
+        assert_eq!(ring.inflight(), 0);
+        assert!(ring.wait_completion().unwrap().is_none());
     }
 
     #[test]

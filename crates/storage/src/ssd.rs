@@ -26,7 +26,7 @@ use gnndrive_sync::queue::{bounded, unbounded, LaneQueue, Receiver, Sender, TryS
 use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use gnndrive_telemetry as telemetry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -751,6 +751,30 @@ impl SimSsd {
             Err(TrySendError::Disconnected(r)) => {
                 Self::refuse(r);
                 SubmitOutcome::Closed
+            }
+        }
+    }
+
+    /// Submit the front of `reqs`, in order, on lane `prio` until the
+    /// device queue is full — one lock for the whole batch; the refused
+    /// tail stays in `reqs`. A shut-down device consumes every request and
+    /// completes each with `DeviceClosed`. Returns how many left `reqs`.
+    pub(crate) fn try_submit_many(&self, prio: IoPriority, reqs: &mut VecDeque<Request>) -> usize {
+        match self
+            .shared
+            .queue
+            .try_send_many(prio == IoPriority::Serve, reqs)
+        {
+            Ok(moved) => {
+                if !reqs.is_empty() {
+                    self.shared.stats.add_queue_full_stall();
+                }
+                moved
+            }
+            Err(_) => {
+                let refused = reqs.len();
+                reqs.drain(..).for_each(Self::refuse);
+                refused
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Blocking queues between threads: [`LaneQueue`], a two-lane serve-first
 //! bounded queue, and the MPMC channel ([`bounded`] / [`unbounded`]), which
 //! is a `LaneQueue` used through its bulk lane plus endpoint counting.
+//! [`LaneQueue::try_send_many`] and [`LaneQueue::drain_into`] move a whole
+//! batch per lock, the way an io_uring submit or CQ reap crosses once.
 //!
 //! One mutex guards both lanes, so a bulk item is never popped while a serve
 //! item is queued (what `ModelLaneQueue` in the loom models checks). It is a
@@ -105,6 +107,44 @@ impl<T> LaneQueue<T> {
 
     pub fn try_send(&self, serve: bool, msg: T) -> Result<(), TrySendError<T>> {
         self.push(serve, msg, false)
+    }
+
+    /// Move items from the front of `items` onto one lane, in order, until
+    /// the lane is full — all under one lock, waking at most one parked
+    /// receiver per item moved. Returns how many moved; the rest stay in
+    /// `items`. A closed queue moves nothing.
+    pub fn try_send_many(
+        &self,
+        serve: bool,
+        items: &mut VecDeque<T>,
+    ) -> Result<usize, SendError<()>> {
+        let (lane, mut st) = (usize::from(!serve), self.lock());
+        if st.closed {
+            return Err(SendError(()));
+        }
+        let room = self.cap.saturating_sub(st.lanes[lane].len());
+        let moved = room.min(items.len());
+        st.lanes[lane].extend(items.drain(..moved));
+        for _ in 0..moved.min(st.parked_recv) {
+            self.not_empty.notify_one();
+        }
+        Ok(moved)
+    }
+
+    /// Pop everything queued into `out`, serve lane first, under one lock,
+    /// without blocking. Returns how many moved.
+    pub fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
+        let mut st = self.lock();
+        let mut moved = 0;
+        for lane in 0..2 {
+            let n = st.lanes[lane].len();
+            out.extend(st.lanes[lane].drain(..));
+            for _ in 0..n.min(st.parked_send[lane]) {
+                self.not_full[lane].notify_one();
+            }
+            moved += n;
+        }
+        moved
     }
 
     /// Pop serve-first, waiting until `deadline` (`None` = forever).
@@ -213,6 +253,10 @@ impl<T> Receiver<T> {
     }
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         self.0.queue.recv_until(Some(Instant::now() + timeout))
+    }
+    /// [`LaneQueue::drain_into`]: every queued message, without blocking.
+    pub fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
+        self.0.queue.drain_into(out)
     }
 }
 
@@ -351,6 +395,72 @@ mod tests {
         assert_eq!((q.recv(), q.recv()), (Ok("s1"), Ok("b1")));
         q.send(true, "s2").unwrap();
         assert_eq!((q.recv(), q.recv(), q.len()), (Ok("s2"), Ok("b2"), 0));
+    }
+
+    #[test]
+    fn batch_send_is_fifo_per_lane_and_stops_at_cap() {
+        let q = LaneQueue::new(3);
+        let mut bulk: VecDeque<_> = (0..5).collect();
+        assert_eq!(q.try_send_many(false, &mut bulk), Ok(3));
+        assert_eq!(bulk, [3, 4], "the refused tail stays with the caller");
+        assert_eq!(q.try_send_many(false, &mut bulk), Ok(0), "the lane is full");
+        let mut serve: VecDeque<_> = [10, 11].into();
+        assert_eq!(q.try_send_many(true, &mut serve), Ok(2), "lanes fill apart");
+        assert!(serve.is_empty());
+        let mut out = VecDeque::new();
+        assert_eq!(q.drain_into(&mut out), 5);
+        assert_eq!(out, [10, 11, 0, 1, 2], "serve first, FIFO within a lane");
+        assert_eq!((q.drain_into(&mut out), q.len()), (0, 0));
+        assert_eq!(q.try_send_many(false, &mut bulk), Ok(2));
+        assert_eq!((q.recv(), q.recv()), (Ok(3), Ok(4)));
+    }
+
+    #[test]
+    fn closed_queue_takes_no_batch_but_still_drains() {
+        let q = LaneQueue::new(4);
+        q.send(false, 1).unwrap();
+        q.close();
+        let mut items: VecDeque<_> = [2, 3].into();
+        assert_eq!(q.try_send_many(false, &mut items), Err(SendError(())));
+        assert_eq!(items, [2, 3], "nothing moved");
+        let mut out = VecDeque::new();
+        assert_eq!((q.drain_into(&mut out), out), (1, VecDeque::from([1])));
+    }
+
+    #[test]
+    fn batch_send_wakes_every_parked_receiver_it_feeds() {
+        let q = LaneQueue::new(8);
+        thread::scope(|s| {
+            let parked: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| q.recv_until(Some(Instant::now() + MS(5000)))))
+                .collect();
+            while q.lock().parked_recv < 2 {
+                thread::sleep(MS(1));
+            }
+            let mut items: VecDeque<_> = [1, 2].into();
+            let t = Instant::now();
+            assert_eq!(q.try_send_many(false, &mut items), Ok(2));
+            let mut got: Vec<_> = parked.into_iter().map(|p| p.join().unwrap()).collect();
+            assert!(t.elapsed() < MS(4000), "a receiver missed its wake-up");
+            got.sort_unstable_by_key(|r| r.ok());
+            assert_eq!(got, [Ok(1), Ok(2)]);
+        });
+    }
+
+    #[test]
+    fn drain_frees_room_for_parked_senders() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        thread::scope(|s| {
+            let blocked = s.spawn(|| tx.send(2));
+            while rx.0.queue.lock().parked_send[1] < 1 {
+                thread::sleep(MS(1));
+            }
+            let mut out = VecDeque::new();
+            assert_eq!(rx.drain_into(&mut out), 1);
+            blocked.join().unwrap().unwrap();
+        });
+        assert_eq!(rx.try_recv(), Some(2));
     }
 
     #[test]

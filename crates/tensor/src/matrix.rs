@@ -188,16 +188,6 @@ impl Matrix {
         }
     }
 
-    /// Copy a column range into a new matrix.
-    pub fn columns(&self, range: std::ops::Range<usize>) -> Matrix {
-        assert!(range.end <= self.cols, "column range out of bounds");
-        let mut out = Matrix::zeros(self.rows, range.len());
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[range.clone()]);
-        }
-        out
-    }
-
     /// Serialize as little-endian bytes: rows, cols (u64 each), then data.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.data.len() * 4);
@@ -227,17 +217,6 @@ impl Matrix {
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
         Some((Matrix { rows, cols, data }, need))
-    }
-
-    /// Concatenate two matrices with equal row counts along columns.
-    pub fn hcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
     }
 }
 
@@ -301,23 +280,6 @@ mod tests {
         x.set_rows(1);
         x.set_rows(2);
         assert_eq!(x.data(), &[0.; 6], "a dropped row comes back as zeros");
-    }
-
-    #[test]
-    fn hcat_concatenates_columns() {
-        let a = m(2, 1, &[1., 2.]);
-        let b = m(2, 2, &[3., 4., 5., 6.]);
-        let c = a.hcat(&b);
-        assert_eq!(c.cols(), 3);
-        assert_eq!(c.data(), &[1., 3., 4., 2., 5., 6.]);
-    }
-
-    #[test]
-    fn columns_slices_correctly() {
-        let m = Matrix::from_vec(2, 4, vec![0., 1., 2., 3., 4., 5., 6., 7.]);
-        let c = m.columns(1..3);
-        assert_eq!(c.data(), &[1., 2., 5., 6.]);
-        assert_eq!((c.rows(), c.cols()), (2, 2));
     }
 
     #[test]
