@@ -13,10 +13,9 @@
 //!    bounded by the staging buffer's byte credits.
 //! 3. **Phase two (staging → device)** — the moment a reap round's read
 //!    windows complete and verify, submit them as one host→device job, one
-//!    copy per window; never wait for the rest of the mini-batch. The
-//!    submission queue likewise goes to the device a batch at a time, as
-//!    with io_uring. A copy carries the window's loaded rows plus its
-//!    *harvested* ones — bridged rows a queued batch announced, which
+//!    copy per window; never wait for the rest of the mini-batch. A copy
+//!    carries the window's loaded rows plus its *harvested* ones — bridged
+//!    rows a queued batch announced, which
 //!    [`FeatureBufferManager::harvest`] takes when that costs no nearer
 //!    use — and decodes each straight from the window bytes into its slot.
 //!    Publish the rows' valid bits when it lands.
@@ -28,10 +27,10 @@
 //!
 //! It is written once. *Serial* extraction — the `sync_extract` ablation
 //! (what PyG+ and Ginex do) and the load a Degraded or probed device gets
-//! (DESIGN.md §9) — is a setting of the same loop: after each read it
-//! prepares it waits until nothing is outstanding, so one read is in
-//! flight, and a landed window pays its host→device copy inline instead of
-//! handing it to the transfer engine. Every check is shared: completions become bytes
+//! (DESIGN.md §9) — is a setting of the same loop: after each submit it
+//! waits until nothing is outstanding, so one read is in flight, and a
+//! landed window pays its host→device copy inline instead of handing it to
+//! the transfer engine. Every check is shared: completions become bytes
 //! only through [`gnndrive_storage::Completion::verified`], failed ones are
 //! re-read under the [`RetryPolicy`], and the batch's one rollback is in
 //! `extract_batch_inner` — after every copy the batch submitted has landed,
@@ -515,27 +514,26 @@ struct Loads<'a> {
 }
 
 impl Loads<'_> {
-    /// One reap round, the io_uring way: when `block`, hand the SQ to the
-    /// device and park for one completion (bounded by the retry policy's
-    /// per-wait deadline); then take every completion already there.
-    /// Launch phase two for each, and send the round's copies to the
-    /// transfer engine as one job. Returns how many completions were
-    /// reaped; 0 from a blocking round means nothing of this batch is
-    /// outstanding.
-    fn reap(&mut self, block: bool) -> Result<usize, ExtractError> {
-        let mut reaped = 0;
+    /// One reap round, the io_uring way: when `block`, park for one
+    /// completion (bounded by the retry policy's per-wait deadline); then
+    /// take every completion already there. Launch phase two for each, and
+    /// send the round's copies to the transfer engine as one job.
+    /// `Ok(false)` means nothing was reaped; from a blocking round, that
+    /// nothing of this batch is outstanding.
+    fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
+        let mut reaped = false;
         if block {
             self.ring.submit();
             let deadline = Some(self.ctx.retry.deadline());
             let Some(c) = self.ring.wait_completion_deadline(deadline)? else {
-                return Ok(0);
+                return Ok(false);
             };
             self.launch(c)?;
-            reaped += 1;
+            reaped = true;
         }
         while let Some(c) = self.ring.peek_completion() {
             self.launch(c)?;
-            reaped += 1;
+            reaped = true;
         }
         self.flush();
         Ok(reaped)
@@ -646,10 +644,10 @@ impl Loads<'_> {
         }
     }
 
-    /// Phase one: prepare every group, reaping as we go to keep the ring
-    /// deep but bounded, then reap the rest. The SQ goes to the device as
-    /// one batch when it is full, before any blocking reap and at the end;
-    /// serially, each read goes alone and lands before the next.
+    /// Phase one: submit every group, reaping as we go to keep the ring
+    /// deep but bounded, then reap the rest. Each read goes to the device
+    /// as soon as it is prepared, so a channel never idles while the
+    /// extractor prepares the next (DESIGN.md §4 item 7).
     fn read(&mut self, groups: Vec<ReadGroup>) -> Result<(), ExtractError> {
         let ctx = self.ctx;
         for group in groups {
@@ -665,7 +663,7 @@ impl Loads<'_> {
                     if let Some(l) = staging.try_acquire(group.window_len as u64) {
                         break Some(l);
                     }
-                    if self.reap(true)? == 0 {
+                    if !self.reap(true)? {
                         // We hold no leases; blocking cannot self-deadlock.
                         break Some(staging.acquire(group.window_len as u64));
                     }
@@ -675,20 +673,16 @@ impl Loads<'_> {
             let (start, len) = (group.window_start, group.window_len);
             while let Err(e) = self.ring.prepare_read(ctx.features_file, start, len, id) {
                 match e {
-                    // A full SQ goes to the device; park only if the
-                    // device took none of it.
-                    IoError::RingFull if self.ring.submit() > 0 => {}
-                    IoError::RingFull => {
-                        self.reap(true)?;
-                    }
+                    IoError::RingFull => self.reap(true)?,
                     e => return Err(e.into()),
                 };
             }
             self.windows.push(Window::Reading(group, lease));
+            self.ring.submit();
             if self.serial {
-                // Wait until the read just prepared has landed, so one is
+                // Wait until the read just submitted has landed, so one is
                 // in flight at a time.
-                while self.reap(true)? > 0 {}
+                while self.reap(true)? {}
             } else {
                 // Reap whatever already finished without blocking.
                 self.reap(false)?;
@@ -699,7 +693,7 @@ impl Loads<'_> {
             }
         }
         // Wait for the remaining loads.
-        while self.reap(true)? > 0 {}
+        while self.reap(true)? {}
         debug_assert!(
             self.windows
                 .iter()
@@ -1326,14 +1320,16 @@ mod tests {
         // Every third read of the features file fails, in service order on
         // the device's one channel. Two warm-up reads take ordinals 0 and
         // 1; the batch's five windows — [10, 12] bridging 11, then 30, 40,
-        // 50 and 60 — go to the device as one batch and take 2..=6, so
-        // windows 0 and 3 fail. Window 0's re-read (7) queues behind all
-        // five and passes; by then windows 1..=4 have completed, so one
-        // round reaps windows 0..=3, and window 3's re-read (8) fails the
-        // batch with windows 0..=2 in the outbox.
+        // 50 and 60 — take 2..=6, so windows 0 and 3 fail. Window 0's read
+        // stalls long enough for all five to be queued behind it, so its
+        // re-read (7) queues behind the other four and passes; by then
+        // windows 1..=4 have completed, so one round reaps windows 0..=3,
+        // and window 3's re-read (8) fails the batch with windows 0..=2 in
+        // the outbox.
         ds.ssd.set_fault_plan(
             FaultPlan::new(0)
                 .with_read_fault_every(3)
+                .with_stall(2..3, std::time::Duration::from_millis(100))
                 .on_file(ds.features_file.id),
         );
         let mut sector = [0u8; 512];

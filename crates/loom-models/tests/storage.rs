@@ -143,13 +143,24 @@ struct RingState {
     /// Device queue of `(id, service)` requests, FIFO, at most `cap` long.
     pending: Vec<(u64, u64)>,
     cap: usize,
-    /// `(id, deadline, ok)` completions not yet drained.
-    done: Vec<(u64, u64, bool)>,
+    /// Answers not yet drained, in the order they were given.
+    done: Vec<Answer>,
     queue_closed: bool,
     /// Workers parked on `submitted`: a batch wakes at most one per entry.
     parked: usize,
     /// Workers that have exited.
     hung_up: usize,
+}
+
+/// One request's completion.
+#[derive(Clone, Copy, Debug)]
+struct Answer {
+    id: u64,
+    /// The serving channel's virtual clock after it (0 when refused).
+    deadline: u64,
+    ok: bool,
+    /// The worker that answered it; `None` when the closed queue refused it.
+    channel: Option<usize>,
 }
 
 impl ModelRing {
@@ -176,7 +187,12 @@ impl ModelRing {
         let mut st = self.queue.lock().unwrap();
         if st.queue_closed {
             let n = sq.len();
-            st.done.extend(sq.drain(..).map(|(id, _)| (id, 0, false)));
+            st.done.extend(sq.drain(..).map(|(id, _)| Answer {
+                id,
+                deadline: 0,
+                ok: false,
+                channel: None,
+            }));
             self.completed.notify_all();
             return n;
         }
@@ -191,7 +207,7 @@ impl ModelRing {
     /// The extractor's reap rounds: backfill the device from the SQ, take
     /// every completion that has arrived in one lock, and park only when
     /// none has. Returns the `n` answers in arrival order.
-    fn reap(&self, sq: &mut Vec<(u64, u64)>, n: usize) -> Vec<(u64, u64, bool)> {
+    fn reap(&self, sq: &mut Vec<(u64, u64)>, n: usize) -> Vec<Answer> {
         let mut cq = Vec::new();
         while cq.len() < n {
             self.submit_batch(sq);
@@ -209,10 +225,11 @@ impl ModelRing {
         cq
     }
 
-    /// One `channel_worker`: pops requests until the queue is closed and
-    /// drained, advancing its own virtual clock, and answers each —
-    /// failing fast (ok = false) once shutdown has closed the device.
-    fn worker(&self) {
+    /// `channel_worker` number `channel`: pops requests until the queue is
+    /// closed and drained, advancing its own virtual clock by each service,
+    /// and answers each — failing fast (ok = false) once shutdown has
+    /// closed the device.
+    fn worker(&self, channel: usize) {
         let mut cursor = 0;
         loop {
             let mut st = self.queue.lock().unwrap();
@@ -227,12 +244,16 @@ impl ModelRing {
                 return;
             }
             let (id, service) = st.pending.remove(0);
-            if self.closed.load(Ordering::Acquire) {
-                st.done.push((id, cursor, false));
-            } else {
+            let ok = !self.closed.load(Ordering::Acquire);
+            if ok {
                 cursor += service;
-                st.done.push((id, cursor, true));
             }
+            st.done.push(Answer {
+                id,
+                deadline: cursor,
+                ok,
+                channel: Some(channel),
+            });
             self.completed.notify_all();
         }
     }
@@ -248,30 +269,55 @@ impl ModelRing {
     }
 }
 
+/// Each channel's clock sums the services it charged: the requests a
+/// worker served, in its order, have strictly increasing deadlines, each
+/// the running sum of that worker's services (no two share a service
+/// window). `services[id]` is request `id`'s service.
+fn assert_channel_clocks(answers: &[Answer], services: &[u64], channels: usize) {
+    for channel in 0..channels {
+        let mut clock = 0;
+        for a in answers
+            .iter()
+            .filter(|a| a.ok && a.channel == Some(channel))
+        {
+            let before = clock;
+            clock += services[a.id as usize];
+            assert_eq!(
+                a.deadline, clock,
+                "channel {channel}: request {} must end at its clock",
+                a.id
+            );
+            assert!(a.deadline > before, "channel {channel}: deadlines must rise");
+        }
+    }
+}
+
 /// A three-entry SQ against a two-deep device queue and two channel
 /// workers: the first batch submits partially, one batch wakes both
 /// parked workers (no lost wake-up — loom reports a deadlock otherwise),
 /// every request is answered exactly once, and each channel's deadlines
-/// advance with the services it charged.
+/// advance with the services it charged — a worker that served 5 then 7
+/// answers 5 and 12.
 #[test]
 fn batched_submissions_complete_once_each() {
     loom::model(|| {
+        const SERVICES: [u64; 3] = [5, 7, 11];
         let ring = Arc::new(ModelRing::new(2));
         let workers: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|channel| {
                 let r = Arc::clone(&ring);
-                thread::spawn(move || r.worker())
+                thread::spawn(move || r.worker(channel))
             })
             .collect();
-        let mut sq = vec![(0, 5), (1, 7), (2, 11)];
+        let mut sq: Vec<(u64, u64)> = (0..).zip(SERVICES).collect();
         assert_eq!(ring.submit_batch(&mut sq), 2, "the device queue holds two");
         let mut answers = ring.reap(&mut sq, 3);
         ring.shutdown();
         workers.into_iter().for_each(|w| w.join().unwrap());
-        assert!(answers.iter().all(|a| a.2), "open-device submissions succeed");
-        assert!(answers.iter().all(|a| a.1 >= [5, 7, 11][a.0 as usize]));
-        answers.sort_unstable();
-        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        assert!(answers.iter().all(|a| a.ok), "open-device submissions succeed");
+        assert_channel_clocks(&answers, &SERVICES, 2);
+        answers.sort_unstable_by_key(|a| a.id);
+        let ids: Vec<u64> = answers.iter().map(|a| a.id).collect();
         assert_eq!(ids, [0, 1, 2], "a request was lost or answered twice");
         let st = ring.queue.lock().unwrap();
         assert!(st.pending.is_empty() && st.done.is_empty());
@@ -557,22 +603,22 @@ fn ring_shutdown_race_answers_every_batched_submission() {
         let ring = Arc::new(ModelRing::new(1));
         let w = {
             let r = Arc::clone(&ring);
-            thread::spawn(move || r.worker())
+            thread::spawn(move || r.worker(0))
         };
         let closer = {
             let r = Arc::clone(&ring);
             thread::spawn(move || r.shutdown())
         };
-        let mut sq = vec![(0, 5), (1, 7)];
+        const SERVICES: [u64; 2] = [5, 7];
+        let mut sq: Vec<(u64, u64)> = (0..).zip(SERVICES).collect();
         let mut answers = ring.reap(&mut sq, 2);
         w.join().unwrap();
         closer.join().unwrap();
-        answers.sort_unstable();
-        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        // A serviced request pays its full latency on the channel's clock.
+        assert_channel_clocks(&answers, &SERVICES, 1);
+        answers.sort_unstable_by_key(|a| a.id);
+        let ids: Vec<u64> = answers.iter().map(|a| a.id).collect();
         assert_eq!(ids, [0, 1], "a request was lost or answered twice");
-        if answers[0].2 {
-            assert_eq!(answers[0].1, 5, "serviced request must pay full latency");
-        }
         let st = ring.queue.lock().unwrap();
         assert!(st.pending.is_empty(), "request lost during shutdown race");
     });
