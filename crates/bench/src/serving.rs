@@ -242,25 +242,37 @@ pub fn run_serving_mixed(
         });
 
         let t0 = Instant::now();
+        // `cfg.requests` arrivals, and more only while a storm is held.
         let arrivals = LoadGen::new(LoadGenConfig {
             users: cfg.users,
             num_nodes,
             rate_hz: cfg.rate_hz,
-            requests: cfg.requests,
+            requests: usize::MAX,
             seed: cfg.seed,
         });
         let storm_at = cfg.requests / 3;
         let clear_at = cfg.requests * 2 / 3;
+        // The storm holds past `clear_at` until the breaker has tripped (at
+        // most 5 s): on a loaded host its share of the arrivals can coalesce
+        // into too few batches to put the breaker's trip count of errors
+        // into its window.
+        let mut storm: Option<Instant> = None;
+        let storm_over = |at: Instant| saw_open() || at.elapsed() >= Duration::from_secs(5);
         for (i, a) in arrivals.enumerate() {
+            if i >= clear_at && storm.is_some_and(storm_over) {
+                ds.ssd.clear_faults();
+                storm = None;
+            }
+            if i >= cfg.requests && storm.is_none() {
+                break;
+            }
             if cfg.chaos && i == storm_at {
                 ds.ssd.set_fault_plan(
                     FaultPlan::new(cfg.seed ^ 0xBAD)
                         .with_read_fault_prob(1.0)
                         .on_file(ds.features_file.id),
                 );
-            }
-            if cfg.chaos && i == clear_at {
-                ds.ssd.clear_faults();
+                storm = Some(Instant::now());
             }
             if !a.delay.is_zero() {
                 std::thread::sleep(a.delay);

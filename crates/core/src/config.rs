@@ -53,8 +53,9 @@ pub struct GnnDriveConfig {
     pub gpu_direct: bool,
     /// Ablation: run the extraction loop with one read in flight and the
     /// host→device copies paid inline (the baselines' behaviour) instead of
-    /// a deep ring and the transfer engine. Isolates the contribution of
-    /// §4.2; a Degraded device gets the same setting (DESIGN.md §9).
+    /// a deep ring and copies booked on the transfer link. Isolates the
+    /// contribution of §4.2; a Degraded device gets the same setting
+    /// (DESIGN.md §9).
     pub sync_extract: bool,
     /// RNG seed for sampling.
     pub seed: u64,

@@ -11,14 +11,14 @@
 //!    rows whose windows touch (*joint extraction*, §4.4) or whose gap is
 //!    cheaper to read through than to pay another device op for —
 //!    bounded by the staging buffer's byte credits.
-//! 3. **Phase two (staging → device)** — the moment a reap round's read
-//!    windows complete and verify, submit them as one host→device job, one
-//!    copy per window; never wait for the rest of the mini-batch. A copy
-//!    carries the window's loaded rows plus its *harvested* ones — bridged
-//!    rows a queued batch announced, which
+//! 3. **Phase two (staging → device)** — the moment a read window
+//!    completes and verifies, book its host→device copy on the device's
+//!    [`TransferEngine`] link and write its rows; never wait for the rest
+//!    of the mini-batch. A copy carries the window's loaded rows plus its
+//!    *harvested* ones — bridged rows a queued batch announced, which
 //!    [`FeatureBufferManager::harvest`] takes when that costs no nearer
 //!    use — and decodes each straight from the window bytes into its slot.
-//!    Publish the rows' valid bits when it lands.
+//!    Publish the rows' valid bits once the link says the copy has landed.
 //! 4. **Wait** — for nodes on the wait list, confirm the other extractor
 //!    published them, then resolve their aliases.
 //!
@@ -29,25 +29,26 @@
 //! (what PyG+ and Ginex do) and the load a Degraded or probed device gets
 //! (DESIGN.md §9) — is a setting of the same loop: after each submit it
 //! waits until nothing is outstanding, so one read is in flight, and a
-//! landed window pays its host→device copy inline instead of handing it to
-//! the transfer engine. Every check is shared: completions become bytes
-//! only through [`gnndrive_storage::Completion::verified`], failed ones are
-//! re-read under the [`RetryPolicy`], and the batch's one rollback is in
-//! `extract_batch_inner` — after every copy the batch submitted has landed,
-//! so no copy can land in a slot the rollback handed back.
+//! landed window pays its host→device copy inline instead of booking it on
+//! the link. Every check is shared: completions become bytes only through
+//! [`gnndrive_storage::Completion::verified`], failed ones are re-read
+//! under the [`RetryPolicy`], and the batch's one rollback is in
+//! `extract_batch_inner` — after every copy the batch booked has landed
+//! and published, so no copy can land in a slot the rollback handed back.
 
 use crate::feature_buffer::{Announced, ExtractPlan, FeatureBufferManager};
 use crate::staging::{StagingBuffer, StagingLease};
-use gnndrive_device::{TransferDone, TransferEngine, WindowCopy};
+use gnndrive_device::{TransferEngine, WindowCopy};
 use gnndrive_graph::NodeId;
 use gnndrive_sampling::MiniBatchSample;
 use gnndrive_storage::{
     Admission, Completion, DeviceHealth, FileHandle, IoError, IoPriority, IoRing, RetryPolicy,
     SimSsd, SECTOR_SIZE,
 };
-use gnndrive_sync::queue::{Receiver, Sender};
 use gnndrive_telemetry::{self as telemetry, catalog};
+use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Everything an extractor needs, shared across the extractor pool.
 pub struct ExtractorContext {
@@ -98,9 +99,6 @@ pub enum ExtractError {
     /// A node another extractor was loading was aborted by that extractor;
     /// this batch must be abandoned (its planner will re-load next time).
     DependencyAborted(NodeId),
-    /// The host→device transfer engine hung up with transfers still in
-    /// flight (its thread is gone); the batch cannot be published.
-    TransferEngineGone,
     /// The device-health circuit breaker is open: the batch was failed
     /// fast without touching the device (it lands in
     /// `EpochReport::failed_batches`).
@@ -114,9 +112,6 @@ impl std::fmt::Display for ExtractError {
             ExtractError::DependencyAborted(n) => {
                 write!(f, "dependency load aborted for node {n}")
             }
-            ExtractError::TransferEngineGone => {
-                write!(f, "transfer engine shut down with transfers in flight")
-            }
             ExtractError::CircuitOpen => {
                 write!(f, "device circuit breaker open: batch failed fast")
             }
@@ -129,7 +124,6 @@ impl std::error::Error for ExtractError {
         match self {
             ExtractError::Io(e) => Some(e),
             ExtractError::DependencyAborted(_) => None,
-            ExtractError::TransferEngineGone => None,
             ExtractError::CircuitOpen => None,
         }
     }
@@ -475,15 +469,12 @@ fn extract_batch_inner(
     }
 }
 
-/// Where one read window of a batch stands.
-enum Window {
-    /// On the ring, holding the staging credits it occupies.
-    Reading(ReadGroup, Option<StagingLease>),
-    /// Handed to the transfer engine with these harvested rows.
-    Copying(Vec<(NodeId, u32)>),
-    /// Its rows are in the feature buffer and published.
-    Landed,
-}
+/// A read window on the ring, with the staging credits it occupies.
+type Reading = (ReadGroup, Option<StagingLease>);
+
+/// A copy booked on the link: when it lands, its rows, and how many of
+/// them were loaded (the rest were harvested).
+type Landing = (Instant, Vec<(NodeId, u32)>, usize);
 
 /// The loads of one batch: Algorithm 1's state, owned by one thread.
 struct Loads<'a> {
@@ -493,20 +484,14 @@ struct Loads<'a> {
     serial: bool,
     row_bytes: u64,
     ring: IoRing,
-    /// Every window submitted, by id (the ring's and the engine's
-    /// `user_data`).
-    windows: Vec<Window>,
-    /// Windows in [`Window::Copying`].
-    copying: usize,
-    /// The copies of the reap round in progress, each with its window id;
-    /// they leave as one transfer job when the round ends.
-    outbox: Vec<(WindowCopy, u64)>,
+    /// Every window submitted, by id (the ring's `user_data`); `None` once
+    /// reaped.
+    windows: Vec<Option<Reading>>,
+    /// The copies booked on the link and not yet published, in booking
+    /// order.
+    landing: VecDeque<Landing>,
     /// The bridged nodes of the window being harvested (reused).
     offers: Vec<NodeId>,
-    /// The copy jobs' reply channel; the sender is dropped once the drain
-    /// begins.
-    xfer_tx: Option<Sender<Vec<TransferDone>>>,
-    xfer_rx: Receiver<Vec<TransferDone>>,
     /// Enqueue→dispatch and dispatch→complete time, summed over the
     /// completions reaped so far.
     io_queue_ns: u64,
@@ -516,8 +501,7 @@ struct Loads<'a> {
 impl Loads<'_> {
     /// One reap round, the io_uring way: when `block`, park for one
     /// completion (bounded by the retry policy's per-wait deadline); then
-    /// take every completion already there. Launch phase two for each, and
-    /// send the round's copies to the transfer engine as one job.
+    /// take every completion already there, and launch phase two for each.
     /// `Ok(false)` means nothing was reaped; from a blocking round, that
     /// nothing of this batch is outstanding.
     fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
@@ -535,31 +519,18 @@ impl Loads<'_> {
             self.launch(c)?;
             reaped = true;
         }
-        self.flush();
         Ok(reaped)
     }
 
-    /// Hand the round's copies to the transfer engine as one job.
-    fn flush(&mut self) {
-        if let (Some(engine), Some(reply)) = (&self.ctx.transfer, &self.xfer_tx) {
-            if !self.outbox.is_empty() {
-                let slab = Arc::clone(self.ctx.fb.slab());
-                engine.submit(std::mem::take(&mut self.outbox), slab, reply.clone());
-            }
-        }
-    }
-
     /// Phase two for one load completion: verify (re-reading on failure),
-    /// harvest, and either queue the window's copy in the round's outbox or
-    /// pay it inline and publish.
+    /// harvest, write the rows into their slots, and either book the copy
+    /// on the link, to publish when it lands, or pay it inline and publish.
     fn launch(&mut self, c: Completion) -> Result<(), ExtractError> {
         let ctx = self.ctx;
         self.io_queue_ns = self.io_queue_ns.saturating_add(c.queue_ns);
         self.io_service_ns = self.io_service_ns.saturating_add(c.service_ns);
         let id = c.user_data as usize;
-        let Window::Reading(group, lease) =
-            std::mem::replace(&mut self.windows[id], Window::Landed)
-        else {
+        let Some((group, lease)) = self.windows[id].take() else {
             panic!("window {id} completed twice");
         };
         // A completion becomes bytes only through the checksum gate, here
@@ -589,14 +560,11 @@ impl Loads<'_> {
         // buffer.
         self.offers.clear();
         self.offers.extend(group.bridged_rows(self.row_bytes));
-        let harvested = if self.offers.is_empty() {
-            Vec::new()
-        } else {
-            ctx.fb.harvest(&self.offers)
-        };
         let loaded = group.rows.len();
         let mut rows = group.rows;
-        rows.extend_from_slice(&harvested);
+        if !self.offers.is_empty() {
+            rows.extend(ctx.fb.harvest(&self.offers));
+        }
         let copy = WindowCopy {
             window,
             window_start: group.window_start,
@@ -604,43 +572,46 @@ impl Loads<'_> {
         };
         let slab = ctx.fb.slab();
         match &ctx.transfer {
-            Some(_) if !self.serial => {
-                self.outbox.push((copy, id as u64));
-                self.windows[id] = Window::Copying(harvested);
-                self.copying += 1;
+            Some(link) if !self.serial => {
+                // Book the copy before writing it, so its deadline counts
+                // from the moment the read verified.
+                let lands_at = link.reserve(copy.bytes(slab));
+                copy.write_into(slab);
+                self.landing.push_back((lands_at, copy.rows, loaded));
             }
-            engine => {
+            link => {
                 // No asynchronous hop: pay the copy here if there is a
                 // device link (CPU training and GPUDirect have none),
                 // write the feature buffer and publish immediately. The
                 // span keeps stage coverage identical to the asynchronous
                 // tail's.
-                if let Some(engine) = engine {
+                if let Some(link) = link {
                     let _tspan = telemetry::span("transfer", self.batch_id);
                     let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
-                    engine.pay_blocking(copy.bytes(slab));
+                    link.pay_blocking(copy.bytes(slab));
                 }
                 copy.write_into(slab);
                 ctx.fb.publish_window(&copy.rows, loaded);
             }
         }
-        // Staging credits return at hand-off, not when the copy lands.
+        // Staging credits return once the rows are written, not when the
+        // copy lands.
         drop(lease);
         Ok(())
     }
 
-    /// Publish a landed job's rows and release its harvested ones.
-    fn land(&mut self, job: Vec<TransferDone>) {
-        for done in job {
-            let id = done.user_data as usize;
-            let Window::Copying(harvested) =
-                std::mem::replace(&mut self.windows[id], Window::Landed)
-            else {
-                panic!("window {id} landed twice");
-            };
-            let loaded = done.rows.len() - harvested.len();
-            self.ctx.fb.publish_window(&done.rows, loaded);
-            self.copying -= 1;
+    /// Publish, in booking order, every copy the link has landed by `now`:
+    /// those within the link's sleep granularity of their deadline. A
+    /// link's deadlines rise, so the landed copies are a prefix.
+    fn land(&mut self, now: Instant) {
+        let slack = self
+            .ctx
+            .transfer
+            .as_ref()
+            .map_or(Duration::ZERO, |link| link.profile().sleep_granularity);
+        while let Some((_, rows, loaded)) = self.landing.pop_front_if(|(at, ..)| *at <= now + slack)
+        {
+            self.ctx.fb.publish_window(&rows, loaded);
         }
     }
 
@@ -677,7 +648,7 @@ impl Loads<'_> {
                     e => return Err(e.into()),
                 };
             }
-            self.windows.push(Window::Reading(group, lease));
+            self.windows.push(Some((group, lease)));
             self.ring.submit();
             if self.serial {
                 // Wait until the read just submitted has landed, so one is
@@ -687,64 +658,47 @@ impl Loads<'_> {
                 // Reap whatever already finished without blocking.
                 self.reap(false)?;
             }
-            // Land finished copies opportunistically too.
-            while let Some(job) = self.xfer_rx.try_recv() {
-                self.land(job);
-            }
+            // Publish landed copies opportunistically too.
+            self.land(Instant::now());
         }
         // Wait for the remaining loads.
         while self.reap(true)? {}
         debug_assert!(
-            self.windows
-                .iter()
-                .all(|w| !matches!(w, Window::Reading(..))),
+            self.windows.iter().all(Option::is_none),
             "all groups must complete"
         );
         Ok(())
     }
 
-    /// Phase two tail: wait until every copy submitted has landed and is
-    /// published — after a failed read too, so the rollback never hands
+    /// Phase two tail: wait until every copy booked has landed, and
+    /// publish it — after a failed read too, so the rollback never hands
     /// back a slot a copy is still bound for. The `transfer` span covers
     /// exactly the H2D drain left on the critical path: under healthy
     /// overlap it is near-zero; in a trace, wide transfer spans mean the
     /// device link is the bottleneck.
-    fn drain_copies(mut self) -> Result<(), ExtractError> {
-        // A failed read can leave the round's reaped copies unsent.
-        self.flush();
-        // Dropping our sender leaves the engine's in-flight jobs holding
-        // the only ones, so a dead engine disconnects the channel below.
-        self.xfer_tx = None;
-        let asynchronous = self.ctx.transfer.is_some() && !self.serial;
-        let _span = asynchronous.then(|| telemetry::span("transfer", self.batch_id));
-        while self.copying > 0 {
-            let done = {
-                let _io = telemetry::state(telemetry::State::IoWait);
-                let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
-                self.xfer_rx.recv()
-            };
-            match done {
-                Ok(job) => self.land(job),
-                Err(_) => {
-                    // The engine is gone and with it every job it held:
-                    // no copy can land any more. Give the harvested rows
-                    // back; the loaded ones go with the batch's rollback.
-                    for w in &self.windows {
-                        if let Window::Copying(harvested) = w {
-                            self.ctx.fb.abandon_harvest(harvested);
-                        }
-                    }
-                    return Err(ExtractError::TransferEngineGone);
-                }
-            }
+    fn drain_copies(mut self) {
+        let Some(link) = self.ctx.transfer.as_ref().filter(|_| !self.serial) else {
+            return;
+        };
+        let _span = telemetry::span("transfer", self.batch_id);
+        let Some(&(last, ..)) = self.landing.back() else {
+            return;
+        };
+        let ahead = last.saturating_duration_since(Instant::now());
+        if ahead > link.profile().sleep_granularity {
+            let _io = telemetry::state(telemetry::State::IoWait);
+            let _wait = telemetry::wait_timer(telemetry::WaitKind::TransferWait);
+            std::thread::sleep(ahead);
         }
-        Ok(())
+        self.land(last);
+        debug_assert!(self.landing.is_empty(), "every copy lands");
     }
 }
 
 /// Phases one and two for the nodes `plan` says this extractor loads.
 /// Returns the batch's (queue, service) I/O time split. Returns only once
-/// every copy it submitted has landed, whether it succeeds or fails.
+/// every copy it booked has landed and published, whether it succeeds or
+/// fails.
 fn load(
     ctx: &ExtractorContext,
     plan: &ExtractPlan,
@@ -769,7 +723,6 @@ fn load(
     );
     let groups = geometry.plan(&to_load);
 
-    let (xfer_tx, xfer_rx) = gnndrive_sync::queue::unbounded();
     let mut loads = Loads {
         ctx,
         batch_id,
@@ -782,18 +735,15 @@ fn load(
             ctx.io_priority,
         ),
         windows: Vec::with_capacity(groups.len()),
-        copying: 0,
-        outbox: Vec::new(),
+        landing: VecDeque::new(),
         offers: Vec::new(),
-        xfer_tx: Some(xfer_tx),
-        xfer_rx,
         io_queue_ns: 0,
         io_service_ns: 0,
     };
     let read = loads.read(groups);
     let io_split = (loads.io_queue_ns, loads.io_service_ns);
-    let copied = loads.drain_copies();
-    read.and(copied).map(|()| io_split)
+    loads.drain_copies();
+    read.map(|()| io_split)
 }
 
 #[cfg(test)]
@@ -1284,13 +1234,13 @@ mod tests {
         }
     }
 
-    /// A batch that fails after some of its windows went to the (slow)
-    /// copy engine lands those copies before its rollback hands their
+    /// A batch that fails after some of its windows were booked on the
+    /// (slow) link lands those copies before its rollback hands their
     /// slots back: a serial extractor that takes the freed slots right
     /// after keeps its rows. The harvested row of a landed window is
     /// published and released like a loaded one. The read fails in the
-    /// same reap round as three good windows, so their copies are still in
-    /// the round's outbox, not yet sent, when it does.
+    /// same reap round as three good windows, so their copies are still
+    /// in flight on the link, not yet landed, when it does.
     #[test]
     fn a_failed_batch_lands_its_copies_before_rollback() {
         use gnndrive_storage::FaultPlan;
@@ -1324,8 +1274,8 @@ mod tests {
         // stalls long enough for all five to be queued behind it, so its
         // re-read (7) queues behind the other four and passes; by then
         // windows 1..=4 have completed, so one round reaps windows 0..=3,
-        // and window 3's re-read (8) fails the batch with windows 0..=2 in
-        // the outbox.
+        // and window 3's re-read (8) fails the batch with windows 0..=2
+        // still on the link.
         ds.ssd.set_fault_plan(
             FaultPlan::new(0)
                 .with_read_fault_every(3)

@@ -508,8 +508,7 @@ impl FeatureBufferManager {
     /// front is given that slot and pinned once with its valid bit clear.
     /// Returns the `(node, slot)` pairs taken, in offer order; the caller
     /// copies their rows in and lands them with
-    /// [`FeatureBufferManager::publish_window`] (or gives them back with
-    /// [`FeatureBufferManager::abandon_harvest`]). Nodes outside the table
+    /// [`FeatureBufferManager::publish_window`]. Nodes outside the table
     /// (a window's tail past the last row) are ignored. Never blocks.
     pub fn harvest(&self, nodes: &[NodeId]) -> Vec<(NodeId, u32)> {
         let mut inner = self.inner.lock();
@@ -585,20 +584,6 @@ impl FeatureBufferManager {
         if !harvested.is_empty() {
             self.slot_available.notify_all();
         }
-    }
-
-    /// Give back harvested rows whose copy never landed: as a failed load,
-    /// each frees its slot, and is marked aborted if another extractor
-    /// waits on it.
-    pub fn abandon_harvest(&self, taken: &[(NodeId, u32)]) {
-        let mut inner = self.inner.lock();
-        for &(node, _) in taken {
-            inner.drop_load(node);
-        }
-        catalog::FEATURE_BUFFER_STANDBY_SLOTS.set(inner.standby.len() as i64);
-        drop(inner);
-        self.slot_available.notify_all();
-        self.data_ready.notify_all();
     }
 
     /// Algorithm 1, line 36: block until every `wait_for` node published,
@@ -1233,28 +1218,6 @@ mod tests {
         assert_eq!(fb.entry(0).0, i64::from(p0.aliases[0]));
         drop(in_flight);
         fb.check_invariants();
-    }
-
-    /// A harvest whose copy never lands is given back like a failed load:
-    /// its slot is freed, and a batch waiting on the row fails fast.
-    #[test]
-    fn an_abandoned_harvest_fails_its_waiters() {
-        let fb = manager(4, 20);
-        let horizon = fb.horizon(0..2);
-        let queued = horizon.announce(sample_at(1, vec![3]), ());
-        let taken = fb.harvest(&[3]);
-        assert_eq!(taken.len(), 1);
-        let mut waiter = fb.plan_batch(&[3]);
-        assert_eq!(waiter.wait_for.len(), 1, "another extractor waits");
-        fb.abandon_harvest(&taken);
-        assert_eq!(fb.wait_ready(&mut waiter), Err(3));
-        fb.abort_batch(&waiter, &[3]);
-        assert_eq!(fb.entry(3), (-1, 0, false));
-        assert_eq!(fb.standby_len(), 4);
-        fb.check_invariants();
-        // The next planner loads it afresh.
-        assert_eq!(fb.plan_batch(&[3]).to_load, vec![(0, 3)]);
-        drop(queued);
     }
 
     #[test]

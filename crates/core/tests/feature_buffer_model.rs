@@ -337,12 +337,6 @@ impl Model {
         self.release(&taken.iter().map(|&(n, _)| n).collect::<Vec<_>>());
     }
 
-    /// A harvest's copy never landed: unpin and free, as an aborted load.
-    fn abandon(&mut self, taken: &[(NodeId, u32)]) {
-        let nodes: Vec<NodeId> = taken.iter().map(|&(n, _)| n).collect();
-        self.abort(&nodes, &nodes);
-    }
-
     fn release(&mut self, nodes: &[NodeId]) {
         for &n in nodes {
             let i = n as usize;
@@ -525,14 +519,9 @@ fn eviction_matches_the_naive_model() {
                 }
                 7 if !harvests.is_empty() => {
                     let taken = harvests.swap_remove(rng.below(harvests.len()));
-                    if rng.bool(0.9) {
-                        // The loaded rows of the window are not modelled.
-                        fb.publish_window(&taken, 0);
-                        model.land(&taken);
-                    } else {
-                        fb.abandon_harvest(&taken);
-                        model.abandon(&taken);
-                    }
+                    // The loaded rows of the window are not modelled.
+                    fb.publish_window(&taken, 0);
+                    model.land(&taken);
                 }
                 _ => continue,
             }

@@ -8,9 +8,11 @@
 //! * **device memory** ([`DeviceMemory`]) — a capacity-accounted pool;
 //!   exceeding it is the paper's GPU OOM. GNNDrive bounds its training-queue
 //!   depth by exactly this capacity;
-//! * **host→device transfer** ([`TransferEngine`]) — an asynchronous copy
-//!   engine with PCIe-like latency/bandwidth, used by GNNDrive's second
-//!   extraction phase (staging buffer → feature buffer);
+//! * **host→device transfer** ([`TransferEngine`]) — a PCIe-like link
+//!   (latency/bandwidth) on which GNNDrive's second extraction phase
+//!   (staging buffer → feature buffer) books each copy: the link returns
+//!   when the copy lands, and the extractor moves the bytes itself — no
+//!   thread of its own;
 //! * **compute** ([`ComputeModel`]) — kernels run the *real* f32 math on the
 //!   host (so learning dynamics are exact), then pad elapsed time up to
 //!   `flops / rate`, so a "K80" is measurably slower than a "3090" and a
@@ -29,7 +31,7 @@ pub mod transfer;
 pub use compute::ComputeModel;
 pub use memory::{DeviceAlloc, DeviceMemory, DeviceOom};
 pub use slab::{FeatureSlab, GatherResult};
-pub use transfer::{TransferDone, TransferEngine, TransferProfile, WindowCopy};
+pub use transfer::{TransferEngine, TransferProfile, WindowCopy};
 
 use gnndrive_telemetry::ThreadClass;
 use std::sync::Arc;
@@ -80,7 +82,7 @@ impl GpuDevice {
     }
 
     /// The host CPU as a "device": unbounded memory pool (host memory is
-    /// governed separately), no transfer engine semantics, and a compute
+    /// governed separately), a free transfer link, and a compute
     /// rate ~8× below the 3090 (the gap behind the paper's CPU-vs-GPU GAT
     /// results).
     pub fn cpu() -> Arc<Self> {

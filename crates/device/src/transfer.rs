@@ -1,34 +1,36 @@
-//! Asynchronous host→device transfer engine (the CUDA async-memcpy analog).
+//! Host→device transfer link (the CUDA async-memcpy analog).
 //!
 //! GNNDrive's second extraction phase launches a transfer from the staging
 //! buffer to the device-resident feature buffer *as soon as a load
 //! completes*, without waiting for the rest of the mini-batch (paper §4.2,
 //! ⑤ in Fig 4). A load completion is one verified read window, a
-//! [`WindowCopy`]: the window's bytes, moved in, and every row to copy out
-//! of them. A job is one reap round's windows — the completions an
-//! extractor reaped together — so the round crosses to the engine thread
-//! and back once. The engine still charges each window its own modeled
-//! PCIe setup latency plus the bytes of the rows it carries, decodes each
-//! row straight from the window into its slot, and replies once per job
-//! with every window's row list.
+//! [`WindowCopy`]: the window's bytes and every row to copy out of them.
+//!
+//! The link is a completion-time model, not a thread: [`TransferEngine`]
+//! keeps one cursor, the instant the link is next free. An extractor
+//! books each window on it with [`TransferEngine::reserve`] — one PCIe
+//! setup latency plus the rows' bytes at the link's bandwidth, after
+//! whatever copy is booked ahead of it — then decodes the rows straight
+//! from the window into their slots on its own thread, and publishes them
+//! once the deadline `reserve` returned has passed. Copies booked by
+//! different extractors on one device serialize on the cursor, as they
+//! would on one DMA engine.
 
 use crate::slab::FeatureSlab;
-use gnndrive_sync::queue::{unbounded, Receiver, Sender};
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry::{self as telemetry, catalog};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// PCIe-like timing for the copy engine.
+/// PCIe-like timing for the transfer link.
 #[derive(Debug, Clone)]
 pub struct TransferProfile {
     pub name: &'static str,
-    /// Per-job setup latency (DMA descriptor + doorbell).
+    /// Per-copy setup latency (DMA descriptor + doorbell).
     pub latency: Duration,
     /// Link bandwidth in bytes/second.
     pub bandwidth: u64,
-    /// Engine may run at most this far ahead of wall time before sleeping.
+    /// A copy counts as landed this close to its deadline.
     pub sleep_granularity: Duration,
 }
 
@@ -83,40 +85,19 @@ impl WindowCopy {
     }
 }
 
-/// A landed [`WindowCopy`]: the submitter's `user_data` and the copy's row
-/// list, handed back for publishing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferDone {
-    pub user_data: u64,
-    pub rows: Vec<(u32, u32)>,
-}
-
-struct Job {
-    /// Each window with its submitter's `user_data`.
-    copies: Vec<(WindowCopy, u64)>,
-    dst: Arc<FeatureSlab>,
-    reply: Sender<Vec<TransferDone>>,
-}
-
-/// The copy engine. One per simulated device.
+/// The transfer link. One per simulated device.
 pub struct TransferEngine {
-    tx: Option<Sender<Job>>,
-    worker: OrderedMutex<Option<JoinHandle<()>>>,
     profile: TransferProfile,
+    /// The instant the link is next free: the deadline of the last copy
+    /// booked on it.
+    cursor: OrderedMutex<Instant>,
 }
 
 impl TransferEngine {
     pub fn new(profile: TransferProfile) -> Arc<Self> {
-        let (tx, rx) = unbounded::<Job>();
-        let p = profile.clone();
-        let worker = std::thread::Builder::new()
-            .name(format!("xfer-{}", profile.name))
-            .spawn(move || engine_loop(p, rx))
-            .expect("spawn transfer engine");
         Arc::new(TransferEngine {
-            tx: Some(tx),
-            worker: OrderedMutex::new(LockRank::Ring, Some(worker)),
             profile,
+            cursor: OrderedMutex::new(LockRank::Ring, Instant::now()),
         })
     }
 
@@ -124,22 +105,16 @@ impl TransferEngine {
         &self.profile
     }
 
-    /// Submit one asynchronous job: each window's rows copied into their
-    /// slots of `dst`, in order. One reply, every window's
-    /// [`TransferDone`] in submission order, is delivered on `reply` once
-    /// the last window has landed. If the engine has already shut down the
-    /// job is dropped — including its `reply` sender — so the caller
-    /// observes the failure as a disconnected completion channel rather
-    /// than a panic here.
-    pub fn submit(
-        &self,
-        copies: Vec<(WindowCopy, u64)>,
-        dst: Arc<FeatureSlab>,
-        reply: Sender<Vec<TransferDone>>,
-    ) {
-        if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(Job { copies, dst, reply });
-        }
+    /// Book one asynchronous copy of `bytes` on the link and return the
+    /// instant it lands: its service time after the later of now and the
+    /// copy booked ahead of it. The caller moves the bytes itself and
+    /// treats them as landed at the returned deadline.
+    pub fn reserve(&self, bytes: u64) -> Instant {
+        let service = charge(&self.profile, bytes);
+        let now = Instant::now();
+        let mut cursor = self.cursor.lock();
+        *cursor = (*cursor).max(now) + service;
+        *cursor
     }
 
     /// Synchronously pay the cost of moving `bytes` over the link without
@@ -150,19 +125,6 @@ impl TransferEngine {
         if dur > Duration::ZERO {
             let _io = telemetry::state(telemetry::State::IoWait);
             std::thread::sleep(dur);
-        }
-    }
-}
-
-impl Drop for TransferEngine {
-    fn drop(&mut self) {
-        self.tx = None;
-        // Take the handle out under the lock, then join with the guard
-        // dropped — joining a thread while holding a mutex is exactly the
-        // blocking-call-under-lock pattern `cargo xtask lint` forbids.
-        let handle = self.worker.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
         }
     }
 }
@@ -178,40 +140,23 @@ fn charge(profile: &TransferProfile, bytes: u64) -> Duration {
     service
 }
 
-fn engine_loop(profile: TransferProfile, rx: Receiver<Job>) {
-    let mut cursor = Instant::now();
-    while let Ok(job) = rx.recv() {
-        let mut done = Vec::with_capacity(job.copies.len());
-        let mut windows = job.copies.into_iter().peekable();
-        while let Some((copy, user_data)) = windows.next() {
-            // Each window is its own transfer: one setup plus its bytes.
-            let service = charge(&profile, copy.bytes(&job.dst));
-            let deadline = cursor.max(Instant::now()) + service;
-            cursor = deadline;
-
-            copy.write_into(&job.dst);
-
-            let ahead = deadline.saturating_duration_since(Instant::now());
-            let idle = windows.peek().is_none() && rx.is_empty();
-            if ahead > Duration::ZERO && (idle || ahead >= profile.sleep_granularity) {
-                std::thread::sleep(ahead);
-            }
-            done.push(TransferDone {
-                user_data,
-                rows: copy.rows,
-            });
-        }
-        let _ = job.reply.send(done);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The engine tests read the process-wide `device.transfer.*` counters:
-    /// one engine test at a time.
-    static ENGINES: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
+    /// The link tests read the process-wide `device.transfer.*` counters:
+    /// one link test at a time.
+    static LINKS: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
+
+    /// A link whose every copy costs 1 ms, whatever its bytes.
+    fn millisecond_link() -> Arc<TransferEngine> {
+        TransferEngine::new(TransferProfile {
+            name: "ms",
+            latency: Duration::from_millis(1),
+            bandwidth: u64::MAX / 4,
+            sleep_granularity: Duration::from_micros(100),
+        })
+    }
 
     /// A window of `rows` consecutive `dim`-wide rows from row `first`, row
     /// `r` holding `r` in every element, copied to slot `r − first + slot0`.
@@ -227,109 +172,76 @@ mod tests {
         }
     }
 
-    /// Slot `s` holds row `rows[s]` in every element.
-    fn assert_slots(slab: &FeatureSlab, rows: &[u32]) {
+    #[test]
+    fn windows_write_their_rows_into_their_slots() {
+        let slab = FeatureSlab::new(8, 4);
+        // Rows 10..14 into slots 0..4, rows 20..24 into slots 4..8.
+        for copy in [window(10, 4, 4, 0), window(20, 4, 4, 4)] {
+            assert_eq!(copy.bytes(&slab), 4 * 4 * 4);
+            copy.write_into(&slab);
+        }
         let mut out = vec![0.0; slab.dim()];
-        for (slot, &row) in rows.iter().enumerate() {
+        for (slot, row) in [10, 11, 12, 13, 20, 21, 22, 23].into_iter().enumerate() {
             slab.read_row(slot as u32, &mut out);
             assert!(out.iter().all(|&v| v == row as f32), "slot {slot}: {out:?}");
         }
     }
 
+    /// Two threads booking at once share one cursor: every deadline is at
+    /// least one service after the one before it, whoever booked it.
     #[test]
-    fn windows_land_in_slots_and_complete() {
-        let _gate = ENGINES.lock();
-        let engine = TransferEngine::new(TransferProfile::host_memcpy());
-        let slab = Arc::new(FeatureSlab::new(8, 4));
-        let (tx, rx) = unbounded();
-        // Rows 10..14 into slots 0..4 in one job, rows 20..24 into slots
-        // 4..8 in another.
-        engine.submit(
-            vec![(window(10, 4, 4, 0), 1)],
-            Arc::clone(&slab),
-            tx.clone(),
-        );
-        engine.submit(
-            vec![(window(20, 4, 4, 4), 2)],
-            Arc::clone(&slab),
-            tx.clone(),
-        );
-        let mut done: Vec<TransferDone> = (0..2)
-            .flat_map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
-            .collect();
-        done.sort_by_key(|d| d.user_data);
-        assert_eq!(done[0].rows, window(10, 4, 4, 0).rows);
-        assert_eq!(done[1].rows, window(20, 4, 4, 4).rows);
-        assert_slots(&slab, &[10, 11, 12, 13, 20, 21, 22, 23]);
+    fn concurrent_reservations_serialize_on_the_link() {
+        let _gate = LINKS.lock();
+        let link = millisecond_link();
+        let start = std::sync::Barrier::new(2);
+        let booked: Vec<Vec<Instant>> = std::thread::scope(|s| {
+            let book = || {
+                s.spawn(|| {
+                    start.wait();
+                    (0..8).map(|_| link.reserve(64)).collect::<Vec<_>>()
+                })
+            };
+            let (a, b) = (book(), book());
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        for own in &booked {
+            assert!(
+                own.windows(2).all(|w| w[0] < w[1]),
+                "a thread's deadlines rise"
+            );
+        }
+        let mut all: Vec<Instant> = booked.concat();
+        all.sort_unstable();
+        for w in all.windows(2) {
+            assert!(
+                w[1] - w[0] >= Duration::from_millis(1),
+                "two copies overlap on the link: {:?} apart",
+                w[1] - w[0]
+            );
+        }
     }
 
-    /// One op per window, however many rows it carries and however many
-    /// windows share a job: the op counter counts windows, the byte
-    /// counter the rows' bytes, and each job gets one reply listing its
-    /// windows in order.
+    /// One op, its bytes and one service record per booking, however many
+    /// rows the copy carries; booking moves no bytes and never sleeps.
     #[test]
-    fn one_transfer_op_per_window() {
-        let _gate = ENGINES.lock();
-        let engine = TransferEngine::new(TransferProfile::host_memcpy());
-        let slab = Arc::new(FeatureSlab::new(16, 4));
-        let (tx, rx) = unbounded();
-        let (ops, bytes) = (
+    fn one_transfer_op_per_reservation() {
+        let _gate = LINKS.lock();
+        let link = millisecond_link();
+        let (ops, bytes, service) = (
             catalog::DEVICE_TRANSFER_OPS.get(),
             catalog::DEVICE_TRANSFER_BYTES.get(),
+            catalog::DEVICE_TRANSFER_SERVICE.merged().count(),
         );
-        let (mut slot, mut jobs) = (0, [Vec::new(), Vec::new()]);
-        for (w, rows) in [1, 5, 3, 7].into_iter().enumerate() {
-            jobs[w / 2].push((window(100 * w as u32, rows, 4, slot), w as u64));
-            slot += rows;
-        }
-        for job in jobs {
-            engine.submit(job, Arc::clone(&slab), tx.clone());
-        }
-        let replies: Vec<Vec<TransferDone>> = (0..2)
-            .map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
-            .collect();
-        let ids = |r: &Vec<TransferDone>| r.iter().map(|d| d.user_data).collect::<Vec<_>>();
-        assert_eq!(
-            (ids(&replies[0]), ids(&replies[1])),
-            (vec![0, 1], vec![2, 3])
-        );
-        assert!(rx.try_recv().is_none(), "one reply per job");
-        assert_eq!(catalog::DEVICE_TRANSFER_OPS.get() - ops, 4);
-        assert_eq!(catalog::DEVICE_TRANSFER_BYTES.get() - bytes, 16 * 16);
-        let rows: Vec<u32> = [(0, 1), (100, 5), (200, 3), (300, 7)]
-            .iter()
-            .flat_map(|&(first, n)| first..first + n)
-            .collect();
-        assert_slots(&slab, &rows);
-    }
-
-    /// A job of four windows pays four setups, not one.
-    #[test]
-    fn latency_model_paces_transfers() {
-        let _gate = ENGINES.lock();
-        let profile = TransferProfile {
-            name: "slow",
-            latency: Duration::from_millis(2),
-            bandwidth: u64::MAX / 4,
-            sleep_granularity: Duration::from_micros(100),
-        };
-        let engine = TransferEngine::new(profile);
-        let slab = Arc::new(FeatureSlab::new(4, 2));
-        let (tx, rx) = unbounded();
-        let service = catalog::DEVICE_TRANSFER_SERVICE.merged().count();
         let t0 = Instant::now();
-        let job = (0..4u32).map(|i| (window(i, 1, 2, i), 0)).collect();
-        engine.submit(job, Arc::clone(&slab), tx);
-        let done = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let deadlines: Vec<Instant> = [16, 80, 48, 112].map(|b| link.reserve(b)).to_vec();
         assert!(
-            t0.elapsed() >= Duration::from_millis(7),
-            "4 transfers at 2ms each should take >=7ms, took {:?}",
-            t0.elapsed()
+            t0.elapsed() < Duration::from_millis(4),
+            "booking must not wait"
         );
-        assert_eq!(done.len(), 4);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(2)).ok(), None);
-        let charged = catalog::DEVICE_TRANSFER_SERVICE.merged().count();
-        assert_eq!(charged - service, 4, "one charge per window");
-        assert_slots(&slab, &[0, 1, 2, 3]);
+        assert!(deadlines[3] >= t0 + Duration::from_millis(4), "four setups");
+        assert_eq!(catalog::DEVICE_TRANSFER_OPS.get() - ops, 4);
+        assert_eq!(catalog::DEVICE_TRANSFER_BYTES.get() - bytes, 256);
+        let charged = catalog::DEVICE_TRANSFER_SERVICE.merged().count() - service;
+        assert_eq!(charged, 4, "one service record per booking");
     }
 }

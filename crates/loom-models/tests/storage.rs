@@ -546,53 +546,6 @@ fn lane_queue_serve_overtakes_queued_bulk() {
     });
 }
 
-/// Re-statement of `MemoryGovernor::charge_waiting_lane`'s bulk-side
-/// deference (`crates/storage/src/governor.rs`): a bulk waiter polls, deferring while
-/// `serve_waiters > 0` (Acquire, as production) — but for at most
-/// `BULK_DEFER_POLLS` rounds, after which it charges anyway. The model
-/// checks both sides: bulk never admits ahead of a registered serve
-/// waiter *within* its deference budget, and an exhausted budget always
-/// admits (no starvation).
-#[test]
-fn lane_governor_bulk_defers_bounded_then_admits() {
-    const DEFER_BOUND: u32 = 2;
-    loom::model(|| {
-        let serve_waiters = Arc::new(AtomicU64::new(0));
-        let serve_done = Arc::new(loom::sync::atomic::AtomicBool::new(false));
-
-        let sw = Arc::clone(&serve_waiters);
-        let sd = Arc::clone(&serve_done);
-        let server = thread::spawn(move || {
-            // ServeWaiterSlot: register (AcqRel), take the memory, drop.
-            sw.fetch_add(1, Ordering::AcqRel);
-            sd.store(true, Ordering::Release);
-            let prev = sw.fetch_sub(1, Ordering::AcqRel);
-            assert!(prev >= 1, "waiter registration must balance");
-        });
-
-        // Bulk waiter: the charge_waiting_lane poll loop.
-        let mut deferred = 0u32;
-        let admitted_with_serve_pending = loop {
-            let pending = serve_waiters.load(Ordering::Acquire) > 0;
-            if pending && deferred < DEFER_BOUND {
-                deferred += 1;
-                thread::yield_now();
-                continue;
-            }
-            break pending;
-        };
-        if admitted_with_serve_pending {
-            assert_eq!(
-                deferred, DEFER_BOUND,
-                "bulk admitted past a serve waiter with deference budget left"
-            );
-        }
-        server.join().unwrap();
-        assert_eq!(serve_waiters.load(Ordering::Acquire), 0);
-        assert!(serve_done.load(Ordering::Acquire), "serve waiter starved");
-    });
-}
-
 /// Shutdown racing a batch submission: each entry is answered exactly
 /// once — serviced (taken before the close became visible) or failed fast,
 /// by the worker or by the closed queue's refusal — and the submitter is

@@ -40,31 +40,11 @@ pub trait MemoryReclaimer: Send + Sync {
     fn reclaim(&self, want: u64) -> u64;
 }
 
-/// QoS lane of a waiting admission (DESIGN.md §11).
-///
-/// Serving admissions are latency-critical: a user is blocked on the
-/// answer. Training admissions are throughput work that can soak whatever
-/// is left over. While at least one [`Lane::Serve`] admission is waiting,
-/// [`Lane::Bulk`] waiters defer their charge attempts so freed memory goes
-/// to the serve lane first — bounded, so a sustained serving load can slow
-/// training admissions but never starve them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Lane {
-    /// Latency-critical online inference admissions.
-    Serve,
-    /// Throughput-oriented training / baseline-loader admissions.
-    #[default]
-    Bulk,
-}
-
 /// Byte-granular host memory budget shared by all subsystems.
 pub struct MemoryGovernor {
     budget: u64,
     used_anonymous: AtomicU64,
     used_page_cache: AtomicU64,
-    /// Serve-lane admissions currently inside `charge_waiting_lane`.
-    /// Bulk waiters consult this to decide whether to defer.
-    serve_waiters: AtomicU64,
     reclaimers: OrderedMutex<Vec<Weak<dyn MemoryReclaimer>>>,
 }
 
@@ -85,7 +65,6 @@ impl MemoryGovernor {
             budget,
             used_anonymous: AtomicU64::new(0),
             used_page_cache: AtomicU64::new(0),
-            serve_waiters: AtomicU64::new(0),
             reclaimers: OrderedMutex::new(LockRank::Governor, Vec::new()),
         })
     }
@@ -212,64 +191,11 @@ impl MemoryGovernor {
         bytes: u64,
         timeout: std::time::Duration,
     ) -> Result<MemCharge, OomError> {
-        self.charge_waiting_lane(bytes, timeout, Lane::Bulk)
-    }
-
-    /// Serve-lane admissions currently waiting for memory.
-    pub fn serve_waiters(&self) -> u64 {
-        self.serve_waiters.load(Ordering::Acquire)
-    }
-
-    /// Lane-aware [`MemoryGovernor::charge_waiting`] (DESIGN.md §11).
-    ///
-    /// A [`Lane::Serve`] waiter registers itself in `serve_waiters` for the
-    /// duration of its wait and polls `charge` every 2 ms. A [`Lane::Bulk`]
-    /// waiter *defers* — it skips its charge attempts while any serve
-    /// waiter is registered, so memory freed under pressure is taken by the
-    /// serve lane first — but only for a bounded number of polls (~64 ms),
-    /// after which it competes normally again. Deference is therefore a
-    /// priority boost, not a lockout: bulk admissions cannot be starved
-    /// past the defer cap, and their own `timeout` still bounds the whole
-    /// wait.
-    pub fn charge_waiting_lane(
-        self: &Arc<Self>,
-        bytes: u64,
-        timeout: std::time::Duration,
-        lane: Lane,
-    ) -> Result<MemCharge, OomError> {
-        /// Max consecutive 2 ms polls a bulk waiter yields to the serve
-        /// lane before attempting its charge anyway (starvation bound).
-        const BULK_DEFER_POLLS: u32 = 32;
-
-        let _serve_slot = match lane {
-            Lane::Serve => Some(ServeWaiterSlot::register(self)),
-            Lane::Bulk => None,
-        };
         let deadline = std::time::Instant::now() + timeout;
         let mut stalled = None;
-        let mut deferred_polls = 0u32;
         loop {
-            let defer = lane == Lane::Bulk
-                && deferred_polls < BULK_DEFER_POLLS
-                && self.serve_waiters.load(Ordering::Acquire) > 0;
-            let outcome = if defer {
-                deferred_polls += 1;
-                gnndrive_telemetry::catalog::GOVERNOR_BULK_DEFERRALS.inc();
-                Err(OomError {
-                    requested: bytes,
-                    available: self.available(),
-                    budget: self.budget,
-                })
-            } else {
-                self.charge(bytes)
-            };
-            match outcome {
-                Ok(c) => {
-                    if lane == Lane::Serve && stalled.is_some() {
-                        gnndrive_telemetry::catalog::GOVERNOR_SERVE_ADMISSIONS_WAITED.inc();
-                    }
-                    return Ok(c);
-                }
+            match self.charge(bytes) {
+                Ok(c) => return Ok(c),
                 Err(e) => {
                     if stalled.is_none() {
                         // Count admissions that had to wait (not each poll):
@@ -283,9 +209,7 @@ impl MemoryGovernor {
                         gnndrive_telemetry::catalog::GOVERNOR_ADMISSION_STALLS.inc();
                     }
                     if std::time::Instant::now() >= deadline {
-                        // One last *real* attempt: a deferring bulk waiter
-                        // must not report OOM without ever having tried.
-                        return if defer { self.charge(bytes) } else { Err(e) };
+                        return Err(e);
                     }
                     let _w = gnndrive_telemetry::state(gnndrive_telemetry::State::IoWait);
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -301,27 +225,6 @@ impl MemoryGovernor {
         // observed together with whatever writes preceded the drop.
         let prev = counter.fetch_sub(bytes, Ordering::AcqRel);
         debug_assert!(prev >= bytes, "memory release underflow");
-    }
-}
-
-/// RAII registration of a serve-lane waiter: increments `serve_waiters`
-/// while a serving admission is inside its wait loop, so concurrently
-/// waiting bulk admissions know to defer.
-struct ServeWaiterSlot<'a> {
-    gov: &'a MemoryGovernor,
-}
-
-impl<'a> ServeWaiterSlot<'a> {
-    fn register(gov: &'a MemoryGovernor) -> Self {
-        gov.serve_waiters.fetch_add(1, Ordering::AcqRel);
-        ServeWaiterSlot { gov }
-    }
-}
-
-impl Drop for ServeWaiterSlot<'_> {
-    fn drop(&mut self) {
-        let prev = self.gov.serve_waiters.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev >= 1, "serve waiter count underflow");
     }
 }
 
@@ -426,72 +329,27 @@ mod tests {
     }
 
     #[test]
-    fn serve_waiter_gets_freed_memory_before_a_bulk_waiter() {
+    fn a_waiting_charge_is_admitted_once_memory_is_freed() {
+        use gnndrive_telemetry::catalog::GOVERNOR_ADMISSION_STALLS;
         use std::time::Duration;
-        // Budget fully held; a serve and a bulk admission both wait for it.
-        // The bulk waiter defers while the serve waiter is registered, so
-        // when the holder releases, the serve lane must win the memory.
+        // Budget fully held; a waiting charge stalls, counts the stall,
+        // and is admitted once another thread frees the memory.
         let gov = MemoryGovernor::new(100);
         let held = gov.charge(100).unwrap();
-
-        let gov_s = Arc::clone(&gov);
-        let serve = std::thread::spawn(move || {
-            gov_s.charge_waiting_lane(100, Duration::from_secs(5), Lane::Serve)
-        });
-        // Wait until the serve waiter is registered before starting bulk.
-        while gov.serve_waiters() == 0 {
+        let stalls = GOVERNOR_ADMISSION_STALLS.get();
+        let gov_w = Arc::clone(&gov);
+        let waiter = std::thread::spawn(move || gov_w.charge_waiting(100, Duration::from_secs(5)));
+        while GOVERNOR_ADMISSION_STALLS.get() == stalls {
             std::thread::yield_now();
         }
-        let gov_b = Arc::clone(&gov);
-        let bulk = std::thread::spawn(move || {
-            gov_b.charge_waiting_lane(100, Duration::from_secs(5), Lane::Bulk)
-        });
-        // Give both waiters a few poll cycles, then free the budget.
-        std::thread::sleep(Duration::from_millis(10));
         drop(held);
-
-        let serve_charge = serve.join().expect("serve waiter thread");
-        assert!(
-            serve_charge.is_ok(),
-            "serve admission must win the freed memory: {serve_charge:?}"
-        );
-        drop(serve_charge);
-        // With the serve lane satisfied the bulk waiter gets through too.
-        let bulk_charge = bulk.join().expect("bulk waiter thread");
-        assert!(bulk_charge.is_ok(), "bulk must not starve: {bulk_charge:?}");
-        assert_eq!(gov.serve_waiters(), 0, "waiter registration must balance");
+        let charge = waiter.join().expect("waiter thread");
+        assert_eq!(charge.expect("admitted once freed").bytes(), 100);
+        assert_eq!(gov.used(), 0);
     }
 
     #[test]
-    fn bulk_waiter_is_not_starved_past_the_defer_cap() {
-        use std::time::Duration;
-        // A serve waiter that can NEVER be satisfied (asks for more than
-        // the whole budget) stays registered; a bulk waiter asking for
-        // available memory must still get through once its defer cap runs
-        // out — deference is a boost, not a lockout.
-        let gov = MemoryGovernor::new(100);
-        let gov_s = Arc::clone(&gov);
-        let serve = std::thread::spawn(move || {
-            gov_s.charge_waiting_lane(200, Duration::from_secs(2), Lane::Serve)
-        });
-        while gov.serve_waiters() == 0 {
-            std::thread::yield_now();
-        }
-        let bulk = gov.charge_waiting_lane(50, Duration::from_secs(2), Lane::Bulk);
-        assert!(
-            bulk.is_ok(),
-            "bulk admission must proceed despite a permanent serve waiter: {bulk:?}"
-        );
-        drop(bulk);
-        let serve_result = serve.join().expect("serve waiter thread");
-        assert!(serve_result.is_err(), "an over-budget serve charge OOMs");
-        assert_eq!(gov.serve_waiters(), 0, "waiter registration must balance");
-    }
-
-    #[test]
-    fn charge_waiting_delegates_to_the_bulk_lane() {
-        // The pre-lane API keeps working and succeeds immediately when
-        // memory is free (no serve waiters → no deference).
+    fn an_uncontended_waiting_charge_succeeds_at_once() {
         let gov = MemoryGovernor::new(100);
         let c = gov
             .charge_waiting(60, std::time::Duration::from_millis(50))

@@ -76,7 +76,7 @@ pub mod wcache;
 
 pub use error::{IoError, OomError};
 pub use fault::{FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
-pub use governor::{ChargeKind, Lane, MemCharge, MemoryGovernor, MemoryReclaimer};
+pub use governor::{ChargeKind, MemCharge, MemoryGovernor, MemoryReclaimer};
 pub use health::{Admission, DeviceHealth, HealthConfig, HealthState};
 pub use integrity::{crc32, IntegrityError};
 pub use lru::LruList;

@@ -7,11 +7,9 @@
 //! [`IoStatsSnapshot`] stays as the cheap per-device view the pipeline's
 //! epoch accounting diffs against.
 
-use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry as telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use telemetry::catalog;
-use telemetry::{HistSummary, Histogram};
 
 /// Cumulative counters maintained by a [`crate::SimSsd`].
 ///
@@ -19,12 +17,13 @@ use telemetry::{HistSummary, Histogram};
 /// device (synchronous reads and `wait_completion` calls), which is the
 /// quantity behind the paper's "ratio of I/O wait time" panels.
 ///
-/// Two per-op latency distributions ride alongside the counters:
-/// **service** time (what the device model charges: base latency plus
-/// bandwidth reservation, excluding any time queued behind other requests)
-/// and **queueing** delay (submission until a channel picks the request
-/// up). Their split is what distinguishes a congested device from a slow
-/// one (paper §2.2, I/O congestion).
+/// The per-op latency distributions — **service** time (what the device
+/// model charges, excluding any time queued behind other requests) and
+/// **queueing** delay (submission until a channel picks the request up),
+/// whose split distinguishes a congested device from a slow one (paper
+/// §2.2, I/O congestion) — live only in the process-wide registry
+/// (`ssd.service`, `ssd.queue_wait`, `storage.queue.*`), which is what run
+/// reports read.
 #[derive(Debug)]
 pub struct IoStats {
     pub read_ops: AtomicU64,
@@ -38,8 +37,6 @@ pub struct IoStats {
     /// Requests serviced per QoS lane (DESIGN.md §11).
     pub serve_ops: AtomicU64,
     pub bulk_ops: AtomicU64,
-    service: OrderedMutex<Histogram>,
-    queueing: OrderedMutex<Histogram>,
 }
 
 impl Default for IoStats {
@@ -77,18 +74,11 @@ impl Default for IoStats {
             queue_full_stalls: AtomicU64::new(0),
             serve_ops: AtomicU64::new(0),
             bulk_ops: AtomicU64::new(0),
-            service: OrderedMutex::new(LockRank::Storage, Histogram::new()),
-            queueing: OrderedMutex::new(LockRank::Storage, Histogram::new()),
         }
     }
 }
 
 /// A point-in-time copy of [`IoStats`].
-///
-/// The `service_*`/`queue_wait_*` fields summarize the cumulative latency
-/// distributions at snapshot time. Percentiles are not counter-like, so
-/// [`IoStatsSnapshot::delta_since`] carries the later snapshot's values
-/// through unchanged rather than subtracting them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
     pub read_ops: u64,
@@ -99,22 +89,10 @@ pub struct IoStatsSnapshot {
     pub queue_full_stalls: u64,
     pub serve_ops: u64,
     pub bulk_ops: u64,
-    pub service_p50_ns: u64,
-    pub service_p99_ns: u64,
-    pub queue_wait_p50_ns: u64,
-    pub queue_wait_p99_ns: u64,
 }
 
 impl IoStats {
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        let (service_p50_ns, service_p99_ns) = {
-            let h = self.service.lock();
-            (h.percentile(0.50), h.percentile(0.99))
-        };
-        let (queue_wait_p50_ns, queue_wait_p99_ns) = {
-            let h = self.queueing.lock();
-            (h.percentile(0.50), h.percentile(0.99))
-        };
         IoStatsSnapshot {
             read_ops: self.read_ops.load(Ordering::Relaxed),
             read_bytes: self.read_bytes.load(Ordering::Relaxed),
@@ -124,10 +102,6 @@ impl IoStats {
             queue_full_stalls: self.queue_full_stalls.load(Ordering::Relaxed),
             serve_ops: self.serve_ops.load(Ordering::Relaxed),
             bulk_ops: self.bulk_ops.load(Ordering::Relaxed),
-            service_p50_ns,
-            service_p99_ns,
-            queue_wait_p50_ns,
-            queue_wait_p99_ns,
         }
     }
 
@@ -158,8 +132,6 @@ impl IoStats {
     /// Record one serviced request: the modeled service time and the
     /// queueing delay it saw before a channel picked it up.
     pub fn record_op(&self, service_ns: u64, queue_ns: u64) {
-        self.service.lock().record(service_ns);
-        self.queueing.lock().record(queue_ns);
         catalog::SSD_SERVICE.record(service_ns);
         catalog::SSD_QUEUE_WAIT.record(queue_ns);
         catalog::STORAGE_QUEUE_WAIT_NS.add(queue_ns);
@@ -182,22 +154,10 @@ impl IoStats {
             }
         }
     }
-
-    /// Percentile summary of per-op service time.
-    pub fn service_summary(&self) -> HistSummary {
-        HistSummary::of(&self.service.lock())
-    }
-
-    /// Percentile summary of per-op queueing delay.
-    pub fn queue_wait_summary(&self) -> HistSummary {
-        HistSummary::of(&self.queueing.lock())
-    }
 }
 
 impl IoStatsSnapshot {
-    /// Counter-wise difference `self - earlier` (saturating). Latency
-    /// percentiles are distributions, not counters: the result keeps
-    /// `self`'s (the later snapshot's) values.
+    /// Counter-wise difference `self - earlier` (saturating).
     pub fn delta_since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
         IoStatsSnapshot {
             read_ops: self.read_ops.saturating_sub(earlier.read_ops),
@@ -210,10 +170,6 @@ impl IoStatsSnapshot {
                 .saturating_sub(earlier.queue_full_stalls),
             serve_ops: self.serve_ops.saturating_sub(earlier.serve_ops),
             bulk_ops: self.bulk_ops.saturating_sub(earlier.bulk_ops),
-            service_p50_ns: self.service_p50_ns,
-            service_p99_ns: self.service_p99_ns,
-            queue_wait_p50_ns: self.queue_wait_p50_ns,
-            queue_wait_p99_ns: self.queue_wait_p99_ns,
         }
     }
 }
@@ -221,6 +177,7 @@ impl IoStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnndrive_sync::{LockRank, OrderedMutex};
 
     #[test]
     fn counters_accumulate() {
@@ -248,24 +205,29 @@ mod tests {
         assert_eq!(a.delta_since(&b).read_bytes, 0);
     }
 
+    /// The registry tests: `increments_mirror_into_registry` resets the
+    /// process-wide metrics, so no other test may read them meanwhile.
+    static REGISTRY: OrderedMutex<()> = OrderedMutex::new(LockRank::Sync, ());
+
     #[test]
     fn service_and_queueing_are_separate_distributions() {
+        let _gate = REGISTRY.lock();
+        let count = |h: &'static telemetry::HistogramHandle| h.merged().count();
+        let before = (
+            count(&catalog::SSD_SERVICE),
+            count(&catalog::SSD_QUEUE_WAIT),
+        );
         let s = IoStats::default();
         for _ in 0..100 {
             s.record_op(100_000, 1_000_000);
         }
-        let snap = s.snapshot();
-        assert!(snap.service_p50_ns >= 90_000 && snap.service_p50_ns <= 100_000);
-        assert!(snap.queue_wait_p50_ns >= 900_000);
-        assert_eq!(s.service_summary().count, 100);
-        assert_eq!(s.queue_wait_summary().count, 100);
-        // Deltas keep the later snapshot's percentiles (not subtractable).
-        let d = snap.delta_since(&IoStatsSnapshot::default());
-        assert_eq!(d.service_p99_ns, snap.service_p99_ns);
+        assert!(count(&catalog::SSD_SERVICE) - before.0 >= 100);
+        assert!(count(&catalog::SSD_QUEUE_WAIT) - before.1 >= 100);
     }
 
     #[test]
     fn increments_mirror_into_registry() {
+        let _gate = REGISTRY.lock();
         telemetry::reset_metrics();
         let s = IoStats::default();
         s.add_read(4096);

@@ -55,7 +55,7 @@ pub enum LockRank {
     /// must never acquire upward.
     Telemetry = 0,
     /// Simulated-SSD state: file table, backing image, fault plans,
-    /// bandwidth cursor, I/O latency histograms.
+    /// bandwidth cursor.
     Storage = 1,
     /// Device-health window and circuit-breaker bookkeeping. Recorded from
     /// retry/verification paths that may hold higher-layer locks; acquires
@@ -63,7 +63,7 @@ pub enum LockRank {
     Health = 2,
     /// OS page-cache model: resident-page map, retry policy, miss tracking.
     PageCache = 3,
-    /// I/O ring / transfer-engine queue state.
+    /// I/O ring state and the transfer link's cursor.
     Ring = 4,
     /// Memory-governor reclaim bookkeeping.
     Governor = 5,

@@ -85,10 +85,7 @@ pub static PAGE_CACHE_RETRIES: Counter = Counter::new("page_cache.retries");
 pub static PAGE_CACHE_READ_ERRORS: Counter = Counter::new("page_cache.read_errors");
 pub static PAGE_CACHE_RESIDENT_PAGES: Gauge = Gauge::new("page_cache.resident_pages");
 
-// Memory-governor admission: deferred bulk charges and stalled admissions.
-pub static GOVERNOR_BULK_DEFERRALS: Counter = Counter::new("governor.bulk_deferrals");
-pub static GOVERNOR_SERVE_ADMISSIONS_WAITED: Counter =
-    Counter::new("governor.serve_admissions_waited");
+// Memory-governor admission: stalled admissions.
 pub static GOVERNOR_ADMISSION_STALLS: Counter = Counter::new("governor.admission_stalls");
 
 // The feature buffer's slot reuse and loads.

@@ -48,7 +48,7 @@ pub mod prelude {
 
     // Storage stack: simulated SSD, memory admission, faults and health.
     pub use gnndrive_storage::{
-        crc32, DeviceHealth, FaultPlan, HealthConfig, HealthState, IoPriority, IoRing, Lane,
+        crc32, DeviceHealth, FaultPlan, HealthConfig, HealthState, IoPriority, IoRing,
         MemoryGovernor, PageCache, PowerCutReport, RetryPolicy, SimSsd, SsdProfile,
     };
 
