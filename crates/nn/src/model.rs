@@ -28,6 +28,7 @@ impl ModelKind {
 
     /// The paper's sampling fanouts: (10, 10, 10) for GraphSAGE/GCN,
     /// (10, 10, 5) for GAT.
+    #[cfg(test)]
     pub fn paper_fanouts(self) -> Vec<usize> {
         match self {
             ModelKind::GraphSage | ModelKind::Gcn => vec![10, 10, 10],

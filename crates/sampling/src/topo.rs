@@ -200,6 +200,7 @@ impl<T: TopoReader> NeighborCacheTopo<T> {
         }
     }
 
+    #[cfg(test)]
     pub fn cached_nodes(&self) -> usize {
         self.cached.len()
     }

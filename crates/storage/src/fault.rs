@@ -3,7 +3,7 @@
 //! Long disk-based training runs (multi-hour epochs at paper scale) see
 //! real media faults, latency spikes, and transient device stalls. The
 //! [`FaultPlan`] describes a *schedule* of such events and the
-//! [`FaultInjector`] applies it inside the [`crate::SimSsd`] workers.
+//! [`FaultInjector`] applies it as [`crate::SimSsd`] serves each request.
 //!
 //! Every decision is a pure function of the plan's seed and the request's
 //! global operation ordinal, so a given plan produces the same fault
@@ -159,8 +159,8 @@ impl FaultPlan {
     }
 }
 
-/// A silent corruption the device worker must apply to an otherwise
-/// successful request. Decided by [`FaultInjector::assess`]; the worker
+/// A silent corruption the device must apply to an otherwise
+/// successful request. Decided by [`FaultInjector::assess`]; the device
 /// applies it during data movement and counts it in the device's
 /// `storage.integrity.*` metrics only when it was *effective* (actually
 /// changed bytes) — corrupting a read with the same bytes it would have
@@ -171,7 +171,7 @@ pub enum SilentCorruption {
     /// the returned read buffer).
     BitFlip { bit: u64 },
     /// Serve the read from `shift` sectors away (positive or negative),
-    /// clamped to the file's extent by the worker.
+    /// clamped to the file's extent by the device.
     MisdirectedRead { shift: i64 },
     /// Persist only the first `keep` bytes of the write.
     TornWrite { keep: u64 },
@@ -185,7 +185,7 @@ pub struct FaultVerdict {
     /// If set, the request must fail with this error after paying its
     /// (possibly inflated) service time — media errors are slow, not fast.
     pub fail: Option<IoError>,
-    /// If set, the request *succeeds* but the worker must silently corrupt
+    /// If set, the request *succeeds* but the device must silently corrupt
     /// it as described. Mutually exclusive with `fail`.
     pub corrupt: Option<SilentCorruption>,
 }
@@ -223,7 +223,7 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Judge one request. Called by a device worker as it services the
+    /// Judge one request. Called by the device as a channel takes the
     /// request; counters are bumped here so callers only need to honor the
     /// verdict. `len` is the request's transfer size; silent read
     /// corruption lands only in the full-sector prefix of the buffer (the
@@ -278,7 +278,7 @@ impl FaultInjector {
                     } else if self.plan.misdirected_read_prob > 0.0
                         && mix_unit(self.plan.seed, read_no, 5) < self.plan.misdirected_read_prob
                     {
-                        // Shift in [-8, 8] \ {0} sectors; the worker clamps
+                        // Shift in [-8, 8] \ {0} sectors; the device clamps
                         // to the file's extent.
                         let u = mix_unit(self.plan.seed, read_no, 6);
                         let magnitude = 1 + ((u * 8.0) as i64).min(7);

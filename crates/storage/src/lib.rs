@@ -8,10 +8,10 @@
 //!
 //! * [`SimSsd`] — a solid-state-drive model with a bounded submission queue,
 //!   `channels` parallel service units, a per-request base latency, and a
-//!   shared bandwidth budget. Requests move real bytes between the disk
-//!   image and caller buffers while device workers *actually sleep* the
-//!   modeled service time, so callers blocked on the device experience real
-//!   I/O wait.
+//!   shared bandwidth budget. It runs no thread: whoever reaps advances
+//!   the model, moving real bytes between the disk image and caller
+//!   buffers, and callers blocked on the device *actually park* until the
+//!   modeled completion time, so they experience real I/O wait.
 //! * [`IoRing`] — an `io_uring` analog: a submission queue the caller fills
 //!   with prepared reads/writes and a completion queue it reaps, allowing a
 //!   single thread to keep many requests in flight (Appendix A/B of the
@@ -50,8 +50,8 @@
 //! (bit flips, misdirected reads, torn writes) on a [`SimSsd`];
 //! [`RetryPolicy`] bounds the recovery attempts readers make against it.
 //! The device maintains a per-sector CRC32 table ([`SimSsd::verify`])
-//! so hosts catch silent corruption at every read boundary, a
-//! [`Scrubber`] repairs latent media damage in the background, and
+//! so hosts catch silent corruption at every read boundary,
+//! [`SimSsd::scrub_chunk`] repairs latent media damage, and
 //! [`DeviceHealth`] turns sustained error rates into a circuit breaker
 //! (Healthy → Degraded → CircuitOpen with half-open probes). A volatile
 //! write-back cache extends the fault model to power loss: serviced
@@ -69,7 +69,6 @@ pub mod next_use;
 pub mod pagecache;
 pub mod retry;
 pub mod ring;
-pub mod scrub;
 pub mod ssd;
 pub mod stats;
 pub mod wcache;
@@ -84,7 +83,6 @@ pub use next_use::NextUse;
 pub use pagecache::{AccessTrace, MmapArray, PageCache, PageCacheStats, Pod, PAGE_SIZE};
 pub use retry::RetryPolicy;
 pub use ring::IoRing;
-pub use scrub::{ScrubConfig, Scrubber};
 pub use ssd::{
     Completion, FileHandle, IoOp, IoPriority, ScrubChunk, SimSsd, SsdProfile, SECTOR_SIZE,
 };

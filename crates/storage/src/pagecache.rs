@@ -34,7 +34,6 @@ use gnndrive_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use telemetry::{catalog, WaitKind};
 
 /// Page size of the modeled OS (Linux default).
@@ -220,6 +219,7 @@ impl PageCache {
     }
 
     /// Set the sequential readahead window (pages; 0 disables).
+    #[cfg(test)]
     pub fn set_readahead(&self, pages: usize) {
         self.readahead_pages.store(pages, Ordering::Relaxed);
     }
@@ -316,6 +316,7 @@ impl PageCache {
     }
 
     /// Whether the page containing `offset` is currently resident (ready).
+    #[cfg(test)]
     pub fn is_resident(&self, file: FileHandle, offset: u64) -> bool {
         let inner = self.inner.lock();
         inner
@@ -546,9 +547,10 @@ impl PageCache {
     /// returning one `PAGE_SIZE` buffer per page (a tail page shorter than
     /// that is zero-padded). Runs of adjacent pages merge into
     /// one request, at most a readahead window long, and all requests go
-    /// out before the first wait — through the blocking queue path, parked
-    /// on the lane when it is full, not a sleep-poll that a saturated lane
-    /// starves.
+    /// out before the first wait; a full lane is waited out by advancing
+    /// the device, and the wait for the pages by reaping them
+    /// (`SimSsd::advance` serves them on this thread when no one else
+    /// has).
     ///
     /// A completion becomes page bytes only through the checksum gate
     /// ([`crate::Completion::verified`]); a failed or corrupt one is re-read by
@@ -592,30 +594,18 @@ impl PageCache {
             }
         };
         let mut landed = vec![false; runs.len()];
-        let started = Instant::now();
-        let done = {
+        let mut replies = {
             let _parked = fault_wait();
             self.ssd.submit_reads(file, &requests, prio)
         };
-        loop {
-            let completion = match done.try_recv() {
-                Some(c) => Ok(c),
-                None => {
-                    let _parked = fault_wait();
-                    done.recv()
-                }
-            };
-            // Disconnected: every request has been answered.
-            let Ok(c) = completion else { break };
+        // `None` once every request has been answered.
+        while let Some(c) = replies.reap(&self.ssd, None, Some(WaitKind::PageFault)) {
             let run = c.user_data as usize;
             if let Ok(bytes) = c.verified(&self.ssd, file, requests[run].0) {
                 land(run, bytes);
                 landed[run] = true;
             }
         }
-        self.ssd
-            .stats()
-            .add_io_wait(started.elapsed().as_nanos() as u64);
         for (run, _) in landed.iter().enumerate().filter(|(_, ok)| !**ok) {
             catalog::PAGE_CACHE_RETRIES.inc();
             let (offset, len) = requests[run];

@@ -8,36 +8,34 @@
 //! * [`IoRing::prepare_read`] / [`IoRing::prepare_write`] append SQEs to a
 //!   software submission queue (capacity `sq_capacity`);
 //! * [`IoRing::submit`] pushes as many SQEs as the device queue will accept
-//!   without blocking — the whole SQ under one device-queue lock, as one
-//!   `io_uring_enter` submits a batch;
-//! * [`IoRing::peek_completion`] / [`IoRing::wait_completion`] reap CQEs,
-//!   the latter parking the thread in I/O-wait. Both pop a local CQ that
-//!   one lock of the completion channel refills with everything that has
-//!   arrived, so a burst of completions is reaped in one crossing.
+//!   without blocking, the whole SQ under one device lock, as one
+//!   `io_uring_enter` submits a batch; it wakes nobody;
+//! * [`IoRing::peek_completion`] / [`IoRing::wait_completion`] reap CQEs.
+//!   The device has no thread: like an io_uring whose reaper does the
+//!   kernel's work, a reap that finds nothing of its own due advances the
+//!   device (`SimSsd::advance`), which serves pending requests, this
+//!   ring's and others', inline. A wait then parks in I/O-wait until its
+//!   earliest completion is due, its first pending request would start,
+//!   or another thread posts one of its completions.
 //!
 //! One ring belongs to one thread (like an io_uring instance); the extractor
 //! in `gnndrive-core` owns one per mini-batch extraction.
 
 use crate::error::IoError;
-use crate::ssd::{Completion, FileHandle, IoOp, IoPriority, Request, SimSsd};
-use gnndrive_sync::queue::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::ssd::{Completion, FileHandle, IoOp, IoPriority, Replies, Request, SimSsd};
 use gnndrive_telemetry as telemetry;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A single-threaded submission/completion ring over a [`SimSsd`].
 pub struct IoRing {
     device: Arc<SimSsd>,
     sq: VecDeque<Request>,
-    cq_tx: Sender<Completion>,
-    cq_rx: Receiver<Completion>,
-    /// Completions taken off `cq_rx` and not yet reaped.
-    cq: VecDeque<Completion>,
+    /// The completion side: requests handed to the device and not yet
+    /// reaped.
+    cq: Replies,
     sq_capacity: usize,
-    /// Requests handed to the device and not yet reaped (including those
-    /// waiting in `cq`).
-    inflight: usize,
     /// Whether prepared requests must obey direct-I/O sector alignment.
     direct: bool,
     /// QoS lane every request prepared on this ring is stamped with.
@@ -65,15 +63,11 @@ impl IoRing {
         direct: bool,
         prio: IoPriority,
     ) -> Self {
-        let (cq_tx, cq_rx) = unbounded();
         IoRing {
             device,
             sq: VecDeque::with_capacity(sq_capacity),
-            cq_tx,
-            cq_rx,
-            cq: VecDeque::new(),
+            cq: Replies::default(),
             sq_capacity,
-            inflight: 0,
             direct,
             prio,
         }
@@ -81,11 +75,11 @@ impl IoRing {
 
     /// Requests currently submitted to the device but not yet reaped.
     pub fn inflight(&self) -> usize {
-        self.inflight
+        self.cq.outstanding
     }
 
     /// Queue a read of `len` bytes at `offset`. The buffer is allocated by
-    /// the device when it services the read and handed back through the
+    /// the thread that serves the read and handed back through the
     /// completion.
     pub fn prepare_read(
         &mut self,
@@ -130,7 +124,8 @@ impl IoRing {
             buf,
             len,
             user_data,
-            reply: self.cq_tx.clone(),
+            reply: self.cq.sender(),
+            // Restamped when the device accepts it.
             submitted: Instant::now(),
             prio: self.prio,
         });
@@ -147,35 +142,30 @@ impl IoRing {
             return 0;
         }
         // A closed device answered each request it consumed with a
-        // DeviceClosed completion on our cq channel; counting them in
-        // flight keeps reaping balanced.
+        // DeviceClosed completion on our channel; counting them in flight
+        // keeps reaping balanced.
         let n = self.device.try_submit_many(self.prio, &mut self.sq);
-        self.inflight += n;
+        self.cq.outstanding += n;
         n
     }
 
-    /// Reap one completion if available, without blocking.
+    /// Reap one completion if one is due, without blocking.
     pub fn peek_completion(&mut self) -> Option<Completion> {
-        if self.cq.is_empty() && self.inflight > 0 {
-            self.cq_rx.drain_into(&mut self.cq);
-        }
-        let c = self.cq.pop_front()?;
-        self.inflight -= 1;
-        Some(c)
+        self.cq.try_reap(&self.device)
     }
 
-    /// Block (in I/O wait) until a completion arrives.
+    /// Block (in I/O wait) until a completion is due.
     ///
     /// Returns `Ok(None)` if nothing is in flight or queued — calling blind
     /// would deadlock, so that case is made loud instead — and
-    /// `Err(IoError::DeviceClosed)` if the device shuts down while we wait,
-    /// instead of parking forever on a completion that can never arrive.
+    /// `Err(IoError::DeviceClosed)` if the device is shut down with nothing
+    /// of ours in flight.
     pub fn wait_completion(&mut self) -> Result<Option<Completion>, IoError> {
         self.wait_completion_deadline(None)
     }
 
     /// [`IoRing::wait_completion`] with an absolute deadline: returns
-    /// `Err(IoError::Timeout)` if no completion arrives by `deadline`
+    /// `Err(IoError::Timeout)` if no completion is due by `deadline`
     /// (the in-flight request itself stays outstanding and will be reaped
     /// by a later call). Used by retry policies to bound per-op waits.
     pub fn wait_completion_deadline(
@@ -184,8 +174,10 @@ impl IoRing {
     ) -> Result<Option<Completion>, IoError> {
         // Ensure something of ours is actually in flight before blocking:
         // the device queue is shared, so a submit may accept nothing while
-        // other rings hog it — retry until one of our SQEs is in.
-        while self.inflight == 0 {
+        // other rings fill it. Advancing the device makes room; when it
+        // frees none, wait for the next hand-off.
+        let mut wake = None;
+        while self.inflight() == 0 {
             if self.sq.is_empty() {
                 return Ok(None);
             }
@@ -196,55 +188,15 @@ impl IoRing {
                 return Err(IoError::Timeout);
             }
             if self.submit() == 0 {
-                let _io = telemetry::state(telemetry::State::IoWait);
                 let _wait = telemetry::wait_timer(telemetry::WaitKind::RingWait);
-                std::thread::sleep(Duration::from_micros(100));
+                wake = self.device.wait_for_room(wake, deadline);
             }
         }
-        if let Some(c) = self.cq.pop_front() {
-            self.inflight -= 1;
-            self.submit();
-            return Ok(Some(c));
-        }
-        let started = Instant::now();
-        let completion = {
-            let _io = telemetry::state(telemetry::State::IoWait);
-            // Attribution: ring-completion wait is the async path's 𝔒2
-            // signal; the guard also covers the error returns below.
-            let _wait = telemetry::wait_timer(telemetry::WaitKind::RingWait);
-            // Tick so device shutdown (or the deadline) interrupts the wait
-            // even when the completion will never be sent.
-            loop {
-                let tick = Duration::from_millis(10);
-                let wait = match deadline {
-                    Some(d) => d
-                        .saturating_duration_since(Instant::now())
-                        .min(tick)
-                        .max(Duration::from_micros(10)),
-                    None => tick,
-                };
-                match self.cq_rx.recv_timeout(wait) {
-                    Ok(c) => break c,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.device.is_closed() {
-                            return Err(IoError::DeviceClosed);
-                        }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            return Err(IoError::Timeout);
-                        }
-                    }
-                    // Unreachable in practice (the ring holds its own
-                    // cq_tx), but map it rather than panic.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(IoError::DeviceClosed);
-                    }
-                }
-            }
-        };
-        self.device
-            .stats()
-            .add_io_wait(started.elapsed().as_nanos() as u64);
-        self.inflight -= 1;
+        // Attribution: a parked ring wait is the async path's 𝔒2 signal.
+        let completion = self
+            .cq
+            .reap(&self.device, deadline, Some(telemetry::WaitKind::RingWait))
+            .ok_or(IoError::Timeout)?;
         // Backfill the device queue from the software SQ.
         self.submit();
         Ok(Some(completion))
@@ -327,7 +279,7 @@ mod tests {
         ring.submit();
         ssd.shutdown();
         // Every outstanding request resolves — either with its data (if a
-        // worker serviced it before the close) or with DeviceClosed — and
+        // channel took it before the close) or with DeviceClosed — and
         // the ring never parks forever.
         let mut resolved = 0;
         loop {
@@ -454,6 +406,34 @@ mod tests {
         assert_eq!(answers, [1; 16], "every SQE is answered exactly once");
         assert_eq!(ring.inflight(), 0);
         assert!(ring.wait_completion().unwrap().is_none());
+    }
+
+    /// A ring whose submit finds the device queue full of another ring's
+    /// requests waits by advancing the device, not until its deadline.
+    #[test]
+    fn a_full_device_queue_is_waited_out_by_advancing() {
+        let profile = SsdProfile {
+            queue_depth: 1,
+            channels: 1,
+            read_latency: Duration::from_millis(1),
+            ..SsdProfile::instant()
+        };
+        let ssd = SimSsd::new(profile);
+        let f = ssd.create_file(4096);
+        let mut first = IoRing::new(Arc::clone(&ssd), 4, true);
+        let mut second = IoRing::new(Arc::clone(&ssd), 4, true);
+        first.prepare_read(f, 0, 512, 0).unwrap();
+        assert_eq!(first.submit(), 1);
+        second.prepare_read(f, 512, 512, 1).unwrap();
+        assert_eq!(second.submit(), 0, "the device queue is full");
+        let t0 = Instant::now();
+        let c = second
+            .wait_completion_deadline(Some(t0 + Duration::from_secs(5)))
+            .unwrap()
+            .expect("completion");
+        assert_eq!(c.user_data, 1);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert_eq!(first.peek_completion().map(|c| c.user_data), Some(0));
     }
 
     #[test]

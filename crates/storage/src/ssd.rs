@@ -1,37 +1,42 @@
 //! The simulated solid-state drive.
 //!
 //! This is the substitute for the paper testbed's SATA SSD (see DESIGN.md
-//! §1). The device holds a real in-heap disk image and services requests
-//! with `channels` worker threads. Timing follows a service model:
+//! §1). The device holds a real in-heap disk image, and timing follows a
+//! service model:
 //!
 //! * every request pays a per-operation **base latency** (flash read/program
 //!   time + controller overhead),
 //! * all requests share an aggregate **bandwidth** budget enforced by a
 //!   global reservation cursor (the SATA link),
-//! * at most `queue_depth` requests may be queued at the device (NCQ), and
+//! * at most `queue_depth` requests may be queued per lane (NCQ), and
 //!   at most `channels` are in service concurrently (internal parallelism).
 //!
-//! Device workers track a per-channel virtual completion deadline and sleep
-//! whenever they run more than `sleep_granularity` ahead of wall time, so
-//! aggregate throughput and caller blocking times follow the model while
-//! individual sleep syscall overhead stays amortized. Data movement is real:
-//! reads copy bytes out of the image into the request buffer.
+//! The device is a discrete-event model with no thread of its own: as in
+//! io_uring, whoever reaps does the work. A submit queues the request with
+//! its submit instant and wakes nobody. A thread that reaps or waits calls
+//! `SimSsd::advance`, which hands pending requests to channels in
+//! modeled-time order (each channel keeps the instant it is next free),
+//! then, outside the device lock, copies the bytes and posts each
+//! completion with its deadline. A completion is taken once its deadline
+//! has passed, or is within `sleep_granularity` of now while requests are
+//! pending; until then its reaper parks. Modeled times therefore do not
+//! depend on when a thread is scheduled. Data movement is real: reads copy
+//! bytes out of the image.
 
 use crate::error::IoError;
 use crate::fault::{FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
 use crate::integrity::{crc32, IntegrityError, SectorChecksums};
 use crate::stats::IoStats;
 use crate::wcache::{DirtySector, PowerCutReport, WriteCache};
-use gnndrive_sync::queue::{bounded, unbounded, LaneQueue, Receiver, Sender, TrySendError};
+use gnndrive_sync::queue::{unbounded, Receiver, Sender};
 use gnndrive_sync::rng::mix_unit;
 use gnndrive_sync::{LockRank, OrderedMutex, OrderedRwLock};
 use gnndrive_telemetry as telemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::catalog;
+use telemetry::{catalog, WaitKind};
 
 /// Legacy disk sector size; direct I/O must be aligned to this (paper §4.4).
 pub const SECTOR_SIZE: u64 = 512;
@@ -50,7 +55,9 @@ pub struct SsdProfile {
     pub channels: usize,
     /// Capacity of the device submission queue; submitting beyond it stalls.
     pub queue_depth: usize,
-    /// Workers may run at most this far ahead of wall time before sleeping.
+    /// While requests are pending, a completion is reaped once its
+    /// deadline is at most this far ahead of wall time (an idle device's
+    /// lone request pays its full latency).
     pub sleep_granularity: Duration,
 }
 
@@ -153,11 +160,12 @@ pub enum IoOp {
 
 /// QoS lane of a submitted request (DESIGN.md §11).
 ///
-/// The device keeps one submission queue per lane and its channel workers
-/// always drain the [`IoPriority::Serve`] queue first, so latency-critical
-/// online-inference reads jump ahead of bulk training reads that are
-/// already queued (but never preempt a request in service). Everything
-/// that predates the serving tier submits [`IoPriority::Bulk`].
+/// The device keeps one pending queue per lane, and a channel that frees
+/// takes a [`IoPriority::Serve`] request submitted by then ahead of every
+/// queued bulk one, so latency-critical online-inference reads jump ahead
+/// of bulk training reads that are already queued (but never preempt a
+/// request in service). Everything that predates the serving tier submits
+/// [`IoPriority::Bulk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoPriority {
     /// Latency-critical serving reads; drained ahead of the bulk lane.
@@ -186,6 +194,9 @@ pub struct Completion {
     /// Dispatch→complete share: what the device model charged (base
     /// latency, bandwidth reservation, injected fault latency).
     pub service_ns: u64,
+    /// The modeled completion deadline: the completion is not reaped
+    /// before it is within the device's sleep granularity of now.
+    pub(crate) ready_at: Instant,
 }
 
 impl Completion {
@@ -206,16 +217,14 @@ pub(crate) struct Request {
     pub offset: u64,
     pub op: IoOp,
     /// The payload of a write; empty for a read, whose `len`-byte buffer
-    /// the servicing channel allocates — one allocation per read, and in
-    /// the channel workers' allocator arenas: filling a submitter-allocated
-    /// buffer in place measured ≈10 % more peak RSS under a tight budget,
-    /// long-lived cache pages ending up among each submitter's short-lived
-    /// allocations.
+    /// the thread that serves it allocates: one allocation per read.
     pub buf: Vec<u8>,
     /// Transfer size in bytes.
     pub len: usize,
     pub user_data: u64,
     pub reply: Sender<Completion>,
+    /// When the device accepted the request. `try_submit_many` stamps it,
+    /// so time spent in a ring's software queue is not device queueing.
     pub submitted: Instant,
     pub prio: IoPriority,
 }
@@ -266,12 +275,242 @@ pub struct ScrubChunk {
     pub total_sectors: u64,
 }
 
-struct Shared {
+/// The device's scheduling state: everything a hand-off decides, under one
+/// lock.
+struct Device {
+    /// Accepted requests no channel has taken yet, `[serve, bulk]`, each in
+    /// submission order and at most `queue_depth` long.
+    pending: [VecDeque<Request>; 2],
+    /// Per channel, the instant it is next free: the deadline of the last
+    /// request it took.
+    free_at: Vec<Instant>,
+    /// The instant the link is next free. A transfer of `b` bytes starting
+    /// at `start` moves it to `max(cursor, start) + b / bandwidth`.
+    bw_cursor: Instant,
+    /// Active fault-injection schedule, consulted per request as a channel
+    /// takes it.
+    fault: Option<FaultInjector>,
+}
+
+/// A request a channel has taken: its fault verdict, start and deadline.
+type Served = (Request, FaultVerdict, Instant, Instant);
+
+/// Index of `prio`'s lane in [`Device::pending`].
+fn lane(prio: IoPriority) -> usize {
+    usize::from(prio == IoPriority::Bulk)
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// The next hand-off in modeled time. The channel that frees first, at
+/// `f`, takes at `t = max(f, oldest pending submit)` the oldest serve
+/// request submitted by `t`, or else the oldest bulk one, and starts it at
+/// `t`. Lane `l`'s first `skip[l]` requests count as taken. Returns
+/// `(channel, lane, t)`; `None` when both lanes are empty.
+fn pick(
+    free_at: &[Instant],
+    pending: &[VecDeque<Request>; 2],
+    skip: [usize; 2],
+) -> Option<(usize, usize, Instant)> {
+    let fronts = [pending[0].get(skip[0]), pending[1].get(skip[1])];
+    let oldest = fronts.iter().flatten().map(|r| r.submitted).min()?;
+    let (channel, f) = free_at
+        .iter()
+        .copied()
+        .enumerate()
+        .min_by_key(|&(_, f)| f)?;
+    let t = f.max(oldest);
+    let lane = usize::from(fronts[0].is_none_or(|r| r.submitted > t));
+    Some((channel, lane, t))
+}
+
+/// The deadline of `req` started at `start`: its base latency or its
+/// reservation on the link (which moves `link`), whichever ends later, plus
+/// `extra` injected latency.
+fn deadline(
+    profile: &SsdProfile,
+    req: &Request,
+    start: Instant,
+    link: &mut Instant,
+    extra: Duration,
+) -> Instant {
+    let base = match req.op {
+        IoOp::Read => profile.read_latency,
+        IoOp::Write => profile.write_latency,
+    };
+    let transfer = req.len as u128 * 1_000_000_000 / profile.bandwidth as u128;
+    *link = (*link).max(start) + Duration::from_nanos(transfer as u64);
+    (start + base).max(*link) + extra
+}
+
+impl Device {
+    /// Hand channels every pending request that starts by `now`, in
+    /// modeled-time order.
+    fn serve_until(&mut self, profile: &SsdProfile, now: Instant, served: &mut Vec<Served>) {
+        while let Some((channel, lane, start)) = pick(&self.free_at, &self.pending, [0, 0]) {
+            if start > now {
+                return;
+            }
+            let Some(req) = self.pending[lane].pop_front() else {
+                return;
+            };
+            // Fault injection happens at service time: the verdict may
+            // inflate the request's latency (spikes, stalls) and/or doom
+            // its outcome.
+            let verdict = self
+                .fault
+                .as_ref()
+                .map(|inj| inj.assess(req.file, req.offset, req.len, req.op))
+                .unwrap_or_default();
+            let deadline = deadline(
+                profile,
+                &req,
+                start,
+                &mut self.bw_cursor,
+                verdict.extra_latency,
+            );
+            self.free_at[channel] = deadline;
+            served.push((req, verdict, start, deadline));
+        }
+    }
+
+    /// When the first pending request that `mine` accepts would start, were
+    /// nothing more submitted and no latency injected. A lower bound: a
+    /// later serve request or an injected delay only pushes it back.
+    fn projected_start(
+        &self,
+        profile: &SsdProfile,
+        mine: impl Fn(&Request) -> bool,
+    ) -> Option<Instant> {
+        if self.pending.iter().all(VecDeque::is_empty) {
+            return None;
+        }
+        let mut free_at = self.free_at.clone();
+        let mut link = self.bw_cursor;
+        let mut taken = [0; 2];
+        loop {
+            let (channel, lane, start) = pick(&free_at, &self.pending, taken)?;
+            let req = &self.pending[lane][taken[lane]];
+            if mine(req) {
+                return Some(start);
+            }
+            free_at[channel] = deadline(profile, req, start, &mut link, Duration::ZERO);
+            taken[lane] += 1;
+        }
+    }
+}
+
+/// One submitter's completions: the reply channel its requests carry, and
+/// what has been taken off it, due or not.
+pub(crate) struct Replies {
+    tx: Sender<Completion>,
+    rx: Receiver<Completion>,
+    got: VecDeque<Completion>,
+    /// Requests submitted with `tx` and not yet reaped, `got` included.
+    pub(crate) outstanding: usize,
+}
+
+impl Default for Replies {
+    fn default() -> Self {
+        let (tx, rx) = unbounded();
+        Replies {
+            tx,
+            rx,
+            got: VecDeque::new(),
+            outstanding: 0,
+        }
+    }
+}
+
+impl Replies {
+    /// The channel a request must reply on to be reaped here.
+    pub(crate) fn sender(&self) -> Sender<Completion> {
+        self.tx.clone()
+    }
+
+    /// Where in `got` a completion due at `now` is: one whose deadline has
+    /// passed or, while the device has requests pending, is within its
+    /// sleep granularity of now (a lone request pays its full latency).
+    fn due(&self, ssd: &SimSsd, now: Instant) -> Option<usize> {
+        let due_by = now + ssd.slack();
+        self.got.iter().position(|c| c.ready_at <= due_by)
+    }
+
+    /// A completion due at `now`, or else when one of ours can next be
+    /// due: our earliest deadline, or when our first pending request would
+    /// start. The device is advanced only while nothing of ours is due and
+    /// some is unanswered, so a reaper with completions in hand takes no
+    /// device lock.
+    fn poll(&mut self, ssd: &SimSsd, now: Instant) -> Result<Completion, Option<Instant>> {
+        let mut next = None;
+        if self.due(ssd, now).is_none() && self.got.len() < self.outstanding {
+            self.rx.drain_into(&mut self.got);
+            if self.due(ssd, now).is_none() && self.got.len() < self.outstanding {
+                next = ssd.advance(now, Some(&self.tx));
+                self.rx.drain_into(&mut self.got);
+            }
+        }
+        match self.due(ssd, now).and_then(|i| self.got.remove(i)) {
+            Some(c) => {
+                self.outstanding -= 1;
+                Ok(c)
+            }
+            None => Err(self.got.iter().map(|c| c.ready_at).chain(next).min()),
+        }
+    }
+
+    /// Reap a due completion without blocking.
+    pub(crate) fn try_reap(&mut self, ssd: &SimSsd) -> Option<Completion> {
+        (self.outstanding > 0).then(|| self.poll(ssd, Instant::now()).ok())?
+    }
+
+    /// Reap a completion, parking on the reply channel until one is due or
+    /// another thread posts one. `None` once nothing is outstanding, or at
+    /// `deadline`. Parked time is I/O wait, attributed to `wait` if given.
+    pub(crate) fn reap(
+        &mut self,
+        ssd: &SimSsd,
+        deadline: Option<Instant>,
+        wait: Option<WaitKind>,
+    ) -> Option<Completion> {
+        let mut parked = None;
+        while self.outstanding > 0 {
+            let now = Instant::now();
+            let wake = match self.poll(ssd, now) {
+                Ok(c) => return Some(c),
+                Err(wake) => wake,
+            };
+            if deadline.is_some_and(|d| now >= d) {
+                return None;
+            }
+            parked.get_or_insert_with(|| {
+                (
+                    telemetry::state(telemetry::State::IoWait),
+                    wait.map(telemetry::wait_timer),
+                )
+            });
+            let parked_at = Instant::now();
+            let posted = match wake.into_iter().chain(deadline).min() {
+                Some(at) => self
+                    .rx
+                    .recv_timeout(at.saturating_duration_since(parked_at))
+                    .ok(),
+                None => self.rx.recv().ok(),
+            };
+            self.got.extend(posted);
+            ssd.stats.add_io_wait(nanos(parked_at.elapsed()));
+        }
+        None
+    }
+}
+
+/// The simulated SSD. See module docs for the timing model.
+pub struct SimSsd {
     profile: SsdProfile,
-    /// Submission queue, one lane per [`IoPriority`], each at the device's
-    /// NCQ depth. Workers pop the serve lane first; shutdown closes it, so
-    /// they drain what is queued and exit.
-    queue: LaneQueue<Request>,
+    /// The pending lanes, channel clocks, link cursor and fault schedule.
+    device: OrderedMutex<Device>,
     image: OrderedRwLock<DiskImage>,
     files: OrderedMutex<Vec<FileMeta>>,
     /// Intent ledger + quarantine set; always acquired *after* `image`
@@ -281,30 +520,11 @@ struct Shared {
     /// `integrity` (same conventional ordering).
     wcache: OrderedMutex<WriteCache>,
     stats: IoStats,
-    /// Global bandwidth reservation cursor: the instant the device link is
-    /// next free. Reserving `b` bytes advances it by `b / bandwidth`.
-    bw_cursor: OrderedMutex<Instant>,
-    /// Active fault-injection schedule, consulted by workers per request.
-    fault: OrderedRwLock<Option<FaultInjector>>,
-    /// Set once [`SimSsd::shutdown`] begins; workers stop servicing and
-    /// reply [`IoError::DeviceClosed`] to anything still queued.
+    /// Set once [`SimSsd::shutdown`] begins; submissions are answered
+    /// [`IoError::DeviceClosed`] from then on.
     closed: AtomicBool,
-}
-
-/// The simulated SSD. See module docs for the timing model.
-pub struct SimSsd {
-    shared: Arc<Shared>,
-    workers: OrderedMutex<Vec<JoinHandle<()>>>,
-}
-
-/// Outcome of a non-blocking submission attempt.
-pub(crate) enum SubmitOutcome {
-    Accepted,
-    /// Device queue full: the request is handed back for requeueing.
-    Full(Request),
-    /// Device shut down: the request was consumed and its reply channel
-    /// got a [`IoError::DeviceClosed`] completion.
-    Closed,
+    /// Whether requests are pending; written under the device lock.
+    busy: AtomicBool,
 }
 
 impl SimSsd {
@@ -325,9 +545,18 @@ impl SimSsd {
         ] {
             c.register();
         }
-        let shared = Arc::new(Shared {
-            profile: profile.clone(),
-            queue: LaneQueue::new(profile.queue_depth),
+        let now = Instant::now();
+        Arc::new(SimSsd {
+            device: OrderedMutex::new(
+                LockRank::Storage,
+                Device {
+                    pending: Default::default(),
+                    free_at: vec![now; profile.channels.max(1)],
+                    bw_cursor: now,
+                    fault: None,
+                },
+            ),
+            profile,
             image: OrderedRwLock::new(
                 LockRank::Storage,
                 DiskImage {
@@ -339,70 +568,117 @@ impl SimSsd {
             integrity: OrderedMutex::new(LockRank::Storage, IntegrityState::default()),
             wcache: OrderedMutex::new(LockRank::Storage, WriteCache::new()),
             stats: IoStats::default(),
-            bw_cursor: OrderedMutex::new(LockRank::Storage, Instant::now()),
-            fault: OrderedRwLock::new(LockRank::Storage, None),
             closed: AtomicBool::new(false),
-        });
-        let mut workers = Vec::with_capacity(profile.channels);
-        for i in 0..profile.channels {
-            let sh = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("simssd-{}-{}", profile.name, i))
-                    .spawn(move || channel_worker(sh))
-                    .expect("spawn ssd worker"),
-            );
-        }
-        Arc::new(SimSsd {
-            shared,
-            workers: OrderedMutex::new(LockRank::Storage, workers),
+            busy: AtomicBool::new(false),
         })
     }
 
     pub fn profile(&self) -> &SsdProfile {
-        &self.shared.profile
+        &self.profile
     }
 
     pub fn stats(&self) -> &IoStats {
-        &self.shared.stats
+        &self.stats
     }
 
     /// Install a fault-injection schedule; replaces any active plan and
     /// resets its operation counters.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.shared.fault.write() = if plan.is_active() {
-            Some(FaultInjector::new(plan))
-        } else {
-            None
-        };
+        let fault = plan.is_active().then(|| FaultInjector::new(plan));
+        self.device.lock().fault = fault;
     }
 
     /// Remove any active fault plan (the device becomes healthy again).
     pub fn clear_faults(&self) {
-        *self.shared.fault.write() = None;
+        self.device.lock().fault = None;
     }
 
     /// Whether the device has been shut down (or is shutting down).
     pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+        self.closed.load(Ordering::Acquire)
     }
 
-    /// Shut the device down: in-flight and queued requests complete with
-    /// [`IoError::DeviceClosed`], workers exit, and all later submissions
-    /// fail fast. Idempotent; `Drop` calls it too.
+    /// Shut the device down: pending requests complete with
+    /// [`IoError::DeviceClosed`], and so do all later submissions. A
+    /// request a channel already took keeps its completion. Idempotent;
+    /// `Drop` calls it too.
     pub fn shutdown(&self) {
-        self.shared.closed.store(true, Ordering::Release);
-        // Closing the queue lets workers drain it and exit.
-        self.shared.queue.close();
-        // Take the handles out and release the lock before joining:
-        // joining with the `workers` guard held would deadlock anyone
-        // touching the worker list while a worker winds down.
-        let mut workers = self.workers.lock();
-        let handles = std::mem::take(&mut *workers);
-        drop(workers);
-        for h in handles {
-            let _ = h.join();
+        // Stored before the lock, so a submit that takes the lock after
+        // this drain sees the flag.
+        self.closed.store(true, Ordering::Release);
+        let pending = {
+            let mut dev = self.device.lock();
+            self.busy.store(false, Ordering::Release);
+            std::mem::take(&mut dev.pending)
+        };
+        pending.into_iter().flatten().for_each(Self::refuse);
+    }
+
+    /// How far ahead of now a completion may be reaped: the sleep
+    /// granularity while requests are pending, so a busy reaper does not
+    /// park for less than that, and nothing when the device is idle, so a
+    /// lone request pays its full latency.
+    fn slack(&self) -> Duration {
+        if self.busy.load(Ordering::Acquire) {
+            self.profile.sleep_granularity
+        } else {
+            Duration::ZERO
         }
+    }
+
+    /// Serve, in modeled-time order, every pending request a channel can
+    /// start by `now`: pick each one's channel and deadline under the
+    /// device lock, then, outside it, copy its bytes, count it and post its
+    /// completion. Returns when the first pending request replying on
+    /// `mine` (anyone's, with `None`) would start, if one is left.
+    pub(crate) fn advance(
+        &self,
+        now: Instant,
+        mine: Option<&Sender<Completion>>,
+    ) -> Option<Instant> {
+        let mut served = Vec::new();
+        let next = {
+            let mut dev = self.device.lock();
+            dev.serve_until(&self.profile, now, &mut served);
+            let busy = dev.pending.iter().any(|lane| !lane.is_empty());
+            self.busy.store(busy, Ordering::Release);
+            dev.projected_start(&self.profile, |r| {
+                mine.is_none_or(|m| m.same_channel(&r.reply))
+            })
+        };
+        for s in served {
+            self.finish(s);
+        }
+        next
+    }
+
+    /// Serve a request a channel took: move its bytes (unless the injector
+    /// doomed it; media errors still pay their modeled latency), count it
+    /// and post its completion, due at its deadline.
+    fn finish(&self, (req, verdict, start, deadline): Served) {
+        // Service = what the device model charges this request; queueing =
+        // how long it sat pending before a channel took it, in modeled
+        // time. Completion.latency below is their sum.
+        let queue_ns = nanos(start.saturating_duration_since(req.submitted));
+        let service_ns = nanos(deadline.saturating_duration_since(start));
+        self.stats.record_op(service_ns, queue_ns);
+        self.stats.record_lane(req.prio, queue_ns);
+        let result = match verdict.fail {
+            Some(e) => Err(e),
+            None => do_copy(self, &req, &verdict),
+        };
+        match req.op {
+            IoOp::Read => self.stats.add_read(req.len as u64),
+            IoOp::Write => self.stats.add_write(req.len as u64),
+        }
+        let _ = req.reply.send(Completion {
+            user_data: req.user_data,
+            result,
+            latency: deadline.saturating_duration_since(req.submitted),
+            queue_ns,
+            service_ns,
+            ready_at: deadline,
+        });
     }
 
     /// Allocate a zero-filled file of `len` bytes on the device. The base
@@ -410,8 +686,8 @@ impl SimSsd {
     /// file-relative sector offsets map to whole image sectors and every
     /// CRC table entry covers a full sector.
     pub fn create_file(&self, len: u64) -> FileHandle {
-        let mut files = self.shared.files.lock();
-        let mut image = self.shared.image.write();
+        let mut files = self.files.lock();
+        let mut image = self.image.write();
         let base = (image.bytes.len() as u64).next_multiple_of(SECTOR_SIZE);
         let alloc = len.next_multiple_of(SECTOR_SIZE);
         image.bytes.resize((base + alloc) as usize, 0);
@@ -430,7 +706,7 @@ impl SimSsd {
             return Ok(());
         }
         let base = self.locate(file.id, offset, data.len() as u64)? as usize;
-        let mut image = self.shared.image.write();
+        let mut image = self.image.write();
         let end = base + data.len();
         image.bytes[base..end].copy_from_slice(data);
         let img = &mut *image;
@@ -439,21 +715,21 @@ impl SimSsd {
         let sec = SECTOR_SIZE as usize;
         let lo = (base / sec) as u64;
         let hi = ((end - 1) / sec) as u64 + 1;
-        let mut st = self.shared.integrity.lock();
+        let mut st = self.integrity.lock();
         for s in lo..hi {
             st.quarantined.remove(&s);
             st.intents.remove(&s);
         }
         // Imports bypass the write cache entirely (dataset installation is
         // durable by definition), superseding any unflushed state.
-        self.shared.wcache.lock().write_through(lo, hi);
+        self.wcache.lock().write_through(lo, hi);
         Ok(())
     }
 
     /// Instantly read without the timing model (verification/debug only).
     pub fn peek(&self, file: FileHandle, offset: u64, out: &mut [u8]) -> Result<(), IoError> {
         let base = self.locate(file.id, offset, out.len() as u64)?;
-        let image = self.shared.image.read();
+        let image = self.image.read();
         out.copy_from_slice(&image.bytes[base as usize..base as usize + out.len()]);
         Ok(())
     }
@@ -490,8 +766,8 @@ impl SimSsd {
         if first >= last {
             return Ok(());
         }
-        let image = self.shared.image.read();
-        let mut st = self.shared.integrity.lock();
+        let image = self.image.read();
+        let mut st = self.integrity.lock();
         for s in first..last {
             let lo = (s * sec - start) as usize;
             let slice = &data[lo..lo + sec as usize];
@@ -523,8 +799,9 @@ impl SimSsd {
     /// One scrubber pass over up to `max_sectors` sectors starting at
     /// `start_sector`. Sectors whose media bytes disagree with the CRC
     /// table are restored from the intent ledger when possible; mismatches
-    /// with no ledger entry are unrecoverable and stay fenced. Driven by
-    /// [`crate::Scrubber`], but callable directly for tests and tools.
+    /// with no ledger entry are unrecoverable and stay fenced. Each pass
+    /// counts in `storage.scrub.*`; a caller walks the image by starting the
+    /// next pass at [`ScrubChunk::next_sector`].
     pub fn scrub_chunk(&self, start_sector: u64, max_sectors: u64) -> ScrubChunk {
         // Crash-schedule coverage for ledger repair: a cut here models the
         // process dying mid scrub pass. Repair is idempotent and media
@@ -533,7 +810,7 @@ impl SimSsd {
         if telemetry::crash::point("scrub.repair").is_err() {
             return ScrubChunk::default();
         }
-        let mut image = self.shared.image.write();
+        let mut image = self.image.write();
         let total = image.crcs.sectors() as u64;
         let start = start_sector.min(total);
         let end = (start + max_sectors).min(total);
@@ -544,13 +821,14 @@ impl SimSsd {
             next_sector: if end >= total { 0 } else { end },
             total_sectors: total,
         };
-        if start >= end {
-            return report;
+        catalog::STORAGE_SCRUB_SCANNED.add(report.scanned);
+        if report.next_sector == 0 && total > 0 {
+            catalog::STORAGE_SCRUB_PASSES.inc();
         }
         let sec = SECTOR_SIZE as usize;
         let DiskImage { bytes, crcs } = &mut *image;
-        let mut st = self.shared.integrity.lock();
-        let mut wc = self.shared.wcache.lock();
+        let mut st = self.integrity.lock();
+        let mut wc = self.wcache.lock();
         for s in start..end {
             let lo = s as usize * sec;
             if crc32(&bytes[lo..lo + sec]) == crcs.get(s as usize) {
@@ -575,12 +853,14 @@ impl SimSsd {
                 }
             }
         }
+        catalog::STORAGE_SCRUB_REPAIRED.add(report.repaired);
+        catalog::STORAGE_SCRUB_UNRECOVERABLE.add(report.unrecoverable);
         report
     }
 
     /// Number of sectors the image currently spans (scrubber pacing).
     pub fn sector_count(&self) -> u64 {
-        self.shared.image.read().crcs.sectors() as u64
+        self.image.read().crcs.sectors() as u64
     }
 
     /// Flush barrier over one file: every unflushed sector in `file`'s
@@ -590,7 +870,7 @@ impl SimSsd {
     /// depends on, not about latency.
     pub fn flush(&self, file: FileHandle) -> u64 {
         let (lo, hi) = {
-            let files = self.shared.files.lock();
+            let files = self.files.lock();
             let Some(meta) = files.get(file.id as usize) else {
                 return 0;
             };
@@ -598,17 +878,12 @@ impl SimSsd {
             let hi = (meta.base + meta.len.next_multiple_of(SECTOR_SIZE)) / SECTOR_SIZE;
             (lo, hi)
         };
-        self.shared.wcache.lock().flush_range(lo, hi)
-    }
-
-    /// Whole-device flush barrier; returns how many sectors drained.
-    pub fn flush_all(&self) -> u64 {
-        self.shared.wcache.lock().drain_all()
+        self.wcache.lock().flush_range(lo, hi)
     }
 
     /// Unflushed sectors currently at risk from a power cut.
     pub fn dirty_sector_count(&self) -> u64 {
-        self.shared.wcache.lock().dirty_len()
+        self.wcache.lock().dirty_len()
     }
 
     /// Simulate power loss: every unflushed sector independently (and
@@ -622,10 +897,10 @@ impl SimSsd {
     /// itself stays up — restart semantics (what the *host* lost) are the
     /// crash-point registry's job.
     pub fn power_cut(&self, seed: u64) -> PowerCutReport {
-        let mut image = self.shared.image.write();
+        let mut image = self.image.write();
         let DiskImage { bytes, crcs } = &mut *image;
-        let mut st = self.shared.integrity.lock();
-        let mut wc = self.shared.wcache.lock();
+        let mut st = self.integrity.lock();
+        let mut wc = self.wcache.lock();
         let dirty = wc.take_sorted();
         let mut report = PowerCutReport {
             dirty: dirty.len() as u64,
@@ -695,7 +970,7 @@ impl SimSsd {
 
     /// Translate (file, offset, len) to an image offset, validating range.
     fn locate(&self, file: u32, offset: u64, len: u64) -> Result<u64, IoError> {
-        let files = self.shared.files.lock();
+        let files = self.files.lock();
         let meta = files.get(file as usize).ok_or(IoError::NoSuchFile(file))?;
         if offset + len > meta.len {
             return Err(IoError::OutOfRange {
@@ -731,100 +1006,109 @@ impl SimSsd {
             latency: Duration::ZERO,
             queue_ns: 0,
             service_ns: 0,
+            ready_at: Instant::now(),
         });
     }
 
-    /// Submit without blocking; gives the request back if the device queue
-    /// is full (the ring keeps it in its software SQ). A shut-down device
-    /// consumes the request and completes it with `DeviceClosed`.
-    pub(crate) fn try_submit(&self, req: Request) -> SubmitOutcome {
-        match self
-            .shared
-            .queue
-            .try_send(req.prio == IoPriority::Serve, req)
-        {
-            Ok(()) => SubmitOutcome::Accepted,
-            Err(TrySendError::Full(r)) => {
-                self.shared.stats.add_queue_full_stall();
-                SubmitOutcome::Full(r)
-            }
-            Err(TrySendError::Disconnected(r)) => {
-                Self::refuse(r);
-                SubmitOutcome::Closed
-            }
-        }
-    }
-
-    /// Submit the front of `reqs`, in order, on lane `prio` until the
-    /// device queue is full — one lock for the whole batch; the refused
-    /// tail stays in `reqs`. A shut-down device consumes every request and
-    /// completes each with `DeviceClosed`. Returns how many left `reqs`.
+    /// Submit the front of `reqs`, in order, on lane `prio` until the lane
+    /// is full, under one lock, stamping each with the submit instant; the
+    /// refused tail stays in `reqs`. Wakes nobody. A shut-down device
+    /// consumes every request and completes each with `DeviceClosed`.
+    /// Returns how many left `reqs`.
     pub(crate) fn try_submit_many(&self, prio: IoPriority, reqs: &mut VecDeque<Request>) -> usize {
-        match self
-            .shared
-            .queue
-            .try_send_many(prio == IoPriority::Serve, reqs)
-        {
-            Ok(moved) => {
-                if !reqs.is_empty() {
-                    self.shared.stats.add_queue_full_stall();
-                }
-                moved
-            }
-            Err(_) => {
-                let refused = reqs.len();
-                reqs.drain(..).for_each(Self::refuse);
-                refused
-            }
+        let mut dev = self.device.lock();
+        if self.is_closed() {
+            drop(dev);
+            let refused = reqs.len();
+            reqs.drain(..).for_each(Self::refuse);
+            return refused;
         }
+        let queued = &mut dev.pending[lane(prio)];
+        let moved = self
+            .profile
+            .queue_depth
+            .saturating_sub(queued.len())
+            .min(reqs.len());
+        let now = Instant::now();
+        queued.extend(reqs.drain(..moved).map(|req| Request {
+            submitted: now,
+            ..req
+        }));
+        if moved > 0 {
+            self.busy.store(true, Ordering::Release);
+        }
+        drop(dev);
+        if !reqs.is_empty() {
+            self.stats.add_queue_full_stall();
+        }
+        moved
     }
 
-    /// Submit, stalling (in I/O-wait) if the device queue is full.
-    pub(crate) fn submit_blocking(&self, req: Request) -> Result<(), IoError> {
-        let req = match self.try_submit(req) {
-            SubmitOutcome::Accepted => return Ok(()),
-            SubmitOutcome::Closed => return Err(IoError::DeviceClosed),
-            SubmitOutcome::Full(r) => r,
-        };
-        let _io = telemetry::state(telemetry::State::IoWait);
-        match self.shared.queue.send(req.prio == IoPriority::Serve, req) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                Self::refuse(e.0);
-                Err(IoError::DeviceClosed)
-            }
+    /// One round of waiting for room on a full lane, the way a reaper
+    /// waits: sleep (in I/O-wait) until `wake`, the next hand-off an
+    /// earlier round reported, capped at `deadline`; then advance. Returns
+    /// the next hand-off.
+    pub(crate) fn wait_for_room(
+        &self,
+        wake: Option<Instant>,
+        deadline: Option<Instant>,
+    ) -> Option<Instant> {
+        if let Some(at) = wake.map(|w| deadline.map_or(w, |d| w.min(d))) {
+            let _io = telemetry::state(telemetry::State::IoWait);
+            let ahead = at.saturating_duration_since(Instant::now());
+            std::thread::sleep(ahead);
+            self.stats.add_io_wait(nanos(ahead));
         }
+        self.advance(Instant::now(), None)
     }
 
     /// Submit one read of `file` per `(offset, len)` run on lane `prio`, all
-    /// before waiting for any, stalling (in I/O-wait) whenever the lane is
-    /// full. Every run yields exactly one [`Completion`] on the returned
-    /// channel, tagged with its index — a shut-down device answers
-    /// [`IoError::DeviceClosed`], an out-of-range run its range error — and
-    /// the channel disconnects after the last one, so a collector can never
-    /// park on a reply that will not come.
+    /// before waiting for any, waiting for room whenever the lane is full.
+    /// Every run yields exactly one [`Completion`] through the returned
+    /// [`Replies`], tagged with its index: a shut-down device answers
+    /// [`IoError::DeviceClosed`], an out-of-range run its range error.
     pub(crate) fn submit_reads(
         &self,
         file: FileHandle,
         runs: &[(u64, usize)],
         prio: IoPriority,
-    ) -> Receiver<Completion> {
-        let (reply, done) = unbounded();
-        for (i, &(offset, len)) in runs.iter().enumerate() {
-            // A refused request was already answered on `reply`.
-            let _ = self.submit_blocking(Request {
+    ) -> Replies {
+        let ops = runs
+            .iter()
+            .map(|&(offset, len)| (offset, IoOp::Read, Vec::new(), len));
+        self.submit_ops(file, prio, ops)
+    }
+
+    /// [`SimSsd::submit_reads`] for `(offset, op, buf, len)` requests.
+    fn submit_ops(
+        &self,
+        file: FileHandle,
+        prio: IoPriority,
+        ops: impl Iterator<Item = (u64, IoOp, Vec<u8>, usize)>,
+    ) -> Replies {
+        let mut replies = Replies::default();
+        let mut reqs: VecDeque<Request> = (0..)
+            .zip(ops)
+            .map(|(user_data, (offset, op, buf, len))| Request {
                 file: file.id,
                 offset,
-                op: IoOp::Read,
-                buf: Vec::new(),
+                op,
+                buf,
                 len,
-                user_data: i as u64,
-                reply: reply.clone(),
+                user_data,
+                reply: replies.sender(),
                 submitted: Instant::now(),
                 prio,
-            });
+            })
+            .collect();
+        let mut wake = None;
+        loop {
+            replies.outstanding += self.try_submit_many(prio, &mut reqs);
+            if reqs.is_empty() {
+                return replies;
+            }
+            wake = self.wait_for_room(wake, None);
         }
-        done
     }
 
     /// Synchronous read: submit one request and block until it completes.
@@ -855,17 +1139,11 @@ impl SimSsd {
             return Ok(());
         }
         self.validate(file.id, offset, out.len() as u64, direct)?;
-        let started = Instant::now();
-        let done = self.submit_reads(file, &[(offset, out.len())], prio);
-        let completion = {
-            let _io = telemetry::state(telemetry::State::IoWait);
-            done.recv().map_err(|_| IoError::DeviceClosed)?
-        };
-        self.shared
-            .stats
-            .add_io_wait(started.elapsed().as_nanos() as u64);
-        let buf = completion.result?;
-        out.copy_from_slice(&buf);
+        let mut replies = self.submit_reads(file, &[(offset, out.len())], prio);
+        let completion = replies
+            .reap(self, None, None)
+            .ok_or(IoError::DeviceClosed)?;
+        out.copy_from_slice(&completion.result?);
         Ok(())
     }
 
@@ -895,121 +1173,19 @@ impl SimSsd {
             return Ok(());
         }
         self.validate(file.id, offset, data.len() as u64, direct)?;
-        let (reply, done) = bounded(1);
-        let started = Instant::now();
-        self.submit_blocking(Request {
-            file: file.id,
-            offset,
-            op: IoOp::Write,
-            buf: data.to_vec(),
-            len: data.len(),
-            user_data: 0,
-            reply,
-            submitted: started,
-            prio: IoPriority::Bulk,
-        })?;
-        let completion = {
-            let _io = telemetry::state(telemetry::State::IoWait);
-            done.recv().map_err(|_| IoError::DeviceClosed)?
-        };
-        self.shared
-            .stats
-            .add_io_wait(started.elapsed().as_nanos() as u64);
+        let op = (offset, IoOp::Write, data.to_vec(), data.len());
+        let completion = self
+            .submit_ops(file, IoPriority::Bulk, std::iter::once(op))
+            .reap(self, None, None)
+            .ok_or(IoError::DeviceClosed)?;
         completion.result.map(|_| ())
     }
 }
 
 impl Drop for SimSsd {
     fn drop(&mut self) {
-        // Close the queue and join workers so no thread outlives the device.
+        // Answer whatever is still pending.
         self.shutdown();
-    }
-}
-
-/// Reserve `bytes` on the shared link; returns the instant the transfer
-/// would complete under the bandwidth budget.
-fn reserve_bandwidth(shared: &Shared, bytes: u64) -> Instant {
-    let dur = Duration::from_nanos(
-        (bytes as u128 * 1_000_000_000 / shared.profile.bandwidth as u128) as u64,
-    );
-    let mut cur = shared.bw_cursor.lock();
-    let now = Instant::now();
-    let start = (*cur).max(now);
-    *cur = start + dur;
-    *cur
-}
-
-fn channel_worker(shared: Arc<Shared>) {
-    // The channel's virtual clock: the deadline of the last request it
-    // serviced. It may run ahead of wall time by at most sleep_granularity.
-    let mut cursor = Instant::now();
-    // Serve lane first; `Err` once the queue is closed and drained, so
-    // everything queued at shutdown still gets its `DeviceClosed` reply.
-    while let Ok(req) = shared.queue.recv() {
-        if shared.closed.load(Ordering::Acquire) {
-            // Shutdown in progress: fail queued requests fast instead of
-            // servicing them.
-            let _ = req.reply.send(Completion {
-                user_data: req.user_data,
-                result: Err(IoError::DeviceClosed),
-                latency: Duration::ZERO,
-                queue_ns: 0,
-                service_ns: 0,
-            });
-            continue;
-        }
-        let now = Instant::now();
-        let base = match req.op {
-            IoOp::Read => shared.profile.read_latency,
-            IoOp::Write => shared.profile.write_latency,
-        };
-        // Fault injection happens at service time: the verdict may inflate
-        // the request's latency (spikes, stalls) and/or doom its outcome.
-        let verdict = shared
-            .fault
-            .read()
-            .as_ref()
-            .map(|inj| inj.assess(req.file, req.offset, req.len, req.op))
-            .unwrap_or_default();
-        let start = cursor.max(now);
-        let bw_done = reserve_bandwidth(&shared, req.len as u64);
-        let deadline = (start + base).max(bw_done) + verdict.extra_latency;
-        cursor = deadline;
-        // Service = what the device model charges this request; queueing =
-        // how long it sat in the submission queue before a channel picked
-        // it up. Completion.latency below is their sum (plus send skew).
-        let service_ns = deadline.saturating_duration_since(start).as_nanos() as u64;
-        let queue_ns = now.saturating_duration_since(req.submitted).as_nanos() as u64;
-        shared.stats.record_op(service_ns, queue_ns);
-        shared.stats.record_lane(req.prio, queue_ns);
-
-        // Real data movement (unless the injector doomed this request —
-        // media errors still pay their modeled latency below).
-        let result = match verdict.fail {
-            Some(e) => Err(e),
-            None => do_copy(&shared, &req, &verdict),
-        };
-
-        // Sleep off accumulated virtual time beyond the granularity, or
-        // fully when the queue is idle (so a lone synchronous caller sees
-        // its full modeled latency).
-        let ahead = deadline.saturating_duration_since(Instant::now());
-        let idle = shared.queue.is_empty();
-        if ahead > Duration::ZERO && (idle || ahead >= shared.profile.sleep_granularity) {
-            std::thread::sleep(ahead);
-        }
-
-        match req.op {
-            IoOp::Read => shared.stats.add_read(req.len as u64),
-            IoOp::Write => shared.stats.add_write(req.len as u64),
-        }
-        let _ = req.reply.send(Completion {
-            user_data: req.user_data,
-            result,
-            latency: deadline.saturating_duration_since(req.submitted),
-            queue_ns,
-            service_ns,
-        });
     }
 }
 
@@ -1017,10 +1193,10 @@ fn channel_worker(shared: Arc<Shared>) {
 /// the write cache's undo log (no-op for sectors already dirty). Callers
 /// hold the image write lock; integrity then wcache are taken here in the
 /// conventional order.
-fn capture_dirty(shared: &Shared, image: &DiskImage, lo: usize, hi: usize) {
+fn capture_dirty(ssd: &SimSsd, image: &DiskImage, lo: usize, hi: usize) {
     let sec = SECTOR_SIZE as usize;
-    let st = shared.integrity.lock();
-    let mut wc = shared.wcache.lock();
+    let st = ssd.integrity.lock();
+    let mut wc = ssd.wcache.lock();
     for s in lo / sec..=(hi - 1) / sec {
         let slo = s * sec;
         wc.capture(s as u64, || DirtySector {
@@ -1032,9 +1208,9 @@ fn capture_dirty(shared: &Shared, image: &DiskImage, lo: usize, hi: usize) {
     }
 }
 
-fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec<u8>, IoError> {
+fn do_copy(ssd: &SimSsd, req: &Request, verdict: &FaultVerdict) -> Result<Vec<u8>, IoError> {
     let (base, file_base, file_len) = {
-        let files = shared.files.lock();
+        let files = ssd.files.lock();
         let meta = files
             .get(req.file as usize)
             .ok_or(IoError::NoSuchFile(req.file))?;
@@ -1053,7 +1229,7 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
     match req.op {
         IoOp::Read => {
             let mut buf = vec![0u8; len];
-            let image = shared.image.read();
+            let image = ssd.image.read();
             buf.copy_from_slice(&image.bytes[base..base + len]);
             match verdict.corrupt {
                 Some(SilentCorruption::BitFlip { bit }) => {
@@ -1082,19 +1258,19 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
             Ok(buf)
         }
         IoOp::Write => {
-            let mut image = shared.image.write();
+            let mut image = ssd.image.write();
             // Before the write mutates anything, snapshot the durable
             // state of every sector it touches into the volatile write
             // cache's undo log (first-dirty wins, so the snapshot is the
             // state as of the last flush). A later power cut rolls back
             // to these snapshots; a flush discards them.
-            capture_dirty(shared, &image, base, base + len);
+            capture_dirty(ssd, &image, base, base + len);
             if let Some(SilentCorruption::TornWrite { keep }) = verdict.corrupt {
                 let keep = keep as usize;
                 // A tear only matters if the dropped suffix would have
                 // changed the image.
                 if keep < len && image.bytes[base + keep..base + len] != req.buf[keep..] {
-                    return do_torn_write(shared, &mut image, base, &req.buf, keep);
+                    return do_torn_write(ssd, &mut image, base, &req.buf, keep);
                 }
             }
             image.bytes[base..base + len].copy_from_slice(&req.buf);
@@ -1102,7 +1278,7 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
             img.crcs.refresh(&img.bytes, base, base + len);
             // A complete rewrite heals fenced sectors.
             let sec = SECTOR_SIZE as usize;
-            let mut st = shared.integrity.lock();
+            let mut st = ssd.integrity.lock();
             for s in (base / sec) as u64..=((base + len - 1) / sec) as u64 {
                 st.quarantined.remove(&s);
                 st.intents.remove(&s);
@@ -1118,7 +1294,7 @@ fn do_copy(shared: &Shared, req: &Request, verdict: &FaultVerdict) -> Result<Vec
 /// controller journal the scrubber repairs from). Every later read of a
 /// torn sector fails verification until repair or rewrite.
 fn do_torn_write(
-    shared: &Shared,
+    ssd: &SimSsd,
     image: &mut DiskImage,
     base: usize,
     data: &[u8],
@@ -1128,7 +1304,7 @@ fn do_torn_write(
     let len = data.len();
     image.bytes[base..base + keep].copy_from_slice(&data[..keep]);
     let DiskImage { bytes, crcs } = image;
-    let mut st = shared.integrity.lock();
+    let mut st = ssd.integrity.lock();
     for s in base / sec..=(base + len - 1) / sec {
         let slo = s * sec;
         // The intended contents of this sector: its current bytes overlaid
@@ -1526,6 +1702,152 @@ mod tests {
         let snap = ssd.stats().snapshot();
         assert_eq!(snap.serve_ops, 1);
         assert_eq!(snap.bulk_ops, 4);
+    }
+
+    /// A one-file device on `profile`, with reads of `offsets` replying
+    /// into a fresh [`Replies`], built but not submitted.
+    fn reads_on(profile: SsdProfile, offsets: &[u64]) -> (Arc<SimSsd>, Replies, VecDeque<Request>) {
+        let ssd = SimSsd::new(profile);
+        let f = ssd.create_file(64 * 512);
+        let replies = Replies::default();
+        let reqs = offsets
+            .iter()
+            .map(|&offset| Request {
+                file: f.id,
+                offset,
+                op: IoOp::Read,
+                buf: Vec::new(),
+                len: 512,
+                user_data: offset / 512,
+                reply: replies.sender(),
+                submitted: Instant::now(),
+                prio: IoPriority::Bulk,
+            })
+            .collect();
+        (ssd, replies, reqs)
+    }
+
+    /// Everything posted to `replies` so far, in posting order.
+    fn posted(replies: &Replies) -> Vec<Completion> {
+        let mut got = VecDeque::new();
+        replies.rx.drain_into(&mut got);
+        got.into()
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Each channel's deadlines rise strictly and are the running sum of
+    /// the services it charged: on two channels, reads of 5 ms and writes
+    /// of 7 ms submitted together start at 0, 0, 5 and 7 ms, and the
+    /// channel that served 5 then 7 answers 5 and 12.
+    #[test]
+    fn channel_clocks_sum_their_services() {
+        let profile = SsdProfile {
+            channels: 2,
+            read_latency: ms(5),
+            write_latency: ms(7),
+            ..SsdProfile::instant()
+        };
+        let (ssd, replies, mut reqs) = reads_on(profile, &[0, 512, 1024, 1536]);
+        for i in [1, 2] {
+            reqs[i].op = IoOp::Write;
+            reqs[i].buf = vec![0; 512];
+        }
+        assert_eq!(ssd.try_submit_many(IoPriority::Bulk, &mut reqs), 4);
+        let submitted = ssd.device.lock().pending[1][0].submitted;
+        assert_eq!(ssd.advance(submitted + ms(1000), None), None);
+        let got = posted(&replies);
+        let at = |c: &Completion| c.ready_at.duration_since(submitted);
+        let start = |c: &Completion| at(c) - Duration::from_nanos(c.service_ns);
+        let ids: Vec<u64> = got.iter().map(|c| c.user_data).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "served in submission order");
+        let starts: Vec<Duration> = got.iter().map(start).collect();
+        let deadlines: Vec<Duration> = got.iter().map(at).collect();
+        assert_eq!(starts, [ms(0), ms(0), ms(5), ms(7)]);
+        assert_eq!(deadlines, [ms(5), ms(7), ms(12), ms(12)]);
+        let free_at = ssd.device.lock().free_at.clone();
+        assert_eq!(free_at, [submitted + ms(12); 2]);
+    }
+
+    /// On one channel at 2 ms, three reads submitted together wait exactly
+    /// 0, 2 and 4 ms of modeled time, however late the device is advanced.
+    #[test]
+    fn modeled_queueing_is_exact() {
+        let profile = SsdProfile {
+            channels: 1,
+            read_latency: ms(2),
+            ..SsdProfile::instant()
+        };
+        let (ssd, replies, mut reqs) = reads_on(profile, &[0, 512, 1024]);
+        ssd.try_submit_many(IoPriority::Bulk, &mut reqs);
+        assert_eq!(ssd.advance(Instant::now() + ms(1000), None), None);
+        let queued: Vec<u64> = posted(&replies).iter().map(|c| c.queue_ns).collect();
+        assert_eq!(queued, [0, 2_000_000, 4_000_000]);
+    }
+
+    /// A bulk read, then three more, then a serve read, all pending on one
+    /// busy channel: one advance long after all of them still serves the
+    /// serve read second, as a channel freeing in modeled time would have.
+    #[test]
+    fn a_late_advance_keeps_modeled_order() {
+        let profile = SsdProfile {
+            channels: 1,
+            read_latency: ms(20),
+            ..SsdProfile::instant()
+        };
+        let (ssd, replies, reqs) = reads_on(profile, &[0, 512, 1024, 1536, 2048]);
+        let t0 = Instant::now();
+        {
+            let mut dev = ssd.device.lock();
+            for (i, mut req) in reqs.into_iter().enumerate() {
+                // The head at t0, three bulk reads at 1 ms, the serve read at 2 ms.
+                req.submitted = t0 + ms(i.min(1) as u64 + u64::from(i == 4));
+                if i == 4 {
+                    req.prio = IoPriority::Serve;
+                }
+                dev.pending[lane(req.prio)].push_back(req);
+            }
+        }
+        assert_eq!(ssd.advance(t0 + ms(1000), None), None);
+        let ids: Vec<u64> = posted(&replies).iter().map(|c| c.user_data).collect();
+        assert_eq!(
+            ids,
+            [0, 4, 1, 2, 3],
+            "the serve read overtakes the queued bulk reads"
+        );
+        let snap = ssd.stats().snapshot();
+        assert_eq!((snap.serve_ops, snap.bulk_ops), (1, 4));
+    }
+
+    /// Shutdown with one read in service, three pending and two not yet
+    /// submitted: each of the six is answered exactly once — the one in
+    /// service with its data, the rest with `DeviceClosed`.
+    #[test]
+    fn shutdown_mid_batch_answers_each_request_once() {
+        let profile = SsdProfile {
+            channels: 1,
+            queue_depth: 4,
+            read_latency: ms(20),
+            ..SsdProfile::instant()
+        };
+        let (ssd, replies, mut reqs) = reads_on(profile, &[0, 512, 1024, 1536, 2048, 2560]);
+        assert_eq!(ssd.try_submit_many(IoPriority::Bulk, &mut reqs), 4);
+        let submitted = ssd.device.lock().pending[1][0].submitted;
+        assert_eq!(ssd.advance(submitted, None), Some(submitted + ms(20)));
+        ssd.shutdown();
+        assert_eq!(ssd.try_submit_many(IoPriority::Bulk, &mut reqs), 2);
+        assert_eq!(ssd.advance(submitted + ms(1000), None), None);
+        let mut answers = [0; 6];
+        for c in posted(&replies) {
+            match c.result {
+                Ok(_) => assert_eq!(c.user_data, 0, "only the read in service is served"),
+                Err(e) => assert_eq!(e, IoError::DeviceClosed),
+            }
+            answers[c.user_data as usize] += 1;
+        }
+        assert_eq!(answers, [1; 6], "every request is answered exactly once");
     }
 
     #[test]

@@ -14,14 +14,15 @@ use telemetry::catalog;
 /// Cumulative counters maintained by a [`crate::SimSsd`].
 ///
 /// `io_wait_nanos` is the summed wall time callers spent *blocked* on this
-/// device (synchronous reads and `wait_completion` calls), which is the
-/// quantity behind the paper's "ratio of I/O wait time" panels.
+/// device (parked waiting for a completion or for room in a full lane),
+/// which is the quantity behind the paper's "ratio of I/O wait time"
+/// panels.
 ///
 /// The per-op latency distributions — **service** time (what the device
 /// model charges, excluding any time queued behind other requests) and
-/// **queueing** delay (submission until a channel picks the request up),
-/// whose split distinguishes a congested device from a slow one (paper
-/// §2.2, I/O congestion) — live only in the process-wide registry
+/// **queueing** delay (submission until a channel takes the request, in
+/// modeled time), whose split distinguishes a congested device from a slow
+/// one (paper §2.2, I/O congestion) — live only in the process-wide registry
 /// (`ssd.service`, `ssd.queue_wait`, `storage.queue.*`), which is what run
 /// reports read.
 #[derive(Debug)]

@@ -117,6 +117,7 @@ impl WriteCache {
     }
 
     /// Make everything durable (a whole-device flush barrier).
+    #[cfg(test)]
     pub(crate) fn drain_all(&mut self) -> u64 {
         let drained = self.dirty.len() as u64;
         self.dirty.clear();

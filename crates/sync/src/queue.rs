@@ -1,12 +1,10 @@
-//! Blocking queues between threads: [`LaneQueue`], a two-lane serve-first
-//! bounded queue, and the MPMC channel ([`bounded`] / [`unbounded`]), which
-//! is a `LaneQueue` used through its bulk lane plus endpoint counting.
-//! [`LaneQueue::try_send_many`] and [`LaneQueue::drain_into`] move a whole
-//! batch per lock, the way an io_uring submit or CQ reap crosses once.
+//! Blocking MPMC channels between threads ([`bounded`] / [`unbounded`]):
+//! one FIFO behind one lock, plus endpoint counting.
+//! [`Receiver::drain_into`] takes every queued message per lock, the way an
+//! io_uring CQ reap crosses once.
 //!
-//! One mutex guards both lanes, so a bulk item is never popped while a serve
-//! item is queued (what `ModelLaneQueue` in the loom models checks). It is a
-//! leaf — never held across a call out of this module — hence no `LockRank`.
+//! The lock is a leaf — never held across a call out of this module —
+//! hence no `LockRank`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +17,7 @@ pub struct SendError<T>(pub T);
 
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
-    /// The target lane is at capacity.
+    /// The queue is at capacity.
     Full(T),
     Disconnected(T),
 }
@@ -34,130 +32,89 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
-struct Lanes<T> {
-    /// `[serve, bulk]`; every pop takes from `serve` first.
-    lanes: [VecDeque<T>; 2],
+struct State<T> {
+    items: VecDeque<T>,
     closed: bool,
-    /// Receivers parked on `not_empty` and, per lane, senders parked on
-    /// `not_full`. A wake-up is a `futex_wake` syscall even with nobody
-    /// waiting, so pushes and pops notify only when the count is non-zero.
+    /// Receivers parked on `not_empty` and senders parked on `not_full`.
+    /// A wake-up is a `futex_wake` syscall even with nobody waiting, so
+    /// pushes and pops notify only when the count is non-zero.
     parked_recv: usize,
-    parked_send: [usize; 2],
+    parked_send: usize,
 }
 
-/// Two FIFO lanes of at most `cap` items each behind one lock. Receivers
-/// always take the serve lane first; [`LaneQueue::close`] fails later sends
-/// while queued items stay receivable.
-pub struct LaneQueue<T> {
-    state: Mutex<Lanes<T>>,
+/// A FIFO of at most `cap` items behind one lock; [`Queue::close`] fails
+/// later sends while queued items stay receivable.
+struct Queue<T> {
+    state: Mutex<State<T>>,
     cap: usize,
     not_empty: Condvar,
-    /// Per lane, so a pop wakes a sender that can actually use the slot.
-    not_full: [Condvar; 2],
+    not_full: Condvar,
 }
 
-impl<T> LaneQueue<T> {
-    pub fn new(cap: usize) -> Self {
+impl<T> Queue<T> {
+    fn new(cap: usize) -> Self {
         assert!(cap > 0, "rendezvous (cap 0) queues are not supported");
-        LaneQueue {
-            state: Mutex::new(Lanes {
-                lanes: [VecDeque::new(), VecDeque::new()],
+        Queue {
+            state: Mutex::new(State {
+                items: VecDeque::new(),
                 closed: false,
                 parked_recv: 0,
-                parked_send: [0; 2],
+                parked_send: 0,
             }),
             cap,
             not_empty: Condvar::new(),
-            not_full: [Condvar::new(), Condvar::new()],
+            not_full: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Lanes<T>> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push(&self, serve: bool, msg: T, block: bool) -> Result<(), TrySendError<T>> {
-        let (lane, mut st) = (usize::from(!serve), self.lock());
-        while block && !st.closed && st.lanes[lane].len() >= self.cap {
-            st.parked_send[lane] += 1;
-            st = self.not_full[lane]
+    fn push(&self, msg: T, block: bool) -> Result<(), TrySendError<T>> {
+        let mut st = self.lock();
+        while block && !st.closed && st.items.len() >= self.cap {
+            st.parked_send += 1;
+            st = self
+                .not_full
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
-            st.parked_send[lane] -= 1;
+            st.parked_send -= 1;
         }
         if st.closed {
             return Err(TrySendError::Disconnected(msg));
         }
-        if st.lanes[lane].len() >= self.cap {
+        if st.items.len() >= self.cap {
             return Err(TrySendError::Full(msg));
         }
-        st.lanes[lane].push_back(msg);
+        st.items.push_back(msg);
         if st.parked_recv > 0 {
             self.not_empty.notify_one();
         }
         Ok(())
     }
 
-    /// Enqueue on the serve (`true`) or bulk lane; blocks while it is full.
-    pub fn send(&self, serve: bool, msg: T) -> Result<(), SendError<T>> {
-        self.push(serve, msg, true).map_err(|e| match e {
-            TrySendError::Full(m) | TrySendError::Disconnected(m) => SendError(m),
-        })
-    }
-
-    pub fn try_send(&self, serve: bool, msg: T) -> Result<(), TrySendError<T>> {
-        self.push(serve, msg, false)
-    }
-
-    /// Move items from the front of `items` onto one lane, in order, until
-    /// the lane is full — all under one lock, waking at most one parked
-    /// receiver per item moved. Returns how many moved; the rest stay in
-    /// `items`. A closed queue moves nothing.
-    pub fn try_send_many(
-        &self,
-        serve: bool,
-        items: &mut VecDeque<T>,
-    ) -> Result<usize, SendError<()>> {
-        let (lane, mut st) = (usize::from(!serve), self.lock());
-        if st.closed {
-            return Err(SendError(()));
-        }
-        let room = self.cap.saturating_sub(st.lanes[lane].len());
-        let moved = room.min(items.len());
-        st.lanes[lane].extend(items.drain(..moved));
-        for _ in 0..moved.min(st.parked_recv) {
-            self.not_empty.notify_one();
-        }
-        Ok(moved)
-    }
-
-    /// Pop everything queued into `out`, serve lane first, under one lock,
-    /// without blocking. Returns how many moved.
-    pub fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
+    /// Pop everything queued into `out` under one lock, without blocking.
+    /// Returns how many moved.
+    fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
         let mut st = self.lock();
-        let mut moved = 0;
-        for lane in 0..2 {
-            let n = st.lanes[lane].len();
-            out.extend(st.lanes[lane].drain(..));
-            for _ in 0..n.min(st.parked_send[lane]) {
-                self.not_full[lane].notify_one();
-            }
-            moved += n;
+        let n = st.items.len();
+        out.extend(st.items.drain(..));
+        for _ in 0..n.min(st.parked_send) {
+            self.not_full.notify_one();
         }
-        moved
+        n
     }
 
-    /// Pop serve-first, waiting until `deadline` (`None` = forever).
+    /// Pop the oldest item, waiting until `deadline` (`None` = forever).
     fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mut st = self.lock();
         loop {
-            for lane in 0..2 {
-                if let Some(msg) = st.lanes[lane].pop_front() {
-                    if st.parked_send[lane] > 0 {
-                        self.not_full[lane].notify_one();
-                    }
-                    return Ok(msg);
+            if let Some(msg) = st.items.pop_front() {
+                if st.parked_send > 0 {
+                    self.not_full.notify_one();
                 }
+                return Ok(msg);
             }
             if st.closed {
                 return Err(RecvTimeoutError::Disconnected);
@@ -179,30 +136,19 @@ impl<T> LaneQueue<T> {
         }
     }
 
-    /// Block for the next item; `Err` once the queue is closed *and* empty.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.recv_until(None).map_err(|_| RecvError)
+    fn len(&self) -> usize {
+        self.lock().items.len()
     }
 
-    /// Items queued across both lanes.
-    pub fn len(&self) -> usize {
-        let st = self.lock();
-        st.lanes[0].len() + st.lanes[1].len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn close(&self) {
+    fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.iter().for_each(Condvar::notify_all);
+        self.not_full.notify_all();
     }
 }
 
 struct Chan<T> {
-    queue: LaneQueue<T>,
+    queue: Queue<T>,
     /// Live `[Receiver, Sender]` handles.
     ends: [AtomicUsize; 2],
 }
@@ -216,7 +162,7 @@ pub type Receiver<T> = End<T, false>;
 /// A FIFO channel holding at most `cap` messages; `send` blocks while full.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        queue: LaneQueue::new(cap),
+        queue: Queue::new(cap),
         ends: [AtomicUsize::new(1), AtomicUsize::new(1)],
     });
     (End(Arc::clone(&chan)), End(chan))
@@ -237,16 +183,22 @@ impl<T, const TX: bool> End<T, TX> {
 
 impl<T> Sender<T> {
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        self.0.queue.send(false, msg)
+        self.0.queue.push(msg, true).map_err(|e| match e {
+            TrySendError::Full(m) | TrySendError::Disconnected(m) => SendError(m),
+        })
     }
     pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        self.0.queue.try_send(false, msg)
+        self.0.queue.push(msg, false)
+    }
+    /// Whether `self` and `other` send into the same channel.
+    pub fn same_channel(&self, other: &Sender<T>) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
 impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.0.queue.recv()
+        self.0.queue.recv_until(None).map_err(|_| RecvError)
     }
     pub fn try_recv(&self) -> Option<T> {
         self.0.queue.recv_until(Some(Instant::now())).ok()
@@ -254,7 +206,8 @@ impl<T> Receiver<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         self.0.queue.recv_until(Some(Instant::now() + timeout))
     }
-    /// [`LaneQueue::drain_into`]: every queued message, without blocking.
+    /// Every queued message, without blocking, under one lock. Returns how
+    /// many moved into `out`.
     pub fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
         self.0.queue.drain_into(out)
     }
@@ -272,7 +225,7 @@ impl<T, const TX: bool> Drop for End<T, TX> {
         if self.0.ends[usize::from(TX)].fetch_sub(1, Ordering::AcqRel) == 1 {
             self.0.queue.close();
             // Drop what no receiver can take any more, and the reply senders it carries.
-            while !TX && self.0.queue.recv().is_ok() {}
+            while !TX && self.0.queue.recv_until(None).is_ok() {}
         }
     }
 }
@@ -318,23 +271,6 @@ mod tests {
             tx.send(7).unwrap();
             assert_eq!(parked.join().unwrap(), Ok(7));
         });
-    }
-
-    #[test]
-    fn blocked_send_resumes_only_after_a_recv_on_its_lane() {
-        let q = LaneQueue::new(1);
-        q.send(true, "s1").unwrap();
-        q.send(false, "b1").unwrap();
-        thread::scope(|s| {
-            let blocked = s.spawn(|| q.send(false, "b2"));
-            thread::sleep(MS(20));
-            assert_eq!(q.recv(), Ok("s1"));
-            thread::sleep(MS(20));
-            assert!(!blocked.is_finished(), "a serve pop frees no bulk slot");
-            assert_eq!(q.recv(), Ok("b1"));
-            blocked.join().unwrap().unwrap();
-        });
-        assert_eq!((q.recv(), q.len()), (Ok("b2"), 0));
     }
 
     #[test]
@@ -385,75 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_lane_pops_first_and_full_is_per_lane() {
-        let q = LaneQueue::new(2);
-        q.send(false, "b1").unwrap();
-        q.send(false, "b2").unwrap();
-        assert_eq!(q.try_send(false, "b3"), Err(TrySendError::Full("b3")));
-        assert_eq!(q.try_send(true, "s1"), Ok(()), "the serve lane has room");
-        assert_eq!(q.len(), 3);
-        assert_eq!((q.recv(), q.recv()), (Ok("s1"), Ok("b1")));
-        q.send(true, "s2").unwrap();
-        assert_eq!((q.recv(), q.recv(), q.len()), (Ok("s2"), Ok("b2"), 0));
-    }
-
-    #[test]
-    fn batch_send_is_fifo_per_lane_and_stops_at_cap() {
-        let q = LaneQueue::new(3);
-        let mut bulk: VecDeque<_> = (0..5).collect();
-        assert_eq!(q.try_send_many(false, &mut bulk), Ok(3));
-        assert_eq!(bulk, [3, 4], "the refused tail stays with the caller");
-        assert_eq!(q.try_send_many(false, &mut bulk), Ok(0), "the lane is full");
-        let mut serve: VecDeque<_> = [10, 11].into();
-        assert_eq!(q.try_send_many(true, &mut serve), Ok(2), "lanes fill apart");
-        assert!(serve.is_empty());
-        let mut out = VecDeque::new();
-        assert_eq!(q.drain_into(&mut out), 5);
-        assert_eq!(out, [10, 11, 0, 1, 2], "serve first, FIFO within a lane");
-        assert_eq!((q.drain_into(&mut out), q.len()), (0, 0));
-        assert_eq!(q.try_send_many(false, &mut bulk), Ok(2));
-        assert_eq!((q.recv(), q.recv()), (Ok(3), Ok(4)));
-    }
-
-    #[test]
-    fn closed_queue_takes_no_batch_but_still_drains() {
-        let q = LaneQueue::new(4);
-        q.send(false, 1).unwrap();
-        q.close();
-        let mut items: VecDeque<_> = [2, 3].into();
-        assert_eq!(q.try_send_many(false, &mut items), Err(SendError(())));
-        assert_eq!(items, [2, 3], "nothing moved");
-        let mut out = VecDeque::new();
-        assert_eq!((q.drain_into(&mut out), out), (1, VecDeque::from([1])));
-    }
-
-    #[test]
-    fn batch_send_wakes_every_parked_receiver_it_feeds() {
-        let q = LaneQueue::new(8);
-        thread::scope(|s| {
-            let parked: Vec<_> = (0..2)
-                .map(|_| s.spawn(|| q.recv_until(Some(Instant::now() + MS(5000)))))
-                .collect();
-            while q.lock().parked_recv < 2 {
-                thread::sleep(MS(1));
-            }
-            let mut items: VecDeque<_> = [1, 2].into();
-            let t = Instant::now();
-            assert_eq!(q.try_send_many(false, &mut items), Ok(2));
-            let mut got: Vec<_> = parked.into_iter().map(|p| p.join().unwrap()).collect();
-            assert!(t.elapsed() < MS(4000), "a receiver missed its wake-up");
-            got.sort_unstable_by_key(|r| r.ok());
-            assert_eq!(got, [Ok(1), Ok(2)]);
-        });
-    }
-
-    #[test]
     fn drain_frees_room_for_parked_senders() {
         let (tx, rx) = bounded(1);
         tx.send(1).unwrap();
         thread::scope(|s| {
             let blocked = s.spawn(|| tx.send(2));
-            while rx.0.queue.lock().parked_send[1] < 1 {
+            while rx.0.queue.lock().parked_send < 1 {
                 thread::sleep(MS(1));
             }
             let mut out = VecDeque::new();
@@ -464,21 +337,21 @@ mod tests {
     }
 
     #[test]
-    fn close_wakes_blocked_ends_and_drains_both_lanes_before_disconnecting() {
-        let (q, idle) = (LaneQueue::new(1), LaneQueue::<u8>::new(1));
-        q.send(false, 1).unwrap();
-        q.send(true, 2).unwrap();
+    fn close_wakes_blocked_ends_and_drains_before_disconnecting() {
+        let (q, idle) = (Queue::new(2), Queue::<u8>::new(1));
+        q.push(1, false).unwrap();
+        q.push(2, false).unwrap();
         thread::scope(|s| {
-            let sender = s.spawn(|| q.send(false, 3));
-            let receiver = s.spawn(|| idle.recv());
+            let sender = s.spawn(|| q.push(3, true));
+            let receiver = s.spawn(|| idle.recv_until(None));
             thread::sleep(MS(10));
             q.close();
             idle.close();
-            assert_eq!(sender.join().unwrap(), Err(SendError(3)));
-            assert_eq!(receiver.join().unwrap(), Err(RecvError));
+            assert_eq!(sender.join().unwrap(), Err(TrySendError::Disconnected(3)));
+            assert_eq!(receiver.join().unwrap(), Err(Disconnected));
         });
-        assert_eq!(q.try_send(true, 4), Err(TrySendError::Disconnected(4)));
-        let drained = (q.recv(), q.recv(), q.recv());
-        assert_eq!(drained, (Ok(2), Ok(1), Err(RecvError)));
+        assert_eq!(q.push(4, false), Err(TrySendError::Disconnected(4)));
+        let drained = (q.recv_until(None), q.recv_until(None), q.recv_until(None));
+        assert_eq!(drained, (Ok(1), Ok(2), Err(Disconnected)));
     }
 }

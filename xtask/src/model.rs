@@ -57,18 +57,17 @@ pub struct FileClass {
     /// `crates/sync` implements the ordered primitives on raw `std::sync`
     /// locks: exempt from `raw-lock`, and not modeled.
     pub is_sync_crate: bool,
-    /// Library source on an integrity/recovery path (retry, scrub,
-    /// health, checkpoint decode): the `recovery-abort` rule applies.
+    /// Library source on an integrity/recovery path (retry, health,
+    /// checkpoint decode): the `recovery-abort` rule applies.
     pub is_recovery_path: bool,
 }
 
 /// Files whose whole purpose is surviving faults: they must degrade or
 /// return typed errors, never abort the process (`recovery-abort`).
-const RECOVERY_PATHS: [&str; 9] = [
+const RECOVERY_PATHS: [&str; 8] = [
     "crates/storage/src/retry.rs",
     "crates/storage/src/fault.rs",
     "crates/storage/src/integrity.rs",
-    "crates/storage/src/scrub.rs",
     "crates/storage/src/health.rs",
     "crates/storage/src/wcache.rs",
     "crates/core/src/checkpoint.rs",
