@@ -16,9 +16,9 @@ pub const EXTRACT_QUEUE_CAP: usize = 6;
 pub const TRAIN_QUEUE_CAP: usize = 4;
 
 /// Tunables of a GNNDrive pipeline. Defaults follow the paper's evaluation
-/// setup (§5 "Baselines"): four samplers, four extractors, one trainer, one
-/// releaser; the queue capacities are [`EXTRACT_QUEUE_CAP`] and
-/// [`TRAIN_QUEUE_CAP`].
+/// setup (§5 "Baselines"): four samplers, four extractors and one trainer,
+/// which also releases each batch it trains; the queue capacities are
+/// [`EXTRACT_QUEUE_CAP`] and [`TRAIN_QUEUE_CAP`].
 #[derive(Debug, Clone)]
 pub struct GnnDriveConfig {
     /// Sampler thread-pool size (paper default: 4).

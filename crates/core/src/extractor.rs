@@ -500,16 +500,23 @@ struct Loads<'a> {
 
 impl Loads<'_> {
     /// One reap round, the io_uring way: when `block`, park for one
-    /// completion (bounded by the retry policy's per-wait deadline); then
-    /// take every completion already there, and launch phase two for each.
-    /// `Ok(false)` means nothing was reaped; from a blocking round, that
-    /// nothing of this batch is outstanding.
+    /// completion; then take every completion already there, and launch
+    /// phase two for each. A wait past the retry policy's per-op deadline
+    /// is a transient timeout: the request is still outstanding, so the
+    /// wait is retried with a fresh deadline, and the batch fails only
+    /// once every attempt has timed out. `Ok(false)` means nothing was
+    /// reaped; from a blocking round, that nothing of this batch is
+    /// outstanding.
     fn reap(&mut self, block: bool) -> Result<bool, ExtractError> {
         let mut reaped = false;
         if block {
             self.ring.submit();
-            let deadline = Some(self.ctx.retry.deadline());
-            let Some(c) = self.ring.wait_completion_deadline(deadline)? else {
+            let retry = self.ctx.retry;
+            let waited = retry.run(
+                || catalog::CORE_EXTRACT_RETRIES.inc(),
+                |_| self.ring.wait_completion_deadline(Some(retry.deadline())),
+            );
+            let Some(c) = waited? else {
                 return Ok(false);
             };
             self.launch(c)?;
@@ -1517,6 +1524,37 @@ mod tests {
                 matches!(err, Some(ExtractError::Io(IoError::Timeout))),
                 "serial {serial}: expected a timeout, got {err:?}"
             );
+        }
+    }
+
+    /// A ring wait past one per-op deadline is a transient timeout, not a
+    /// failed batch: a stall longer than one `op_timeout` but well inside
+    /// `max_attempts` of them is waited out in both settings, the rows are
+    /// exact, and each timed-out wait counts as a retry.
+    #[test]
+    fn a_stall_inside_the_retry_budget_is_waited_out() {
+        use gnndrive_storage::FaultPlan;
+        use std::time::Duration;
+        let ds = tiny_dataset(128);
+        for serial in [false, true] {
+            let mut ctx = context(&ds, true, true);
+            ctx.sync_extract = serial;
+            ctx.retry = RetryPolicy::default()
+                .with_op_timeout(Duration::from_millis(10))
+                .with_max_attempts(10);
+            ds.ssd
+                .set_fault_plan(FaultPlan::new(0).with_stall(0..2, Duration::from_millis(40)));
+            let retries = catalog::CORE_EXTRACT_RETRIES.get();
+            let out = extract_batch(&ctx, sample_of(&ds, &[200, 201, 202]));
+            ds.ssd.clear_faults();
+            let batch = out.unwrap_or_else(|e| panic!("serial {serial}: {e}"));
+            verify_rows(&ds, &batch, &ctx.fb);
+            assert!(
+                catalog::CORE_EXTRACT_RETRIES.get() > retries,
+                "serial {serial}: a timed-out wait must count as a retry"
+            );
+            ctx.fb.release(&batch.sample.input_nodes);
+            ctx.fb.check_invariants();
         }
     }
 

@@ -406,7 +406,7 @@ impl FeatureBufferManager {
     /// coldest class first (with delayed invalidation of their previous
     /// owners) for the nodes this extractor must load.
     ///
-    /// Blocks while the standby list is empty (waiting for the releaser);
+    /// Blocks while the standby list is empty (waiting for a release);
     /// panics after the configured timeout — that means the feature buffer
     /// violates the `Ne × Mb` reservation for this workload.
     pub fn plan_batch(&self, input_nodes: &[NodeId]) -> ExtractPlan {
@@ -444,7 +444,7 @@ impl FeatureBufferManager {
         for &(i, node) in &to_load {
             // Attribution: an empty standby list means the slot budget —
             // i.e. available memory — is the constraint (𝔒1). Timed only
-            // while actually blocked on the releaser.
+            // while actually blocked on a release.
             let mut slot_wait = None;
             let slot = loop {
                 if let Some(slot) = inner.standby.pop_front() {
@@ -455,7 +455,7 @@ impl FeatureBufferManager {
                         gnndrive_telemetry::WaitKind::SlotWait,
                     ));
                 }
-                // Wait for the releaser to retire slots.
+                // Wait for a release to retire slots.
                 let timed_out = self
                     .slot_available
                     .wait_for(&mut inner, self.timeout)

@@ -21,7 +21,8 @@
 //!    (sample → extract → train → release), with mini-batch reordering for
 //!    slack absorption (§4.3) and multi-device data parallelism (§4.3).
 //!
-//! The [`Pipeline`] wires the four stages together; [`TrainingSystem`] is
+//! The [`Pipeline`] wires the four stages together, the trainer running
+//! the release stage itself; [`TrainingSystem`] is
 //! the harness-facing interface the baselines in `gnndrive-baselines`
 //! also implement.
 

@@ -3,8 +3,8 @@
 //! GNNDrive splits the training set into *segments*, one per device worker
 //! (the paper uses subprocesses because of Python's GIL; Rust threads play
 //! that role here). Each worker owns a full pipeline — its own samplers,
-//! extractors, trainer, releaser, queues, and a feature buffer in its own
-//! device's memory — and synchronizes gradients with the other workers in
+//! extractors, trainer (which also releases), queues, and a feature buffer
+//! in its own device's memory — and synchronizes gradients with the other workers in
 //! the backward pass, DDP-style. The all-reduce carries a modeled
 //! interconnect cost (NCCL/IPC), which is what bends the scalability curve
 //! of Fig 13 at higher worker counts.

@@ -1,13 +1,14 @@
-//! The GNNDrive pipeline: samplers → extractors → trainer → releaser
-//! (paper §4.1, Fig 4).
+//! The GNNDrive pipeline: samplers → extractors → trainer (paper §4.1,
+//! Fig 4). The trainer also runs the release stage: it unpins a batch's
+//! rows once the batch's optimizer step ends.
 //!
-//! Three queues connect the four stages; they carry only samples, node-id
-//! lists and slot aliases, never feature payloads. The train and release
-//! queues are bounded; the extract queue is bounded by the epoch's announce
-//! horizon, whose samples past [`EXTRACT_QUEUE_CAP`] are charged to the host
-//! memory governor (DESIGN.md §4 item 10). Samplers claim mini-batches
-//! from a shared cursor and may finish out of order; extractors likewise.
-//! Mini-batch *reordering* (§4.3) is therefore the default; setting
+//! Two queues connect the three stages; they carry only samples and slot
+//! aliases, never feature payloads. The train queue is bounded; the extract
+//! queue is bounded by the epoch's announce horizon, whose samples past
+//! [`EXTRACT_QUEUE_CAP`] are charged to the host memory governor
+//! (DESIGN.md §4 item 10). Samplers claim mini-batches from a shared cursor
+//! and may finish out of order; extractors likewise. Mini-batch
+//! *reordering* (§4.3) is therefore the default; setting
 //! [`GnnDriveConfig::reorder`] to `false` makes the trainer restore
 //! submission order (the ablation).
 //!
@@ -521,10 +522,12 @@ impl Pipeline {
     ///
     /// Pin bound: at most `num_extractors + TRAIN_QUEUE_CAP + 1` batches
     /// pin feature-buffer rows at once — one per extractor, the train queue
-    /// and the batch training — as without the head. A head batch of the
-    /// next epoch pins only on a permit from the trainer, granted while the
-    /// permits plus this epoch's batches not yet trained stay under that
-    /// bound, and a head the call started with waits in the train queue.
+    /// and the batch training — as without the head. The trainer releases
+    /// each batch as its step ends, so a trained batch pins nothing. A head
+    /// batch of the next epoch pins only on a permit from the trainer,
+    /// granted while the permits plus this epoch's batches not yet trained
+    /// stay under that bound, and a head the call started with waits in
+    /// the train queue.
     /// The head also leaves the `Ne × Mb` reservation whole: it is only as
     /// long as the buffer holds a worst-case batch per extractor besides
     /// it, so no extraction waits on slots only a head could free.
@@ -629,7 +632,6 @@ impl Pipeline {
         let (head_tx, head_rx) = unbounded::<(Announced<Hold>, Stamps)>();
         let (train_tx, train_rx) =
             bounded::<(u64, Result<(ExtractedBatch, Stamps), Tombstone>)>(TRAIN_QUEUE_CAP);
-        let (release_tx, release_rx) = bounded::<(u64, Vec<NodeId>)>(64);
         let (permit_tx, permit_rx) = bounded::<()>(TRAIN_QUEUE_CAP);
         let (landed_tx, landed_rx) = unbounded::<(ExtractedBatch, Stamps)>();
         // The head this call started with waits in the train queue, in plan
@@ -639,7 +641,7 @@ impl Pipeline {
             let _ = train_tx.send((batch.sample.batch_id, Ok((batch, stamps))));
         }
 
-        // Live depth gauges for the three queues (𝔒2 diagnostics: a
+        // Live depth gauges for the two queues (𝔒2 diagnostics: a
         // congested extract stage shows as a deep extract queue and an
         // empty train queue), the horizon's batches, rows and stolen rows
         // (how far the samplers ran ahead, and whether the buffer bounded
@@ -649,7 +651,6 @@ impl Pipeline {
         for g in [
             &catalog::PIPELINE_EXTRACT_QUEUE_DEPTH,
             &catalog::PIPELINE_TRAIN_QUEUE_DEPTH,
-            &catalog::PIPELINE_RELEASE_QUEUE_DEPTH,
             &catalog::PIPELINE_HORIZON_BATCHES,
             &catalog::FEATURE_BUFFER_ANNOUNCED_ROWS,
         ] {
@@ -682,6 +683,7 @@ impl Pipeline {
         // (in training order), one tombstone per skipped batch.
         let mut records: Vec<telemetry::BatchAttribution> = Vec::with_capacity(batches);
         let mut tombstones: Vec<Tombstone> = Vec::new();
+        let mut release = telemetry::Histogram::new();
         let mut loss_sum = 0.0f64;
         let (mut nodes_loaded, mut nodes_reused) = (0u64, 0u64);
         let io_before = self.ds.ssd.stats().snapshot();
@@ -693,7 +695,6 @@ impl Pipeline {
         let model = &mut self.model;
         let opt = &mut self.opt;
         let device = Arc::clone(&self.device);
-        let fb_for_release = Arc::clone(&self.fb);
         let t0 = Instant::now();
         // The pipeline's clock: every stamp is nanoseconds since it started,
         // so a head batch's stamps telescope across the calls it spans.
@@ -733,7 +734,7 @@ impl Pipeline {
             (batch_id, extracted, stamps)
         };
 
-        let (released, landed) = std::thread::scope(|s| {
+        let mut landed = std::thread::scope(|s| {
             // ① Samplers.
             for w in 0..num_samplers {
                 let tx = extract_tx.clone();
@@ -844,30 +845,9 @@ impl Pipeline {
             drop(permit_rx);
             drop(landed_tx);
 
-            // ⑨ Releaser: hands its stage histogram back through `join`.
-            let releaser = std::thread::Builder::new()
-                .name("releaser".into())
-                .spawn_scoped(s, move || {
-                    telemetry::register_thread(ThreadClass::Cpu);
-                    let mut stage = telemetry::Histogram::new();
-                    while let Ok((batch_id, nodes)) = release_rx.recv() {
-                        catalog::PIPELINE_RELEASE_QUEUE_DEPTH.set(release_rx.len() as i64);
-                        let t = Instant::now();
-                        {
-                            let _span = telemetry::span("release", batch_id);
-                            let _busy = telemetry::state(State::Compute);
-                            fb_for_release.release(&nodes);
-                        }
-                        let spent = t.elapsed().as_nanos() as u64;
-                        catalog::PIPELINE_RELEASE.record(spent);
-                        stage.record(spent);
-                    }
-                    stage
-                })
-                .expect("spawn releaser");
-
-            // ⑦⑧ Trainer (this thread): one message per planned batch, so
-            // the epoch ends when the last extractor hangs up.
+            // ⑦⑧⑨ Trainer (this thread), which also releases what it
+            // trains: one message per planned batch, so the epoch ends when
+            // the last extractor hangs up.
             telemetry::register_thread(ThreadClass::Cpu);
             let mut pending = BTreeMap::new();
             let mut next_expected = first as u64;
@@ -886,7 +866,7 @@ impl Pipeline {
             grant(remaining);
             // The gathered input features: one buffer, reused by every batch.
             let mut input = Vec::new();
-            'train: while let Ok((id, msg)) = train_rx.recv() {
+            while let Ok((id, msg)) = train_rx.recv() {
                 catalog::PIPELINE_TRAIN_QUEUE_DEPTH.set(train_rx.len() as i64);
                 pending.insert(id, msg);
                 // Reordering trains each batch as it arrives (§4.3); the
@@ -956,31 +936,28 @@ impl Pipeline {
                     };
                     telemetry::record_batch_attribution(&rec);
                     records.push(rec);
-                    // ⑧ hand the original sampled node list to the releaser.
-                    if release_tx
-                        .send((batch.sample.batch_id, batch.sample.input_nodes))
-                        .is_err()
+                    // Release the batch's rows: it pins nothing from here on.
+                    let t = Instant::now();
                     {
-                        // The releaser died (its thread panicked): without it
-                        // slots are never recycled, so stop the epoch cleanly
-                        // instead of deadlocking on an exhausted buffer.
-                        break 'train;
+                        let _span = telemetry::span("release", batch.sample.batch_id);
+                        let _busy = telemetry::state(State::Compute);
+                        ctx.fb.release(&batch.sample.input_nodes);
                     }
-                    catalog::PIPELINE_RELEASE_QUEUE_DEPTH.set(release_tx.len() as i64);
+                    let spent = t.elapsed().as_nanos() as u64;
+                    catalog::PIPELINE_RELEASE.record(spent);
+                    release.record(spent);
                 }
                 grant(remaining);
             }
-            // Hanging up frees any extractor parked on a full train queue,
-            // or waiting for a head permit, after an early exit.
+            // Moved in here, the train queue's receiver and the permits'
+            // sender also hang up when a step panics, which frees any
+            // extractor parked on a full train queue or waiting for a head
+            // permit.
             drop(train_rx);
             drop(permit_tx);
-            drop(release_tx);
             // The head lands once every extractor is done.
-            let landed: Vec<(ExtractedBatch, Stamps)> =
-                std::iter::from_fn(|| landed_rx.recv().ok()).collect();
-            (releaser.join().ok(), landed)
+            std::iter::from_fn(|| landed_rx.recv().ok()).collect::<Vec<_>>()
         });
-        let mut landed = landed;
         landed.sort_unstable_by_key(|(b, _)| b.sample.batch_id);
         if !landed.is_empty() {
             self.head = Some(Head {
@@ -1028,11 +1005,7 @@ impl Pipeline {
             nodes_reused,
             prep_secs: 0.0,
             batch_latency: records.iter().map(|r| r.wall_ns).collect(),
-            error: tombstones.first().map(|t| t.error.clone()).or_else(|| {
-                released
-                    .is_none()
-                    .then(|| "releaser thread panicked".to_string())
-            }),
+            error: tombstones.first().map(|t| t.error.clone()),
         };
         EpochStats {
             report,
@@ -1040,7 +1013,7 @@ impl Pipeline {
                 stage("sample", &sample),
                 stage("extract", &extract),
                 stage("train", &train),
-                stage("release", &released.unwrap_or_default()),
+                stage("release", &release),
             ],
             attribution,
             batch_attribution: records,

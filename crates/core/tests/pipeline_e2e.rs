@@ -8,7 +8,7 @@ use gnndrive_core::{
 use gnndrive_device::{FeatureSlab, GpuDevice};
 use gnndrive_graph::{Dataset, DatasetSpec};
 use gnndrive_nn::ModelKind;
-use gnndrive_sampling::{InMemTopo, NeighborSampler};
+use gnndrive_sampling::{BatchPlan, InMemTopo, NeighborSampler};
 use gnndrive_storage::{
     DeviceHealth, FaultPlan, HealthConfig, IoPriority, MemoryGovernor, PageCache, RetryPolicy,
     SimSsd, SsdProfile,
@@ -567,6 +567,85 @@ fn back_to_back_epochs_fit_the_pin_bound() {
         let head = if epoch == 0 { 0 } else { TRAIN_QUEUE_CAP };
         assert_eq!(stats.head_batches, head);
         p.feature_buffer().check_invariants();
+    }
+}
+
+/// The pin bound holds at every step, head included: the feature buffer's
+/// reference counts never sum past `num_extractors + TRAIN_QUEUE_CAP + 1`
+/// of the largest batch, because the trainer releases each batch as its
+/// step ends. Small batches make the epoch many times the bound's length,
+/// and one-row reads bridge no gap, so no harvested row holds a pin of no
+/// batch. Samples are replayed with the pipeline's plan and salt
+/// (`seed ^ epoch`) to size the largest batch of the two epochs and of the
+/// head the second extracts; the replay must match what each epoch
+/// trained. The sum is read node by node, not atomically, but nothing
+/// releases while the trainer is in `on_step`, so pins only rise during
+/// the read and it never exceeds the pins at its end.
+#[test]
+fn every_step_stays_inside_the_pin_bound() {
+    let dim = 128; // 512 B rows: one sector each
+    let cfg = GnnDriveConfig {
+        batch_size: 10,
+        max_joint_read_bytes: dim * 4,
+        ..config()
+    };
+    let ds = dataset(dim);
+    let gov = MemoryGovernor::unlimited();
+    let cache = PageCache::new(Arc::clone(&ds.ssd), Arc::clone(&gov));
+    let mut p = Pipeline::builder(Arc::clone(&ds), GpuDevice::rtx3090())
+        .with_model(ModelKind::GraphSage, 16)
+        .with_config(cfg.clone())
+        .with_governor(gov)
+        .with_page_cache(cache)
+        .build()
+        .unwrap();
+    let sampler = NeighborSampler::new(
+        Arc::new(InMemTopo::new(Arc::clone(&ds.topology))),
+        cfg.fanouts.clone(),
+    );
+    let input_nodes = |epoch: u64| -> Vec<usize> {
+        let plan = BatchPlan::new(&ds.train_idx, cfg.batch_size, epoch, cfg.seed);
+        (0..plan.num_batches())
+            .map(|i| {
+                let sample = sampler.sample(i as u64, plan.batch(i), cfg.seed ^ epoch);
+                sample.input_nodes.len()
+            })
+            .collect()
+    };
+    let largest = (0..3).flat_map(input_nodes).max().unwrap();
+    let pin_bound = cfg.num_extractors + TRAIN_QUEUE_CAP + 1;
+    let bound = pin_bound * largest;
+    let fb = Arc::clone(p.feature_buffer());
+    for epoch in 0..2 {
+        let (mut steps, mut peak) = (0, 0);
+        let stats = p.train_epoch_range_with_sync(epoch, 0, None, |_| {
+            let pins: usize = (0..ds.spec.num_nodes as u32)
+                .map(|n| fb.entry(n).1 as usize)
+                .sum();
+            peak = peak.max(pins);
+            steps += 1;
+        });
+        let r = &stats.report;
+        assert!(r.error.is_none(), "{:?}", r.error);
+        assert!(
+            r.batches > 4 * pin_bound,
+            "the epoch must outlast the bound"
+        );
+        assert_eq!(steps, r.batches);
+        assert_eq!(
+            stats.head_batches,
+            if epoch == 0 { 0 } else { TRAIN_QUEUE_CAP }
+        );
+        let trained: usize = input_nodes(epoch).iter().sum();
+        assert_eq!(
+            (r.nodes_loaded + r.nodes_reused) as usize,
+            trained,
+            "epoch {epoch}: the replayed samples are not the ones trained"
+        );
+        assert!(
+            peak <= bound,
+            "epoch {epoch}: {peak} pins, bound {bound} ({largest} rows a batch)"
+        );
     }
 }
 

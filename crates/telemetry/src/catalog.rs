@@ -114,7 +114,6 @@ pub static PIPELINE_TRAIN: HistogramHandle = HistogramHandle::new("pipeline.trai
 pub static PIPELINE_RELEASE: HistogramHandle = HistogramHandle::new("pipeline.release");
 pub static PIPELINE_EXTRACT_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.extract_queue.depth");
 pub static PIPELINE_TRAIN_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.train_queue.depth");
-pub static PIPELINE_RELEASE_QUEUE_DEPTH: Gauge = Gauge::new("pipeline.release_queue.depth");
 // Samples announced but not yet pinned: how far the samplers ran ahead.
 pub static PIPELINE_HORIZON_BATCHES: Gauge = Gauge::new("pipeline.horizon_batches");
 pub static PIPELINE_BATCHES_TRAINED: Counter = Counter::new("pipeline.batches_trained");

@@ -59,7 +59,7 @@ pub use trace::{
 /// [`ThreadClass::Gpu`]; its busy fraction is reported as GPU utilization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadClass {
-    /// Host CPU worker (samplers, extractors, releasers, loaders, ...).
+    /// Host CPU worker (samplers, extractors, the trainer, loaders, ...).
     Cpu,
     /// Simulated accelerator compute worker.
     Gpu,

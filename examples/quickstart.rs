@@ -41,7 +41,8 @@ fn main() {
     let page_cache = PageCache::new(Arc::clone(&dataset.ssd), Arc::clone(&governor));
 
     // 3. A GNNDrive pipeline: 4 samplers -> 4 async extractors -> trainer
-    //    -> releaser, feature buffer in simulated GPU memory.
+    //    (which releases each batch it trains), feature buffer in simulated
+    //    GPU memory.
     let config = GnnDriveConfig {
         fanouts: vec![5, 5],
         batch_size: 64,

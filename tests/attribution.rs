@@ -334,7 +334,7 @@ fn memory_tight_and_compute_heavy_reach_opposite_verdicts() {
     };
 
     // Slots at the Ne × Mb reservation floor: every extractor can hold its
-    // worst case but nothing is spare, so extract blocks on the releaser.
+    // worst case but nothing is spare, so extract blocks on a release.
     let tight = verdict(Scenario {
         fb_slots_override: Some(floor),
         ..base.clone()
